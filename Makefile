@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-compare verify fmt fmt-check vet staticcheck trace-verify cover-tcpip
+.PHONY: all build test bench bench-check bench-compare verify fmt fmt-check vet staticcheck trace-verify cover-tcpip
 
 all: build
 
@@ -15,6 +15,12 @@ test:
 # the raw `go test` lines still stream to the terminal via stderr.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH.json
+
+# bench-check vets and tests the bench/ module. It is a separate module
+# (repro/bench, replacing repro with ../), so the root `go vet ./...` and
+# `go test ./...` never compile it, yet it imports internal packages.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compare re-runs the benchmarks into a scratch snapshot and prints
 # the per-metric delta against the committed BENCH.json, flagging anything
@@ -66,10 +72,12 @@ trace-verify:
 	$(GO) run ./cmd/traceverify /tmp/atmsim-trace.json
 
 # verify is the pre-PR gate: formatting, vet, staticcheck (when installed),
-# a full build, the test suite under the race detector, the trace schema
-# gate, and a non-blocking benchmark delta against the committed BENCH.json.
+# a full build, the test suite under the race detector, the bench/ module's
+# vet and tests, the trace schema gate, and a non-blocking benchmark delta
+# against the committed BENCH.json.
 verify: fmt-check vet staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(MAKE) bench-check
 	$(MAKE) trace-verify
 	-$(MAKE) bench-compare

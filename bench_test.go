@@ -337,54 +337,6 @@ func BenchmarkAblationSonetPath(b *testing.B) {
 	}
 }
 
-// BenchmarkBurstSonetPath compares the SONET receive recovery paths: serial
-// (one deferred kernel event per recovered cell) against burst (each frame's
-// cells crossing as one vector, re-spread at the destination's door). The
-// golden tests pin the two cell-for-cell identical; this measures what the
-// batching buys in wall clock and allocations, and reports kernel events per
-// op honestly — the receive door is a must-split stage, so bursts shrink
-// bookkeeping, not the event count.
-func BenchmarkBurstSonetPath(b *testing.B) {
-	run := func(b *testing.B, burst bool) {
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			k := sim.NewKernel()
-			mk := func(name string) *nic.Interface {
-				cfg := nic.DefaultConfig(name)
-				cfg.RxFifoDepth = 128
-				iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				return iface
-			}
-			a, bb := mk("a"), mk("b")
-			if _, err := sonetlink.Connect(k, sonetlink.Config{
-				Rate: sonet.STS3c, Delay: 10_000, Burst: burst,
-			}, a, bb); err != nil {
-				b.Fatal(err)
-			}
-			vc := atm.VC{VCI: 9}
-			a.OpenVC(vc)
-			bb.OpenVC(vc)
-			delivered := 0
-			bb.OnReceive(func(nic.Delivered) { delivered++ })
-			for j := 0; j < 5; j++ {
-				a.Send(vc, make([]byte, 9180), nil)
-			}
-			k.Run()
-			if delivered != 5 {
-				b.Fatalf("delivered %d of 5 over SONET path", delivered)
-			}
-			events = k.Dispatched()
-		}
-		b.ReportMetric(float64(events), "events/op")
-	}
-	b.Run("serial", func(b *testing.B) { run(b, false) })
-	b.Run("burst", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkShardedTopology measures what partitioned conservative-parallel
 // execution buys on a topology built for it: four switch islands (one switch
 // + two endpoints each) joined in a chain by 50 µs inter-island fibers — the

@@ -41,7 +41,6 @@ func main() {
 	geoFlows := flag.Int("geo-flows", 2, "with e20: number of concurrent GEO flows")
 	parallel := flag.Int("parallel", 1, "worker goroutines fanning independent sweep points across CPUs (0 = GOMAXPROCS); results are bit-identical to -parallel 1; for parallelism inside one simulation see -shards")
 	shards := flag.Int("shards", 1, "partition count for intra-run conservative-parallel execution: each simulation's topology is split across this many kernels advancing in lock-step (experiments that build partitionable topologies honor it; results are bit-identical to -shards 1)")
-	burst := flag.Bool("burst", false, "run the SONET-path recovery ablation, serial vs burst cell vectors (alias for -exp sonet)")
 	flag.Parse()
 
 	experiments.SetParallelism(*parallel)
@@ -56,9 +55,6 @@ func main() {
 		for _, e := range strings.Split(*expFlag, ",") {
 			want[strings.TrimSpace(strings.ToLower(e))] = true
 		}
-	}
-	if *burst {
-		want["sonet"] = true
 	}
 
 	runTime := func(full sim.Duration) sim.Duration {
@@ -218,11 +214,6 @@ func main() {
 		for _, p := range pts {
 			fmt.Println(" ", p.String())
 		}
-		ran++
-	}
-	if want["sonet"] {
-		_, tb := experiments.SonetPath(runTime(20 * sim.Millisecond))
-		emitTable(tb)
 		ran++
 	}
 	if *metricsPath != "" {

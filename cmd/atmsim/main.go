@@ -69,7 +69,6 @@ func main() {
 	rtimeout := flag.Duration("rtimeout", 0, "reassembly staleness timeout: partial frames idle this long are aborted and their adapter buffers reclaimed (0 = off)")
 	tcpBytes := flag.Int("tcp", 0, "replace the raw workload with a TCP Reno bulk transfer of this many bytes over RFC 2684 LLC/SNAP (0 = off)")
 	framed := flag.Bool("framed", false, "carry the a<->b fiber through the full SONET physical layer (framing, scrambling, HEC delineation) instead of the cell-granular shortcut; direct topology only")
-	burst := flag.Bool("burst", false, "batched cell-vector receive recovery on the SONET path (implies -framed); delivery is golden-identical to the serial path, just cheaper")
 	biterr := flag.Float64("biterr", 0, "with -framed: probability each frame suffers one random line bit error")
 	flag.Parse()
 
@@ -79,7 +78,7 @@ func main() {
 		SamplePeriod: *samplePeriod,
 		SamplePath:   *samplePath,
 	}
-	line := lineOpts{Framed: *framed || *burst, Burst: *burst, BitErrProb: *biterr}
+	line := lineOpts{Framed: *framed, BitErrProb: *biterr}
 	if err := run(*rate, *aalFlag, *arch, *size, *wl, *duration, *loss, *window, *seed, *rxEngines, *interleave, *dumpN, *metricsPath, *stats, *contract, *police, *epd, *abr, *kill, *restore, *rtimeout, *tcpBytes, line, obs); err != nil {
 		fmt.Fprintln(os.Stderr, "atmsim:", err)
 		os.Exit(1)
@@ -96,10 +95,9 @@ type obsOpts struct {
 }
 
 // lineOpts bundles the physical-layer flags: SONET framing on the a<->b
-// fiber, burst-mode receive recovery, and line bit errors.
+// fiber and line bit errors.
 type lineOpts struct {
 	Framed     bool
-	Burst      bool
 	BitErrProb float64
 }
 
@@ -137,16 +135,16 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	}
 	if line.Framed {
 		if police || epd > 0 || abr {
-			return fmt.Errorf("-framed/-burst need the direct a<->b topology (switch ports are cell-granular)")
+			return fmt.Errorf("-framed needs the direct a<->b topology (switch ports are cell-granular)")
 		}
 		if loss != 0 {
 			return fmt.Errorf("-loss is cell-granular; on the SONET path use -biterr")
 		}
 		if dumpN > 0 {
-			return fmt.Errorf("-dump taps the cell-granular fiber; not available with -framed/-burst")
+			return fmt.Errorf("-dump taps the cell-granular fiber; not available with -framed")
 		}
 	} else if line.BitErrProb != 0 {
-		return fmt.Errorf("-biterr needs -framed (or -burst)")
+		return fmt.Errorf("-biterr needs -framed")
 	}
 
 	if arch == "percell" {
@@ -166,7 +164,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 			return fmt.Errorf("-tcp is not supported with -arch percell")
 		}
 		if line.Framed {
-			return fmt.Errorf("-framed/-burst are not supported with -arch percell")
+			return fmt.Errorf("-framed is not supported with -arch percell")
 		}
 		return runBaseline(sim.NewKernel(), payloadRate, aalType, size, deadline, loss, seed)
 	}
@@ -198,10 +196,9 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		rec.SampleCells(obs.TraceSample)
 	}
 	spec := core.NetworkSpec{
-		Metrics:   reg,
-		Kernel:    k0,
-		Recorder:  rec,
-		BurstMode: line.Burst,
+		Metrics:  reg,
+		Kernel:   k0,
+		Recorder: rec,
 		Endpoints: []core.EndpointSpec{
 			{Name: "a", Options: opts},
 			{Name: "b", Options: opts},
@@ -391,9 +388,6 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	phys := ""
 	if line.Framed {
 		phys = ", sonet-framed"
-		if line.Burst {
-			phys = ", sonet-framed (burst recovery)"
-		}
 	}
 	fmt.Printf("architecture      %s, %v, %s%s, workload %s\n", arch, payloadRate, aalType, phys, wlName)
 	fmt.Printf("simulated time    %v\n", k.Now())

@@ -14,14 +14,6 @@ package atm
 // an allocation on the next Pool.Get). Delivery order is preserved per
 // producer: a stage must emit cells downstream in the order it committed
 // them to the wire.
-//
-// Burst extension (see burst.go): stages may additionally implement
-// BurstConsumer/BurstProducer to exchange CellBurst vectors — several
-// back-to-back cells with arithmetic per-cell timestamps — in one call.
-// The ownership and ordering rules lift verbatim to the vector: the callee
-// owns the record and all its cells, and bursts may be split into per-cell
-// deliveries (DeliverBurstTo does this for legacy consumers) but never
-// coalesced, reordered, or retimed in a way observable downstream.
 
 // CellConsumer is the universal cell sink: anything cells can be delivered
 // into. nic.Interface, phy.CellLink, netsim switch ports and sonetlink

@@ -130,6 +130,10 @@ type Allocator struct {
 	capacity int
 	used     int
 	peak     int
+
+	// freePages recycles released Paged containers: a frame's payload is
+	// never read after Release, so the next frame can reuse the storage.
+	freePages [][]byte
 }
 
 // NewAllocator returns an allocator for org with the given adapter SRAM

@@ -118,6 +118,44 @@ func TestPagedGrowsPerPage(t *testing.T) {
 	}
 }
 
+func TestPagedRecyclesReleasedPages(t *testing.T) {
+	a := NewAllocator(Paged, 0)
+	f, _ := a.NewFrame(1366)
+	for i := 0; i < 2*PageCells; i++ {
+		f.Append(cellPattern(i))
+	}
+	f.Release()
+	cell := cellPattern(1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		g, _ := a.NewFrame(1366)
+		for i := 0; i < 2*PageCells; i++ {
+			g.Append(cell)
+		}
+		g.Release()
+	})
+	// The frame and its page list (grown twice) allocate; the two pages
+	// come off the free list.
+	if allocs > 3 {
+		t.Fatalf("%v allocs per two-page frame, want at most 3", allocs)
+	}
+	g, _ := a.NewFrame(1366)
+	for i := 0; i < PageCells+1; i++ {
+		g.Append(cellPattern(2000 + i))
+	}
+	for i := 0; i < PageCells+1; i++ {
+		if p, _, _ := g.Cell(i); !bytes.Equal(p, cellPattern(2000+i)) {
+			t.Fatalf("cell %d reads stale data from a recycled page", i)
+		}
+	}
+	if _, _, err := g.Cell(PageCells + 1); !errors.Is(err, ErrBadIndex) {
+		t.Fatalf("unwritten slot of a recycled page readable: %v", err)
+	}
+	g.Release()
+	if a.Used() != 0 {
+		t.Fatalf("%d bytes leaked after release", a.Used())
+	}
+}
+
 func TestHostMemLocalFootprintConstant(t *testing.T) {
 	a := NewAllocator(HostMem, 0)
 	f, _ := a.NewFrame(1366)

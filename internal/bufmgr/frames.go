@@ -150,7 +150,7 @@ func (f *pagedFrame) Append(p []byte) (int, error) {
 		if err := f.alloc.reserve(pageBytes); err != nil {
 			return 0, err
 		}
-		f.pages = append(f.pages, make([]byte, PageCells*CellPayload))
+		f.pages = append(f.pages, f.alloc.page())
 		cycles += pagedNewPageCycles
 	}
 	off := (f.n % PageCells) * CellPayload
@@ -175,7 +175,19 @@ func (f *pagedFrame) HostBytes() int { return 0 }
 
 func (f *pagedFrame) Release() {
 	f.alloc.release(f.LocalBytes())
+	f.alloc.freePages = append(f.alloc.freePages, f.pages...)
 	f.pages, f.n, f.overhead = nil, 0, 0
+}
+
+// page returns a container's payload storage, recycled when one is free.
+func (a *Allocator) page() []byte {
+	if n := len(a.freePages); n > 0 {
+		p := a.freePages[n-1]
+		a.freePages[n-1] = nil
+		a.freePages = a.freePages[:n-1]
+		return p
+	}
+	return make([]byte, PageCells*CellPayload)
 }
 
 // ---------------------------------------------------------------------------

@@ -45,14 +45,6 @@ type NetworkSpec struct {
 	// Stages register in spec order, so two builds of the same spec produce
 	// identical stage tables and event streams.
 	Recorder *trace.Recorder
-	// BurstMode switches framed links' receive recovery to cell-vector
-	// delivery: each parsed SONET frame's data cells cross the link as one
-	// atm.CellBurst and are re-spread at the destination's receive door, so
-	// observable behavior is cell-for-cell identical to the serial path (the
-	// mode-equivalence golden tests pin this). Cell-granular links are
-	// unaffected — their producers emit one cell per event, and the switch
-	// and interface doors are must-split stages either way.
-	BurstMode bool
 
 	// Shards > 1 requests a partitioned conservative-parallel build: the
 	// topology is split into partitions — each with its own kernel, metrics
@@ -138,8 +130,7 @@ type LinkSpec struct {
 	// endpoints directly — switch ports speak cells, not frames — and the
 	// endpoints' payload rate selects STS-3c or STS-12c framing. Faults are
 	// bit-granular on a framed link: set BitErrProb, not LossProb or
-	// CorruptProb (the builder rejects the mismatch). NetworkSpec.BurstMode
-	// selects the receive recovery path.
+	// CorruptProb (the builder rejects the mismatch).
 	Framed bool
 	// BitErrProb is the per-frame probability of one random line bit error
 	// (framed links only).
@@ -401,7 +392,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			delay = phy.PropDelay(ls.DistanceKm)
 		}
 		if ls.Framed {
-			l, err := n.buildFramedLink(spec, ls, delay)
+			l, err := n.buildFramedLink(ls, delay)
 			if err != nil {
 				return nil, err
 			}
@@ -501,8 +492,8 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 // buildFramedLink wires one LinkSpec through the full SONET physical layer.
 // Framed links join two endpoints directly (sonetlink speaks nic.Interface,
 // and switch ports speak cells); the endpoints' payload rate selects the
-// framing rate, and NetworkSpec.BurstMode selects the receive recovery path.
-func (n *Network) buildFramedLink(spec NetworkSpec, ls LinkSpec, delay sim.Duration) (*Link, error) {
+// framing rate.
+func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error) {
 	if ls.LossProb != 0 || ls.CorruptProb != 0 {
 		return nil, fmt.Errorf("core: framed link %q: faults are bit-granular on the SONET line — set BitErrProb, not LossProb/CorruptProb", ls.Name)
 	}
@@ -530,7 +521,6 @@ func (n *Network) buildFramedLink(spec NetworkSpec, ls LinkSpec, delay sim.Durat
 		Seed:       ls.Seed,
 		Metrics:    n.regFor(ls.A.Node),
 		Recorder:   n.recFor(ls.A.Node),
-		Burst:      spec.BurstMode,
 	}, epA.station.Iface, epB.station.Iface)
 	if err != nil {
 		return nil, fmt.Errorf("core: framed link %q: %w", ls.Name, err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/oam"
-	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/tm"
 	"repro/internal/trace"
@@ -36,10 +35,9 @@ type Interface struct {
 	rxDev     *bus.Device // receive completion DMA
 	hostDev   *bus.Device // host PIO (descriptor writes)
 
-	tx     *transmitter
-	rx     *receiver
-	fm     *faultMgr
-	spread *phy.BurstSpreader // re-spreads arriving bursts at the rx door
+	tx *transmitter
+	rx *receiver
+	fm *faultMgr
 
 	reg        *metrics.Registry
 	txVCs      map[atm.VC]bool
@@ -97,7 +95,6 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) (*Interface, err
 		// Default output discards (no link attached yet).
 		atm.SinkFunc(func(c *atm.Cell) { i.pool.Put(c) }))
 	i.rx = newReceiver(k, &i.cfg, i.rxEngines, i.rxDev, hst, i.pool, reg, cfg.Name)
-	i.spread = phy.NewBurstSpreader(k, atm.SinkFunc(func(c *atm.Cell) { i.rx.deliverCell(c) }))
 	i.fm = newFaultMgr(i)
 	// Management slow path: the receive firmware classifies every OAM cell
 	// (one CRC-checked dispatch peek), answers F5 loopback requests by
@@ -373,15 +370,6 @@ func (i *Interface) SendOwned(vc atm.VC, sdu []byte, onSent func()) error {
 // DeliverCell is the link-side entry point for arriving cells. The cell
 // must come from (or be returned to) this interface's Pool.
 func (i *Interface) DeliverCell(c *atm.Cell) { i.rx.deliverCell(c) }
-
-// DeliverBurst implements atm.BurstConsumer by re-spreading the vector into
-// per-cell arrivals at the burst's arithmetic times. The receive door is a
-// must-split stage — reassembly FIFO occupancy and engine scheduling depend
-// on exactly when each cell arrives — so the interface never processes a
-// vector in one step; accepting bursts here still lets upstream stages batch
-// their side of the hop (one link-transit event instead of one per cell)
-// without changing any receive-path behavior.
-func (i *Interface) DeliverBurst(b *atm.CellBurst) { i.spread.DeliverBurst(b) }
 
 // Stats is a point-in-time snapshot of every counter the experiments read.
 type Stats struct {

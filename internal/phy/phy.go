@@ -56,9 +56,8 @@ type CellLink struct {
 	down  bool
 	sig   SignalConsumer // explicit signal sink; nil = auto-detect on sink
 
-	def            *CellDeferrer
-	deliverFn      func(*atm.Cell)      // bound deliver method, created once
-	deliverBurstFn func(*atm.CellBurst) // bound burst deliver method
+	def       *CellDeferrer
+	deliverFn func(*atm.Cell) // bound deliver method, created once
 
 	// Boundary mode (sharded runs): when the two ends of the link live in
 	// different partitions, deliveries ride a sim.Mailbox instead of a local
@@ -85,7 +84,6 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
 	l.def = NewCellDeferrer(k)
 	l.deliverFn = l.deliver
-	l.deliverBurstFn = l.deliverBurst
 	return l
 }
 
@@ -231,81 +229,6 @@ func (l *CellLink) Send(c *atm.Cell) {
 		return
 	}
 	l.def.Post(l.Delay, l.deliverFn, c)
-}
-
-// DeliverBurst implements atm.BurstConsumer: a whole cell vector enters the
-// fiber in one call. The producer must emit the burst in an event at time
-// b.Base (cell 0's wire slot). Loss and corruption are drawn per cell in
-// wire order — the identical rng sequence the serial path draws — and each
-// dropped cell is attributed at its own slot time. A clean burst bound for a
-// burst-aware sink crosses the fiber as ONE kernel event; a lossy burst is no
-// longer a uniform-stride run, so it (like any burst bound for a per-cell
-// sink) degrades to per-cell deferred delivery at the arithmetic arrival
-// times, event-for-event identical to serial.
-//
-// Known divergence from serial: the link's up/down state and the per-cell
-// rng are sampled when the burst is offered (time Base), so a Fail or
-// Restore landing inside the burst's wire window affects the whole burst
-// rather than its tail — a window of at most one frame time.
-func (l *CellLink) DeliverBurst(b *atm.CellBurst) {
-	lossy := false
-	for i, c := range b.Cells {
-		l.stats.Sent++
-		drop := l.down
-		if drop {
-			l.stats.DroppedDown++
-		} else if l.LossProb > 0 && l.rng.Bernoulli(l.LossProb) {
-			drop = true
-		}
-		if drop {
-			l.stats.Lost++
-			l.sp.DropAt(sim.Time(b.At(i)), c.Header.VC(), metrics.DropLink)
-			b.Cells[i] = nil
-			lossy = true
-			continue
-		}
-		if l.CorruptProb > 0 && l.rng.Bernoulli(l.CorruptProb) {
-			l.stats.Corrupted++
-			j := l.rng.Intn(len(c.Payload))
-			c.Payload[j] ^= 1 << uint(l.rng.Intn(8))
-		}
-		l.stats.Delivered++
-	}
-	l.sp.EnterBurst(b)
-	if l.mb != nil {
-		// Boundary crossing degrades to per-cell mailbox posts at the
-		// arithmetic arrival times: the dest partition sees the identical
-		// per-cell event sequence the serial degraded path produces. (No
-		// current topology cuts a burst-carrying link — framed links are
-		// never cut — so this path trades batching for simplicity.)
-		for i, c := range b.Cells {
-			if c == nil {
-				continue
-			}
-			l.mb.Post(sim.Time(b.At(i))+l.Delay, l.k.Now(), l.remoteFn, c)
-		}
-		atm.PutBurst(b)
-		return
-	}
-	if _, ok := l.sink.(atm.BurstConsumer); ok && !lossy {
-		l.def.PostBurstEvent(l.Delay, l.deliverBurstFn, b)
-		return
-	}
-	l.def.PostBurst(l.Delay, sim.Duration(b.Stride), l.deliverFn, b)
-}
-
-// deliverBurst fires one propagation delay after a clean burst entered the
-// fiber; the arrival base is kernel-now. If the sink was re-attached to a
-// per-cell consumer while the burst was in flight, the remainder spreads to
-// individual deliveries at the arithmetic arrival times.
-func (l *CellLink) deliverBurst(b *atm.CellBurst) {
-	b.Base = int64(l.k.Now())
-	if bc, ok := l.sink.(atm.BurstConsumer); ok {
-		l.sp.ExitBurst(b)
-		bc.DeliverBurst(b)
-		return
-	}
-	l.def.PostBurst(0, sim.Duration(b.Stride), l.deliverFn, b)
 }
 
 // FrameLink is a unidirectional SONET-frame pipe.

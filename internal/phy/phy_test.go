@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/atm"
+	"repro/internal/bufpool"
 	"repro/internal/sim"
 )
 
@@ -109,6 +110,30 @@ func TestFrameLinkBitError(t *testing.T) {
 	}
 	if diff != 1 {
 		t.Fatalf("%d bits flipped, want 1", diff)
+	}
+}
+
+func TestFrameLinkPoolRecyclesCopies(t *testing.T) {
+	k := sim.NewKernel()
+	frames := 0
+	l := NewFrameLink(k, 10, 1, func(f []byte) { frames++ })
+	pool := bufpool.New()
+	l.SetBufPool(pool)
+	frame := make([]byte, 2430)
+	// Prime the pool with the first flight, then the steady state must hit
+	// the free list for every copy.
+	l.Send(frame)
+	k.Run()
+	for i := 0; i < 50; i++ {
+		l.Send(frame)
+		k.Run()
+	}
+	if frames != 51 {
+		t.Fatalf("%d frames delivered, want 51", frames)
+	}
+	hits, misses, puts := pool.Stats()
+	if misses != 1 || hits != 50 || puts != 51 {
+		t.Fatalf("pool hits=%d misses=%d puts=%d, want 50/1/51", hits, misses, puts)
 	}
 }
 

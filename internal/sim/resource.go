@@ -12,7 +12,8 @@ type Resource struct {
 	name string
 
 	busyUntil Time
-	queue     []pendingUse
+	queue     ring[pendingUse]
+	queuedDur Duration // sum of the queued requests' service durations
 
 	// Completion plumbing for the zero-alloc hot path: each in-service
 	// request parks its done callback here and schedules the pre-bound
@@ -20,7 +21,7 @@ type Resource struct {
 	// and no Event allocation. Completions fire in schedule order, so the
 	// FIFO stays aligned even when a zero-duration service lets a second
 	// request begin in the same tick.
-	inflight   []func()
+	inflight   ring[func()]
 	completeFn func()
 
 	// Accounting.
@@ -51,7 +52,7 @@ func (r *Resource) Busy() bool { return r.k.Now() < r.busyUntil }
 
 // QueueLen reports how many requests are waiting (not counting the one in
 // service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.n }
 
 // Use requests the resource for dur nanoseconds. done (may be nil) runs when
 // service completes. Requests are served strictly FIFO. Use returns the time
@@ -61,36 +62,30 @@ func (r *Resource) Use(dur Duration, done func()) Time {
 		panic("sim: negative service duration")
 	}
 	now := r.k.Now()
-	if !r.Busy() && len(r.queue) == 0 {
+	if !r.Busy() && r.queue.n == 0 {
 		return r.begin(now, dur, done)
 	}
-	r.queue = append(r.queue, pendingUse{arrived: now, dur: dur, done: done})
-	if len(r.queue) > r.maxQueued {
-		r.maxQueued = len(r.queue)
+	r.queue.push(pendingUse{arrived: now, dur: dur, done: done})
+	r.queuedDur += dur
+	if r.queue.n > r.maxQueued {
+		r.maxQueued = r.queue.n
 	}
 	// Completion time is an estimate assuming no later arrivals preempt
 	// FIFO order, which they cannot.
-	t := r.busyUntil
-	for _, p := range r.queue {
-		t += p.dur
-	}
-	return t
+	return r.busyUntil + r.queuedDur
 }
 
 func (r *Resource) begin(now Time, dur Duration, done func()) Time {
 	r.busyUntil = now + dur
 	r.busyTime += dur
 	r.served++
-	r.inflight = append(r.inflight, done)
+	r.inflight.push(done)
 	r.k.Post(r.busyUntil, r.completeFn)
 	return r.busyUntil
 }
 
 func (r *Resource) complete() {
-	done := r.inflight[0]
-	copy(r.inflight, r.inflight[1:])
-	r.inflight[len(r.inflight)-1] = nil
-	r.inflight = r.inflight[:len(r.inflight)-1]
+	done := r.inflight.pop()
 	if done != nil {
 		done()
 	}
@@ -98,12 +93,11 @@ func (r *Resource) complete() {
 }
 
 func (r *Resource) next() {
-	if len(r.queue) == 0 || r.Busy() {
+	if r.queue.n == 0 || r.Busy() {
 		return
 	}
-	p := r.queue[0]
-	copy(r.queue, r.queue[1:])
-	r.queue = r.queue[:len(r.queue)-1]
+	p := r.queue.pop()
+	r.queuedDur -= p.dur
 	r.waitTime += r.k.Now() - p.arrived
 	r.begin(r.k.Now(), p.dur, p.done)
 }
@@ -125,4 +119,41 @@ func (r *Resource) Utilization() float64 {
 // total queue-wait time.
 func (r *Resource) Stats() (served uint64, busy, wait Duration, maxQueued int) {
 	return r.served, r.busyTime, r.waitTime, r.maxQueued
+}
+
+// ring is a FIFO over a circular buffer that doubles when full. Its backing
+// array stays under twice the peak occupancy however long the queue runs
+// without draining, and steady-state push/pop allocate nothing.
+type ring[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int // index of the oldest element
+	n    int // elements queued
+}
+
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+// pop removes and returns the oldest element; the queue must not be empty.
+// The vacated slot is zeroed so a served request's callback can be
+// collected.
+func (q *ring[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
+// grow doubles the buffer, unrolling the full ring into FIFO order.
+func (q *ring[T]) grow() {
+	buf := make([]T, max(8, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }

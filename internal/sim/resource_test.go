@@ -131,6 +131,79 @@ func TestResourceZeroDuration(t *testing.T) {
 	}
 }
 
+// TestResourceDeepBacklog queues 100k requests behind one in service. Every
+// request must complete in arrival order at exactly the time Use predicted,
+// and the wait/maxQueued accounting must match the closed form. A queue
+// that walks or shifts its backlog per request is quadratic here.
+func TestResourceDeepBacklog(t *testing.T) {
+	const n = 100_001 // one in service, 100k queued
+	k := NewKernel()
+	r := NewResource(k, "bus")
+	predicted := make([]Time, n)
+	completed := make([]Time, 0, n)
+	order := make([]int, 0, n)
+	var wantBusy, wantWait Duration
+	var start Time
+	for i := 0; i < n; i++ {
+		dur := Duration(1 + i%7)
+		predicted[i] = r.Use(dur, func() {
+			order = append(order, i)
+			completed = append(completed, k.Now())
+		})
+		wantWait += Duration(start) // every request arrived at 0
+		start += Time(dur)
+		wantBusy += dur
+	}
+	if q := r.QueueLen(); q != n-1 {
+		t.Fatalf("QueueLen = %d, want %d", q, n-1)
+	}
+	k.Run()
+	if len(order) != n {
+		t.Fatalf("%d completions, want %d", len(order), n)
+	}
+	for i := range order {
+		if order[i] != i {
+			t.Fatalf("completion %d is request %d: not FIFO", i, order[i])
+		}
+		if completed[i] != predicted[i] {
+			t.Fatalf("request %d completed at %v, Use predicted %v", i, completed[i], predicted[i])
+		}
+	}
+	served, busy, wait, maxQ := r.Stats()
+	if served != n || busy != wantBusy || wait != wantWait || maxQ != n-1 {
+		t.Fatalf("stats served=%d busy=%v wait=%v maxQueued=%d, want %d/%v/%v/%d",
+			served, busy, wait, maxQ, n, wantBusy, wantWait, n-1)
+	}
+}
+
+// TestResourceRingBounded keeps a constant backlog for many service times:
+// the queue never drains, yet its backing arrays stay within twice the peak
+// and steady-state requests allocate nothing.
+func TestResourceRingBounded(t *testing.T) {
+	const depth = 100
+	k := NewKernel()
+	r := NewResource(k, "cpu")
+	var refill func()
+	refill = func() { r.Use(3, refill) }
+	for i := 0; i <= depth; i++ {
+		r.Use(3, refill)
+	}
+	k.RunUntil(1000)
+	allocs := testing.AllocsPerRun(100, func() { k.RunFor(3000) })
+	if allocs != 0 {
+		t.Fatalf("steady-state backlog allocates %v per run, want 0", allocs)
+	}
+	if q := r.QueueLen(); q != depth {
+		t.Fatalf("QueueLen = %d, want a constant %d", q, depth)
+	}
+	if c := len(r.queue.buf); c > 2*depth {
+		t.Fatalf("queue backing array %d slots for a %d-deep backlog", c, depth)
+	}
+	if c := len(r.inflight.buf); c > 8 {
+		t.Fatalf("inflight backing array %d slots, want <= 8", c)
+	}
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

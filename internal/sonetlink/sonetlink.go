@@ -46,17 +46,6 @@ type Config struct {
 	// transmit queue (enqueue to pull-into-frame) and stage "wire" the
 	// framed flight plus the receive-side spreading delay.
 	Recorder *trace.Recorder
-	// Burst switches the receive recovery path to cell-vector delivery:
-	// each parsed frame's data cells are handed to the destination interface
-	// as one atm.CellBurst (base = first cell's wire slot, stride = one cell
-	// time) instead of one deferred event per cell. The destination
-	// re-spreads at the arithmetic times, so receive behavior is identical
-	// cell-for-cell; the wire span is recorded in compact burst form.
-	Burst bool
-	// BurstSize caps the cells per emitted vector (0 = one frame's whole
-	// recovery run). The mode-equivalence property tests sweep this axis;
-	// production configs leave it 0.
-	BurstSize int
 }
 
 // Stats counts one direction's events.
@@ -93,7 +82,6 @@ type Half struct {
 	cellTime sim.Duration
 	cellIdx  int // cells recovered from the frame being parsed
 	running  bool
-	pending  *atm.CellBurst // burst mode: cells recovered, not yet emitted
 
 	// Pre-bound callbacks and the cell deferrer keep the per-frame tick
 	// and per-cell delivery free of closure/method-value allocations.
@@ -284,7 +272,6 @@ func (h *Half) frameArrived(frame []byte) {
 		h.stats.FrameErrors++
 		h.mFrameErrors.Inc()
 	}
-	h.flushBurst()
 }
 
 // cellRecovered is the delineation sink: deliver each data cell to the
@@ -308,34 +295,7 @@ func (h *Half) cellRecovered(cell []byte, corrected bool) {
 	}
 	offset := sim.Duration(h.cellIdx) * h.cellTime
 	h.cellIdx++
-	if h.cfg.Burst {
-		if h.pending == nil {
-			h.pending = atm.GetBurst(cellsPerFrame(h.cfg.Rate))
-			h.pending.Base = int64(h.k.Now()) + int64(offset)
-			h.pending.Stride = int64(h.cellTime)
-		}
-		h.pending.Cells = append(h.pending.Cells, c)
-		if h.cfg.BurstSize > 0 && len(h.pending.Cells) >= h.cfg.BurstSize {
-			h.flushBurst()
-		}
-		return
-	}
 	h.def.Post(offset, h.deliverFn, c)
-}
-
-// flushBurst emits the accumulated recovery run as one cell vector. The wire
-// span is closed in compact burst form at the arithmetic per-cell times —
-// the same (time, VC) exit events the serial path records one by one — and
-// the destination interface re-spreads the vector at its receive door, so
-// everything downstream is cell-for-cell identical to serial mode.
-func (h *Half) flushBurst() {
-	b := h.pending
-	if b == nil {
-		return
-	}
-	h.pending = nil
-	h.spWire.ExitBurst(b)
-	h.dst.DeliverBurst(b)
 }
 
 // deliverRecovered closes the wire span and hands the recovered cell to the

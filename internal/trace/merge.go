@@ -23,8 +23,8 @@ type NamedEvent struct {
 	Cause metrics.DropCause
 }
 
-// Named returns the recorder's events oldest-first (bursts expanded, like
-// Events) with stage names resolved.
+// Named returns the recorder's events oldest-first, like Events, with stage
+// names resolved.
 func (r *Recorder) Named() []NamedEvent {
 	evs := r.Events()
 	out := make([]NamedEvent, len(evs))

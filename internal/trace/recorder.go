@@ -51,16 +51,6 @@ type Event struct {
 	Stage StageID
 	Kind  Kind
 	Cause metrics.DropCause // valid when Kind == KindDrop
-
-	// Count/Stride compact a burst: an entry with Count = N > 1 stands for
-	// N per-cell events of the same (stage, VC, kind) at times At, At+Stride,
-	// …, At+(N-1)·Stride. Events() expands compacted entries, so every reader
-	// sees the same per-cell stream a serial run records; only the ring's
-	// internal occupancy (one slot per burst instead of per cell) and
-	// therefore its eviction horizon differ. Count 0 and 1 both mean a plain
-	// single-cell entry.
-	Count  uint32
-	Stride sim.Duration
 }
 
 type stageMeta struct {
@@ -210,33 +200,14 @@ func (r *Recorder) Len() int {
 // is the most recent window, not the whole journey.
 func (r *Recorder) Evicted() uint64 { return r.evicted }
 
-// Events returns the recorded events oldest-first, with compacted burst
-// entries expanded to their per-cell form (Count folded back to 1).
+// Events returns the recorded events oldest-first.
 func (r *Recorder) Events() []Event {
-	var raw []Event
 	if !r.wrapped {
-		raw = r.ring[:r.next]
-	} else {
-		raw = make([]Event, 0, len(r.ring))
-		raw = append(raw, r.ring[r.next:]...)
-		raw = append(raw, r.ring[:r.next]...)
+		return append([]Event(nil), r.ring[:r.next]...)
 	}
-	out := make([]Event, 0, len(raw))
-	for _, ev := range raw {
-		if ev.Count <= 1 {
-			ev.Count, ev.Stride = 0, 0
-			out = append(out, ev)
-			continue
-		}
-		n, stride := ev.Count, ev.Stride
-		ev.Count, ev.Stride = 0, 0
-		for i := uint32(0); i < n; i++ {
-			e := ev
-			e.At += sim.Time(i) * stride
-			out = append(out, e)
-		}
-	}
-	return out
+	out := make([]Event, 0, len(r.ring))
+	out = append(out, r.ring[r.next:]...)
+	return append(out, r.ring[:r.next]...)
 }
 
 // Reset clears the ring and eviction accounting; stage registrations and
@@ -318,78 +289,13 @@ func (s *StageSpan) Point(vc atm.VC) {
 // sampling (losses are the events a flight recorder exists for) but still
 // honor the VC filter.
 func (s *StageSpan) Drop(vc atm.VC, cause metrics.DropCause) {
-	s.DropAt(0, vc, cause)
-}
-
-// DropAt records a drop with an explicit timestamp — the batched link path
-// draws all of a burst's loss outcomes in one event, so the drop's wire time
-// (the cell's slot, not the event's kernel-now) must be supplied. at = 0
-// means kernel-now.
-func (s *StageSpan) DropAt(at sim.Time, vc atm.VC, cause metrics.DropCause) {
 	if s == nil || !s.r.enabled {
 		return
 	}
 	if s.r.vcFilter != nil && !s.r.vcFilter(vc) {
 		return
 	}
-	if at == 0 {
-		at = s.r.k.Now()
-	}
-	s.r.push(Event{At: at, VC: vc, Stage: s.id, Kind: KindDrop, Cause: cause})
-}
-
-// EnterBurst records every cell of a burst entering the stage, at the
-// burst's arithmetic per-cell times. Runs of consecutive same-VC cells
-// compact to one ring entry (Count/Stride); Events() expands them back, so
-// downstream analysis sees exactly the per-cell stream a serial producer
-// records. When cell sampling or VC filtering is active the compact form
-// cannot honor per-cell admission, so the span falls back to per-cell
-// recording with explicit timestamps.
-func (s *StageSpan) EnterBurst(b *atm.CellBurst) {
-	if s == nil || !s.r.enabled {
-		return
-	}
-	s.burst(b, KindEnter, &s.in)
-}
-
-// ExitBurst records every cell of a burst leaving the stage; see EnterBurst.
-func (s *StageSpan) ExitBurst(b *atm.CellBurst) {
-	if s == nil || !s.r.enabled {
-		return
-	}
-	s.burst(b, KindExit, &s.out)
-}
-
-func (s *StageSpan) burst(b *atm.CellBurst, kind Kind, m *map[atm.VC]uint32) {
-	r := s.r
-	if r.sampleN > 1 || r.vcFilter != nil {
-		for i, c := range b.Cells {
-			if c == nil {
-				continue
-			}
-			vc := c.Header.VC()
-			if !s.admit(vc, m) {
-				continue
-			}
-			r.push(Event{At: sim.Time(b.At(i)), VC: vc, Stage: s.id, Kind: kind})
-		}
-		return
-	}
-	cells := b.Cells
-	for i := 0; i < len(cells); {
-		if cells[i] == nil {
-			i++
-			continue
-		}
-		vc := cells[i].Header.VC()
-		j := i + 1
-		for j < len(cells) && cells[j] != nil && cells[j].Header.VC() == vc {
-			j++
-		}
-		r.push(Event{At: sim.Time(b.At(i)), VC: vc, Stage: s.id, Kind: kind,
-			Count: uint32(j - i), Stride: sim.Duration(b.Stride)})
-		i = j
-	}
+	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindDrop, Cause: cause})
 }
 
 // Span is one matched Enter/Exit pair: a cell's residency in a stage.
@@ -490,12 +396,6 @@ func (r *Recorder) nodeOrder() []string {
 	}
 	return nodes
 }
-
-// SortSpans orders spans by (start, stage, vc) — the deterministic order the
-// exports use, and the order mode-equivalence tests compare in (burst
-// compaction preserves every span but can permute emission order between
-// keys).
-func SortSpans(spans []Span) { sortSpansByStart(spans) }
 
 // sortSpansByStart orders spans (start, stage, vc) for deterministic export.
 func sortSpansByStart(spans []Span) {

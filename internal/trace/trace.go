@@ -65,9 +65,6 @@ func (c *Capture) Records() []Record { return c.records }
 // value means the capture is a truncated prefix, not the full cell stream.
 func (c *Capture) Overflowed() uint64 { return c.overflow }
 
-// Overflow is an older name for Overflowed.
-func (c *Capture) Overflow() uint64 { return c.overflow }
-
 // Reset clears the capture.
 func (c *Capture) Reset() {
 	c.records = c.records[:0]

@@ -67,8 +67,8 @@ func TestLimitAndOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sink(cellOn(uint16(i), atm.PTUser0))
 	}
-	if len(cap.Records()) != 3 || cap.Overflow() != 7 {
-		t.Fatalf("records %d overflow %d", len(cap.Records()), cap.Overflow())
+	if len(cap.Records()) != 3 || cap.Overflowed() != 7 {
+		t.Fatalf("records %d overflow %d", len(cap.Records()), cap.Overflowed())
 	}
 	// First-N semantics.
 	if cap.Records()[0].Cell.Header.VCI != 0 {
@@ -138,7 +138,7 @@ func TestReset(t *testing.T) {
 	sink := cap.Tap(func(*atm.Cell) {})
 	sink(cellOn(1, atm.PTUser0))
 	cap.Reset()
-	if len(cap.Records()) != 0 || cap.Overflow() != 0 {
+	if len(cap.Records()) != 0 || cap.Overflowed() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -151,7 +151,7 @@ func TestOverflowedAndSummaryAccounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sink(cellOn(1, atm.PTUser0))
 	}
-	if cap.Overflowed() != 3 || cap.Overflow() != 3 {
+	if cap.Overflowed() != 3 {
 		t.Fatalf("overflowed %d", cap.Overflowed())
 	}
 	sum := cap.Summary()
