@@ -65,11 +65,14 @@ cover-tcpip:
 			if (pct + 0 < 75) { printf "coverage %s%% is below the 75%% gate\n", pct; exit 1 } \
 			printf "internal/ip + internal/tcp line coverage %s%% (gate 75%%)\n", pct }'
 
-# trace-verify exports a flight-recorder trace from a short atmsim run and
-# validates it against the Perfetto trace-event schema subset we emit.
+# trace-verify exports flight-recorder traces from a short atmsim run and
+# from E18's per-stage decomposition, and validates each against the
+# Perfetto trace-event schema subset we emit.
 trace-verify:
 	$(GO) run ./cmd/atmsim -duration 2ms -size 9180 -trace /tmp/atmsim-trace.json >/dev/null
 	$(GO) run ./cmd/traceverify /tmp/atmsim-trace.json
+	$(GO) run ./cmd/atmbench -exp e18 -trace /tmp/atmbench-e18-trace.json >/dev/null
+	$(GO) run ./cmd/traceverify /tmp/atmbench-e18-trace.json
 
 # verify is the pre-PR gate: formatting, vet, staticcheck (when installed),
 # a full build, the test suite under the race detector, the bench/ module's

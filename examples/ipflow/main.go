@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -35,7 +35,7 @@ func main() {
 }
 
 func run(arch string) (pkts uint64, util float64, irqs uint64, appDone int) {
-	k := sim.NewKernel()
+	var k *sim.Kernel
 	vc := atm.VC{VCI: 100}
 	// Mean packet 2.8 KB every 2.8 ms ≈ 8 Mb/s — modest on purpose: even
 	// this trickle monopolizes a per-cell-interrupt host.
@@ -55,6 +55,9 @@ func run(arch string) (pkts uint64, util float64, irqs uint64, appDone int) {
 
 	switch arch {
 	case "per-cell baseline":
+		// The host-SAR adapter is not an interface the builder models, so
+		// the baseline pair is wired by hand.
+		k = sim.NewKernel()
 		tx := netsim.NewBaselineStation(k, "tx", baseline.DefaultConfig())
 		rx := netsim.NewBaselineStation(k, "rx", baseline.DefaultConfig())
 		netsim.ConnectBaseline(k, tx, rx, netsim.LinkConfig{Delay: 10_000, Seed: 5})
@@ -63,25 +66,21 @@ func run(arch string) (pkts uint64, util float64, irqs uint64, appDone int) {
 		side = baselineSide{rx}
 		appHost = rx.Host
 	default:
-		mk := netsim.NewStation
-		if arch == "hardwired" {
-			mk = netsim.NewHardwiredStation
-		}
-		cfgTx, cfgRx := nic.DefaultConfig("tx"), nic.DefaultConfig("rx")
-		tx, err := mk(k, cfgTx)
+		opts := core.Options{Hardwired: arch == "hardwired"}
+		net, err := core.NewNetwork(core.NetworkSpec{
+			Endpoints: []core.EndpointSpec{{Name: "tx", Options: opts}, {Name: "rx", Options: opts}},
+			Links: []core.LinkSpec{{Name: "ab", A: core.NodeRef{Node: "tx"}, B: core.NodeRef{Node: "rx"},
+				Delay: 10_000, Seed: 5}},
+			VCCs: []core.VCCSpec{{Name: "flow", From: "tx", To: "rx", VC: vc}},
+		})
 		if err != nil {
 			panic(err)
 		}
-		rx, err := mk(k, cfgRx)
-		if err != nil {
-			panic(err)
-		}
-		netsim.Connect(k, tx, rx, netsim.LinkConfig{Delay: 10_000, Seed: 5})
-		tx.Iface.OpenVC(vc)
-		rx.Iface.OpenVC(vc)
-		drive(k, deadline, gen, func(sz int) { tx.Iface.Send(vc, make([]byte, sz), nil) })
+		k = net.Kernel()
+		tx, rx := net.Endpoint("tx"), net.Endpoint("rx")
+		drive(k, deadline, gen, func(sz int) { tx.Send(vc, make([]byte, sz), nil) })
 		side = nicSide{rx}
-		appHost = rx.Host
+		appHost = rx.Host()
 	}
 
 	// The application: a chain of fixed work items competing with the
@@ -118,11 +117,11 @@ func drive(k *sim.Kernel, deadline sim.Time, gen workload.Generator, send func(i
 	tick()
 }
 
-type nicSide struct{ s *netsim.Station }
+type nicSide struct{ e *core.Endpoint }
 
-func (n nicSide) hostUtil() float64  { return n.s.Host.Utilization() }
-func (n nicSide) interrupts() uint64 { return n.s.Host.Interrupts() }
-func (n nicSide) packets() uint64    { return n.s.Iface.Stats().Rx.Packets }
+func (n nicSide) hostUtil() float64  { return n.e.Host().Utilization() }
+func (n nicSide) interrupts() uint64 { return n.e.Host().Interrupts() }
+func (n nicSide) packets() uint64    { return n.e.Stats().Rx.Packets }
 
 type baselineSide struct{ s *netsim.BaselineStation }
 

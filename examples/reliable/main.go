@@ -16,7 +16,7 @@ import (
 	"log"
 
 	"repro/internal/atm"
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -36,34 +36,32 @@ func main() {
 }
 
 func run(loss float64) {
-	k := sim.NewKernel()
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: 7})
-
 	vc := atm.VC{VCI: 60}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "a"}, {Name: "b"}},
+		Links: []core.LinkSpec{{Name: "ab", A: core.NodeRef{Node: "a"}, B: core.NodeRef{Node: "b"},
+			Delay: 10_000, LossProb: loss, Seed: 7}},
+		VCCs: []core.VCCSpec{{Name: "ab", From: "a", To: "b", VC: vc, Duplex: true}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	k := net.Kernel()
+	a, b := net.Endpoint("a").Interface(), net.Endpoint("b").Interface()
 
 	cfg := transport.DefaultConfig()
 	cfg.RTO = 5 * sim.Millisecond
 	cfg.MaxRetries = 100
-	tx := transport.NewSender(k, a.Iface, vc, cfg)
+	tx := transport.NewSender(k, a, vc, cfg)
 
 	file := make([]byte, fileSize)
 	for i := range file {
 		file[i] = byte(i * 7)
 	}
 	var got []byte
-	rx := transport.NewReceiver(b.Iface, vc, func(msg []byte) { got = msg })
-	b.Iface.OnReceive(func(d nic.Delivered) { rx.HandleData(d.SDU) })
-	a.Iface.OnReceive(func(d nic.Delivered) { tx.HandleAck(d.SDU) })
+	rx := transport.NewReceiver(b, vc, func(msg []byte) { got = msg })
+	b.OnReceive(func(d nic.Delivered) { rx.HandleData(d.SDU) })
+	a.OnReceive(func(d nic.Delivered) { tx.HandleAck(d.SDU) })
 
 	var done sim.Time
 	if err := tx.Send(file, func(err error) {

@@ -41,7 +41,7 @@ func newHostSARRig() *hostSARRig {
 	r.tx = NewHostSAR(k, DefaultConfig(), r.hTx, busTx)
 	r.rx = NewHostSAR(k, DefaultConfig(), r.hRx, busRx)
 	link := phy.NewCellLink(k, 10_000, 1, r.rx)
-	r.tx.SetOutput(link.Send)
+	r.tx.AttachSink(atm.SinkFunc(link.Send))
 	r.rx.OnReceive(func(vc atm.VC, sdu []byte) { r.received = append(r.received, sdu) })
 	return r
 }

@@ -125,14 +125,6 @@ func (h *HostSAR) AttachSink(out atm.CellConsumer) {
 	h.out = out.DeliverCell
 }
 
-// SetOutput is the func-valued convenience form of AttachSink.
-func (h *HostSAR) SetOutput(out func(*atm.Cell)) {
-	if out == nil {
-		panic("baseline: nil output")
-	}
-	h.out = out
-}
-
 // OnReceive registers the delivery callback.
 func (h *HostSAR) OnReceive(fn func(vc atm.VC, sdu []byte)) { h.onDeliver = fn }
 

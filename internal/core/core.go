@@ -42,8 +42,11 @@ type Options struct {
 	AAL34 bool
 	// EngineMHz overrides the protocol engines' clock (default 25).
 	EngineMHz int
-	// FifoCells overrides both cell FIFO depths (default 32).
-	FifoCells int
+	// TxFifoCells and RxFifoCells override the transmit and receive cell
+	// FIFO depths (default 32 each; every receive engine gets its own RX
+	// FIFO).
+	TxFifoCells int
+	RxFifoCells int
 	// Lookup overrides the VC lookup strategy (default CAM).
 	Lookup nic.LookupKind
 	// Buffers overrides the reassembly organization (default paged).
@@ -64,6 +67,9 @@ type Options struct {
 	AlarmPeriod sim.Duration
 	// AlarmClearTimeout overrides the alarm soak interval (0 = 2.5 ms).
 	AlarmClearTimeout sim.Duration
+	// HostMIPS overrides the workstation CPU's instruction rate in millions
+	// per second (default 25).
+	HostMIPS int
 }
 
 func (o Options) nicConfig(name string) nic.Config {
@@ -77,9 +83,11 @@ func (o Options) nicConfig(name string) nic.Config {
 	if o.EngineMHz > 0 {
 		cfg.Engine.ClockHz = int64(o.EngineMHz) * 1_000_000
 	}
-	if o.FifoCells > 0 {
-		cfg.TxFifoDepth = o.FifoCells
-		cfg.RxFifoDepth = o.FifoCells
+	if o.TxFifoCells > 0 {
+		cfg.TxFifoDepth = o.TxFifoCells
+	}
+	if o.RxFifoCells > 0 {
+		cfg.RxFifoDepth = o.RxFifoCells
 	}
 	cfg.Lookup = o.Lookup
 	cfg.BufOrg = o.Buffers
@@ -91,6 +99,14 @@ func (o Options) nicConfig(name string) nic.Config {
 	cfg.ReassemblyTimeout = o.ReassemblyTimeout
 	cfg.AlarmPeriod = o.AlarmPeriod
 	cfg.AlarmClearTimeout = o.AlarmClearTimeout
+	return cfg
+}
+
+func (o Options) hostConfig() host.Config {
+	cfg := host.DefaultConfig()
+	if o.HostMIPS > 0 {
+		cfg.InstrRate = int64(o.HostMIPS) * 1_000_000
+	}
 	return cfg
 }
 
@@ -225,7 +241,7 @@ func (e *Endpoint) OnReceive(fn func(Packet)) {
 // Stats returns the endpoint interface's counters.
 func (e *Endpoint) Stats() nic.Stats { return e.station.Iface.Stats() }
 
-// EngineFor returns the endpoint's engines for headroom analysis.
+// Engines returns the endpoint's engines for headroom analysis.
 func (e *Endpoint) Engines() (tx, rx *engine.Engine) {
 	return e.station.Iface.TxEngine(), e.station.Iface.RxEngine()
 }

@@ -57,10 +57,12 @@ func TestOptionsPlumbing(t *testing.T) {
 		Rate:        Rate622,
 		AAL34:       true,
 		EngineMHz:   66,
-		FifoCells:   128,
+		TxFifoCells: 64,
+		RxFifoCells: 128,
 		Lookup:      nic.LookupHash,
 		Buffers:     bufmgr.Contig,
 		AdapterSRAM: 1 << 20,
+		HostMIPS:    200,
 	}, LinkOptions{DistanceKm: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func TestOptionsPlumbing(t *testing.T) {
 	if cfg.Engine.ClockHz != 66_000_000 {
 		t.Errorf("clock = %d", cfg.Engine.ClockHz)
 	}
-	if cfg.TxFifoDepth != 128 || cfg.RxFifoDepth != 128 {
+	if cfg.TxFifoDepth != 64 || cfg.RxFifoDepth != 128 {
 		t.Errorf("fifos = %d/%d", cfg.TxFifoDepth, cfg.RxFifoDepth)
 	}
 	if cfg.Lookup != nic.LookupHash {
@@ -86,6 +88,16 @@ func TestOptionsPlumbing(t *testing.T) {
 	}
 	if cfg.AdapterSRAM != 1<<20 {
 		t.Errorf("sram = %d", cfg.AdapterSRAM)
+	}
+	if got := tb.A.Host().Config().InstrRate; got != 200_000_000 {
+		t.Errorf("host instr rate = %d", got)
+	}
+	tbDef, err := NewTestbed(Options{}, LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbDef.A.Host().Config().InstrRate; got != 25_000_000 {
+		t.Errorf("default host instr rate = %d", got)
 	}
 }
 

@@ -151,10 +151,10 @@ func TestFramedPairGolden(t *testing.T) {
 		opts   Options
 		digest string
 	}{
-		{"155", Options{FifoCells: 128}, "1a6c03a2fa3a3a6a02a7b48de44bf6f59615d1c8c71a6a50a42ab7dd8fe66319"},
+		{"155", Options{TxFifoCells: 128, RxFifoCells: 128}, "1a6c03a2fa3a3a6a02a7b48de44bf6f59615d1c8c71a6a50a42ab7dd8fe66319"},
 		// At 622 the stock 25 MHz engine saturates (the E3 story); give the
 		// pair the upgraded board so the workload actually arrives.
-		{"622", Options{Rate: Rate622, FifoCells: 128, EngineMHz: 66, RxEngines: 3}, "cf3cc219a04bb49410a61be40fc09f0dc8fe034c512708f760a40bdf027be2fd"},
+		{"622", Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128, EngineMHz: 66, RxEngines: 3}, "cf3cc219a04bb49410a61be40fc09f0dc8fe034c512708f760a40bdf027be2fd"},
 	} {
 		label := "rate=" + c.name
 		run := buildRun(t, framedPairSpec(c.opts, 11, 0), func(net *Network, run *coreRun) { sendAll(t, net, run, sizes) })
@@ -169,7 +169,7 @@ func TestFramedPairGolden(t *testing.T) {
 // request/response SDUs whose per-delivery timestamps are the measurement.
 func TestFramedPairLatencyGolden(t *testing.T) {
 	sizes := []int{1, 44, 45, 89, 512, 1000, 2048, 40, 4000}
-	run := buildRun(t, framedPairSpec(Options{FifoCells: 128}, 5, 0), func(net *Network, run *coreRun) { sendAll(t, net, run, sizes) })
+	run := buildRun(t, framedPairSpec(Options{TxFifoCells: 128, RxFifoCells: 128}, 5, 0), func(net *Network, run *coreRun) { sendAll(t, net, run, sizes) })
 	if len(run.deliveries) != len(sizes) {
 		t.Fatalf("delivered %d of %d", len(run.deliveries), len(sizes))
 	}
@@ -234,10 +234,10 @@ func TestFramedPropertySweepGolden(t *testing.T) {
 		digest  string
 	}
 	cases := []swept{
-		{Options{FifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, "6766e46b6613ffebb462fe1c1187b55d50106e9c40f57dbb7a3bb12fa7630c3e"},
-		{Options{FifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, "49baf668aaeec77c387760ca04e88e3787098bc69b7d780f9c2249a804c3edec"},
-		{Options{Rate: Rate622, FifoCells: 128}, 4, 0, 9, func(i int) int { return 1 + (i*9181)%9180 }, "acdadc269c95227e8e8f2069d51c835666f4f2deb33716d22e6f0ce4e049e109"},
-		{Options{Rate: Rate622, FifoCells: 128}, 7, 5e-4, 14, func(i int) int { return 64 + (i*4099)%8192 }, "dc9f4b2d0f1b310f02e2eeae23b76cb3819fd28f126999245a46c13da58499ae"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, "6766e46b6613ffebb462fe1c1187b55d50106e9c40f57dbb7a3bb12fa7630c3e"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, "49baf668aaeec77c387760ca04e88e3787098bc69b7d780f9c2249a804c3edec"},
+		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 4, 0, 9, func(i int) int { return 1 + (i*9181)%9180 }, "acdadc269c95227e8e8f2069d51c835666f4f2deb33716d22e6f0ce4e049e109"},
+		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 7, 5e-4, 14, func(i int) int { return 64 + (i*4099)%8192 }, "dc9f4b2d0f1b310f02e2eeae23b76cb3819fd28f126999245a46c13da58499ae"},
 	}
 	for ci, c := range cases {
 		sizes := make([]int, c.nSDU)

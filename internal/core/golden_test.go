@@ -1,22 +1,18 @@
 package core
 
-// Golden equivalence: a topology declared through NewNetwork must be
-// event-for-event identical — cell timing and wire bytes — to the same
-// topology wired by hand from netsim/phy primitives, the way all code built
-// testbeds before the builder existed. Construction order, link seed
-// derivation and route classes are all pinned by these tests; a regression
-// here means NewNetwork changed the physics, not just the plumbing.
+// Golden equivalence at the builder level: a NewNetwork topology must evolve
+// identically — cell timing and wire bytes — under the timing-wheel and the
+// heap kernel, and NewTestbed must be exactly the two-endpoint network it
+// wraps. The paper's rigs used to be wired by hand from netsim/phy
+// primitives; the digests in internal/experiments/rigs_golden_test.go were
+// recorded from that wiring and pin every rig's builder form to it.
 
 import (
 	"bytes"
 	"testing"
 
 	"repro/internal/atm"
-	"repro/internal/netsim"
-	"repro/internal/nic"
-	"repro/internal/phy"
 	"repro/internal/sim"
-	"repro/internal/tm"
 	"repro/internal/units"
 )
 
@@ -42,20 +38,20 @@ func tapInto(t *testing.T, out *[]arrival, k *sim.Kernel, sink atm.CellConsumer)
 	})
 }
 
-func compareArrivals(t *testing.T, legacy, built []arrival) {
+func compareArrivals(t *testing.T, want, got []arrival) {
 	t.Helper()
-	if len(legacy) == 0 {
+	if len(want) == 0 {
 		t.Fatal("no cells crossed the tap")
 	}
-	if len(legacy) != len(built) {
-		t.Fatalf("cell counts differ: legacy %d, builder %d", len(legacy), len(built))
+	if len(want) != len(got) {
+		t.Fatalf("cell counts differ: %d vs %d", len(want), len(got))
 	}
-	for i := range legacy {
-		if legacy[i].at != built[i].at {
-			t.Fatalf("cell %d: time %v (legacy) vs %v (builder)", i, legacy[i].at, built[i].at)
+	for i := range want {
+		if want[i].at != got[i].at {
+			t.Fatalf("cell %d: time %v vs %v", i, want[i].at, got[i].at)
 		}
-		if !bytes.Equal(legacy[i].wire[:], built[i].wire[:]) {
-			t.Fatalf("cell %d: wire bytes differ at %v", i, legacy[i].at)
+		if !bytes.Equal(want[i].wire[:], got[i].wire[:]) {
+			t.Fatalf("cell %d: wire bytes differ at %v", i, want[i].at)
 		}
 	}
 }
@@ -80,27 +76,6 @@ const (
 	goldenSeed  = uint64(9)
 )
 
-// goldenDirectLegacy is the pre-builder wiring of a two-station testbed:
-// netsim.Connect with the a→b fiber tapped at b's door.
-func goldenDirectLegacy(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, _ := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: goldenDelay, Seed: goldenSeed})
-	var got []arrival
-	ab.AttachSink(tapInto(t, &got, k, b.Iface))
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	driveFrames(t, func(vc atm.VC, data []byte) error { return a.Iface.Send(vc, data, nil) }, vc)
-	k.Run()
-	return got
-}
-
 func goldenDirectBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 	n, err := NewNetwork(NetworkSpec{
 		Kernel:    k,
@@ -119,47 +94,6 @@ func goldenDirectBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 	n.Endpoint("b").Interface().OpenVC(vc)
 	driveFrames(t, func(vc atm.VC, data []byte) error { return n.Endpoint("a").Send(vc, data, nil) }, vc)
 	n.Run()
-	return got
-}
-
-func TestGoldenDirectLinkMatchesLegacyWiring(t *testing.T) {
-	vc := atm.VC{VCI: 100}
-	legacy := goldenDirectLegacy(t, sim.NewKernel(), vc)
-	built := goldenDirectBuilt(t, sim.NewKernel(), vc)
-	compareArrivals(t, legacy, built)
-}
-
-// goldenSwitchLegacy hand-wires a 1-switch path exactly the way the builder
-// constructs it: stations, switch, then per-link forward fiber (seed 2s+1)
-// before reverse fiber (seed 2s+2), producers attached after both exist.
-func goldenSwitchLegacy(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := netsim.NewSwitch(k, "sw", 2, units.STS3cPayload, 64)
-
-	fwd1 := phy.NewCellLink(k, goldenDelay, goldenSeed*2+1, sw.Port(0))
-	rev1 := phy.NewCellLink(k, goldenDelay, goldenSeed*2+2, a.Iface)
-	a.Iface.AttachSink(fwd1)
-	sw.Port(0).AttachSink(rev1)
-
-	fwd2 := phy.NewCellLink(k, 0, (goldenSeed+1)*2+1, b.Iface)
-	rev2 := phy.NewCellLink(k, 0, (goldenSeed+1)*2+2, sw.Port(1))
-	sw.Port(1).AttachSink(fwd2)
-	b.Iface.AttachSink(rev2)
-
-	sw.SetRoute(0, vc, 1, vc, netsim.RouteOptions{Class: tm.UBR})
-	var got []arrival
-	fwd2.AttachSink(tapInto(t, &got, k, b.Iface))
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	driveFrames(t, func(vc atm.VC, data []byte) error { return a.Iface.Send(vc, data, nil) }, vc)
-	k.Run()
 	return got
 }
 
@@ -190,26 +124,17 @@ func goldenSwitchBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 	return got
 }
 
-func TestGoldenOneSwitchMatchesLegacyWiring(t *testing.T) {
-	vc := atm.VC{VCI: 100}
-	legacy := goldenSwitchLegacy(t, sim.NewKernel(), vc)
-	built := goldenSwitchBuilt(t, sim.NewKernel(), vc)
-	compareArrivals(t, legacy, built)
-}
-
-// The equivalence must hold under the heap kernel too — the builder may not
-// depend on any scheduling property specific to the timing wheel.
+// The builder may not depend on any scheduling property specific to the
+// timing wheel: the heap kernel must produce the same cells at the same times.
 func TestGoldenOneSwitchHeapKernel(t *testing.T) {
 	vc := atm.VC{VCI: 100}
 	wheel := goldenSwitchBuilt(t, sim.NewKernel(), vc)
 	heap := goldenSwitchBuilt(t, sim.NewHeapKernel(), vc)
 	compareArrivals(t, wheel, heap)
-	legacy := goldenSwitchLegacy(t, sim.NewHeapKernel(), vc)
-	compareArrivals(t, legacy, heap)
 }
 
-// NewTestbed is a thin wrapper over NewNetwork; its behaviour must equal
-// the direct-link golden wiring (same delay, same seed derivation).
+// NewTestbed is a thin wrapper over NewNetwork; its behaviour must equal the
+// direct-link network it declares (same delay, same seed derivation).
 func TestGoldenTestbedWrapsBuilder(t *testing.T) {
 	tb, err := NewTestbed(Options{}, LinkOptions{DistanceKm: 1, Seed: goldenSeed - 1})
 	if err != nil {
@@ -218,21 +143,12 @@ func TestGoldenTestbedWrapsBuilder(t *testing.T) {
 	if tb.Network().Link("ab").Fwd != tb.AtoB {
 		t.Fatal("testbed link handle is not the builder's")
 	}
-	k := sim.NewKernel()
-	a, _ := netsim.NewStation(k, nic.DefaultConfig("A"))
-	b, _ := netsim.NewStation(k, nic.DefaultConfig("B"))
-	ab, _ := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: phy.PropDelay(1), Seed: goldenSeed})
 	vc := atm.VC{VCI: 100}
-	var legacy, built []arrival
-	ab.AttachSink(tapInto(t, &legacy, k, b.Iface))
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	driveFrames(t, func(vc atm.VC, data []byte) error { return a.Iface.Send(vc, data, nil) }, vc)
-	k.Run()
-
+	direct := goldenDirectBuilt(t, sim.NewKernel(), vc)
+	var built []arrival
 	tb.AtoB.AttachSink(tapInto(t, &built, tb.Kernel(), tb.B.Interface()))
 	tb.OpenVC(vc)
 	driveFrames(t, func(vc atm.VC, data []byte) error { return tb.A.Send(vc, data, nil) }, vc)
 	tb.Run()
-	compareArrivals(t, legacy, built)
+	compareArrivals(t, direct, built)
 }

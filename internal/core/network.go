@@ -121,8 +121,7 @@ type LinkSpec struct {
 	LossProb    float64
 	CorruptProb float64
 	// Seed drives fault injection; the two directions derive independent
-	// streams from it (2·Seed+1 forward, 2·Seed+2 reverse — the same
-	// derivation netsim.Connect uses, so testbeds golden-match).
+	// streams from it (2·Seed+1 forward, 2·Seed+2 reverse).
 	Seed uint64
 	// Framed carries this fiber through the full SONET physical layer
 	// (sonetlink.Connect: framing, scrambling, HEC delineation) instead of
@@ -314,13 +313,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		cfg := es.Options.nicConfig(es.Name)
 		cfg.Metrics = n.regFor(es.Name)
 		ek := n.kernelFor(es.Name)
-		var st *netsim.Station
-		var err error
-		if es.Options.Hardwired {
-			st, err = netsim.NewHardwiredStation(ek, cfg)
-		} else {
-			st, err = netsim.NewStation(ek, cfg)
-		}
+		st, err := netsim.NewStation(ek, cfg, es.Options.hostConfig(), es.Options.Hardwired)
 		if err != nil {
 			return nil, fmt.Errorf("core: endpoint %q: %w", es.Name, err)
 		}
@@ -408,11 +401,10 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if ls.BitErrProb != 0 {
 			return nil, fmt.Errorf("core: link %q: BitErrProb needs a Framed link (cell-granular fibers take LossProb/CorruptProb)", ls.Name)
 		}
-		// Same construction order and seed derivation as netsim.Connect,
-		// so a builder topology is event-identical to the hand wiring. Each
-		// half lives on its SENDING node's kernel: the send side (stats, the
-		// loss/corruption rng draws, trace Enter) always runs in the source
-		// partition, so the rng sequence matches the serial projection.
+		// Forward half first, then reverse, each seeded from the link seed.
+		// Each half lives on its SENDING node's kernel: the send side (stats,
+		// the loss/corruption rng draws, trace Enter) always runs in the
+		// source partition, so the rng sequence matches the serial projection.
 		kA, kB := n.kernelFor(ls.A.Node), n.kernelFor(ls.B.Node)
 		fwd := phy.NewCellLink(kA, delay, ls.Seed*2+1, n.consumer(ls.B))
 		fwd.LossProb = ls.LossProb
@@ -979,7 +971,7 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 			release()
 			return nil, fmt.Errorf("core: vcc %q: latency tap needs both endpoints on cell-granular links (framed links have no per-cell fiber to hook)", vs.Name)
 		}
-		src.station.Iface.SetOutput(timed.Ingress(out.Send))
+		src.station.Iface.AttachSink(atm.SinkFunc(timed.Ingress(out.Send)))
 		in.AttachSink(atm.SinkFunc(timed.Egress(dst.station.Iface.DeliverCell)))
 		v.Capture = cap
 		v.Timed = timed

@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/atm"
-	"repro/internal/bus"
+	"repro/internal/core"
 	"repro/internal/experiments/runner"
-	"repro/internal/host"
-	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -58,31 +57,28 @@ func E11(engineCounts []int, runTime sim.Duration) ([]E11Point, *report.Series) 
 // runE11Point measures one engine count in its own world. vcs is shared
 // read-only across concurrent points.
 func runE11Point(n int, vcs []atm.VC, runTime sim.Duration) E11Point {
-	k := newKernel()
-	cfgTx := nic.DefaultConfig("tx")
-	cfgTx.PayloadRate = units.STS12cPayload
-	cfgTx.InterleaveVCs = true
-	cfgRx := cfgTx
-	cfgRx.Name = "rx"
-	cfgRx.RxEngines = n
+	txOpts := core.Options{Rate: core.Rate622, InterleaveVCs: true}
+	rxOpts := txOpts
+	rxOpts.RxEngines = n
 	// E9's result applied: per-engine FIFOs must absorb a full single-VC
 	// burst backlog (~96 cells at this engine speed), because the
 	// round-robin is only as smooth as the senders.
-	cfgRx.RxFifoDepth = 128
-	tx, err := netsim.NewStation(k, cfgTx)
-	if err != nil {
-		panic(err)
+	rxOpts.RxFifoCells = 128
+	// E11 isolates the engine scaling, so the (separable) host term is
+	// taken out of the way: a host fast enough not to become the
+	// bottleneck at multi-hundred-Mb/s receive rates, standing in for the
+	// era's faster server hosts.
+	rxOpts.HostMIPS = 200
+	spec := pair(core.EndpointSpec{Name: "tx", Options: txOpts}, core.EndpointSpec{Name: "rx", Options: rxOpts},
+		core.LinkSpec{Delay: 10_000, Seed: 23})
+	for i, vc := range vcs {
+		spec.VCCs = append(spec.VCCs, core.VCCSpec{Name: fmt.Sprint("vc", i), From: "tx", To: "rx", VC: vc})
 	}
-	rx, err := netsim.NewStationFull(k, cfgRx, fastHost(), bus.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	netsim.Connect(k, tx, rx, netsim.LinkConfig{Delay: 10_000, Seed: 23})
+	net := build(spec)
+	k := net.Kernel()
+	tx, rx := net.Endpoint("tx").Interface(), net.Endpoint("rx").Interface()
 	deadline := sim.Time(runTime)
 	for _, vc := range vcs {
-		tx.Iface.OpenVC(vc)
-		rx.Iface.OpenVC(vc)
-		vc := vc
 		var send func()
 		send = func() {
 			if k.Now() > deadline {
@@ -90,19 +86,19 @@ func runE11Point(n int, vcs []atm.VC, runTime sim.Duration) E11Point {
 			}
 			// Each send's buffer is fresh and never touched again, so
 			// ownership can transfer to the interface copy-free.
-			tx.Iface.SendOwned(vc, make([]byte, 9180), send)
+			tx.SendOwned(vc, make([]byte, 9180), send)
 		}
 		send()
 	}
 	k.RunUntil(deadline)
-	bytes := rx.Iface.Stats().Rx.Bytes
+	bytes := rx.Stats().Rx.Bytes
 	var util float64
-	for _, e := range rx.Iface.RxEngines() {
+	for _, e := range rx.RxEngines() {
 		util += e.Utilization()
 	}
 	util /= float64(n)
 	k.Run()
-	st := rx.Iface.Stats()
+	st := rx.Stats()
 	return E11Point{
 		Engines:    n,
 		GoodputBps: units.ThroughputBps(int64(bytes), deadline),
@@ -110,14 +106,4 @@ func runE11Point(n int, vcs []atm.VC, runTime sim.Duration) E11Point {
 		Packets:    st.Rx.Packets,
 		MeanUtil:   util,
 	}
-}
-
-// fastHost is a host model fast enough not to become the bottleneck at
-// multi-hundred-Mb/s receive rates — E11 isolates the engine scaling, so
-// the (separable) host term is taken out of the way, standing in for the
-// era's faster server hosts.
-func fastHost() host.Config {
-	cfg := host.DefaultConfig()
-	cfg.InstrRate = 200_000_000
-	return cfg
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/atm"
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -67,35 +67,28 @@ func E12(lossProbs []float64, msgSize int) ([]E12Point, *report.Series) {
 }
 
 func runE12(loss float64, msgSize int, selective bool) E12Point {
-	k := newKernel()
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		panic(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		panic(err)
-	}
-	netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: 7})
 	vc := atm.VC{VCI: 60}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
+	net := build(pair(core.EndpointSpec{Name: "a"}, core.EndpointSpec{Name: "b"},
+		core.LinkSpec{Delay: 10_000, LossProb: loss, Seed: 7},
+		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: vc, Duplex: true}))
+	k := net.Kernel()
+	a, b := net.Endpoint("a").Interface(), net.Endpoint("b").Interface()
 
 	cfg := transport.DefaultConfig()
 	cfg.RTO = 5 * sim.Millisecond
 	cfg.MaxRetries = 200
 	cfg.SelectiveRepeat = selective
-	tx := transport.NewSender(k, a.Iface, vc, cfg)
+	tx := transport.NewSender(k, a, vc, cfg)
 
 	msg := make([]byte, msgSize)
 	for i := range msg {
 		msg[i] = byte(i * 13)
 	}
 	var got []byte
-	rx := transport.NewReceiver(b.Iface, vc, func(m []byte) { got = m })
+	rx := transport.NewReceiver(b, vc, func(m []byte) { got = m })
 	rx.SelectiveRepeat = selective
-	b.Iface.OnReceive(func(d nic.Delivered) { rx.HandleData(d.SDU) })
-	a.Iface.OnReceive(func(d nic.Delivered) { tx.HandleAck(d.SDU) })
+	b.OnReceive(func(d nic.Delivered) { rx.HandleData(d.SDU) })
+	a.OnReceive(func(d nic.Delivered) { tx.HandleAck(d.SDU) })
 
 	var done sim.Time
 	var failed bool

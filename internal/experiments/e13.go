@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"repro/internal/atm"
+	"repro/internal/core"
 	"repro/internal/fec"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -62,27 +62,20 @@ func E13(lossProbs []float64, sduSize, k int, runTime sim.Duration) ([]E13Point,
 }
 
 func runE13(loss float64, sduSize, k int, useFEC bool, runTime sim.Duration) E13Point {
-	kern := newKernel()
-	a, err := netsim.NewStation(kern, nic.DefaultConfig("a"))
-	if err != nil {
-		panic(err)
-	}
-	b, err := netsim.NewStation(kern, nic.DefaultConfig("b"))
-	if err != nil {
-		panic(err)
-	}
-	netsim.Connect(kern, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: 31})
 	vc := atm.VC{VCI: 70}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
+	net := build(pair(core.EndpointSpec{Name: "a"}, core.EndpointSpec{Name: "b"},
+		core.LinkSpec{Delay: 10_000, LossProb: loss, Seed: 31},
+		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: vc}))
+	kern := net.Kernel()
+	a, b := net.Endpoint("a").Interface(), net.Endpoint("b").Interface()
 
 	delivered := uint64(0)
 	var dec *fec.Decoder
 	if useFEC {
 		dec = fec.NewDecoder(func(p []byte, rec bool) { delivered++ })
-		b.Iface.OnReceive(func(d nic.Delivered) { dec.Push(d.SDU) })
+		b.OnReceive(func(d nic.Delivered) { dec.Push(d.SDU) })
 	} else {
-		b.Iface.OnReceive(func(d nic.Delivered) { delivered++ })
+		b.OnReceive(func(d nic.Delivered) { delivered++ })
 	}
 
 	enc := fec.NewEncoder(k)
@@ -103,14 +96,14 @@ func runE13(loss float64, sduSize, k int, useFEC bool, runTime sim.Duration) E13
 			if parity != nil {
 				// Chain the next send off the parity frame so the
 				// closed loop keeps the same in-flight depth.
-				a.Iface.Send(vc, data, nil)
-				a.Iface.Send(vc, parity, send)
+				a.Send(vc, data, nil)
+				a.Send(vc, parity, send)
 				return
 			}
-			a.Iface.Send(vc, data, send)
+			a.Send(vc, data, send)
 			return
 		}
-		a.Iface.Send(vc, payload, send)
+		a.Send(vc, payload, send)
 	}
 	for i := 0; i < 3; i++ {
 		send()

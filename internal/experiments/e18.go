@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/netsim"
-	"repro/internal/nic"
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -59,41 +58,31 @@ func E18() ([]E18Row, *report.Table, *trace.Recorder) {
 // runE18Point runs one traced single-packet world and extracts the segment
 // boundaries from the recorded events.
 func runE18Point(rate units.BitRate, size int) (E18Row, *trace.Recorder) {
-	k := newKernel()
-	cfg := nic.DefaultConfig("x")
-	cfg.PayloadRate = rate
+	opts := core.Options{Rate: rate}
 	if rate == units.STS12cPayload {
 		// E9's result applied (as in E11): the default 32-cell FIFO
 		// overflows at STS-12c arrival spacing; 128 absorbs the burst.
-		cfg.RxFifoDepth = 128
+		opts.RxFifoCells = 128
 	}
-	cfgA, cfgB := cfg, cfg
-	cfgA.Name, cfgB.Name = "a", "b"
-	a, err := netsim.NewStation(k, cfgA)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	b, err := netsim.NewStation(k, cfgB)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	ab, _ := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, Seed: 3})
+	spec := pair(core.EndpointSpec{Name: "a", Options: opts}, core.EndpointSpec{Name: "b", Options: opts},
+		core.LinkSpec{Delay: 10_000, Seed: 3},
+		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC})
+	spec.Kernel = newKernel()
 	// One MTU at STS-12c is ~200 cells; 6 events per cell plus endpoints
 	// fits comfortably in 4096 — no wraparound, so the telescoping
 	// extraction below sees every boundary.
-	rec := trace.NewRecorder(k, 4096)
-	a.Iface.SetRecorder(rec)
-	b.Iface.SetRecorder(rec)
-	ab.SetRecorder(rec, "ab")
-	a.Iface.OpenVC(stdVC)
-	b.Iface.OpenVC(stdVC)
+	rec := trace.NewRecorder(spec.Kernel, 4096)
+	spec.Recorder = rec
+	net := build(spec)
+	k := net.Kernel()
+	a, b := net.Endpoint("a"), net.Endpoint("b")
 
 	var start, end sim.Time
 	payload := make([]byte, size)
 	k.At(0, func() {
 		start = k.Now()
-		b.Iface.OnReceive(func(d nic.Delivered) { end = d.At })
-		a.Iface.Send(stdVC, payload, nil)
+		b.OnReceive(func(p core.Packet) { end = p.At })
+		a.Send(stdVC, payload, nil)
 	})
 	k.Run()
 
@@ -110,7 +99,7 @@ func runE18Point(rate units.BitRate, size int) (E18Row, *trace.Recorder) {
 			}
 		case node == "a" && stage == "tx.fifo" && ev.Kind == trace.KindExit:
 			tB = ev.At
-		case node == "ab" && stage == "wire" && ev.Kind == trace.KindExit:
+		case node == "ab.fwd" && stage == "wire" && ev.Kind == trace.KindExit:
 			tC = ev.At
 		case node == "b" && stage == "rx.fifo" && ev.Kind == trace.KindExit:
 			tD = ev.At

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/aal"
+	"repro/internal/core"
 	"repro/internal/experiments/runner"
-	"repro/internal/host"
 	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -90,16 +89,13 @@ func E3(ec E3Config) ([]E3Point, *report.Series, *report.Series) {
 
 // runE3Point measures one (rate, AAL, size) configuration in its own world.
 func runE3Point(rate units.BitRate, t aal.Type, size int, ec E3Config) E3Point {
-	cfg := nic.DefaultConfig("x")
-	cfg.PayloadRate = rate
-	cfg.AAL = t
-	hostCfg := host.DefaultConfig()
+	opts := core.Options{Rate: rate, AAL34: t == aal.AAL34}
 	if rate == units.STS12cPayload {
 		// E9's result applied (as in E11): at STS-12c cell spacing the
 		// default 32-cell RX FIFO overflows faster than one 25 MHz receive
 		// engine drains it, corrupting every large frame — measured goodput
 		// was a flat 0. 128 cells absorbs the burst backlog.
-		cfg.RxFifoDepth = 128
+		opts.RxFifoCells = 128
 		// E10/E11's results applied: the stock 25 MHz engine caps the 622
 		// column at ~130 Mb/s and the workstation host adds its own ceiling
 		// around 320 Mb/s, burying the protocol-path story. The OC-12 rig
@@ -108,19 +104,17 @@ func runE3Point(rate units.BitRate, t aal.Type, size int, ec E3Config) E3Point {
 		// host — leaving the engines as the measured bottleneck (goodput
 		// still lands well under the wire ceiling, which is the paper's
 		// point).
-		cfg.Engine.ClockHz = 48_000_000
-		cfg.RxEngines = 3
-		hostCfg = fastHost()
+		opts.EngineMHz = 48
+		opts.RxEngines = 3
+		opts.HostMIPS = 200
 	}
 	deadline := sim.Time(ec.RunTime)
-	var src *netsim.Source
 	var lastAt sim.Time
-	_, b, _ := runPairHost(cfg, hostCfg, netsim.LinkConfig{Delay: 10_000, Seed: 7},
+	b := runPair(opts, core.LinkSpec{Delay: 10_000, Seed: 7},
 		deadline+sim.Time(ec.RunTime/2),
-		func(k *sim.Kernel, a, b *netsim.Station) {
-			b.Iface.OnReceive(func(d nic.Delivered) { lastAt = d.At })
-			src = netsim.NewSource(k, a, stdVC, size, deadline)
-			src.Start(ec.Window)
+		func(k *sim.Kernel, a, b *core.Endpoint) {
+			b.OnReceive(func(p core.Packet) { lastAt = p.At })
+			netsim.NewSource(k, a.Station(), stdVC, size, deadline).Start(ec.Window)
 		})
 	cells := aal.CellsForSDU5(size)
 	if t == aal.AAL34 {
@@ -131,7 +125,7 @@ func runE3Point(rate units.BitRate, t aal.Type, size int, ec E3Config) E3Point {
 	if lastAt == 0 {
 		lastAt = deadline
 	}
-	gp := goodputBps(b, lastAt)
+	gp := units.ThroughputBps(int64(b.Stats().Rx.Bytes), lastAt)
 	return E3Point{
 		Size: size, AAL: t, Rate: rate,
 		GoodputBps: gp,

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/experiments/runner"
 	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/phy"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -90,7 +90,6 @@ func E4(ec E4Config) ([]E4Point, *report.Series, *report.Series) {
 
 // runE4 offers load at a paced open-loop rate into one receiver.
 func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
-	k := newKernel()
 	rate := units.STS3cPayload
 	// Packet departure interval to hit the target offered load, counting
 	// full cell (wire) bytes.
@@ -99,6 +98,7 @@ func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
 	interval := sim.Duration(float64(units.TimePerBytes(rate, wireBytes)) / load)
 
 	deadline := sim.Time(ec.RunTime)
+	var k *sim.Kernel
 	var hostUtil func() float64
 	var delivered func() uint64
 	var interrupts func() uint64
@@ -108,44 +108,33 @@ func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
 		// The receive architecture is what E4 compares, so the per-cell
 		// receiver is driven by a fully capable (paper-style) sender —
 		// otherwise the baseline's own host-bound transmit path caps the
-		// offered load long before its receiver shows anything.
-		cfgTx := nic.DefaultConfig("tx")
-		tx, err := netsim.NewStation(k, cfgTx)
-		if err != nil {
-			panic(err)
-		}
+		// offered load long before its receiver shows anything. The host-SAR
+		// adapter is not an interface the builder models, so its fiber is
+		// wired by hand.
+		net := build(core.NetworkSpec{Endpoints: []core.EndpointSpec{{Name: "tx"}}})
+		k = net.Kernel()
+		tx := net.Endpoint("tx")
 		rx := netsim.NewBaselineStation(k, "rx", baseline.DefaultConfig())
-		link := phy.NewCellLink(k, 10_000, 9, rx.Adapter)
-		tx.Iface.AttachSink(link)
-		tx.Iface.OpenVC(stdVC)
+		tx.Interface().AttachSink(phy.NewCellLink(k, 10_000, 9, rx.Adapter))
+		tx.Interface().OpenVC(stdVC)
 		rx.Adapter.OpenVC(stdVC)
 		pace(k, tx, interval, ec.SDUSize, deadline)
 		hostUtil = rx.Host.Utilization
 		delivered = func() uint64 { return rx.Adapter.Stats().RxBytes }
 		interrupts = rx.Host.Interrupts
 	default:
-		cfg := nic.DefaultConfig("x")
-		var tx, rx *netsim.Station
-		var err error
-		mk := netsim.NewStation
-		if arch == ArchHardwired {
-			mk = netsim.NewHardwiredStation
-		}
-		cfgTx, cfgRx := cfg, cfg
-		cfgTx.Name, cfgRx.Name = "tx", "rx"
-		if tx, err = mk(k, cfgTx); err != nil {
-			panic(err)
-		}
-		if rx, err = mk(k, cfgRx); err != nil {
-			panic(err)
-		}
-		netsim.Connect(k, tx, rx, netsim.LinkConfig{Delay: 10_000, Seed: 9})
-		tx.Iface.OpenVC(stdVC)
-		rx.Iface.OpenVC(stdVC)
-		pace(k, tx, interval, ec.SDUSize, deadline)
-		hostUtil = rx.Host.Utilization
-		delivered = func() uint64 { return rx.Iface.Stats().Rx.Bytes }
-		interrupts = rx.Host.Interrupts
+		opts := core.Options{Hardwired: arch == ArchHardwired}
+		net := build(pair(
+			core.EndpointSpec{Name: "tx", Options: opts},
+			core.EndpointSpec{Name: "rx", Options: opts},
+			core.LinkSpec{Delay: 10_000, Seed: 9},
+			core.VCCSpec{Name: "e4", From: "tx", To: "rx", VC: stdVC}))
+		k = net.Kernel()
+		rx := net.Endpoint("rx")
+		pace(k, net.Endpoint("tx"), interval, ec.SDUSize, deadline)
+		hostUtil = rx.Host().Utilization
+		delivered = func() uint64 { return rx.Stats().Rx.Bytes }
+		interrupts = rx.Host().Interrupts
 	}
 
 	k.RunUntil(deadline)
@@ -160,14 +149,14 @@ func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
 }
 
 // pace sends fixed-size packets at fixed intervals (open loop).
-func pace(k *sim.Kernel, tx *netsim.Station, interval sim.Duration, size int, deadline sim.Time) {
+func pace(k *sim.Kernel, tx *core.Endpoint, interval sim.Duration, size int, deadline sim.Time) {
 	payload := make([]byte, size)
 	var tick func()
 	tick = func() {
 		if k.Now() > deadline {
 			return
 		}
-		tx.Iface.Send(stdVC, payload, nil)
+		tx.Send(stdVC, payload, nil)
 		k.After(interval, tick)
 	}
 	tick()

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"repro/internal/aal"
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -37,13 +37,18 @@ func E5() ([]E5Row, *report.Table) {
 	delay := sim.Duration(10_000) // 2 km
 	var rows []E5Row
 	for _, size := range sizes {
-		cfg := nic.DefaultConfig("x")
 		var measured sim.Duration
-		_, _, _ = runPairMeasure(cfg, delay, size, &measured)
+		payload := make([]byte, size)
+		runPair(core.Options{}, core.LinkSpec{Delay: delay, Seed: 3}, sim.Second,
+			func(k *sim.Kernel, a, b *core.Endpoint) {
+				start := k.Now()
+				b.OnReceive(func(p core.Packet) { measured = p.At - start })
+				a.Send(stdVC, payload, nil)
+			})
 
 		cells := aal.CellsForSDU5(size)
 		k := newKernel()
-		eng := engine.New(k, "m", cfg.Engine)
+		eng := engine.New(k, "m", nic.DefaultConfig("x").Engine)
 		hostCfg := hostDefault()
 		// Component model. Wire serialization of all cells dominates the
 		// middle of the pipeline; segmentation and reassembly overlap it
@@ -84,16 +89,6 @@ func E5() ([]E5Row, *report.Table) {
 			r.Prop.String(), r.RxDMA.String(), r.HostRx.String(), r.ModelSum.String(), r.Measured.String())
 	}
 	return rows, tb
-}
-
-func runPairMeasure(cfg nic.Config, delay sim.Duration, size int, out *sim.Duration) (a, b *netsim.Station, k *sim.Kernel) {
-	payload := make([]byte, size)
-	return runPair(cfg, netsim.LinkConfig{Delay: delay, Seed: 3}, sim.Second,
-		func(k *sim.Kernel, a, b *netsim.Station) {
-			start := k.Now()
-			b.Iface.OnReceive(func(d nic.Delivered) { *out = d.At - start })
-			a.Iface.Send(stdVC, payload, nil)
-		})
 }
 
 // hostDefault mirrors host.DefaultConfig without importing the package's

@@ -4,10 +4,10 @@ import (
 	"math"
 
 	"repro/internal/aal"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments/runner"
 	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -77,17 +77,16 @@ func E8(ec E8Config) ([]E8Point, *report.Series) {
 
 // runE8Point measures one (size, loss probability) point in its own world.
 func runE8Point(size int, p float64, ec E8Config) E8Point {
-	cfg := nic.DefaultConfig("x")
 	deadline := sim.Time(ec.RunTime)
 	var src *netsim.Source
-	_, b, k := runPair(cfg,
-		netsim.LinkConfig{Delay: 10_000, LossProb: p, Seed: uint64(size) + uint64(p*1e7)},
+	b := runPair(core.Options{},
+		core.LinkSpec{Delay: 10_000, LossProb: p, Seed: uint64(size) + uint64(p*1e7)},
 		deadline+sim.Time(ec.RunTime/2),
-		func(k *sim.Kernel, a, b *netsim.Station) {
-			src = netsim.NewSource(k, a, stdVC, size, deadline)
+		func(k *sim.Kernel, a, b *core.Endpoint) {
+			src = netsim.NewSource(k, a.Station(), stdVC, size, deadline)
 			src.Start(4)
 		})
-	st := b.Iface.Stats()
+	st := b.Stats()
 	sent := src.Sent
 	frac := 0.0
 	if sent > 0 {
@@ -97,7 +96,7 @@ func runE8Point(size int, p float64, ec E8Config) E8Point {
 	return E8Point{
 		LossProb: p, Size: size,
 		DeliveredFrac: frac,
-		GoodputBps:    goodputBps(b, k.Now()),
+		GoodputBps:    b.Goodput(),
 		PredictedFrac: math.Pow(1-p, float64(cells)),
 	}
 }
@@ -164,13 +163,10 @@ func E9(depths []int, runTime sim.Duration) ([]E9Point, *report.Series) {
 
 // runE9Point measures one FIFO depth in its own world.
 func runE9Point(d int, runTime sim.Duration) E9Point {
-	cfg := nic.DefaultConfig("x")
-	cfg.PayloadRate = units.STS12cPayload
-	cfg.RxFifoDepth = d
 	deadline := sim.Time(runTime)
-	_, b, _ := runPair(cfg, netsim.LinkConfig{Delay: 10_000, Seed: 17},
+	b := runPair(core.Options{Rate: core.Rate622, RxFifoCells: d}, core.LinkSpec{Delay: 10_000, Seed: 17},
 		deadline+sim.Time(runTime/2),
-		func(k *sim.Kernel, a, b *netsim.Station) {
+		func(k *sim.Kernel, a, b *core.Endpoint) {
 			// One 192-cell frame every 500 µs: the wire burst lasts
 			// ~136 µs (or ~185 µs engine-paced), leaving a drain gap.
 			payload := make([]byte, 9180)
@@ -179,12 +175,12 @@ func runE9Point(d int, runTime sim.Duration) E9Point {
 				if k.Now() > deadline {
 					return
 				}
-				a.Iface.Send(stdVC, payload, nil)
+				a.Send(stdVC, payload, nil)
 				k.After(500*sim.Microsecond, tick)
 			}
 			tick()
 		})
-	st := b.Iface.Stats()
+	st := b.Stats()
 	return E9Point{Depth: d, FifoDrops: st.Rx.FifoDrops,
 		Packets: st.Rx.Packets, MaxFifo: st.Rx.MaxFifo}
 }

@@ -8,10 +8,7 @@ package experiments
 
 import (
 	"repro/internal/atm"
-	"repro/internal/bus"
-	"repro/internal/host"
-	"repro/internal/netsim"
-	"repro/internal/nic"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -19,41 +16,48 @@ import (
 // stdVC is the connection every end-to-end experiment runs on.
 var stdVC = atm.VC{VPI: 0, VCI: 100}
 
-// runPair builds a station pair, runs fn to configure sources, then runs
-// the kernel until deadline+drain and returns both stations.
-func runPair(cfg nic.Config, link netsim.LinkConfig, deadline sim.Time,
-	drive func(k *sim.Kernel, a, b *netsim.Station)) (a, b *netsim.Station, k *sim.Kernel) {
-	return runPairHost(cfg, host.DefaultConfig(), link, deadline, drive)
+// build constructs a rig's network, on a fresh newKernel unless the spec
+// brings its own kernel, so the heap-vs-wheel goldens cover every rig. Rig
+// specs are fixed literals: an error is a programming mistake and panics.
+func build(spec core.NetworkSpec) *core.Network {
+	if spec.Kernel == nil {
+		spec.Kernel = newKernel()
+	}
+	net, err := core.NewNetwork(spec)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return net
 }
 
-// runPairHost is runPair with an explicit host model, for rigs where the
-// workstation CPU must not be the confound (see fastHost).
-func runPairHost(cfg nic.Config, hostCfg host.Config, link netsim.LinkConfig, deadline sim.Time,
-	drive func(k *sim.Kernel, a, b *netsim.Station)) (a, b *netsim.Station, k *sim.Kernel) {
-	k = newKernel()
-	cfgA, cfgB := cfg, cfg
-	cfgA.Name, cfgB.Name = "a", "b"
-	var err error
-	a, err = netsim.NewStationFull(k, cfgA, hostCfg, bus.DefaultConfig())
-	if err != nil {
-		panic("experiments: " + err.Error())
+// pair declares the two-station rig the paper's evaluation runs on: a and b
+// joined by one fiber "ab" (forward direction a→b) with link's delay, loss
+// and seed, carrying vccs.
+func pair(a, b core.EndpointSpec, link core.LinkSpec, vccs ...core.VCCSpec) core.NetworkSpec {
+	link.Name = "ab"
+	link.A, link.B = core.NodeRef{Node: a.Name}, core.NodeRef{Node: b.Name}
+	return core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{a, b},
+		Links:     []core.LinkSpec{link},
+		VCCs:      vccs,
 	}
-	b, err = netsim.NewStationFull(k, cfgB, hostCfg, bus.DefaultConfig())
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	netsim.Connect(k, a, b, link)
-	a.Iface.OpenVC(stdVC)
-	b.Iface.OpenVC(stdVC)
-	drive(k, a, b)
+}
+
+// runPair builds the standard pair — a and b with identical options, stdVC
+// open a→b — runs drive to configure sources, then runs the kernel until
+// deadline and drains in-flight work. It returns the receiving endpoint.
+func runPair(opts core.Options, link core.LinkSpec, deadline sim.Time,
+	drive func(k *sim.Kernel, a, b *core.Endpoint)) *core.Endpoint {
+	net := build(pair(
+		core.EndpointSpec{Name: "a", Options: opts},
+		core.EndpointSpec{Name: "b", Options: opts},
+		link, core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC}))
+	k := net.Kernel()
+	b := net.Endpoint("b")
+	drive(k, net.Endpoint("a"), b)
 	k.RunUntil(deadline)
 	k.Run() // drain in-flight work
-	return a, b, k
-}
-
-// goodputBps returns delivered SDU goodput at station b.
-func goodputBps(b *netsim.Station, at sim.Time) float64 {
-	return units.ThroughputBps(int64(b.Iface.Stats().Rx.Bytes), at)
+	return b
 }
 
 // sduCeilingBps returns the physics ceiling for SDU goodput: the payload

@@ -425,7 +425,7 @@ func TestTelemetryShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"a.nic.tx.cell_delay", "b.nic.rx.cell_delay",
-		"b.nic.rx.reassembly_time", "b.nic.rx.intr_service", "link.ab.latency"} {
+		"b.nic.rx.reassembly_time", "b.nic.rx.intr_service", "vcc.ab.latency"} {
 		if !nonEmpty[want] {
 			t.Fatalf("histogram %s empty or missing (have %v)", want, nonEmpty)
 		}

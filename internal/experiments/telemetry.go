@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/atm"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TelemetryConfig parameterizes the instrumented reference run.
@@ -33,10 +31,10 @@ func DefaultTelemetry() TelemetryConfig {
 }
 
 // Telemetry runs the fully instrumented datapath: two stations sharing one
-// metrics registry, a timed tap around the a->b fiber, and a fixed windowed
-// workload. It returns the registry snapshot plus a latency table (p50/p99/
-// max per non-empty histogram) — the reference view of where time goes
-// between the transmit descriptor and the receive interrupt.
+// metrics registry, a timed tap around the a->b connection, and a fixed
+// windowed workload. It returns the registry snapshot plus a latency table
+// (p50/p99/max per non-empty histogram) — the reference view of where time
+// goes between the transmit descriptor and the receive interrupt.
 func Telemetry(ec TelemetryConfig) (metrics.Snapshot, *report.Table) {
 	if ec.SDUSize <= 0 {
 		ec.SDUSize = 9180
@@ -47,39 +45,21 @@ func Telemetry(ec TelemetryConfig) (metrics.Snapshot, *report.Table) {
 	if ec.RunTime <= 0 {
 		ec.RunTime = 20 * sim.Millisecond
 	}
-	reg := metrics.NewRegistry()
-	cfg := nic.DefaultConfig("a")
-	cfg.Metrics = reg
-
-	k := newKernel()
-	cfgA, cfgB := cfg, cfg
-	cfgA.Name, cfgB.Name = "a", "b"
-	a, err := netsim.NewStation(k, cfgA)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	b, err := netsim.NewStation(k, cfgB)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	// Wire the a->b fiber through a timed tap so per-cell fiber+FIFO
-	// latency lands in "link.ab.latency"; the reverse direction carries
-	// nothing in this workload and uses the plain connect.
-	ab, _ := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: ec.Loss, Seed: ec.Seed})
-	cap := trace.New(k)
-	timed := cap.TapTimed(reg.Histogram("link.ab.latency"))
-	ab.AttachSink(atm.SinkFunc(timed.Egress(b.Iface.DeliverCell)))
-	a.Iface.SetOutput(timed.Ingress(ab.Send))
-	a.Iface.OpenVC(stdVC)
-	b.Iface.OpenVC(stdVC)
+	// The builder's latency tap on the a->b connection lands per-cell
+	// fiber+FIFO latency in "vcc.ab.latency"; the reverse direction carries
+	// nothing in this workload.
+	net := build(pair(core.EndpointSpec{Name: "a"}, core.EndpointSpec{Name: "b"},
+		core.LinkSpec{Delay: 10_000, LossProb: ec.Loss, Seed: ec.Seed},
+		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC, Latency: true}))
+	k := net.Kernel()
 
 	deadline := sim.Time(ec.RunTime)
-	src := netsim.NewSource(k, a, stdVC, ec.SDUSize, deadline)
+	src := netsim.NewSource(k, net.Endpoint("a").Station(), stdVC, ec.SDUSize, deadline)
 	src.Start(ec.Window)
 	k.RunUntil(deadline)
 	k.Run()
 
-	snap := reg.Snapshot()
+	snap := net.Metrics().Snapshot()
 	tb := report.NewTable("Telemetry: datapath latency distributions ("+
 		fmt.Sprintf("%dB SDUs, window %d, %v", ec.SDUSize, ec.Window, ec.RunTime)+")",
 		"histogram", "count", "p50", "p99", "max")

@@ -5,30 +5,27 @@ import (
 	"testing"
 
 	"repro/internal/atm"
+	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
 // newPair wires two stations with a stack on each and one open VC.
 func newPair(t *testing.T, method Method) (k *sim.Kernel, sa, sb *Stack, vc atm.VC) {
 	t.Helper()
-	k = sim.NewKernel()
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, Seed: 7})
 	vc = atm.VC{VCI: 70}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	sa = NewStack(a.Iface, method, Addr{10, 0, 0, 1})
-	sb = NewStack(b.Iface, method, Addr{10, 0, 0, 2})
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "a"}, {Name: "b"}},
+		Links: []core.LinkSpec{{Name: "ab", A: core.NodeRef{Node: "a"}, B: core.NodeRef{Node: "b"},
+			Delay: 10_000, Seed: 7}},
+		VCCs: []core.VCCSpec{{Name: "ab", From: "a", To: "b", VC: vc, Duplex: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k = net.Kernel()
+	sa = NewStack(net.Endpoint("a").Interface(), method, Addr{10, 0, 0, 1})
+	sb = NewStack(net.Endpoint("b").Interface(), method, Addr{10, 0, 0, 2})
 	return k, sa, sb, vc
 }
 

@@ -173,8 +173,8 @@ func TestABRSourceRampsToPCRWithoutCongestion(t *testing.T) {
 	// increase walks ACR from ICR up to PCR. The forward RM cadence on the
 	// wire is one per Nrm cells.
 	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
-	b, _ := NewStation(k, nic.DefaultConfig("b"))
+	a := station(t, k, nic.DefaultConfig("a"))
+	b := station(t, k, nic.DefaultConfig("b"))
 	var frm, data int
 	fwdLink := phy.NewCellLink(k, 1000, 1, b.Iface)
 	revLink := phy.NewCellLink(k, 1000, 2, a.Iface)

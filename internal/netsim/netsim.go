@@ -1,7 +1,7 @@
-// Package netsim assembles whole testbeds out of the lower layers: stations
-// (host + bus + interface), point-to-point links, and a small output-queued
-// ATM switch — enough network to run every end-to-end experiment and the
-// examples.
+// Package netsim holds the network-level building blocks: the station
+// (host + bus + interface), the output-queued ATM switch with its traffic
+// management, the per-cell baseline station, and the closed-loop traffic
+// source. core.NewNetwork assembles them into topologies.
 package netsim
 
 import (
@@ -22,62 +22,33 @@ type Station struct {
 	Iface *nic.Interface
 }
 
-// NewStation builds a station with the given interface configuration and
-// default host/bus models.
-func NewStation(k *sim.Kernel, cfg nic.Config) (*Station, error) {
-	return NewStationFull(k, cfg, host.DefaultConfig(), bus.DefaultConfig())
-}
-
-// NewStationFull builds a station with explicit host and bus models. When
-// the interface config carries a telemetry registry, the station's bus
-// devices record into it too.
-func NewStationFull(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, busCfg bus.Config) (*Station, error) {
+// NewStation builds a station: a host with the given cost model, a default
+// bus, and the paper's programmable interface — or, when hardwired is set,
+// the fixed-function baseline (baseline.NewHardwired). When the interface
+// config carries a telemetry registry, the station's bus devices record into
+// it too.
+func NewStation(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, hardwired bool) (*Station, error) {
 	h := host.New(k, hostCfg)
-	b := bus.New(k, busCfg)
-	if cfg.Metrics != nil {
-		b.SetMetrics(cfg.Metrics)
-	}
-	iface, err := nic.New(k, cfg, h, b)
-	if err != nil {
-		return nil, err
-	}
-	return &Station{Name: cfg.Name, Host: h, Bus: b, Iface: iface}, nil
-}
-
-// NewHardwiredStation builds a station with the fixed-function baseline
-// interface.
-func NewHardwiredStation(k *sim.Kernel, cfg nic.Config) (*Station, error) {
-	h := host.New(k, host.DefaultConfig())
 	b := bus.New(k, bus.DefaultConfig())
 	if cfg.Metrics != nil {
 		b.SetMetrics(cfg.Metrics)
 	}
-	iface, err := baseline.NewHardwired(k, cfg, h, b)
+	newIface := nic.New
+	if hardwired {
+		newIface = baseline.NewHardwired
+	}
+	iface, err := newIface(k, cfg, h, b)
 	if err != nil {
 		return nil, err
 	}
 	return &Station{Name: cfg.Name, Host: h, Bus: b, Iface: iface}, nil
 }
 
-// LinkConfig sets a point-to-point fiber's properties.
+// LinkConfig sets the properties of a baseline pair's fiber (ConnectBaseline).
 type LinkConfig struct {
-	Delay       sim.Duration
-	LossProb    float64
-	CorruptProb float64
-	Seed        uint64
-}
-
-// Connect wires a→b and b→a with independent cell links and returns them.
-func Connect(k *sim.Kernel, a, b *Station, cfg LinkConfig) (ab, ba *phy.CellLink) {
-	ab = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+1, b.Iface)
-	ab.LossProb = cfg.LossProb
-	ab.CorruptProb = cfg.CorruptProb
-	ba = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+2, a.Iface)
-	ba.LossProb = cfg.LossProb
-	ba.CorruptProb = cfg.CorruptProb
-	a.Iface.AttachSink(ab)
-	b.Iface.AttachSink(ba)
-	return ab, ba
+	Delay    sim.Duration
+	LossProb float64
+	Seed     uint64
 }
 
 // BaselineStation is a workstation with the per-cell-interrupt adapter.

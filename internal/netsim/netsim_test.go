@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/baseline"
+	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/phy"
@@ -16,72 +17,20 @@ import (
 
 func vc(n uint16) atm.VC { return atm.VC{VCI: n} }
 
-func TestStationPairEndToEnd(t *testing.T) {
-	k := sim.NewKernel()
-	a, err := NewStation(k, nic.DefaultConfig("a"))
+// station builds a default-host station with the paper's interface.
+func station(t *testing.T, k *sim.Kernel, cfg nic.Config) *Station {
+	t.Helper()
+	s, err := NewStation(k, cfg, host.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	Connect(k, a, b, LinkConfig{Delay: 5000, Seed: 1})
-	a.Iface.OpenVC(vc(5))
-	b.Iface.OpenVC(vc(5))
-	payload := bytes.Repeat([]byte{0xab}, 3000)
-	var got []byte
-	b.Iface.OnReceive(func(d nic.Delivered) { got = d.SDU })
-	a.Iface.Send(vc(5), payload, nil)
-	k.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("station pair round trip failed")
-	}
-}
-
-func TestDuplexLinksIndependent(t *testing.T) {
-	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
-	b, _ := NewStation(k, nic.DefaultConfig("b"))
-	Connect(k, a, b, LinkConfig{Delay: 1000, Seed: 2})
-	for _, s := range []*Station{a, b} {
-		s.Iface.OpenVC(vc(9))
-	}
-	var atA, atB int
-	a.Iface.OnReceive(func(d nic.Delivered) { atA++ })
-	b.Iface.OnReceive(func(d nic.Delivered) { atB++ })
-	a.Iface.Send(vc(9), []byte{1, 2, 3}, nil)
-	b.Iface.Send(vc(9), []byte{4, 5, 6}, nil)
-	k.Run()
-	if atA != 1 || atB != 1 {
-		t.Fatalf("deliveries a=%d b=%d, want 1/1", atA, atB)
-	}
-}
-
-func TestSourceClosedLoop(t *testing.T) {
-	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
-	b, _ := NewStation(k, nic.DefaultConfig("b"))
-	Connect(k, a, b, LinkConfig{Delay: 1000, Seed: 3})
-	a.Iface.OpenVC(vc(1))
-	b.Iface.OpenVC(vc(1))
-	deadline := sim.Time(5 * sim.Millisecond)
-	src := NewSource(k, a, vc(1), 9180, deadline)
-	src.Start(4)
-	k.RunUntil(deadline + sim.Time(5*sim.Millisecond))
-	if src.Sent < 4 {
-		t.Fatalf("source sent %d", src.Sent)
-	}
-	st := b.Iface.Stats()
-	if st.Rx.Packets == 0 {
-		t.Fatal("nothing delivered")
-	}
+	return s
 }
 
 func TestSwitchRoutesAndTranslates(t *testing.T) {
 	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
-	b, _ := NewStation(k, nic.DefaultConfig("b"))
+	a := station(t, k, nic.DefaultConfig("a"))
+	b := station(t, k, nic.DefaultConfig("b"))
 	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64)
 	sw.SwitchingDelay = 2000
 
@@ -113,7 +62,7 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 
 func TestSwitchDropsUnrouted(t *testing.T) {
 	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
+	a := station(t, k, nic.DefaultConfig("a"))
 	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16)
 	a.Iface.AttachSink(sw.Port(0))
 	a.Iface.OpenVC(vc(99))
@@ -129,9 +78,9 @@ func TestSwitchCongestionDrops(t *testing.T) {
 	// and drop, and the survivors' frames still reassemble or fail
 	// cleanly downstream.
 	k := sim.NewKernel()
-	a, _ := NewStation(k, nic.DefaultConfig("a"))
-	b, _ := NewStation(k, nic.DefaultConfig("b"))
-	c, _ := NewStation(k, nic.DefaultConfig("c"))
+	a := station(t, k, nic.DefaultConfig("a"))
+	b := station(t, k, nic.DefaultConfig("b"))
+	c := station(t, k, nic.DefaultConfig("c"))
 	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 8)
 	// Unequal fiber runs into the switch break the senders' cell-clock
 	// phase lock, so overflow drops hit both flows (as jittered real
@@ -182,28 +131,6 @@ func TestBaselineStationPair(t *testing.T) {
 	}
 }
 
-func TestHardwiredStation(t *testing.T) {
-	k := sim.NewKernel()
-	a, err := NewHardwiredStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHardwiredStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	Connect(k, a, b, LinkConfig{Delay: 1000, Seed: 5})
-	a.Iface.OpenVC(vc(1))
-	b.Iface.OpenVC(vc(1))
-	got := 0
-	b.Iface.OnReceive(func(d nic.Delivered) { got++ })
-	a.Iface.Send(vc(1), []byte{1, 2, 3, 4}, nil)
-	k.Run()
-	if got != 1 {
-		t.Fatal("hardwired station pair failed")
-	}
-}
-
 func TestSwitchInvalidGeometryPanics(t *testing.T) {
 	k := sim.NewKernel()
 	defer func() {
@@ -222,8 +149,8 @@ func TestSwitchRateMismatchCongestion(t *testing.T) {
 		k := sim.NewKernel()
 		cfgA := nic.DefaultConfig("a")
 		cfgA.PayloadRate = units.STS12cPayload
-		a, _ := NewStation(k, cfgA)
-		c, _ := NewStation(k, nic.DefaultConfig("c")) // 155 edge station
+		a := station(t, k, cfgA)
+		c := station(t, k, nic.DefaultConfig("c")) // 155 edge station
 		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32)
 		sw.SetPortRate(1, units.STS3cPayload)
 		a.Iface.AttachSink(sw.Port(0))
@@ -252,91 +179,6 @@ func TestSwitchRateMismatchCongestion(t *testing.T) {
 	}
 	if pacedDelivered == 0 {
 		t.Fatal("paced flow delivered nothing")
-	}
-}
-
-// Property: under random sizes, random VC assignment and random loss, the
-// receiver delivers a prefix-correct per-VC subsequence of what was sent:
-// nothing corrupted, nothing reordered, nothing invented.
-func TestPropertyEndToEndIntegrity(t *testing.T) {
-	run := func(seed uint64, sizes []uint16, lossMilli uint8) bool {
-		k := sim.NewKernel()
-		a, _ := NewStation(k, nic.DefaultConfig("a"))
-		b, _ := NewStation(k, nic.DefaultConfig("b"))
-		loss := float64(lossMilli%20) / 1000
-		Connect(k, a, b, LinkConfig{Delay: 5000, LossProb: loss, Seed: seed})
-		vcs := []atm.VC{{VCI: 1}, {VCI: 2}, {VCI: 3}}
-		for _, vc := range vcs {
-			a.Iface.OpenVC(vc)
-			b.Iface.OpenVC(vc)
-		}
-		type msg struct {
-			vc  atm.VC
-			sdu []byte
-		}
-		var sent []msg
-		var recv []msg
-		b.Iface.OnReceive(func(d nic.Delivered) {
-			recv = append(recv, msg{d.VC, d.SDU})
-		})
-		for i, s := range sizes {
-			n := int(s)%5000 + 1
-			payload := make([]byte, n)
-			for j := range payload {
-				payload[j] = byte(j*7 + i)
-			}
-			vc := vcs[i%len(vcs)]
-			sent = append(sent, msg{vc, payload})
-			if err := a.Iface.Send(vc, payload, nil); err != nil {
-				return false
-			}
-		}
-		k.Run()
-		// Per VC: received messages are a subsequence (in fact a
-		// loss-filtered subsequence preserving order) of sent ones.
-		for _, vc := range vcs {
-			var s, r [][]byte
-			for _, m := range sent {
-				if m.vc == vc {
-					s = append(s, m.sdu)
-				}
-			}
-			for _, m := range recv {
-				if m.vc == vc {
-					r = append(r, m.sdu)
-				}
-			}
-			si := 0
-			for _, got := range r {
-				found := false
-				for si < len(s) {
-					if bytes.Equal(s[si], got) {
-						found = true
-						si++
-						break
-					}
-					si++
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-		if loss == 0 && len(recv) != len(sent) {
-			return false
-		}
-		return true
-	}
-	seeds := []uint64{1, 2, 3}
-	for _, seed := range seeds {
-		sizes := make([]uint16, 12)
-		rng := sim.NewRand(seed * 77)
-		for i := range sizes {
-			sizes[i] = uint16(rng.Uint64())
-		}
-		if !run(seed, sizes, uint8(seed*7)) {
-			t.Fatalf("integrity violated for seed %d", seed)
-		}
 	}
 }
 

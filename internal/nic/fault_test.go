@@ -24,12 +24,12 @@ func TestAISDeclaresOnceAndClears(t *testing.T) {
 	var events []AlarmEvent
 	r.b.OnAlarm(func(ev AlarmEvent) { events = append(events, ev) })
 	rdiOut := 0
-	r.b.SetOutput(func(c *atm.Cell) {
+	r.b.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		if _, fn, ok := oam.Classify(&c.Payload); ok && fn == oam.FuncRDI {
 			rdiOut++
 		}
 		r.b.Pool().Put(c)
-	})
+	}))
 
 	// A burst of AIS indications: one declare, refreshed soak, one clear.
 	for i := 0; i < 3; i++ {
@@ -118,12 +118,12 @@ func TestLOSRaisesLinkAlarmAndRDI(t *testing.T) {
 	var events []AlarmEvent
 	r.b.OnAlarm(func(ev AlarmEvent) { events = append(events, ev) })
 	rdiOut := 0
-	r.b.SetOutput(func(c *atm.Cell) {
+	r.b.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		if _, fn, ok := oam.Classify(&c.Payload); ok && fn == oam.FuncRDI {
 			rdiOut++
 		}
 		r.b.Pool().Put(c)
-	})
+	}))
 
 	r.b.SignalChange(false)
 	r.k.RunUntil(250_000)

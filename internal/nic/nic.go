@@ -222,14 +222,6 @@ func (i *Interface) AttachSink(out atm.CellConsumer) {
 	i.tx.out = out
 }
 
-// SetOutput is the func-valued convenience form of AttachSink.
-func (i *Interface) SetOutput(out func(*atm.Cell)) {
-	if out == nil {
-		panic("nic: nil output")
-	}
-	i.tx.out = atm.SinkFunc(out)
-}
-
 // OnReceive registers the host-side delivery callback.
 func (i *Interface) OnReceive(fn func(Delivered)) { i.rx.onDeliver = fn }
 

@@ -51,7 +51,7 @@ func newRig(t *testing.T, mod func(cfg *Config)) *rig {
 		t.Fatal(err)
 	}
 	r.link = phy.NewCellLink(k, 10_000, 1, r.b) // 2 km fiber
-	r.a.SetOutput(r.link.Send)
+	r.a.AttachSink(atm.SinkFunc(r.link.Send))
 	r.b.OnReceive(func(d Delivered) { r.received = append(r.received, d) })
 	return r
 }

@@ -205,7 +205,7 @@ func TestOAMLoopbackAnsweredByFirmware(t *testing.T) {
 	r.b.OpenVC(vc)
 	// newRig wires only a->b; add the reverse path for the reply.
 	back := phy.NewCellLink(r.k, 10_000, 2, r.a)
-	r.b.SetOutput(back.Send)
+	r.b.AttachSink(atm.SinkFunc(back.Send))
 
 	var gotVC atm.VC
 	var gotCorr uint32
@@ -279,8 +279,8 @@ func TestMIDMuxSharedVC(t *testing.T) {
 	// Both transmitters feed the same fiber (a multipoint-to-point merge,
 	// as an SMDS access line would see).
 	link := phy.NewCellLink(k, 5000, 3, rx)
-	tx1.SetOutput(link.Send)
-	tx2.SetOutput(link.Send)
+	tx1.AttachSink(atm.SinkFunc(link.Send))
+	tx2.AttachSink(atm.SinkFunc(link.Send))
 
 	got := map[uint16][]byte{}
 	rx.OnReceive(func(d Delivered) { got[d.MID] = d.SDU })

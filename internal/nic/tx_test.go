@@ -21,11 +21,11 @@ type wireTap struct {
 func tapRig(r *rig) *wireTap {
 	tap := &wireTap{}
 	orig := r.link
-	r.a.SetOutput(func(c *atm.Cell) {
+	r.a.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		tap.at = append(tap.at, r.k.Now())
 		tap.vc = append(tap.vc, c.Header.VC())
 		orig.Send(c)
-	})
+	}))
 	return tap
 }
 
@@ -397,12 +397,12 @@ func TestContractShapingPassesPolicer(t *testing.T) {
 	}
 	pol := tm.NewPolicer(contract)
 	orig := r.link
-	r.a.SetOutput(func(c *atm.Cell) {
+	r.a.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		if v := pol.Police(r.k.Now(), c.Header.CLP); v != tm.Conform {
 			t.Fatalf("shaped cell %d at %v: %v", pol.Stats().Cells, r.k.Now(), v)
 		}
 		orig.Send(c)
-	})
+	}))
 	deadline := sim.Time(20 * sim.Millisecond)
 	var send func()
 	send = func() {

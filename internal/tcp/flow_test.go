@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/atm"
+	"repro/internal/core"
 	"repro/internal/ip"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
@@ -19,30 +18,28 @@ type rig struct {
 	flow     *Flow
 }
 
-func newRig(t *testing.T, cfg Config, link netsim.LinkConfig) *rig {
+func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
-	k := sim.NewKernel()
-	a, err := netsim.NewStation(k, nic.DefaultConfig("snd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("rcv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	netsim.Connect(k, a, b, link)
 	vc := atm.VC{VCI: 80}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	snd := ip.NewStack(a.Iface, ip.LLCSnap, ip.Addr{10, 0, 0, 1})
-	rcv := ip.NewStack(b.Iface, ip.LLCSnap, ip.Addr{10, 0, 0, 2})
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "snd"}, {Name: "rcv"}},
+		Links: []core.LinkSpec{{Name: "link", A: core.NodeRef{Node: "snd"}, B: core.NodeRef{Node: "rcv"},
+			Delay: 100 * sim.Microsecond, Seed: 3}},
+		VCCs: []core.VCCSpec{{Name: "t", From: "snd", To: "rcv", VC: vc, Duplex: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := net.Kernel()
+	snd := ip.NewStack(net.Endpoint("snd").Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 1})
+	rcv := ip.NewStack(net.Endpoint("rcv").Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 2})
 	r := &rig{k: k, snd: snd, rcv: rcv, vc: vc}
 	r.flow = NewFlow(k, "t", snd, vc, rcv, vc, cfg)
 	return r
 }
 
 func TestFlowTransferClean(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	const total = 200 << 10
 	done := false
 	r.flow.Start(total, func() { done = true })
@@ -86,7 +83,7 @@ func dropFilter(r *rig, drop func(dataIdx int) bool) {
 }
 
 func TestFlowFastRetransmit(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	// Lose the 10th data segment: by then slow start has opened the window
 	// far enough that the segments behind the hole generate 3+ dup ACKs.
 	dropFilter(r, func(i int) bool { return i == 10 })
@@ -118,7 +115,7 @@ func TestFlowFastRetransmit(t *testing.T) {
 }
 
 func TestFlowTimeoutRecovery(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	// Lose the first four data segments: the initial window (2 segments)
 	// dies, and so do the first two RTO retransmissions — forcing repeated
 	// timeouts with exponential backoff before the transfer proceeds.
@@ -143,7 +140,7 @@ func TestFlowTimeoutRecovery(t *testing.T) {
 }
 
 func TestFlowUnboundedStop(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	r.flow.Start(0, nil)
 	r.k.RunFor(20 * sim.Millisecond)
 	r.flow.Stop()
@@ -163,7 +160,7 @@ func TestFlowUnboundedStop(t *testing.T) {
 }
 
 func TestFlowInstrument(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	reg := metrics.NewRegistry()
 	r.flow.Instrument(reg)
 	r.flow.Start(64<<10, nil)
@@ -180,7 +177,7 @@ func TestFlowInstrument(t *testing.T) {
 }
 
 func TestReceiverOutOfOrder(t *testing.T) {
-	r := newRig(t, Config{}, netsim.LinkConfig{Delay: 100 * sim.Microsecond, Seed: 3})
+	r := newRig(t, Config{})
 	rcv := r.flow.Receiver
 	h := ip.Header{Src: r.snd.Addr(), Dst: r.rcv.Addr(), Proto: ip.ProtoTCP}
 	inject := func(seq uint32, n int) {

@@ -39,7 +39,7 @@ func New(k *sim.Kernel) *Capture { return &Capture{k: k} }
 // Tap wraps a cell sink so that cells flow through unchanged while being
 // recorded. Use it around a link's Send or an interface's DeliverCell:
 //
-//	iface.SetOutput(cap.Tap(link.Send))
+//	iface.AttachSink(atm.SinkFunc(cap.Tap(link.Send)))
 func (c *Capture) Tap(next func(*atm.Cell)) func(*atm.Cell) {
 	return func(cell *atm.Cell) {
 		c.observe(cell)
@@ -156,9 +156,11 @@ type Timed struct {
 // TapTimed creates a latency tap bound to this capture. Wrap the sending
 // side with Ingress and the receiving side with Egress:
 //
-//	tt := cap.TapTimed(reg.Histogram("link.ab.latency"))
-//	a.Iface.SetOutput(tt.Ingress(link.Send))
-//	link.SetSink(tt.Egress(b.Iface.DeliverCell))
+//	tt := cap.TapTimed(reg.Histogram("vcc.ab.latency"))
+//	a.AttachSink(atm.SinkFunc(tt.Ingress(link.Send)))
+//	link.AttachSink(atm.SinkFunc(tt.Egress(b.DeliverCell)))
+//
+// (core.VCCSpec.Latency wires exactly this around a connection.)
 //
 // Ingress also records the cell into the capture, like Tap.
 func (c *Capture) TapTimed(h *metrics.Histogram) *Timed {

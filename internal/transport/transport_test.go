@@ -6,44 +6,45 @@ import (
 	"testing"
 
 	"repro/internal/atm"
-	"repro/internal/netsim"
+	"repro/internal/core"
 	"repro/internal/nic"
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
 
-// rig wires a Sender at station a to a Receiver at station b over a duplex
-// (optionally lossy) link.
+// rig wires a Sender at interface a to a Receiver at interface b over a
+// duplex (optionally lossy) link.
 type rig struct {
 	k        *sim.Kernel
-	a, b     *netsim.Station
+	a, b     *nic.Interface
 	ab, ba   *phy.CellLink
 	sender   *Sender
 	received [][]byte
 }
 
+// newRig builds the rig on VC 50; cfg.SelectiveRepeat selects the
+// discipline at both ends.
 func newRig(t *testing.T, loss float64, cfg Config) *rig {
 	t.Helper()
-	k := sim.NewKernel()
-	a, err := netsim.NewStation(k, nic.DefaultConfig("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netsim.NewStation(k, nic.DefaultConfig("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, ba := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: 11})
-	r := &rig{k: k, a: a, b: b, ab: ab, ba: ba}
-
 	vc := atm.VC{VCI: 50}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	r.sender = NewSender(k, a.Iface, vc, cfg)
-	recv := NewReceiver(b.Iface, vc, func(msg []byte) { r.received = append(r.received, msg) })
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "a"}, {Name: "b"}},
+		Links: []core.LinkSpec{{Name: "ab", A: core.NodeRef{Node: "a"}, B: core.NodeRef{Node: "b"},
+			Delay: 10_000, LossProb: loss, Seed: 11}},
+		VCCs: []core.VCCSpec{{Name: "ab", From: "a", To: "b", VC: vc, Duplex: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := net.Link("ab")
+	r := &rig{k: net.Kernel(), a: net.Endpoint("a").Interface(), b: net.Endpoint("b").Interface(),
+		ab: l.Fwd, ba: l.Rev}
+	r.sender = NewSender(r.k, r.a, vc, cfg)
+	recv := NewReceiver(r.b, vc, func(msg []byte) { r.received = append(r.received, msg) })
+	recv.SelectiveRepeat = cfg.SelectiveRepeat
 	// Wire the interfaces' delivery paths to the protocol handlers.
-	b.Iface.OnReceive(func(d nic.Delivered) { recv.HandleData(d.SDU) })
-	a.Iface.OnReceive(func(d nic.Delivered) { r.sender.HandleAck(d.SDU) })
+	r.b.OnReceive(func(d nic.Delivered) { recv.HandleData(d.SDU) })
+	r.a.OnReceive(func(d nic.Delivered) { r.sender.HandleAck(d.SDU) })
 	return r
 }
 
@@ -211,20 +212,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 func newRigSR(t *testing.T, loss float64, cfg Config) *rig {
 	t.Helper()
 	cfg.SelectiveRepeat = true
-	k := sim.NewKernel()
-	a, _ := netsim.NewStation(k, nic.DefaultConfig("a"))
-	b, _ := netsim.NewStation(k, nic.DefaultConfig("b"))
-	ab, ba := netsim.Connect(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: 11})
-	r := &rig{k: k, a: a, b: b, ab: ab, ba: ba}
-	vc := atm.VC{VCI: 50}
-	a.Iface.OpenVC(vc)
-	b.Iface.OpenVC(vc)
-	r.sender = NewSender(k, a.Iface, vc, cfg)
-	recv := NewReceiver(b.Iface, vc, func(msg []byte) { r.received = append(r.received, msg) })
-	recv.SelectiveRepeat = true
-	b.Iface.OnReceive(func(d nic.Delivered) { recv.HandleData(d.SDU) })
-	a.Iface.OnReceive(func(d nic.Delivered) { r.sender.HandleAck(d.SDU) })
-	return r
+	return newRig(t, loss, cfg)
 }
 
 func TestSelectiveRepeatDelivers(t *testing.T) {
@@ -328,7 +316,7 @@ func TestOneCellSDUBoundary(t *testing.T) {
 		if len(r.received) != 1 || len(r.received[0]) != tc.payload {
 			t.Fatalf("payload %d: delivery %d msgs", tc.payload, len(r.received))
 		}
-		if got := r.b.Iface.Stats().Rx.Cells; got != uint64(tc.cells) {
+		if got := r.b.Stats().Rx.Cells; got != uint64(tc.cells) {
 			t.Errorf("payload %d: %d data cells at b, want %d", tc.payload, got, tc.cells)
 		}
 	}
