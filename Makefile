@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-compare verify fmt fmt-check vet staticcheck trace-verify cover-tcpip
+.PHONY: all build test bench-check verify fmt fmt-check vet staticcheck trace-verify cover-tcpip
 
 all: build
 
@@ -10,28 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs every benchmark and distills the results into BENCH.json
-# (name, iterations, ns/op, B/op, allocs/op, and custom metrics per entry);
-# the raw `go test` lines still stream to the terminal via stderr.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH.json
-
 # bench-check vets and tests the bench/ module. It is a separate module
 # (repro/bench, replacing repro with ../), so the root `go vet ./...` and
 # `go test ./...` never compile it, yet it imports internal packages.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# bench-compare re-runs the benchmarks into a scratch snapshot and prints
-# the per-metric delta against the committed BENCH.json, flagging anything
-# that regressed by more than 10%. The same delta is written as a markdown
-# table to bench-delta.md (CI uploads it as an artifact). benchjson exits 3
-# on a regression; the leading `-` keeps the report informational so
-# noisy-machine variance never blocks a verify run — read the deltas, then
-# decide.
-bench-compare:
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-new.json
-	-$(GO) run ./cmd/benchjson -compare -threshold 10 -md bench-delta.md BENCH.json /tmp/bench-new.json
 
 fmt:
 	gofmt -w .
@@ -76,11 +59,9 @@ trace-verify:
 
 # verify is the pre-PR gate: formatting, vet, staticcheck (when installed),
 # a full build, the test suite under the race detector, the bench/ module's
-# vet and tests, the trace schema gate, and a non-blocking benchmark delta
-# against the committed BENCH.json.
+# vet and tests, and the trace schema gate.
 verify: fmt-check vet staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check
 	$(MAKE) trace-verify
-	-$(MAKE) bench-compare

@@ -649,3 +649,114 @@ func TestParallelGoldenABRLoop(t *testing.T) {
 		}
 	}
 }
+
+// islandSpec is the topology built for sharding: n switch islands (one
+// switch and two endpoints each, on 1 µs access fibers) chained by 50 µs
+// inter-island fibers, the partitions' lookahead. Inside each island two
+// greedy flows run both ways; one light flow x<i> crosses from island i-1
+// into island i.
+func islandSpec(n int) NetworkSpec {
+	var spec NetworkSpec
+	for i := 1; i <= n; i++ {
+		spec.Switches = append(spec.Switches, SwitchSpec{
+			Name: fmt.Sprintf("sw%d", i), Ports: 4, QueueDepth: 96,
+		})
+		spec.Endpoints = append(spec.Endpoints,
+			EndpointSpec{Name: fmt.Sprintf("a%d", i)},
+			EndpointSpec{Name: fmt.Sprintf("b%d", i)})
+		spec.Links = append(spec.Links,
+			LinkSpec{
+				Name: fmt.Sprintf("a%d-in", i), A: NodeRef{Node: fmt.Sprintf("a%d", i)},
+				B:     NodeRef{Node: fmt.Sprintf("sw%d", i), Port: 0},
+				Delay: 1_000, Seed: uint64(10 + i),
+			},
+			LinkSpec{
+				Name: fmt.Sprintf("b%d-in", i), A: NodeRef{Node: fmt.Sprintf("b%d", i)},
+				B:     NodeRef{Node: fmt.Sprintf("sw%d", i), Port: 1},
+				Delay: 1_000, Seed: uint64(20 + i),
+			})
+		if i > 1 {
+			spec.Links = append(spec.Links, LinkSpec{
+				Name:  fmt.Sprintf("sw%d-sw%d", i-1, i),
+				A:     NodeRef{Node: fmt.Sprintf("sw%d", i-1), Port: 2},
+				B:     NodeRef{Node: fmt.Sprintf("sw%d", i), Port: 3},
+				Delay: 50_000, Seed: uint64(30 + i),
+			})
+		}
+		spec.VCCs = append(spec.VCCs,
+			VCCSpec{Name: fmt.Sprintf("ab%d", i), From: fmt.Sprintf("a%d", i),
+				To: fmt.Sprintf("b%d", i), VC: VC{VCI: uint16(100 + i)}},
+			VCCSpec{Name: fmt.Sprintf("ba%d", i), From: fmt.Sprintf("b%d", i),
+				To: fmt.Sprintf("a%d", i), VC: VC{VCI: uint16(120 + i)}})
+		if i > 1 {
+			spec.VCCs = append(spec.VCCs, VCCSpec{
+				Name: fmt.Sprintf("x%d", i), From: fmt.Sprintf("a%d", i-1),
+				To: fmt.Sprintf("b%d", i), VC: VC{VCI: uint16(140 + i)}})
+		}
+	}
+	return spec
+}
+
+// TestParallelGoldenIslands runs the island topology on explicit island
+// partitions (two islands per shard, then one) and requires each run
+// byte-identical to serial. The crossing flows are paced to 5% of line rate
+// with SetPeakCellRate, so every partition boundary carries a shaped stream
+// beside the greedy load inside the islands.
+func TestParallelGoldenIslands(t *testing.T) {
+	const islands = 4
+	// Short frames and a short deadline keep every run's trace inside the
+	// recorder ring, so the serial and merged sharded traces compare whole.
+	const sdu = 1500
+	deadline := sim.Time(200 * sim.Microsecond)
+	crossing := map[string]bool{} // "ep=b<i> vc=<dest VC> " of each x<i>
+	drive := func(net *Network, col *collector) {
+		for i := 1; i <= islands; i++ {
+			col.watch(net, fmt.Sprintf("a%d", i))
+			col.watch(net, fmt.Sprintf("b%d", i))
+			for _, name := range []string{fmt.Sprintf("ab%d", i), fmt.Sprintf("ba%d", i)} {
+				v := net.VCC(name)
+				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Station(),
+					v.SourceVC, sdu, deadline).Start(4)
+			}
+			if i > 1 {
+				v := net.VCC(fmt.Sprintf("x%d", i))
+				if err := v.Source.SetPeakCellRate(v.SourceVC, 0.05*units.CellRate(units.STS3cPayload)); err != nil {
+					t.Fatal(err)
+				}
+				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Station(),
+					v.SourceVC, sdu, deadline).Start(2)
+				crossing[fmt.Sprintf("ep=b%d vc=%v ", i, v.DestVC)] = true
+			}
+		}
+	}
+	serial := goldenRun(t, func() NetworkSpec { return islandSpec(islands) }, 0, drive)
+	crossed := 0
+	for _, line := range serial.deliveries {
+		for key := range crossing {
+			if strings.Contains(line, key) {
+				crossed++
+			}
+		}
+	}
+	if crossed == 0 {
+		t.Fatalf("no paced frame crossed an island boundary in %d deliveries", len(serial.deliveries))
+	}
+	for _, shards := range []int{2, 4} {
+		spec := func() NetworkSpec {
+			spec := islandSpec(islands)
+			spec.Partitions = make([][]string, shards)
+			for i := 1; i <= islands; i++ {
+				p := (i - 1) * shards / islands
+				spec.Partitions[p] = append(spec.Partitions[p],
+					fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("sw%d", i))
+			}
+			return spec
+		}
+		run := goldenRun(t, spec, 0, drive)
+		label := fmt.Sprintf("islands shards=%d", shards)
+		if run.shards != shards {
+			t.Fatalf("%s: built %d partitions", label, run.shards)
+		}
+		requireRunsIdentical(t, label, serial, run)
+	}
+}

@@ -1,9 +1,9 @@
 // Package experiments regenerates the paper's evaluation: one function per
-// reconstructed table/figure (E1…E10; see DESIGN.md for the index and the
+// reconstructed table/figure (E1…E21; see DESIGN.md for the index and the
 // reconstruction caveat). Each returns a machine-readable result plus a
 // report.Table or report.Series rendering, so the same code backs the
-// atmbench binary, the test suite's shape assertions, and the root
-// bench_test.go benchmarks.
+// atmbench binary, the test suite's shape assertions, and the result
+// digests in rigs_golden_test.go.
 package experiments
 
 import (

@@ -80,6 +80,14 @@ func TestE3Shape(t *testing.T) {
 		}
 		panic("missing point")
 	}
+	// A zero MTU goodput is a broken measurement rig, not a result: the 622
+	// column once read 0 because the receive FIFO overflowed and every frame
+	// failed its CRC.
+	for _, rate := range []units.BitRate{units.STS3cPayload, units.STS12cPayload} {
+		if p := get(rate, aal.AAL5, 9180); p.GoodputBps <= 0 {
+			t.Errorf("%v: MTU goodput measured as zero", rate)
+		}
+	}
 	// Monotone-ish growth with size at 155/AAL5, saturating near ceiling.
 	small := get(units.STS3cPayload, aal.AAL5, 64)
 	big := get(units.STS3cPayload, aal.AAL5, 65535)

@@ -1,21 +1,25 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
-// Rig goldens: every two-station paper rig (E3, E4, E5, E8, E9, E11, E12,
-// E13, E18 and the telemetry pass) at atmbench -quick scale, reduced to a
-// SHA-256 over its full result. The digests were recorded when these rigs
-// were still wired by hand from netsim stations and links; the rigs now run
-// on core.NewNetwork, so a match here pins the builder to the hand wiring on
-// every paper rig, result bit for result bit.
+// Experiment goldens: every experiment E1–E21 and the telemetry pass, at
+// atmbench -quick scale, reduced to a SHA-256 over its full result. The
+// simulation is deterministic, so these digests are exact: they pin every
+// goodput, Jain index, CDV and convergence time the experiments report.
+// The paper-rig digests (E3, E4, E5, E8, E9, E11, E12, E13, E18 and the
+// telemetry pass) were recorded when those rigs were still wired by hand
+// from netsim stations and links; the rigs now run on core.NewNetwork, so a
+// match there pins the builder to the hand wiring, result bit for result bit.
 
 // rigDigest hashes the %+v rendering of a result: %v prints each float64
 // in its shortest round-trip form, so any bit that moves changes the digest.
@@ -32,6 +36,14 @@ var rigGoldens = []struct {
 	run  func(t *testing.T) string
 	want string
 }{
+	{"E1", func(t *testing.T) string {
+		rows, _ := E1(engine.DefaultConfig())
+		return rigDigest(rows)
+	}, "18c7f432c197e356448f5920cc42080c2e000a218e8c64042b2fc1f7383e034c"},
+	{"E2", func(t *testing.T) string {
+		rows, _ := E2(engine.DefaultConfig())
+		return rigDigest(rows)
+	}, "4189b467be02d9e1ef0de2914a68ba3cbec9f672b56aaeb370d7fc9f78ebaaf8"},
 	{"E3", func(t *testing.T) string {
 		ec := DefaultE3()
 		ec.RunTime = quick(ec.RunTime)
@@ -48,6 +60,14 @@ var rigGoldens = []struct {
 		rows, _ := E5()
 		return rigDigest(rows)
 	}, "2b4e3d3dbaba7f6deacad4c01511d6e378df699443b28c40c1035b47337cfe9e"},
+	{"E6", func(t *testing.T) string {
+		pts, _ := E6(nil)
+		return rigDigest(pts)
+	}, "2285e8996678cff672e95056cc0202d3cdf0cccf8f808effd77fe5d19b805cf3"},
+	{"E7", func(t *testing.T) string {
+		rows, _ := E7()
+		return rigDigest(rows)
+	}, "50984050d533e34cbb4242e9bde7cdce0270a4e03b781cd2fa22911595cf8763"},
 	{"E8", func(t *testing.T) string {
 		ec := DefaultE8()
 		ec.RunTime = quick(ec.RunTime)
@@ -58,6 +78,10 @@ var rigGoldens = []struct {
 		pts, _ := E9(nil, quick(30*sim.Millisecond))
 		return rigDigest(pts)
 	}, "29d304762827f93839d73a765d97c4343f224dbbf97a7829cdff092a1a7717ff"},
+	{"E10", func(t *testing.T) string {
+		pts, _ := E10(nil)
+		return rigDigest(pts)
+	}, "b96f4e5325d822aa16df1a9bee067ddda1f7ca09fe1beb044ef7f60f842fec7b"},
 	{"E11", func(t *testing.T) string {
 		pts, _ := E11(nil, quick(20*sim.Millisecond))
 		return rigDigest(pts)
@@ -70,10 +94,44 @@ var rigGoldens = []struct {
 		pts, _ := E13(nil, 9180, 8, quick(60*sim.Millisecond))
 		return rigDigest(pts)
 	}, "44b504b0951f38c54d0233aeafad6a48fad6043d076aecf40841a52cf5e93fb9"},
+	{"E14", func(t *testing.T) string {
+		res, _ := E14(quick(40 * sim.Millisecond))
+		return rigDigest(res)
+	}, "d382fd7fe6df3054e8431153a4447daf8f8e028f8ba7b164d48d2a925fdc3143"},
+	{"E15", func(t *testing.T) string {
+		pts, _ := E15(nil, quick(40*sim.Millisecond))
+		return rigDigest(pts)
+	}, "7924a433bda693809063eecd10e228fc92bb72c4d82fc97ba5a5f0d658fb692b"},
+	{"E16", func(t *testing.T) string {
+		pts, _ := E16(quick(30 * sim.Millisecond))
+		return rigDigest(pts)
+	}, "961dbd1ec772ee6a5842cd857b265f46bfd90814c8e2d40571ffc7ebc2152bba"},
+	{"E17", func(t *testing.T) string {
+		res, _ := E17(quick(20 * sim.Millisecond))
+		return rigDigest(res)
+	}, "1b512afdebe675b9cd74961de29a315b1246c529a9a93e25fc33d61bf885136e"},
 	{"E18", func(t *testing.T) string {
 		rows, _, rec := E18()
 		return rigDigest(fmt.Sprintf("%+v events=%d", rows, len(rec.Events())))
 	}, "d2241363d53985a3b86632aedf62f56cccfe986a53cde84f4975edc0b64bec11"},
+	{"E19", func(t *testing.T) string {
+		pts, _ := E19(nil, quick(2*sim.Second))
+		return rigDigest(pts)
+	}, "bcacac87e844de9b3bc74883dfc9f4c4afe7c5035ccf7f1c0cfd117e22418516"},
+	{"E20", func(t *testing.T) string {
+		res, _ := E20(2, quick(10*sim.Second))
+		// The sampler is a pointer; hash its cwnd series, not its address.
+		var cwnd bytes.Buffer
+		if err := res.Sampler.WriteCSV(&cwnd); err != nil {
+			t.Fatal(err)
+		}
+		res.Sampler = nil
+		return rigDigest(fmt.Sprintf("%+v cwnd=%s", res, cwnd.String()))
+	}, "f95e00dad558605c7d5bd7b629e828e16901cb333e1dae7a192270af4d8446b0"},
+	{"E21", func(t *testing.T) string {
+		pts, _ := E21(quick(30 * sim.Millisecond))
+		return rigDigest(pts)
+	}, "f584b17cfc64220f26622a84a1aab8bef1f6b73c151ea05c7f33fab85a63855f"},
 	{"Telemetry", func(t *testing.T) string {
 		ec := DefaultTelemetry()
 		ec.RunTime = quick(ec.RunTime)

@@ -154,22 +154,6 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is currently in the queue.
 func (e *Event) Scheduled() bool { return e != nil && (e.slot1 != 0 || e.hidx1 != 0) }
 
-// Scheduler is the event-scheduling surface models need from a kernel: a
-// clock plus cancellable (At/After) and fire-and-forget (Post/PostAfter)
-// scheduling. *Kernel implements it; a partition in a parallel run is simply
-// a Kernel whose Scheduler is local to that partition. Hot-path model code
-// may still hold a concrete *Kernel — the interface exists to mark and check
-// the boundary, not to force dynamic dispatch on per-cell paths.
-type Scheduler interface {
-	Now() Time
-	At(at Time, fn func()) *Event
-	After(d Duration, fn func()) *Event
-	Post(at Time, fn func())
-	PostAfter(d Duration, fn func())
-	Cancel(e *Event)
-	Reschedule(e *Event, at Time)
-}
-
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; call NewKernel (or NewHeapKernel for the heap-only scheduler).
 type Kernel struct {
@@ -198,8 +182,6 @@ type Kernel struct {
 	dispatched uint64
 }
 
-var _ Scheduler = (*Kernel)(nil)
-
 // NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
 	return &Kernel{}
@@ -207,8 +189,8 @@ func NewKernel() *Kernel {
 
 // NewHeapKernel returns a kernel that schedules every event through the
 // binary heap, bypassing the timing wheel. This is the pre-wheel scheduler,
-// kept for golden equivalence tests (both kernels dispatch in identical
-// (time, seq) order) and as a fallback for workloads the wheel pessimizes.
+// kept only as the reference the heap/wheel golden tests compare against:
+// both kernels dispatch in identical (time, seq) order.
 func NewHeapKernel() *Kernel {
 	return &Kernel{heapOnly: true}
 }

@@ -383,7 +383,7 @@ func TestHashCostBounded64k(t *testing.T) {
 
 // BenchmarkLookup64k measures real wall-clock Lookup cost at 65536 active
 // VCs for the two strategies that scale there, and reports each strategy's
-// modelled engine cycles so BENCH.json records both axes.
+// modelled engine cycles, so one run shows both axes.
 func BenchmarkLookup64k(b *testing.B) {
 	const n = 1 << 16
 	for _, s := range []Strategy{NewCAM(n), NewHash(n)} {

@@ -1,3 +1,5 @@
+// Package repro's root tests pin what disabled tracing costs on the full
+// SONET path.
 package repro
 
 import (
@@ -15,8 +17,9 @@ import (
 	"repro/internal/trace"
 )
 
-// sonetWorld is the AblationSonetPath rig kept alive between exchanges, so
-// the steady-state datapath can be measured without rebuild costs.
+// sonetWorld is two interfaces joined by an STS-3c SONET path, kept alive
+// between exchanges so the steady-state datapath can be measured without
+// rebuild costs.
 type sonetWorld struct {
 	k    *sim.Kernel
 	a, b *nic.Interface
