@@ -27,6 +27,7 @@ import (
 
 func main() {
 	k := sim.NewKernel()
+	pool := atm.NewPool(0) // one cell pool for everything on the kernel
 	shared := atm.VC{VCI: 200}
 
 	// Three access stations, AAL3/4 build, each with its own MID.
@@ -35,7 +36,7 @@ func main() {
 	for i, mid := range mids {
 		cfg := nic.DefaultConfig(fmt.Sprintf("s%d", i))
 		cfg.AAL = aal.AAL34
-		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), pool)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func main() {
 	cfgRx := nic.DefaultConfig("server")
 	cfgRx.AAL = aal.AAL34
 	cfgRx.MIDMux = true
-	server, err := nic.New(k, cfgRx, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+	server, err := nic.New(k, cfgRx, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), pool)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,14 +59,14 @@ func main() {
 
 	// A 4-port switch merges the three access lines onto one server port —
 	// all on the same VC (no translation): multipoint-to-point.
-	sw := netsim.NewSwitch(k, "mux", 4, units.STS3cPayload, 128)
+	sw := netsim.NewSwitch(k, "mux", 4, units.STS3cPayload, 128, pool)
 	cap := trace.New(k)
 	cap.Limit = 12
 	sw.Port(3).AttachSink(atm.SinkFunc(cap.Tap(server.DeliverCell)))
 	for i, s := range senders {
 		sw.SetRoute(i, shared, 3, shared, netsim.RouteOptions{Class: tm.UBR})
 		// Unequal access-line lengths stagger the senders' cell clocks.
-		link := phy.NewCellLink(k, sim.Duration(1000+700*i), uint64(i+1), sw.Port(i))
+		link := phy.NewCellLink(k, sim.Duration(1000+700*i), uint64(i+1), sw.Port(i), pool)
 		s.AttachSink(link)
 	}
 

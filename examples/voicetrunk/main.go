@@ -39,9 +39,11 @@ func run(lossProb float64) {
 	rx := aal.NewAAL1Receiver()
 	vc := atm.VC{VPI: 0, VCI: 16}
 
+	pool := atm.NewPool(0)
 	link := phy.NewCellLink(k, 25_000, 99, atm.SinkFunc(func(c *atm.Cell) {
 		rx.Push(&c.Payload)
-	}))
+		pool.Put(c)
+	}), pool)
 	link.LossProb = lossProb
 
 	// The codec side: produce voice bytes continuously, emit a cell
@@ -59,10 +61,13 @@ func run(lossProb float64) {
 		}
 		bytesIn += 47
 		tx.Write(chunk)
-		cell := &atm.Cell{Header: atm.Header{Format: atm.UNI, VPI: vc.VPI, VCI: vc.VCI}}
+		cell := pool.Get()
+		cell.Header = atm.Header{Format: atm.UNI, VPI: vc.VPI, VCI: vc.VCI}
 		if tx.NextCell(&cell.Payload) {
 			link.Send(cell)
 			sent++
+		} else {
+			pool.Put(cell)
 		}
 		k.After(cellEvery, tick)
 	}

@@ -8,10 +8,11 @@ package atm
 // declarative spec.
 //
 // Ownership rule: a *Cell passed to DeliverCell is owned by the callee until
-// it hands the cell onward or returns it to its origin Pool. Producers must
+// it hands the cell onward or returns it to its kernel's Pool. Producers must
 // not retain or reuse a cell after delivering it; consumers that drop a cell
-// must recycle it (links and interfaces pool cells, so a leaked cell costs
-// an allocation on the next Pool.Get). Delivery order is preserved per
+// must recycle it (every station, switch and fiber on a kernel shares one
+// Pool, so a leaked cell costs an allocation on the next Pool.Get).
+// Delivery order is preserved per
 // producer: a stage must emit cells downstream in the order it committed
 // them to the wire.
 

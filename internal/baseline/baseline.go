@@ -16,6 +16,7 @@
 package baseline
 
 import (
+	"repro/internal/atm"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/host"
@@ -26,9 +27,9 @@ import (
 // NewHardwired returns a nic.Interface whose protocol engines are infinitely
 // fast fixed-function hardware (1 GHz, CPI 1, zero dispatch — three orders
 // of magnitude beyond the cell time, so per-cell firmware cost vanishes).
-func NewHardwired(k *sim.Kernel, cfg nic.Config, hst *host.Host, b *bus.Bus) (*nic.Interface, error) {
+func NewHardwired(k *sim.Kernel, cfg nic.Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) (*nic.Interface, error) {
 	cfg.Engine = engine.Config{ClockHz: 1_000_000_000, CPIMilli: 1000, DispatchInstr: 0}
-	return nic.New(k, cfg, hst, b)
+	return nic.New(k, cfg, hst, b, pool)
 }
 
 // Software SAR costs for the HostSAR baseline, in host instructions.

@@ -40,7 +40,7 @@ func newHostSARRig() *hostSARRig {
 	busRx := bus.New(k, bus.DefaultConfig())
 	r.tx = NewHostSAR(k, DefaultConfig(), r.hTx, busTx)
 	r.rx = NewHostSAR(k, DefaultConfig(), r.hRx, busRx)
-	link := phy.NewCellLink(k, 10_000, 1, r.rx)
+	link := phy.NewCellLink(k, 10_000, 1, r.rx, atm.NewPool(0))
 	r.tx.AttachSink(atm.SinkFunc(link.Send))
 	r.rx.OnReceive(func(vc atm.VC, sdu []byte) { r.received = append(r.received, sdu) })
 	return r
@@ -167,9 +167,9 @@ func TestHardwiredRemovesEngineBottleneck(t *testing.T) {
 		var iface *nic.Interface
 		var err error
 		if hardwired {
-			iface, err = NewHardwired(k, cfg, h, b)
+			iface, err = NewHardwired(k, cfg, h, b, atm.NewPool(0))
 		} else {
-			iface, err = nic.New(k, cfg, h, b)
+			iface, err = nic.New(k, cfg, h, b, atm.NewPool(0))
 		}
 		if err != nil {
 			panic(err)

@@ -212,16 +212,18 @@ type VCC struct {
 
 // Network is a built topology.
 type Network struct {
-	k   *sim.Kernel       // serial builds only; nil when sharded
-	reg *metrics.Registry // serial builds only; nil when sharded
-	rec *trace.Recorder   // serial builds: the spec's recorder (may be nil)
+	k    *sim.Kernel       // serial builds only; nil when sharded
+	reg  *metrics.Registry // serial builds only; nil when sharded
+	rec  *trace.Recorder   // serial builds: the spec's recorder (may be nil)
+	pool *atm.Pool         // serial builds only; nil when sharded
 
-	// Sharded builds: one kernel/registry/recorder per partition, driven in
-	// lock-step by the group. All nil/empty on serial builds.
+	// Sharded builds: one kernel/registry/recorder/cell pool per partition,
+	// driven in lock-step by the group. All nil/empty on serial builds.
 	group   *sim.Group
 	kernels []*sim.Kernel
 	regs    []*metrics.Registry
 	recs    []*trace.Recorder
+	pools   []*atm.Pool
 	shardOf map[string]int
 
 	endpoints map[string]*Endpoint
@@ -284,9 +286,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		n.kernels = make([]*sim.Kernel, plan.shards)
 		n.regs = make([]*metrics.Registry, plan.shards)
 		n.recs = make([]*trace.Recorder, plan.shards)
+		n.pools = make([]*atm.Pool, plan.shards)
 		for i := range n.kernels {
 			n.kernels[i] = sim.NewKernel()
 			n.regs[i] = metrics.NewRegistry()
+			n.pools[i] = atm.NewPool(0)
 			if spec.Recorder != nil {
 				n.recs[i] = trace.NewRecorder(n.kernels[i], spec.Recorder.Capacity())
 			}
@@ -302,6 +306,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			n.reg = metrics.NewRegistry()
 		}
 		n.rec = spec.Recorder
+		n.pool = atm.NewPool(0)
 	}
 	for _, es := range spec.Endpoints {
 		if es.Name == "" {
@@ -313,7 +318,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		cfg := es.Options.nicConfig(es.Name)
 		cfg.Metrics = n.regFor(es.Name)
 		ek := n.kernelFor(es.Name)
-		st, err := netsim.NewStation(ek, cfg, es.Options.hostConfig(), es.Options.Hardwired)
+		st, err := netsim.NewStation(ek, cfg, es.Options.hostConfig(), es.Options.Hardwired, n.poolFor(es.Name))
 		if err != nil {
 			return nil, fmt.Errorf("core: endpoint %q: %w", es.Name, err)
 		}
@@ -332,7 +337,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if ss.QueueDepth == 0 {
 			ss.QueueDepth = 64
 		}
-		sw := netsim.NewSwitch(n.kernelFor(ss.Name), ss.Name, ss.Ports, ss.Rate, ss.QueueDepth)
+		sw := netsim.NewSwitch(n.kernelFor(ss.Name), ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, n.poolFor(ss.Name))
 		sw.SwitchingDelay = ss.SwitchingDelay
 		sw.AISPeriod = ss.AISPeriod
 		sw.Instrument(n.regFor(ss.Name), ss.Name)
@@ -406,10 +411,10 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		// the loss/corruption rng draws, trace Enter) always runs in the
 		// source partition, so the rng sequence matches the serial projection.
 		kA, kB := n.kernelFor(ls.A.Node), n.kernelFor(ls.B.Node)
-		fwd := phy.NewCellLink(kA, delay, ls.Seed*2+1, n.consumer(ls.B))
+		fwd := phy.NewCellLink(kA, delay, ls.Seed*2+1, n.consumer(ls.B), n.poolFor(ls.A.Node))
 		fwd.LossProb = ls.LossProb
 		fwd.CorruptProb = ls.CorruptProb
-		rev := phy.NewCellLink(kB, delay, ls.Seed*2+2, n.consumer(ls.A))
+		rev := phy.NewCellLink(kB, delay, ls.Seed*2+2, n.consumer(ls.A), n.poolFor(ls.B.Node))
 		rev.LossProb = ls.LossProb
 		rev.CorruptProb = ls.CorruptProb
 		n.producer(ls.A).AttachSink(fwd)
@@ -528,6 +533,14 @@ func (n *Network) kernelFor(node string) *sim.Kernel {
 		return n.kernels[n.shardOf[node]]
 	}
 	return n.k
+}
+
+// poolFor returns the cell pool of the kernel the named node lives on.
+func (n *Network) poolFor(node string) *atm.Pool {
+	if n.group != nil {
+		return n.pools[n.shardOf[node]]
+	}
+	return n.pool
 }
 
 // regFor returns the registry the named node's instruments register in.

@@ -115,7 +115,7 @@ func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
 		k = net.Kernel()
 		tx := net.Endpoint("tx")
 		rx := netsim.NewBaselineStation(k, "rx", baseline.DefaultConfig())
-		tx.Interface().AttachSink(phy.NewCellLink(k, 10_000, 9, rx.Adapter))
+		tx.Interface().AttachSink(phy.NewCellLink(k, 10_000, 9, rx.Adapter, tx.Interface().Pool()))
 		tx.Interface().OpenVC(stdVC)
 		rx.Adapter.OpenVC(stdVC)
 		pace(k, tx, interval, ec.SDUSize, deadline)

@@ -24,10 +24,10 @@ type Station struct {
 
 // NewStation builds a station: a host with the given cost model, a default
 // bus, and the paper's programmable interface — or, when hardwired is set,
-// the fixed-function baseline (baseline.NewHardwired). When the interface
-// config carries a telemetry registry, the station's bus devices record into
-// it too.
-func NewStation(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, hardwired bool) (*Station, error) {
+// the fixed-function baseline (baseline.NewHardwired) — drawing cells from
+// pool, the kernel's cell pool. When the interface config carries a
+// telemetry registry, the station's bus devices record into it too.
+func NewStation(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, hardwired bool, pool *atm.Pool) (*Station, error) {
 	h := host.New(k, hostCfg)
 	b := bus.New(k, bus.DefaultConfig())
 	if cfg.Metrics != nil {
@@ -37,7 +37,7 @@ func NewStation(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, hardwired bo
 	if hardwired {
 		newIface = baseline.NewHardwired
 	}
-	iface, err := newIface(k, cfg, h, b)
+	iface, err := newIface(k, cfg, h, b, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -69,9 +69,9 @@ func NewBaselineStation(k *sim.Kernel, name string, cfg baseline.Config) *Baseli
 
 // ConnectBaseline wires two baseline stations together.
 func ConnectBaseline(k *sim.Kernel, a, b *BaselineStation, cfg LinkConfig) (ab, ba *phy.CellLink) {
-	ab = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+1, b.Adapter)
+	ab = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+1, b.Adapter, a.Adapter.Pool())
 	ab.LossProb = cfg.LossProb
-	ba = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+2, a.Adapter)
+	ba = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+2, a.Adapter, b.Adapter.Pool())
 	ba.LossProb = cfg.LossProb
 	a.Adapter.AttachSink(ab)
 	b.Adapter.AttachSink(ba)

@@ -20,7 +20,7 @@ func vc(n uint16) atm.VC { return atm.VC{VCI: n} }
 // station builds a default-host station with the paper's interface.
 func station(t *testing.T, k *sim.Kernel, cfg nic.Config) *Station {
 	t.Helper()
-	s, err := NewStation(k, cfg, host.DefaultConfig(), false)
+	s, err := NewStation(k, cfg, host.DefaultConfig(), false, atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 	k := sim.NewKernel()
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0))
 	sw.SwitchingDelay = 2000
 
 	// a → port0 → switch → port1 → b, with VC translation 10→20.
@@ -63,7 +63,7 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 func TestSwitchDropsUnrouted(t *testing.T) {
 	k := sim.NewKernel()
 	a := station(t, k, nic.DefaultConfig("a"))
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
 	a.Iface.AttachSink(sw.Port(0))
 	a.Iface.OpenVC(vc(99))
 	a.Iface.Send(vc(99), []byte{1}, nil)
@@ -81,12 +81,12 @@ func TestSwitchCongestionDrops(t *testing.T) {
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
 	c := station(t, k, nic.DefaultConfig("c"))
-	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 8)
+	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 8, atm.NewPool(0))
 	// Unequal fiber runs into the switch break the senders' cell-clock
 	// phase lock, so overflow drops hit both flows (as jittered real
 	// arrivals would).
-	linkA := phy.NewCellLink(k, 1000, 11, sw.Port(0))
-	linkB := phy.NewCellLink(k, 2400, 12, sw.Port(1))
+	linkA := phy.NewCellLink(k, 1000, 11, sw.Port(0), atm.NewPool(0))
+	linkB := phy.NewCellLink(k, 2400, 12, sw.Port(1), atm.NewPool(0))
 	a.Iface.AttachSink(linkA)
 	b.Iface.AttachSink(linkB)
 	sw.Port(2).AttachSink(c.Iface)
@@ -138,7 +138,7 @@ func TestSwitchInvalidGeometryPanics(t *testing.T) {
 			t.Fatal("zero ports did not panic")
 		}
 	}()
-	NewSwitch(k, "x", 0, units.STS3cPayload, 8)
+	NewSwitch(k, "x", 0, units.STS3cPayload, 8, atm.NewPool(0))
 }
 
 func TestSwitchRateMismatchCongestion(t *testing.T) {
@@ -151,7 +151,7 @@ func TestSwitchRateMismatchCongestion(t *testing.T) {
 		cfgA.PayloadRate = units.STS12cPayload
 		a := station(t, k, cfgA)
 		c := station(t, k, nic.DefaultConfig("c")) // 155 edge station
-		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32)
+		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32, atm.NewPool(0))
 		sw.SetPortRate(1, units.STS3cPayload)
 		a.Iface.AttachSink(sw.Port(0))
 		sw.Port(1).AttachSink(c.Iface)
@@ -189,7 +189,8 @@ func mkCell(vci uint16, pt atm.PT, clp bool) *atm.Cell {
 
 func TestSwitchBroadcastRoute(t *testing.T) {
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 16)
+	pool := atm.NewPool(0)
+	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 16, pool)
 	reg := metrics.NewRegistry()
 	sw.Instrument(reg, "sw")
 	var got1, got2 []*atm.Cell
@@ -208,9 +209,13 @@ func TestSwitchBroadcastRoute(t *testing.T) {
 	if got1[0].Header.VCI != 50 || got2[0].Header.VCI != 70 {
 		t.Fatalf("leaf VCs %d/%d, want 50/70", got1[0].Header.VCI, got2[0].Header.VCI)
 	}
-	// Replication must clone: the two leaves hold distinct cells.
+	// Replication must clone: the two leaves hold distinct cells, the
+	// replica drawn from the pool.
 	if got1[0] == got2[0] {
 		t.Fatal("broadcast leaves share one cell")
+	}
+	if gets, _, _ := pool.Stats(); gets != 1 {
+		t.Fatalf("%d cells drawn from the pool, want the one replica", gets)
 	}
 	st := sw.Stats()
 	if st.Broadcasts != 1 || st.Routed != 2 {
@@ -223,11 +228,33 @@ func TestSwitchBroadcastRoute(t *testing.T) {
 	}
 }
 
+// Every cell the switch discards returns to its pool.
+func TestSwitchDiscardsRecycle(t *testing.T) {
+	k := sim.NewKernel()
+	pool := atm.NewPool(0)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 2, pool)
+	sw.SetRoute(0, vc(5), 1, vc(5), RouteOptions{Class: tm.UBR})
+	sw.Port(1).AttachSink(atm.SinkFunc(pool.Put))
+	in := sw.Port(0)
+	in.DeliverCell(mkCell(9, atm.PTUserEnd, false)) // no route
+	for i := 0; i < 5; i++ {
+		in.DeliverCell(mkCell(5, atm.PTUserEnd, false)) // two queue, three overflow
+	}
+	k.Run()
+	st := sw.Stats()
+	if st.NoRoute != 1 || st.Dropped != 3 || st.Routed != 2 {
+		t.Fatalf("stats %+v, want 1 unrouted, 3 dropped, 2 routed", st)
+	}
+	if _, puts, _ := pool.Stats(); puts != 6 {
+		t.Fatalf("%d cells recycled, want all 6 (4 discarded, 2 consumed)", puts)
+	}
+}
+
 func TestSwitchPriorityDrain(t *testing.T) {
 	// UBR cells queued first, CBR cells second; the strict-priority drain
 	// must still emit every CBR cell before any UBR cell.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
 	var order []uint16
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { order = append(order, c.Header.VCI) }))
 	sw.SetRoute(0, vc(1), 1, vc(1), RouteOptions{Class: tm.UBR})
@@ -256,7 +283,7 @@ func TestSwitchPolicerDiscards(t *testing.T) {
 	// the instantaneous burst conforms (CDVT 0), the rest are discarded
 	// at the ingress, before routing.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0))
 	reg := metrics.NewRegistry()
 	sw.Instrument(reg, "sw")
 	delivered := 0
@@ -285,7 +312,7 @@ func TestSwitchPolicerTagsAndCLPThreshold(t *testing.T) {
 	// forwarded CLP=1; under congestion the CLP threshold then kills the
 	// tagged cells first.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 32)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 32, atm.NewPool(0))
 	var clpOut int
 	delivered := 0
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) {
@@ -313,7 +340,7 @@ func TestSwitchPolicerTagsAndCLPThreshold(t *testing.T) {
 	// CLP threshold: with the port occupancy above the threshold, an
 	// arriving CLP=1 cell dies while CLP=0 cells still queue.
 	k2 := sim.NewKernel()
-	sw2 := NewSwitch(k2, "sw", 2, units.STS3cPayload, 8)
+	sw2 := NewSwitch(k2, "sw", 2, units.STS3cPayload, 8, atm.NewPool(0))
 	sw2.SetThresholds(1, 2, 0, 0)
 	sw2.SetRoute(0, vc(6), 1, vc(6), RouteOptions{Class: tm.UBR})
 	in2 := sw2.Port(0)
@@ -333,7 +360,7 @@ func TestSwitchEPD(t *testing.T) {
 	// Frame A fills the queue past the EPD threshold; frame B, arriving
 	// above it, is refused whole — every cell including its EOF.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10, atm.NewPool(0))
 	sw.SetThresholds(1, 0, 4, 0)
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))
@@ -365,7 +392,7 @@ func TestSwitchPPDForwardsEOF(t *testing.T) {
 	// PPD must drop the remainder but forward the final EOF cell so the
 	// next frame still delineates.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 6)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 6, atm.NewPool(0))
 	sw.SetThresholds(1, 0, 6, 0) // frame discard armed, EPD gate = full buffer
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))

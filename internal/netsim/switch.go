@@ -42,6 +42,7 @@ import (
 //     max-min allocation.
 type Switch struct {
 	k        *sim.Kernel
+	pool     *atm.Pool // the kernel's cell pool: discards recycle here
 	name     string
 	ports    []*swPort
 	conduits []*SwitchPort
@@ -164,13 +165,19 @@ type swPort struct {
 }
 
 // NewSwitch builds a switch with nPorts ports whose output links run at the
-// given payload rate, queueDepth cells of output buffering each.
-func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queueDepth int) *Switch {
+// given payload rate, queueDepth cells of output buffering each. Every cell
+// the switch discards is recycled into pool, the kernel's cell pool, and
+// broadcast replicas are drawn from it.
+func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queueDepth int, pool *atm.Pool) *Switch {
 	if nPorts <= 0 || queueDepth <= 0 {
 		panic("netsim: invalid switch geometry")
 	}
+	if pool == nil {
+		panic("netsim: nil cell pool")
+	}
 	s := &Switch{
 		k:        k,
+		pool:     pool,
 		name:     name,
 		table:    make(map[swKey]*swRoute),
 		policers: make(map[swKey]*swPolicer),
@@ -413,6 +420,7 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 			s.stats.PolicedDiscarded++
 			s.mPolDrp.Inc()
 			sp.vcs.Drop(metrics.DropPolicedDiscard)
+			s.pool.Put(c)
 			return
 		case tm.TagCLP:
 			c.Header.CLP = true
@@ -425,6 +433,7 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	if !ok {
 		s.stats.NoRoute++
 		s.mNoRt.Inc()
+		s.pool.Put(c)
 		return
 	}
 	if c.Header.PT == atm.PTResourceMgmt {
@@ -440,8 +449,8 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	for i, d := range rt.dests {
 		out := c
 		if i > 0 {
-			clone := *c // replication: the fabric copies the cell per leaf
-			out = &clone
+			out = s.pool.Get() // replication: the fabric copies the cell per leaf
+			*out = *c
 		}
 		out.Header.VPI, out.Header.VCI = d.outVC.VPI, d.outVC.VCI
 		s.deferEnqueue(d, out)
@@ -531,6 +540,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			if eof {
 				fs.inFrame = false
 			}
+			s.pool.Put(c)
 			return
 		}
 	}
@@ -550,6 +560,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 		dropped = true
 	}
 	if dropped {
+		s.pool.Put(c)
 		if fs != nil {
 			if eof {
 				fs.inFrame = false
@@ -622,6 +633,8 @@ func (s *Switch) drain(port int) {
 	p.spQueue.Exit(cell.Header.VC())
 	if p.out != nil {
 		p.out.DeliverCell(cell)
+	} else {
+		s.pool.Put(cell)
 	}
 	if p.occ == 0 {
 		p.draining = false

@@ -56,13 +56,16 @@ var (
 	ErrVCExists  = errVCExists
 )
 
-// New builds an interface attached to the given host CPU and bus.
-func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) (*Interface, error) {
+// New builds an interface attached to the given host CPU and bus. Cells are
+// drawn from and recycled into pool, which belongs to the kernel k: every
+// station and switch on one kernel shares it, so a cell one interface
+// transmits is recycled wherever it is consumed or dropped.
+func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) (*Interface, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if hst == nil || b == nil {
-		return nil, fmt.Errorf("nic: nil host or bus")
+	if hst == nil || b == nil || pool == nil {
+		return nil, fmt.Errorf("nic: nil host, bus or cell pool")
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -72,7 +75,7 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) (*Interface, err
 		k:        k,
 		cfg:      cfg,
 		hst:      hst,
-		pool:     atm.NewPool(cfg.TxFifoDepth + cfg.RxEngines*cfg.RxFifoDepth + 64),
+		pool:     pool,
 		buf:      bufpool.New(),
 		txEngine: engine.New(k, cfg.Name+".txeng", cfg.Engine),
 		txDev:    b.Attach(cfg.Name + ".txdma"),
@@ -192,8 +195,9 @@ func (i *Interface) Config() Config { return i.cfg }
 // Host returns the attached host model.
 func (i *Interface) Host() *host.Host { return i.hst }
 
-// Pool returns the interface's cell pool; links that deliver cells into
-// this interface should draw from it so cells recycle.
+// Pool returns the kernel's cell pool the interface draws from and
+// recycles into; links that deliver cells into this interface should draw
+// from it so cells recycle.
 func (i *Interface) Pool() *atm.Pool { return i.pool }
 
 // BufferPool returns the interface's SDU buffer pool. Send draws its copy
@@ -359,8 +363,8 @@ func (i *Interface) SendOwned(vc atm.VC, sdu []byte, onSent func()) error {
 	return nil
 }
 
-// DeliverCell is the link-side entry point for arriving cells. The cell
-// must come from (or be returned to) this interface's Pool.
+// DeliverCell is the link-side entry point for arriving cells. The
+// interface recycles the cell into its Pool once consumed or dropped.
 func (i *Interface) DeliverCell(c *atm.Cell) { i.rx.deliverCell(c) }
 
 // Stats is a point-in-time snapshot of every counter the experiments read.

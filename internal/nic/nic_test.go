@@ -42,15 +42,15 @@ func newRig(t *testing.T, mod func(cfg *Config)) *rig {
 		cfgB.Name = "b"
 	}
 	var err error
-	r.a, err = New(k, cfgA, r.hostA, busA)
+	r.a, err = New(k, cfgA, r.hostA, busA, atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.b, err = New(k, cfgB, r.hostB, busB)
+	r.b, err = New(k, cfgB, r.hostB, busB, atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.link = phy.NewCellLink(k, 10_000, 1, r.b) // 2 km fiber
+	r.link = phy.NewCellLink(k, 10_000, 1, r.b, atm.NewPool(0)) // 2 km fiber
 	r.a.AttachSink(atm.SinkFunc(r.link.Send))
 	r.b.OnReceive(func(d Delivered) { r.received = append(r.received, d) })
 	return r
@@ -433,15 +433,15 @@ func TestConfigValidation(t *testing.T) {
 	b := bus.New(k, bus.DefaultConfig())
 	bad := DefaultConfig("x")
 	bad.TxFifoDepth = 0
-	if _, err := New(k, bad, h, b); err == nil {
+	if _, err := New(k, bad, h, b, atm.NewPool(0)); err == nil {
 		t.Fatal("zero FIFO depth accepted")
 	}
 	bad = DefaultConfig("x")
 	bad.PayloadRate = 0
-	if _, err := New(k, bad, h, b); err == nil {
+	if _, err := New(k, bad, h, b, atm.NewPool(0)); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := New(k, DefaultConfig("x"), nil, b); err == nil {
+	if _, err := New(k, DefaultConfig("x"), nil, b, atm.NewPool(0)); err == nil {
 		t.Fatal("nil host accepted")
 	}
 }

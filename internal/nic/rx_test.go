@@ -28,7 +28,7 @@ func newInjectRig(t *testing.T, mod func(cfg *Config)) *injectRig {
 	if mod != nil {
 		mod(&cfg)
 	}
-	iface, err := New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+	iface, err := New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +178,15 @@ func TestRxEnginesValidation(t *testing.T) {
 	b := bus.New(k, bus.DefaultConfig())
 	cfg := DefaultConfig("x")
 	cfg.RxEngines = -1
-	if _, err := New(k, cfg, h, b); err == nil {
+	if _, err := New(k, cfg, h, b, atm.NewPool(0)); err == nil {
 		t.Fatal("negative RxEngines accepted")
 	}
 	cfg.RxEngines = 65
-	if _, err := New(k, cfg, h, b); err == nil {
+	if _, err := New(k, cfg, h, b, atm.NewPool(0)); err == nil {
 		t.Fatal("RxEngines 65 accepted")
 	}
 	cfg.RxEngines = 0 // default
-	iface, err := New(k, cfg, h, b)
+	iface, err := New(k, cfg, h, b, atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestOAMLoopbackAnsweredByFirmware(t *testing.T) {
 	r.a.OpenVC(vc)
 	r.b.OpenVC(vc)
 	// newRig wires only a->b; add the reverse path for the reply.
-	back := phy.NewCellLink(r.k, 10_000, 2, r.a)
+	back := phy.NewCellLink(r.k, 10_000, 2, r.a, atm.NewPool(0))
 	r.b.AttachSink(atm.SinkFunc(back.Send))
 
 	var gotVC atm.VC
@@ -254,7 +254,7 @@ func TestMIDMuxSharedVC(t *testing.T) {
 		cfg := DefaultConfig(name)
 		cfg.AAL = aal.AAL34
 		cfg.InterleaveVCs = true
-		iface, err := New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestMIDMuxSharedVC(t *testing.T) {
 	cfgRx := DefaultConfig("rx")
 	cfgRx.AAL = aal.AAL34
 	cfgRx.MIDMux = true
-	rx, err := New(k, cfgRx, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+	rx, err := New(k, cfgRx, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestMIDMuxSharedVC(t *testing.T) {
 
 	// Both transmitters feed the same fiber (a multipoint-to-point merge,
 	// as an SMDS access line would see).
-	link := phy.NewCellLink(k, 5000, 3, rx)
+	link := phy.NewCellLink(k, 5000, 3, rx, atm.NewPool(0))
 	tx1.AttachSink(atm.SinkFunc(link.Send))
 	tx2.AttachSink(atm.SinkFunc(link.Send))
 
@@ -303,11 +303,11 @@ func TestMIDMuxValidation(t *testing.T) {
 	b := bus.New(k, bus.DefaultConfig())
 	cfg := DefaultConfig("x")
 	cfg.MIDMux = true // AAL5: invalid
-	if _, err := New(k, cfg, h, b); err == nil {
+	if _, err := New(k, cfg, h, b, atm.NewPool(0)); err == nil {
 		t.Fatal("MIDMux with AAL5 accepted")
 	}
 	cfg.AAL = aal.AAL34
-	iface, err := New(k, cfg, h, b)
+	iface, err := New(k, cfg, h, b, atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestMIDMuxValidation(t *testing.T) {
 
 func TestSetMIDRequiresAAL34(t *testing.T) {
 	k := sim.NewKernel()
-	iface, _ := New(k, DefaultConfig("x"), host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+	iface, _ := New(k, DefaultConfig("x"), host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 	vc := atm.VC{VCI: 4}
 	iface.OpenVC(vc)
 	if err := iface.SetMID(vc, 1); err == nil {

@@ -1,58 +1,100 @@
 package phy
 
 import (
+	"fmt"
+
 	"repro/internal/atm"
 	"repro/internal/sim"
 )
 
-// CellDeferrer schedules "deliver this cell to this sink later" callbacks
-// without allocating. The per-cell closure idiom
+// CellDeferrer is a delay line: it delivers each posted cell to its sink
+// after the cell's delay, holding the cells in flight in a FIFO instead of
+// the kernel's queue. Every cell gets the dispatch key a kernel Post would
+// have given it — the key is reserved when the cell enters the line — but
+// only the head of the FIFO is queued in the kernel; when it fires, the next
+// entry is queued under its own reserved key. Dispatch order and the
+// kernel's Dispatched count are therefore those of one event per cell, while
+// a 5 ms fiber carrying ~1800 cells keeps one kernel event instead of ~1800,
+// and steady-state deferral is 0 allocs/op. CellLink and the sonetlink
+// cell-recovery path both defer through this.
 //
-//	k.After(delay, func() { sink(c) })
-//
-// costs a closure plus an Event per cell; the deferrer instead parks the
-// (cell, sink) pair in a pooled record whose bound fire method was created
-// once, and schedules it through the kernel's Post free list — steady-state
-// deferral is 0 allocs/op. CellLink and the sonetlink cell-recovery path
-// both defer through this.
+// A constant delay makes arrival times nondecreasing, so the FIFO is also
+// the dispatch order. A cell due before the FIFO's tail (the delay shrank
+// mid-run) cannot join the FIFO: it is queued as its own event under its
+// reserved key.
 type CellDeferrer struct {
-	k    *sim.Kernel
-	free *cellDefer
+	k      *sim.Kernel
+	sink   func(*atm.Cell)
+	fireFn func(any) // bound fire method, created once
+	loneFn func(any) // bound deliverLone method, created once
+
+	ring []inFlight // power-of-two ring buffer
+	head int
+	n    int
 }
 
-type cellDefer struct {
-	d    *CellDeferrer
-	c    *atm.Cell
-	sink func(*atm.Cell)
-	fn   func() // bound fire method, created once per record
-	next *cellDefer
+// inFlight is one cell in the delay line with its reserved dispatch key.
+type inFlight struct {
+	c      *atm.Cell
+	at, pt sim.Time
+	seq    uint64
 }
 
-// NewCellDeferrer returns a deferrer scheduling on kernel k.
-func NewCellDeferrer(k *sim.Kernel) *CellDeferrer {
-	return &CellDeferrer{k: k}
+// NewCellDeferrer returns a delay line on kernel k delivering to sink.
+func NewCellDeferrer(k *sim.Kernel, sink func(*atm.Cell)) *CellDeferrer {
+	cd := &CellDeferrer{k: k, sink: sink, ring: make([]inFlight, 16)}
+	cd.fireFn = cd.fire
+	cd.loneFn = cd.deliverLone
+	return cd
 }
 
 // Post schedules sink(c) to run d nanoseconds from now.
-func (cd *CellDeferrer) Post(d sim.Duration, sink func(*atm.Cell), c *atm.Cell) {
-	r := cd.free
-	if r == nil {
-		r = &cellDefer{d: cd}
-		r.fn = r.fire
-	} else {
-		cd.free = r.next
-		r.next = nil
+func (cd *CellDeferrer) Post(d sim.Duration, c *atm.Cell) {
+	if d < 0 {
+		panic(fmt.Sprintf("phy: negative delay %d", int64(d)))
 	}
-	r.c, r.sink = c, sink
-	cd.k.PostAfter(d, r.fn)
+	k := cd.k
+	e := inFlight{c: c, at: k.Now() + d, pt: k.Now(), seq: k.ReserveSeq()}
+	if cd.n > 0 && e.at < cd.ring[(cd.head+cd.n-1)&(len(cd.ring)-1)].at {
+		k.PostBoundary(e.at, e.pt, k.Lane(), e.seq, cd.loneFn, c)
+		return
+	}
+	if cd.n == len(cd.ring) {
+		cd.grow()
+	}
+	cd.ring[(cd.head+cd.n)&(len(cd.ring)-1)] = e
+	cd.n++
+	if cd.n == 1 {
+		cd.schedule()
+	}
 }
 
-// fire recycles the record before invoking the sink, so a sink that defers
-// further cells can reuse it immediately.
-func (r *cellDefer) fire() {
-	c, sink := r.c, r.sink
-	r.c, r.sink = nil, nil
-	r.next = r.d.free
-	r.d.free = r
-	sink(c)
+// schedule queues the head entry in the kernel under its reserved key.
+func (cd *CellDeferrer) schedule() {
+	e := &cd.ring[cd.head]
+	cd.k.PostBoundary(e.at, e.pt, cd.k.Lane(), e.seq, cd.fireFn, nil)
+}
+
+// fire delivers the head cell. The next entry is queued first, so a sink
+// that posts into this line again finds it consistent.
+func (cd *CellDeferrer) fire(any) {
+	c := cd.ring[cd.head].c
+	cd.ring[cd.head] = inFlight{}
+	cd.head = (cd.head + 1) & (len(cd.ring) - 1)
+	cd.n--
+	if cd.n > 0 {
+		cd.schedule()
+	}
+	cd.sink(c)
+}
+
+// deliverLone delivers a cell that was queued as its own event.
+func (cd *CellDeferrer) deliverLone(arg any) { cd.sink(arg.(*atm.Cell)) }
+
+// grow doubles the ring, unwrapping it so the head lands at index 0.
+func (cd *CellDeferrer) grow() {
+	ring := make([]inFlight, 2*len(cd.ring))
+	m := copy(ring, cd.ring[cd.head:])
+	copy(ring[m:], cd.ring[:cd.head])
+	cd.ring, cd.head = ring, 0
 }

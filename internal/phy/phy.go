@@ -52,12 +52,12 @@ type CellLink struct {
 
 	rng   *sim.Rand
 	sink  atm.CellConsumer
+	pool  *atm.Pool // recycles the cells the fiber loses
 	stats Stats
 	down  bool
 	sig   SignalConsumer // explicit signal sink; nil = auto-detect on sink
 
-	def       *CellDeferrer
-	deliverFn func(*atm.Cell) // bound deliver method, created once
+	def *CellDeferrer // the fiber's delay line
 
 	// Boundary mode (sharded runs): when the two ends of the link live in
 	// different partitions, deliveries ride a sim.Mailbox instead of a local
@@ -76,14 +76,17 @@ type CellLink struct {
 	sp *trace.StageSpan
 }
 
-// NewCellLink builds a link delivering cells to sink after delay.
-func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellConsumer) *CellLink {
+// NewCellLink builds a link delivering cells to sink after delay. Cells the
+// link loses are recycled into pool, the sending kernel's cell pool.
+func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellConsumer, pool *atm.Pool) *CellLink {
 	if sink == nil {
 		panic("phy: nil sink")
 	}
-	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
-	l.def = NewCellDeferrer(k)
-	l.deliverFn = l.deliver
+	if pool == nil {
+		panic("phy: nil cell pool")
+	}
+	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, pool: pool}
+	l.def = NewCellDeferrer(k, l.deliver)
 	return l
 }
 
@@ -203,18 +206,20 @@ func (l *CellLink) signal(up bool) {
 func (l *CellLink) DeliverCell(c *atm.Cell) { l.Send(c) }
 
 // Send transmits one cell. The cell is owned by the link until delivery;
-// callers must not reuse it (use a pool and recycle in the sink).
+// callers must not reuse it. A lost cell is recycled into the link's pool.
 func (l *CellLink) Send(c *atm.Cell) {
 	l.stats.Sent++
 	if l.down {
 		l.stats.Lost++
 		l.stats.DroppedDown++
 		l.sp.Drop(c.Header.VC(), metrics.DropLink)
+		l.pool.Put(c)
 		return
 	}
 	if l.LossProb > 0 && l.rng.Bernoulli(l.LossProb) {
 		l.stats.Lost++
 		l.sp.Drop(c.Header.VC(), metrics.DropLink)
+		l.pool.Put(c)
 		return
 	}
 	if l.CorruptProb > 0 && l.rng.Bernoulli(l.CorruptProb) {
@@ -228,7 +233,7 @@ func (l *CellLink) Send(c *atm.Cell) {
 		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteFn, c)
 		return
 	}
-	l.def.Post(l.Delay, l.deliverFn, c)
+	l.def.Post(l.Delay, c)
 }
 
 // FrameLink is a unidirectional SONET-frame pipe.
@@ -250,8 +255,8 @@ type FrameLink struct {
 	ffree *frameDefer
 }
 
-// frameDefer parks one in-flight frame copy; pooled like cellDefer so a
-// steady frame stream costs no per-frame closure.
+// frameDefer parks one in-flight frame copy; pooled so a steady frame
+// stream costs no per-frame closure.
 type frameDefer struct {
 	l    *FrameLink
 	buf  []byte

@@ -11,7 +11,7 @@ import (
 func TestCellLinkDeliversAfterDelay(t *testing.T) {
 	k := sim.NewKernel()
 	var at sim.Time = -1
-	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { at = k.Now() }))
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { at = k.Now() }), atm.NewPool(0))
 	l.Send(&atm.Cell{})
 	k.Run()
 	if at != 5000 {
@@ -26,7 +26,7 @@ func TestCellLinkDeliversAfterDelay(t *testing.T) {
 func TestCellLinkPreservesOrder(t *testing.T) {
 	k := sim.NewKernel()
 	var got []uint16
-	l := NewCellLink(k, 100, 1, atm.SinkFunc(func(c *atm.Cell) { got = append(got, c.Header.VCI) }))
+	l := NewCellLink(k, 100, 1, atm.SinkFunc(func(c *atm.Cell) { got = append(got, c.Header.VCI) }), atm.NewPool(0))
 	for i := 0; i < 10; i++ {
 		c := &atm.Cell{}
 		c.Header.VCI = uint16(i)
@@ -43,7 +43,8 @@ func TestCellLinkPreservesOrder(t *testing.T) {
 func TestCellLinkLossRate(t *testing.T) {
 	k := sim.NewKernel()
 	delivered := 0
-	l := NewCellLink(k, 0, 42, atm.SinkFunc(func(c *atm.Cell) { delivered++ }))
+	pool := atm.NewPool(0)
+	l := NewCellLink(k, 0, 42, atm.SinkFunc(func(c *atm.Cell) { delivered++ }), pool)
 	l.LossProb = 0.1
 	n := 100000
 	for i := 0; i < n; i++ {
@@ -57,12 +58,15 @@ func TestCellLinkLossRate(t *testing.T) {
 	if l.Stats().Lost != uint64(n-delivered) {
 		t.Fatal("loss accounting mismatch")
 	}
+	if _, puts, _ := pool.Stats(); puts != uint64(n-delivered) {
+		t.Fatalf("%d lost cells recycled, want %d", puts, n-delivered)
+	}
 }
 
 func TestCellLinkCorruptionFlipsOneBit(t *testing.T) {
 	k := sim.NewKernel()
 	var got *atm.Cell
-	l := NewCellLink(k, 0, 7, atm.SinkFunc(func(c *atm.Cell) { got = c }))
+	l := NewCellLink(k, 0, 7, atm.SinkFunc(func(c *atm.Cell) { got = c }), atm.NewPool(0))
 	l.CorruptProb = 1.0
 	c := &atm.Cell{}
 	orig := c.Payload
@@ -150,7 +154,7 @@ func TestPropDelay(t *testing.T) {
 func TestNilSinkPanics(t *testing.T) {
 	k := sim.NewKernel()
 	for name, fn := range map[string]func(){
-		"cell":  func() { NewCellLink(k, 0, 1, nil) },
+		"cell":  func() { NewCellLink(k, 0, 1, nil, atm.NewPool(0)) },
 		"frame": func() { NewFrameLink(k, 0, 1, nil) },
 	} {
 		func() {
@@ -169,7 +173,7 @@ func TestNilSinkPanics(t *testing.T) {
 func TestCellLinkSendZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	delivered := 0
-	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }))
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }), atm.NewPool(0))
 	c := &atm.Cell{}
 	// Warm the deferrer and kernel free lists.
 	l.Send(c)
@@ -201,7 +205,8 @@ func (s *sigRecorder) SignalChange(up bool) {
 func TestCellLinkFailRestore(t *testing.T) {
 	k := sim.NewKernel()
 	delivered := 0
-	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }))
+	pool := atm.NewPool(0)
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }), pool)
 	rec := &sigRecorder{k: k}
 	l.SetSignalSink(rec)
 
@@ -221,6 +226,9 @@ func TestCellLinkFailRestore(t *testing.T) {
 	s := l.Stats()
 	if s.DroppedDown != 3 || s.Lost != 3 {
 		t.Fatalf("stats %+v, want 3 dropped-down", s)
+	}
+	if _, puts, _ := pool.Stats(); puts != 3 {
+		t.Fatalf("%d cells recycled, want the 3 the dead fiber lost", puts)
 	}
 
 	l.Restore()
@@ -255,7 +263,7 @@ func (s *sinkWithSignal) DeliverCell(*atm.Cell) { s.cells++ }
 func TestCellLinkSignalFallsBackToSink(t *testing.T) {
 	k := sim.NewKernel()
 	sink := &sinkWithSignal{sigRecorder: sigRecorder{k: k}}
-	l := NewCellLink(k, 0, 1, sink)
+	l := NewCellLink(k, 0, 1, sink, atm.NewPool(0))
 	l.Fail()
 	l.Restore()
 	k.Run()

@@ -39,9 +39,7 @@ type Mailbox struct {
 // sequence number from the sending kernel so that several same-instant
 // sends keep their order, exactly as serial link posts would.
 func (m *Mailbox) Post(at, pt Time, afn func(any), arg any) {
-	seq := m.src.seq
-	m.src.seq++
-	m.items = append(m.items, boundaryItem{at: at, pt: pt, lane: m.lane, seq: seq, afn: afn, arg: arg})
+	m.items = append(m.items, boundaryItem{at: at, pt: pt, lane: m.lane, seq: m.src.ReserveSeq(), afn: afn, arg: arg})
 }
 
 // Lookahead reports the link propagation delay this mailbox declared.

@@ -17,7 +17,11 @@
 // is the ideal case for a wheel: scheduling and dispatch are O(1) instead of
 // the O(log n) heap churn the original kernel paid on every cell.  Events
 // beyond the wheel horizon (~262 µs) go to the heap and are dispatched from
-// there; the two tiers are merged at dispatch by comparing (time, seq), so
+// there.  The heap holds timers (retransmission timeouts, run deadlines) and
+// one event per long fiber, not every cell in flight: a fiber is a FIFO delay
+// line (phy.CellDeferrer) that queues only its head cell, under a dispatch
+// key reserved when the cell entered it (ReserveSeq, PostBoundary).  The two
+// tiers are merged at dispatch by comparing (time, seq), so
 // the observable execution order is exactly the order the single heap
 // produced: strictly non-decreasing time, ties broken by schedule order.
 // NewHeapKernel builds a kernel that bypasses the wheel entirely — the
@@ -261,12 +265,25 @@ func (k *Kernel) Post(at Time, fn func()) {
 	k.insert(e)
 }
 
-// PostBoundary schedules a cross-partition event with an explicit dispatch
-// key: pt is the virtual time the sending partition scheduled it, lane the
-// sender's rank, seq a sequence number drawn from the sender's kernel. The
-// callback is the closure-free afn(arg) pair so cell hand-offs do not
-// allocate. Only Mailbox.drain should call this; like Post, the event is
-// recycled at dispatch.
+// ReserveSeq draws the sequence number an event scheduled now would get,
+// without queuing anything: it consumes k.seq exactly as Post does, so no
+// other event's key changes. The caller queues the event later, under the
+// key (at, now, lane, seq), with PostBoundary. Mailbox.Post reserves keys
+// for cross-partition cells this way, and phy.CellDeferrer for the cells it
+// holds back in its delay line.
+func (k *Kernel) ReserveSeq() uint64 {
+	seq := k.seq
+	k.seq++
+	return seq
+}
+
+// PostBoundary schedules an event under an explicit dispatch key: pt is the
+// virtual time the event was scheduled, lane the scheduling partition's
+// rank, seq a sequence number reserved with ReserveSeq on that partition's
+// kernel. It is how a key reserved earlier — by a cross-partition Mailbox or
+// a delay line — is queued. The callback is the closure-free afn(arg) pair
+// so cell hand-offs do not allocate; like Post, the event is recycled at
+// dispatch.
 func (k *Kernel) PostBoundary(at, pt Time, lane int32, seq uint64, afn func(any), arg any) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: boundary event at %v before now %v (lookahead violated)", at, k.now))
@@ -307,8 +324,8 @@ func (k *Kernel) insert(e *Event) {
 // wheelInsert links e into its slot's list, kept sorted by the full dispatch
 // key. A locally scheduled event carries the largest (pt, seq) in its lane,
 // so among equal times it lands last and the backward scan only ever skips
-// later-time events; boundary events may scan past same-time locals to take
-// their key-ordered position.
+// later-time events; events queued under a reserved key (PostBoundary) may
+// scan past same-time locals to take their key-ordered position.
 func (k *Kernel) wheelInsert(e *Event) {
 	s := int((e.at >> wheelShift) & wheelMask)
 	p := k.tail[s]

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/bus"
 	"repro/internal/host"
 	"repro/internal/metrics"
@@ -81,7 +82,7 @@ func runSonetWorkload(t *testing.T, rate sonet.Rate) sonetRun {
 		cfg.PayloadRate = rate.PayloadRate()
 		cfg.RxFifoDepth = 128
 		cfg.Metrics = reg
-		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func runSonetABRWorkload(t *testing.T) (sonetRun, float64) {
 		cfg := nic.DefaultConfig(name)
 		cfg.RxFifoDepth = 128
 		cfg.Metrics = reg
-		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		if err != nil {
 			t.Fatal(err)
 		}

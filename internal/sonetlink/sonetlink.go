@@ -83,10 +83,9 @@ type Half struct {
 	cellIdx  int // cells recovered from the frame being parsed
 	running  bool
 
-	// Pre-bound callbacks and the cell deferrer keep the per-frame tick
-	// and per-cell delivery free of closure/method-value allocations.
+	// The pre-bound tick and the delay line spreading recovered cells keep
+	// the per-frame tick and per-cell delivery free of closure allocations.
 	frameTickFn func()
-	deliverFn   func(*atm.Cell)
 	def         *phy.CellDeferrer
 
 	stats Stats
@@ -137,8 +136,7 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 		cellTime: units.CellTime(cfg.Rate.PayloadRate()),
 	}
 	h.frameTickFn = h.frameTick
-	h.deliverFn = h.deliverRecovered
-	h.def = phy.NewCellDeferrer(k)
+	h.def = phy.NewCellDeferrer(k, h.deliverRecovered)
 	lp := "link." + src.Config().Name
 	h.queue.Instrument(cfg.Metrics, lp+".queue")
 	h.spQueue = cfg.Recorder.Stage(lp, "framer.queue")
@@ -295,7 +293,7 @@ func (h *Half) cellRecovered(cell []byte, corrected bool) {
 	}
 	offset := sim.Duration(h.cellIdx) * h.cellTime
 	h.cellIdx++
-	h.def.Post(offset, h.deliverFn, c)
+	h.def.Post(offset, c)
 }
 
 // deliverRecovered closes the wire span and hands the recovered cell to the

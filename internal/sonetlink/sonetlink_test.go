@@ -38,7 +38,7 @@ func newRig(t *testing.T, rate sonet.Rate) *rig {
 		cfg.PayloadRate = rate.PayloadRate()
 		// Deep enough to ride out the framer's 125 µs burst granularity.
 		cfg.RxFifoDepth = 128
-		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestSonetBitErrorsDetectedNotDelivered(t *testing.T) {
 	mk := func(name string) *nic.Interface {
 		cfg := nic.DefaultConfig(name)
 		cfg.RxFifoDepth = 128
-		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		return iface
 	}
 	a, b := mk("a"), mk("b")
@@ -174,7 +174,7 @@ func TestSonetHeaderCorrectionOnTheRealPath(t *testing.T) {
 	mk := func(name string) *nic.Interface {
 		cfg := nic.DefaultConfig(name)
 		cfg.RxFifoDepth = 128
-		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		return iface
 	}
 	a, b := mk("a"), mk("b")
@@ -193,7 +193,7 @@ func TestSonetHeaderCorrectionOnTheRealPath(t *testing.T) {
 func TestRateMismatchRejected(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := nic.DefaultConfig("a") // STS-3c payload rate
-	iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+	iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 	if _, err := Connect(k, Config{Rate: sonet.STS12c}, iface, iface); err == nil {
 		t.Fatal("rate mismatch accepted")
 	}
@@ -242,7 +242,7 @@ func TestSonetBERSweepSurvives(t *testing.T) {
 		mk := func(name string) *nic.Interface {
 			cfg := nic.DefaultConfig(name)
 			cfg.RxFifoDepth = 128
-			iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+			iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 			return iface
 		}
 		a, b := mk("a"), mk("b")
@@ -320,7 +320,7 @@ func TestSonetLinkFailureLOS(t *testing.T) {
 		cfg.RxFifoDepth = 128
 		cfg.AlarmPeriod = 100 * sim.Microsecond
 		cfg.AlarmClearTimeout = 300 * sim.Microsecond
-		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, _ := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		return iface
 	}
 	a, b := mk("a"), mk("b")

@@ -39,7 +39,7 @@ func newSonetWorld(tb testing.TB, attach bool) *sonetWorld {
 	mk := func(name string) *nic.Interface {
 		cfg := nic.DefaultConfig(name)
 		cfg.RxFifoDepth = 128
-		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()))
+		iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 		if err != nil {
 			tb.Fatal(err)
 		}
