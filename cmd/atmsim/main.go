@@ -173,10 +173,10 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	}
 
 	// The whole topology is one declarative spec: two stations, optionally a
-	// policing/discarding switch between them, and a single latency-tapped
-	// VCC end to end. Both stations record into one registry; instrument
-	// names carry the station name ("a.nic.tx.cells"), per-VC rows are
-	// shared so one row shows a connection end to end.
+	// policing/discarding switch between them, and a single VCC end to end.
+	// Both stations record into one registry; instrument names carry the
+	// station name ("a.nic.tx.cells"), per-VC rows are shared so one row
+	// shows a connection end to end.
 	opts := core.Options{
 		Rate:              payloadRate,
 		AAL34:             aalType == aal.AAL34,
@@ -205,9 +205,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		},
 		VCCs: []core.VCCSpec{{
 			Name: "ab", From: "a", To: "b", VC: stdVC(),
-			// The latency tap hooks the cell-granular fiber; the framed
-			// path has no per-cell wire to hook.
-			Contract: contract, Shape: haveContract, Latency: !line.Framed,
+			Contract: contract, Shape: haveContract,
 			// TCP needs the ACK path back from b to a; ABR needs it for the
 			// backward RM cells.
 			Duplex: tcpBytes > 0 || abr,
@@ -250,10 +248,13 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	k := net.Kernel()
 	a, b := net.Endpoint("a"), net.Endpoint("b")
 	vcc := net.VCC("ab")
-	capture := vcc.Capture
+	var capture *trace.Capture
 	if dumpN > 0 {
+		// Record a's cells as they enter the first fiber (a->b or a->sw).
+		capture = trace.New(k)
 		capture.Limit = dumpN
-		capture.Filter = nil
+		first := net.Link(spec.Links[0].Name)
+		a.Interface().AttachSink(atm.SinkFunc(capture.Tap(first.Fwd.Send)))
 	}
 	var sampler *trace.Sampler
 	if obs.SamplePeriod > 0 {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -58,9 +60,66 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunWithTrace(t *testing.T) {
-	if err := run(155, "5", "engine", 500, "fixed", 2*time.Millisecond, 0, 1, 1, 1, false, 3, "", false, "", false, 0, false, 0, 0, 0, 0, lineOpts{}, obsOpts{}); err != nil {
+// captureStdout runs fn with os.Stdout redirected into a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-printed
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
+}
+
+// -dump N prints the first N cells a puts on its first fiber, then the
+// truncation notice. a's cell clock does not depend on what lies behind
+// that fiber, so the direct topology and the -epd switch topology print the
+// same section; a tap on any other link half would print other cells, other
+// times, or none. Through the switch, every one of the 319 cells the
+// capture saw must also have been routed.
+func TestRunDumpPrintsFirstCells(t *testing.T) {
+	const want = `first cells on the a->b fiber:
+     0     51.119us vc=0/100 pt=000 clp=false  00000640ec00000000000000
+     1     53.950us vc=0/100 pt=000 clp=false  00000640ec00000000000000
+     2     56.781us vc=0/100 pt=000 clp=false  00000640ec00000000000000
+... 316 further matches not stored (limit)
+vc 0/100: 3 cells, 0 frames, mean gap 2.831us
+capture truncated: 3 stored, 316 further matches dropped
+`
+	for _, c := range []struct {
+		name string
+		epd  int
+	}{{"direct", 0}, {"epd switch", 32}} {
+		t.Run(c.name, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return run(155, "5", "engine", 500, "fixed", 2*time.Millisecond, 0, 1, 1, 1, false, 3, "", false, "", false, c.epd, false, 0, 0, 0, 0, lineOpts{}, obsOpts{})
+			})
+			if routed := strings.Contains(out, "\nswitch            routed 319  dropped 0 "); routed != (c.epd > 0) {
+				t.Fatalf("319 cells through the switch = %v, want %v:\n%s", routed, c.epd > 0, out)
+			}
+			i := strings.Index(out, "first cells on the a->b fiber:")
+			if i < 0 {
+				t.Fatalf("no cell dump:\n%s", out)
+			}
+			if got := out[i:]; got != want {
+				t.Fatalf("dump section:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 

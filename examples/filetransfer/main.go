@@ -39,18 +39,23 @@ func main() {
 // transfer ships fileSize bytes in record-sized packets and returns the
 // achieved and ceiling goodput in bits per second.
 func transfer(record int, aal34 bool) (goodput, ceiling float64) {
-	tb, err := core.NewTestbed(core.Options{AAL34: aal34}, core.LinkOptions{})
+	// Two stations on a 2 km fiber, one connection from A to B.
+	opts := core.Options{AAL34: aal34}
+	vc := core.VC{VCI: 7}
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "A", Options: opts}, {Name: "B", Options: opts}},
+		Links: []core.LinkSpec{{Name: "ab",
+			A: core.NodeRef{Node: "A"}, B: core.NodeRef{Node: "B"}, DistanceKm: 2}},
+		VCCs: []core.VCCSpec{{Name: "file", From: "A", To: "B", VC: vc}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	vc := core.VC{VCI: 7}
-	if err := tb.OpenVC(vc); err != nil {
-		log.Fatal(err)
-	}
+	a, b := net.Endpoint("A"), net.Endpoint("B")
 
 	var receivedBytes int
 	var done sim.Time
-	tb.B.OnReceive(func(p core.Packet) {
+	b.OnReceive(func(p core.Packet) {
 		receivedBytes += len(p.Data)
 		if receivedBytes >= fileSize {
 			done = p.At
@@ -69,14 +74,14 @@ func transfer(record int, aal34 bool) (goodput, ceiling float64) {
 			n = remaining
 		}
 		remaining -= n
-		if err := tb.A.Send(vc, make([]byte, n), pump); err != nil {
+		if err := a.Send(vc, make([]byte, n), pump); err != nil {
 			log.Fatal(err)
 		}
 	}
 	for i := 0; i < 4 && remaining > 0; i++ {
 		pump()
 	}
-	tb.Run()
+	net.Run()
 
 	if done == 0 {
 		log.Fatalf("transfer incomplete: %d of %d bytes", receivedBytes, fileSize)

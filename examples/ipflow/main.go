@@ -12,6 +12,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -49,9 +50,7 @@ func run(arch string) (pkts uint64, util float64, irqs uint64, appDone int) {
 	}
 
 	var side rxSide
-	var appHost interface {
-		Work(string, int, func()) sim.Time
-	}
+	var appHost *host.Host
 
 	switch arch {
 	case "per-cell baseline":
@@ -90,7 +89,7 @@ func run(arch string) (pkts uint64, util float64, irqs uint64, appDone int) {
 		if k.Now() > deadline {
 			return
 		}
-		appHost.Work("app", appSlice, func() {
+		appHost.Work(appSlice, func() {
 			appDone++
 			appLoop()
 		})

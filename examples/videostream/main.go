@@ -44,22 +44,28 @@ func main() {
 // run streams the CBR flow and returns per-frame latencies. shaped enables
 // multi-VC interleaving and paces the bulk flow to ~60% of the line.
 func run(period sim.Duration, withBulk, shaped bool) []sim.Duration {
-	tb, err := core.NewTestbed(core.Options{InterleaveVCs: shaped}, core.LinkOptions{DistanceKm: 10})
+	// Two stations on a 10 km fiber with two connections from A to B: the
+	// video stream and the bulk flow.
+	opts := core.Options{InterleaveVCs: shaped}
+	video := core.VC{VCI: 20}
+	bulk := core.VC{VCI: 21}
+	net, err := core.NewNetwork(core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "A", Options: opts}, {Name: "B", Options: opts}},
+		Links: []core.LinkSpec{{Name: "ab",
+			A: core.NodeRef{Node: "A"}, B: core.NodeRef{Node: "B"}, DistanceKm: 10}},
+		VCCs: []core.VCCSpec{
+			{Name: "video", From: "A", To: "B", VC: video},
+			{Name: "bulk", From: "A", To: "B", VC: bulk},
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	video := core.VC{VCI: 20}
-	bulk := core.VC{VCI: 21}
-	if err := tb.OpenVC(video); err != nil {
-		log.Fatal(err)
-	}
-	if err := tb.OpenVC(bulk); err != nil {
-		log.Fatal(err)
-	}
+	a, b := net.Endpoint("A"), net.Endpoint("B")
 
 	sendTimes := make([]sim.Time, 0, frames)
 	var latencies []sim.Duration
-	tb.B.OnReceive(func(p core.Packet) {
+	b.OnReceive(func(p core.Packet) {
 		if p.VC != video {
 			return
 		}
@@ -69,7 +75,7 @@ func run(period sim.Duration, withBulk, shaped bool) []sim.Duration {
 		}
 	})
 
-	k := tb.Kernel()
+	k := net.Kernel()
 	sent := 0
 	var tick func()
 	tick = func() {
@@ -77,7 +83,7 @@ func run(period sim.Duration, withBulk, shaped bool) []sim.Duration {
 			return
 		}
 		sendTimes = append(sendTimes, k.Now())
-		if err := tb.A.Send(video, make([]byte, frameSize), nil); err != nil {
+		if err := a.Send(video, make([]byte, frameSize), nil); err != nil {
 			log.Fatal(err)
 		}
 		sent++
@@ -87,7 +93,7 @@ func run(period sim.Duration, withBulk, shaped bool) []sim.Duration {
 
 	if shaped {
 		// Cap the bulk flow at ~210k cells/s (~60% of STS-3c payload).
-		if err := tb.A.SetPeakCellRate(bulk, 210_000); err != nil {
+		if err := a.SetPeakCellRate(bulk, 210_000); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -99,13 +105,13 @@ func run(period sim.Duration, withBulk, shaped bool) []sim.Duration {
 			if k.Now() > deadline {
 				return
 			}
-			tb.A.Send(bulk, make([]byte, 65535), pump)
+			a.Send(bulk, make([]byte, 65535), pump)
 		}
 		for i := 0; i < 3; i++ {
 			pump()
 		}
 	}
-	tb.Run()
+	net.Run()
 	if len(latencies) != frames {
 		log.Fatalf("delivered %d of %d frames", len(latencies), frames)
 	}

@@ -176,10 +176,10 @@ func (h *HostSAR) txCellLoop(job hostTxJob) {
 		h.stalledJob = &job
 		return
 	}
-	h.hst.Work("tx-cell", hostTxCellInstr, func() {
+	h.hst.Work(hostTxCellInstr, func() {
 		h.dev.PIO(cellPIOWords, nil) // bus occupancy
 		// The CPU spins for the duration of its own programmed I/O.
-		h.hst.Spin("tx-pio", h.pioTime, func() {
+		h.hst.Spin(h.pioTime, func() {
 			cell := h.pool.Get()
 			pt, done, err := h.seg.Next(&cell.Payload)
 			if err != nil {
@@ -262,8 +262,8 @@ func (h *HostSAR) rxKick() {
 	// Interrupt + PIO read of the cell + software SAR.
 	h.hst.RxCellInterrupt(0, false, func() {
 		h.dev.PIO(cellPIOWords, nil) // bus occupancy
-		h.hst.Spin("rx-pio", h.pioTime, func() {
-			h.hst.Work("rx-cell-sar", hostRxCellInstr, func() {
+		h.hst.Spin(h.pioTime, func() {
+			h.hst.Work(hostRxCellInstr, func() {
 				h.rxProcess(cell)
 			})
 		})

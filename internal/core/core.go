@@ -1,7 +1,8 @@
-// Package core is the library's front door: it assembles the simulated
-// hardware (host, bus, protocol engines, FIFOs, fiber) into endpoints and
-// testbeds with a small API, so examples and downstream users don't touch
-// the wiring.
+// Package core is the library's front door: NewNetwork assembles the
+// simulated hardware (host, bus, protocol engines, FIFOs, fiber, switches)
+// from one declarative NetworkSpec, so examples and downstream users don't
+// touch the wiring. A two-station testbed is the spec with two endpoints
+// and one link between them.
 //
 // The architecture under the hood is the SIGCOMM '91 host–network interface:
 // per-packet host involvement, per-cell protocol engines, per-bit hardware.
@@ -9,17 +10,15 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/aal"
 	"repro/internal/atm"
+	"repro/internal/baseline"
 	"repro/internal/bufmgr"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/host"
-	"repro/internal/netsim"
+	"repro/internal/metrics"
 	"repro/internal/nic"
-	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/tm"
 	"repro/internal/units"
@@ -121,157 +120,97 @@ type Packet struct {
 	At    sim.Time
 }
 
-// Endpoint is one workstation plus interface.
+// Endpoint is one workstation with the paper's interface installed: a host
+// CPU, its I/O bus, and the adapter on that bus.
 type Endpoint struct {
-	name    string
-	station *netsim.Station
-	k       *sim.Kernel
+	name  string
+	k     *sim.Kernel
+	host  *host.Host
+	bus   *bus.Bus
+	iface *nic.Interface
 }
 
-// Testbed is a complete two-endpoint simulation: A and B connected by a
-// duplex fiber.
-type Testbed struct {
-	kernel *sim.Kernel
-	net    *Network
-	A, B   *Endpoint
-	AtoB   *phy.CellLink
-	BtoA   *phy.CellLink
-}
-
-// LinkOptions configures the testbed fiber.
-type LinkOptions struct {
-	// DistanceKm sets propagation delay at 5 µs/km (default 2 km).
-	DistanceKm float64
-	// CellLossProb injects uniform cell loss.
-	CellLossProb float64
-	// Seed makes fault injection reproducible.
-	Seed uint64
-}
-
-// NewTestbed builds two identical endpoints connected back to back. It is a
-// thin wrapper over NewNetwork: a two-endpoint spec with a single duplex
-// fiber named "ab".
-func NewTestbed(opts Options, link LinkOptions) (*Testbed, error) {
-	if link.DistanceKm == 0 {
-		link.DistanceKm = 2
+// newEndpoint builds an endpoint on kernel k: a host with the options' cost
+// model, a default bus, and the paper's programmable interface — or, with
+// Options.Hardwired, the fixed-function baseline (baseline.NewHardwired) —
+// drawing cells from pool, the kernel's cell pool. The interface and the
+// bus devices record into reg.
+func newEndpoint(k *sim.Kernel, name string, o Options, reg *metrics.Registry, pool *atm.Pool) (*Endpoint, error) {
+	cfg := o.nicConfig(name)
+	cfg.Metrics = reg
+	h := host.New(k, o.hostConfig())
+	b := bus.New(k, bus.DefaultConfig())
+	b.SetMetrics(reg)
+	newIface := nic.New
+	if o.Hardwired {
+		newIface = baseline.NewHardwired
 	}
-	n, err := NewNetwork(NetworkSpec{
-		Endpoints: []EndpointSpec{
-			{Name: "A", Options: opts},
-			{Name: "B", Options: opts},
-		},
-		Links: []LinkSpec{{
-			Name:       "ab",
-			A:          NodeRef{Node: "A"},
-			B:          NodeRef{Node: "B"},
-			DistanceKm: link.DistanceKm,
-			LossProb:   link.CellLossProb,
-			Seed:       link.Seed + 1,
-		}},
-	})
+	iface, err := newIface(k, cfg, h, b, pool)
 	if err != nil {
 		return nil, err
 	}
-	l := n.Link("ab")
-	return &Testbed{
-		kernel: n.Kernel(),
-		net:    n,
-		A:      n.Endpoint("A"),
-		B:      n.Endpoint("B"),
-		AtoB:   l.Fwd,
-		BtoA:   l.Rev,
-	}, nil
-}
-
-// Network exposes the underlying builder network.
-func (t *Testbed) Network() *Network { return t.net }
-
-// Kernel exposes the simulation clock/scheduler.
-func (t *Testbed) Kernel() *sim.Kernel { return t.kernel }
-
-// Run drains all scheduled work and returns the final simulated time.
-func (t *Testbed) Run() sim.Time { return t.kernel.Run() }
-
-// RunFor advances the simulation by d.
-func (t *Testbed) RunFor(d sim.Duration) sim.Time { return t.kernel.RunFor(d) }
-
-// Now returns the current simulated time.
-func (t *Testbed) Now() sim.Time { return t.kernel.Now() }
-
-// OpenVC opens vc on both endpoints (each direction).
-func (t *Testbed) OpenVC(vc VC) error {
-	if err := t.A.station.Iface.OpenVC(vc); err != nil {
-		return fmt.Errorf("endpoint A: %w", err)
-	}
-	if err := t.B.station.Iface.OpenVC(vc); err != nil {
-		return fmt.Errorf("endpoint B: %w", err)
-	}
-	return nil
+	return &Endpoint{name: name, k: k, host: h, bus: b, iface: iface}, nil
 }
 
 // Name returns the endpoint's spec name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Station exposes the underlying netsim station (for traffic sources and
-// lower-level wiring).
-func (e *Endpoint) Station() *netsim.Station { return e.station }
-
 // Interface exposes the endpoint's interface model for stats and tuning.
-func (e *Endpoint) Interface() *nic.Interface { return e.station.Iface }
+func (e *Endpoint) Interface() *nic.Interface { return e.iface }
 
 // Host exposes the endpoint's host CPU model.
-func (e *Endpoint) Host() *host.Host { return e.station.Host }
+func (e *Endpoint) Host() *host.Host { return e.host }
 
 // Bus exposes the endpoint's I/O bus model.
-func (e *Endpoint) Bus() *bus.Bus { return e.station.Bus }
+func (e *Endpoint) Bus() *bus.Bus { return e.bus }
 
 // Send queues data for transmission on vc. onSent (may be nil) fires when
 // the host could reuse the buffer (after the transmit-complete interrupt).
 func (e *Endpoint) Send(vc VC, data []byte, onSent func()) error {
-	return e.station.Iface.Send(vc, data, onSent)
+	return e.iface.Send(vc, data, onSent)
 }
 
 // OnReceive registers the delivery callback.
 func (e *Endpoint) OnReceive(fn func(Packet)) {
-	e.station.Iface.OnReceive(func(d nic.Delivered) {
+	e.iface.OnReceive(func(d nic.Delivered) {
 		fn(Packet{VC: d.VC, Data: d.SDU, Cells: d.Cells, At: d.At})
 	})
 }
 
 // Stats returns the endpoint interface's counters.
-func (e *Endpoint) Stats() nic.Stats { return e.station.Iface.Stats() }
+func (e *Endpoint) Stats() nic.Stats { return e.iface.Stats() }
 
 // Engines returns the endpoint's engines for headroom analysis.
 func (e *Endpoint) Engines() (tx, rx *engine.Engine) {
-	return e.station.Iface.TxEngine(), e.station.Iface.RxEngine()
+	return e.iface.TxEngine(), e.iface.RxEngine()
 }
 
 // SetPeakCellRate paces a VC's transmit path (see nic.Interface).
 func (e *Endpoint) SetPeakCellRate(vc VC, cellsPerSec float64) error {
-	return e.station.Iface.SetPeakCellRate(vc, cellsPerSec)
+	return e.iface.SetPeakCellRate(vc, cellsPerSec)
 }
 
 // Ping sends an F5 OAM loopback on vc; reply fires the handler registered
 // with OnPingReply.
 func (e *Endpoint) Ping(vc VC, correlation uint32) error {
-	return e.station.Iface.SendLoopback(vc, correlation)
+	return e.iface.SendLoopback(vc, correlation)
 }
 
 // OnPingReply registers the loopback-reply handler.
 func (e *Endpoint) OnPingReply(fn func(vc VC, correlation uint32)) {
-	e.station.Iface.OnLoopbackReply(fn)
+	e.iface.OnLoopbackReply(fn)
 }
 
 // OnAlarm registers the fault-management handler: AIS/RDI declare and clear
 // transitions per VC, LOS per link (see nic.Interface.OnAlarm).
 func (e *Endpoint) OnAlarm(fn func(nic.AlarmEvent)) {
-	e.station.Iface.OnAlarm(fn)
+	e.iface.OnAlarm(fn)
 }
 
 // SetContract installs a full traffic contract on a VC's transmit path
 // (see nic.Interface.SetContract).
 func (e *Endpoint) SetContract(vc VC, c tm.TrafficContract) error {
-	return e.station.Iface.SetContract(vc, c)
+	return e.iface.SetContract(vc, c)
 }
 
 // Goodput returns delivered SDU bits per second at endpoint e over the

@@ -11,21 +11,15 @@ import (
 )
 
 func TestTestbedQuickPath(t *testing.T) {
-	tb, err := NewTestbed(Options{}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	vc := VC{VCI: 32}
-	if err := tb.OpenVC(vc); err != nil {
-		t.Fatal(err)
-	}
+	net := pair(t, Options{}, LinkSpec{}, vc)
 	var got []Packet
-	tb.B.OnReceive(func(p Packet) { got = append(got, p) })
+	net.Endpoint("b").OnReceive(func(p Packet) { got = append(got, p) })
 	msg := []byte("hello, 1991")
-	if err := tb.A.Send(vc, msg, nil); err != nil {
+	if err := net.Endpoint("a").Send(vc, msg, nil); err != nil {
 		t.Fatal(err)
 	}
-	tb.Run()
+	net.Run()
 	if len(got) != 1 || !bytes.Equal(got[0].Data, msg) {
 		t.Fatalf("got %v", got)
 	}
@@ -38,22 +32,22 @@ func TestTestbedQuickPath(t *testing.T) {
 }
 
 func TestTestbedBothDirections(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{})
 	vc := VC{VCI: 1}
-	tb.OpenVC(vc)
+	net := pair(t, Options{}, LinkSpec{}, vc)
+	a, b := net.Endpoint("a"), net.Endpoint("b")
 	a2b, b2a := 0, 0
-	tb.A.OnReceive(func(Packet) { b2a++ })
-	tb.B.OnReceive(func(Packet) { a2b++ })
-	tb.A.Send(vc, []byte{1}, nil)
-	tb.B.Send(vc, []byte{2}, nil)
-	tb.Run()
+	a.OnReceive(func(Packet) { b2a++ })
+	b.OnReceive(func(Packet) { a2b++ })
+	a.Send(vc, []byte{1}, nil)
+	b.Send(vc, []byte{2}, nil)
+	net.Run()
 	if a2b != 1 || b2a != 1 {
 		t.Fatalf("a2b=%d b2a=%d", a2b, b2a)
 	}
 }
 
 func TestOptionsPlumbing(t *testing.T) {
-	tb, err := NewTestbed(Options{
+	net := pair(t, Options{
 		Rate:        Rate622,
 		AAL34:       true,
 		EngineMHz:   66,
@@ -63,11 +57,9 @@ func TestOptionsPlumbing(t *testing.T) {
 		Buffers:     bufmgr.Contig,
 		AdapterSRAM: 1 << 20,
 		HostMIPS:    200,
-	}, LinkOptions{DistanceKm: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tb.A.Interface().Config()
+	}, LinkSpec{DistanceKm: 10})
+	a := net.Endpoint("a")
+	cfg := a.Interface().Config()
 	if cfg.PayloadRate != units.STS12cPayload {
 		t.Errorf("rate = %v", cfg.PayloadRate)
 	}
@@ -89,14 +81,11 @@ func TestOptionsPlumbing(t *testing.T) {
 	if cfg.AdapterSRAM != 1<<20 {
 		t.Errorf("sram = %d", cfg.AdapterSRAM)
 	}
-	if got := tb.A.Host().Config().InstrRate; got != 200_000_000 {
+	if got := a.Host().Config().InstrRate; got != 200_000_000 {
 		t.Errorf("host instr rate = %d", got)
 	}
-	tbDef, err := NewTestbed(Options{}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbDef.A.Host().Config().InstrRate; got != 25_000_000 {
+	def := pair(t, Options{}, LinkSpec{})
+	if got := def.Endpoint("a").Host().Config().InstrRate; got != 25_000_000 {
 		t.Errorf("default host instr rate = %d", got)
 	}
 }
@@ -106,34 +95,27 @@ func TestLinkedBuffersOption(t *testing.T) {
 	// board default is Paged: the zero Organization is a distinct
 	// DefaultOrg sentinel, so an explicit Linked is not mistaken for
 	// "unset" anywhere down the stack.
-	tb, err := NewTestbed(Options{Buffers: bufmgr.Linked}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.A.Interface().Config().BufOrg; got != bufmgr.Linked {
+	net := pair(t, Options{Buffers: bufmgr.Linked}, LinkSpec{})
+	if got := net.Endpoint("a").Interface().Config().BufOrg; got != bufmgr.Linked {
 		t.Fatalf("buforg = %v, want linked", got)
 	}
-	tbDef, err := NewTestbed(Options{}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbDef.A.Interface().Config().BufOrg; got != bufmgr.Paged {
+	def := pair(t, Options{}, LinkSpec{})
+	if got := def.Endpoint("a").Interface().Config().BufOrg; got != bufmgr.Paged {
 		t.Fatalf("default buforg = %v, want paged", got)
 	}
 }
 
 func TestLinkLossOption(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{CellLossProb: 0.05, Seed: 3})
 	vc := VC{VCI: 2}
-	tb.OpenVC(vc)
+	net := pair(t, Options{}, LinkSpec{LossProb: 0.05, Seed: 4}, vc)
 	delivered := 0
-	tb.B.OnReceive(func(Packet) { delivered++ })
+	net.Endpoint("b").OnReceive(func(Packet) { delivered++ })
 	payload := make([]byte, 4000)
 	for i := 0; i < 30; i++ {
-		tb.A.Send(vc, payload, nil)
+		net.Endpoint("a").Send(vc, payload, nil)
 	}
-	tb.Run()
-	st := tb.B.Stats()
+	net.Run()
+	st := net.Endpoint("b").Stats()
 	if st.Rx.AALErrors == 0 {
 		t.Fatal("5% loss produced no AAL errors")
 	}
@@ -143,84 +125,79 @@ func TestLinkLossOption(t *testing.T) {
 }
 
 func TestHardwiredOption(t *testing.T) {
-	tb, err := NewTestbed(Options{Hardwired: true}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.A.Interface().Config().Engine.ClockHz != 1_000_000_000 {
+	vc := VC{VCI: 4}
+	net := pair(t, Options{Hardwired: true}, LinkSpec{}, vc)
+	a := net.Endpoint("a")
+	if a.Interface().Config().Engine.ClockHz != 1_000_000_000 {
 		t.Fatal("hardwired option did not replace engines")
 	}
-	vc := VC{VCI: 4}
-	tb.OpenVC(vc)
 	ok := false
-	tb.B.OnReceive(func(Packet) { ok = true })
-	tb.A.Send(vc, []byte{1, 2}, nil)
-	tb.Run()
+	net.Endpoint("b").OnReceive(func(Packet) { ok = true })
+	a.Send(vc, []byte{1, 2}, nil)
+	net.Run()
 	if !ok {
-		t.Fatal("hardwired testbed did not deliver")
+		t.Fatal("hardwired pair did not deliver")
 	}
 }
 
 func TestGoodputAccessor(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{})
 	vc := VC{VCI: 5}
-	tb.OpenVC(vc)
-	tb.B.OnReceive(func(Packet) {})
-	tb.A.Send(vc, make([]byte, 9180), nil)
-	tb.Run()
-	if g := tb.B.Goodput(); g <= 0 {
+	net := pair(t, Options{}, LinkSpec{}, vc)
+	b := net.Endpoint("b")
+	b.OnReceive(func(Packet) {})
+	net.Endpoint("a").Send(vc, make([]byte, 9180), nil)
+	net.Run()
+	if g := b.Goodput(); g <= 0 {
 		t.Fatalf("goodput = %v", g)
 	}
 }
 
 func TestRunFor(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{})
-	tb.RunFor(5 * sim.Millisecond)
-	if tb.Now() != 5*sim.Millisecond {
-		t.Fatalf("Now = %v", tb.Now())
+	net := pair(t, Options{}, LinkSpec{})
+	net.RunFor(5 * sim.Millisecond)
+	if net.Now() != 5*sim.Millisecond {
+		t.Fatalf("Now = %v", net.Now())
 	}
 }
 
 func TestPingLoopback(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{})
 	vc := VC{VCI: 6}
-	tb.OpenVC(vc)
+	net := pair(t, Options{}, LinkSpec{}, vc)
+	a := net.Endpoint("a")
 	var got uint32
-	tb.A.OnPingReply(func(v VC, corr uint32) { got = corr })
-	if err := tb.A.Ping(vc, 0xfeed); err != nil {
+	a.OnPingReply(func(v VC, corr uint32) { got = corr })
+	if err := a.Ping(vc, 0xfeed); err != nil {
 		t.Fatal(err)
 	}
-	tb.Run()
+	net.Run()
 	if got != 0xfeed {
 		t.Fatalf("ping reply correlation %#x", got)
 	}
 }
 
 func TestPacingViaCore(t *testing.T) {
-	tb, _ := NewTestbed(Options{}, LinkOptions{})
 	vc := VC{VCI: 6}
-	tb.OpenVC(vc)
-	if err := tb.A.SetPeakCellRate(vc, 10_000); err != nil {
+	net := pair(t, Options{}, LinkSpec{}, vc)
+	a := net.Endpoint("a")
+	if err := a.SetPeakCellRate(vc, 10_000); err != nil {
 		t.Fatal(err)
 	}
 	done := sim.Time(0)
-	tb.B.OnReceive(func(p Packet) { done = p.At })
-	tb.A.Send(vc, make([]byte, 480), nil) // 11 cells at 100 µs spacing
-	tb.Run()
+	net.Endpoint("b").OnReceive(func(p Packet) { done = p.At })
+	a.Send(vc, make([]byte, 480), nil) // 11 cells at 100 µs spacing
+	net.Run()
 	if done < sim.Time(10*100_000) {
 		t.Fatalf("paced delivery at %v, expected >= 1 ms", done)
 	}
 }
 
 func TestMultiEngineOptionViaCore(t *testing.T) {
-	tb, err := NewTestbed(Options{RxEngines: 4, InterleaveVCs: true}, LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tb.A.Interface().RxEngines()); got != 4 {
+	net := pair(t, Options{RxEngines: 4, InterleaveVCs: true}, LinkSpec{})
+	a := net.Endpoint("a").Interface()
+	if got := len(a.RxEngines()); got != 4 {
 		t.Fatalf("engines = %d", got)
 	}
-	if !tb.A.Interface().Config().InterleaveVCs {
+	if !a.Config().InterleaveVCs {
 		t.Fatal("interleave not plumbed")
 	}
 }

@@ -286,13 +286,6 @@ func TestFramedLinkValidation(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
-	t.Run("latency tap over framed", func(t *testing.T) {
-		spec := base()
-		spec.VCCs = []VCCSpec{{Name: "flow", From: "a", To: "b", Latency: true}}
-		if _, err := NewNetwork(spec); err == nil || !strings.Contains(err.Error(), "latency tap") {
-			t.Fatalf("err = %v", err)
-		}
-	})
 	t.Run("framed link built", func(t *testing.T) {
 		net, err := NewNetwork(base())
 		if err != nil {

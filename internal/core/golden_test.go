@@ -2,8 +2,7 @@ package core
 
 // Golden equivalence at the builder level: a NewNetwork topology must evolve
 // identically — cell timing and wire bytes — under the timing-wheel and the
-// heap kernel, and NewTestbed must be exactly the two-endpoint network it
-// wraps. The paper's rigs used to be wired by hand from netsim/phy
+// heap kernel. The paper's rigs used to be wired by hand from netsim/phy
 // primitives; the digests in internal/experiments/rigs_golden_test.go were
 // recorded from that wiring and pin every rig's builder form to it.
 
@@ -76,27 +75,6 @@ const (
 	goldenSeed  = uint64(9)
 )
 
-func goldenDirectBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
-	n, err := NewNetwork(NetworkSpec{
-		Kernel:    k,
-		Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
-		Links: []LinkSpec{{
-			Name: "ab", A: NodeRef{Node: "a"}, B: NodeRef{Node: "b"},
-			Delay: goldenDelay, Seed: goldenSeed,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []arrival
-	n.Link("ab").Fwd.AttachSink(tapInto(t, &got, k, n.Endpoint("b").Interface()))
-	n.Endpoint("a").Interface().OpenVC(vc)
-	n.Endpoint("b").Interface().OpenVC(vc)
-	driveFrames(t, func(vc atm.VC, data []byte) error { return n.Endpoint("a").Send(vc, data, nil) }, vc)
-	n.Run()
-	return got
-}
-
 func goldenSwitchBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 	n, err := NewNetwork(NetworkSpec{
 		Kernel:    k,
@@ -131,24 +109,4 @@ func TestGoldenOneSwitchHeapKernel(t *testing.T) {
 	wheel := goldenSwitchBuilt(t, sim.NewKernel(), vc)
 	heap := goldenSwitchBuilt(t, sim.NewHeapKernel(), vc)
 	compareArrivals(t, wheel, heap)
-}
-
-// NewTestbed is a thin wrapper over NewNetwork; its behaviour must equal the
-// direct-link network it declares (same delay, same seed derivation).
-func TestGoldenTestbedWrapsBuilder(t *testing.T) {
-	tb, err := NewTestbed(Options{}, LinkOptions{DistanceKm: 1, Seed: goldenSeed - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Network().Link("ab").Fwd != tb.AtoB {
-		t.Fatal("testbed link handle is not the builder's")
-	}
-	vc := atm.VC{VCI: 100}
-	direct := goldenDirectBuilt(t, sim.NewKernel(), vc)
-	var built []arrival
-	tb.AtoB.AttachSink(tapInto(t, &built, tb.Kernel(), tb.B.Interface()))
-	tb.OpenVC(vc)
-	driveFrames(t, func(vc atm.VC, data []byte) error { return tb.A.Send(vc, data, nil) }, vc)
-	tb.Run()
-	compareArrivals(t, direct, built)
 }

@@ -17,7 +17,7 @@ import (
 
 // NetworkSpec declares a whole topology: endpoints, switches, the fibers
 // between them, and the end-to-end virtual channel connections riding on
-// top. NewNetwork builds it in one pass — stations, switch fabric, duplex
+// top. NewNetwork builds it in one pass — endpoints, switch fabric, duplex
 // links, per-hop routes with VCI translation, contract admission (CAC) at
 // the source and at every switch output port, and registry instrumentation
 // — and returns named handles for everything.
@@ -57,8 +57,7 @@ type NetworkSpec struct {
 	// zero-delay links never cross partitions (see partition.go).
 	//
 	// A sharded build rejects a caller-supplied Kernel or Metrics registry
-	// (both would be shared across partition goroutines) and VCCs with
-	// Latency taps (a timed tap spans two partitions). When Recorder is
+	// (both would be shared across partition goroutines). When Recorder is
 	// set, it serves as a capacity template only: each partition records
 	// into its own recorder of the same capacity, and Network.TraceEvents
 	// merges them.
@@ -156,13 +155,6 @@ type VCCSpec struct {
 	Duplex bool
 	// Via pins the switch path instead of shortest-path routing.
 	Via []string
-	// Latency arms a timed trace spanning the connection: ingress at the
-	// source's output, egress at the destination's input, each cell's
-	// transit observed into the "vcc.<name>.latency" histogram and
-	// (subject to the capture's Filter/Limit) recorded in VCC.Capture.
-	// FIFO matching is exact only while the tapped fibers carry just this
-	// connection's cells.
-	Latency bool
 	// ABR arms closed-loop rate control: the admitted contract is derived
 	// from the parameters (class ABR, PCR ceiling, MCR reservation), the
 	// source paces at a live ACR steered by backward RM cells, and the
@@ -205,9 +197,6 @@ type VCC struct {
 	SourceVC, DestVC atm.VC
 	Contract         tm.TrafficContract
 	Hops             []VCCHop
-	// Capture/Timed are non-nil when the spec armed Latency.
-	Capture *trace.Capture
-	Timed   *trace.Timed
 }
 
 // Network is a built topology.
@@ -233,11 +222,9 @@ type Network struct {
 	vccs      map[string]*VCC
 
 	adj     map[string][]netEdge
-	srcCAC  map[string]*tm.CAC       // per-endpoint access-link admission
-	portCAC map[portKey]*tm.CAC      // per switch output port
-	inHalf  map[string]*phy.CellLink // the half delivering into an endpoint
-	outHalf map[string]*phy.CellLink // the half an endpoint transmits into
-	epLink  map[string]string        // endpoint → the one link it is on
+	srcCAC  map[string]*tm.CAC  // per-endpoint access-link admission
+	portCAC map[portKey]*tm.CAC // per switch output port
+	epLink  map[string]string   // endpoint → the one link it is on
 }
 
 // netEdge is one directed use of a link.
@@ -267,8 +254,6 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		adj:       make(map[string][]netEdge),
 		srcCAC:    make(map[string]*tm.CAC),
 		portCAC:   make(map[portKey]*tm.CAC),
-		inHalf:    make(map[string]*phy.CellLink),
-		outHalf:   make(map[string]*phy.CellLink),
 		epLink:    make(map[string]string),
 	}
 	if spec.Shards > 1 || len(spec.Partitions) > 0 {
@@ -315,14 +300,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if n.known(es.Name) {
 			return nil, fmt.Errorf("core: duplicate node name %q", es.Name)
 		}
-		cfg := es.Options.nicConfig(es.Name)
-		cfg.Metrics = n.regFor(es.Name)
-		ek := n.kernelFor(es.Name)
-		st, err := netsim.NewStation(ek, cfg, es.Options.hostConfig(), es.Options.Hardwired, n.poolFor(es.Name))
+		ep, err := newEndpoint(n.kernelFor(es.Name), es.Name, es.Options, n.regFor(es.Name), n.poolFor(es.Name))
 		if err != nil {
 			return nil, fmt.Errorf("core: endpoint %q: %w", es.Name, err)
 		}
-		n.endpoints[es.Name] = &Endpoint{name: es.Name, station: st, k: ek}
+		n.endpoints[es.Name] = ep
 	}
 	for _, ss := range spec.Switches {
 		if ss.Name == "" {
@@ -429,8 +411,8 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			rev.SetBoundary(n.group.Mailbox(kB, kA, delay), n.recFor(ls.A.Node), ls.Name+".rev")
 		}
 		// Carrier state reaches the receiving node directly, even when a
-		// latency tap later wraps the link's cell sink: losing the light
-		// must become LOS at the interface or AIS insertion at the switch.
+		// tap later replaces the link's cell sink: losing the light must
+		// become LOS at the interface or AIS insertion at the switch.
 		if sc, ok := n.consumer(ls.B).(phy.SignalConsumer); ok {
 			fwd.SetSignalSink(sc)
 		}
@@ -440,14 +422,6 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		l := &Link{Name: ls.Name, Fwd: fwd, Rev: rev, a: ls.A, b: ls.B,
 			usedVCs: make(map[atm.VC]bool)}
 		n.links[ls.Name] = l
-		if ep, isEp := n.endpoints[ls.A.Node]; isEp {
-			n.outHalf[ep.name] = fwd
-			n.inHalf[ep.name] = rev
-		}
-		if ep, isEp := n.endpoints[ls.B.Node]; isEp {
-			n.outHalf[ep.name] = rev
-			n.inHalf[ep.name] = fwd
-		}
 		n.adj[ls.A.Node] = append(n.adj[ls.A.Node], netEdge{
 			l: l, from: ls.A.Node, to: ls.B.Node,
 			fromPort: ls.A.Port, toPort: ls.B.Port, fwd: true,
@@ -464,7 +438,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		// (recFor); link halves record on their sending node's, with the
 		// arrival side of cut links already wired by SetBoundary above.
 		for _, es := range spec.Endpoints {
-			n.endpoints[es.Name].station.Iface.SetRecorder(n.recFor(es.Name))
+			n.endpoints[es.Name].iface.SetRecorder(n.recFor(es.Name))
 		}
 		for _, ss := range spec.Switches {
 			n.switches[ss.Name].SetRecorder(n.recFor(ss.Name))
@@ -500,7 +474,7 @@ func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error
 		return nil, fmt.Errorf("core: framed link %q must join two endpoints (switch ports are cell-granular)", ls.Name)
 	}
 	var rate sonet.Rate
-	switch pr := epA.station.Iface.Config().PayloadRate; pr {
+	switch pr := epA.iface.Config().PayloadRate; pr {
 	case sonet.STS3c.PayloadRate():
 		rate = sonet.STS3c
 	case sonet.STS12c.PayloadRate():
@@ -518,7 +492,7 @@ func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error
 		Seed:       ls.Seed,
 		Metrics:    n.regFor(ls.A.Node),
 		Recorder:   n.recFor(ls.A.Node),
-	}, epA.station.Iface, epB.station.Iface)
+	}, epA.iface, epB.iface)
 	if err != nil {
 		return nil, fmt.Errorf("core: framed link %q: %w", ls.Name, err)
 	}
@@ -571,7 +545,7 @@ func (n *Network) known(name string) bool {
 // consumer returns the cell sink a link half delivers into at ref.
 func (n *Network) consumer(ref NodeRef) atm.CellConsumer {
 	if ep, ok := n.endpoints[ref.Node]; ok {
-		return ep.station.Iface
+		return ep.iface
 	}
 	return n.switches[ref.Node].Port(ref.Port)
 }
@@ -579,7 +553,7 @@ func (n *Network) consumer(ref NodeRef) atm.CellConsumer {
 // producer returns the producing stage a link half attaches to at ref.
 func (n *Network) producer(ref NodeRef) atm.CellProducer {
 	if ep, ok := n.endpoints[ref.Node]; ok {
-		return ep.station.Iface
+		return ep.iface
 	}
 	return n.switches[ref.Node].Port(ref.Port)
 }
@@ -727,7 +701,7 @@ func (n *Network) SourceCAC(endpoint string) *tm.CAC {
 		// burst buffering is host memory behind the segmenter, not the
 		// cell FIFO, so the buffer budget is effectively unbounded here.
 		// MBS reservations bite at the switch output queues instead.
-		cac = tm.NewCAC(ep.station.Iface.Config().PayloadRate, 1<<20)
+		cac = tm.NewCAC(ep.iface.Config().PayloadRate, 1<<20)
 		n.srcCAC[endpoint] = cac
 	}
 	return cac
@@ -851,7 +825,7 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	if abr != nil {
 		contract = abr.Contract()
 	} else if contract.PCR == 0 {
-		contract = tm.UBRContract(src.station.Iface.Config().PayloadRate)
+		contract = tm.UBRContract(src.iface.Config().PayloadRate)
 	}
 	if err := contract.Validate(); err != nil {
 		return nil, fmt.Errorf("core: vcc %q: %w", vs.Name, err)
@@ -940,11 +914,11 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 		})
 	}
 
-	if err := src.station.Iface.OpenVC(v.SourceVC); err != nil {
+	if err := src.iface.OpenVC(v.SourceVC); err != nil {
 		release()
 		return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, v.SourceVC, vs.From, err)
 	}
-	if err := dst.station.Iface.OpenVC(v.DestVC); err != nil {
+	if err := dst.iface.OpenVC(v.DestVC); err != nil {
 		release()
 		return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, v.DestVC, vs.To, err)
 	}
@@ -952,42 +926,15 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	case abr != nil:
 		// SetABR installs the ACR shaper itself (starting at ICR), so the
 		// Shape flag is subsumed.
-		if err := src.station.Iface.SetABR(v.SourceVC, *abr); err != nil {
+		if err := src.iface.SetABR(v.SourceVC, *abr); err != nil {
 			release()
 			return nil, fmt.Errorf("core: vcc %q: abr: %w", vs.Name, err)
 		}
 	case vs.Shape:
-		if err := src.station.Iface.SetContract(v.SourceVC, contract); err != nil {
+		if err := src.iface.SetContract(v.SourceVC, contract); err != nil {
 			release()
 			return nil, fmt.Errorf("core: vcc %q: shape: %w", vs.Name, err)
 		}
-	}
-
-	if vs.Latency {
-		if n.group != nil {
-			// A timed tap matches ingress (source partition) to egress
-			// (destination partition) through one shared capture — state two
-			// goroutines would race on. Use the flight recorder's merged
-			// NamedSpans for cross-partition latency instead.
-			release()
-			return nil, fmt.Errorf("core: vcc %q: Latency taps are not supported on sharded builds (the tap would span two partitions); use Recorder stage spans instead", vs.Name)
-		}
-		// Span the whole connection: ingress as cells leave the source's
-		// cell clock, egress as they reach the destination's door. The
-		// capture stores nothing until the caller relaxes its Filter.
-		cap := trace.New(n.k)
-		cap.Filter = func(*atm.Cell) bool { return false }
-		timed := cap.TapTimed(n.reg.Histogram("vcc." + vs.Name + ".latency"))
-		out := n.outHalf[vs.From]
-		in := n.inHalf[vs.To]
-		if out == nil || in == nil {
-			release()
-			return nil, fmt.Errorf("core: vcc %q: latency tap needs both endpoints on cell-granular links (framed links have no per-cell fiber to hook)", vs.Name)
-		}
-		src.station.Iface.AttachSink(atm.SinkFunc(timed.Ingress(out.Send)))
-		in.AttachSink(atm.SinkFunc(timed.Egress(dst.station.Iface.DeliverCell)))
-		v.Capture = cap
-		v.Timed = timed
 	}
 
 	n.vccs[vs.Name] = v

@@ -349,7 +349,7 @@ func e16Drive(t *testing.T, net *Network, col *collector, nSw int, deadline sim.
 			t.Fatal(err)
 		}
 		xk := net.NodeKernel(v.Source.Name())
-		netsim.NewSource(xk, v.Source.Station(), v.SourceVC, 9180, deadline).Start(4)
+		netsim.NewSource(xk, v.Source.Interface(), v.SourceVC, 9180, deadline).Start(4)
 	}
 	probe := net.VCC("probe")
 	dk := net.NodeKernel("dst")
@@ -475,13 +475,6 @@ func TestShardedBuildValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Close()
-	})
-	t.Run("latency vcc", func(t *testing.T) {
-		spec := base()
-		spec.VCCs = []VCCSpec{{Name: "flow", From: "a", To: "b", Latency: true}}
-		if _, err := NewNetwork(spec); err == nil || !strings.Contains(err.Error(), "Latency") {
-			t.Fatalf("err = %v", err)
-		}
 	})
 	t.Run("zero-delay cut", func(t *testing.T) {
 		spec := base()
@@ -610,7 +603,7 @@ func TestParallelGoldenABRLoop(t *testing.T) {
 			col.watch(net, "dst")
 			for i := 0; i < nSrc; i++ {
 				v := net.VCC(fmt.Sprintf("abr%d", i+1))
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Station(), v.SourceVC, 9180, deadline).Start(4)
+				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(), v.SourceVC, 9180, deadline).Start(4)
 			}
 		})
 		for i := 0; i < nSrc; i++ {
@@ -715,7 +708,7 @@ func TestParallelGoldenIslands(t *testing.T) {
 			col.watch(net, fmt.Sprintf("b%d", i))
 			for _, name := range []string{fmt.Sprintf("ab%d", i), fmt.Sprintf("ba%d", i)} {
 				v := net.VCC(name)
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Station(),
+				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(),
 					v.SourceVC, sdu, deadline).Start(4)
 			}
 			if i > 1 {
@@ -723,7 +716,7 @@ func TestParallelGoldenIslands(t *testing.T) {
 				if err := v.Source.SetPeakCellRate(v.SourceVC, 0.05*units.CellRate(units.STS3cPayload)); err != nil {
 					t.Fatal(err)
 				}
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Station(),
+				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(),
 					v.SourceVC, sdu, deadline).Start(2)
 				crossing[fmt.Sprintf("ep=b%d vc=%v ", i, v.DestVC)] = true
 			}

@@ -34,7 +34,7 @@ func poolNews(t *testing.T, runTime sim.Duration) (news, epdCells, delivered uin
 	net.Switch("sw").SetThresholds(2, 0, 300, 0)
 	for _, name := range []string{"ac", "bc"} {
 		v := net.VCC(name)
-		netsim.NewSource(net.Kernel(), v.Source.Station(), v.SourceVC, 9180, runTime).Start(4)
+		netsim.NewSource(net.Kernel(), v.Source.Interface(), v.SourceVC, 9180, runTime).Start(4)
 	}
 	net.RunFor(runTime)
 	seen := map[*atm.Pool]bool{}

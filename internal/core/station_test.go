@@ -9,14 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// stationPair builds endpoints a and b joined by one fiber with the given
-// delay, cell loss and seed, with a duplex connection on each of vcs.
-func stationPair(t *testing.T, delay sim.Duration, loss float64, seed uint64, vcs ...VC) *Network {
+// pair builds the two-station network most tests here drive: endpoints a
+// and b with the same options, joined by one fiber "ab" with link's delay,
+// faults and seed (2 km when link sets neither Delay nor DistanceKm), with a
+// duplex connection on each of vcs.
+func pair(t *testing.T, opts Options, link LinkSpec, vcs ...VC) *Network {
 	t.Helper()
+	link.Name, link.A, link.B = "ab", NodeRef{Node: "a"}, NodeRef{Node: "b"}
+	if link.Delay == 0 && link.DistanceKm == 0 {
+		link.DistanceKm = 2
+	}
 	spec := NetworkSpec{
-		Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
-		Links: []LinkSpec{{Name: "ab", A: NodeRef{Node: "a"}, B: NodeRef{Node: "b"},
-			Delay: delay, LossProb: loss, Seed: seed}},
+		Endpoints: []EndpointSpec{{Name: "a", Options: opts}, {Name: "b", Options: opts}},
+		Links:     []LinkSpec{link},
 	}
 	for _, vc := range vcs {
 		spec.VCCs = append(spec.VCCs, VCCSpec{Name: fmt.Sprint(vc), From: "a", To: "b", VC: vc, Duplex: true})
@@ -30,7 +35,7 @@ func stationPair(t *testing.T, delay sim.Duration, loss float64, seed uint64, vc
 
 func TestStationPairEndToEnd(t *testing.T) {
 	vc := VC{VCI: 5}
-	net := stationPair(t, 5000, 0, 1, vc)
+	net := pair(t, Options{}, LinkSpec{Delay: 5000, Seed: 1}, vc)
 	payload := bytes.Repeat([]byte{0xab}, 3000)
 	var got []byte
 	net.Endpoint("b").OnReceive(func(p Packet) { got = p.Data })
@@ -45,7 +50,7 @@ func TestStationPairEndToEnd(t *testing.T) {
 
 func TestDuplexLinksIndependent(t *testing.T) {
 	vc := VC{VCI: 9}
-	net := stationPair(t, 1000, 0, 2, vc)
+	net := pair(t, Options{}, LinkSpec{Delay: 1000, Seed: 2}, vc)
 	a, b := net.Endpoint("a"), net.Endpoint("b")
 	var atA, atB int
 	a.OnReceive(func(Packet) { atA++ })
@@ -60,9 +65,9 @@ func TestDuplexLinksIndependent(t *testing.T) {
 
 func TestSourceClosedLoop(t *testing.T) {
 	vc := VC{VCI: 1}
-	net := stationPair(t, 1000, 0, 3, vc)
+	net := pair(t, Options{}, LinkSpec{Delay: 1000, Seed: 3}, vc)
 	deadline := sim.Time(5 * sim.Millisecond)
-	src := netsim.NewSource(net.Kernel(), net.Endpoint("a").Station(), vc, 9180, deadline)
+	src := netsim.NewSource(net.Kernel(), net.Endpoint("a").Interface(), vc, 9180, deadline)
 	src.Start(4)
 	net.RunUntil(deadline + sim.Time(5*sim.Millisecond))
 	if src.Sent < 4 {
@@ -80,7 +85,7 @@ func TestPropertyEndToEndIntegrity(t *testing.T) {
 	run := func(seed uint64, sizes []uint16, lossMilli uint8) bool {
 		vcs := []VC{{VCI: 1}, {VCI: 2}, {VCI: 3}}
 		loss := float64(lossMilli%20) / 1000
-		net := stationPair(t, 5000, loss, seed, vcs...)
+		net := pair(t, Options{}, LinkSpec{Delay: 5000, LossProb: loss, Seed: seed}, vcs...)
 		type msg struct {
 			vc  VC
 			sdu []byte

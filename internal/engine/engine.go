@@ -19,7 +19,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -55,21 +54,11 @@ type Engine struct {
 	cfg  Config
 	res  *sim.Resource
 
-	routines map[string]*RoutineStat
-
 	// Registry instruments (nil until Instrument is called; nil-safe).
 	mRoutines *metrics.Counter
 	mInstr    *metrics.Counter
 	mBusy     *metrics.Counter
 	mQueue    *metrics.Gauge
-}
-
-// RoutineStat accumulates per-routine accounting.
-type RoutineStat struct {
-	Name  string
-	Calls uint64
-	Instr uint64
-	Time  sim.Duration
 }
 
 // New creates an engine.
@@ -80,8 +69,7 @@ func New(k *sim.Kernel, name string, cfg Config) *Engine {
 	if cfg.CPIMilli <= 0 {
 		cfg.CPIMilli = 1000
 	}
-	return &Engine{k: k, name: name, cfg: cfg, res: sim.NewResource(k, name),
-		routines: make(map[string]*RoutineStat)}
+	return &Engine{k: k, name: name, cfg: cfg, res: sim.NewResource(k, name)}
 }
 
 // Name returns the engine's diagnostic name.
@@ -123,19 +111,11 @@ func (e *Engine) RoutineTime(instr int) sim.Duration {
 	return e.InstrTime(instr + e.cfg.DispatchInstr)
 }
 
-// Run schedules the named routine (instr instructions plus dispatch) on the
-// engine. done runs when the routine completes; routines queue FIFO. The
-// return value is the predicted completion time.
-func (e *Engine) Run(label string, instr int, done func()) sim.Time {
+// Run schedules one firmware routine (instr instructions plus dispatch) on
+// the engine. done runs when the routine completes; routines queue FIFO.
+// The return value is the predicted completion time.
+func (e *Engine) Run(instr int, done func()) sim.Time {
 	d := e.RoutineTime(instr)
-	st := e.routines[label]
-	if st == nil {
-		st = &RoutineStat{Name: label}
-		e.routines[label] = st
-	}
-	st.Calls++
-	st.Instr += uint64(instr + e.cfg.DispatchInstr)
-	st.Time += d
 	e.mRoutines.Inc()
 	e.mInstr.Add(uint64(instr + e.cfg.DispatchInstr))
 	e.mBusy.Add(uint64(d))
@@ -151,16 +131,6 @@ func (e *Engine) QueueLen() int { return e.res.QueueLen() }
 
 // Utilization is the fraction of simulated time the engine was busy.
 func (e *Engine) Utilization() float64 { return e.res.Utilization() }
-
-// Routines returns per-routine statistics sorted by name.
-func (e *Engine) Routines() []RoutineStat {
-	out := make([]RoutineStat, 0, len(e.routines))
-	for _, st := range e.routines {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // HeadroomAt returns the ratio cellTime/routineTime for a routine of instr
 // instructions against the given cell interarrival time: >1 means the

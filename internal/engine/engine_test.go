@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -58,8 +59,8 @@ func TestRunSerializesRoutines(t *testing.T) {
 	k := sim.NewKernel()
 	e := New(k, "rx", test25MHz())
 	var done []sim.Time
-	e.Run("a", 25, func() { done = append(done, k.Now()) }) // 1000 ns
-	e.Run("b", 25, func() { done = append(done, k.Now()) })
+	e.Run(25, func() { done = append(done, k.Now()) }) // 1000 ns
+	e.Run(25, func() { done = append(done, k.Now()) })
 	k.Run()
 	if len(done) != 2 || done[0] != 1000 || done[1] != 2000 {
 		t.Fatalf("completions %v, want [1000 2000]", done)
@@ -68,31 +69,37 @@ func TestRunSerializesRoutines(t *testing.T) {
 
 func TestRoutineStats(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "rx", test25MHz())
-	e.Run("reasm", 30, nil)
-	e.Run("reasm", 30, nil)
-	e.Run("eop", 50, nil)
+	cfg := test25MHz()
+	cfg.DispatchInstr = 10
+	e := New(k, "rx", cfg)
+	reg := metrics.NewRegistry()
+	e.Instrument(reg, "b.engine.rx")
+	e.Run(30, nil)
+	e.Run(30, nil)
+	e.Run(50, nil)
 	k.Run()
-	rs := e.Routines()
-	if len(rs) != 2 {
-		t.Fatalf("%d routines, want 2", len(rs))
+	// Every activation counts once and is charged its dispatch overhead.
+	if got := reg.Counter("b.engine.rx.routines").Value(); got != 3 {
+		t.Fatalf("routines = %d, want 3", got)
 	}
-	// Sorted by name: eop, reasm.
-	if rs[0].Name != "eop" || rs[0].Calls != 1 || rs[0].Instr != 50 {
-		t.Fatalf("eop stat %+v", rs[0])
+	if got := reg.Counter("b.engine.rx.instr").Value(); got != 30+30+50+3*10 {
+		t.Fatalf("instr = %d, want 140", got)
 	}
-	if rs[1].Name != "reasm" || rs[1].Calls != 2 || rs[1].Instr != 60 {
-		t.Fatalf("reasm stat %+v", rs[1])
+	wantBusy := 2*e.RoutineTime(30) + e.RoutineTime(50)
+	if got := reg.Counter("b.engine.rx.busy_ns").Value(); got != uint64(wantBusy) {
+		t.Fatalf("busy_ns = %d, want %d", got, wantBusy)
 	}
-	if rs[1].Time != 2*e.InstrTime(30) {
-		t.Fatalf("reasm time %v", rs[1].Time)
+	// The queue gauge samples the routines waiting behind the one in
+	// service when each Run is issued: 0, 0, then 1.
+	if got := reg.Gauge("b.engine.rx.qlen").Max(); got != 1 {
+		t.Fatalf("qlen watermark = %d, want 1", got)
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	k := sim.NewKernel()
 	e := New(k, "tx", test25MHz())
-	e.Run("x", 25, nil) // 1000 ns busy
+	e.Run(25, nil) // 1000 ns busy
 	k.Run()
 	k.RunUntil(2000)
 	u := e.Utilization()

@@ -146,7 +146,7 @@ func runE15(overload float64, epd bool, runTime sim.Duration) E15Point {
 			if err := snd.SetPeakCellRate(vcc.SourceVC, perVC); err != nil {
 				panic(err)
 			}
-			netsim.NewSource(kern, snd.Station(), vcc.SourceVC, sduSize, deadline).Start(2)
+			netsim.NewSource(kern, snd.Interface(), vcc.SourceVC, sduSize, deadline).Start(2)
 		}
 	}
 

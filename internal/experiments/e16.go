@@ -209,7 +209,7 @@ func runE16(nSw int, rate units.BitRate, runTime sim.Duration) E16Point {
 		if err := src.SetPeakCellRate(v.SourceVC, crossShare*portCell); err != nil {
 			panic(err)
 		}
-		netsim.NewSource(net.NodeKernel(src.Name()), src.Station(), v.SourceVC, crossSDU, deadline).Start(4)
+		netsim.NewSource(net.NodeKernel(src.Name()), src.Interface(), v.SourceVC, crossSDU, deadline).Start(4)
 	}
 
 	// Probe frames are one cell each and carry their departure time in the

@@ -169,7 +169,7 @@ func E17(runTime sim.Duration) (E17Result, *report.Series) {
 
 	// Greedy load: a windowed source keeps frames in flight for the whole
 	// run, straight through the outage.
-	netsim.NewSource(kern, src.Station(), flow.SourceVC, sdu, deadline).Start(4)
+	netsim.NewSource(kern, src.Interface(), flow.SourceVC, sdu, deadline).Start(4)
 
 	link := net.Link("sw1-sw2")
 	kern.At(kill, func() {

@@ -83,7 +83,7 @@ func runE8Point(size int, p float64, ec E8Config) E8Point {
 		core.LinkSpec{Delay: 10_000, LossProb: p, Seed: uint64(size) + uint64(p*1e7)},
 		deadline+sim.Time(ec.RunTime/2),
 		func(k *sim.Kernel, a, b *core.Endpoint) {
-			src = netsim.NewSource(k, a.Station(), stdVC, size, deadline)
+			src = netsim.NewSource(k, a.Interface(), stdVC, size, deadline)
 			src.Start(4)
 		})
 	st := b.Stats()

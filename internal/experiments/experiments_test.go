@@ -411,8 +411,10 @@ func TestTelemetryShape(t *testing.T) {
 	if tb.Rows() == 0 {
 		t.Fatal("latency table empty")
 	}
-	// The acceptance shape: per-VC accounting plus at least three latency
-	// histograms (tx path, rx path, reassembly) with derivable quantiles.
+	// The acceptance shape: per-VC accounting plus latency histograms with
+	// derivable quantiles on the tx path, the rx path, reassembly, and both
+	// stations' bus arbitration (each endpoint's bus records into the
+	// shared registry).
 	if len(snap.VCs) != 1 || snap.VCs[0].CellsOut == 0 || snap.VCs[0].SDUsIn == 0 {
 		t.Fatalf("per-VC row %+v", snap.VCs)
 	}
@@ -433,7 +435,8 @@ func TestTelemetryShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"a.nic.tx.cell_delay", "b.nic.rx.cell_delay",
-		"b.nic.rx.reassembly_time", "b.nic.rx.intr_service", "vcc.ab.latency"} {
+		"b.nic.rx.reassembly_time", "b.nic.rx.intr_service",
+		"bus.a.txdma.grant_wait", "bus.b.rxdma.grant_wait"} {
 		if !nonEmpty[want] {
 			t.Fatalf("histogram %s empty or missing (have %v)", want, nonEmpty)
 		}

@@ -31,10 +31,10 @@ func DefaultTelemetry() TelemetryConfig {
 }
 
 // Telemetry runs the fully instrumented datapath: two stations sharing one
-// metrics registry, a timed tap around the a->b connection, and a fixed
-// windowed workload. It returns the registry snapshot plus a latency table
-// (p50/p99/max per non-empty histogram) — the reference view of where time
-// goes between the transmit descriptor and the receive interrupt.
+// metrics registry and a fixed windowed workload on the a->b connection. It
+// returns the registry snapshot plus a latency table (p50/p99/max per
+// non-empty histogram) — the reference view of where time goes between the
+// transmit descriptor and the receive interrupt.
 func Telemetry(ec TelemetryConfig) (metrics.Snapshot, *report.Table) {
 	if ec.SDUSize <= 0 {
 		ec.SDUSize = 9180
@@ -45,16 +45,13 @@ func Telemetry(ec TelemetryConfig) (metrics.Snapshot, *report.Table) {
 	if ec.RunTime <= 0 {
 		ec.RunTime = 20 * sim.Millisecond
 	}
-	// The builder's latency tap on the a->b connection lands per-cell
-	// fiber+FIFO latency in "vcc.ab.latency"; the reverse direction carries
-	// nothing in this workload.
 	net := build(pair(core.EndpointSpec{Name: "a"}, core.EndpointSpec{Name: "b"},
 		core.LinkSpec{Delay: 10_000, LossProb: ec.Loss, Seed: ec.Seed},
-		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC, Latency: true}))
+		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC}))
 	k := net.Kernel()
 
 	deadline := sim.Time(ec.RunTime)
-	src := netsim.NewSource(k, net.Endpoint("a").Station(), stdVC, ec.SDUSize, deadline)
+	src := netsim.NewSource(k, net.Endpoint("a").Interface(), stdVC, ec.SDUSize, deadline)
 	src.Start(ec.Window)
 	k.RunUntil(deadline)
 	k.Run()

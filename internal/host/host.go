@@ -7,12 +7,10 @@
 // is 192 cells, so an interface that interrupts per cell asks the host for
 // 192 interrupt round-trips where the paper's architecture asks for one.
 // Experiment E4 plots what that does to host CPU utilization as offered
-// load rises; this package is the ledger those curves come from.
+// load rises; this package's CPU occupancy is what those curves measure.
 package host
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 )
 
@@ -62,16 +60,7 @@ type Host struct {
 	cfg Config
 	cpu *sim.Resource
 
-	categories map[string]*CategoryStat
 	interrupts uint64
-}
-
-// CategoryStat accumulates CPU time by work category.
-type CategoryStat struct {
-	Name  string
-	Calls uint64
-	Instr uint64
-	Time  sim.Duration
 }
 
 // New creates a host on kernel k.
@@ -79,8 +68,7 @@ func New(k *sim.Kernel, cfg Config) *Host {
 	if cfg.InstrRate <= 0 {
 		panic("host: non-positive instruction rate")
 	}
-	return &Host{k: k, cfg: cfg, cpu: sim.NewResource(k, "hostcpu"),
-		categories: make(map[string]*CategoryStat)}
+	return &Host{k: k, cfg: cfg, cpu: sim.NewResource(k, "hostcpu")}
 }
 
 // Config returns the host's cost model.
@@ -98,42 +86,30 @@ func (h *Host) InstrTime(instr int) sim.Duration {
 	return sim.Duration(ns)
 }
 
-// run charges instr instructions under the named category, then calls done.
-func (h *Host) run(category string, instr int, done func()) sim.Time {
-	d := h.InstrTime(instr)
-	st := h.categories[category]
-	if st == nil {
-		st = &CategoryStat{Name: category}
-		h.categories[category] = st
-	}
-	st.Calls++
-	st.Instr += uint64(instr)
-	st.Time += d
-	return h.cpu.Use(d, done)
-}
-
-// Work charges application or benchmark-harness CPU work.
-func (h *Host) Work(category string, instr int, done func()) sim.Time {
-	return h.run(category, instr, done)
+// Work charges instr instructions of CPU work (the application, a driver
+// or the stack), then calls done. Work queues FIFO behind whatever already
+// holds the CPU; the return value is the predicted completion time.
+func (h *Host) Work(instr int, done func()) sim.Time {
+	return h.cpu.Use(h.InstrTime(instr), done)
 }
 
 // Spin occupies the CPU for a fixed duration — programmed I/O: the
 // processor drives the bus transaction itself and does nothing else
-// meanwhile. The duration is converted to the equivalent instruction count
-// for the category ledger.
-func (h *Host) Spin(category string, d sim.Duration, done func()) sim.Time {
+// meanwhile. The duration is charged as the equivalent whole instruction
+// count, at least one.
+func (h *Host) Spin(d sim.Duration, done func()) sim.Time {
 	instr := int(int64(d) * h.cfg.InstrRate / 1_000_000_000)
 	if instr < 1 {
 		instr = 1
 	}
-	return h.run(category, instr, done)
+	return h.Work(instr, done)
 }
 
-// Interrupt charges a full interrupt round trip (entry + body + exit) under
-// the given category. The body instruction count excludes the mode switches.
-func (h *Host) Interrupt(category string, body int, done func()) sim.Time {
+// Interrupt charges a full interrupt round trip (entry + body + exit). The
+// body instruction count excludes the mode switches.
+func (h *Host) Interrupt(body int, done func()) sim.Time {
 	h.interrupts++
-	return h.run(category, h.cfg.InterruptEntry+body+h.cfg.InterruptExit, done)
+	return h.Work(h.cfg.InterruptEntry+body+h.cfg.InterruptExit, done)
 }
 
 // RxPacketInterrupt charges the per-packet receive path: interrupt + driver
@@ -141,7 +117,7 @@ func (h *Host) Interrupt(category string, body int, done func()) sim.Time {
 func (h *Host) RxPacketInterrupt(payloadBytes int, done func()) sim.Time {
 	body := h.cfg.DriverRxPacket + h.cfg.StackPerPacket +
 		(payloadBytes*h.cfg.StackPerByteMilli+999)/1000
-	return h.Interrupt("rx", body, done)
+	return h.Interrupt(body, done)
 }
 
 // RxCellInterrupt charges the per-cell receive path the baseline suffers.
@@ -151,7 +127,7 @@ func (h *Host) RxCellInterrupt(payloadBytes int, eop bool, done func()) sim.Time
 	if eop {
 		body += h.cfg.StackPerPacket + h.cfg.DriverRxPacket
 	}
-	return h.Interrupt("rx-cell", body, done)
+	return h.Interrupt(body, done)
 }
 
 // TxPacket charges the per-packet transmit path: stack + driver (syscall
@@ -159,13 +135,13 @@ func (h *Host) RxCellInterrupt(payloadBytes int, eop bool, done func()) sim.Time
 func (h *Host) TxPacket(payloadBytes int, done func()) sim.Time {
 	instr := h.cfg.DriverTxPacket + h.cfg.StackPerPacket +
 		(payloadBytes*h.cfg.StackPerByteMilli+999)/1000
-	return h.run("tx", instr, done)
+	return h.Work(instr, done)
 }
 
 // TxCompleteInterrupt charges the transmit-done interrupt (descriptor
 // reclaim).
 func (h *Host) TxCompleteInterrupt(done func()) sim.Time {
-	return h.Interrupt("tx-done", 60, done)
+	return h.Interrupt(60, done)
 }
 
 // Utilization is the fraction of simulated time the CPU was busy.
@@ -179,13 +155,3 @@ func (h *Host) Busy() bool { return h.cpu.Busy() }
 
 // QueueLen reports work items awaiting the CPU.
 func (h *Host) QueueLen() int { return h.cpu.QueueLen() }
-
-// Categories returns per-category statistics sorted by name.
-func (h *Host) Categories() []CategoryStat {
-	out := make([]CategoryStat, 0, len(h.categories))
-	for _, st := range h.categories {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}

@@ -35,7 +35,7 @@ func TestInterruptChargesEntryAndExit(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
 	var done sim.Time
-	h.Interrupt("test", 100, func() { done = k.Now() })
+	h.Interrupt(100, func() { done = k.Now() })
 	k.Run()
 	// 120+100+80 = 300 instr = 12 µs.
 	if done != 12000 {
@@ -49,15 +49,15 @@ func TestInterruptChargesEntryAndExit(t *testing.T) {
 func TestRxPacketCost(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
-	h.RxPacketInterrupt(9180, nil)
+	var done sim.Time
+	h.RxPacketInterrupt(9180, func() { done = k.Now() })
 	k.Run()
 	// entry+exit 200, driver 200, stack 450, bytes 4590 -> 5440 instr.
-	cats := h.Categories()
-	if len(cats) != 1 || cats[0].Name != "rx" {
-		t.Fatalf("categories %+v", cats)
+	if want := sim.Time(h.InstrTime(5440)); done != want {
+		t.Fatalf("rx completed at %v, want %v (5440 instr)", done, want)
 	}
-	if cats[0].Instr != 5440 {
-		t.Fatalf("rx instr = %d, want 5440", cats[0].Instr)
+	if h.Interrupts() != 1 {
+		t.Fatalf("Interrupts() = %d", h.Interrupts())
 	}
 }
 
@@ -67,30 +67,29 @@ func TestPerCellPathFarCostlierPerPacket(t *testing.T) {
 	k := sim.NewKernel()
 	perPacket := New(k, testCfg())
 	perCell := New(k, testCfg())
-	perPacket.RxPacketInterrupt(9180, nil)
+	var pp, pc sim.Time
+	perPacket.RxPacketInterrupt(9180, func() { pp = k.Now() })
 	for i := 0; i < 192; i++ {
-		perCell.RxCellInterrupt(48, i == 191, nil)
+		perCell.RxCellInterrupt(48, i == 191, func() { pc = k.Now() })
 	}
 	k.Run()
-	pp := perPacket.Categories()[0].Instr
-	pc := perCell.Categories()[0].Instr
 	if pc < 10*pp {
-		t.Fatalf("per-cell %d instr not >= 10x per-packet %d", pc, pp)
+		t.Fatalf("per-cell path busy until %v, not >= 10x per-packet %v", pc, pp)
 	}
 }
 
 func TestTxPacketNoInterrupt(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
-	h.TxPacket(1000, nil)
+	var done sim.Time
+	h.TxPacket(1000, func() { done = k.Now() })
 	k.Run()
 	if h.Interrupts() != 0 {
 		t.Fatal("TxPacket took an interrupt")
 	}
-	cats := h.Categories()
 	// driver 250 + stack 450 + 500 = 1200.
-	if cats[0].Instr != 1200 {
-		t.Fatalf("tx instr = %d, want 1200", cats[0].Instr)
+	if want := sim.Time(h.InstrTime(1200)); done != want {
+		t.Fatalf("tx completed at %v, want %v (1200 instr)", done, want)
 	}
 }
 
@@ -108,8 +107,8 @@ func TestCPUSerializesWork(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
 	var order []string
-	h.Work("app", 25, func() { order = append(order, "app") })     // 1 µs
-	h.Interrupt("rx", 50, func() { order = append(order, "irq") }) // queued behind
+	h.Work(25, func() { order = append(order, "app") })      // 1 µs
+	h.Interrupt(50, func() { order = append(order, "irq") }) // queued behind
 	k.Run()
 	if len(order) != 2 || order[0] != "app" || order[1] != "irq" {
 		t.Fatalf("order %v", order)
@@ -119,7 +118,7 @@ func TestCPUSerializesWork(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
-	h.Work("app", 25, nil) // 1 µs busy
+	h.Work(25, nil) // 1 µs busy
 	k.Run()
 	k.RunUntil(2000)
 	u := h.Utilization()
@@ -128,26 +127,15 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestCategoriesSorted(t *testing.T) {
-	k := sim.NewKernel()
-	h := New(k, testCfg())
-	h.Work("zeta", 1, nil)
-	h.Work("alpha", 1, nil)
-	k.Run()
-	cats := h.Categories()
-	if cats[0].Name != "alpha" || cats[1].Name != "zeta" {
-		t.Fatalf("not sorted: %+v", cats)
-	}
-}
-
 func TestPerByteCostRoundsUp(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
-	h.RxPacketInterrupt(1, nil) // 0.5 instr of byte cost -> 1
+	var done sim.Time
+	h.RxPacketInterrupt(1, func() { done = k.Now() }) // 0.5 instr of byte cost -> 1
 	k.Run()
 	// 200+200+450+1 = 851.
-	if got := h.Categories()[0].Instr; got != 851 {
-		t.Fatalf("instr = %d, want 851", got)
+	if want := sim.Time(h.InstrTime(851)); done != want {
+		t.Fatalf("completed at %v, want %v (851 instr)", done, want)
 	}
 }
 
@@ -172,24 +160,21 @@ func TestSpinChargesWallTime(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
 	var done sim.Time
-	h.Spin("pio", 8400, func() { done = k.Now() })
+	h.Spin(8400, func() { done = k.Now() })
 	k.Run()
 	// 8.4 µs at 25 MIPS = 210 instructions; InstrTime(210) = 8.4 µs.
-	if done != 8400 {
+	if done != 8400 || done != sim.Time(h.InstrTime(210)) {
 		t.Fatalf("spin completed at %v, want 8400", int64(done))
-	}
-	cats := h.Categories()
-	if cats[0].Name != "pio" || cats[0].Instr != 210 {
-		t.Fatalf("categories %+v", cats)
 	}
 }
 
 func TestSpinMinimumOneInstr(t *testing.T) {
 	k := sim.NewKernel()
 	h := New(k, testCfg())
-	h.Spin("tiny", 1, nil) // less than one instruction of wall time
+	var done sim.Time
+	h.Spin(1, func() { done = k.Now() }) // less than one instruction of wall time
 	k.Run()
-	if got := h.Categories()[0].Instr; got != 1 {
-		t.Fatalf("instr = %d, want 1", got)
+	if want := sim.Time(h.InstrTime(1)); done != want {
+		t.Fatalf("spin completed at %v, want %v (one instruction)", done, want)
 	}
 }

@@ -176,9 +176,9 @@ func TestABRSourceRampsToPCRWithoutCongestion(t *testing.T) {
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
 	var frm, data int
-	fwdLink := phy.NewCellLink(k, 1000, 1, b.Iface, atm.NewPool(0))
-	revLink := phy.NewCellLink(k, 1000, 2, a.Iface, atm.NewPool(0))
-	a.Iface.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
+	fwdLink := phy.NewCellLink(k, 1000, 1, b, atm.NewPool(0))
+	revLink := phy.NewCellLink(k, 1000, 2, a, atm.NewPool(0))
+	a.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		if c.Header.PT == atm.PTResourceMgmt {
 			frm++
 		} else if c.Header.PT.User() {
@@ -187,16 +187,16 @@ func TestABRSourceRampsToPCRWithoutCongestion(t *testing.T) {
 		fwdLink.DeliverCell(c)
 	}))
 	brm := 0
-	b.Iface.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
+	b.AttachSink(atm.SinkFunc(func(c *atm.Cell) {
 		if c.Header.PT == atm.PTResourceMgmt {
 			brm++
 		}
 		revLink.DeliverCell(c)
 	}))
-	a.Iface.OpenVC(vc(30))
-	b.Iface.OpenVC(vc(30))
+	a.OpenVC(vc(30))
+	b.OpenVC(vc(30))
 	p := tm.ABRParams{PCR: 100_000, ICR: 10_000, Nrm: 32}
-	if err := a.Iface.SetABR(vc(30), p); err != nil {
+	if err := a.SetABR(vc(30), p); err != nil {
 		t.Fatal(err)
 	}
 	deadline := sim.Time(20 * sim.Millisecond)
@@ -204,7 +204,7 @@ func TestABRSourceRampsToPCRWithoutCongestion(t *testing.T) {
 	k.RunUntil(deadline)
 	k.Run()
 
-	acr, ok := a.Iface.ACR(vc(30))
+	acr, ok := a.ACR(vc(30))
 	if !ok {
 		t.Fatal("ACR lost")
 	}

@@ -1,7 +1,7 @@
-// Package netsim holds the network-level building blocks: the station
-// (host + bus + interface), the output-queued ATM switch with its traffic
-// management, the per-cell baseline station, and the closed-loop traffic
-// source. core.NewNetwork assembles them into topologies.
+// Package netsim holds the network-level building blocks: the
+// output-queued ATM switch with its traffic management, the per-cell
+// baseline station, and the closed-loop traffic source. core.NewNetwork
+// assembles them, with its endpoints, into topologies.
 package netsim
 
 import (
@@ -13,36 +13,6 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
-
-// Station is one workstation with the paper's interface installed.
-type Station struct {
-	Name  string
-	Host  *host.Host
-	Bus   *bus.Bus
-	Iface *nic.Interface
-}
-
-// NewStation builds a station: a host with the given cost model, a default
-// bus, and the paper's programmable interface — or, when hardwired is set,
-// the fixed-function baseline (baseline.NewHardwired) — drawing cells from
-// pool, the kernel's cell pool. When the interface config carries a
-// telemetry registry, the station's bus devices record into it too.
-func NewStation(k *sim.Kernel, cfg nic.Config, hostCfg host.Config, hardwired bool, pool *atm.Pool) (*Station, error) {
-	h := host.New(k, hostCfg)
-	b := bus.New(k, bus.DefaultConfig())
-	if cfg.Metrics != nil {
-		b.SetMetrics(cfg.Metrics)
-	}
-	newIface := nic.New
-	if hardwired {
-		newIface = baseline.NewHardwired
-	}
-	iface, err := newIface(k, cfg, h, b, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &Station{Name: cfg.Name, Host: h, Bus: b, Iface: iface}, nil
-}
 
 // LinkConfig sets the properties of a baseline pair's fiber (ConnectBaseline).
 type LinkConfig struct {
@@ -82,16 +52,16 @@ func ConnectBaseline(k *sim.Kernel, a, b *BaselineStation, cfg LinkConfig) (ab, 
 // on vc until deadline.
 type Source struct {
 	k        *sim.Kernel
-	station  *Station
+	iface    *nic.Interface
 	vc       atm.VC
 	size     int
 	deadline sim.Time
 	Sent     uint64
 }
 
-// NewSource creates a greedy closed-loop source on a station.
-func NewSource(k *sim.Kernel, s *Station, vc atm.VC, size int, deadline sim.Time) *Source {
-	return &Source{k: k, station: s, vc: vc, size: size, deadline: deadline}
+// NewSource creates a greedy closed-loop source on an interface.
+func NewSource(k *sim.Kernel, iface *nic.Interface, vc atm.VC, size int, deadline sim.Time) *Source {
+	return &Source{k: k, iface: iface, vc: vc, size: size, deadline: deadline}
 }
 
 // Start launches `window` chained send loops.
@@ -105,7 +75,7 @@ func (s *Source) Start(window int) {
 		if s.k.Now() > s.deadline {
 			return
 		}
-		if err := s.station.Iface.Send(s.vc, payload, send); err != nil {
+		if err := s.iface.Send(s.vc, payload, send); err != nil {
 			panic("netsim: source send failed: " + err.Error())
 		}
 		s.Sent++

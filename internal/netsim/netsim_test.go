@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/baseline"
+	"repro/internal/bus"
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/nic"
@@ -17,14 +18,14 @@ import (
 
 func vc(n uint16) atm.VC { return atm.VC{VCI: n} }
 
-// station builds a default-host station with the paper's interface.
-func station(t *testing.T, k *sim.Kernel, cfg nic.Config) *Station {
+// station builds the paper's interface on a default host and bus.
+func station(t *testing.T, k *sim.Kernel, cfg nic.Config) *nic.Interface {
 	t.Helper()
-	s, err := NewStation(k, cfg, host.DefaultConfig(), false, atm.NewPool(0))
+	iface, err := nic.New(k, cfg, host.New(k, host.DefaultConfig()), bus.New(k, bus.DefaultConfig()), atm.NewPool(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return iface
 }
 
 func TestSwitchRoutesAndTranslates(t *testing.T) {
@@ -35,16 +36,16 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 	sw.SwitchingDelay = 2000
 
 	// a → port0 → switch → port1 → b, with VC translation 10→20.
-	sw.Port(1).AttachSink(b.Iface)
+	sw.Port(1).AttachSink(b)
 	sw.SetRoute(0, vc(10), 1, vc(20), RouteOptions{Class: tm.UBR})
-	a.Iface.AttachSink(sw.Port(0))
+	a.AttachSink(sw.Port(0))
 
-	a.Iface.OpenVC(vc(10))
-	b.Iface.OpenVC(vc(20))
+	a.OpenVC(vc(10))
+	b.OpenVC(vc(20))
 	var got *nic.Delivered
-	b.Iface.OnReceive(func(d nic.Delivered) { got = &d })
+	b.OnReceive(func(d nic.Delivered) { got = &d })
 	payload := bytes.Repeat([]byte{7}, 500)
-	a.Iface.Send(vc(10), payload, nil)
+	a.Send(vc(10), payload, nil)
 	k.Run()
 	if got == nil {
 		t.Fatal("switch delivered nothing")
@@ -64,9 +65,9 @@ func TestSwitchDropsUnrouted(t *testing.T) {
 	k := sim.NewKernel()
 	a := station(t, k, nic.DefaultConfig("a"))
 	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
-	a.Iface.AttachSink(sw.Port(0))
-	a.Iface.OpenVC(vc(99))
-	a.Iface.Send(vc(99), []byte{1}, nil)
+	a.AttachSink(sw.Port(0))
+	a.OpenVC(vc(99))
+	a.Send(vc(99), []byte{1}, nil)
 	k.Run()
 	if sw.Stats().NoRoute == 0 {
 		t.Fatal("unrouted cells not counted")
@@ -87,17 +88,17 @@ func TestSwitchCongestionDrops(t *testing.T) {
 	// arrivals would).
 	linkA := phy.NewCellLink(k, 1000, 11, sw.Port(0), atm.NewPool(0))
 	linkB := phy.NewCellLink(k, 2400, 12, sw.Port(1), atm.NewPool(0))
-	a.Iface.AttachSink(linkA)
-	b.Iface.AttachSink(linkB)
-	sw.Port(2).AttachSink(c.Iface)
+	a.AttachSink(linkA)
+	b.AttachSink(linkB)
+	sw.Port(2).AttachSink(c)
 	sw.SetRoute(0, vc(1), 2, vc(1), RouteOptions{Class: tm.UBR})
 	sw.SetRoute(1, vc(2), 2, vc(2), RouteOptions{Class: tm.UBR})
-	a.Iface.OpenVC(vc(1))
-	b.Iface.OpenVC(vc(2))
-	c.Iface.OpenVC(vc(1))
-	c.Iface.OpenVC(vc(2))
+	a.OpenVC(vc(1))
+	b.OpenVC(vc(2))
+	c.OpenVC(vc(1))
+	c.OpenVC(vc(2))
 	delivered := 0
-	c.Iface.OnReceive(func(d nic.Delivered) { delivered++ })
+	c.OnReceive(func(d nic.Delivered) { delivered++ })
 	// Both senders blast simultaneously: 2x line rate into 1x output.
 	deadline := sim.Time(10 * sim.Millisecond)
 	// Different packet sizes give the two flows different burst/gap
@@ -108,7 +109,7 @@ func TestSwitchCongestionDrops(t *testing.T) {
 	if sw.Stats().Dropped == 0 {
 		t.Fatal("2:1 overload produced no switch drops")
 	}
-	st := c.Iface.Stats()
+	st := c.Stats()
 	if st.Rx.AALErrors == 0 {
 		t.Fatal("switch drops never surfaced as AAL errors")
 	}
@@ -153,16 +154,16 @@ func TestSwitchRateMismatchCongestion(t *testing.T) {
 		c := station(t, k, nic.DefaultConfig("c")) // 155 edge station
 		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32, atm.NewPool(0))
 		sw.SetPortRate(1, units.STS3cPayload)
-		a.Iface.AttachSink(sw.Port(0))
-		sw.Port(1).AttachSink(c.Iface)
+		a.AttachSink(sw.Port(0))
+		sw.Port(1).AttachSink(c)
 		sw.SetRoute(0, vc(1), 1, vc(1), RouteOptions{Class: tm.UBR})
-		a.Iface.OpenVC(vc(1))
-		c.Iface.OpenVC(vc(1))
+		a.OpenVC(vc(1))
+		c.OpenVC(vc(1))
 		if paceCellsPerSec > 0 {
-			a.Iface.SetPeakCellRate(vc(1), paceCellsPerSec)
+			a.SetPeakCellRate(vc(1), paceCellsPerSec)
 		}
 		got := uint64(0)
-		c.Iface.OnReceive(func(nic.Delivered) { got++ })
+		c.OnReceive(func(nic.Delivered) { got++ })
 		deadline := sim.Time(10 * sim.Millisecond)
 		NewSource(k, a, vc(1), 9180, deadline).Start(3)
 		k.RunUntil(deadline + sim.Time(20*sim.Millisecond))

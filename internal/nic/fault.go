@@ -164,7 +164,7 @@ func (fm *faultMgr) close(vc atm.VC) {
 // paid entry + body + exit.
 func (fm *faultMgr) notify(ev AlarmEvent) {
 	fm.mEvents.Inc()
-	fm.i.hst.Interrupt("alarm", alarmIntrInstr, func() {
+	fm.i.hst.Interrupt(alarmIntrInstr, func() {
 		if fm.onAlarm != nil {
 			fm.onAlarm(ev)
 		}
@@ -176,7 +176,7 @@ func (fm *faultMgr) notify(ev AlarmEvent) {
 // its own firmware routine.
 func (fm *faultMgr) rxAIS(e int, vc atm.VC) {
 	fm.mAISRx.Inc()
-	fm.i.rx.engs[e].Run("rx_alarm", rxAlarmInstr, func() {
+	fm.i.rx.engs[e].Run(rxAlarmInstr, func() {
 		a := fm.row(vc)
 		fm.refresh(&a.aisClear, func() { fm.clearAIS(a) })
 		if !a.aisOn {
@@ -191,7 +191,7 @@ func (fm *faultMgr) rxAIS(e int, vc atm.VC) {
 // reports our transmit direction dead; nothing further is generated.
 func (fm *faultMgr) rxRDI(e int, vc atm.VC) {
 	fm.mRDIRx.Inc()
-	fm.i.rx.engs[e].Run("rx_alarm", rxAlarmInstr, func() {
+	fm.i.rx.engs[e].Run(rxAlarmInstr, func() {
 		a := fm.row(vc)
 		fm.refresh(&a.rdiClear, func() { fm.clearRDI(a) })
 		if !a.rdiOn {
@@ -298,7 +298,7 @@ func (fm *faultMgr) tick() {
 // alarm row).
 func (fm *faultMgr) sendRDI(vc atm.VC) {
 	e := fm.i.rx.engineFor(vc)
-	fm.i.rx.engs[e].Run("oam_gen", oamGenInstr, func() {
+	fm.i.rx.engs[e].Run(oamGenInstr, func() {
 		tmpl := oam.NewRDI(vc, fm.locID)
 		cell := fm.i.pool.Get()
 		*cell = *tmpl

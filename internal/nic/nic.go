@@ -373,8 +373,6 @@ type Stats struct {
 	Rx        RxStats
 	TxFifo    fifo.Stats
 	RxFifo    fifo.Stats
-	TxEngine  []engine.RoutineStat
-	RxEngine  []engine.RoutineStat
 	TxEngUtil float64
 	RxEngUtil float64
 	SRAMPeak  int
@@ -397,10 +395,8 @@ func (i *Interface) Stats() Stats {
 	}
 	rx.MaxFifo = agg.MaxDepth
 	var rxUtil float64
-	var rxRoutines []engine.RoutineStat
 	for _, e := range i.rxEngines {
 		rxUtil += e.Utilization()
-		rxRoutines = append(rxRoutines, e.Routines()...)
 	}
 	rxUtil /= float64(len(i.rxEngines))
 	return Stats{
@@ -408,8 +404,6 @@ func (i *Interface) Stats() Stats {
 		Rx:        rx,
 		TxFifo:    i.tx.fifo.Stats(),
 		RxFifo:    agg,
-		TxEngine:  i.txEngine.Routines(),
-		RxEngine:  rxRoutines,
 		TxEngUtil: i.txEngine.Utilization(),
 		RxEngUtil: rxUtil,
 		SRAMPeak:  i.rx.alloc.Peak(),

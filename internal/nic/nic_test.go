@@ -422,8 +422,8 @@ func TestStatsAccounting(t *testing.T) {
 	if a.Tx.Bytes != 9180 || b.Rx.Bytes != 9180 {
 		t.Fatalf("byte accounting: tx %d rx %d", a.Tx.Bytes, b.Rx.Bytes)
 	}
-	if len(a.TxEngine) == 0 || len(b.RxEngine) == 0 {
-		t.Fatal("engine routine stats empty")
+	if a.TxEngUtil == 0 || b.RxEngUtil == 0 {
+		t.Fatal("engine utilization not reported")
 	}
 }
 

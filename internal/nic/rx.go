@@ -329,12 +329,12 @@ func (r *receiver) process(e int) {
 	// for the firmware's management handler.
 	if cell.Header.IsIdle() {
 		r.pool.Put(cell)
-		r.engs[e].Run("rx_idle", rxCellInstr, r.nextFns[e])
+		r.engs[e].Run(rxCellInstr, r.nextFns[e])
 		return
 	}
 	if !cell.Header.PT.User() {
 		r.mOAMCells.Inc()
-		r.engs[e].Run("rx_oam", rxCellInstr+rxOAMInstr, func() {
+		r.engs[e].Run(rxCellInstr+rxOAMInstr, func() {
 			if r.onOAM != nil {
 				r.onOAM(e, cell)
 			} else {
@@ -350,7 +350,7 @@ func (r *receiver) process(e int) {
 		r.mUnknownVC.Inc()
 		r.reg.VC(cell.Header.VPI, cell.Header.VCI).Drop(metrics.DropUnknownVC)
 		r.pool.Put(cell)
-		r.engs[e].Run("rx_unknown", rxCellInstr+lookCycles+rxUnknownVCInstr, r.nextFns[e])
+		r.engs[e].Run(rxCellInstr+lookCycles+rxUnknownVCInstr, r.nextFns[e])
 		return
 	}
 	st := r.vcs[idx]
@@ -397,7 +397,7 @@ func (r *receiver) process(e int) {
 	}
 	r.pool.Put(cell)
 
-	r.engs[e].Run("rx_cell", instr, ctx.fn)
+	r.engs[e].Run(instr, ctx.fn)
 }
 
 // rxCellCtx carries one in-flight rx_cell routine's results to its
@@ -434,7 +434,7 @@ func (c *rxCellCtx) done() {
 	case aalErr != nil:
 		r.mAALErrors.Inc()
 		st.vst.Drop(metrics.DropAAL)
-		r.engs[e].Run("rx_err", rxErrInstr, func() {
+		r.engs[e].Run(rxErrInstr, func() {
 			r.releaseFrame(st)
 			r.next(e)
 		})
@@ -453,7 +453,7 @@ func (r *receiver) dropForMemory(e int, st *rxVC, cell *atm.Cell) {
 		st.ras.Abort()
 	}
 	r.pool.Put(cell)
-	r.engs[e].Run("rx_err", rxErrInstr, func() {
+	r.engs[e].Run(rxErrInstr, func() {
 		r.releaseFrame(st)
 		r.next(e)
 	})
@@ -476,7 +476,7 @@ func (r *receiver) completeFrame(e int, st *rxVC, res *aal.Result, mid uint16) {
 	vst := st.vst
 	r.hReassembly.Observe(r.k.Now() - st.frameStart)
 	r.spReasm.Exit(vc)
-	r.engs[e].Run("rx_eop", rxEOPInstr, func() {
+	r.engs[e].Run(rxEOPInstr, func() {
 		sdu := res.SDU
 		frame := st.frame
 		st.frame = nil

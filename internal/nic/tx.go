@@ -61,7 +61,9 @@ type txVC struct {
 	// (0 = line rate); nextEligible is when the next cell may be emitted.
 	// When the VC carries a full traffic contract, shaper supersedes
 	// minGap: departure times follow the contract's GCRA state instead of
-	// a fixed gap (PCR bursts, then SCR).
+	// a fixed gap (PCR bursts, then SCR). A PCR-only shaper is not the same
+	// mechanism: it charges txCellShapeExtra per cell and rounds 1e9/PCR
+	// where SetPeakCellRate truncates (DESIGN § Extensions).
 	minGap       sim.Duration
 	nextEligible sim.Time
 	shaper       *tm.Shaper
@@ -396,7 +398,7 @@ func (t *transmitter) runStart(st *txVC) {
 	if t.cfg.AAL == aal.AAL34 {
 		instr += txStartAAL34Extra
 	}
-	t.eng.Run("tx_start", instr, t.startDoneFn)
+	t.eng.Run(instr, t.startDoneFn)
 }
 
 // startDone is the tx_start routine completion.
@@ -453,7 +455,7 @@ func (t *transmitter) runCell(st *txVC) {
 	if st.shaper != nil {
 		instr += txCellShapeExtra
 	}
-	t.eng.Run("tx_cell", instr, t.cellDoneFn)
+	t.eng.Run(instr, t.cellDoneFn)
 }
 
 // cellDone is the tx_cell routine completion: emit the produced cell into
@@ -502,7 +504,7 @@ func (t *transmitter) cellDone() {
 func (t *transmitter) finishFrame(st *txVC) {
 	t.busy = true
 	t.curSt = st
-	t.eng.Run("tx_done", txDoneInstr, t.doneDoneFn)
+	t.eng.Run(txDoneInstr, t.doneDoneFn)
 }
 
 // doneDone is the tx_done routine completion.

@@ -140,9 +140,9 @@ func (l *CellLink) remoteSignal(arg any) { l.signal(arg.(bool)) }
 // Stats returns cumulative counters.
 func (l *CellLink) Stats() Stats { return l.stats }
 
-// AttachSink replaces the delivery end — the hook tap points (trace.Timed)
-// use to wrap the receiving end after the link is built. It implements
-// atm.CellProducer, making the link a full CellConduit.
+// AttachSink replaces the delivery end — the hook taps (trace.Capture.Tap,
+// test collectors) use to wrap the receiving end after the link is built.
+// It implements atm.CellProducer, making the link a full CellConduit.
 func (l *CellLink) AttachSink(sink atm.CellConsumer) {
 	if sink == nil {
 		panic("phy: nil sink")

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/atm"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -43,19 +42,6 @@ func TestTapCopiesCells(t *testing.T) {
 	sink(cellOn(42, atm.PTUser0))
 	if cap.Records()[0].Cell.Header.VCI != 42 {
 		t.Fatal("record aliased the live cell")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	k := sim.NewKernel()
-	cap := New(k)
-	cap.Filter = func(c *atm.Cell) bool { return c.Header.VCI == 7 }
-	sink := cap.Tap(func(*atm.Cell) {})
-	sink(cellOn(7, atm.PTUser0))
-	sink(cellOn(8, atm.PTUser0))
-	sink(cellOn(7, atm.PTUser0))
-	if len(cap.Records()) != 2 {
-		t.Fatalf("filter kept %d", len(cap.Records()))
 	}
 }
 
@@ -165,66 +151,5 @@ func TestOverflowedAndSummaryAccounting(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "3 further matches") {
 		t.Fatalf("dump silent about overflow:\n%s", b.String())
-	}
-}
-
-func TestTapTimed(t *testing.T) {
-	k := sim.NewKernel()
-	cap := New(k)
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("link.test.latency")
-	tt := cap.TapTimed(h)
-
-	var delivered int
-	egress := tt.Egress(func(*atm.Cell) { delivered++ })
-	// A two-stage pipe with a fixed 10 µs latency: ingress at t, egress
-	// at t+10000.
-	ingress := tt.Ingress(func(c *atm.Cell) {
-		k.After(10_000, func() { egress(c) })
-	})
-	for i := 0; i < 4; i++ {
-		at := sim.Time(i) * 2726
-		k.At(at, func() { ingress(cellOn(5, atm.PTUser0)) })
-	}
-	k.Run()
-	if delivered != 4 || tt.Matched() != 4 || tt.Unmatched() != 0 || tt.Outstanding() != 0 {
-		t.Fatalf("delivered %d matched %d unmatched %d outstanding %d",
-			delivered, tt.Matched(), tt.Unmatched(), tt.Outstanding())
-	}
-	if h.Count() != 4 || h.Min() != 10_000 || h.Max() != 10_000 {
-		t.Fatalf("histogram count %d min %v max %v", h.Count(), h.Min(), h.Max())
-	}
-	// Ingress records into the capture like Tap.
-	if len(cap.Records()) != 4 {
-		t.Fatalf("capture stored %d", len(cap.Records()))
-	}
-	// An egress cell with no matching ingress (loss-recovery or injection)
-	// counts as unmatched and leaves the histogram alone.
-	egress(cellOn(5, atm.PTUser0))
-	if tt.Unmatched() != 1 || h.Count() != 4 {
-		t.Fatalf("unmatched %d count %d", tt.Unmatched(), h.Count())
-	}
-}
-
-func TestTapTimedLossyMatchSkew(t *testing.T) {
-	// On a lossy link FIFO matching skews rather than fails: dropped cells
-	// leave stamps outstanding. The accessors expose exactly that.
-	k := sim.NewKernel()
-	cap := New(k)
-	tt := cap.TapTimed(nil) // nil histogram: still match-counts
-	egress := tt.Egress(func(*atm.Cell) {})
-	in := 0
-	// Model losing every second cell between the taps.
-	lossy := tt.Ingress(func(c *atm.Cell) {
-		in++
-		if in%2 == 1 {
-			egress(c)
-		}
-	})
-	for i := 0; i < 6; i++ {
-		lossy(cellOn(9, atm.PTUser0))
-	}
-	if tt.Matched() != 3 || tt.Outstanding() != 3 {
-		t.Fatalf("matched %d outstanding %d", tt.Matched(), tt.Outstanding())
 	}
 }
