@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-check verify fmt fmt-check vet staticcheck trace-verify cover-tcpip
+.PHONY: all build test bench-check verify fmt fmt-check vet staticcheck trace-verify cover-tcpip fuzz-smoke
 
 all: build
 
@@ -47,6 +47,13 @@ cover-tcpip:
 		/^total:/ { pct = $$3; sub(/%/, "", pct); \
 			if (pct + 0 < 75) { printf "coverage %s%% is below the 75%% gate\n", pct; exit 1 } \
 			printf "internal/ip + internal/tcp line coverage %s%% (gate 75%%)\n", pct }'
+
+# fuzz-smoke runs each reassembler fuzz target for 15 s (`go test -fuzz`
+# takes one target per run). New inputs are minimized for at most 2 s each,
+# so minimizing the 9180-byte seeds' offspring cannot eat the whole budget.
+fuzz-smoke:
+	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler5$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the

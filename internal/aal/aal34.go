@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/atm"
-	"repro/internal/bufpool"
 	"repro/internal/crc"
 	"repro/internal/metrics"
 )
@@ -156,20 +155,15 @@ type Reassembler34 struct {
 	inFrame  bool
 	cells    int
 	vst      *metrics.VCStats
-	pool     *bufpool.Pool
 	clock    func() int64 // nil = no staleness tracking
 	lastPush int64
+	res      Result // the completed frame Push hands out
 }
 
 // SetVCStats attaches the connection's telemetry row; per-cell CRC-10
 // failures, sequence-detected cell losses and CPCS envelope mismatches are
 // then counted inline as the reassembler detects them.
 func (r *Reassembler34) SetVCStats(s *metrics.VCStats) { r.vst = s }
-
-// SetPool draws reassembled SDUs from p instead of the heap. Ownership of
-// each Result.SDU transfers to the consumer, which should Put it back once
-// the frame has been delivered; a nil pool restores plain allocation.
-func (r *Reassembler34) SetPool(p *bufpool.Pool) { r.pool = p }
 
 // SetClock implements StaleReaper.
 func (r *Reassembler34) SetClock(now func() int64) { r.clock = now }
@@ -231,7 +225,10 @@ func (r *Reassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result
 	st := payload[0] >> 6
 	sn := payload[0] >> 2 & 0xf
 	li := int(payload[46] >> 2)
-	if li > sarPayload {
+	// I.363.3: BOM and COM segments are full; EOM and SSM segments carry
+	// at least the 4-byte CPCS trailer.
+	full := st == stBOM || st == stCOM
+	if li > sarPayload || (full && li != sarPayload) || (!full && li < 4) {
 		r.Abort()
 		r.vst.IncLengthError()
 		return nil, fmt.Errorf("%w: LI %d", ErrBadLength, li)
@@ -311,11 +308,13 @@ func (r *Reassembler34) finish() (*Result, error) {
 		r.vst.IncLengthError()
 		return nil, fmt.Errorf("%w: BASize %d, Length %d", ErrBadLength, baSize, length)
 	}
-	if length > padded || padded-length > 3 {
+	if length == 0 || padded != (length+3)&^3 {
+		// The pad is what aligns the SDU to a 4-byte boundary, no more.
 		r.vst.IncLengthError()
 		return nil, fmt.Errorf("%w: Length %d, padded payload %d", ErrBadLength, length, padded)
 	}
-	sdu := r.pool.Get(length)
-	copy(sdu, b[4:4+length])
-	return &Result{SDU: sdu, Cells: r.cells}, nil
+	// The SDU stays in the frame buffer: the deferred Abort only rewinds
+	// its length, and the next Push is the first to overwrite it.
+	r.res = Result{SDU: b[4 : 4+length], Cells: r.cells}
+	return &r.res, nil
 }

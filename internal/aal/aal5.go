@@ -104,19 +104,21 @@ type Reassembler5 struct {
 	cells    int
 	active   bool
 	vst      *metrics.VCStats
-	pool     *bufpool.Pool
 	clock    func() int64 // nil = no staleness tracking
 	lastPush int64
+	res      Result // the completed frame Push hands out
 }
 
 // SetVCStats attaches the connection's telemetry row; CRC and length
 // failures are then counted inline as the reassembler detects them.
 func (r *Reassembler5) SetVCStats(s *metrics.VCStats) { r.vst = s }
 
-// SetPool draws reassembled SDUs from p instead of the heap. Ownership of
-// each Result.SDU transfers to the consumer, which should Put it back once
-// the frame has been delivered; a nil pool restores plain allocation.
-func (r *Reassembler5) SetPool(p *bufpool.Pool) { r.pool = p }
+// SetPool has no effect: Result.SDU is the reassembler's own storage (see
+// Reassembler.Push), so there is nothing to draw from a pool. It remains so
+// that existing callers still compile.
+//
+// Deprecated: Push allocates nothing; drop the call.
+func (r *Reassembler5) SetPool(*bufpool.Pool) {}
 
 // SetClock implements StaleReaper.
 func (r *Reassembler5) SetClock(now func() int64) { r.clock = now }
@@ -205,7 +207,13 @@ func (r *Reassembler5) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result,
 		r.vst.IncLengthError()
 		return nil, ErrBadLength
 	}
-	sdu := r.pool.Get(length)
-	copy(sdu, r.buf[:length])
-	return &Result{SDU: sdu, Cells: cells}, nil
+	if length > r.maxFrame {
+		// Intact, but longer than this receiver's buffer bound.
+		r.vst.IncLengthError()
+		return nil, ErrFrameTooLong
+	}
+	// The SDU stays in the frame buffer: the deferred Abort only rewinds
+	// its length, and the next Push is the first to overwrite it.
+	r.res = Result{SDU: r.buf[:length], Cells: cells}
+	return &r.res, nil
 }

@@ -1,0 +1,164 @@
+package aal
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/atm"
+	"repro/internal/crc"
+)
+
+// The reassemblers take cells straight off the wire, so they must survive
+// any cell sequence. A fuzz input is a run of records, one per cell: a byte
+// whose low three bits are the cell's PT, then its 48-byte payload. A
+// trailing partial record is ignored.
+const fuzzRecord = 1 + atm.PayloadSize
+
+// fuzzMaxFrame is the reassembly bound the interface uses for its default
+// 9180-byte MaxSDU.
+const fuzzMaxFrame = 9180 + 64
+
+// fuzzCells encodes sdu's segmentation as fuzz records.
+func fuzzCells(tb testing.TB, seg Segmenter, sdu []byte) []byte {
+	tb.Helper()
+	cells, err := seg.Begin(sdu)
+	if err != nil {
+		tb.Fatalf("Begin(%d bytes): %v", len(sdu), err)
+	}
+	out := make([]byte, 0, cells*fuzzRecord)
+	for i := 0; i < cells; i++ {
+		var p [atm.PayloadSize]byte
+		pt, _, err := seg.Next(&p)
+		if err != nil {
+			tb.Fatalf("Next cell %d: %v", i, err)
+		}
+		out = append(out, byte(pt))
+		out = append(out, p[:]...)
+	}
+	return out
+}
+
+// fuzzSDU returns n bytes of a fixed pattern.
+func fuzzSDU(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*29 + 3)
+	}
+	return b
+}
+
+// addFuzzSeeds seeds the corpus with segmentations of 1-, 40- and 9180-byte
+// SDUs, the 9180-byte one again with a middle cell lost, and the 40-byte
+// one with corruptTrailer applied to its last cell's payload.
+func addFuzzSeeds(f *testing.F, newSeg func() Segmenter, corruptTrailer func(last []byte)) {
+	for _, n := range []int{1, 40, 9180} {
+		f.Add(fuzzCells(f, newSeg(), fuzzSDU(n)))
+	}
+	long := fuzzCells(f, newSeg(), fuzzSDU(9180))
+	mid := len(long) / fuzzRecord / 2 * fuzzRecord
+	f.Add(append(long[:mid:mid], long[mid+fuzzRecord:]...))
+	short := fuzzCells(f, newSeg(), fuzzSDU(40))
+	corruptTrailer(short[len(short)-atm.PayloadSize:])
+	f.Add(short)
+}
+
+// fuzzReassembler feeds data's records to ras and checks every completed
+// frame against the segmenter's geometry (cellsFor). Then it aborts
+// whatever partial frame the records left, segments an SDU made of data's
+// own bytes with seg, and requires that frame to come back byte for byte.
+func fuzzReassembler(t *testing.T, data []byte, ras Reassembler, seg Segmenter, cellsFor func(int) int) {
+	for rest := data; len(rest) >= fuzzRecord; rest = rest[fuzzRecord:] {
+		var p [atm.PayloadSize]byte
+		copy(p[:], rest[1:fuzzRecord])
+		res, _ := ras.Push(&p, atm.PT(rest[0]&0b111))
+		if res == nil {
+			continue
+		}
+		if n := len(res.SDU); n < 1 || n > fuzzMaxFrame {
+			t.Fatalf("completed SDU of %d bytes, want 1..%d", n, fuzzMaxFrame)
+		}
+		if want := cellsFor(len(res.SDU)); res.Cells != want {
+			t.Fatalf("%d-byte SDU reported %d cells; the segmenter uses %d", len(res.SDU), res.Cells, want)
+		}
+	}
+	ras.Abort()
+
+	sdu := data
+	if len(sdu) == 0 {
+		sdu = []byte{0}
+	}
+	if len(sdu) > 9180 {
+		sdu = sdu[:9180]
+	}
+	cells := fuzzCells(t, seg, sdu)
+	var got *Result
+	for rest := cells; len(rest) > 0; rest = rest[fuzzRecord:] {
+		var p [atm.PayloadSize]byte
+		copy(p[:], rest[1:fuzzRecord])
+		res, err := ras.Push(&p, atm.PT(rest[0]))
+		if err != nil {
+			t.Fatalf("valid segmentation of %d bytes: %v", len(sdu), err)
+		}
+		if res != nil {
+			if len(rest) != fuzzRecord {
+				t.Fatalf("valid segmentation of %d bytes completed before its last cell", len(sdu))
+			}
+			got = res
+		}
+	}
+	if got == nil {
+		t.Fatalf("valid segmentation of %d bytes never completed", len(sdu))
+	}
+	if !bytes.Equal(got.SDU, sdu) || got.Cells != cellsFor(len(sdu)) {
+		t.Fatalf("valid segmentation of %d bytes came back as %d bytes in %d cells", len(sdu), len(got.SDU), got.Cells)
+	}
+}
+
+func FuzzReassembler5(f *testing.F) {
+	// The length field sits just ahead of the CRC-32, which then fails.
+	addFuzzSeeds(f, func() Segmenter { return NewSegmenter5() },
+		func(last []byte) { last[atm.PayloadSize-5] ^= 0x01 })
+	// An intact frame a few bytes over the bound still fits in the cell
+	// that crosses it; it must be rejected, not delivered.
+	f.Add(fuzzCells(f, NewSegmenter5(), fuzzSDU(fuzzMaxFrame+6)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzReassembler(t, data, NewReassembler5(fuzzMaxFrame), NewSegmenter5(), CellsForSDU5)
+	})
+}
+
+// sar34 encodes one AAL3/4 cell as a fuzz record: segment type st,
+// sequence number sn, and the CPCS bytes in cpcs as its payload (LI =
+// len(cpcs)), with a valid CRC-10.
+func sar34(st, sn byte, cpcs []byte) []byte {
+	var p [atm.PayloadSize]byte
+	p[0] = st<<6 | sn<<2
+	copy(p[2:], cpcs)
+	p[46] = byte(len(cpcs)) << 2
+	crc.CRC10Fill(p[:])
+	return append([]byte{byte(atm.PTUser0)}, p[:]...)
+}
+
+func FuzzReassembler34(f *testing.F) {
+	// The 40-byte SDU's EOM carries only the CPCS trailer; damage its
+	// ETag and refill the CRC-10 so the cell itself still checks.
+	addFuzzSeeds(f, func() Segmenter { return NewSegmenter34() },
+		func(last []byte) {
+			last[2+1] ^= 0xff
+			crc.CRC10Fill(last)
+		})
+	// Cells that each pass their CRC-10 but carry a malformed frame: an
+	// empty SDU in one SSM, and a 36-byte SDU (one cell when segmented)
+	// spread over a 40-byte BOM and a 4-byte EOM. Both must be rejected.
+	env := func(n int) []byte { // CPCS header, n zero bytes, trailer
+		b := make([]byte, 4+n+4)
+		b[1], b[len(b)-3] = 9, 9 // BTag, ETag
+		b[3], b[len(b)-1] = byte(n), byte(n)
+		return b
+	}
+	f.Add(sar34(stSSM, 0, env(0)))
+	pdu := env(36)
+	f.Add(append(sar34(stBOM, 0, pdu[:40]), sar34(stEOM, 1, pdu[40:])...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzReassembler(t, data, NewReassembler34(fuzzMaxFrame), NewSegmenter34(), CellsForSDU34)
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/atm"
-	"repro/internal/bufpool"
 	"repro/internal/metrics"
 )
 
@@ -23,7 +22,6 @@ type MIDReassembler34 struct {
 	maxMIDs  int
 	streams  map[uint16]*Reassembler34
 	vst      *metrics.VCStats
-	pool     *bufpool.Pool
 	clock    func() int64
 }
 
@@ -34,15 +32,6 @@ func (m *MIDReassembler34) SetVCStats(s *metrics.VCStats) {
 	m.vst = s
 	for _, ras := range m.streams {
 		ras.SetVCStats(s)
-	}
-}
-
-// SetPool draws every MID stream's reassembled SDUs from p; see
-// Reassembler34.SetPool for the ownership contract.
-func (m *MIDReassembler34) SetPool(p *bufpool.Pool) {
-	m.pool = p
-	for _, ras := range m.streams {
-		ras.SetPool(p)
 	}
 }
 
@@ -108,7 +97,8 @@ func MIDOf(payload *[atm.PayloadSize]byte) uint16 {
 
 // Push routes one cell to its MID's reassembler. It returns the cell's MID,
 // a completed frame (if any), and any per-stream error. An idle stream's
-// state is reclaimed when its frame completes or dies.
+// state is reclaimed when its frame completes or dies. The Result follows
+// Reassembler.Push's contract: valid until the next Push or Abort.
 func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint16, *Result, error) {
 	mid := MIDOf(payload)
 	ras, ok := m.streams[mid]
@@ -118,7 +108,6 @@ func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint
 		}
 		ras = NewReassembler34(m.maxFrame)
 		ras.SetVCStats(m.vst)
-		ras.SetPool(m.pool)
 		ras.SetClock(m.clock)
 		m.streams[mid] = ras
 	}

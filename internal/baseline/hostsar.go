@@ -285,8 +285,9 @@ func (h *HostSAR) rxProcess(cell *atm.Cell) {
 		h.stats.AALErrors++
 	}
 	if res != nil {
-		// Per-packet stack cost on the final cell.
-		sdu := res.SDU
+		// Per-packet stack cost on the final cell. The reassembler's
+		// result lives only until its next Push, so the host keeps a copy.
+		sdu := append([]byte(nil), res.SDU...)
 		vc := cell.Header.VC()
 		h.hst.RxCellInterrupt(len(sdu), true, func() {
 			h.stats.RxPackets++

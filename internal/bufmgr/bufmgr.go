@@ -133,7 +133,9 @@ type Allocator struct {
 
 	// freePages recycles released Paged containers: a frame's payload is
 	// never read after Release, so the next frame can reuse the storage.
-	freePages [][]byte
+	// freeFrames recycles the released frame records with their page rows.
+	freePages  [][]byte
+	freeFrames []*pagedFrame
 }
 
 // NewAllocator returns an allocator for org with the given adapter SRAM

@@ -133,10 +133,10 @@ func TestPagedRecyclesReleasedPages(t *testing.T) {
 		}
 		g.Release()
 	})
-	// The frame and its page list (grown twice) allocate; the two pages
-	// come off the free list.
-	if allocs > 3 {
-		t.Fatalf("%v allocs per two-page frame, want at most 3", allocs)
+	// The frame record, its page row and both pages come off the free
+	// lists.
+	if allocs != 0 {
+		t.Fatalf("%v allocs per two-page frame, want 0", allocs)
 	}
 	g, _ := a.NewFrame(1366)
 	for i := 0; i < PageCells+1; i++ {
@@ -151,8 +151,14 @@ func TestPagedRecyclesReleasedPages(t *testing.T) {
 		t.Fatalf("unwritten slot of a recycled page readable: %v", err)
 	}
 	g.Release()
+	g.Release() // a second Release is a no-op
 	if a.Used() != 0 {
 		t.Fatalf("%d bytes leaked after release", a.Used())
+	}
+	h1, _ := a.NewFrame(1366)
+	h2, _ := a.NewFrame(1366)
+	if h1 == h2 {
+		t.Fatal("a frame released twice was handed out twice")
 	}
 }
 

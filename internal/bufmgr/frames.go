@@ -137,7 +137,16 @@ func newPagedFrame(a *Allocator, maxCells int) (Frame, error) {
 	if err := a.reserve(ov); err != nil {
 		return nil, err
 	}
-	return &pagedFrame{alloc: a, maxCells: maxCells, overhead: ov}, nil
+	var f *pagedFrame
+	if n := len(a.freeFrames); n > 0 {
+		f = a.freeFrames[n-1]
+		a.freeFrames[n-1] = nil
+		a.freeFrames = a.freeFrames[:n-1]
+	} else {
+		f = &pagedFrame{}
+	}
+	f.alloc, f.maxCells, f.overhead = a, maxCells, ov
+	return f, nil
 }
 
 func (f *pagedFrame) Append(p []byte) (int, error) {
@@ -173,10 +182,19 @@ func (f *pagedFrame) LocalBytes() int { return f.overhead + len(f.pages)*pageByt
 
 func (f *pagedFrame) HostBytes() int { return 0 }
 
+// Release returns the pages to the allocator's free list and the frame
+// record, with its emptied page row, to the frame free list. A second
+// Release of the same frame is a no-op until NewFrame hands it out again.
 func (f *pagedFrame) Release() {
-	f.alloc.release(f.LocalBytes())
-	f.alloc.freePages = append(f.alloc.freePages, f.pages...)
-	f.pages, f.n, f.overhead = nil, 0, 0
+	a := f.alloc
+	if a == nil {
+		return
+	}
+	a.release(f.LocalBytes())
+	a.freePages = append(a.freePages, f.pages...)
+	clear(f.pages)
+	f.alloc, f.pages, f.n, f.overhead = nil, f.pages[:0], 0, 0
+	a.freeFrames = append(a.freeFrames, f)
 }
 
 // page returns a container's payload storage, recycled when one is free.

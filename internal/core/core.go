@@ -114,7 +114,9 @@ type VC = atm.VC
 
 // Packet is a received SDU.
 type Packet struct {
-	VC    VC
+	VC VC
+	// Data is the interface's receive buffer, which the host owns and may
+	// keep (see nic.Delivered.SDU).
 	Data  []byte
 	Cells int
 	At    sim.Time

@@ -154,3 +154,39 @@ func TestPropertyEndToEndIntegrity(t *testing.T) {
 		}
 	}
 }
+
+// After warm-up, one SDU from Send to delivery allocates exactly one
+// object: the receive buffer the host owns (nic.Delivered). The transmit
+// copy, the descriptor records, the cells, the adapter's reassembly pages
+// and the reassembler's result all recycle.
+func TestSendToDeliveryAllocatesOnlyReceiveBuffer(t *testing.T) {
+	for _, size := range []int{40, 9180} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			vc := VC{VCI: 5}
+			net := pair(t, Options{}, LinkSpec{}, vc)
+			payload := bytes.Repeat([]byte{0x5a}, size)
+			delivered := 0
+			net.Endpoint("b").OnReceive(func(p Packet) {
+				if !bytes.Equal(p.Data, payload) {
+					t.Fatal("delivered payload differs from the one sent")
+				}
+				delivered++
+			})
+			exchange := func() {
+				if err := net.Endpoint("a").Send(vc, payload, nil); err != nil {
+					t.Fatal(err)
+				}
+				net.Run()
+			}
+			exchange()
+			const runs = 50
+			allocs := testing.AllocsPerRun(runs, exchange)
+			if delivered != runs+2 { // the warm-up above and AllocsPerRun's own
+				t.Fatalf("delivered %d SDUs, want %d", delivered, runs+2)
+			}
+			if allocs != 1 {
+				t.Fatalf("%v allocations per %d-byte SDU, want exactly 1 (the host's receive buffer)", allocs, size)
+			}
+		})
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // Handler consumes one validated IPv4 datagram delivered on a bound VC.
-// payload aliases the interface's delivery buffer and is valid only for the
-// duration of the call (the same contract nic.Delivered gives).
+// payload aliases the interface's receive buffer, which the host owns (see
+// nic.Delivered.SDU): a handler may keep it without copying.
 type Handler func(h Header, payload []byte, at sim.Time)
 
 // StackStats counts the stack's datapath events.

@@ -27,7 +27,7 @@ type Interface struct {
 	cfg  Config
 	hst  *host.Host
 	pool *atm.Pool
-	buf  *bufpool.Pool // SDU/payload buffers (TX copies, pooled RX delivery)
+	buf  *bufpool.Pool // Send's copies of the host's SDUs
 
 	txEngine  *engine.Engine
 	rxEngines []*engine.Engine
@@ -42,6 +42,10 @@ type Interface struct {
 	reg        *metrics.Registry
 	txVCs      map[atm.VC]bool
 	onLoopback func(vc atm.VC, correlation uint32)
+
+	// freeTx holds retired transmit descriptor records (see desc.go); the
+	// list grows on demand and nothing is preallocated.
+	freeTx *txDesc
 
 	// ABR management-path counters (see abr.go).
 	mRMTurn *metrics.Counter // forward RM cells turned around as destination
@@ -94,7 +98,7 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) 
 		i.rxEngines = append(i.rxEngines, eng)
 	}
 	cellTime := units.CellTime(cfg.PayloadRate)
-	i.tx = newTransmitter(k, &i.cfg, i.txEngine, i.txDev, i.pool, i.buf, cellTime, reg, cfg.Name,
+	i.tx = newTransmitter(k, &i.cfg, i.txEngine, i.txDev, i.pool, cellTime, reg, cfg.Name,
 		// Default output discards (no link attached yet).
 		atm.SinkFunc(func(c *atm.Cell) { i.pool.Put(c) }))
 	i.rx = newReceiver(k, &i.cfg, i.rxEngines, i.rxDev, hst, i.pool, reg, cfg.Name)
@@ -205,13 +209,6 @@ func (i *Interface) Pool() *atm.Pool { return i.pool }
 // buffers recycle through the same free lists ("nic.bufpool.*" counters).
 func (i *Interface) BufferPool() *bufpool.Pool { return i.buf }
 
-// EnableRxPooling routes reassembled receive SDUs through the interface's
-// buffer pool instead of the heap. When enabled, Delivered.SDU is valid
-// only for the duration of the OnReceive callback: the interface recycles
-// the buffer as soon as the callback returns. Hosts that retain packets
-// (transports, queues) must copy — or leave pooling off, the default.
-func (i *Interface) EnableRxPooling() { i.rx.setPool(i.buf) }
-
 // CellTime returns the wire's cell slot duration.
 func (i *Interface) CellTime() sim.Duration { return units.CellTime(i.cfg.PayloadRate) }
 
@@ -251,7 +248,8 @@ func (i *Interface) OpenVC(vc atm.VC) error {
 
 // CloseVC tears down a VC: queued transmit descriptors are dropped (a frame
 // already being segmented drains), and the receive side discards any
-// partial frame.
+// partial frame. A dropped descriptor's onSent never fires, including a
+// Send whose descriptor the host is still posting when the VC closes.
 func (i *Interface) CloseVC(vc atm.VC) {
 	delete(i.txVCs, vc)
 	i.tx.close(vc)
@@ -317,27 +315,11 @@ func (i *Interface) SetContract(vc atm.VC, c tm.TrafficContract) error {
 // Send queues one SDU for transmission on vc. The host CPU cost (stack +
 // driver) and the descriptor PIO are charged before the adapter sees the
 // descriptor; onSent (may be nil) fires after the transmit-complete
-// interrupt — i.e. when the host could reuse the buffer.
+// interrupt — i.e. when the host could reuse the buffer. The caller keeps
+// sdu: the interface transmits from a copy drawn from BufferPool, which
+// recycles once the frame is segmented.
 func (i *Interface) Send(vc atm.VC, sdu []byte, onSent func()) error {
-	if len(sdu) == 0 || len(sdu) > i.cfg.MaxSDU {
-		return ErrBadSDU
-	}
-	if !i.txVCs[vc] {
-		return ErrUnknownVC
-	}
-	// The defensive copy goes through the buffer pool and is recycled when
-	// segmentation finishes, so a steady flow reuses the same buffers.
-	buf := i.buf.Get(len(sdu))
-	copy(buf, sdu)
-	i.hst.TxPacket(len(buf), func() {
-		// Driver writes a 4-word descriptor across the bus.
-		i.hostDev.PIO(4, func() {
-			i.tx.enqueue(vc, txDescriptor{sdu: buf, pooled: true, onSent: func() {
-				i.hst.TxCompleteInterrupt(onSent)
-			}})
-		})
-	})
-	return nil
+	return i.send(vc, sdu, true, onSent)
 }
 
 // SendOwned queues one SDU for transmission without copying it: ownership
@@ -347,20 +329,7 @@ func (i *Interface) Send(vc atm.VC, sdu []byte, onSent func()) error {
 // driver handing the adapter a DMA address instead of a fresh copy. Timing
 // is identical to Send; only the untimed copy disappears.
 func (i *Interface) SendOwned(vc atm.VC, sdu []byte, onSent func()) error {
-	if len(sdu) == 0 || len(sdu) > i.cfg.MaxSDU {
-		return ErrBadSDU
-	}
-	if !i.txVCs[vc] {
-		return ErrUnknownVC
-	}
-	i.hst.TxPacket(len(sdu), func() {
-		i.hostDev.PIO(4, func() {
-			i.tx.enqueue(vc, txDescriptor{sdu: sdu, onSent: func() {
-				i.hst.TxCompleteInterrupt(onSent)
-			}})
-		})
-	})
-	return nil
+	return i.send(vc, sdu, false, onSent)
 }
 
 // DeliverCell is the link-side entry point for arriving cells. The

@@ -8,7 +8,6 @@ import (
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/bufmgr"
-	"repro/internal/bufpool"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/fifo"
@@ -37,7 +36,12 @@ type RxStats struct {
 
 // Delivered describes one received packet handed to the host.
 type Delivered struct {
-	VC    atm.VC
+	VC atm.VC
+	// SDU is a fresh buffer the host owns: the interface copies each frame
+	// out of the reassembler into it and never touches it again, so a
+	// receiver may keep it, queue it or hand it on without copying. Every
+	// delivery path (core.Packet.Data, the IP stack's handlers, transport)
+	// inherits this contract.
 	SDU   []byte
 	Cells int
 	// MID is the AAL3/4 multiplexing identifier the frame arrived under
@@ -87,7 +91,10 @@ type receiver struct {
 
 	onDeliver func(Delivered)
 	onOAM     func(e int, c *atm.Cell) // owns the cell; nil = drop
-	bufp      *bufpool.Pool            // nil unless EnableRxPooling
+
+	// freeDone holds retired frame-completion records (see desc.go); the
+	// list grows on demand and nothing is preallocated.
+	freeDone *rxDone
 
 	// Reassembly garbage collection (Config.ReassemblyTimeout > 0): a
 	// timer armed while frames are in progress sweeps every VC's
@@ -101,7 +108,8 @@ type receiver struct {
 
 	// Per-engine pre-bound callbacks and completion contexts: engine e
 	// processes one cell at a time (processing[e] serializes), so a single
-	// reusable context per engine replaces the per-cell closures.
+	// reusable context per engine replaces the per-cell closures of every
+	// routine a cell can run: data, management, AAL error and SRAM drop.
 	nextFns  []func()
 	cellCtxs []*rxCellCtx
 
@@ -158,6 +166,8 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 		r.nextFns[e] = func() { r.next(e) }
 		ctx := &rxCellCtx{r: r, e: e}
 		ctx.fn = ctx.done
+		ctx.oamFn = ctx.oam
+		ctx.releaseFn = ctx.release
 		r.cellCtxs[e] = ctx
 	}
 	r.reg = reg
@@ -209,25 +219,6 @@ func (r *receiver) engineFor(vc atm.VC) int {
 	return 0
 }
 
-// setPool enables pooled SDU delivery: reassemblers draw their output
-// buffers from p and the receiver recycles each one after the OnReceive
-// callback returns (see Interface.EnableRxPooling for the contract).
-func (r *receiver) setPool(p *bufpool.Pool) {
-	r.bufp = p
-	for _, st := range r.vcs {
-		st.setPool(p)
-	}
-}
-
-// setPool attaches the buffer pool to whichever reassembler the VC runs.
-func (st *rxVC) setPool(p *bufpool.Pool) {
-	if st.midras != nil {
-		st.midras.SetPool(p)
-	} else if ip, ok := st.ras.(interface{ SetPool(*bufpool.Pool) }); ok {
-		ip.SetPool(p)
-	}
-}
-
 // reaper returns the VC's staleness interface (nil if its reassembler has
 // no staleness support).
 func (st *rxVC) reaper() aal.StaleReaper {
@@ -260,9 +251,6 @@ func (r *receiver) open(vc atm.VC) error {
 		if sr := st.reaper(); sr != nil {
 			sr.SetClock(r.clockFn)
 		}
-	}
-	if r.bufp != nil {
-		st.setPool(r.bufp)
 	}
 	r.vcs[idx] = st
 	r.steer[vc] = r.nextSteer % len(r.engs)
@@ -334,14 +322,9 @@ func (r *receiver) process(e int) {
 	}
 	if !cell.Header.PT.User() {
 		r.mOAMCells.Inc()
-		r.engs[e].Run(rxCellInstr+rxOAMInstr, func() {
-			if r.onOAM != nil {
-				r.onOAM(e, cell)
-			} else {
-				r.pool.Put(cell)
-			}
-			r.next(e)
-		})
+		ctx := r.cellCtxs[e]
+		ctx.cell = cell
+		r.engs[e].Run(rxCellInstr+rxOAMInstr, ctx.oamFn)
 		return
 	}
 
@@ -400,13 +383,16 @@ func (r *receiver) process(e int) {
 	r.engs[e].Run(instr, ctx.fn)
 }
 
-// rxCellCtx carries one in-flight rx_cell routine's results to its
-// completion. One per engine, reused for every cell.
+// rxCellCtx carries one in-flight cell routine's state to its completion.
+// One per engine, reused for every cell.
 type rxCellCtx struct {
 	r           *receiver
 	e           int
 	fn          func() // bound done method, created once
+	oamFn       func() // bound oam method
+	releaseFn   func() // bound release method
 	st          *rxVC
+	cell        *atm.Cell // management cell awaiting its handler
 	res         *aal.Result
 	aalErr      error
 	mid         uint16
@@ -434,13 +420,33 @@ func (c *rxCellCtx) done() {
 	case aalErr != nil:
 		r.mAALErrors.Inc()
 		st.vst.Drop(metrics.DropAAL)
-		r.engs[e].Run(rxErrInstr, func() {
-			r.releaseFrame(st)
-			r.next(e)
-		})
+		c.st = st
+		r.engs[e].Run(rxErrInstr, c.releaseFn)
 	default:
 		r.next(e)
 	}
+}
+
+// oam is the management routine's completion: the cell goes to the
+// firmware's management handler.
+func (c *rxCellCtx) oam() {
+	r, cell := c.r, c.cell
+	c.cell = nil
+	if r.onOAM != nil {
+		r.onOAM(c.e, cell)
+	} else {
+		r.pool.Put(cell)
+	}
+	r.next(c.e)
+}
+
+// release is the error routine's completion: the abandoned frame's buffer
+// goes back to adapter SRAM.
+func (c *rxCellCtx) release() {
+	st := c.st
+	c.st = nil
+	c.r.releaseFrame(st)
+	c.r.next(c.e)
 }
 
 // dropForMemory abandons the current frame when adapter SRAM is exhausted.
@@ -453,10 +459,9 @@ func (r *receiver) dropForMemory(e int, st *rxVC, cell *atm.Cell) {
 		st.ras.Abort()
 	}
 	r.pool.Put(cell)
-	r.engs[e].Run(rxErrInstr, func() {
-		r.releaseFrame(st)
-		r.next(e)
-	})
+	ctx := r.cellCtxs[e]
+	ctx.st = st
+	r.engs[e].Run(rxErrInstr, ctx.releaseFn)
 }
 
 func (r *receiver) releaseFrame(st *rxVC) {
@@ -467,44 +472,6 @@ func (r *receiver) releaseFrame(st *rxVC) {
 		st.frame.Release()
 		st.frame = nil
 	}
-}
-
-// completeFrame runs the end-of-packet firmware, DMAs the assembled SDU to
-// host memory, and posts the per-packet interrupt.
-func (r *receiver) completeFrame(e int, st *rxVC, res *aal.Result, mid uint16) {
-	vc := st.vc
-	vst := st.vst
-	r.hReassembly.Observe(r.k.Now() - st.frameStart)
-	r.spReasm.Exit(vc)
-	r.engs[e].Run(rxEOPInstr, func() {
-		sdu := res.SDU
-		frame := st.frame
-		st.frame = nil
-		r.dev.DMA(len(sdu), func() {
-			// Buffer freed once the data has left the adapter.
-			if frame != nil {
-				frame.Release()
-			}
-			posted := r.k.Now()
-			r.hst.RxPacketInterrupt(len(sdu), func() {
-				r.hIntrService.Observe(r.k.Now() - posted)
-				r.mPackets.Inc()
-				r.mBytes.Add(uint64(len(sdu)))
-				vst.AddSDUIn(len(sdu))
-				r.spDeliver.Point(vc)
-				if r.onDeliver != nil {
-					r.onDeliver(Delivered{VC: vc, SDU: sdu, Cells: res.Cells, MID: mid, At: r.k.Now()})
-				}
-				// Pooled delivery: the host callback has returned, so
-				// the SDU buffer recycles (no-op when pooling is off).
-				r.bufp.Put(sdu)
-			})
-		})
-		// The engine moves on while the DMA and interrupt complete in
-		// the background — the pipelining that makes per-packet host
-		// involvement cheap.
-		r.next(e)
-	})
 }
 
 // badOAM drops a management cell that is damaged or of no handled

@@ -3,7 +3,6 @@ package nic
 import (
 	"repro/internal/aal"
 	"repro/internal/atm"
-	"repro/internal/bufpool"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/fifo"
@@ -26,16 +25,6 @@ type TxStats struct {
 	QueuedMax  int    // per-VC descriptor queue high-water mark
 }
 
-// txDescriptor is what the host's driver writes across the bus. pooled
-// marks an SDU copy drawn from the interface buffer pool (Interface.Send);
-// the transmitter recycles it once segmentation has consumed the frame.
-// SendOwned descriptors leave pooled false: the caller keeps ownership.
-type txDescriptor struct {
-	sdu    []byte
-	onSent func()
-	pooled bool
-}
-
 // txVC is the per-connection transmit state: queued descriptors, the
 // in-progress frame's segmentation state, staging progress, and the leaky-
 // bucket pacing state. The board kept exactly this per-VC record in its
@@ -43,14 +32,12 @@ type txDescriptor struct {
 type txVC struct {
 	vc      atm.VC
 	t       *transmitter
-	pending []txDescriptor
+	pending []*txDesc
 	seg     aal.Segmenter
 	vst     *metrics.VCStats
 
 	active    bool
-	sdu       []byte
-	onSent    func()
-	pooled    bool
+	desc      *txDesc // the frame in progress
 	cellsLeft int
 	cellIdx   int
 	staged    int
@@ -102,7 +89,6 @@ type transmitter struct {
 	eng  *engine.Engine
 	dev  *bus.Device
 	pool *atm.Pool
-	bufp *bufpool.Pool // recycle target for pooled descriptor SDUs
 	out  atm.CellConsumer
 
 	fifo  *fifo.Ring[*atm.Cell]
@@ -119,8 +105,7 @@ type transmitter struct {
 	// parks here and pre-bound completion methods replace the per-cell
 	// closures the hot path used to allocate.
 	curSt       *txVC
-	curDesc     txDescriptor
-	curLast     bool
+	curDesc     *txDesc
 	startDoneFn func()
 	cellDoneFn  func()
 	doneDoneFn  func()
@@ -153,10 +138,10 @@ type transmitter struct {
 }
 
 func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Device,
-	pool *atm.Pool, bufp *bufpool.Pool, cellTime sim.Duration, reg *metrics.Registry,
+	pool *atm.Pool, cellTime sim.Duration, reg *metrics.Registry,
 	prefix string, out atm.CellConsumer) *transmitter {
 	t := &transmitter{
-		k: k, cfg: cfg, eng: eng, dev: dev, pool: pool, bufp: bufp, out: out,
+		k: k, cfg: cfg, eng: eng, dev: dev, pool: pool, out: out,
 		fifo:      fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
 		vcs:       make(map[atm.VC]*txVC),
 		cellTime:  cellTime,
@@ -202,7 +187,12 @@ func (t *transmitter) open(vc atm.VC) {
 	if _, ok := t.vcs[vc]; ok {
 		return
 	}
-	seg, _ := aal.New(t.cfg.AAL, 0)
+	// Only the segmenter: aal.New would also build a reassembler, with a
+	// 64 KiB frame buffer, for the transmit side to throw away.
+	var seg aal.Segmenter = aal.NewSegmenter5()
+	if t.cfg.AAL == aal.AAL34 {
+		seg = aal.NewSegmenter34()
+	}
 	st := &txVC{vc: vc, t: t, seg: seg, vst: t.reg.VC(vc.VPI, vc.VCI)}
 	st.stageDoneFn = st.stageDone
 	t.vcs[vc] = st
@@ -216,6 +206,9 @@ func (t *transmitter) close(vc atm.VC) {
 	st, ok := t.vcs[vc]
 	if !ok {
 		return
+	}
+	for _, d := range st.pending {
+		d.drop()
 	}
 	st.pending = nil
 	delete(t.vcs, vc)
@@ -272,9 +265,10 @@ func (t *transmitter) setContract(vc atm.VC, sh *tm.Shaper) bool {
 	return true
 }
 
-// enqueue accepts a descriptor (already paid for by the host).
-func (t *transmitter) enqueue(vc atm.VC, d txDescriptor) bool {
-	st, ok := t.vcs[vc]
+// enqueue accepts a descriptor (already paid for by the host). It reports
+// false, leaving d to the caller, when d's VC is not open.
+func (t *transmitter) enqueue(d *txDesc) bool {
+	st, ok := t.vcs[d.vc]
 	if !ok {
 		return false
 	}
@@ -382,8 +376,8 @@ func (t *transmitter) wake() {
 // stagedEnough reports whether the bytes the next cell needs are on board.
 func (t *transmitter) stagedEnough(st *txVC) bool {
 	need := (st.cellIdx + 1) * t.cfg.perCellPayload()
-	if need > len(st.sdu) {
-		need = len(st.sdu)
+	if n := len(st.desc.sdu); need > n {
+		need = n
 	}
 	return st.staged >= need
 }
@@ -404,16 +398,14 @@ func (t *transmitter) runStart(st *txVC) {
 // startDone is the tx_start routine completion.
 func (t *transmitter) startDone() {
 	st, d := t.curSt, t.curDesc
-	t.curSt, t.curDesc = nil, txDescriptor{}
+	t.curSt, t.curDesc = nil, nil
 	t.busy = false
 	cells, err := st.seg.Begin(d.sdu)
 	if err != nil {
 		panic("nic: segmenter rejected validated SDU: " + err.Error())
 	}
 	st.active = true
-	st.sdu = d.sdu
-	st.onSent = d.onSent
-	st.pooled = d.pooled
+	st.desc = d
 	st.cellsLeft = cells
 	st.cellIdx = 0
 	st.staged = 0
@@ -427,7 +419,7 @@ func (t *transmitter) startDone() {
 // buffer) for a VC's in-progress frame. Chunks are separate bus
 // transactions, so other devices interleave between them.
 func (t *transmitter) stageNextChunk(st *txVC) {
-	remaining := len(st.sdu) - st.stagedOff
+	remaining := len(st.desc.sdu) - st.stagedOff
 	if remaining <= 0 {
 		return
 	}
@@ -513,17 +505,10 @@ func (t *transmitter) doneDone() {
 	t.curSt = nil
 	t.busy = false
 	t.mPackets.Inc()
-	st.vst.AddSDUOut(len(st.sdu))
-	onSent := st.onSent
-	if st.pooled {
-		// The segmenter consumed the frame (it drops its reference on the
-		// final cell), so the Send-path copy can recycle now.
-		t.bufp.Put(st.sdu)
-	}
+	d := st.desc
+	st.vst.AddSDUOut(len(d.sdu))
 	st.active = false
-	st.sdu = nil
-	st.onSent = nil
-	st.pooled = false
+	st.desc = nil
 	if _, open := t.vcs[st.vc]; !open {
 		// The VC was closed mid-frame; retire it from round-robin.
 		for i, o := range t.order {
@@ -536,9 +521,9 @@ func (t *transmitter) doneDone() {
 			}
 		}
 	}
-	if onSent != nil {
-		onSent()
-	}
+	// The segmenter dropped its reference on the final cell, so Send's
+	// copy can recycle as the host is interrupted.
+	d.sent()
 	t.schedule()
 }
 

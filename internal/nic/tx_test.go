@@ -211,20 +211,70 @@ func TestPacedAndUnpacedShareTheLink(t *testing.T) {
 	}
 }
 
+// requireSendsRetired fails unless every copy Send drew from i's buffer
+// pool has gone back to it and i's descriptor free list holds the given
+// number of records: a descriptor dropped on any path is recycled, not
+// stranded.
+func requireSendsRetired(t *testing.T, i *Interface, records int) {
+	t.Helper()
+	hits, misses, puts := i.BufferPool().Stats()
+	if hits+misses != puts {
+		t.Fatalf("buffer pool: %d gets, %d puts after the run: Send copies stranded", hits+misses, puts)
+	}
+	n := 0
+	for d := i.freeTx; d != nil; d = d.next {
+		n++
+	}
+	if n != records {
+		t.Fatalf("%d descriptor records retired, want %d", n, records)
+	}
+}
+
 func TestCloseVCDropsPendingKeepsActive(t *testing.T) {
 	r := newRig(t, nil)
 	vc := atm.VC{VCI: 3}
 	r.a.OpenVC(vc)
 	r.b.OpenVC(vc)
-	r.a.Send(vc, pkt(9180), nil)
-	r.a.Send(vc, pkt(9180), nil) // queued behind
-	r.k.RunUntil(500_000)        // frame 1 on the wire, frame 2 queued
+	sent := 0
+	onSent := func() { sent++ }
+	r.a.Send(vc, pkt(9180), onSent)
+	r.a.Send(vc, pkt(9180), onSent) // queued behind
+	r.k.RunUntil(500_000)           // frame 1 on the wire, frame 2 queued
 	r.a.CloseVC(vc)
 	r.k.Run()
 	// Frame 1 drains to completion; frame 2 was dropped with the VC.
 	if got := r.a.Stats().Tx.Packets; got != 1 {
 		t.Fatalf("tx packets after close = %d, want 1", got)
 	}
+	if sent != 1 {
+		t.Fatalf("onSent fired %d times, want 1 (not for the dropped SDU)", sent)
+	}
+	requireSendsRetired(t, r.a, 2)
+}
+
+// A VC closed while the host is still posting descriptors for it drops
+// them when they reach the adapter.
+func TestCloseVCWhilePosting(t *testing.T) {
+	r := newRig(t, nil)
+	vc := atm.VC{VCI: 3}
+	r.a.OpenVC(vc)
+	r.b.OpenVC(vc)
+	sent := 0
+	for j := 0; j < 8; j++ {
+		r.a.Send(vc, pkt(9180), func() { sent++ })
+	}
+	// The host stack spends about 211 µs on each 9180-byte SDU, so at
+	// 200 µs every descriptor is still being posted.
+	r.k.RunUntil(200_000)
+	if got := r.a.Stats().Tx.Bytes; got != 0 {
+		t.Fatalf("adapter accepted %d bytes before the close, want 0", got)
+	}
+	r.a.CloseVC(vc)
+	r.k.Run()
+	if got := r.a.Stats().Tx.Packets; got != 0 || sent != 0 {
+		t.Fatalf("after close: %d packets sent, onSent fired %d times; want 0 and 0", got, sent)
+	}
+	requireSendsRetired(t, r.a, 8)
 }
 
 func TestInterleaveWithAAL34(t *testing.T) {
