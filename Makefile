@@ -54,6 +54,7 @@ cover-tcpip:
 fuzz-smoke:
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler5$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzMIDReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the

@@ -91,12 +91,17 @@ type Segmenter interface {
 type Result struct {
 	SDU   []byte
 	Cells int // cells consumed by the frame, including overhead-only cells
+	// MID is the AAL3/4 multiplexing identifier the frame's cells carried
+	// (set by MIDReassembler34; 0 from every other reassembler).
+	MID uint16
 }
 
 // Reassembler consumes per-cell payloads in arrival order on one VC and
 // emits completed SDUs. Errors are per-frame: after an error the reassembler
-// has discarded the damaged frame and is ready for the next.
+// has discarded the damaged frame and is ready for the next. Every
+// reassembler can age out the partial frames a lost cell strands.
 type Reassembler interface {
+	StaleReaper
 	// Push consumes one cell's payload and PT. It returns a non-nil
 	// Result when the cell completed a frame. Push may return BOTH a
 	// Result and ErrLostCell: an arriving single-segment frame can
@@ -114,12 +119,11 @@ type Reassembler interface {
 	Type() Type
 }
 
-// StaleReaper is implemented by reassemblers that can age out abandoned
-// partial frames — the state a lost end-of-message cell strands forever
-// otherwise, leaking frame buffers (and AAL3/4 MID slots) toward
-// ErrBufferExhaust. The package stays a leaf: the clock is an opaque
-// monotonic int64 the caller provides (the NIC passes simulated
-// nanoseconds), sampled once per Push.
+// StaleReaper ages out abandoned partial frames — the state a lost
+// end-of-message cell strands forever otherwise, leaking frame buffers
+// (and AAL3/4 MID slots) toward ErrBufferExhaust. The package stays a
+// leaf: the clock is an opaque monotonic int64 the caller provides (the
+// NIC passes simulated nanoseconds), sampled once per Push.
 type StaleReaper interface {
 	// SetClock installs the timestamp source; nil disables staleness
 	// tracking (the default — Push then takes no clock sample).
@@ -137,11 +141,21 @@ type StaleReaper interface {
 // maxFrame bounds the reassembler's buffer in bytes (0 means MaxSDU plus
 // trailer room).
 func New(t Type, maxFrame int) (Segmenter, Reassembler) {
+	ras := NewReassembler(t, maxFrame)
+	if t == AAL34 {
+		return NewSegmenter34(), ras
+	}
+	return NewSegmenter5(), ras
+}
+
+// NewReassembler returns the layer's reassembler alone, for a receiver
+// that never segments.
+func NewReassembler(t Type, maxFrame int) Reassembler {
 	switch t {
 	case AAL5:
-		return NewSegmenter5(), NewReassembler5(maxFrame)
+		return NewReassembler5(maxFrame)
 	case AAL34:
-		return NewSegmenter34(), NewReassembler34(maxFrame)
+		return NewReassembler34(maxFrame)
 	default:
 		panic(fmt.Sprintf("aal: unknown type %d", t))
 	}

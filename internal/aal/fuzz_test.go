@@ -162,3 +162,71 @@ func FuzzReassembler34(f *testing.F) {
 		fuzzReassembler(t, data, NewReassembler34(fuzzMaxFrame), NewSegmenter34(), CellsForSDU34)
 	})
 }
+
+// fuzzMIDs is the MID fuzz target's concurrent-stream bound, small enough
+// for a seed to exceed it.
+const fuzzMIDs = 4
+
+// midCells encodes sdu's AAL3/4 segmentation under MID mid as fuzz records.
+func midCells(tb testing.TB, mid uint16, sdu []byte) []byte {
+	seg := NewSegmenter34()
+	seg.MID = mid
+	return fuzzCells(tb, seg, sdu)
+}
+
+// interleave merges record streams cell by cell, round robin.
+func interleave(streams ...[]byte) []byte {
+	var out []byte
+	for done := false; !done; {
+		done = true
+		for i, s := range streams {
+			if len(s) >= fuzzRecord {
+				out = append(out, s[:fuzzRecord]...)
+				streams[i] = s[fuzzRecord:]
+				done = false
+			}
+		}
+	}
+	return out
+}
+
+func FuzzMIDReassembler34(f *testing.F) {
+	// Two MID streams interleaved cell by cell.
+	f.Add(interleave(midCells(f, 1, fuzzSDU(1000)), midCells(f, 2, fuzzSDU(500))))
+	// A frame whose EOM is lost, then the next frame on the same MID.
+	lost := midCells(f, 3, fuzzSDU(300))
+	f.Add(append(lost[:len(lost)-fuzzRecord:len(lost)-fuzzRecord], midCells(f, 3, fuzzSDU(200))...))
+	// One more concurrent stream than the bound admits.
+	var many [][]byte
+	for mid := uint16(0); mid <= fuzzMIDs; mid++ {
+		many = append(many, midCells(f, 100+mid, fuzzSDU(200)))
+	}
+	f.Add(interleave(many...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := NewMIDReassembler34(fuzzMaxFrame, fuzzMIDs)
+		for rest := data; len(rest) >= fuzzRecord; rest = rest[fuzzRecord:] {
+			var p [atm.PayloadSize]byte
+			copy(p[:], rest[1:fuzzRecord])
+			res, _ := m.Push(&p, atm.PT(rest[0]&0b111))
+			if n := m.ActiveMIDs(); n > fuzzMIDs {
+				t.Fatalf("%d active MIDs, bound %d", n, fuzzMIDs)
+			}
+			if res == nil {
+				continue
+			}
+			if res.MID != MIDOf(&p) {
+				t.Fatalf("frame completed by a MID %d cell tagged MID %d", MIDOf(&p), res.MID)
+			}
+			if n := len(res.SDU); n < 1 || n > fuzzMaxFrame {
+				t.Fatalf("completed SDU of %d bytes, want 1..%d", n, fuzzMaxFrame)
+			}
+			if want := CellsForSDU34(len(res.SDU)); res.Cells != want {
+				t.Fatalf("%d-byte SDU reported %d cells; the segmenter uses %d", len(res.SDU), res.Cells, want)
+			}
+		}
+		m.Abort()
+		if m.Busy() || m.ActiveMIDs() != 0 {
+			t.Fatalf("Abort left %d MIDs active", m.ActiveMIDs())
+		}
+	})
+}

@@ -17,6 +17,9 @@ import (
 // This is what made AAL3/4 attractive for connectionless service (SMDS) and
 // shared-VC LAN emulation, at the price of the 4-byte per-cell tax the E3
 // experiment quantifies.
+//
+// It is a Reassembler like any other: each Result carries the MID of the
+// cells that made it.
 type MIDReassembler34 struct {
 	maxFrame int
 	maxMIDs  int
@@ -95,16 +98,19 @@ func MIDOf(payload *[atm.PayloadSize]byte) uint16 {
 	return uint16(payload[0]&0x3)<<8 | uint16(payload[1])
 }
 
-// Push routes one cell to its MID's reassembler. It returns the cell's MID,
-// a completed frame (if any), and any per-stream error. An idle stream's
-// state is reclaimed when its frame completes or dies. The Result follows
-// Reassembler.Push's contract: valid until the next Push or Abort.
-func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint16, *Result, error) {
+// Type implements Reassembler.
+func (m *MIDReassembler34) Type() Type { return AAL34 }
+
+// Push implements Reassembler: it routes one cell to its MID's stream and
+// returns that stream's completed frame (if any), tagged with the MID, and
+// any per-stream error. An idle stream's state is reclaimed when its frame
+// completes or dies.
+func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result, error) {
 	mid := MIDOf(payload)
 	ras, ok := m.streams[mid]
 	if !ok {
 		if len(m.streams) >= m.maxMIDs {
-			return mid, nil, fmt.Errorf("%w: %d active", ErrTooManyMIDs, len(m.streams))
+			return nil, fmt.Errorf("%w: %d active", ErrTooManyMIDs, len(m.streams))
 		}
 		ras = NewReassembler34(m.maxFrame)
 		ras.SetVCStats(m.vst)
@@ -117,15 +123,32 @@ func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint
 	if res != nil || (err != nil && !ras.inFrame) {
 		delete(m.streams, mid)
 	}
-	return mid, res, err
+	if res != nil {
+		res.MID = mid
+	}
+	return res, err
 }
 
 // ActiveMIDs reports the number of frames currently mid-reassembly.
 func (m *MIDReassembler34) ActiveMIDs() int { return len(m.streams) }
 
-// Abort discards all partial frames.
+// Active reports whether MID mid has a frame mid-reassembly.
+func (m *MIDReassembler34) Active(mid uint16) bool {
+	_, ok := m.streams[mid]
+	return ok
+}
+
+// Abort implements Reassembler: it discards every MID's partial frame.
 func (m *MIDReassembler34) Abort() {
-	for mid, ras := range m.streams {
+	for mid := range m.streams {
+		m.AbortMID(mid)
+	}
+}
+
+// AbortMID discards MID mid's partial frame, leaving the other streams
+// reassembling.
+func (m *MIDReassembler34) AbortMID(mid uint16) {
+	if ras, ok := m.streams[mid]; ok {
 		ras.Abort()
 		delete(m.streams, mid)
 	}

@@ -48,15 +48,15 @@ func TestMIDInterleavedFramesReassemble(t *testing.T) {
 		for mid := range streams {
 			if i < len(streams[mid]) {
 				cell := streams[mid][i]
-				gotMID, res, err := m.Push(&cell, atm.PTUser0)
+				res, err := m.Push(&cell, atm.PTUser0)
 				if err != nil {
 					t.Fatalf("mid %d cell %d: %v", mid, i, err)
 				}
-				if gotMID != mid {
-					t.Fatalf("MID parsed as %d, want %d", gotMID, mid)
-				}
 				if res != nil {
-					got[mid] = res.SDU
+					if res.MID != mid {
+						t.Fatalf("MID %d frame tagged %d", mid, res.MID)
+					}
+					got[mid] = bytes.Clone(res.SDU)
 				}
 			}
 		}
@@ -76,12 +76,12 @@ func TestMIDLimitEnforced(t *testing.T) {
 	// Start two frames (BOMs only).
 	for mid := uint16(1); mid <= 2; mid++ {
 		cells := cellsOf(t, mid, patterned(500))
-		if _, _, err := m.Push(&cells[0], atm.PTUser0); err != nil {
+		if _, err := m.Push(&cells[0], atm.PTUser0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cells := cellsOf(t, 3, patterned(500))
-	if _, _, err := m.Push(&cells[0], atm.PTUser0); !errors.Is(err, ErrTooManyMIDs) {
+	if _, err := m.Push(&cells[0], atm.PTUser0); !errors.Is(err, ErrTooManyMIDs) {
 		t.Fatalf("err = %v, want ErrTooManyMIDs", err)
 	}
 	if m.ActiveMIDs() != 2 {
@@ -94,7 +94,7 @@ func TestMIDStateReclaimedOnError(t *testing.T) {
 	cells := cellsOf(t, 7, patterned(300)) // BOM + COMs + EOM
 	m.Push(&cells[0], atm.PTUser0)
 	// Skip cell 1: SN gap kills the frame at cell 2.
-	_, _, err := m.Push(&cells[2], atm.PTUser0)
+	_, err := m.Push(&cells[2], atm.PTUser0)
 	if !errors.Is(err, ErrLostCell) {
 		t.Fatalf("err = %v", err)
 	}
@@ -124,12 +124,37 @@ func TestMIDSingleStreamMatchesPlainReassembler(t *testing.T) {
 	sdu := patterned(3000)
 	for _, cell := range cellsOf(t, 42, sdu) {
 		cell := cell
-		_, res, err := m.Push(&cell, atm.PTUser0)
+		res, err := m.Push(&cell, atm.PTUser0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res != nil && !bytes.Equal(res.SDU, sdu) {
 			t.Fatal("SDU corrupted")
 		}
+	}
+}
+
+func TestMIDAbortMIDKeepsOtherStreams(t *testing.T) {
+	m := NewMIDReassembler34(0, 0)
+	a, b := cellsOf(t, 1, patterned(500)), cellsOf(t, 2, patterned(500))
+	m.Push(&a[0], atm.PTUser0)
+	m.Push(&b[0], atm.PTUser0)
+	m.AbortMID(1)
+	if m.Active(1) || !m.Active(2) || m.ActiveMIDs() != 1 {
+		t.Fatalf("after AbortMID(1): active(1)=%v active(2)=%v", m.Active(1), m.Active(2))
+	}
+	var got *Result
+	for _, cell := range b[1:] {
+		cell := cell
+		res, err := m.Push(&cell, atm.PTUser0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != nil {
+			got = res
+		}
+	}
+	if got == nil || got.MID != 2 || !bytes.Equal(got.SDU, patterned(500)) {
+		t.Fatal("MID 2 frame disturbed by aborting MID 1")
 	}
 }

@@ -130,7 +130,7 @@ func TestMIDStaleSlotsReclaimed(t *testing.T) {
 		t.Helper()
 		cells := cellsOf(t, mid, sdu)
 		for _, cell := range cells[:len(cells)-1] { // EOM lost
-			if _, _, err := m.Push(&cell, atm.PTUser0); err != nil {
+			if _, err := m.Push(&cell, atm.PTUser0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -132,8 +132,7 @@ func (h *HostSAR) OnReceive(fn func(vc atm.VC, sdu []byte)) { h.onDeliver = fn }
 // is inside hostRxCellInstr).
 func (h *HostSAR) OpenVC(vc atm.VC) {
 	if _, ok := h.ras[vc]; !ok {
-		_, ras := aal.New(h.aalType, h.maxSDU+64)
-		h.ras[vc] = ras
+		h.ras[vc] = aal.NewReassembler(h.aalType, h.maxSDU+64)
 	}
 }
 

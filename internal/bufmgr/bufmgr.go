@@ -1,5 +1,6 @@
-// Package bufmgr implements and costs the reassembly-buffer organizations a
-// host interface can use to hold the cells of partially reassembled frames.
+// Package bufmgr models the adapter SRAM that the reassembly-buffer
+// organizations of a host interface pin for partially reassembled frames,
+// and the engine cycles each organization charges per cell.
 //
 // The receive engine touches this structure once per cell, so its append
 // cost is on the per-cell critical path, while its memory footprint decides
@@ -16,8 +17,10 @@
 //     host memory — near-zero adapter memory, but every access crosses the
 //     bus (the end-system zero-copy organization).
 //
-// Each strategy is a real store (bytes in, bytes out) plus a cycle ledger,
-// so tests can verify integrity and experiments can read costs.
+// The package is accounting only: a Frame counts cells, bytes pinned and
+// cycles charged, and holds no payload. The bytes the host receives live
+// in the AAL reassembler, so the simulated receiver keeps one copy of each
+// frame, as the adapter's SRAM did.
 package bufmgr
 
 import (
@@ -32,36 +35,20 @@ const CellPayload = 48
 type Organization uint8
 
 const (
-	// DefaultOrg is the zero value: "no preference", resolved to Paged (the
-	// board's organization) wherever an Organization is consumed. Holding
-	// the zero value keeps option structs embedding an Organization honest —
-	// an unset field means the default, and explicitly selecting Linked is
-	// distinguishable from leaving the field alone.
-	DefaultOrg Organization = iota
 	// Linked is a per-cell linked list.
-	Linked
+	Linked Organization = iota
 	// Contig is one contiguous maximal block per frame.
 	Contig
-	// Paged is fixed-size containers addressed through a page row.
+	// Paged is fixed-size containers addressed through a page row: the
+	// board's organization.
 	Paged
 	// HostMem keeps payload in host memory, control locally.
 	HostMem
 )
 
-// Resolve maps DefaultOrg to the concrete default organization (Paged),
-// returning every other value unchanged.
-func (o Organization) Resolve() Organization {
-	if o == DefaultOrg {
-		return Paged
-	}
-	return o
-}
-
 // String implements fmt.Stringer.
 func (o Organization) String() string {
 	switch o {
-	case DefaultOrg:
-		return "default"
 	case Linked:
 		return "linked"
 	case Contig:
@@ -90,12 +77,22 @@ const (
 	pagedAppendCycles  = 5 // page-row index, bounds check, store
 	pagedNewPageCycles = 9 // allocate container, link into row
 	pagedAccessCycles  = 5
-	hostAppendCycles   = 4 // build DMA descriptor; bus time charged elsewhere
-	hostLocalBookkeep  = 2
+
+	// HostMem appends build a DMA descriptor and keep local bookkeeping;
+	// the bus time is charged by the caller, which knows the bus. Random
+	// access from the engine crosses the bus, so E7 shows it as costly.
+	hostAppendCycles = 4 + 2
+	hostAccessCycles = 40
 )
 
 // PageCells is the container size (cells per page) for the Paged strategy.
 const PageCells = 32
+
+// SRAM a linked node and a page pin.
+const (
+	linkedNodeBytes = CellPayload + 4           // payload + next pointer + flags
+	pageBytes       = PageCells*CellPayload + 4 // payload slots + valid bitmap word
+)
 
 // Errors.
 var (
@@ -103,25 +100,6 @@ var (
 	ErrNoMemory  = errors.New("bufmgr: adapter memory exhausted")
 	ErrBadIndex  = errors.New("bufmgr: cell index out of range")
 )
-
-// Frame is an in-progress reassembly buffer.
-type Frame interface {
-	// Append stores the next cell's payload, returning the engine cycles
-	// charged.
-	Append(payload []byte) (cycles int, err error)
-	// Cell returns a stored cell's payload and the cycles the random
-	// access cost (retransmission-free reassembly only appends, but EOP
-	// processing and host hand-off read back).
-	Cell(i int) (payload []byte, cycles int, err error)
-	// Cells returns the number of stored cells.
-	Cells() int
-	// LocalBytes reports adapter-SRAM bytes this frame currently pins.
-	LocalBytes() int
-	// HostBytes reports host-memory bytes (nonzero only for HostMem).
-	HostBytes() int
-	// Release returns all memory to the allocator.
-	Release()
-}
 
 // Allocator is a bounded adapter-SRAM budget shared by all frames of an
 // organization instance.
@@ -131,21 +109,18 @@ type Allocator struct {
 	used     int
 	peak     int
 
-	// freePages recycles released Paged containers: a frame's payload is
-	// never read after Release, so the next frame can reuse the storage.
-	// freeFrames recycles the released frame records with their page rows.
-	freePages  [][]byte
-	freeFrames []*pagedFrame
+	// freeFrames recycles released frame records.
+	freeFrames []*Frame
 }
 
 // NewAllocator returns an allocator for org with the given adapter SRAM
 // budget in bytes (0 = unlimited, for pure cost studies).
 func NewAllocator(org Organization, capacityBytes int) *Allocator {
-	return &Allocator{org: org.Resolve(), capacity: capacityBytes}
+	if org > HostMem {
+		panic("bufmgr: unknown organization")
+	}
+	return &Allocator{org: org, capacity: capacityBytes}
 }
-
-// Organization returns the allocator's strategy.
-func (a *Allocator) Organization() Organization { return a.org }
 
 // Used returns currently pinned adapter bytes.
 func (a *Allocator) Used() int { return a.used }
@@ -171,27 +146,8 @@ func (a *Allocator) release(n int) {
 	}
 }
 
-// NewFrame starts a frame that may grow to maxCells cells.
-func (a *Allocator) NewFrame(maxCells int) (Frame, error) {
-	if maxCells <= 0 {
-		return nil, ErrBadIndex
-	}
-	switch a.org {
-	case Linked:
-		return newLinkedFrame(a, maxCells)
-	case Contig:
-		return newContigFrame(a, maxCells)
-	case Paged:
-		return newPagedFrame(a, maxCells)
-	case HostMem:
-		return newHostFrame(a, maxCells)
-	default:
-		panic("bufmgr: unknown organization")
-	}
-}
-
 // FrameOverheadBytes returns the per-frame fixed local overhead E7 tabulates
-// (descriptor, valid bitmap, window state), matching the implementations.
+// (descriptor, valid bitmap, window state).
 func FrameOverheadBytes(org Organization, maxCells int) int {
 	switch org {
 	case Linked:
@@ -205,4 +161,118 @@ func FrameOverheadBytes(org Organization, maxCells int) int {
 	default:
 		return 0
 	}
+}
+
+// Frame is an in-progress reassembly buffer: the adapter SRAM it pins and
+// the cells it has counted.
+type Frame struct {
+	alloc    *Allocator // nil once released
+	org      Organization
+	n        int // cells appended
+	maxCells int
+	local    int // adapter-SRAM bytes pinned
+}
+
+// NewFrame starts a frame that may grow to maxCells cells. The contiguous
+// organization reserves the whole frame here; the others reserve their
+// overhead and grow per cell (linked) or per page (paged).
+func (a *Allocator) NewFrame(maxCells int) (*Frame, error) {
+	if maxCells <= 0 {
+		return nil, ErrBadIndex
+	}
+	pin := FrameOverheadBytes(a.org, maxCells)
+	if a.org == Contig {
+		pin += maxCells * CellPayload
+	}
+	if err := a.reserve(pin); err != nil {
+		return nil, err
+	}
+	var f *Frame
+	if n := len(a.freeFrames); n > 0 {
+		f = a.freeFrames[n-1]
+		a.freeFrames[n-1] = nil
+		a.freeFrames = a.freeFrames[:n-1]
+	} else {
+		f = &Frame{}
+	}
+	*f = Frame{alloc: a, org: a.org, maxCells: maxCells, local: pin}
+	return f, nil
+}
+
+// Append accounts for the next cell, returning the engine cycles charged.
+func (f *Frame) Append() (cycles int, err error) {
+	if f.n == f.maxCells {
+		return 0, ErrFrameFull
+	}
+	switch f.org {
+	case Linked:
+		if err := f.alloc.reserve(linkedNodeBytes); err != nil {
+			return 0, err
+		}
+		f.local += linkedNodeBytes
+		cycles = linkedAppendCycles
+	case Contig:
+		cycles = contigAppendCycles
+	case Paged:
+		cycles = pagedAppendCycles
+		if f.n%PageCells == 0 {
+			if err := f.alloc.reserve(pageBytes); err != nil {
+				return 0, err
+			}
+			f.local += pageBytes
+			cycles += pagedNewPageCycles
+		}
+	case HostMem:
+		cycles = hostAppendCycles
+	}
+	f.n++
+	return cycles, nil
+}
+
+// Access returns the engine cycles a random access to stored cell i costs
+// (reassembly only appends, but end-of-packet processing and the host
+// hand-off read back).
+func (f *Frame) Access(i int) (cycles int, err error) {
+	if i < 0 || i >= f.n {
+		return 0, ErrBadIndex
+	}
+	switch f.org {
+	case Linked:
+		return linkedWalkCycles * (i + 1), nil
+	case Contig:
+		return contigAccessCycles, nil
+	case Paged:
+		return pagedAccessCycles, nil
+	default:
+		return hostAccessCycles, nil
+	}
+}
+
+// Cells returns the number of stored cells.
+func (f *Frame) Cells() int { return f.n }
+
+// LocalBytes reports adapter-SRAM bytes this frame currently pins. A
+// contiguous frame pins its whole reservation for its lifetime: that is
+// the strategy's defining cost.
+func (f *Frame) LocalBytes() int { return f.local }
+
+// HostBytes reports host-memory bytes (nonzero only for HostMem).
+func (f *Frame) HostBytes() int {
+	if f.org == HostMem {
+		return f.n * CellPayload
+	}
+	return 0
+}
+
+// Release returns the frame's memory to the allocator and the record to
+// its free list. A second Release of the same frame is a no-op until
+// NewFrame hands it out again.
+func (f *Frame) Release() {
+	a := f.alloc
+	if a == nil {
+		return
+	}
+	a.release(f.local)
+	*f = Frame{}
+	a.freeFrames = append(a.freeFrames, f)
 }

@@ -1,19 +1,10 @@
 package bufmgr
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
 )
-
-func cellPattern(i int) []byte {
-	p := make([]byte, CellPayload)
-	for j := range p {
-		p[j] = byte(i*53 + j)
-	}
-	return p
-}
 
 func TestAppendAndReadBackAllOrganizations(t *testing.T) {
 	for _, org := range Organizations() {
@@ -23,7 +14,7 @@ func TestAppendAndReadBackAllOrganizations(t *testing.T) {
 			t.Fatalf("%v: %v", org, err)
 		}
 		for i := 0; i < 100; i++ {
-			cycles, err := f.Append(cellPattern(i))
+			cycles, err := f.Append()
 			if err != nil {
 				t.Fatalf("%v: append %d: %v", org, i, err)
 			}
@@ -35,12 +26,9 @@ func TestAppendAndReadBackAllOrganizations(t *testing.T) {
 			t.Fatalf("%v: Cells = %d", org, f.Cells())
 		}
 		for i := 0; i < 100; i++ {
-			p, cycles, err := f.Cell(i)
+			cycles, err := f.Access(i)
 			if err != nil {
 				t.Fatalf("%v: cell %d: %v", org, i, err)
-			}
-			if !bytes.Equal(p, cellPattern(i)) {
-				t.Fatalf("%v: cell %d corrupted", org, i)
 			}
 			if cycles <= 0 {
 				t.Fatalf("%v: free random access", org)
@@ -57,9 +45,9 @@ func TestFrameFullRejected(t *testing.T) {
 	for _, org := range Organizations() {
 		a := NewAllocator(org, 0)
 		f, _ := a.NewFrame(2)
-		f.Append(cellPattern(0))
-		f.Append(cellPattern(1))
-		if _, err := f.Append(cellPattern(2)); !errors.Is(err, ErrFrameFull) {
+		f.Append()
+		f.Append()
+		if _, err := f.Append(); !errors.Is(err, ErrFrameFull) {
 			t.Fatalf("%v: err = %v, want ErrFrameFull", org, err)
 		}
 	}
@@ -69,10 +57,10 @@ func TestBadIndexRejected(t *testing.T) {
 	for _, org := range Organizations() {
 		a := NewAllocator(org, 0)
 		f, _ := a.NewFrame(4)
-		f.Append(cellPattern(0))
+		f.Append()
 		for _, i := range []int{-1, 1, 4} {
-			if _, _, err := f.Cell(i); !errors.Is(err, ErrBadIndex) {
-				t.Fatalf("%v: Cell(%d) err = %v", org, i, err)
+			if _, err := f.Access(i); !errors.Is(err, ErrBadIndex) {
+				t.Fatalf("%v: Access(%d) err = %v", org, i, err)
 			}
 		}
 	}
@@ -86,7 +74,7 @@ func TestContigPinsFullReservation(t *testing.T) {
 		t.Fatalf("contig pinned only %d bytes", f.LocalBytes())
 	}
 	before := a.Used()
-	f.Append(cellPattern(0))
+	f.Append()
 	if a.Used() != before {
 		t.Fatal("contig reservation grew on append")
 	}
@@ -96,7 +84,7 @@ func TestLinkedGrowsPerCell(t *testing.T) {
 	a := NewAllocator(Linked, 0)
 	f, _ := a.NewFrame(1366)
 	base := f.LocalBytes()
-	f.Append(cellPattern(0))
+	f.Append()
 	if f.LocalBytes() != base+linkedNodeBytes {
 		t.Fatalf("linked grew by %d, want %d", f.LocalBytes()-base, linkedNodeBytes)
 	}
@@ -107,48 +95,53 @@ func TestPagedGrowsPerPage(t *testing.T) {
 	f, _ := a.NewFrame(1366)
 	base := f.LocalBytes()
 	for i := 0; i < PageCells; i++ {
-		f.Append(cellPattern(i))
+		f.Append()
 	}
 	if f.LocalBytes() != base+pageBytes {
 		t.Fatalf("one page of cells grew %d, want %d", f.LocalBytes()-base, pageBytes)
 	}
-	f.Append(cellPattern(PageCells))
+	f.Append()
 	if f.LocalBytes() != base+2*pageBytes {
 		t.Fatal("second page not allocated on boundary crossing")
 	}
 }
 
 func TestPagedRecyclesReleasedPages(t *testing.T) {
-	a := NewAllocator(Paged, 0)
+	// The budget holds one two-page frame: the second frame fits only
+	// because the first one's pages went back to the SRAM.
+	a := NewAllocator(Paged, FrameOverheadBytes(Paged, 1366)+2*pageBytes)
 	f, _ := a.NewFrame(1366)
 	for i := 0; i < 2*PageCells; i++ {
-		f.Append(cellPattern(i))
+		if _, err := f.Append(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Append(); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("third page: err = %v, want ErrNoMemory", err)
 	}
 	f.Release()
-	cell := cellPattern(1000)
 	allocs := testing.AllocsPerRun(100, func() {
 		g, _ := a.NewFrame(1366)
 		for i := 0; i < 2*PageCells; i++ {
-			g.Append(cell)
+			if _, err := g.Append(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		g.Release()
 	})
-	// The frame record, its page row and both pages come off the free
-	// lists.
+	// The frame record comes off the free list.
 	if allocs != 0 {
 		t.Fatalf("%v allocs per two-page frame, want 0", allocs)
 	}
 	g, _ := a.NewFrame(1366)
 	for i := 0; i < PageCells+1; i++ {
-		g.Append(cellPattern(2000 + i))
+		g.Append()
 	}
-	for i := 0; i < PageCells+1; i++ {
-		if p, _, _ := g.Cell(i); !bytes.Equal(p, cellPattern(2000+i)) {
-			t.Fatalf("cell %d reads stale data from a recycled page", i)
-		}
+	if g.Cells() != PageCells+1 || g.LocalBytes() != FrameOverheadBytes(Paged, 1366)+2*pageBytes {
+		t.Fatalf("recycled record holds %d cells in %d bytes", g.Cells(), g.LocalBytes())
 	}
-	if _, _, err := g.Cell(PageCells + 1); !errors.Is(err, ErrBadIndex) {
-		t.Fatalf("unwritten slot of a recycled page readable: %v", err)
+	if _, err := g.Access(PageCells + 1); !errors.Is(err, ErrBadIndex) {
+		t.Fatalf("unwritten slot of a recycled record accessible: %v", err)
 	}
 	g.Release()
 	g.Release() // a second Release is a no-op
@@ -167,7 +160,7 @@ func TestHostMemLocalFootprintConstant(t *testing.T) {
 	f, _ := a.NewFrame(1366)
 	base := f.LocalBytes()
 	for i := 0; i < 200; i++ {
-		f.Append(cellPattern(i))
+		f.Append()
 	}
 	if f.LocalBytes() != base {
 		t.Fatal("hostmem local footprint grew with cells")
@@ -183,8 +176,8 @@ func TestMemoryShapeE7(t *testing.T) {
 	use := func(org Organization) int {
 		a := NewAllocator(org, 0)
 		f, _ := a.NewFrame(1366)
-		f.Append(cellPattern(0))
-		f.Append(cellPattern(1))
+		f.Append()
+		f.Append()
 		return f.LocalBytes()
 	}
 	h, l, p, c := use(HostMem), use(Linked), use(Paged), use(Contig)
@@ -196,7 +189,7 @@ func TestMemoryShapeE7(t *testing.T) {
 		a := NewAllocator(org, 0)
 		f, _ := a.NewFrame(1366)
 		for i := 0; i < 1366; i++ {
-			f.Append(cellPattern(i))
+			f.Append()
 		}
 		return f.LocalBytes()
 	}
@@ -215,10 +208,10 @@ func TestRandomAccessCostShape(t *testing.T) {
 	a := NewAllocator(Linked, 0)
 	f, _ := a.NewFrame(512)
 	for i := 0; i < 512; i++ {
-		f.Append(cellPattern(i))
+		f.Append()
 	}
-	_, cFirst, _ := f.Cell(0)
-	_, cLast, _ := f.Cell(511)
+	cFirst, _ := f.Access(0)
+	cLast, _ := f.Access(511)
 	if cLast <= cFirst {
 		t.Fatal("linked random access cost did not grow")
 	}
@@ -226,10 +219,10 @@ func TestRandomAccessCostShape(t *testing.T) {
 		a := NewAllocator(org, 0)
 		f, _ := a.NewFrame(512)
 		for i := 0; i < 512; i++ {
-			f.Append(cellPattern(i))
+			f.Append()
 		}
-		_, c0, _ := f.Cell(0)
-		_, c511, _ := f.Cell(511)
+		c0, _ := f.Access(0)
+		c511, _ := f.Access(511)
 		if c0 != c511 {
 			t.Fatalf("%v: random access not constant time", org)
 		}
@@ -245,7 +238,7 @@ func TestAllocatorBudgetEnforced(t *testing.T) {
 	}
 	var sawErr error
 	for i := 0; i < 10; i++ {
-		if _, err := f.Append(cellPattern(i)); err != nil {
+		if _, err := f.Append(); err != nil {
 			sawErr = err
 			break
 		}
@@ -259,7 +252,7 @@ func TestAllocatorPeakTracksHighWater(t *testing.T) {
 	a := NewAllocator(Linked, 0)
 	f, _ := a.NewFrame(10)
 	for i := 0; i < 10; i++ {
-		f.Append(cellPattern(i))
+		f.Append()
 	}
 	peak := a.Peak()
 	f.Release()
@@ -303,27 +296,54 @@ func TestOrganizationString(t *testing.T) {
 	}
 }
 
-// Property: every organization stores and returns identical bytes for any
-// cell sequence, and releases exactly what it reserved.
+// localBytes is each organization's adapter footprint for n stored cells
+// of a maxCells frame, in closed form.
+func localBytes(org Organization, maxCells, n int) int {
+	ov := FrameOverheadBytes(org, maxCells)
+	switch org {
+	case Linked:
+		return ov + n*linkedNodeBytes
+	case Contig:
+		return ov + maxCells*CellPayload
+	case Paged:
+		return ov + (n+PageCells-1)/PageCells*pageBytes
+	default:
+		return ov
+	}
+}
+
+// Property: for any frame size, every organization counts each appended
+// cell, pins exactly its closed-form footprint, allows access to the
+// stored cells only, and releases exactly what it reserved.
 func TestPropertyIntegrityAndAccounting(t *testing.T) {
-	f := func(nCells uint8, orgPick uint8) bool {
+	f := func(nCells, extra uint8, orgPick uint8) bool {
 		n := int(nCells)%200 + 1
+		maxCells := n + int(extra)
 		org := Organizations()[int(orgPick)%4]
 		a := NewAllocator(org, 0)
-		fr, err := a.NewFrame(n)
+		fr, err := a.NewFrame(maxCells)
 		if err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if _, err := fr.Append(cellPattern(i)); err != nil {
+			if _, err := fr.Append(); err != nil {
 				return false
 			}
 		}
 		for i := 0; i < n; i++ {
-			p, _, err := fr.Cell(i)
-			if err != nil || !bytes.Equal(p, cellPattern(i)) {
+			if c, err := fr.Access(i); err != nil || c <= 0 {
 				return false
 			}
+		}
+		if _, err := fr.Access(n); !errors.Is(err, ErrBadIndex) {
+			return false
+		}
+		want, wantHost := localBytes(org, maxCells, n), 0
+		if org == HostMem {
+			wantHost = n * CellPayload
+		}
+		if fr.Cells() != n || fr.LocalBytes() != want || a.Used() != want || fr.HostBytes() != wantHost {
+			return false
 		}
 		fr.Release()
 		return a.Used() == 0
@@ -340,12 +360,11 @@ func BenchmarkAppendHostMem(b *testing.B) { benchAppend(b, HostMem) }
 
 func benchAppend(b *testing.B, org Organization) {
 	a := NewAllocator(org, 0)
-	p := cellPattern(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f, _ := a.NewFrame(192)
 		for j := 0; j < 192; j++ {
-			f.Append(p)
+			f.Append()
 		}
 		f.Release()
 	}

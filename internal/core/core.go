@@ -13,7 +13,6 @@ import (
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/baseline"
-	"repro/internal/bufmgr"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/host"
@@ -46,10 +45,6 @@ type Options struct {
 	// FIFO).
 	TxFifoCells int
 	RxFifoCells int
-	// Lookup overrides the VC lookup strategy (default CAM).
-	Lookup nic.LookupKind
-	// Buffers overrides the reassembly organization (default paged).
-	Buffers bufmgr.Organization
 	// AdapterSRAM bounds reassembly memory in bytes (default 256 KiB).
 	AdapterSRAM int
 	// Hardwired replaces the programmable engines with fixed-function
@@ -88,8 +83,6 @@ func (o Options) nicConfig(name string) nic.Config {
 	if o.RxFifoCells > 0 {
 		cfg.RxFifoDepth = o.RxFifoCells
 	}
-	cfg.Lookup = o.Lookup
-	cfg.BufOrg = o.Buffers
 	if o.AdapterSRAM > 0 {
 		cfg.AdapterSRAM = o.AdapterSRAM
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/bufmgr"
-	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -53,8 +51,6 @@ func TestOptionsPlumbing(t *testing.T) {
 		EngineMHz:   66,
 		TxFifoCells: 64,
 		RxFifoCells: 128,
-		Lookup:      nic.LookupHash,
-		Buffers:     bufmgr.Contig,
 		AdapterSRAM: 1 << 20,
 		HostMIPS:    200,
 	}, LinkSpec{DistanceKm: 10})
@@ -72,12 +68,6 @@ func TestOptionsPlumbing(t *testing.T) {
 	if cfg.TxFifoDepth != 64 || cfg.RxFifoDepth != 128 {
 		t.Errorf("fifos = %d/%d", cfg.TxFifoDepth, cfg.RxFifoDepth)
 	}
-	if cfg.Lookup != nic.LookupHash {
-		t.Errorf("lookup = %v", cfg.Lookup)
-	}
-	if cfg.BufOrg != bufmgr.Contig {
-		t.Errorf("buforg = %v", cfg.BufOrg)
-	}
 	if cfg.AdapterSRAM != 1<<20 {
 		t.Errorf("sram = %d", cfg.AdapterSRAM)
 	}
@@ -87,21 +77,6 @@ func TestOptionsPlumbing(t *testing.T) {
 	def := pair(t, Options{}, LinkSpec{})
 	if got := def.Endpoint("a").Host().Config().InstrRate; got != 25_000_000 {
 		t.Errorf("default host instr rate = %d", got)
-	}
-}
-
-func TestLinkedBuffersOption(t *testing.T) {
-	// bufmgr.Linked must survive the options plumbing even though the
-	// board default is Paged: the zero Organization is a distinct
-	// DefaultOrg sentinel, so an explicit Linked is not mistaken for
-	// "unset" anywhere down the stack.
-	net := pair(t, Options{Buffers: bufmgr.Linked}, LinkSpec{})
-	if got := net.Endpoint("a").Interface().Config().BufOrg; got != bufmgr.Linked {
-		t.Fatalf("buforg = %v, want linked", got)
-	}
-	def := pair(t, Options{}, LinkSpec{})
-	if got := def.Endpoint("a").Interface().Config().BufOrg; got != bufmgr.Paged {
-		t.Fatalf("default buforg = %v, want paged", got)
 	}
 }
 

@@ -116,10 +116,9 @@ func E2(engCfg engine.Config) ([]E2Row, *report.Table) {
 		if err != nil {
 			panic(err)
 		}
-		var p [48]byte
 		var cycles int
 		for i := 0; i < 8; i++ { // past any first-page setup
-			cycles, err = f.Append(p[:])
+			cycles, err = f.Append()
 			if err != nil {
 				panic(err)
 			}

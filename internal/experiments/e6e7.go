@@ -105,16 +105,15 @@ func E7() ([]E7Row, *report.Table) {
 			if err != nil {
 				panic(err)
 			}
-			var p [48]byte
 			total := 0
 			for i := 0; i < n; i++ {
-				c, err := f.Append(p[:])
+				c, err := f.Append()
 				if err != nil {
 					panic(err)
 				}
 				total += c
 			}
-			_, access, err := f.Cell(n / 2)
+			access, err := f.Access(n / 2)
 			if err != nil {
 				panic(err)
 			}

@@ -31,8 +31,9 @@ func TxFirmwareCosts(t aal.Type) []FirmwareCost {
 }
 
 // RxFirmwareCosts returns the receive-side budgets for an AAL build.
-// lookupCycles and appendCycles are the per-cell costs of the configured
-// VC-lookup strategy and buffer organization, which the firmware inlines.
+// lookupCycles and appendCycles are the per-cell costs of a VC-lookup
+// strategy and a buffer organization, which the firmware inlines (E2
+// prices every pairing; the interface runs the CAM and paged SRAM).
 func RxFirmwareCosts(t aal.Type, lookupCycles, appendCycles int) []FirmwareCost {
 	cell := rxCellInstr + lookupCycles + appendCycles
 	if t == aal.AAL34 {

@@ -4,52 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/aal"
-	"repro/internal/bufmgr"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/vclookup"
 )
-
-// LookupKind selects the receive path's VC-lookup implementation.
-type LookupKind uint8
-
-const (
-	// LookupCAM is the hardware content-addressable memory the board used.
-	LookupCAM LookupKind = iota
-	// LookupHash is firmware open-addressing hash.
-	LookupHash
-	// LookupLinear is a firmware table scan (the E6 strawman).
-	LookupLinear
-)
-
-// String implements fmt.Stringer.
-func (l LookupKind) String() string {
-	switch l {
-	case LookupCAM:
-		return "cam"
-	case LookupHash:
-		return "hash"
-	case LookupLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("LookupKind(%d)", uint8(l))
-	}
-}
-
-func (l LookupKind) build(capacity int) vclookup.Strategy {
-	switch l {
-	case LookupCAM:
-		return vclookup.NewCAM(capacity)
-	case LookupHash:
-		return vclookup.NewHash(capacity)
-	case LookupLinear:
-		return vclookup.NewLinear(capacity)
-	default:
-		panic("nic: unknown lookup kind")
-	}
-}
 
 // Config parameterizes one interface.
 type Config struct {
@@ -66,13 +25,10 @@ type Config struct {
 	// engines and the framer, in cells.
 	TxFifoDepth int
 	RxFifoDepth int
-	// MaxVCs bounds the VC table.
+	// MaxVCs bounds the VC table: the receive path's CAM entries.
 	MaxVCs int
-	// Lookup selects the VC-lookup strategy.
-	Lookup LookupKind
-	// BufOrg selects the reassembly-buffer organization.
-	BufOrg bufmgr.Organization
-	// AdapterSRAM bounds reassembly memory in bytes (0 = unlimited).
+	// AdapterSRAM bounds the paged reassembly memory in bytes
+	// (0 = unlimited).
 	AdapterSRAM int
 	// MaxSDU bounds accepted packet size.
 	MaxSDU int
@@ -131,8 +87,6 @@ func DefaultConfig(name string) Config {
 		TxFifoDepth: 32,
 		RxFifoDepth: 32,
 		MaxVCs:      256,
-		Lookup:      LookupCAM,
-		BufOrg:      bufmgr.Paged,
 		AdapterSRAM: 256 * 1024,
 		MaxSDU:      aal.MaxSDU,
 	}
@@ -172,7 +126,6 @@ func (c *Config) validate() error {
 	if c.AlarmClearTimeout == 0 {
 		c.AlarmClearTimeout = 2500 * sim.Microsecond
 	}
-	c.BufOrg = c.BufOrg.Resolve()
 	return nil
 }
 

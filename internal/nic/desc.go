@@ -121,10 +121,11 @@ type rxDone struct {
 	r      *receiver
 	e      int
 	st     *rxVC
-	sdu    []byte // the host's receive buffer
+	sl     *rxSlot // the completed frame's slot
+	sdu    []byte  // the host's receive buffer
 	cells  int
 	mid    uint16
-	frame  bufmgr.Frame
+	frame  *bufmgr.Frame
 	posted sim.Time // when the receive interrupt was raised
 
 	eopFn  func() // bound eop, the end-of-packet routine's completion
@@ -135,9 +136,15 @@ type rxDone struct {
 
 // completeFrame runs the end-of-packet firmware, DMAs the assembled SDU to
 // host memory, and posts the per-packet interrupt.
-func (r *receiver) completeFrame(e int, st *rxVC, res *aal.Result, mid uint16) {
-	r.hReassembly.Observe(r.k.Now() - st.frameStart)
+func (r *receiver) completeFrame(e int, st *rxVC, sl *rxSlot, res *aal.Result) {
+	r.hReassembly.Observe(r.k.Now() - sl.start)
 	r.spReasm.Exit(st.vc)
+	if st.mids != nil {
+		// The completed MID stream's slot leaves the VC with this record,
+		// so neither the reassembly GC nor a later frame on the same MID
+		// can touch the buffer the DMA below still reads.
+		delete(st.mids, res.MID)
+	}
 	d := r.freeDone
 	if d == nil {
 		d = &rxDone{r: r}
@@ -153,14 +160,14 @@ func (r *receiver) completeFrame(e int, st *rxVC, res *aal.Result, mid uint16) {
 	// buffer now; the DMA below decides when the host sees it.
 	d.sdu = make([]byte, len(res.SDU))
 	copy(d.sdu, res.SDU)
-	d.e, d.st, d.cells, d.mid = e, st, res.Cells, mid
+	d.e, d.st, d.sl, d.cells, d.mid = e, st, sl, res.Cells, res.MID
 	r.engs[e].Run(rxEOPInstr, d.eopFn)
 }
 
 // eop is the end-of-packet routine's completion: the completion DMA starts.
 func (d *rxDone) eop() {
 	r := d.r
-	d.frame, d.st.frame = d.st.frame, nil
+	d.frame, d.sl.frame = d.sl.frame, nil
 	r.dev.DMA(len(d.sdu), d.dmaFn)
 	// The engine moves on while the DMA and interrupt complete in the
 	// background — the pipelining that makes per-packet host involvement
@@ -190,7 +197,7 @@ func (d *rxDone) intr() {
 	st.vst.AddSDUIn(n)
 	r.spDeliver.Point(st.vc)
 	dv := Delivered{VC: st.vc, SDU: d.sdu, Cells: d.cells, MID: d.mid, At: r.k.Now()}
-	d.st, d.sdu = nil, nil
+	d.st, d.sl, d.sdu = nil, nil, nil
 	d.next = r.freeDone
 	r.freeDone = d
 	if r.onDeliver != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/aal"
 	"repro/internal/atm"
-	"repro/internal/bufmgr"
 	"repro/internal/bus"
 	"repro/internal/host"
 	"repro/internal/phy"
@@ -329,40 +328,33 @@ func TestRxEngineBottleneckAtSTS12c(t *testing.T) {
 }
 
 func TestAdapterSRAMExhaustion(t *testing.T) {
-	// A tiny SRAM with the contiguous organization can hold only one
-	// worst-case frame; a second simultaneous VC's frame must be dropped
-	// for memory.
-	r := newRig(t, func(cfg *Config) {
-		cfg.BufOrg = bufmgr.Contig
-		cfg.AdapterSRAM = 70000 // one 1366-cell frame + change
-		cfg.MaxSDU = aal.MaxSDU
-	})
-	vcA, vcB := atm.VC{VCI: 10}, atm.VC{VCI: 11}
-	for _, vc := range []atm.VC{vcA, vcB} {
-		r.a.OpenVC(vc)
-		r.b.OpenVC(vc)
+	// Two 192-cell frames arrive interleaved on two VCs, each needing six
+	// 32-cell pages. An SRAM that holds little more than one frame's pages
+	// must drop one frame for memory; one that holds both delivers both.
+	run := func(sram int) *rig {
+		r := newRig(t, func(cfg *Config) {
+			cfg.InterleaveVCs = true
+			cfg.AdapterSRAM = sram
+		})
+		vcA, vcB := atm.VC{VCI: 10}, atm.VC{VCI: 11}
+		for _, vc := range []atm.VC{vcA, vcB} {
+			r.a.OpenVC(vc)
+			r.b.OpenVC(vc)
+		}
+		r.a.Send(vcA, pkt(9180), nil)
+		r.a.Send(vcB, pkt(9180), nil)
+		r.k.Run()
+		if used := r.b.SRAMUsed(); used != 0 {
+			t.Fatalf("SRAM %d: %d bytes still pinned after the run", sram, used)
+		}
+		return r
 	}
-	r.a.Send(vcA, pkt(9180), nil)
-	r.a.Send(vcB, pkt(9180), nil)
-	r.k.Run()
-	st := r.b.Stats()
-	if st.Rx.SRAMDrops == 0 {
-		t.Fatalf("no SRAM drops with starved contiguous buffers: %+v", st.Rx)
+	starved := run(12000)
+	if st := starved.b.Stats(); st.Rx.SRAMDrops == 0 || st.SRAMPeak > 12000 {
+		t.Fatalf("no SRAM drops within a 12000-byte SRAM: %+v, peak %d", st.Rx, st.SRAMPeak)
 	}
-	// With paged buffers the same SRAM handles both.
-	r2 := newRig(t, func(cfg *Config) {
-		cfg.BufOrg = bufmgr.Paged
-		cfg.AdapterSRAM = 70000
-	})
-	for _, vc := range []atm.VC{vcA, vcB} {
-		r2.a.OpenVC(vc)
-		r2.b.OpenVC(vc)
-	}
-	r2.a.Send(vcA, pkt(9180), nil)
-	r2.a.Send(vcB, pkt(9180), nil)
-	r2.k.Run()
-	if len(r2.received) != 2 {
-		t.Fatalf("paged org delivered %d of 2 under the same SRAM", len(r2.received))
+	if r := run(70000); len(r.received) != 2 || r.b.Stats().Rx.SRAMDrops != 0 {
+		t.Fatalf("70000-byte SRAM delivered %d of 2", len(r.received))
 	}
 }
 
@@ -443,11 +435,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(k, DefaultConfig("x"), nil, b, atm.NewPool(0)); err == nil {
 		t.Fatal("nil host accepted")
-	}
-}
-
-func TestLookupKindString(t *testing.T) {
-	if LookupCAM.String() != "cam" || LookupHash.String() != "hash" || LookupLinear.String() != "linear" {
-		t.Fatal("LookupKind strings broken")
 	}
 }

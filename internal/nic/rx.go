@@ -53,13 +53,40 @@ type Delivered struct {
 
 // rxVC is per-open-VC receive state.
 type rxVC struct {
-	vc         atm.VC
-	ras        aal.Reassembler       // nil when midras is used
-	midras     *aal.MIDReassembler34 // MID-demultiplexed AAL3/4 (Config.MIDMux)
-	frame      bufmgr.Frame          // nil when no frame in progress
-	vst        *metrics.VCStats      // per-connection telemetry row
-	frameStart sim.Time              // first-cell arrival of the frame in progress
-	efci       bool                  // latest data cell carried the EFCI bit
+	vc  atm.VC
+	ras aal.Reassembler // the VC's one reassembler (MID-demultiplexing with Config.MIDMux)
+	rxSlot
+	// mids holds one slot per MID stream with Config.MIDMux, so each
+	// interleaved frame pins and frees its own SRAM; the embedded slot is
+	// then unused. Nil otherwise.
+	mids map[uint16]*rxSlot
+	vst  *metrics.VCStats // per-connection telemetry row
+	efci bool             // latest data cell carried the EFCI bit
+}
+
+// rxSlot is one frame in reassembly: its adapter-SRAM record and the
+// arrival time of its first cell.
+type rxSlot struct {
+	frame *bufmgr.Frame // nil when no frame in progress
+	start sim.Time
+}
+
+// slot returns MID mid's slot, making it on the stream's first cell.
+func (st *rxVC) slot(mid uint16) *rxSlot {
+	sl := st.mids[mid]
+	if sl == nil {
+		sl = &rxSlot{}
+		st.mids[mid] = sl
+	}
+	return sl
+}
+
+// discard returns the slot's SRAM record, if it holds one.
+func (sl *rxSlot) discard() {
+	if sl.frame != nil {
+		sl.frame.Release()
+		sl.frame = nil
+	}
 }
 
 // receiver is the receive half: per-engine RX FIFOs behind a hardware VC
@@ -83,7 +110,7 @@ type receiver struct {
 	fifos      []*fifo.Ring[*atm.Cell]
 	arrivals   []*fifo.Ring[sim.Time] // per-cell arrival stamps, lockstep with fifos
 	processing []bool
-	lookup     vclookup.Strategy
+	lookup     *vclookup.CAM
 	alloc      *bufmgr.Allocator
 	vcs        map[int]*rxVC
 	steer      map[atm.VC]int // VC → engine (round-robin at open)
@@ -145,8 +172,8 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 		fifos:      make([]*fifo.Ring[*atm.Cell], n),
 		arrivals:   make([]*fifo.Ring[sim.Time], n),
 		processing: make([]bool, n),
-		lookup:     cfg.Lookup.build(cfg.MaxVCs),
-		alloc:      bufmgr.NewAllocator(cfg.BufOrg, cfg.AdapterSRAM),
+		lookup:     vclookup.NewCAM(cfg.MaxVCs),
+		alloc:      bufmgr.NewAllocator(bufmgr.Paged, cfg.AdapterSRAM),
 		vcs:        make(map[int]*rxVC),
 		steer:      make(map[atm.VC]int),
 	}
@@ -219,18 +246,6 @@ func (r *receiver) engineFor(vc atm.VC) int {
 	return 0
 }
 
-// reaper returns the VC's staleness interface (nil if its reassembler has
-// no staleness support).
-func (st *rxVC) reaper() aal.StaleReaper {
-	if st.midras != nil {
-		return st.midras
-	}
-	if sr, ok := st.ras.(aal.StaleReaper); ok {
-		return sr
-	}
-	return nil
-}
-
 // open registers a VC for receive.
 func (r *receiver) open(vc atm.VC) error {
 	idx, err := r.lookup.Insert(vc)
@@ -239,18 +254,16 @@ func (r *receiver) open(vc atm.VC) error {
 	}
 	st := &rxVC{vc: vc, vst: r.reg.VC(vc.VPI, vc.VCI)}
 	if r.cfg.MIDMux {
-		st.midras = aal.NewMIDReassembler34(r.cfg.MaxSDU+64, 0)
-		st.midras.SetVCStats(st.vst)
+		st.ras = aal.NewMIDReassembler34(r.cfg.MaxSDU+64, 0)
+		st.mids = make(map[uint16]*rxSlot)
 	} else {
-		_, st.ras = aal.New(r.cfg.AAL, r.cfg.MaxSDU+64)
-		if ir, ok := st.ras.(interface{ SetVCStats(*metrics.VCStats) }); ok {
-			ir.SetVCStats(st.vst)
-		}
+		st.ras = aal.NewReassembler(r.cfg.AAL, r.cfg.MaxSDU+64)
+	}
+	if ir, ok := st.ras.(interface{ SetVCStats(*metrics.VCStats) }); ok {
+		ir.SetVCStats(st.vst)
 	}
 	if r.clockFn != nil {
-		if sr := st.reaper(); sr != nil {
-			sr.SetClock(r.clockFn)
-		}
+		st.ras.SetClock(r.clockFn)
 	}
 	r.vcs[idx] = st
 	r.steer[vc] = r.nextSteer % len(r.engs)
@@ -265,14 +278,10 @@ func (r *receiver) close(vc atm.VC) {
 		return
 	}
 	if st := r.vcs[idx]; st != nil {
-		if st.midras != nil {
-			st.midras.Abort()
-		} else {
-			st.ras.Abort()
-		}
-		if st.frame != nil {
-			st.frame.Release()
-			st.frame = nil
+		st.ras.Abort()
+		st.rxSlot.discard()
+		for _, sl := range st.mids {
+			sl.discard()
 		}
 	}
 	delete(r.vcs, idx)
@@ -347,37 +356,38 @@ func (r *receiver) process(e int) {
 		instr += rxCellAAL34Extra
 	}
 
-	// Buffer the cell payload in adapter SRAM under the configured
-	// organization. (Data effects happen eagerly; their visible timing is
-	// gated by the engine-run completions below — the engine is the sole
-	// consumer, so this is observationally equivalent and much simpler.)
-	if st.frame == nil {
+	// Buffer the cell in adapter SRAM, in its stream's slot. The
+	// reassembler holds the payload the host will receive; the SRAM record
+	// charges the paged organization's bytes and cycles. (Data effects
+	// happen eagerly; their visible timing is gated by the engine-run
+	// completions below — the engine is the sole consumer, so this is
+	// observationally equivalent and much simpler.)
+	sl := &st.rxSlot
+	if st.mids != nil {
+		sl = st.slot(aal.MIDOf(&cell.Payload))
+	}
+	if sl.frame == nil {
 		f, err := r.alloc.NewFrame(r.cfg.maxFrameCells())
 		if err != nil {
-			r.dropForMemory(e, st, cell)
+			r.dropForMemory(e, st, sl, cell)
 			return
 		}
-		st.frame = f
-		st.frameStart = r.k.Now()
+		sl.frame = f
+		sl.start = r.k.Now()
 		r.spReasm.Enter(st.vc)
 		r.armGC()
 	}
-	appendCycles, err := st.frame.Append(cell.Payload[:])
+	appendCycles, err := sl.frame.Append()
 	if err != nil {
-		r.dropForMemory(e, st, cell)
+		r.dropForMemory(e, st, sl, cell)
 		return
 	}
 	instr += appendCycles
 
 	ctx := r.cellCtxs[e]
-	ctx.st = st
+	ctx.st, ctx.sl = st, sl
 	ctx.arrived, ctx.haveArrival = arrived, haveArrival
-	if st.midras != nil {
-		ctx.mid, ctx.res, ctx.aalErr = st.midras.Push(&cell.Payload, cell.Header.PT)
-	} else {
-		ctx.mid = 0
-		ctx.res, ctx.aalErr = st.ras.Push(&cell.Payload, cell.Header.PT)
-	}
+	ctx.res, ctx.aalErr = st.ras.Push(&cell.Payload, cell.Header.PT)
 	r.pool.Put(cell)
 
 	r.engs[e].Run(instr, ctx.fn)
@@ -392,19 +402,19 @@ type rxCellCtx struct {
 	oamFn       func() // bound oam method
 	releaseFn   func() // bound release method
 	st          *rxVC
+	sl          *rxSlot   // the cell's stream slot
 	cell        *atm.Cell // management cell awaiting its handler
 	res         *aal.Result
 	aalErr      error
-	mid         uint16
 	arrived     sim.Time
 	haveArrival bool
 }
 
 // done is the rx_cell routine completion.
 func (c *rxCellCtx) done() {
-	r, e, st, res, aalErr, mid := c.r, c.e, c.st, c.res, c.aalErr, c.mid
+	r, e, st, sl, res, aalErr := c.r, c.e, c.st, c.sl, c.res, c.aalErr
 	arrived, haveArrival := c.arrived, c.haveArrival
-	c.st, c.res, c.aalErr = nil, nil, nil
+	c.st, c.sl, c.res, c.aalErr = nil, nil, nil, nil
 	if haveArrival {
 		r.hCellDelay.Observe(r.k.Now() - arrived)
 	}
@@ -416,11 +426,11 @@ func (c *rxCellCtx) done() {
 			r.mAALErrors.Inc()
 			st.vst.Drop(metrics.DropAAL)
 		}
-		r.completeFrame(e, st, res, mid)
+		r.completeFrame(e, st, sl, res)
 	case aalErr != nil:
 		r.mAALErrors.Inc()
 		st.vst.Drop(metrics.DropAAL)
-		c.st = st
+		c.st, c.sl = st, sl
 		r.engs[e].Run(rxErrInstr, c.releaseFn)
 	default:
 		r.next(e)
@@ -443,34 +453,35 @@ func (c *rxCellCtx) oam() {
 // release is the error routine's completion: the abandoned frame's buffer
 // goes back to adapter SRAM.
 func (c *rxCellCtx) release() {
-	st := c.st
-	c.st = nil
-	c.r.releaseFrame(st)
+	st, sl := c.st, c.sl
+	c.st, c.sl = nil, nil
+	c.r.releaseSlot(st, sl)
 	c.r.next(c.e)
 }
 
-// dropForMemory abandons the current frame when adapter SRAM is exhausted.
-func (r *receiver) dropForMemory(e int, st *rxVC, cell *atm.Cell) {
+// dropForMemory abandons the cell's frame when adapter SRAM is exhausted.
+// With MIDMux only the cell's own MID stream is abandoned.
+func (r *receiver) dropForMemory(e int, st *rxVC, sl *rxSlot, cell *atm.Cell) {
 	r.mSRAMDrops.Inc()
 	st.vst.Drop(metrics.DropSRAM)
-	if st.midras != nil {
-		st.midras.Abort()
+	if st.mids != nil {
+		st.ras.(*aal.MIDReassembler34).AbortMID(aal.MIDOf(&cell.Payload))
 	} else {
 		st.ras.Abort()
 	}
 	r.pool.Put(cell)
 	ctx := r.cellCtxs[e]
-	ctx.st = st
+	ctx.st, ctx.sl = st, sl
 	r.engs[e].Run(rxErrInstr, ctx.releaseFn)
 }
 
-func (r *receiver) releaseFrame(st *rxVC) {
-	if st.frame != nil {
+// releaseSlot returns an abandoned frame's SRAM record.
+func (r *receiver) releaseSlot(st *rxVC, sl *rxSlot) {
+	if sl.frame != nil {
 		// Close the reassembly span even on the unhappy path: a later
 		// frame's Exit must not pair with this abandoned frame's Enter.
 		r.spReasm.Exit(st.vc)
-		st.frame.Release()
-		st.frame = nil
+		sl.discard()
 	}
 }
 
@@ -495,8 +506,8 @@ func (r *receiver) armGC() {
 
 // gcTick sweeps every VC's reassembler for partial frames that have seen no
 // cell for ReassemblyTimeout, aborting them and releasing their adapter
-// buffers. VCs are visited in lookup-index order so the free-list order —
-// and with it every downstream allocation — stays deterministic.
+// buffers. VCs are visited in lookup-index order so the trace spans the
+// releases close come out in a deterministic order.
 func (r *receiver) gcTick() {
 	r.gcArmed = false
 	cutoff := int64(r.k.Now()) - int64(r.cfg.ReassemblyTimeout)
@@ -508,22 +519,26 @@ func (r *receiver) gcTick() {
 	busy := false
 	for _, idx := range idxs {
 		st := r.vcs[idx]
-		sr := st.reaper()
-		if sr == nil {
-			continue
-		}
-		if n := sr.ExpireStale(cutoff); n > 0 {
+		if n := st.ras.ExpireStale(cutoff); n > 0 {
 			r.mStale.Add(uint64(n))
-			// The frame buffer is released only when the reap emptied the
-			// VC: a buffer backing a frame still completing (rx_eop in
-			// flight) must not be pulled out from under the DMA.
-			if !sr.Busy() && st.frame != nil {
-				r.spReasm.Exit(st.vc)
-				st.frame.Release()
-				st.frame = nil
+			// A slot's buffer is released only when the reap emptied its
+			// stream: a buffer backing a frame still completing (rx_eop in
+			// flight) must not be pulled out from under the DMA, and a
+			// completing MID stream's slot has already left st.mids.
+			if st.mids == nil {
+				if !st.ras.Busy() {
+					r.releaseSlot(st, &st.rxSlot)
+				}
+			} else {
+				mux := st.ras.(*aal.MIDReassembler34)
+				for mid, sl := range st.mids {
+					if !mux.Active(mid) {
+						r.releaseSlot(st, sl)
+					}
+				}
 			}
 		}
-		if sr.Busy() {
+		if st.ras.Busy() {
 			busy = true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/aal"
 	"repro/internal/atm"
+	"repro/internal/bufmgr"
 	"repro/internal/bus"
 	"repro/internal/host"
 	"repro/internal/phy"
@@ -246,9 +247,17 @@ func TestOAMLoopbackUnansweredWithoutResponder(t *testing.T) {
 	}
 }
 
-func TestMIDMuxSharedVC(t *testing.T) {
-	// Two senders' frames interleave cell-by-cell on ONE VC (merged via a
-	// shared link); the MIDMux receiver demultiplexes them by MID.
+// midRig is two AAL3/4 senders, tx1 on MID 5 and tx2 on MID 9, merged
+// onto one shared VC into a MIDMux receiver.
+type midRig struct {
+	k        *sim.Kernel
+	tx1, tx2 *Interface
+	rx       *Interface
+	shared   atm.VC
+}
+
+func newMIDRig(t *testing.T) *midRig {
+	t.Helper()
 	k := sim.NewKernel()
 	mkTx := func(name string) *Interface {
 		cfg := DefaultConfig(name)
@@ -281,19 +290,159 @@ func TestMIDMuxSharedVC(t *testing.T) {
 	link := phy.NewCellLink(k, 5000, 3, rx, atm.NewPool(0))
 	tx1.AttachSink(atm.SinkFunc(link.Send))
 	tx2.AttachSink(atm.SinkFunc(link.Send))
+	return &midRig{k: k, tx1: tx1, tx2: tx2, rx: rx, shared: shared}
+}
 
+func TestMIDMuxSharedVC(t *testing.T) {
+	// Two senders' frames interleave cell-by-cell on ONE VC (merged via a
+	// shared link); the MIDMux receiver demultiplexes them by MID.
+	r := newMIDRig(t)
 	got := map[uint16][]byte{}
-	rx.OnReceive(func(d Delivered) { got[d.MID] = d.SDU })
+	r.rx.OnReceive(func(d Delivered) { got[d.MID] = d.SDU })
 
-	tx1.Send(shared, pkt(3000), nil)
-	tx2.Send(shared, pkt(1500), nil)
-	k.Run()
+	r.tx1.Send(r.shared, pkt(3000), nil)
+	r.tx2.Send(r.shared, pkt(1500), nil)
+	r.k.Run()
 
 	if !bytes.Equal(got[5], pkt(3000)) {
 		t.Fatal("MID 5 frame corrupted or missing")
 	}
 	if !bytes.Equal(got[9], pkt(1500)) {
 		t.Fatal("MID 9 frame corrupted or missing")
+	}
+}
+
+func TestMIDMuxStreamsOwnSRAM(t *testing.T) {
+	// A short MID 9 frame starts 1.5 ms into a long MID 5 frame on the
+	// shared VC and completes first. Each stream pins its own SRAM, so
+	// MID 9's completion frees only MID 9's pages and MID 5 still holds
+	// every page its buffered cells fill.
+	r := newMIDRig(t)
+	sram := func(cells int) int { return pagedSRAM(r.rx.cfg.maxFrameCells(), cells) }
+	got := map[uint16][]byte{}
+	r.rx.OnReceive(func(d Delivered) {
+		got[d.MID] = d.SDU
+		if d.MID != 9 {
+			return
+		}
+		// Every cell the VC has taken so far is MID 5's, bar MID 9's.
+		mid5 := int(r.rx.Metrics().VC(r.shared.VPI, r.shared.VCI).CellsIn) - d.Cells
+		if used, want := r.rx.SRAMUsed(), sram(mid5); used != want {
+			t.Errorf("SRAM at MID 9 delivery = %d B, want %d B for MID 5's %d cells", used, want, mid5)
+		}
+	})
+	r.tx1.Send(r.shared, pkt(30000), nil)
+	r.k.At(sim.Time(1500*sim.Microsecond), func() { r.tx2.Send(r.shared, pkt(1500), nil) })
+	r.k.Run()
+
+	if !bytes.Equal(got[5], pkt(30000)) || !bytes.Equal(got[9], pkt(1500)) {
+		t.Fatal("a MID frame was corrupted or lost")
+	}
+	// MID 5 alone pins its full frame at its end; nothing stays pinned.
+	if peak, want := r.rx.Stats().SRAMPeak, sram(aal.CellsForSDU34(30000)); peak < want {
+		t.Errorf("SRAM peak %d B, below the %d B the 30000-B frame pins alone", peak, want)
+	}
+	if used := r.rx.SRAMUsed(); used != 0 {
+		t.Errorf("%d B still pinned after both frames", used)
+	}
+}
+
+// pagedSRAM returns the adapter SRAM that a frame of up to maxCells cells
+// pins once it holds cells.
+func pagedSRAM(maxCells, cells int) int {
+	a := bufmgr.NewAllocator(bufmgr.Paged, 0)
+	f, _ := a.NewFrame(maxCells)
+	for i := 0; i < cells; i++ {
+		f.Append()
+	}
+	return a.Used()
+}
+
+// injectMID schedules the first n cells (all when n < 0) of sdu's AAL3/4
+// segmentation under MID mid on vc, one every gap from start.
+func (r *injectRig) injectMID(vc atm.VC, mid uint16, sdu []byte, n int, start sim.Time, gap sim.Duration) {
+	seg := aal.NewSegmenter34()
+	seg.MID = mid
+	cells, err := seg.Begin(sdu)
+	if err != nil {
+		panic(err)
+	}
+	if n < 0 {
+		n = cells
+	}
+	for i := 0; i < n; i++ {
+		cell := r.iface.Pool().Get()
+		pt, _, err := seg.Next(&cell.Payload)
+		if err != nil {
+			panic(err)
+		}
+		cell.Header = atm.Header{Format: atm.UNI, VPI: vc.VPI, VCI: vc.VCI, PT: pt}
+		r.k.At(start+sim.Time(i)*sim.Time(gap), func() { r.iface.DeliverCell(cell) })
+	}
+}
+
+func newMIDInjectRig(t *testing.T, mod func(cfg *Config)) *injectRig {
+	return newInjectRig(t, func(cfg *Config) {
+		cfg.AAL = aal.AAL34
+		cfg.MIDMux = true
+		mod(cfg)
+	})
+}
+
+func TestMIDMuxStaleStreamFreesOnlyItsSRAM(t *testing.T) {
+	// MID 5 loses its end of message after 100 cells while MID 9 keeps
+	// arriving. The reassembly GC reclaims MID 5's pages and leaves MID
+	// 9's, which then completes normally.
+	r := newMIDInjectRig(t, func(cfg *Config) { cfg.ReassemblyTimeout = 200 * sim.Microsecond })
+	vc := atm.VC{VCI: 30}
+	r.iface.OpenVC(vc)
+	var got []Delivered
+	r.iface.OnReceive(func(d Delivered) { got = append(got, d) })
+	ct := units.CellTime(units.STS3cPayload)
+	r.injectMID(vc, 5, pkt(30000), 100, 0, ct)
+	r.injectMID(vc, 9, pkt(3000), -1, sim.Time(ct)/2, 20*sim.Microsecond)
+	r.k.At(sim.Time(700*sim.Microsecond), func() {
+		if st := r.iface.Stats(); st.Rx.Stale != 1 {
+			t.Fatalf("stale frames at 700 us = %d, want MID 5's", st.Rx.Stale)
+		}
+		mid9 := int(r.iface.Metrics().VC(vc.VPI, vc.VCI).CellsIn) - 100
+		if used, want := r.iface.SRAMUsed(), pagedSRAM(r.iface.cfg.maxFrameCells(), mid9); used != want {
+			t.Errorf("SRAM after MID 5 aged out = %d B, want %d B for MID 9's %d cells", used, want, mid9)
+		}
+	})
+	r.k.Run()
+	if len(got) != 1 || got[0].MID != 9 || !bytes.Equal(got[0].SDU, pkt(3000)) {
+		t.Fatalf("delivered %d frames, want MID 9's alone", len(got))
+	}
+	if used := r.iface.SRAMUsed(); used != 0 {
+		t.Errorf("%d B still pinned", used)
+	}
+}
+
+func TestMIDMuxSRAMDropAbandonsOnlyItsStream(t *testing.T) {
+	// The SRAM holds one page beyond two frames' overhead. MID 5's
+	// one-page frame fits; MID 9's interleaved frame cannot get a page, so
+	// MID 9 alone is dropped for memory and MID 5 completes.
+	maxCells := aal.CellsForSDU34(aal.MaxSDU)
+	sram := pagedSRAM(maxCells, 1) + bufmgr.FrameOverheadBytes(bufmgr.Paged, maxCells)
+	r := newMIDInjectRig(t, func(cfg *Config) { cfg.AdapterSRAM = sram })
+	vc := atm.VC{VCI: 30}
+	r.iface.OpenVC(vc)
+	var got []Delivered
+	r.iface.OnReceive(func(d Delivered) { got = append(got, d) })
+	ct := units.CellTime(units.STS3cPayload)
+	r.injectMID(vc, 5, pkt(1000), -1, 0, 2*ct) // 23 cells: one page
+	r.injectMID(vc, 9, pkt(1000), -1, sim.Time(ct), 2*ct)
+	r.k.Run()
+	if len(got) != 1 || got[0].MID != 5 || !bytes.Equal(got[0].SDU, pkt(1000)) {
+		t.Fatalf("delivered %d frames, want MID 5's alone", len(got))
+	}
+	st := r.iface.Stats()
+	if st.Rx.SRAMDrops == 0 || st.SRAMPeak > sram {
+		t.Fatalf("SRAM drops %d, peak %d of %d B", st.Rx.SRAMDrops, st.SRAMPeak, sram)
+	}
+	if used := r.iface.SRAMUsed(); used != 0 {
+		t.Errorf("%d B still pinned", used)
 	}
 }
 

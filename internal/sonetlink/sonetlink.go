@@ -36,10 +36,11 @@ type Config struct {
 	BitErrProb float64
 	// Seed drives fault injection.
 	Seed uint64
-	// Metrics, when non-nil, receives per-direction link telemetry:
+	// Metrics receives per-direction link telemetry:
 	// "link.<src>.data_cells", ".idle_cells", ".frames", ".queue_drops"
 	// counters and "link.<src>.queue.*" FIFO instruments, where <src> is
-	// the transmitting interface's configured name.
+	// the transmitting interface's configured name. Half.Stats reads the
+	// same counters. Nil gives each direction a private registry.
 	Metrics *metrics.Registry
 	// Recorder, when non-nil, attaches flight-recorder spans to each
 	// direction under node "link.<src>": stage "framer.queue" covers the
@@ -48,7 +49,7 @@ type Config struct {
 	Recorder *trace.Recorder
 }
 
-// Stats counts one direction's events.
+// Stats counts one direction's events, as read from its registry.
 type Stats struct {
 	Frames         uint64
 	DataCells      uint64 // non-idle cells carried
@@ -88,9 +89,7 @@ type Half struct {
 	frameTickFn func()
 	def         *phy.CellDeferrer
 
-	stats Stats
-
-	// Registry instruments (no-ops when Config.Metrics is nil).
+	// Registry instruments: the one store of this direction's counts.
 	mFrames         *metrics.Counter
 	mDataCells      *metrics.Counter
 	mIdleCells      *metrics.Counter
@@ -138,15 +137,19 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 	h.frameTickFn = h.frameTick
 	h.def = phy.NewCellDeferrer(k, h.deliverRecovered)
 	lp := "link." + src.Config().Name
-	h.queue.Instrument(cfg.Metrics, lp+".queue")
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	h.queue.Instrument(reg, lp+".queue")
 	h.spQueue = cfg.Recorder.Stage(lp, "framer.queue")
 	h.spWire = cfg.Recorder.Stage(lp, "wire")
-	h.mFrames = cfg.Metrics.Counter(lp + ".frames")
-	h.mDataCells = cfg.Metrics.Counter(lp + ".data_cells")
-	h.mIdleCells = cfg.Metrics.Counter(lp + ".idle_cells")
-	h.mQueueDrops = cfg.Metrics.Counter(lp + ".queue_drops")
-	h.mFrameErrors = cfg.Metrics.Counter(lp + ".frame_errors")
-	h.mHeaderDiscards = cfg.Metrics.Counter(lp + ".header_discards")
+	h.mFrames = reg.Counter(lp + ".frames")
+	h.mDataCells = reg.Counter(lp + ".data_cells")
+	h.mIdleCells = reg.Counter(lp + ".idle_cells")
+	h.mQueueDrops = reg.Counter(lp + ".queue_drops")
+	h.mFrameErrors = reg.Counter(lp + ".frame_errors")
+	h.mHeaderDiscards = reg.Counter(lp + ".header_discards")
 	h.fr = sonet.NewFramer(cfg.Rate, (*txSource)(h))
 	h.frameBuf = make([]byte, h.fr.Geometry().FrameBytes)
 	h.del = sonet.NewDelineator(h.cellRecovered)
@@ -157,7 +160,7 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 	// copies can recycle the moment frameArrived returns: one pooled buffer
 	// per in-flight window instead of one allocation per frame.
 	wirePool := bufpool.New()
-	wirePool.Instrument(cfg.Metrics, lp+".wirebuf")
+	wirePool.Instrument(reg, lp+".wirebuf")
 	h.line.SetBufPool(wirePool)
 	// Carrier transitions (Fail/Restore) reach the receiving interface's
 	// fault manager: losing the light is LOS, not just silence.
@@ -180,11 +183,16 @@ func cellsPerFrame(r sonet.Rate) int {
 
 // Stats returns this direction's counters.
 func (h *Half) Stats() Stats {
-	s := h.stats
-	s.Frames = h.fr.Frames()
-	s.Delineation = h.del.Stats()
-	s.Deframer = h.df.Stats()
-	return s
+	return Stats{
+		Frames:         h.mFrames.Value(),
+		DataCells:      h.mDataCells.Value(),
+		IdleCells:      h.mIdleCells.Value(),
+		QueueDrops:     h.mQueueDrops.Value(),
+		FrameErrors:    h.mFrameErrors.Value(),
+		HeaderDiscards: h.mHeaderDiscards.Value(),
+		Delineation:    h.del.Stats(),
+		Deframer:       h.df.Stats(),
+	}
 }
 
 // DeliverCell implements atm.CellConsumer: the half is the transmitting
@@ -194,7 +202,6 @@ func (h *Half) DeliverCell(c *atm.Cell) { h.enqueue(c) }
 // enqueue accepts a cell from the transmitting interface's cell clock.
 func (h *Half) enqueue(c *atm.Cell) {
 	if !h.queue.Push(c) {
-		h.stats.QueueDrops++
 		h.mQueueDrops.Inc()
 		h.spQueue.Drop(c.Header.VC(), metrics.DropTxQueue)
 		h.srcPool.Put(c)
@@ -232,14 +239,12 @@ func (t *txSource) NextCell(dst []byte) {
 	h := (*Half)(t)
 	cell, ok := h.queue.Pop()
 	if !ok {
-		h.stats.IdleCells++
 		h.mIdleCells.Inc()
 		if err := atm.IdleCell().Encode(dst); err != nil {
 			panic(err)
 		}
 		return
 	}
-	h.stats.DataCells++
 	h.mDataCells.Inc()
 	h.spQueue.Exit(cell.Header.VC())
 	h.spWire.Enter(cell.Header.VC())
@@ -267,7 +272,6 @@ func (h *Half) Down() bool { return h.line.Down() }
 func (h *Half) frameArrived(frame []byte) {
 	h.cellIdx = 0
 	if err := h.df.PushFrame(frame); err != nil {
-		h.stats.FrameErrors++
 		h.mFrameErrors.Inc()
 	}
 }
@@ -282,7 +286,6 @@ func (h *Half) cellRecovered(cell []byte, corrected bool) {
 		// The delineator verified the HEC; a decode failure here means
 		// an uncorrectable-but-plausible header slipped through. Drop,
 		// counted — the loss is real even if no VC can be charged.
-		h.stats.HeaderDiscards++
 		h.mHeaderDiscards.Inc()
 		h.dst.Pool().Put(c)
 		return
