@@ -30,7 +30,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/ip"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -65,7 +64,7 @@ func main() {
 	epd := flag.Int("epd", 0, "route through a 155 Mb/s switch with early packet discard above this queue depth (0 = off; congests with -rate 622)")
 	abr := flag.Bool("abr", false, "run the VCC as an ABR connection: route through a 155 Mb/s switch running ERICA explicit-rate feedback and EFCI marking, with the source rate steered by RM cells (congests with -rate 622; incompatible with -contract)")
 	kill := flag.Duration("kill", 0, "cut the a->b fiber at this simulated time (0 = never); alarm events print as they fire")
-	restore := flag.Duration("restore", 0, "restore the cut fiber at this simulated time (0 = stays dark)")
+	restore := flag.Duration("restore", 0, "restore the cut fiber at this simulated time (0 = stays dark, and the run ends at -duration without draining)")
 	rtimeout := flag.Duration("rtimeout", 0, "reassembly staleness timeout: partial frames idle this long are aborted and their adapter buffers reclaimed (0 = off)")
 	tcpBytes := flag.Int("tcp", 0, "replace the raw workload with a TCP Reno bulk transfer of this many bytes over RFC 2684 LLC/SNAP (0 = off)")
 	framed := flag.Bool("framed", false, "carry the a<->b fiber through the full SONET physical layer (framing, scrambling, HEC delineation) instead of the cell-granular shortcut; direct topology only")
@@ -133,8 +132,10 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	if abr && haveContract {
 		return fmt.Errorf("-abr derives its own ABR contract; drop -contract")
 	}
+	// -police, -epd and -abr each put a switch between a and b.
+	viaSwitch := police || epd > 0 || abr
 	if line.Framed {
-		if police || epd > 0 || abr {
+		if viaSwitch {
 			return fmt.Errorf("-framed needs the direct a<->b topology (switch ports are cell-granular)")
 		}
 		if loss != 0 {
@@ -174,9 +175,9 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 
 	// The whole topology is one declarative spec: two stations, optionally a
 	// policing/discarding switch between them, and a single VCC end to end.
-	// Both stations record into one registry; instrument names carry the
-	// station name ("a.nic.tx.cells"), per-VC rows are shared so one row
-	// shows a connection end to end.
+	// Both stations record into the network's one registry; instrument names
+	// carry the station name ("a.nic.tx.cells"), per-VC rows are shared so
+	// one row shows a connection end to end.
 	opts := core.Options{
 		Rate:              payloadRate,
 		AAL34:             aalType == aal.AAL34,
@@ -185,20 +186,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		Hardwired:         arch == "hardwired",
 		ReassemblyTimeout: sim.Duration(rtimeout.Nanoseconds()),
 	}
-	reg := metrics.NewRegistry()
-	var rec *trace.Recorder
-	k0 := sim.NewKernel()
-	if obs.TracePath != "" {
-		// 1M events ≈ 40 MB: enough for tens of thousands of cell
-		// journeys; wraparound keeps the most recent window and the
-		// export notes the truncation.
-		rec = trace.NewRecorder(k0, 1<<20)
-		rec.SampleCells(obs.TraceSample)
-	}
 	spec := core.NetworkSpec{
-		Metrics:  reg,
-		Kernel:   k0,
-		Recorder: rec,
 		Endpoints: []core.EndpointSpec{
 			{Name: "a", Options: opts},
 			{Name: "b", Options: opts},
@@ -216,7 +204,13 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	if abr {
 		spec.VCCs[0].ABR = &tm.ABRParams{PCR: units.CellRate(payloadRate)}
 	}
-	if police || epd > 0 || abr {
+	if obs.TracePath != "" {
+		// 1M events ≈ 40 MB: enough for tens of thousands of cell
+		// journeys; wraparound keeps the most recent window and the
+		// export notes the truncation.
+		spec.TraceCapacity = 1 << 20
+	}
+	if viaSwitch {
 		// a -> fiber -> switch -> b: the switch polices a's cells at its
 		// ingress and/or runs early packet discard on its output queue.
 		// The port always drains at STS-3c: with matched rates the queue
@@ -245,7 +239,8 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	if err != nil {
 		return err
 	}
-	k := net.Kernel()
+	k, reg, rec := net.Kernel(), net.Metrics(), net.Recorder()
+	rec.SampleCells(obs.TraceSample)
 	a, b := net.Endpoint("a"), net.Endpoint("b")
 	vcc := net.VCC("ab")
 	var capture *trace.Capture
@@ -263,7 +258,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	}
 	var sw *netsim.Switch
 	var pol *tm.Policer
-	if police || epd > 0 || abr {
+	if viaSwitch {
 		sw = net.Switch("sw")
 		if police {
 			pol = tm.NewPolicer(contract)
@@ -294,7 +289,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	}
 	if kill > 0 {
 		linkName := "ab"
-		if police || epd > 0 {
+		if viaSwitch {
 			linkName = "sw-b"
 		}
 		lk := net.Link(linkName)
@@ -381,7 +376,11 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		sent = int(tcpSt.Segments)
 		flow.Stop()
 	}
-	k.Run()
+	// Drain in-flight work, unless the fiber ends the run dark: its alarms
+	// then cycle forever, so the run stops at the deadline.
+	if kill == 0 || restore > kill {
+		k.Run()
+	}
 	wlName := gen.Name()
 	if flow != nil {
 		wlName = fmt.Sprintf("tcp %d bytes", tcpBytes)

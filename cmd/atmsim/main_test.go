@@ -210,6 +210,13 @@ func TestRunFaultInjection(t *testing.T) {
 		time.Millisecond, 2*time.Millisecond, 0, 0, lineOpts{}, obsOpts{}); err != nil {
 		t.Fatal(err)
 	}
+	// -abr routes through the ERICA switch too, so the cut lands there. The
+	// fiber stays dark, so the run ends at the deadline instead of draining.
+	if err := run(155, "5", "engine", 1000, "fixed", 3*time.Millisecond,
+		0, 2, 1, 1, false, 0, "", false, "", false, 0, true,
+		2*time.Millisecond, 0, 0, 0, lineOpts{}, obsOpts{}); err != nil {
+		t.Fatal(err)
+	}
 	// percell has no fault plane.
 	if err := run(155, "5", "percell", 1000, "fixed", time.Millisecond,
 		0, 1, 1, 1, false, 0, "", false, "", false, 0, false,

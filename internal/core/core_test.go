@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/atm"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -175,4 +178,66 @@ func TestMultiEngineOptionViaCore(t *testing.T) {
 	if !a.Config().InterleaveVCs {
 		t.Fatal("interleave not plumbed")
 	}
+}
+
+// TestAddVCCFailureLeavesNetworkUnchanged pins AddVCC's promise that a
+// failed call leaves the network as it found it: no VC end stays open, no
+// switch route stays installed and no VCI stays claimed, so the next
+// connection can use all three.
+func TestAddVCCFailureLeavesNetworkUnchanged(t *testing.T) {
+	// One switch joins a, c, b and d on ports 0..3.
+	star := func(t *testing.T) *Network {
+		spec := NetworkSpec{Switches: []SwitchSpec{{Name: "sw", Ports: 4}}}
+		for i, name := range []string{"a", "c", "b", "d"} {
+			spec.Endpoints = append(spec.Endpoints, EndpointSpec{Name: name})
+			spec.Links = append(spec.Links, LinkSpec{Name: name + "-sw",
+				A: NodeRef{Node: name}, B: NodeRef{Node: "sw", Port: i}, Delay: 1000})
+		}
+		net, err := NewNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	t.Run("destination VC table full", func(t *testing.T) {
+		net := star(t)
+		for i := 0; i < 256; i++ { // b's VC table holds 256 entries
+			if _, err := net.AddVCC(VCCSpec{Name: fmt.Sprintf("cb%d", i), From: "c", To: "b"}); err != nil {
+				t.Fatalf("filling b's VC table, vcc %d: %v", i, err)
+			}
+		}
+		if _, err := net.AddVCC(VCCSpec{Name: "ab", From: "a", To: "b"}); err == nil || !strings.Contains(err.Error(), `at "b"`) {
+			t.Fatalf("a→b into b's full table: err = %v, want an open failure at b", err)
+		}
+		sw := net.Switch("sw")
+		sw.Port(0).DeliverCell(&atm.Cell{Header: atm.Header{VCI: 100}})
+		if got := sw.Stats().NoRoute; got != 1 {
+			t.Fatalf("a cell on the failed VCC's first-hop VC found a route (no-route count %d)", got)
+		}
+		v, err := net.AddVCC(VCCSpec{Name: "ad", From: "a", To: "d"})
+		if err != nil {
+			t.Fatalf("a→d after the failed a→b: %v", err)
+		}
+		if v.SourceVC.VCI != 100 {
+			t.Fatalf("a→d opened VCI %d at a, want 100", v.SourceVC.VCI)
+		}
+	})
+	t.Run("later hop out of VCIs", func(t *testing.T) {
+		net := star(t)
+		top := VC{VCI: ^uint16(0)}
+		if _, err := net.AddVCC(VCCSpec{Name: "cb", From: "c", To: "b", VC: top}); err != nil {
+			t.Fatal(err)
+		}
+		// a→b claims the top VCI on a-sw, then finds none free on sw-b.
+		if _, err := net.AddVCC(VCCSpec{Name: "ab", From: "a", To: "b", VC: top}); err == nil || !strings.Contains(err.Error(), "exhausted") {
+			t.Fatalf("a→b: err = %v, want VCI space exhausted", err)
+		}
+		v, err := net.AddVCC(VCCSpec{Name: "ad", From: "a", To: "d", VC: top})
+		if err != nil {
+			t.Fatalf("a→d after the failed a→b: %v", err)
+		}
+		if v.SourceVC != top {
+			t.Fatalf("a→d opened %v at a, want %v", v.SourceVC, top)
+		}
+	})
 }

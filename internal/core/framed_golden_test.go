@@ -61,19 +61,16 @@ func sortSpans(spans []trace.Span) {
 	})
 }
 
-// buildRun constructs the spec with a fresh kernel and recorder, hands the
-// network to drive for traffic injection, runs to completion and collects
-// the pinned state.
+// buildRun constructs the spec with a recorder, hands the network to drive
+// for traffic injection, runs to completion and collects the pinned state.
 func buildRun(t *testing.T, spec NetworkSpec, drive func(*Network, *coreRun)) coreRun {
 	t.Helper()
-	k := sim.NewKernel()
-	rec := trace.NewRecorder(k, 1<<16)
-	spec.Kernel = k
-	spec.Recorder = rec
+	spec.TraceCapacity = 1 << 16
 	net, err := NewNetwork(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := net.Recorder()
 	var run coreRun
 	drive(net, &run)
 	net.Run()

@@ -75,9 +75,8 @@ const (
 	goldenSeed  = uint64(9)
 )
 
-func goldenSwitchBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
+func goldenSwitchBuilt(t *testing.T, vc atm.VC) []arrival {
 	n, err := NewNetwork(NetworkSpec{
-		Kernel:    k,
 		Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
 		Switches:  []SwitchSpec{{Name: "sw", Ports: 2, Rate: units.STS3cPayload, QueueDepth: 64}},
 		Links: []LinkSpec{
@@ -96,7 +95,7 @@ func goldenSwitchBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 		t.Fatalf("VC allocation moved: %v → %v", vcc.SourceVC, vcc.DestVC)
 	}
 	var got []arrival
-	n.Link("sw-b").Fwd.AttachSink(tapInto(t, &got, k, n.Endpoint("b").Interface()))
+	n.Link("sw-b").Fwd.AttachSink(tapInto(t, &got, n.Kernel(), n.Endpoint("b").Interface()))
 	driveFrames(t, func(vc atm.VC, data []byte) error { return n.Endpoint("a").Send(vc, data, nil) }, vc)
 	n.Run()
 	return got
@@ -106,7 +105,9 @@ func goldenSwitchBuilt(t *testing.T, k *sim.Kernel, vc atm.VC) []arrival {
 // timing wheel: the heap kernel must produce the same cells at the same times.
 func TestGoldenOneSwitchHeapKernel(t *testing.T) {
 	vc := atm.VC{VCI: 100}
-	wheel := goldenSwitchBuilt(t, sim.NewKernel(), vc)
-	heap := goldenSwitchBuilt(t, sim.NewHeapKernel(), vc)
+	wheel := goldenSwitchBuilt(t, vc)
+	newKernel = sim.NewHeapKernel
+	defer func() { newKernel = sim.NewKernel }()
+	heap := goldenSwitchBuilt(t, vc)
 	compareArrivals(t, wheel, heap)
 }

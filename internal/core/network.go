@@ -31,43 +31,34 @@ type NetworkSpec struct {
 	Links     []LinkSpec
 	VCCs      []VCCSpec
 
-	// Metrics is the shared telemetry registry; nil means the network
-	// creates one (reachable via Network.Metrics).
-	Metrics *metrics.Registry
-	// Kernel lets the caller supply the event kernel (for golden tests that
-	// swap scheduler implementations); nil means sim.NewKernel().
-	Kernel *sim.Kernel
-	// Recorder, when non-nil, attaches flight-recorder stage spans to every
-	// cell-port hop the builder wires: each endpoint's TX FIFO, reassembler
-	// and delivery stages, each switch output queue, and both directions of
-	// every fiber (nodes "<link>.fwd" / "<link>.rev"; framed links use
-	// sonetlink's "link.<src>" naming and register during link construction).
-	// Stages register in spec order, so two builds of the same spec produce
-	// identical stage tables and event streams.
-	Recorder *trace.Recorder
+	// TraceCapacity, when positive, gives every partition a flight recorder
+	// of this many events, built on the partition's own kernel, and attaches
+	// stage spans to every cell-port hop the builder wires: each endpoint's
+	// TX FIFO, reassembler and delivery stages, each switch output queue,
+	// and both directions of every fiber (nodes "<link>.fwd" / "<link>.rev";
+	// framed links use sonetlink's "link.<src>" naming and register during
+	// link construction). Stages register in spec order, so two builds of
+	// the same spec produce identical stage tables and event streams. Read
+	// the recorder with Network.Recorder, or the whole-run trace with
+	// Network.TraceEvents.
+	TraceCapacity int
 
 	// Shards > 1 requests a partitioned conservative-parallel build: the
 	// topology is split into partitions — each with its own kernel, metrics
-	// registry and (when Recorder is set) trace recorder — advanced in
-	// lock-step windows by a sim.Group, with every cross-partition fiber's
-	// propagation delay declared as lookahead. Deliveries, merged metrics
-	// and merged traces are byte-identical to the serial build (the golden
-	// tests pin this). 0 and 1 build the classic serial network. The shard
-	// count is clamped to the number of partitionable units; framed and
-	// zero-delay links never cross partitions (see partition.go).
-	//
-	// A sharded build rejects a caller-supplied Kernel or Metrics registry
-	// (both would be shared across partition goroutines). When Recorder is
-	// set, it serves as a capacity template only: each partition records
-	// into its own recorder of the same capacity, and Network.TraceEvents
-	// merges them.
+	// registry, trace recorder and cell pool — advanced in lock-step windows
+	// by a sim.Group, with every cross-partition fiber's propagation delay
+	// declared as lookahead. Deliveries, merged metrics and merged traces
+	// are byte-identical to the serial build (the golden tests pin this).
+	// The shard count is clamped to the number of partitionable units
+	// (framed and zero-delay links never cross partitions; see
+	// partition.go), and a plan of one partition is the serial build.
 	Shards int
 
 	// Partitions pins the node→partition assignment explicitly, overriding
 	// the default endpoint/switch-cluster split: each inner slice names the
 	// nodes of one partition. Every declared node must appear exactly once,
-	// and no framed or zero-delay link may cross groups. Implies sharded
-	// mode with len(Partitions) shards; Shards is ignored.
+	// and no framed or zero-delay link may cross groups. It builds
+	// len(Partitions) partitions and overrides Shards.
 	Partitions [][]string
 }
 
@@ -201,19 +192,12 @@ type VCC struct {
 
 // Network is a built topology.
 type Network struct {
-	k    *sim.Kernel       // serial builds only; nil when sharded
-	reg  *metrics.Registry // serial builds only; nil when sharded
-	rec  *trace.Recorder   // serial builds: the spec's recorder (may be nil)
-	pool *atm.Pool         // serial builds only; nil when sharded
-
-	// Sharded builds: one kernel/registry/recorder/cell pool per partition,
-	// driven in lock-step by the group. All nil/empty on serial builds.
-	group   *sim.Group
-	kernels []*sim.Kernel
-	regs    []*metrics.Registry
-	recs    []*trace.Recorder
-	pools   []*atm.Pool
-	shardOf map[string]int
+	// One world per partition of the plan; a serial build is the
+	// one-partition case. With more than one, the group drives the worlds'
+	// kernels in lock-step.
+	worlds  []world
+	group   *sim.Group     // nil with one partition
+	shardOf map[string]int // node → index into worlds; nil maps every node to 0
 
 	endpoints map[string]*Endpoint
 	switches  map[string]*netsim.Switch
@@ -226,6 +210,22 @@ type Network struct {
 	portCAC map[portKey]*tm.CAC // per switch output port
 	epLink  map[string]string   // endpoint → the one link it is on
 }
+
+// world is one partition's simulation state: the kernel its nodes run on,
+// the registry their instruments register in, the flight recorder their
+// stages record on (nil without TraceCapacity) and the cell pool their
+// links and switches draw from.
+type world struct {
+	k    *sim.Kernel
+	reg  *metrics.Registry
+	rec  *trace.Recorder
+	pool *atm.Pool
+}
+
+// newKernel builds every partition's kernel. Tests swap in
+// sim.NewHeapKernel to check the builder depends on no scheduling property
+// of the timing wheel.
+var newKernel = sim.NewKernel
 
 // netEdge is one directed use of a link.
 type netEdge struct {
@@ -256,42 +256,22 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		portCAC:   make(map[portKey]*tm.CAC),
 		epLink:    make(map[string]string),
 	}
-	if spec.Shards > 1 || len(spec.Partitions) > 0 {
-		if spec.Kernel != nil {
-			return nil, fmt.Errorf("core: sharded build cannot take a caller-supplied Kernel (each partition owns one)")
+	plan, err := planPartitions(spec)
+	if err != nil {
+		return nil, err
+	}
+	n.shardOf = plan.of
+	n.worlds = make([]world, plan.shards)
+	kernels := make([]*sim.Kernel, plan.shards)
+	for i := range n.worlds {
+		w := world{k: newKernel(), reg: metrics.NewRegistry(), pool: atm.NewPool(0)}
+		if spec.TraceCapacity > 0 {
+			w.rec = trace.NewRecorder(w.k, spec.TraceCapacity)
 		}
-		if spec.Metrics != nil {
-			return nil, fmt.Errorf("core: sharded build cannot take a caller-supplied Metrics registry (each partition owns one; use Network.Metrics for the merge)")
-		}
-		plan, err := planPartitions(spec)
-		if err != nil {
-			return nil, err
-		}
-		n.shardOf = plan.of
-		n.kernels = make([]*sim.Kernel, plan.shards)
-		n.regs = make([]*metrics.Registry, plan.shards)
-		n.recs = make([]*trace.Recorder, plan.shards)
-		n.pools = make([]*atm.Pool, plan.shards)
-		for i := range n.kernels {
-			n.kernels[i] = sim.NewKernel()
-			n.regs[i] = metrics.NewRegistry()
-			n.pools[i] = atm.NewPool(0)
-			if spec.Recorder != nil {
-				n.recs[i] = trace.NewRecorder(n.kernels[i], spec.Recorder.Capacity())
-			}
-		}
-		n.group = sim.NewGroup(n.kernels)
-	} else {
-		n.k = spec.Kernel
-		if n.k == nil {
-			n.k = sim.NewKernel()
-		}
-		n.reg = spec.Metrics
-		if n.reg == nil {
-			n.reg = metrics.NewRegistry()
-		}
-		n.rec = spec.Recorder
-		n.pool = atm.NewPool(0)
+		n.worlds[i], kernels[i] = w, w.k
+	}
+	if len(kernels) > 1 {
+		n.group = sim.NewGroup(kernels)
 	}
 	for _, es := range spec.Endpoints {
 		if es.Name == "" {
@@ -300,7 +280,8 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if n.known(es.Name) {
 			return nil, fmt.Errorf("core: duplicate node name %q", es.Name)
 		}
-		ep, err := newEndpoint(n.kernelFor(es.Name), es.Name, es.Options, n.regFor(es.Name), n.poolFor(es.Name))
+		w := n.worldOf(es.Name)
+		ep, err := newEndpoint(w.k, es.Name, es.Options, w.reg, w.pool)
 		if err != nil {
 			return nil, fmt.Errorf("core: endpoint %q: %w", es.Name, err)
 		}
@@ -319,10 +300,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if ss.QueueDepth == 0 {
 			ss.QueueDepth = 64
 		}
-		sw := netsim.NewSwitch(n.kernelFor(ss.Name), ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, n.poolFor(ss.Name))
+		w := n.worldOf(ss.Name)
+		sw := netsim.NewSwitch(w.k, ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, w.pool)
 		sw.SwitchingDelay = ss.SwitchingDelay
 		sw.AISPeriod = ss.AISPeriod
-		sw.Instrument(n.regFor(ss.Name), ss.Name)
+		sw.Instrument(w.reg, ss.Name)
 		if ss.EFCIThreshold > 0 {
 			for p := 0; p < ss.Ports; p++ {
 				sw.SetThresholds(p, 0, 0, ss.EFCIThreshold)
@@ -392,23 +374,23 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		// Each half lives on its SENDING node's kernel: the send side (stats,
 		// the loss/corruption rng draws, trace Enter) always runs in the
 		// source partition, so the rng sequence matches the serial projection.
-		kA, kB := n.kernelFor(ls.A.Node), n.kernelFor(ls.B.Node)
-		fwd := phy.NewCellLink(kA, delay, ls.Seed*2+1, n.consumer(ls.B), n.poolFor(ls.A.Node))
+		wA, wB := n.worldOf(ls.A.Node), n.worldOf(ls.B.Node)
+		fwd := phy.NewCellLink(wA.k, delay, ls.Seed*2+1, n.consumer(ls.B), wA.pool)
 		fwd.LossProb = ls.LossProb
 		fwd.CorruptProb = ls.CorruptProb
-		rev := phy.NewCellLink(kB, delay, ls.Seed*2+2, n.consumer(ls.A), n.poolFor(ls.B.Node))
+		rev := phy.NewCellLink(wB.k, delay, ls.Seed*2+2, n.consumer(ls.A), wB.pool)
 		rev.LossProb = ls.LossProb
 		rev.CorruptProb = ls.CorruptProb
 		n.producer(ls.A).AttachSink(fwd)
 		n.producer(ls.B).AttachSink(rev)
-		if n.group != nil && n.shardOf[ls.A.Node] != n.shardOf[ls.B.Node] {
+		if wA != wB {
 			// Cut link: deliveries and signal transitions cross via mailboxes,
 			// declaring the propagation delay as the partitions' lookahead.
 			// Arrival-side trace events land on the destination partition's
 			// recorder under the same stage names the attach loop below gives
 			// the send side, so merged traces pair up like a serial run's.
-			fwd.SetBoundary(n.group.Mailbox(kA, kB, delay), n.recFor(ls.B.Node), ls.Name+".fwd")
-			rev.SetBoundary(n.group.Mailbox(kB, kA, delay), n.recFor(ls.A.Node), ls.Name+".rev")
+			fwd.SetBoundary(n.group.Mailbox(wA.k, wB.k, delay), wB.rec, ls.Name+".fwd")
+			rev.SetBoundary(n.group.Mailbox(wB.k, wA.k, delay), wA.rec, ls.Name+".rev")
 		}
 		// Carrier state reaches the receiving node directly, even when a
 		// tap later replaces the link's cell sink: losing the light must
@@ -431,25 +413,25 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			fromPort: ls.B.Port, toPort: ls.A.Port, fwd: false,
 		})
 	}
-	if spec.Recorder != nil {
+	if spec.TraceCapacity > 0 {
 		// Attach spans in spec order (endpoints, switches, links) so the
 		// stage table — and with it every exported trace — is deterministic.
-		// Sharded builds record each instance on its own partition's recorder
-		// (recFor); link halves record on their sending node's, with the
-		// arrival side of cut links already wired by SetBoundary above.
+		// Each instance records on its own partition's recorder; link halves
+		// record on their sending node's, with the arrival side of cut links
+		// already wired by SetBoundary above.
 		for _, es := range spec.Endpoints {
-			n.endpoints[es.Name].iface.SetRecorder(n.recFor(es.Name))
+			n.endpoints[es.Name].iface.SetRecorder(n.worldOf(es.Name).rec)
 		}
 		for _, ss := range spec.Switches {
-			n.switches[ss.Name].SetRecorder(n.recFor(ss.Name))
+			n.switches[ss.Name].SetRecorder(n.worldOf(ss.Name).rec)
 		}
 		for _, ls := range spec.Links {
 			l := n.links[ls.Name]
 			if l.Framed != nil {
 				continue // spans attached at sonetlink.Connect time
 			}
-			l.Fwd.SetRecorder(n.recFor(ls.A.Node), ls.Name+".fwd")
-			l.Rev.SetRecorder(n.recFor(ls.B.Node), ls.Name+".rev")
+			l.Fwd.SetRecorder(n.worldOf(ls.A.Node).rec, ls.Name+".fwd")
+			l.Rev.SetRecorder(n.worldOf(ls.B.Node).rec, ls.Name+".rev")
 		}
 	}
 	for _, vs := range spec.VCCs {
@@ -483,15 +465,16 @@ func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error
 		return nil, fmt.Errorf("core: framed link %q: endpoint %q payload rate %v matches no SONET rate", ls.Name, ls.A.Node, pr)
 	}
 	// Framed links are never cut (the whole sonetlink world lives on one
-	// kernel), so both endpoints share a partition and A's kernel/registry/
-	// recorder serve the link.
-	sl, err := sonetlink.Connect(n.kernelFor(ls.A.Node), sonetlink.Config{
+	// kernel), so both endpoints share a partition and A's world serves the
+	// link.
+	w := n.worldOf(ls.A.Node)
+	sl, err := sonetlink.Connect(w.k, sonetlink.Config{
 		Rate:       rate,
 		Delay:      delay,
 		BitErrProb: ls.BitErrProb,
 		Seed:       ls.Seed,
-		Metrics:    n.regFor(ls.A.Node),
-		Recorder:   n.recFor(ls.A.Node),
+		Metrics:    w.reg,
+		Recorder:   w.rec,
 	}, epA.iface, epB.iface)
 	if err != nil {
 		return nil, fmt.Errorf("core: framed link %q: %w", ls.Name, err)
@@ -500,39 +483,8 @@ func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error
 		usedVCs: make(map[atm.VC]bool)}, nil
 }
 
-// kernelFor returns the kernel the named node lives on: its partition's on
-// sharded builds, the one shared kernel otherwise.
-func (n *Network) kernelFor(node string) *sim.Kernel {
-	if n.group != nil {
-		return n.kernels[n.shardOf[node]]
-	}
-	return n.k
-}
-
-// poolFor returns the cell pool of the kernel the named node lives on.
-func (n *Network) poolFor(node string) *atm.Pool {
-	if n.group != nil {
-		return n.pools[n.shardOf[node]]
-	}
-	return n.pool
-}
-
-// regFor returns the registry the named node's instruments register in.
-func (n *Network) regFor(node string) *metrics.Registry {
-	if n.group != nil {
-		return n.regs[n.shardOf[node]]
-	}
-	return n.reg
-}
-
-// recFor returns the recorder the named node's stages record on (nil when
-// the spec attached no Recorder).
-func (n *Network) recFor(node string) *trace.Recorder {
-	if n.group != nil {
-		return n.recs[n.shardOf[node]]
-	}
-	return n.rec
-}
+// worldOf returns the world of the partition the named node lives in.
+func (n *Network) worldOf(node string) *world { return &n.worlds[n.shardOf[node]] }
 
 func (n *Network) known(name string) bool {
 	if _, ok := n.endpoints[name]; ok {
@@ -558,67 +510,75 @@ func (n *Network) producer(ref NodeRef) atm.CellProducer {
 	return n.switches[ref.Node].Port(ref.Port)
 }
 
-// Kernel exposes the simulation clock/scheduler. On a sharded build there is
-// no single kernel — it panics; use NodeKernel to schedule work in a
-// particular node's partition.
+// Kernel exposes the simulation clock/scheduler. With more than one
+// partition there is no single kernel — it panics; use NodeKernel to
+// schedule work in a particular node's partition.
 func (n *Network) Kernel() *sim.Kernel {
 	if n.group != nil {
 		panic("core: sharded network has one kernel per partition; use NodeKernel(name)")
 	}
-	return n.k
+	return n.worlds[0].k
 }
 
-// NodeKernel returns the kernel the named node's events run on — the shared
-// kernel on a serial build, the node's partition kernel on a sharded one.
-// Drivers scheduling stimulus (traffic ticks, fault injection) against a
-// node must use that node's kernel so the work lands in the right partition.
+// Recorder returns the flight recorder (nil when the spec set no
+// TraceCapacity). With more than one partition each records into its own
+// recorder — it panics; use TraceEvents for the merged trace.
+func (n *Network) Recorder() *trace.Recorder {
+	if n.group != nil {
+		panic("core: sharded network has one recorder per partition; use TraceEvents")
+	}
+	return n.worlds[0].rec
+}
+
+// NodeKernel returns the kernel the named node's events run on: its
+// partition's kernel, which is the one kernel of a serial build. Drivers
+// scheduling stimulus (traffic ticks, fault injection) against a node must
+// use that node's kernel so the work lands in the right partition.
 func (n *Network) NodeKernel(name string) *sim.Kernel {
 	if !n.known(name) {
 		panic("core: unknown node " + name)
 	}
-	return n.kernelFor(name)
+	return n.worldOf(name).k
 }
 
 // Shards reports the number of partitions the build produced (1 for a
 // serial build).
-func (n *Network) Shards() int {
-	if n.group != nil {
-		return len(n.kernels)
-	}
-	return 1
-}
+func (n *Network) Shards() int { return len(n.worlds) }
 
-// Metrics returns the telemetry registry. On a sharded build it merges the
-// per-partition registries into a fresh snapshot (see metrics.Merge for why
-// the merge is exact); call it after the run, not during.
+// Metrics returns the telemetry registry: the live registry of a serial
+// build. With more than one partition it merges the per-partition
+// registries into a fresh snapshot (see metrics.Merge for why the merge is
+// exact); call it after the run, not during.
 func (n *Network) Metrics() *metrics.Registry {
-	if n.group != nil {
-		merged := metrics.NewRegistry()
-		for _, reg := range n.regs {
-			merged.Merge(reg)
-		}
-		return merged
+	if n.group == nil {
+		return n.worlds[0].reg
 	}
-	return n.reg
+	merged := metrics.NewRegistry()
+	for _, w := range n.worlds {
+		merged.Merge(w.reg)
+	}
+	return merged
 }
 
 // TraceEvents returns the run's flight-recorder events in canonical sorted
-// order with stage names resolved — the whole-run trace on both serial and
-// sharded builds (which record into one recorder per partition). Empty when
-// the spec attached no Recorder.
+// order with stage names resolved — the whole-run trace, merged across the
+// partitions' recorders. Empty when the spec set no TraceCapacity.
 func (n *Network) TraceEvents() []trace.NamedEvent {
-	if n.group != nil {
-		return trace.MergeNamed(n.recs...)
+	recs := make([]*trace.Recorder, len(n.worlds))
+	for i, w := range n.worlds {
+		recs[i] = w.rec
 	}
-	return trace.MergeNamed(n.rec)
+	return trace.MergeNamed(recs...)
 }
 
-// Run drains all scheduled work and returns the final simulated time.
+// Run drains all scheduled work and returns the final simulated time. A
+// serial build runs its kernel directly rather than through a one-kernel
+// group, so a caller driving Kernel() between calls never sees a stale Now.
 func (n *Network) Run() sim.Time {
 	if n.group != nil {
 		return n.group.Run()
 	}
-	return n.k.Run()
+	return n.worlds[0].k.Run()
 }
 
 // RunUntil advances the simulation to t.
@@ -626,7 +586,7 @@ func (n *Network) RunUntil(t sim.Time) sim.Time {
 	if n.group != nil {
 		return n.group.RunUntil(t)
 	}
-	return n.k.RunUntil(t)
+	return n.worlds[0].k.RunUntil(t)
 }
 
 // RunFor advances the simulation by d.
@@ -634,7 +594,7 @@ func (n *Network) RunFor(d sim.Duration) sim.Time {
 	if n.group != nil {
 		return n.group.RunFor(d)
 	}
-	return n.k.RunFor(d)
+	return n.worlds[0].k.RunFor(d)
 }
 
 // Now returns the current simulated time.
@@ -642,7 +602,7 @@ func (n *Network) Now() sim.Time {
 	if n.group != nil {
 		return n.group.Now()
 	}
-	return n.k.Now()
+	return n.worlds[0].k.Now()
 }
 
 // Close releases the partition worker goroutines of a sharded build (no-op
@@ -788,8 +748,9 @@ func (l *Link) allocVC(want atm.VC) (atm.VC, error) {
 }
 
 // AddVCC routes, admits and opens one connection on the built network. On
-// an admission failure every reservation already taken for this connection
-// is released and the network is left unchanged.
+// any failure every VCI claim, admission and VC end already taken for this
+// connection is released and the network is left unchanged: switch routes
+// are installed only once nothing else can fail.
 func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	if vs.Name == "" {
 		return nil, fmt.Errorf("core: vcc with empty name")
@@ -832,34 +793,47 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	}
 
 	// Per-hop VC allocation: one VC per fiber, requested number preferred.
+	// Every step below that fails undoes the steps before it, so a failed
+	// call leaves the network as it found it.
 	want := vs.VC
 	if want == (atm.VC{}) {
 		want = atm.VC{VPI: 0, VCI: 100}
 	}
-	vcs := make([]atm.VC, len(path))
-	for i, e := range path {
-		if vcs[i], err = e.l.allocVC(want); err != nil {
+	type vcEnd struct {
+		ep *Endpoint
+		vc atm.VC
+	}
+	vcs := make([]atm.VC, 0, len(path))
+	var admitted []*tm.CAC
+	var opened []vcEnd
+	release := func() {
+		for _, end := range opened {
+			end.ep.iface.CloseVC(end.vc)
+		}
+		for _, cac := range admitted {
+			cac.Release(contract)
+		}
+		for i, vc := range vcs {
+			delete(path[i].l.usedVCs, vc)
+		}
+	}
+	for _, e := range path {
+		vc, err := e.l.allocVC(want)
+		if err != nil {
+			release()
 			return nil, fmt.Errorf("core: vcc %q: %w", vs.Name, err)
 		}
+		vcs = append(vcs, vc)
 	}
 
 	// Admission: the source access link, then every switch output port the
 	// forward direction drains through; duplex adds the mirror set.
-	var admitted []*tm.CAC
 	admit := func(cac *tm.CAC) error {
 		if err := cac.Admit(contract); err != nil {
 			return err
 		}
 		admitted = append(admitted, cac)
 		return nil
-	}
-	release := func() {
-		for _, cac := range admitted {
-			cac.Release(contract)
-		}
-		for i, e := range path {
-			delete(e.l.usedVCs, vcs[i])
-		}
 	}
 	if err := admit(n.SourceCAC(vs.From)); err != nil {
 		release()
@@ -888,8 +862,6 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 		}
 	}
 
-	// Routes: each interior node translates (inPort, inVC) → (outPort,
-	// outVC); duplex installs the mirror translation.
 	v := &VCC{
 		Name:     vs.Name,
 		Source:   src,
@@ -898,29 +870,12 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 		DestVC:   vcs[len(vcs)-1],
 		Contract: contract,
 	}
-	for i := 0; i+1 < len(path); i++ {
-		swName := path[i].to
-		sw := n.switches[swName]
-		inPort, outPort := path[i].toPort, path[i+1].fromPort
-		inVC, outVC := vcs[i], vcs[i+1]
-		sw.SetRoute(inPort, inVC, outPort, outVC, netsim.RouteOptions{Class: contract.Class})
-		if vs.Duplex {
-			sw.SetRoute(outPort, outVC, inPort, inVC, netsim.RouteOptions{Class: contract.Class})
+	for _, end := range []vcEnd{{src, v.SourceVC}, {dst, v.DestVC}} {
+		if err := end.ep.iface.OpenVC(end.vc); err != nil {
+			release()
+			return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, end.vc, end.ep.name, err)
 		}
-		v.Hops = append(v.Hops, VCCHop{
-			Switch: sw, SwitchName: swName,
-			InPort: inPort, OutPort: outPort,
-			InVC: inVC, OutVC: outVC,
-		})
-	}
-
-	if err := src.iface.OpenVC(v.SourceVC); err != nil {
-		release()
-		return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, v.SourceVC, vs.From, err)
-	}
-	if err := dst.iface.OpenVC(v.DestVC); err != nil {
-		release()
-		return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, v.DestVC, vs.To, err)
+		opened = append(opened, end)
 	}
 	switch {
 	case abr != nil:
@@ -935,6 +890,24 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 			release()
 			return nil, fmt.Errorf("core: vcc %q: shape: %w", vs.Name, err)
 		}
+	}
+
+	// Routes, once nothing can fail: each interior node translates (inPort,
+	// inVC) → (outPort, outVC); duplex installs the mirror translation.
+	for i := 0; i+1 < len(path); i++ {
+		swName := path[i].to
+		sw := n.switches[swName]
+		inPort, outPort := path[i].toPort, path[i+1].fromPort
+		inVC, outVC := vcs[i], vcs[i+1]
+		sw.SetRoute(inPort, inVC, outPort, outVC, netsim.RouteOptions{Class: contract.Class})
+		if vs.Duplex {
+			sw.SetRoute(outPort, outVC, inPort, inVC, netsim.RouteOptions{Class: contract.Class})
+		}
+		v.Hops = append(v.Hops, VCCHop{
+			Switch: sw, SwitchName: swName,
+			InPort: inPort, OutPort: outPort,
+			InVC: inVC, OutVC: outVC,
+		})
 	}
 
 	n.vccs[vs.Name] = v

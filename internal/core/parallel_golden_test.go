@@ -84,22 +84,15 @@ func (c *collector) merged() []string {
 	return out
 }
 
-// goldenRun builds mk()'s spec — serially when shards == 0, sharded
-// otherwise — drives it, runs to completion and collects the comparison
-// state. The drive callback must schedule stimulus via NodeKernel so it
-// lands in the right partition.
+// goldenRun builds mk()'s spec with Shards set to shards (0 builds it
+// serially unless the spec pins Partitions), drives it, runs to completion
+// and collects the comparison state. The drive callback must schedule
+// stimulus via NodeKernel so it lands in the right partition.
 func goldenRun(t *testing.T, mk func() NetworkSpec, shards int, drive func(net *Network, col *collector)) parRun {
 	t.Helper()
 	spec := mk()
-	if shards == 0 && len(spec.Partitions) == 0 {
-		k := sim.NewKernel()
-		spec.Kernel = k
-		spec.Recorder = trace.NewRecorder(k, 1<<16)
-	} else {
-		spec.Shards = shards
-		// Capacity template only: each partition gets its own recorder.
-		spec.Recorder = trace.NewRecorder(sim.NewKernel(), 1<<16)
-	}
+	spec.Shards = shards
+	spec.TraceCapacity = 1 << 16
 	net, err := NewNetwork(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -459,23 +452,6 @@ func TestShardedBuildValidation(t *testing.T) {
 			Shards: 2,
 		}
 	}
-	t.Run("caller kernel", func(t *testing.T) {
-		spec := base()
-		spec.Kernel = sim.NewKernel()
-		if _, err := NewNetwork(spec); err == nil || !strings.Contains(err.Error(), "Kernel") {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	t.Run("caller metrics", func(t *testing.T) {
-		spec := base()
-		spec.Metrics = nil // default is fine
-		spec.Kernel = nil
-		net, err := NewNetwork(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.Close()
-	})
 	t.Run("zero-delay cut", func(t *testing.T) {
 		spec := base()
 		spec.Links[0].Delay = 0
@@ -512,19 +488,29 @@ func TestShardedBuildValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer net.Close()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Kernel() did not panic on a sharded build")
-			}
-		}()
-		net.Kernel()
+		for name, get := range map[string]func(){
+			"Kernel":   func() { net.Kernel() },
+			"Recorder": func() { net.Recorder() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s() did not panic on a sharded build", name)
+					}
+				}()
+				get()
+			}()
+		}
 	})
 	t.Run("framed uncut ok", func(t *testing.T) {
 		// A framed pair with Shards requested clamps to one partition (the
-		// framed link merges both endpoints) and still runs.
+		// framed link merges both endpoints), and a one-partition plan is
+		// the serial build: its kernel, recorder and live registry are
+		// reachable like any serial build's.
 		spec := base()
 		spec.Links[0].Framed = true
 		spec.VCCs = []VCCSpec{{Name: "flow", From: "a", To: "b"}}
+		spec.TraceCapacity = 1024
 		net, err := NewNetwork(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -533,14 +519,30 @@ func TestShardedBuildValidation(t *testing.T) {
 		if net.Shards() != 1 {
 			t.Fatalf("shards = %d, want 1", net.Shards())
 		}
+		k, reg := net.Kernel(), net.Metrics()
+		if net.NodeKernel("a") != k || net.NodeKernel("b") != k {
+			t.Fatal("nodes run on a kernel other than Kernel()")
+		}
+		if net.Metrics() != reg {
+			t.Fatal("Metrics() returned a different registry on the second call")
+		}
+		if net.Recorder() == nil {
+			t.Fatal("Recorder() is nil with TraceCapacity set")
+		}
 		got := 0
 		net.Endpoint("b").OnReceive(func(p Packet) { got++ })
 		if err := net.Endpoint("a").Send(net.VCC("flow").SourceVC, make([]byte, 100), nil); err != nil {
 			t.Fatal(err)
 		}
-		net.Run()
-		if got != 1 {
-			t.Fatalf("delivered %d, want 1", got)
+		k.Run()
+		if got != 1 || reg.Counter("b.nic.rx.packets").Value() != 1 {
+			t.Fatalf("delivered %d, registry counts %d, want 1 each", got, reg.Counter("b.nic.rx.packets").Value())
+		}
+		if net.Now() != k.Now() {
+			t.Fatalf("Now() = %v after running Kernel() to %v", net.Now(), k.Now())
+		}
+		if len(net.TraceEvents()) == 0 {
+			t.Fatal("no trace events recorded")
 		}
 	})
 }

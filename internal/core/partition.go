@@ -4,7 +4,8 @@ import (
 	"fmt"
 )
 
-// Partitioning for sharded (conservative-parallel) builds.
+// Partitioning for sharded (conservative-parallel) builds. A plan of one
+// partition is the serial build.
 //
 // The topology graph is cut along fiber links only: every node — an
 // endpoint with its NIC, or a switch — lives wholly inside one partition,
@@ -28,7 +29,7 @@ import (
 
 // partitionPlan maps every node to its shard.
 type partitionPlan struct {
-	of     map[string]int // node name → shard index
+	of     map[string]int // node name → shard index; nil maps all to 0
 	shards int
 }
 
@@ -47,14 +48,19 @@ func uncuttable(ls LinkSpec) (string, bool) {
 	return "", false
 }
 
-// planPartitions computes the node→shard assignment for a sharded build.
-// Node-name validity is checked here only as far as partitioning needs;
-// the main build loop still performs its full validation afterwards.
+// planPartitions computes the node→shard assignment of a build: one
+// partition (every node in shard 0) unless the spec asks for Shards > 1 or
+// explicit Partitions. Node-name validity is checked here only as far as
+// partitioning needs; the main build loop still performs its full
+// validation afterwards.
 func planPartitions(spec NetworkSpec) (*partitionPlan, error) {
-	if len(spec.Partitions) > 0 {
+	switch {
+	case len(spec.Partitions) > 0:
 		return planExplicit(spec)
+	case spec.Shards > 1:
+		return planDefault(spec)
 	}
-	return planDefault(spec)
+	return &partitionPlan{shards: 1}, nil
 }
 
 // planExplicit validates and applies a caller-supplied node grouping.

@@ -60,7 +60,6 @@ func runE14(shaped bool, runTime sim.Duration) E14Result {
 	contract := tm.VBRContract(150_000, 50_000, 32, 8*ct)
 
 	net, err := core.NewNetwork(core.NetworkSpec{
-		Kernel: newKernel(),
 		Endpoints: []core.EndpointSpec{
 			{Name: "a"},
 			{Name: "b"},

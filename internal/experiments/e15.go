@@ -100,7 +100,6 @@ func runE15(overload float64, epd bool, runTime sim.Duration) E15Point {
 	// the senders' cell-clock phase lock so the congestion pattern
 	// resembles jittered real arrivals.
 	net, err := core.NewNetwork(core.NetworkSpec{
-		Kernel: newKernel(),
 		Endpoints: []core.EndpointSpec{
 			{Name: "a", Options: core.Options{InterleaveVCs: true}},
 			{Name: "b", Options: core.Options{InterleaveVCs: true}},

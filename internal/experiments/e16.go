@@ -111,13 +111,8 @@ func runE16(nSw int, rate units.BitRate, runTime sim.Duration) E16Point {
 	}
 	// Intra-run sharding (SetShards) splits this topology into partitions
 	// run in parallel; the core golden tests pin the results byte-identical
-	// to serial. Sharded builds own their kernels, so the kernel-constructor
-	// hook only applies to serial runs.
-	if shards := Shards(); shards > 1 {
-		spec.Shards = shards
-	} else {
-		spec.Kernel = newKernel()
-	}
+	// to serial.
+	spec.Shards = Shards()
 	// Tandem chain: src → sw1 → … → swN → dst. Port 0 faces upstream,
 	// port 1 downstream. Every switch gets its own cross-traffic feed on
 	// port 2 (fresh arrival jitter at each hop — an upstream port's drain

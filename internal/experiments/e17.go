@@ -77,7 +77,6 @@ func E17(runTime sim.Duration) (E17Result, *report.Series) {
 		AlarmClearTimeout: soak,
 	}
 	spec := core.NetworkSpec{
-		Kernel: newKernel(),
 		Endpoints: []core.EndpointSpec{
 			{Name: "src", Options: opts},
 			{Name: "dst", Options: opts},

@@ -67,14 +67,12 @@ func runE18Point(rate units.BitRate, size int) (E18Row, *trace.Recorder) {
 	spec := pair(core.EndpointSpec{Name: "a", Options: opts}, core.EndpointSpec{Name: "b", Options: opts},
 		core.LinkSpec{Delay: 10_000, Seed: 3},
 		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC})
-	spec.Kernel = newKernel()
 	// One MTU at STS-12c is ~200 cells; 6 events per cell plus endpoints
 	// fits comfortably in 4096 — no wraparound, so the telescoping
 	// extraction below sees every boundary.
-	rec := trace.NewRecorder(spec.Kernel, 4096)
-	spec.Recorder = rec
+	spec.TraceCapacity = 4096
 	net := build(spec)
-	k := net.Kernel()
+	k, rec := net.Kernel(), net.Recorder()
 	a, b := net.Endpoint("a"), net.Endpoint("b")
 
 	var start, end sim.Time

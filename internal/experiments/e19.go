@@ -110,7 +110,6 @@ func runE19(frac float64, epd bool, runTime sim.Duration) E19Point {
 		epdThresh = e19FrameCells / 2
 	}
 	net, err := core.NewNetwork(core.NetworkSpec{
-		Kernel: newKernel(),
 		Endpoints: []core.EndpointSpec{
 			{Name: "a", Options: core.Options{InterleaveVCs: true}},
 			{Name: "b", Options: core.Options{InterleaveVCs: true}},

@@ -31,7 +31,7 @@ type E1Row struct {
 // fit far inside the 155 Mb/s cell time and only the AAL3/4 build
 // approaches half of the 622 Mb/s cell time.
 func E1(engCfg engine.Config) ([]E1Row, *report.Table) {
-	k := newKernel()
+	k := sim.NewKernel()
 	eng := engine.New(k, "e1", engCfg)
 	ct155 := units.CellTime(units.STS3cPayload)
 	ct622 := units.CellTime(units.STS12cPayload)
@@ -79,7 +79,7 @@ type E2Row struct {
 // 64 VCs, worst-entry lookup). The receive path is the tighter budget —
 // exactly why the paper puts the CAM and buffer datapath in hardware.
 func E2(engCfg engine.Config) ([]E2Row, *report.Table) {
-	k := newKernel()
+	k := sim.NewKernel()
 	eng := engine.New(k, "e2", engCfg)
 	ct155 := units.CellTime(units.STS3cPayload)
 	ct622 := units.CellTime(units.STS12cPayload)

@@ -65,7 +65,6 @@ func E20(nFlows int, runTime sim.Duration) (E20Result, *report.Table) {
 		runTime = 10 * sim.Second
 	}
 	net, err := core.NewNetwork(core.NetworkSpec{
-		Kernel: newKernel(),
 		Endpoints: []core.EndpointSpec{
 			{Name: "a", Options: core.Options{InterleaveVCs: true}},
 			{Name: "b", Options: core.Options{InterleaveVCs: true}},

@@ -103,11 +103,7 @@ func runE21(delay sim.Duration, runTime sim.Duration, shards int) E21Point {
 			ERICA:         &erica,
 		}},
 	}
-	if shards > 1 {
-		spec.Shards = shards
-	} else {
-		spec.Kernel = newKernel()
-	}
+	spec.Shards = shards
 	srcOpts := core.Options{Rate: core.Rate622}
 	for i := 0; i < nSrc; i++ {
 		name := fmt.Sprintf("s%d", i+1)

@@ -47,7 +47,7 @@ func E5() ([]E5Row, *report.Table) {
 			})
 
 		cells := aal.CellsForSDU5(size)
-		k := newKernel()
+		k := sim.NewKernel()
 		eng := engine.New(k, "m", nic.DefaultConfig("x").Engine)
 		hostCfg := hostDefault()
 		// Component model. Wire serialization of all cells dominates the

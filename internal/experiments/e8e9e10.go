@@ -206,7 +206,7 @@ func E10(clocksMHz []int) ([]E10Point, *report.Series) {
 	}
 	var pts []E10Point
 	for _, mhz := range clocksMHz {
-		k := newKernel()
+		k := sim.NewKernel()
 		cfg := engine.DefaultConfig()
 		cfg.ClockHz = int64(mhz) * 1_000_000
 		eng := engine.New(k, "e10", cfg)

@@ -16,13 +16,9 @@ import (
 // stdVC is the connection every end-to-end experiment runs on.
 var stdVC = atm.VC{VPI: 0, VCI: 100}
 
-// build constructs a rig's network, on a fresh newKernel unless the spec
-// brings its own kernel, so the heap-vs-wheel goldens cover every rig. Rig
-// specs are fixed literals: an error is a programming mistake and panics.
+// build constructs a rig's network. Rig specs are fixed literals: an error
+// is a programming mistake and panics.
 func build(spec core.NetworkSpec) *core.Network {
-	if spec.Kernel == nil {
-		spec.Kernel = newKernel()
-	}
 	net, err := core.NewNetwork(spec)
 	if err != nil {
 		panic("experiments: " + err.Error())

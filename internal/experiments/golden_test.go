@@ -7,16 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The two equivalence guarantees the perf work must not break:
-//
-//  1. serial vs parallel — fanning sweep points across goroutines reorders
-//     only the computation, never the results;
-//  2. heap vs wheel — the timing-wheel scheduler dispatches in exactly the
-//     order of the pre-wheel binary heap, so every simulated world evolves
-//     identically.
-//
-// Both are checked on full result structs (every float bit compared) for a
-// closed-loop sweep (E3) and a paced open-loop sweep (E9).
+// Serial vs parallel: fanning sweep points across goroutines reorders only
+// the computation, never the results. Checked on full result structs (every
+// float bit compared) for a closed-loop sweep (E3), a paced open-loop sweep
+// (E9) and the multi-hop chain (E16). The heap ≡ wheel scheduler property
+// is pinned in internal/sim, and every rig's results by digest in
+// rigs_golden_test.go.
 
 func goldenE3Config() E3Config {
 	return E3Config{
@@ -36,14 +32,6 @@ func withParallelism(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-func withHeapKernel(t *testing.T, fn func()) {
-	t.Helper()
-	prev := newKernel
-	newKernel = sim.NewHeapKernel
-	defer func() { newKernel = prev }()
-	fn()
-}
-
 func TestE3SerialParallelIdentical(t *testing.T) {
 	ec := goldenE3Config()
 	var serial, par []E3Point
@@ -60,25 +48,6 @@ func TestE9SerialParallelIdentical(t *testing.T) {
 	withParallelism(t, 8, func() { par, _ = E9(goldenE9Depths, 5*sim.Millisecond) })
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("E9 parallel results differ from serial:\nserial: %+v\nparallel: %+v", serial, par)
-	}
-}
-
-func TestE3HeapWheelIdentical(t *testing.T) {
-	ec := goldenE3Config()
-	wheel, _, _ := E3(ec)
-	var heap []E3Point
-	withHeapKernel(t, func() { heap, _, _ = E3(ec) })
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("E3 wheel results differ from heap kernel:\nwheel: %+v\nheap: %+v", wheel, heap)
-	}
-}
-
-func TestE9HeapWheelIdentical(t *testing.T) {
-	wheel, _ := E9(goldenE9Depths, 5*sim.Millisecond)
-	var heap []E9Point
-	withHeapKernel(t, func() { heap, _ = E9(goldenE9Depths, 5*sim.Millisecond) })
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("E9 wheel results differ from heap kernel:\nwheel: %+v\nheap: %+v", wheel, heap)
 	}
 }
 
@@ -109,14 +78,5 @@ func TestE16ShardedSerialIdentical(t *testing.T) {
 	withShards(t, 4, func() { sharded, _ = E16(3 * sim.Millisecond) })
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Errorf("E16 sharded results differ from serial:\nserial: %+v\nsharded: %+v", serial, sharded)
-	}
-}
-
-func TestE16HeapWheelIdentical(t *testing.T) {
-	wheel, _ := E16(5 * sim.Millisecond)
-	var heap []E16Point
-	withHeapKernel(t, func() { heap, _ = E16(5 * sim.Millisecond) })
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("E16 wheel results differ from heap kernel:\nwheel: %+v\nheap: %+v", wheel, heap)
 	}
 }

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"sync/atomic"
-
-	"repro/internal/sim"
-)
+import "sync/atomic"
 
 // Sweep parallelism: the big sweeps (E3, E4, E8, E9, E11, E15) enumerate
 // their points into a case slice and compute them through runner.Map, each
@@ -49,8 +45,3 @@ func SetShards(n int) {
 
 // Shards reports the configured intra-run partition count.
 func Shards() int { return int(runShards.Load()) }
-
-// newKernel is the kernel constructor every experiment uses. Tests swap in
-// sim.NewHeapKernel to prove the timing-wheel scheduler dispatches in the
-// exact order of the pre-wheel binary heap.
-var newKernel = sim.NewKernel

@@ -266,3 +266,64 @@ func TestPropertyWheelHeapCancelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: events queued under reserved keys and rescheduled events
+// dispatch identically on the wheel and heap kernels, with delays that
+// straddle the ~262 µs wheel horizon. Each op's first firing draws a key
+// with ReserveSeq, schedules a local event after it at the same time (the
+// reserved key must still dispatch first), queues the reserved key with
+// PostBoundary the way a fiber delay line does, queues a boundary event
+// under a key posted earlier on another partition the way a Mailbox does,
+// and may move another op's event with Reschedule.
+func TestPropertyWheelHeapReservedKeyEquivalence(t *testing.T) {
+	type op struct {
+		At, Delay, Move uint32
+		Back            uint16 // how far before now the remote key was posted
+		Lane            uint8
+		Resched         bool
+	}
+	type rec struct {
+		At Time
+		ID int
+	}
+	const span = 1 << 20 // ns: about four wheel horizons
+	trace := func(k *Kernel, ops []op) []rec {
+		var out []rec
+		handles := make([]*Event, len(ops))
+		n := len(ops)
+		for i, o := range ops {
+			i, o := i, o
+			fired := false
+			handles[i] = k.At(Time(o.At%span), func() {
+				out = append(out, rec{k.Now(), i})
+				if fired {
+					return
+				}
+				fired = true
+				now, d := k.Now(), Duration(o.Delay%span)
+				seq := k.ReserveSeq()
+				k.PostAfter(d, func() { out = append(out, rec{k.Now(), n + i}) })
+				k.PostBoundary(now+d, now, k.Lane(), seq, func(any) {
+					out = append(out, rec{k.Now(), 2*n + i})
+				}, nil)
+				// Remote keys use lanes 1..3, which no local event carries,
+				// and one seq per op, so no two events share a full key.
+				pt := now - min(now, Time(o.Back))
+				k.PostBoundary(now+d/2, pt, 1+int32(o.Lane%3), uint64(i), func(any) {
+					out = append(out, rec{k.Now(), 3*n + i})
+				}, nil)
+				if o.Resched {
+					k.Reschedule(handles[(i+1)%n], now+Duration(o.Move%span))
+				}
+			})
+		}
+		k.Run()
+		return out
+	}
+	f := func(ops []op) bool {
+		return reflect.DeepEqual(trace(NewKernel(), ops), trace(NewHeapKernel(), ops))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -36,9 +36,6 @@ func (r *Recorder) Named() []NamedEvent {
 	return out
 }
 
-// Capacity returns the ring capacity the recorder was built with.
-func (r *Recorder) Capacity() int { return len(r.ring) }
-
 // SortNamed orders events by every field — (at, node, stage, vc, kind,
 // cause) — making the slice a canonical form of its multiset: two runs
 // recorded the same trace if and only if their sorted named events are

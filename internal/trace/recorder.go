@@ -78,10 +78,9 @@ type Recorder struct {
 	evicted uint64
 	enabled bool
 
-	sampleN  uint32            // record every Nth cell per (stage, VC); 0/1 = all
-	vcFilter func(atm.VC) bool // nil = all VCs
-	stages   []stageMeta       // indexed by StageID
-	byName   map[string]*StageSpan
+	sampleN uint32      // record every Nth cell per (stage, VC); 0/1 = all
+	stages  []stageMeta // indexed by StageID
+	byName  map[string]*StageSpan
 }
 
 // NewRecorder builds a recorder on kernel k holding the last capacity
@@ -118,30 +117,6 @@ func (r *Recorder) SampleCells(n int) {
 		n = 1
 	}
 	r.sampleN = uint32(n)
-}
-
-// SampleVCs records only 1-in-n connections, chosen by a deterministic hash
-// of the VC identifier. n <= 1 records every VC.
-func (r *Recorder) SampleVCs(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 1 {
-		r.vcFilter = nil
-		return
-	}
-	un := uint32(n)
-	r.vcFilter = func(vc atm.VC) bool {
-		return (uint32(vc.VPI)<<16|uint32(vc.VCI))%un == 0
-	}
-}
-
-// SetVCFilter installs an arbitrary connection filter (nil = all VCs).
-func (r *Recorder) SetVCFilter(f func(atm.VC) bool) {
-	if r == nil {
-		return
-	}
-	r.vcFilter = f
 }
 
 // Stage registers (or returns the existing) span handle for one stage of
@@ -235,12 +210,9 @@ type StageSpan struct {
 	out map[atm.VC]uint32
 }
 
-// admit applies the VC filter and (for paired kinds) per-VC cell sampling.
+// admit applies per-VC cell sampling to the paired kinds.
 func (s *StageSpan) admit(vc atm.VC, m *map[atm.VC]uint32) bool {
 	r := s.r
-	if r.vcFilter != nil && !r.vcFilter(vc) {
-		return false
-	}
 	if r.sampleN > 1 {
 		if *m == nil {
 			*m = make(map[atm.VC]uint32)
@@ -286,13 +258,9 @@ func (s *StageSpan) Point(vc atm.VC) {
 }
 
 // Drop records a cell the stage lost, with its cause. Drops bypass cell
-// sampling (losses are the events a flight recorder exists for) but still
-// honor the VC filter.
+// sampling: losses are the events a flight recorder exists for.
 func (s *StageSpan) Drop(vc atm.VC, cause metrics.DropCause) {
 	if s == nil || !s.r.enabled {
-		return
-	}
-	if s.r.vcFilter != nil && !s.r.vcFilter(vc) {
 		return
 	}
 	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindDrop, Cause: cause})

@@ -28,8 +28,6 @@ func TestNilRecorderIsFree(t *testing.T) {
 	sp.Point(recVC)
 	sp.Drop(recVC, metrics.DropFIFO)
 	r.SampleCells(4)
-	r.SampleVCs(4)
-	r.SetVCFilter(nil)
 }
 
 func TestEnterExitSpans(t *testing.T) {
@@ -161,28 +159,6 @@ func TestSampleCellsKeepsDrops(t *testing.T) {
 	}
 	if drops != 10 {
 		t.Fatalf("drops recorded %d, want all 10", drops)
-	}
-}
-
-func TestSampleVCs(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRecorder(k, 256)
-	r.SampleVCs(2) // keep VCs whose hash is even: VCI 100 yes, VCI 101 no
-	sp := r.Stage("a", "s")
-	odd := atm.VC{VPI: 0, VCI: 101}
-	k.At(1, func() {
-		sp.Enter(recVC)
-		sp.Enter(odd)
-		sp.Drop(odd, metrics.DropFIFO)
-	})
-	k.Run()
-	for _, ev := range r.Events() {
-		if ev.VC == odd {
-			t.Fatalf("filtered VC %v recorded", odd)
-		}
-	}
-	if r.Len() != 1 {
-		t.Fatalf("len %d, want 1", r.Len())
 	}
 }
 
