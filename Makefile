@@ -48,13 +48,16 @@ cover-tcpip:
 			if (pct + 0 < 75) { printf "coverage %s%% is below the 75%% gate\n", pct; exit 1 } \
 			printf "internal/ip + internal/tcp line coverage %s%% (gate 75%%)\n", pct }'
 
-# fuzz-smoke runs each reassembler fuzz target for 15 s (`go test -fuzz`
-# takes one target per run). New inputs are minimized for at most 2 s each,
-# so minimizing the 9180-byte seeds' offspring cannot eat the whole budget.
+# fuzz-smoke runs each fuzz target for 15 s (`go test -fuzz` takes one
+# target per run). New inputs are minimized for at most 2 s each, so
+# minimizing the offspring of the 9180-byte and multi-frame seeds cannot eat
+# the whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler5$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzMIDReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/sonet -run '^$$' -fuzz '^FuzzDeframer$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzHECCheck$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the

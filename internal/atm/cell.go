@@ -112,8 +112,8 @@ var (
 	ErrHECFailed = errors.New("atm: uncorrectable header error")
 )
 
-// maxVPI returns the largest VPI encodable in the format.
-func (f Format) maxVPI() uint16 {
+// MaxVPI returns the largest VPI encodable in the format.
+func (f Format) MaxVPI() uint16 {
 	if f == NNI {
 		return 0xfff
 	}
@@ -127,7 +127,7 @@ func (h *Header) Encode(dst []byte) error {
 	if len(dst) < HeaderSize {
 		return ErrShortBuf
 	}
-	if h.VPI > h.Format.maxVPI() {
+	if h.VPI > h.Format.MaxVPI() {
 		return fmt.Errorf("%w: VPI %d under %v", ErrVPIRange, h.VPI, h.Format)
 	}
 	if h.GFC > 0xf {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -240,4 +241,50 @@ func TestAddVCCFailureLeavesNetworkUnchanged(t *testing.T) {
 			t.Fatalf("a→d opened %v at a, want %v", v.SourceVC, top)
 		}
 	})
+}
+
+// TestVCCRefusesVPIBeyondUNI pins that an endpoint VC whose VPI no UNI
+// header can carry is refused when the VCC is added, on a framed link as on
+// a cell link, and that the refusal leaves no VC claimed. Such a VCC used to
+// build: on a framed link the first cell then panicked in the framer's
+// header encode, and on a cell link the header went out unencodable.
+func TestVCCRefusesVPIBeyondUNI(t *testing.T) {
+	for _, framed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("framed=%v", framed), func(t *testing.T) {
+			spec := NetworkSpec{
+				Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
+				Links: []LinkSpec{{Name: "ab", A: NodeRef{Node: "a"}, B: NodeRef{Node: "b"},
+					Delay: 10_000, Framed: framed}},
+			}
+			wide := VCCSpec{Name: "flow", From: "a", To: "b", VC: VC{VPI: 300, VCI: 100}}
+			withVCC := spec
+			withVCC.VCCs = []VCCSpec{wide}
+			if _, err := NewNetwork(withVCC); !errors.Is(err, atm.ErrVPIRange) {
+				t.Fatalf("NewNetwork: err = %v, want atm.ErrVPIRange", err)
+			}
+			net, err := NewNetwork(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.AddVCC(wide); !errors.Is(err, atm.ErrVPIRange) {
+				t.Fatalf("AddVCC: err = %v, want atm.ErrVPIRange", err)
+			}
+			if n := len(net.Link("ab").usedVCs); n != 0 {
+				t.Fatalf("refused VCC left %d VCs claimed on the link", n)
+			}
+			v, err := net.AddVCC(VCCSpec{Name: "flow", From: "a", To: "b", VC: VC{VPI: 255, VCI: 100}})
+			if err != nil {
+				t.Fatalf("VPI 255 after the refusal: %v", err)
+			}
+			var got int
+			net.Endpoint("b").OnReceive(func(Packet) { got++ })
+			if err := net.Endpoint("a").Send(v.SourceVC, make([]byte, 1000), nil); err != nil {
+				t.Fatal(err)
+			}
+			net.RunFor(2 * sim.Millisecond)
+			if got != 1 {
+				t.Fatalf("delivered %d SDUs on VPI 255, want 1", got)
+			}
+		})
+	}
 }

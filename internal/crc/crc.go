@@ -10,9 +10,12 @@
 //     MSB-first with pre- and post-inversion, as I.363 specifies.
 //
 // Each check has a bitwise reference implementation and a table-driven fast
-// implementation; the tests cross-validate them. On the real adapter these
-// are dedicated hardware, so the simulator charges them zero engine cycles —
-// but the bytes still have to be right for frames to survive the wire model.
+// implementation; the tests cross-validate them. The HEC's four header bytes
+// go through four independent slicing tables at once (slicing-by-4) and
+// CRC-32 takes eight bytes per step (slicing-by-8); CRC-10 is byte-table
+// driven. On the real adapter these are dedicated hardware, so the simulator
+// charges them zero engine cycles — but the bytes still have to be right for
+// frames to survive the wire model.
 package crc
 
 // ---------------------------------------------------------------------------
@@ -26,7 +29,12 @@ const hecPoly = 0x07
 // against slips in an all-zeros header stream.
 const HECCoset = 0x55
 
-var hecTable [256]byte
+// hecSlice holds the slicing-by-4 tables: hecSlice[k][b] is the CRC of
+// byte b followed by k zero bytes (hecSlice[0] is the plain byte table).
+// The register is only eight bits wide, so the CRC of a four-byte header is
+// linear in its bytes: hecSlice[3][h0] ^ hecSlice[2][h1] ^ hecSlice[1][h2]
+// ^ hecSlice[0][h3], four independent loads instead of four dependent ones.
+var hecSlice [4][256]byte
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -38,17 +46,19 @@ func init() {
 				crc <<= 1
 			}
 		}
-		hecTable[i] = crc
+		hecSlice[0][i] = crc
+	}
+	for k := 1; k < 4; k++ {
+		for i := 0; i < 256; i++ {
+			hecSlice[k][i] = hecSlice[0][hecSlice[k-1][i]]
+		}
 	}
 }
 
 // HEC computes the header error control byte over the four bytes h.
 func HEC(h [4]byte) byte {
-	var crc byte
-	for _, b := range h {
-		crc = hecTable[crc^b]
-	}
-	return crc ^ HECCoset
+	return hecSlice[3][h[0]] ^ hecSlice[2][h[1]] ^ hecSlice[1][h[2]] ^
+		hecSlice[0][h[3]] ^ HECCoset
 }
 
 // HECBitwise is the reference bit-serial HEC, used to validate the table.
@@ -70,13 +80,12 @@ func HECBitwise(h [4]byte) byte {
 // HECOK reports whether the five bytes at h[0:5] carry an exactly matching
 // HEC (no single-bit correction attempted). This is the check cell
 // delineation performs on every candidate byte offset while hunting, kept
-// copy-free so the sliding-window loop stays four table loads per offset.
+// copy-free so the sliding-window loop stays four independent table loads
+// per offset.
 func HECOK(h []byte) bool {
-	crc := hecTable[h[0]]
-	crc = hecTable[crc^h[1]]
-	crc = hecTable[crc^h[2]]
-	crc = hecTable[crc^h[3]]
-	return crc^HECCoset == h[4]
+	_ = h[4]
+	return hecSlice[3][h[0]]^hecSlice[2][h[1]]^hecSlice[1][h[2]]^
+		hecSlice[0][h[3]]^HECCoset == h[4]
 }
 
 // hecSyndrome returns the HEC syndrome for a received 5-byte header: zero
@@ -95,9 +104,6 @@ func init() {
 	for i := range singleBitSyndrome {
 		singleBitSyndrome[i] = -1
 	}
-	var zero [5]byte
-	zh := hecSyndrome([5]byte{zero[0], zero[1], zero[2], zero[3], HEC([4]byte{})})
-	_ = zh
 	// Flip each of the 40 header bits in an otherwise correct header and
 	// record the syndrome it produces. Syndromes are linear, so the map
 	// holds for any header.

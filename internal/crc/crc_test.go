@@ -1,15 +1,31 @@
 package crc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestHECMatchesBitwise(t *testing.T) {
-	f := func(h [4]byte) bool { return HEC(h) == HECBitwise(h) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+// eachHeaderByte calls fn with 1024 headers: each of the four bytes in turn
+// takes all 256 values while the other three are random.
+func eachHeaderByte(fn func(h [4]byte)) {
+	rng := rand.New(rand.NewSource(1))
+	for pos := 0; pos < 4; pos++ {
+		for v := 0; v < 256; v++ {
+			var h [4]byte
+			rng.Read(h[:])
+			h[pos] = byte(v)
+			fn(h)
+		}
 	}
+}
+
+func TestHECMatchesBitwise(t *testing.T) {
+	eachHeaderByte(func(h [4]byte) {
+		if got, want := HEC(h), HECBitwise(h); got != want {
+			t.Fatalf("HEC(% x) = %#02x, bitwise %#02x", h, got, want)
+		}
+	})
 }
 
 func TestHECKnownVector(t *testing.T) {
@@ -198,17 +214,17 @@ func TestCRC32SlicingMatchesByteSerial(t *testing.T) {
 }
 
 func TestHECOKMatchesHEC(t *testing.T) {
-	f := func(h [4]byte) bool {
-		hdr := []byte{h[0], h[1], h[2], h[3], HEC(h)}
-		if !HECOK(hdr) {
-			return false
+	// HECOK accepts the bitwise HEC and rejects each of the other 255.
+	eachHeaderByte(func(h [4]byte) {
+		want := HECBitwise(h)
+		hdr := []byte{h[0], h[1], h[2], h[3], 0}
+		for e := 0; e < 256; e++ {
+			hdr[4] = byte(e)
+			if got := HECOK(hdr); got != (hdr[4] == want) {
+				t.Fatalf("HECOK(% x) = %v, bitwise HEC %#02x", hdr, got, want)
+			}
 		}
-		hdr[4] ^= 0x01
-		return !HECOK(hdr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestCRC32KnownVector(t *testing.T) {

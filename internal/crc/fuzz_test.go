@@ -1,0 +1,55 @@
+package crc
+
+import "testing"
+
+// hecOracle classifies a received header by brute force over HECBitwise:
+// syndrome zero is valid as received; otherwise the one single-bit flip
+// (if any) that zeroes the syndrome is the correction.
+func hecOracle(h [5]byte) (ok, corrected bool, fixed [5]byte) {
+	syndrome := func(h [5]byte) byte { return HECBitwise([4]byte{h[0], h[1], h[2], h[3]}) ^ h[4] }
+	if syndrome(h) == 0 {
+		return true, false, h
+	}
+	flips := 0
+	for bit := 0; bit < 40; bit++ {
+		f := h
+		f[bit/8] ^= 0x80 >> (bit % 8)
+		if syndrome(f) == 0 {
+			flips++
+			fixed = f
+		}
+	}
+	if flips == 1 {
+		return true, true, fixed
+	}
+	return false, false, h
+}
+
+// FuzzHECCheck checks HECCheck and HECOK against hecOracle on any five
+// bytes: a valid header passes uncorrected, a header one bit flip away
+// from valid is corrected to exactly that flip, and anything else is
+// rejected with its bytes unchanged.
+func FuzzHECCheck(f *testing.F) {
+	// The header of the user cells the sonet tests frame (VPI 0, VCI 5),
+	// clean and with one bit flipped, and the idle cell's header.
+	cell := []byte{0x00, 0x00, 0x00, 0x50, HEC([4]byte{0x00, 0x00, 0x00, 0x50})}
+	f.Add(cell)
+	f.Add([]byte{cell[0], cell[1] ^ 0x08, cell[2], cell[3], cell[4]})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x52})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		h := [5]byte(data[:5])
+		wantOK, wantCorrected, want := hecOracle(h)
+		if got := HECOK(data); got != (wantOK && !wantCorrected) {
+			t.Fatalf("HECOK(% x) = %v, oracle ok=%v corrected=%v", h, got, wantOK, wantCorrected)
+		}
+		got := h
+		ok, corrected := HECCheck(&got)
+		if ok != wantOK || corrected != wantCorrected || got != want {
+			t.Fatalf("HECCheck(% x) = %v, %v, % x; oracle %v, %v, % x",
+				h, ok, corrected, got, wantOK, wantCorrected, want)
+		}
+	})
+}

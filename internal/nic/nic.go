@@ -226,8 +226,12 @@ func (i *Interface) AttachSink(out atm.CellConsumer) {
 // OnReceive registers the host-side delivery callback.
 func (i *Interface) OnReceive(fn func(Delivered)) { i.rx.onDeliver = fn }
 
-// OpenVC opens a VC for both send and receive.
+// OpenVC opens a VC for both send and receive. The interface sits on a
+// UNI, so a VPI its header cannot carry is refused with atm.ErrVPIRange.
 func (i *Interface) OpenVC(vc atm.VC) error {
+	if vc.VPI > atm.UNI.MaxVPI() {
+		return fmt.Errorf("nic: %w: VPI %d under %v", atm.ErrVPIRange, vc.VPI, atm.UNI)
+	}
 	if i.txVCs[vc] {
 		return ErrVCExists
 	}

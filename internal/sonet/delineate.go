@@ -174,8 +174,7 @@ func (d *Delineator) syncCell(w []byte) bool {
 		d.stats.HeaderDropped++
 		// Still consume the cell slot and keep scrambler state: the
 		// descrambler register depends only on received line bits.
-		copy(d.cell[5:], w[5:53])
-		d.cs.Descramble(d.cell[5:])
+		d.cs.descramble(d.cell[5:], w[5:53])
 		if d.badRun >= d.Alpha {
 			d.state = Hunt
 			d.stats.SyncLosses++
@@ -188,8 +187,7 @@ func (d *Delineator) syncCell(w []byte) bool {
 		d.stats.HeaderCorrected++
 	}
 	copy(d.cell[:5], h[:])
-	copy(d.cell[5:], w[5:53])
-	d.cs.Descramble(d.cell[5:])
+	d.cs.descramble(d.cell[5:], w[5:53])
 	d.stats.Cells++
 	d.sink(d.cell[:], corrected)
 	return d.state == Sync

@@ -1,6 +1,7 @@
 package sonet
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -111,18 +112,25 @@ type CellSource interface {
 
 // Framer builds serialized SONET frames carrying a continuous ATM cell
 // stream. Cells cross frame boundaries, exactly as on the wire.
+//
+// Everything after the row-1 section overhead is scrambled by XORing it in
+// place with the frame keystream (the frame-synchronous scrambler's output,
+// the same every frame). The next frame's B1 is the BIP-8 of the scrambled
+// frame, and BIP-8 is linear in the bytes it covers, so it is computed
+// without a pass over the scrambled frame: the parity of the transport
+// overhead columns, XOR the SPE's row fold (which is also the next frame's
+// B3), XOR the keystream's own parity.
 type Framer struct {
-	geom    Geometry
-	rate    Rate
-	fs      FrameScrambler
-	cs      CellScrambler
-	src     CellSource
-	cellBuf [53]byte
-	cellOff int    // bytes of cellBuf already emitted; 53 = need a new cell
-	stream  []byte // per-frame staging for the contiguous cell stream
-	frameNo uint64
-	prevB1  byte // BIP-8 of previous scrambled frame
-	prevB3  byte // BIP-8 of previous SPE
+	geom     Geometry
+	cs       CellScrambler
+	src      CellSource
+	cellBuf  [53]byte
+	cellOff  int    // bytes of cellBuf already emitted; 53 = need a new cell
+	stream   []byte // per-frame staging for the contiguous cell stream
+	frameNo  uint64
+	ksParity byte // BIP-8 of the frame keystream at this rate
+	prevB1   byte // BIP-8 of previous scrambled frame
+	prevB3   byte // BIP-8 of previous SPE
 }
 
 // NewFramer returns a framer for rate r drawing cells from src.
@@ -131,8 +139,8 @@ func NewFramer(r Rate, src CellSource) *Framer {
 		panic("sonet: nil cell source")
 	}
 	g := Geom(r)
-	return &Framer{geom: g, rate: r, src: src, cellOff: 53,
-		stream: make([]byte, g.PayloadPer)}
+	return &Framer{geom: g, src: src, cellOff: 53,
+		stream: make([]byte, g.PayloadPer), ksParity: keystreamParity(r)}
 }
 
 // Geometry returns the framer's layout.
@@ -195,20 +203,22 @@ func (f *Framer) NextFrame(dst []byte) int {
 	} else {
 		f.cellOff = 53
 	}
-	var b3 byte
+	var toh, b3 byte
 	for row := 0; row < rows; row++ {
 		base := row * g.Cols
 		copy(frame[base+payStart:base+g.Cols], stream[row*g.PayloadCols:])
-		// B3 covers the SPE (POH column through the row end); XOR folds
-		// row by row instead of staging a contiguous SPE copy.
+		// B3 covers the SPE (POH column through the row end), and B1
+		// adds the TOH columns; XOR folds row by row instead of staging
+		// a contiguous SPE copy.
+		toh ^= bip8(frame[base : base+pohCol])
 		b3 ^= bip8(frame[base+pohCol : base+g.Cols])
 	}
 	f.prevB3 = b3
 
 	// Frame-synchronous scrambling: everything except row-1 TOH.
-	f.fs.Reset()
-	f.fs.Apply(frame[g.TOHCols:])
-	f.prevB1 = bip8(frame)
+	scr := frame[g.TOHCols:]
+	subtle.XORBytes(scr, scr, frameKeystream[:])
+	f.prevB1 = toh ^ b3 ^ f.ksParity
 	f.frameNo++
 	return g.FrameBytes
 }
@@ -227,14 +237,22 @@ type DeframerStats struct {
 
 // Deframer parses serialized frames, verifies overhead, and hands the
 // descrambled payload cell stream to a Delineator.
+//
+// One pass descrambles each received frame into a scratch copy (the
+// received bytes XOR the frame keystream). The B1 expected in the next
+// frame is the BIP-8 of the frame as received; as in the Framer, it is
+// assembled from the clear copy's transport-overhead parity, its SPE row
+// fold (the next frame's expected B3) and the keystream's parity. A frame
+// that fails A1/A2 alignment is dropped before any of this and leaves both
+// expectations as they were.
 type Deframer struct {
-	geom  Geometry
-	fs    FrameScrambler
-	del   *Delineator
-	stats DeframerStats
-	expB1 byte
-	expB3 byte
-	buf   []byte // scratch: descrambled frame copy
+	geom     Geometry
+	del      *Delineator
+	stats    DeframerStats
+	ksParity byte // BIP-8 of the frame keystream at this rate
+	expB1    byte
+	expB3    byte
+	buf      []byte // scratch: descrambled frame copy
 }
 
 // NewDeframer returns a deframer for rate r delivering cells to del.
@@ -243,7 +261,8 @@ func NewDeframer(r Rate, del *Delineator) *Deframer {
 		panic("sonet: nil delineator")
 	}
 	g := Geom(r)
-	return &Deframer{geom: g, del: del, buf: make([]byte, g.FrameBytes)}
+	return &Deframer{geom: g, del: del, buf: make([]byte, g.FrameBytes),
+		ksParity: keystreamParity(r)}
 }
 
 // Stats returns receive counters.
@@ -261,47 +280,43 @@ func (d *Deframer) PushFrame(frame []byte) error {
 	frame = frame[:g.FrameBytes]
 	d.stats.Frames++
 
-	// B1 covers the scrambled frame as received.
-	gotB1 := bip8(frame)
-
-	copy(d.buf, frame)
-	f := d.buf
 	// Check alignment before descrambling (A1/A2 are never scrambled).
 	for i := 0; i < g.N; i++ {
-		if f[i] != byteA1 || f[g.N+i] != byteA2 {
+		if frame[i] != byteA1 || frame[g.N+i] != byteA2 {
 			d.stats.LOSFrames++
 			return nil // no byte alignment: drop the whole frame
 		}
 	}
-	d.fs.Reset()
-	d.fs.Apply(f[g.TOHCols:])
+	f := d.buf
+	copy(f[:g.TOHCols], frame)
+	subtle.XORBytes(f[g.TOHCols:], frame[g.TOHCols:], frameKeystream[:])
 
+	pohCol := g.TOHCols
 	if d.stats.Frames > 1 {
 		if f[g.Cols] != d.expB1 {
 			d.stats.B1Errors++
 		}
-		pohCol := g.TOHCols
 		if f[g.Cols+pohCol] != d.expB3 {
 			d.stats.B3Errors++
 		}
 	}
-	d.expB1 = gotB1
 
 	row4 := 3 * g.Cols
 	if f[row4] != byteH1 || f[row4+g.N] != byteH2 {
 		d.stats.PointerErrs++
 	}
 
-	// Fold the SPE for next frame's B3 check (row-by-row XOR — BIP-8 is
+	// Fold the overhead columns and the SPE row by row (BIP-8 is
 	// position-independent, so no contiguous SPE copy is needed) and feed
 	// payload bytes to the delineator.
-	pohCol := g.TOHCols
 	payStart := g.TOHCols + 1 + g.FixedStuff
-	var b3 byte
+	var toh, b3 byte
 	for row := 0; row < rows; row++ {
 		base := row * g.Cols
+		toh ^= bip8(f[base : base+pohCol])
 		b3 ^= bip8(f[base+pohCol : base+g.Cols])
 	}
+	d.expB1 = toh ^ b3 ^ d.ksParity
 	d.expB3 = b3
 	for row := 0; row < rows; row++ {
 		base := row * g.Cols

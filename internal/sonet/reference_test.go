@@ -7,8 +7,11 @@ package sonet
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"math/rand"
 	"testing"
+
+	"repro/internal/crc"
 )
 
 // refFrameScramble is the original bit-serial frame-synchronous scrambler.
@@ -66,40 +69,31 @@ func refBip8(p []byte) byte {
 	return b
 }
 
+// xorKeystream scrambles (or descrambles) p in place with the frame
+// keystream, as the framer and the deframer do after a frame-start reset.
+func xorKeystream(p []byte) { subtle.XORBytes(p, p, frameKeystream[:len(p)]) }
+
 func TestFrameScramblerMatchesBitSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 63, 2430 - 9, frameKeystreamMax} {
 		p := make([]byte, n)
 		rng.Read(p)
 		ref := append([]byte(nil), p...)
-		var s FrameScrambler
-		s.Reset()
-		s.Apply(p)
-		refSt := refFrameScramble(0x7f, ref)
+		xorKeystream(p)
+		refFrameScramble(0x7f, ref)
 		if !bytes.Equal(p, ref) {
 			t.Fatalf("len %d: keystream XOR diverges from bit-serial scrambler", n)
 		}
-		if s.state != refSt {
-			t.Fatalf("len %d: final LFSR state %#x, reference %#x", n, s.state, refSt)
-		}
 	}
-}
-
-func TestFrameScramblerMidStreamFallback(t *testing.T) {
-	// Two Applies without an interleaved Reset must keep walking the LFSR
-	// from the mid-stream state (the table only covers reset starts).
-	rng := rand.New(rand.NewSource(2))
-	p := make([]byte, 300)
-	rng.Read(p)
-	ref := append([]byte(nil), p...)
-	var s FrameScrambler
-	s.Reset()
-	s.Apply(p[:100])
-	s.Apply(p[100:])
-	st := refFrameScramble(0x7f, ref[:100])
-	refFrameScramble(st, ref[100:])
-	if !bytes.Equal(p, ref) {
-		t.Fatal("mid-stream Apply diverges from bit-serial scrambler")
+	// The per-rate keystream parity the B1 algebra uses is the BIP-8 of
+	// the bit-serial scrambler's output over one frame's scrambled region.
+	for _, rate := range []Rate{STS3c, STS12c} {
+		g := Geom(rate)
+		ks := make([]byte, g.FrameBytes-g.TOHCols)
+		refFrameScramble(0x7f, ks)
+		if got, want := keystreamParity(rate), refBip8(ks); got != want {
+			t.Fatalf("%v: keystream parity %#02x, reference %#02x", rate, got, want)
+		}
 	}
 }
 
@@ -154,11 +148,13 @@ func TestBip8MatchesByteSerial(t *testing.T) {
 	}
 }
 
-// refNextFrame is the original per-byte framer payload fill, kept as the
-// golden reference for the staged block-copy path in Framer.NextFrame.
+// refFramer is the original per-byte framer: payload filled a byte at a
+// time, the bit-serial frame scrambler, and B1 and B3 as byte-serial folds
+// over the scrambled frame and a contiguous SPE copy. It is the golden
+// reference for Framer.NextFrame's staged payload, keystream XOR and B1
+// algebra.
 type refFramer struct {
 	geom    Geometry
-	fs      FrameScrambler
 	cs      CellScrambler
 	src     CellSource
 	cellBuf [53]byte
@@ -212,10 +208,9 @@ func (f *refFramer) NextFrame(dst []byte) int {
 		base := row * g.Cols
 		spe = append(spe, frame[base+pohCol:base+g.Cols]...)
 	}
-	f.prevB3 = bip8(spe)
-	f.fs.Reset()
-	f.fs.Apply(frame[g.TOHCols:])
-	f.prevB1 = bip8(frame)
+	f.prevB3 = refBip8(spe)
+	refFrameScramble(0x7f, frame[g.TOHCols:])
+	f.prevB1 = refBip8(frame)
 	return g.FrameBytes
 }
 
@@ -259,6 +254,148 @@ func TestDeframerMatchesReferenceStats(t *testing.T) {
 		}
 		if cells == 0 {
 			t.Fatalf("%v: no cells recovered", rate)
+		}
+	}
+}
+
+// refDeframer is the byte-serial receive path: B1 folded over the frame as
+// received, a copy descrambled by the bit-serial register walk, and B3
+// folded over a contiguous copy of its SPE. It models the counters only.
+type refDeframer struct {
+	geom  Geometry
+	stats DeframerStats
+	expB1 byte
+	expB3 byte
+}
+
+func (d *refDeframer) PushFrame(frame []byte) {
+	g := d.geom
+	d.stats.Frames++
+	gotB1 := refBip8(frame)
+	for i := 0; i < g.N; i++ {
+		if frame[i] != byteA1 || frame[g.N+i] != byteA2 {
+			d.stats.LOSFrames++
+			return
+		}
+	}
+	f := append([]byte(nil), frame...)
+	refFrameScramble(0x7f, f[g.TOHCols:])
+	pohCol := g.TOHCols
+	if d.stats.Frames > 1 {
+		if f[g.Cols] != d.expB1 {
+			d.stats.B1Errors++
+		}
+		if f[g.Cols+pohCol] != d.expB3 {
+			d.stats.B3Errors++
+		}
+	}
+	d.expB1 = gotB1
+	row4 := 3 * g.Cols
+	if f[row4] != byteH1 || f[row4+g.N] != byteH2 {
+		d.stats.PointerErrs++
+	}
+	var spe []byte
+	for row := 0; row < rows; row++ {
+		spe = append(spe, f[row*g.Cols+pohCol:(row+1)*g.Cols]...)
+	}
+	d.expB3 = refBip8(spe)
+}
+
+// TestDeframerMatchesReferenceUnderBitFlips pins the deframer's one-pass
+// keystream XOR and B1 algebra against the byte-serial reference on a
+// damaged stream. Every other frame carries one flipped bit: in turn at
+// every transport-overhead byte (B1 and the row-4 pointer among them),
+// every path-overhead byte (B3 among them) and a sample of payload bytes.
+// One frame mid-stream also loses framing (bad A1). The counters must
+// match the reference after every frame.
+func TestDeframerMatchesReferenceUnderBitFlips(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, rate := range []Rate{STS3c, STS12c} {
+		g := Geom(rate)
+		var hits []int
+		for row := 0; row < rows; row++ {
+			for col := 0; col <= g.TOHCols; col++ { // TOH columns, then POH
+				hits = append(hits, row*g.Cols+col)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			col := g.TOHCols + 1 + rng.Intn(g.Cols-g.TOHCols-1)
+			hits = append(hits, rng.Intn(rows)*g.Cols+col)
+		}
+		fr := NewFramer(rate, &seqSource{})
+		df := NewDeframer(rate, NewDelineator(func([]byte, bool) {}))
+		ref := &refDeframer{geom: g}
+		buf := make([]byte, g.FrameBytes)
+		for i := 0; i < 2*len(hits)+1; i++ {
+			fr.NextFrame(buf)
+			switch {
+			case i == len(hits):
+				buf[0] = 0x00 // bad A1
+			case i%2 == 1:
+				buf[hits[i/2]] ^= 1 << (i / 2 % 8)
+			}
+			ref.PushFrame(buf)
+			if err := df.PushFrame(buf); err != nil {
+				t.Fatalf("%v frame %d: %v", rate, i, err)
+			}
+			if got, want := df.Stats(), ref.stats; got != want {
+				t.Fatalf("%v frame %d: stats %+v, reference %+v", rate, i, got, want)
+			}
+		}
+		st := ref.stats
+		if st.B1Errors == 0 || st.B3Errors == 0 || st.PointerErrs == 0 || st.LOSFrames < 2 {
+			t.Fatalf("%v: damage did not reach every counter: %+v", rate, st)
+		}
+	}
+}
+
+// TestDelineatorDescrambleMatchesBitSerial pins the delineator's fused
+// descramble (line bytes straight into its cell buffer) against the
+// bit-serial descrambler from random register states. The stream is pushed
+// in random pieces, so cells pass through both the SYNC fast path and the
+// staging window, and one cell's uncorrectable header is dropped while its
+// line bits still advance the register.
+func TestDelineatorDescrambleMatchesBitSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const cells, dropped = 40, 17
+	for round := 0; round < 50; round++ {
+		line := make([]byte, cells*53)
+		want := make([]byte, 0, len(line))
+		start := rng.Uint64() & cellScramblerMask
+		refSt := start
+		for i := 0; i < cells; i++ {
+			c := line[i*53 : (i+1)*53]
+			rng.Read(c)
+			c[4] = crc.HEC([4]byte{c[0], c[1], c[2], c[3]})
+			if i == dropped {
+				for delta := byte(1); ; delta++ {
+					h := [5]byte{c[0], c[1], c[2], c[3], c[4] ^ delta}
+					if ok, _ := crc.HECCheck(&h); !ok {
+						c[4] ^= delta
+						break
+					}
+				}
+			}
+			plain := append([]byte(nil), c...)
+			refSt = refCellDescramble(refSt, plain[5:])
+			if i != dropped {
+				want = append(want, plain...)
+			}
+		}
+		var got []byte
+		del := NewDelineator(func(cell []byte, _ bool) { got = append(got, cell...) })
+		del.state = Sync
+		del.cs.state = start
+		for p := line; len(p) > 0; {
+			n := min(1+rng.Intn(120), len(p))
+			del.Push(p[:n])
+			p = p[n:]
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: delivered cells diverge from bit-serial descrambler", round)
+		}
+		if del.cs.state != refSt {
+			t.Fatalf("round %d: register %#x, reference %#x", round, del.cs.state, refSt)
 		}
 	}
 }

@@ -12,25 +12,16 @@
 // touches.
 package sonet
 
-import (
-	"crypto/subtle"
-	"encoding/binary"
-)
+import "encoding/binary"
 
-// FrameScrambler is the frame-synchronous SONET scrambler, generator
-// 1 + x⁶ + x⁷, reset to all ones at the first byte after the row-1 section
-// overhead of every frame. It whitens the line so clock recovery works; it
-// is its own inverse.
-//
-// Because the LFSR restarts from the same state every frame, its keystream
-// is data-independent and identical frame after frame: Apply on a freshly
-// Reset scrambler is a straight XOR with a precomputed keystream table
-// (vectorized by the compiler into word/SIMD XORs) instead of the bit-serial
-// register walk. The bit-serial form survives for mid-stream states and as
-// the reference the tests pin the table against.
-type FrameScrambler struct {
-	state uint8 // 7-bit LFSR state
-}
+// The frame-synchronous SONET scrambler has generator 1 + x⁶ + x⁷ and is
+// reset to all ones at the first byte after the row-1 section overhead of
+// every frame. It whitens the line so clock recovery works, and it is its
+// own inverse. Because the register restarts from the same state every
+// frame, its output is data-independent and identical frame after frame, so
+// the framer and the deframer XOR each frame with one precomputed keystream
+// table instead of walking the register. The tests pin the table against
+// the bit-serial register walk.
 
 // frameKeystreamMax covers the largest region a framer scrambles: an
 // STS-12c frame minus its row-1 section overhead columns.
@@ -38,17 +29,16 @@ const frameKeystreamMax = rows*90*12 - 3*12
 
 var (
 	// frameKeystream[i] is the mask byte the LFSR produces for the i-th
-	// byte after a Reset.
+	// byte after the frame-start reset.
 	frameKeystream [frameKeystreamMax]byte
-	// frameKsState[i] is the LFSR state after producing i mask bytes from
-	// the reset state, so the fast path leaves the register exactly where
-	// the bit-serial walk would.
-	frameKsState [frameKeystreamMax + 1]uint8
+	// frameKsParity holds the BIP-8 of the keystream one whole frame is
+	// scrambled with, for STS-3c ([0]) and STS-12c ([1]). B1 is linear in
+	// the frame bytes, so it splits into the clear frame's parity and this.
+	frameKsParity [2]byte
 )
 
 func init() {
 	st := uint8(0x7f)
-	frameKsState[0] = st
 	for i := range frameKeystream {
 		var mask uint8
 		for bit := 0; bit < 8; bit++ {
@@ -58,39 +48,19 @@ func init() {
 			st = st<<1&0x7f | fb
 		}
 		frameKeystream[i] = mask
-		frameKsState[i+1] = st
+	}
+	for i, r := range [...]Rate{STS3c, STS12c} {
+		g := Geom(r)
+		frameKsParity[i] = bip8(frameKeystream[:g.FrameBytes-g.TOHCols])
 	}
 }
 
-// Reset returns the LFSR to the all-ones frame-start state.
-func (s *FrameScrambler) Reset() { s.state = 0x7f }
-
-// Apply scrambles (or equivalently descrambles) p in place, advancing the
-// LFSR one bit per data bit, MSB first.
-func (s *FrameScrambler) Apply(p []byte) {
-	if s.state == 0x7f && len(p) <= frameKeystreamMax {
-		subtle.XORBytes(p, p, frameKeystream[:len(p)])
-		s.state = frameKsState[len(p)]
-		return
+// keystreamParity returns frameKsParity's entry for rate r.
+func keystreamParity(r Rate) byte {
+	if r == STS12c {
+		return frameKsParity[1]
 	}
-	s.applyBitwise(p)
-}
-
-// applyBitwise is the reference register walk, used for states the keystream
-// table does not cover (Apply without an interleaved Reset).
-func (s *FrameScrambler) applyBitwise(p []byte) {
-	st := s.state
-	for i, b := range p {
-		var mask uint8
-		for bit := 0; bit < 8; bit++ {
-			out := (st >> 6) & 1 // x⁷ tap
-			mask = mask<<1 | out
-			fb := ((st >> 6) ^ (st >> 5)) & 1 // x⁷ ⊕ x⁶
-			st = st<<1&0x7f | fb
-		}
-		p[i] = b ^ mask
-	}
-	s.state = st
+	return frameKsParity[0]
 }
 
 // CellScrambler is the self-synchronous x⁴³ + 1 scrambler applied to the
@@ -100,11 +70,15 @@ func (s *FrameScrambler) applyBitwise(p []byte) {
 // transmitter's state after 43 received bits regardless of how it was
 // initialized.
 //
-// The tap sits 43 bits back — further than a byte — so none of a byte's
-// eight keystream bits can depend on that same byte's output bits, and the
-// whole byte transforms at once: the key is bits 42..35 of the register, the
-// register then shifts in the eight line bits. The tests pin this against
-// the bit-serial reference.
+// Each line bit is the data bit XOR the line bit 43 places earlier. The
+// scrambler takes eight bytes per step as a big-endian word: the first 43
+// bits' taps all come from the register s (the last 43 line bits), as
+// s<<21, and the last 21 bits' taps lie 43 bits back inside the same word.
+// So scrambling is t = in ^ s<<21, out = t ^ t>>43, and descrambling, whose
+// taps are the received bits, is out = l ^ l>>43 ^ s<<21. The register then
+// becomes the word's low 43 line bits. Bytes left over after the last whole
+// word go one at a time: the key for a byte is bits 42..35 of the register.
+// The tests pin both forms against the bit-serial reference.
 type CellScrambler struct {
 	state uint64 // low 43 bits hold the last 43 output (line) bits
 }
@@ -114,6 +88,13 @@ const cellScramblerMask = 0x7ff_ffff_ffff // 43 bits
 // Scramble transforms plaintext p in place into line bits.
 func (s *CellScrambler) Scramble(p []byte) {
 	st := s.state
+	for len(p) >= 8 {
+		t := binary.BigEndian.Uint64(p) ^ st<<21
+		out := t ^ t>>43
+		binary.BigEndian.PutUint64(p, out)
+		st = out & cellScramblerMask
+		p = p[8:]
+	}
 	for i, b := range p {
 		out := b ^ byte(st>>35)
 		st = st<<8&cellScramblerMask | uint64(out)
@@ -125,10 +106,21 @@ func (s *CellScrambler) Scramble(p []byte) {
 // Descramble transforms line bits p in place back into plaintext. The
 // register shifts in the *received* bits, which is what makes the pair
 // self-synchronizing.
-func (s *CellScrambler) Descramble(p []byte) {
+func (s *CellScrambler) Descramble(p []byte) { s.descramble(p, p) }
+
+// descramble writes the plaintext of line bits src into dst, which must be
+// as long as src and may be src itself.
+func (s *CellScrambler) descramble(dst, src []byte) {
 	st := s.state
-	for i, b := range p {
-		p[i] = b ^ byte(st>>35)
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		l := binary.BigEndian.Uint64(src)
+		binary.BigEndian.PutUint64(dst, l^l>>43^st<<21)
+		st = l & cellScramblerMask
+		src, dst = src[8:], dst[8:]
+	}
+	for i, b := range src {
+		dst[i] = b ^ byte(st>>35)
 		st = st<<8&cellScramblerMask | uint64(b)
 	}
 	s.state = st
