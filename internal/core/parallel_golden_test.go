@@ -482,6 +482,23 @@ func TestShardedBuildValidation(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+	t.Run("too many partitions", func(t *testing.T) {
+		// Every endpoint is its own unit, so the plan asks for one
+		// partition more than a kernel lane can rank. The error comes from
+		// planning, before any partition is built.
+		spec := NetworkSpec{Shards: maxPartitions + 1}
+		for i := 0; i <= maxPartitions; i++ {
+			spec.Endpoints = append(spec.Endpoints, EndpointSpec{Name: fmt.Sprintf("e%d", i)})
+		}
+		if _, err := NewNetwork(spec); err == nil || !strings.Contains(err.Error(), "partitions") {
+			t.Fatalf("err = %v", err)
+		}
+		spec.Endpoints = spec.Endpoints[:maxPartitions]
+		spec.Shards = maxPartitions
+		if p, err := planPartitions(spec); err != nil || p.shards != maxPartitions {
+			t.Fatalf("plan of %d partitions: err = %v", maxPartitions, err)
+		}
+	})
 	t.Run("kernel accessor panics sharded", func(t *testing.T) {
 		net, err := NewNetwork(base())
 		if err != nil {

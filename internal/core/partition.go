@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Partitioning for sharded (conservative-parallel) builds. A plan of one
@@ -54,14 +55,28 @@ func uncuttable(ls LinkSpec) (string, bool) {
 // partitioning needs; the main build loop still performs its full
 // validation afterwards.
 func planPartitions(spec NetworkSpec) (*partitionPlan, error) {
+	var p *partitionPlan
+	var err error
 	switch {
 	case len(spec.Partitions) > 0:
-		return planExplicit(spec)
+		p, err = planExplicit(spec)
 	case spec.Shards > 1:
-		return planDefault(spec)
+		p, err = planDefault(spec)
+	default:
+		p = &partitionPlan{shards: 1}
 	}
-	return &partitionPlan{shards: 1}, nil
+	if err != nil {
+		return nil, err
+	}
+	if p.shards > maxPartitions {
+		return nil, fmt.Errorf("core: the plan has %d partitions, more than the %d a build can hold", p.shards, maxPartitions)
+	}
+	return p, nil
 }
+
+// maxPartitions is the most partitions a build may have. A partition's rank
+// is its kernel's lane, which sim keeps in 16 bits of every event.
+const maxPartitions = math.MaxInt16 + 1
 
 // planExplicit validates and applies a caller-supplied node grouping.
 func planExplicit(spec NetworkSpec) (*partitionPlan, error) {

@@ -164,7 +164,7 @@ func (d *Decoder) Push(pkt []byte) error {
 	if k < 2 || k > 255 || (!isParity && index >= k) {
 		return ErrBadK
 	}
-	if len(pkt) < HeaderSize+length && !isParity {
+	if len(pkt) < HeaderSize+length {
 		return ErrNotFEC
 	}
 

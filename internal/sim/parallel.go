@@ -102,7 +102,7 @@ func (g *Group) Mailbox(src, dst *Kernel, lookahead Duration) *Mailbox {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: mailbox lookahead %v must be positive (zero-delay links cannot cross partitions)", lookahead))
 	}
-	m := &Mailbox{src: src, dst: dst, lane: src.lane, lookahead: lookahead}
+	m := &Mailbox{src: src, dst: dst, lane: src.Lane(), lookahead: lookahead}
 	g.mailboxes = append(g.mailboxes, m)
 	if lookahead < g.window {
 		g.window = lookahead

@@ -11,6 +11,12 @@
 //
 // # Event queue
 //
+// Events dispatch in the order of their full key (at, pt, lane, seq): the
+// time they run at, the virtual time they were scheduled, the scheduling
+// partition's rank and a per-kernel sequence number (see Parallel execution
+// below). On a serial kernel pt follows seq and lane is constant, so the
+// order is strictly non-decreasing time, ties broken by schedule order.
+//
 // The queue is a timing wheel (bucketed calendar) fronting a binary-heap
 // overflow tier.  Per-cell events arrive at a fixed cadence — cell times of
 // 680/2726 ns, DMA bursts of a few hundred ns, 125 µs SONET frames — which
@@ -20,12 +26,12 @@
 // there.  The heap holds timers (retransmission timeouts, run deadlines) and
 // one event per long fiber, not every cell in flight: a fiber is a FIFO delay
 // line (phy.CellDeferrer) that queues only its head cell, under a dispatch
-// key reserved when the cell entered it (ReserveSeq, PostBoundary).  The two
-// tiers are merged at dispatch by comparing (time, seq), so
-// the observable execution order is exactly the order the single heap
-// produced: strictly non-decreasing time, ties broken by schedule order.
-// NewHeapKernel builds a kernel that bypasses the wheel entirely — the
-// pre-wheel scheduler, retained for golden equivalence tests.
+// key reserved when the cell entered it (ReserveSeq, PostBoundary).  Each
+// dispatch takes the earlier of the first busy wheel slot's head and the
+// heap top under the full key, so the two tiers together dispatch exactly
+// the order one heap would. NewHeapKernel builds a kernel whose wheel spans
+// nothing, so every event runs through the heap — the pre-wheel scheduler,
+// retained for golden equivalence tests.
 //
 // # Allocation discipline
 //
@@ -111,26 +117,29 @@ const (
 // Event is a scheduled callback. The zero Event is inert. Events returned by
 // At/After stay valid after they fire (Reschedule re-queues them); events
 // scheduled with Post/PostAfter are kernel-owned and recycled at dispatch.
+//
+// An Event is 64 bytes, one cache line: a dispatch touches only the event
+// it runs, and an insert only the slot's tail (or, for an out-of-order key,
+// the events it walks past).
 type Event struct {
-	at   Time
-	pt   Time   // virtual time the event was scheduled (post time)
-	seq  uint64 // insertion order; breaks ties deterministically
-	lane int32  // scheduling partition rank; 0 on serial kernels
-	fn   func()
+	at  Time
+	pt  Time   // virtual time the event was scheduled (post time)
+	seq uint64 // insertion order; breaks ties deterministically
 
-	// Boundary events (PostBoundary) carry their payload out-of-line so a
-	// cross-partition cell hand-off is closure-free: afn(arg) runs instead
-	// of fn. A pointer in arg does not allocate.
+	// The callback is afn(arg); when afn is nil, arg holds a func() that
+	// runs instead. Boundary events (PostBoundary) use the pair so a
+	// cross-partition cell hand-off is closure-free. Neither a pointer nor a
+	// func value stored in arg allocates.
 	afn func(any)
 	arg any
 
-	// Queue position. Exactly one of these is nonzero while queued:
-	// slot1 is 1+wheel-slot when in the wheel, hidx1 is 1+heap-index when
-	// in the overflow heap. The +1 bias keeps the zero Event inert.
-	slot1      int32
-	hidx1      int32
-	prev, next *Event // wheel slot list links; next doubles as free-list link
-	pooled     bool   // from the Post free list; recycled at dispatch
+	next *Event // wheel slot list link; doubles as the free-list link
+
+	// Queue position: 1+slot while in the wheel, -(1+index) while in the
+	// overflow heap, 0 when not queued. The bias keeps the zero Event inert.
+	pos    int32
+	lane   int16 // scheduling partition rank; 0 on serial kernels
+	pooled bool  // from the Post free list; recycled at dispatch
 }
 
 // eventLess orders two events by the full dispatch key (at, pt, lane, seq).
@@ -156,47 +165,48 @@ func eventLess(a, b *Event) bool {
 func (e *Event) At() Time { return e.at }
 
 // Scheduled reports whether the event is currently in the queue.
-func (e *Event) Scheduled() bool { return e != nil && (e.slot1 != 0 || e.hidx1 != 0) }
+func (e *Event) Scheduled() bool { return e != nil && e.pos != 0 }
 
-// Kernel is a discrete-event simulator instance. The zero value is not
-// usable; call NewKernel (or NewHeapKernel for the heap-only scheduler).
+// slot is one wheel bucket: a singly-linked list of events sorted by the
+// dispatch key, with its tail beside its head so an append touches one
+// cache line of the kernel.
+type slot struct{ head, tail *Event }
+
+// Kernel is a discrete-event simulator instance. Build one with NewKernel
+// (or NewHeapKernel for the heap-only scheduler).
 type Kernel struct {
-	now     Time
-	seq     uint64
-	lane    int32 // partition rank stamped on every scheduled event
+	// Hot scalars, read or written on every schedule and dispatch.
+	now        Time
+	seq        uint64
+	dispatched uint64
+	free       *Event // recycled Post events, chained through next
+	wheelCount int
+	overflow   eventHeap // the tier beyond the wheel horizon
+
+	// span is the wheel's reach in slots: an event goes to the wheel when
+	// its slot lies fewer than span slots past now's. NewKernel sets
+	// wheelSlots; NewHeapKernel leaves 0, so everything goes to the heap.
+	span    Time
+	lane    int16 // partition rank stamped on every scheduled event
 	stopped bool
 
-	// Wheel tier: doubly-linked per-slot lists kept sorted by (at, seq),
-	// with an occupancy bitmap so the next busy slot is a few word scans.
-	head, tail [wheelSlots]*Event
-	occ        [wheelSlots / 64]uint64
-	wheelCount int
-
-	// Overflow tier: the original binary heap, ordered by (at, seq).
-	overflow eventHeap
-
-	// Free list of recycled Post events, chained through next.
-	free *Event
-
-	// heapOnly disables the wheel: every event runs through the overflow
-	// heap, reproducing the pre-wheel scheduler exactly.
-	heapOnly bool
-
-	// Stats
-	dispatched uint64
+	// Wheel tier: per-slot lists with an occupancy bitmap, so the next busy
+	// slot is a few word scans.
+	occ   [wheelSlots / 64]uint64
+	slots [wheelSlots]slot
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{span: wheelSlots}
 }
 
 // NewHeapKernel returns a kernel that schedules every event through the
 // binary heap, bypassing the timing wheel. This is the pre-wheel scheduler,
 // kept only as the reference the heap/wheel golden tests compare against:
-// both kernels dispatch in identical (time, seq) order.
+// both kernels dispatch in identical (at, pt, lane, seq) order.
 func NewHeapKernel() *Kernel {
-	return &Kernel{heapOnly: true}
+	return &Kernel{}
 }
 
 // Now returns the current simulated time.
@@ -205,11 +215,21 @@ func (k *Kernel) Now() Time { return k.now }
 // SetLane tags every event this kernel subsequently schedules with lane, the
 // partition rank used as a deterministic cross-partition tie-breaker in the
 // dispatch key. Serial kernels keep the zero lane; Group assigns one rank
-// per partition at construction.
-func (k *Kernel) SetLane(lane int32) { k.lane = lane }
+// per partition at construction. A lane must fit in 16 bits; callers that
+// take a partition count from input check it first (core.NewNetwork does),
+// so an out-of-range lane is a programming error and panics.
+func (k *Kernel) SetLane(lane int32) { k.lane = lane16(lane) }
 
 // Lane reports the partition rank stamped on this kernel's events.
-func (k *Kernel) Lane() int32 { return k.lane }
+func (k *Kernel) Lane() int32 { return int32(k.lane) }
+
+// lane16 narrows a lane to the Event field's width.
+func lane16(lane int32) int16 {
+	if lane < math.MinInt16 || lane > math.MaxInt16 {
+		panic(fmt.Sprintf("sim: lane %d does not fit in 16 bits", lane))
+	}
+	return int16(lane)
+}
 
 // Dispatched reports how many events have been executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
@@ -228,7 +248,7 @@ func (k *Kernel) At(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: schedule nil callback")
 	}
-	e := &Event{at: at, pt: k.now, lane: k.lane, seq: k.seq, fn: fn}
+	e := &Event{at: at, pt: k.now, lane: k.lane, seq: k.seq, arg: fn}
 	k.seq++
 	k.insert(e)
 	return e
@@ -253,16 +273,21 @@ func (k *Kernel) Post(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: schedule nil callback")
 	}
-	e := k.free
-	if e == nil {
-		e = &Event{}
-	} else {
-		k.free = e.next
-		e.next = nil
-	}
-	e.at, e.pt, e.lane, e.seq, e.fn, e.pooled = at, k.now, k.lane, k.seq, fn, true
+	e := k.newPooled()
+	e.at, e.pt, e.lane, e.seq, e.arg = at, k.now, k.lane, k.seq, fn
 	k.seq++
 	k.insert(e)
+}
+
+// newPooled takes an event from the free list, or allocates one. Its
+// callback fields are already cleared (dispatch clears them on recycling).
+func (k *Kernel) newPooled() *Event {
+	e := k.free
+	if e == nil {
+		return &Event{pooled: true}
+	}
+	k.free = e.next
+	return e
 }
 
 // ReserveSeq draws the sequence number an event scheduled now would get,
@@ -291,15 +316,8 @@ func (k *Kernel) PostBoundary(at, pt Time, lane int32, seq uint64, afn func(any)
 	if afn == nil {
 		panic("sim: schedule nil boundary callback")
 	}
-	e := k.free
-	if e == nil {
-		e = &Event{}
-	} else {
-		k.free = e.next
-		e.next = nil
-	}
-	e.at, e.pt, e.lane, e.seq = at, pt, lane, seq
-	e.fn, e.afn, e.arg, e.pooled = nil, afn, arg, true
+	e := k.newPooled()
+	e.at, e.pt, e.lane, e.seq, e.afn, e.arg = at, pt, lane16(lane), seq, afn, arg
 	k.insert(e)
 }
 
@@ -311,119 +329,131 @@ func (k *Kernel) PostAfter(d Duration, fn func()) {
 	k.Post(k.now+d, fn)
 }
 
-// insert places e in the wheel when its slot falls inside the horizon, in
-// the overflow heap otherwise.
+// insert queues e: in the overflow heap when its slot lies span or more
+// slots past now's, in its wheel slot otherwise. A slot's list is sorted by
+// the full dispatch key. A locally scheduled event carries the largest
+// (pt, seq) in its lane, so it goes at the tail unless the tail runs later;
+// only then does the insert walk from the head to e's ordered place. Events
+// queued under a reserved key (PostBoundary) may walk past same-time locals
+// this way.
 func (k *Kernel) insert(e *Event) {
-	if !k.heapOnly && (e.at>>wheelShift)-(k.now>>wheelShift) < wheelSlots {
-		k.wheelInsert(e)
+	if (e.at>>wheelShift)-(k.now>>wheelShift) >= k.span {
+		k.overflow.push(e)
 		return
 	}
-	k.overflow.push(e)
-}
-
-// wheelInsert links e into its slot's list, kept sorted by the full dispatch
-// key. A locally scheduled event carries the largest (pt, seq) in its lane,
-// so among equal times it lands last and the backward scan only ever skips
-// later-time events; events queued under a reserved key (PostBoundary) may
-// scan past same-time locals to take their key-ordered position.
-func (k *Kernel) wheelInsert(e *Event) {
 	s := int((e.at >> wheelShift) & wheelMask)
-	p := k.tail[s]
-	for p != nil && eventLess(e, p) {
-		p = p.prev
-	}
-	if p == nil { // new head
-		e.next = k.head[s]
-		if e.next != nil {
-			e.next.prev = e
-		} else {
-			k.tail[s] = e
+	sl := &k.slots[s]
+	e.pos = int32(s + 1)
+	k.wheelCount++
+	switch t := sl.tail; {
+	case t == nil:
+		e.next = nil
+		sl.head, sl.tail = e, e
+		k.occ[s>>6] |= 1 << uint(s&63)
+	case !eventLess(e, t):
+		e.next = nil
+		t.next = e
+		sl.tail = e
+	case eventLess(e, sl.head):
+		e.next = sl.head
+		sl.head = e
+	default:
+		// head <= e < tail: the walk stops before running off the list.
+		p := sl.head
+		for !eventLess(e, p.next) {
+			p = p.next
 		}
-		k.head[s] = e
-	} else {
-		e.prev = p
 		e.next = p.next
-		if p.next != nil {
-			p.next.prev = e
-		} else {
-			k.tail[s] = e
-		}
 		p.next = e
 	}
-	e.slot1 = int32(s + 1)
-	k.occ[s>>6] |= 1 << uint(s&63)
-	k.wheelCount++
 }
 
-// wheelUnlink removes e from its slot list.
+// wheelUnlink removes e from its slot list, walking from the head to its
+// predecessor. Only Cancel and Reschedule unlink; dispatch pops heads.
 func (k *Kernel) wheelUnlink(e *Event) {
-	s := int(e.slot1) - 1
-	if e.prev != nil {
-		e.prev.next = e.next
+	s := int(e.pos) - 1
+	sl := &k.slots[s]
+	if sl.head == e {
+		sl.head = e.next
+		if sl.head == nil {
+			sl.tail = nil
+			k.occ[s>>6] &^= 1 << uint(s&63)
+		}
 	} else {
-		k.head[s] = e.next
+		p := sl.head
+		for p.next != e {
+			p = p.next
+		}
+		p.next = e.next
+		if sl.tail == e {
+			sl.tail = p
+		}
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		k.tail[s] = e.prev
-	}
-	e.prev, e.next = nil, nil
-	e.slot1 = 0
-	if k.head[s] == nil {
-		k.occ[s>>6] &^= 1 << uint(s&63)
-	}
+	e.next = nil
+	e.pos = 0
 	k.wheelCount--
 }
 
-// peekWheel returns the earliest wheel event without removing it. All wheel
-// events live within one horizon of now, so a circular bitmap scan starting
-// at now's slot visits slots in increasing-time order.
-func (k *Kernel) peekWheel() *Event {
-	if k.wheelCount == 0 {
-		return nil
-	}
+// firstBusy returns the earliest busy wheel slot; the wheel must not be
+// empty. All wheel events live within one horizon of now, so a circular
+// bitmap scan starting at now's slot visits slots in increasing-time order.
+func (k *Kernel) firstBusy() int {
 	base := int((k.now >> wheelShift) & wheelMask)
 	w, b := base>>6, uint(base&63)
 	if m := k.occ[w] &^ (1<<b - 1); m != 0 {
-		s := w<<6 + bits.TrailingZeros64(m)
-		return k.head[s]
+		return w<<6 + bits.TrailingZeros64(m)
 	}
 	for i := 1; i < len(k.occ); i++ {
 		wi := (w + i) & (len(k.occ) - 1)
 		if m := k.occ[wi]; m != 0 {
-			s := wi<<6 + bits.TrailingZeros64(m)
-			return k.head[s]
+			return wi<<6 + bits.TrailingZeros64(m)
 		}
 	}
-	if m := k.occ[w] & (1<<b - 1); m != 0 {
-		s := w<<6 + bits.TrailingZeros64(m)
-		return k.head[s]
-	}
-	return nil
+	return w<<6 + bits.TrailingZeros64(k.occ[w]&(1<<b-1))
 }
 
-// peekNext returns the next event to dispatch — the dispatch-key minimum
-// across both tiers — without removing it.
-func (k *Kernel) peekNext() *Event {
-	we := k.peekWheel()
-	if len(k.overflow) == 0 {
-		return we
+// popBy removes and returns the next event to dispatch — the dispatch-key
+// minimum across both tiers — when it is due at or before last, and returns
+// nil otherwise.
+func (k *Kernel) popBy(last Time) *Event {
+	s := -1
+	if k.wheelCount != 0 {
+		s = k.firstBusy()
 	}
-	he := k.overflow[0]
-	if we == nil || eventLess(he, we) {
-		return he
+	if len(k.overflow) != 0 {
+		if h := k.overflow[0]; s < 0 || eventLess(h, k.slots[s].head) {
+			if h.at > last {
+				return nil
+			}
+			k.overflow.remove(0)
+			return h
+		}
 	}
-	return we
+	if s < 0 {
+		return nil
+	}
+	sl := &k.slots[s]
+	e := sl.head
+	if e.at > last {
+		return nil
+	}
+	sl.head = e.next
+	if sl.head == nil {
+		sl.tail = nil
+		k.occ[s>>6] &^= 1 << uint(s&63)
+	}
+	e.next = nil
+	e.pos = 0
+	k.wheelCount--
+	return e
 }
 
 // remove detaches a queued event from whichever tier holds it.
 func (k *Kernel) remove(e *Event) {
-	switch {
-	case e.slot1 != 0:
+	if e.pos > 0 {
 		k.wheelUnlink(e)
-	case e.hidx1 != 0:
-		k.overflow.remove(int(e.hidx1) - 1)
+	} else {
+		k.overflow.remove(int(-e.pos) - 1)
 	}
 }
 
@@ -461,22 +491,22 @@ func (k *Kernel) Reschedule(e *Event, at Time) {
 // Stop makes Run return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// dispatch removes e from the queue, advances the clock, and runs it.
+// dispatch advances the clock to e, which popBy has just removed from the
+// queue, recycles e if the kernel owns it, and runs it.
 func (k *Kernel) dispatch(e *Event) {
-	k.remove(e)
 	if e.at < k.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
 	k.now = e.at
 	k.dispatched++
-	fn, afn, arg := e.fn, e.afn, e.arg
+	afn, arg := e.afn, e.arg
 	if e.pooled {
-		e.fn, e.afn, e.arg = nil, nil, nil
+		e.afn, e.arg = nil, nil
 		e.next = k.free
 		k.free = e
 	}
-	if fn != nil {
-		fn()
+	if afn == nil {
+		arg.(func())()
 	} else {
 		afn(arg)
 	}
@@ -485,7 +515,7 @@ func (k *Kernel) dispatch(e *Event) {
 // Step executes the single next event, if any, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	e := k.peekNext()
+	e := k.popBy(Never)
 	if e == nil {
 		return false
 	}
@@ -508,8 +538,8 @@ func (k *Kernel) Run() Time {
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
 	for !k.stopped {
-		e := k.peekNext()
-		if e == nil || e.at > deadline {
+		e := k.popBy(deadline)
+		if e == nil {
 			break
 		}
 		k.dispatch(e)
@@ -529,10 +559,13 @@ func (k *Kernel) RunFor(d Duration) Time { return k.RunUntil(k.now + d) }
 // boundary event inserted afterwards at any time >= the old limit is still
 // in this kernel's future. This is the per-window body of a Group run.
 func (k *Kernel) RunBefore(limit Time) int {
+	if limit <= k.now {
+		return 0 // every queued event is at or after now
+	}
 	n := 0
 	for {
-		e := k.peekNext()
-		if e == nil || e.at >= limit {
+		e := k.popBy(limit - 1)
+		if e == nil {
 			return n
 		}
 		k.dispatch(e)
@@ -543,29 +576,33 @@ func (k *Kernel) RunBefore(limit Time) int {
 // NextEventTime reports the timestamp of the next queued event, or Never
 // when the queue is empty.
 func (k *Kernel) NextEventTime() Time {
-	e := k.peekNext()
-	if e == nil {
-		return Never
+	t := Never
+	if k.wheelCount != 0 {
+		t = k.slots[k.firstBusy()].head.at
 	}
-	return e.at
+	if len(k.overflow) != 0 && k.overflow[0].at < t {
+		t = k.overflow[0].at
+	}
+	return t
 }
 
-// eventHeap is the overflow tier: a binary heap ordered by (at, seq). It is
-// the original kernel's queue, inlined (rather than container/heap) so push
-// and pop stay free of interface conversions.
+// eventHeap is the overflow tier: a binary heap ordered by the full dispatch
+// key (at, pt, lane, seq). It is the original kernel's queue, inlined
+// (rather than container/heap) so push and pop stay free of interface
+// conversions.
 type eventHeap []*Event
 
 func (h eventHeap) less(i, j int) bool { return eventLess(h[i], h[j]) }
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].hidx1 = int32(i + 1)
-	h[j].hidx1 = int32(j + 1)
+	h[i].pos = -int32(i + 1)
+	h[j].pos = -int32(j + 1)
 }
 
 func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
-	e.hidx1 = int32(len(*h))
+	e.pos = -int32(len(*h))
 	h.up(len(*h) - 1)
 }
 
@@ -576,7 +613,7 @@ func (h *eventHeap) remove(i int) {
 	if i != n {
 		old.swap(i, n)
 	}
-	old[n].hidx1 = 0
+	old[n].pos = 0
 	old[n] = nil
 	*h = old[:n]
 	if i != n {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // wheelHorizon is the absolute-time span the wheel covers from time zero;
@@ -15,23 +16,23 @@ const wheelHorizon = Time(wheelSlots << wheelShift)
 func TestNearEventUsesWheel(t *testing.T) {
 	k := NewKernel()
 	e := k.At(100, func() {})
-	if e.slot1 == 0 || e.hidx1 != 0 {
-		t.Fatalf("near event placed slot1=%d hidx1=%d, want wheel", e.slot1, e.hidx1)
+	if e.pos <= 0 {
+		t.Fatalf("near event placed at pos=%d, want wheel (pos > 0)", e.pos)
 	}
 }
 
 func TestFarEventUsesOverflow(t *testing.T) {
 	k := NewKernel()
 	e := k.At(wheelHorizon, func() {})
-	if e.hidx1 == 0 || e.slot1 != 0 {
-		t.Fatalf("far event placed slot1=%d hidx1=%d, want overflow", e.slot1, e.hidx1)
+	if e.pos >= 0 {
+		t.Fatalf("far event placed at pos=%d, want overflow (pos < 0)", e.pos)
 	}
 }
 
 func TestHeapKernelBypassesWheel(t *testing.T) {
 	k := NewHeapKernel()
 	e := k.At(100, func() {})
-	if e.hidx1 == 0 {
+	if e.pos >= 0 {
 		t.Fatal("heap-only kernel placed event in the wheel")
 	}
 	var at Time
@@ -67,20 +68,86 @@ func TestCancelQueuedWheelEvent(t *testing.T) {
 	}
 }
 
+// A slot list is singly linked, with its tail kept beside its head.
+// Cancelling the tail must move the tail back to its predecessor, and later
+// inserts into the same slot — an append, a reserved key that goes before a
+// same-time local event, one between two survivors and a new head — must
+// all dispatch in key order, on the wheel as on the heap.
+func TestSlotCancelTailThenInsert(t *testing.T) {
+	for _, k := range []*Kernel{NewKernel(), NewHeapKernel()} {
+		var got []string
+		note := func(s string) func() { return func() { got = append(got, s) } }
+		noteAny := func(s string) func(any) { return func(any) { got = append(got, s) } }
+		// Slot 1 holds times 256..511.
+		k.At(300, note("a300"))
+		k.At(310, note("b310"))
+		c := k.At(320, note("c320"))
+		k.Cancel(c)
+		seq := k.ReserveSeq()                                // a key reserved before d is posted
+		k.Post(330, note("d330"))                            // appends after b
+		k.PostBoundary(330, 0, 0, seq, noteAny("r330"), nil) // walks past d's place to before it
+		k.PostBoundary(305, 0, 1, 0, noteAny("x305"), nil)   // between a and b
+		k.PostBoundary(290, 0, 1, 1, noteAny("h290"), nil)   // new head
+		if k.Pending() != 6 {
+			t.Fatalf("%d pending, want 6", k.Pending())
+		}
+		k.Run()
+		want := []string{"h290", "a300", "x305", "b310", "r330", "d330"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("dispatch order %v, want %v", got, want)
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("%d pending after the run, want 0", k.Pending())
+		}
+	}
+}
+
+// An Event is one cache line: 64 bytes, which is also one of Go's size
+// classes. A field added later has to be a deliberate choice.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("sizeof(Event) = %d bytes, want 64", got)
+	}
+}
+
+// A lane is 16 bits wide in an Event. Anything wider is a programming error
+// (core.NewNetwork rejects plans with too many partitions), so both ways a
+// lane enters the kernel panic on it.
+func TestLaneOutOfRangePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	k := NewKernel()
+	k.SetLane(1<<15 - 1)
+	if k.Lane() != 1<<15-1 {
+		t.Fatalf("Lane() = %d, want %d", k.Lane(), 1<<15-1)
+	}
+	mustPanic("SetLane(1<<15)", func() { k.SetLane(1 << 15) })
+	mustPanic("PostBoundary with lane 1<<15", func() {
+		k.PostBoundary(10, 0, 1<<15, 0, func(any) {}, nil)
+	})
+}
+
 func TestRescheduleAcrossWheelOverflowBoundary(t *testing.T) {
 	k := NewKernel()
 	var at Time
 	e := k.At(100, func() { at = k.Now() })
-	if e.slot1 == 0 {
+	if e.pos <= 0 {
 		t.Fatal("event did not start in the wheel")
 	}
 	k.Reschedule(e, 10*Second) // wheel -> overflow
-	if e.hidx1 == 0 || e.slot1 != 0 {
-		t.Fatalf("after far reschedule slot1=%d hidx1=%d, want overflow", e.slot1, e.hidx1)
+	if e.pos >= 0 {
+		t.Fatalf("after far reschedule pos=%d, want overflow (pos < 0)", e.pos)
 	}
 	k.Reschedule(e, 200) // overflow -> wheel
-	if e.slot1 == 0 || e.hidx1 != 0 {
-		t.Fatalf("after near reschedule slot1=%d hidx1=%d, want wheel", e.slot1, e.hidx1)
+	if e.pos <= 0 {
+		t.Fatalf("after near reschedule pos=%d, want wheel (pos > 0)", e.pos)
 	}
 	k.Run()
 	if at != 200 {
