@@ -60,6 +60,8 @@ fuzz-smoke:
 	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzHECCheck$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/fec -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzIPDecode$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/tcp -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the

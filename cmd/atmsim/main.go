@@ -328,12 +328,11 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	if tcpBytes > 0 {
 		// A Reno source at a, sink at b: IP datagrams ride the VCC under
 		// RFC 2684 LLC/SNAP, ACKs return on the duplex reverse path. The
-		// flow's cwnd/ssthresh gauges land in the registry, so -sample
-		// captures the congestion window trace.
+		// flow's cwnd/ssthresh gauges land in the interfaces' registry, so
+		// -sample captures the congestion window trace.
 		stackA := ip.NewStack(a.Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 1})
 		stackB := ip.NewStack(b.Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 2})
 		flow = tcp.NewFlow(k, "ab", stackA, vcc.SourceVC, stackB, vcc.DestVC, tcp.Config{})
-		flow.Instrument(reg)
 		flow.Start(uint64(tcpBytes), nil)
 	} else if wl == "fixed" {
 		var send func()

@@ -59,7 +59,7 @@ func main() {
 
 	// A 4-port switch merges the three access lines onto one server port —
 	// all on the same VC (no translation): multipoint-to-point.
-	sw := netsim.NewSwitch(k, "mux", 4, units.STS3cPayload, 128, pool)
+	sw := netsim.NewSwitch(k, "mux", 4, units.STS3cPayload, 128, pool, nil)
 	cap := trace.New(k)
 	cap.Limit = 12
 	sw.Port(3).AttachSink(atm.SinkFunc(cap.Tap(server.DeliverCell)))

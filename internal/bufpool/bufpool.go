@@ -39,15 +39,11 @@ const (
 type Pool struct {
 	classes [numClasses][][]byte
 
-	// Accounting.
-	hits   uint64 // Gets served from a free list
-	misses uint64 // Gets that had to allocate (incl. oversize)
-	puts   uint64 // buffers returned
-
-	// Registry instruments (nil until Instrument; nil-safe).
-	mHits   *metrics.Counter
-	mMisses *metrics.Counter
-	mPuts   *metrics.Counter
+	// Registry instruments, the pool's only counts (nil until Instrument;
+	// nil-safe).
+	mHits   *metrics.Counter // Gets served from a free list
+	mMisses *metrics.Counter // Gets that had to allocate (incl. oversize)
+	mPuts   *metrics.Counter // buffers returned
 }
 
 // New returns an empty pool.
@@ -82,15 +78,12 @@ func (p *Pool) Get(n int) []byte {
 			b := fl[len(fl)-1]
 			fl[len(fl)-1] = nil
 			p.classes[c] = fl[:len(fl)-1]
-			p.hits++
 			p.mHits.Inc()
 			return b[:n]
 		}
-		p.misses++
 		p.mMisses.Inc()
 		return make([]byte, n, 1<<(minClassShift+c))
 	}
-	p.misses++
 	p.mMisses.Inc()
 	return make([]byte, n)
 }
@@ -108,23 +101,22 @@ func (p *Pool) Put(b []byte) {
 	if c < 0 || cap(b) != 1<<(minClassShift+c) {
 		return
 	}
-	p.puts++
 	p.mPuts.Inc()
 	p.classes[c] = append(p.classes[c], b[:0])
 }
 
-// Stats returns cumulative counters: free-list hits, allocating misses, and
-// buffers returned.
+// Stats reads the pool's registry instruments: free-list hits, allocating
+// misses, and buffers returned. A nil or un-instrumented pool reports zeros.
 func (p *Pool) Stats() (hits, misses, puts uint64) {
 	if p == nil {
 		return 0, 0, 0
 	}
-	return p.hits, p.misses, p.puts
+	return p.mHits.Value(), p.mMisses.Value(), p.mPuts.Value()
 }
 
 // Instrument registers this pool's telemetry under the given name prefix:
 // "<prefix>.hits", "<prefix>.misses", "<prefix>.puts" counters. A nil
-// registry (or nil pool) leaves the pool un-instrumented.
+// registry (or nil pool) leaves the pool un-instrumented, counting nothing.
 func (p *Pool) Instrument(reg *metrics.Registry, prefix string) {
 	if p == nil {
 		return

@@ -28,6 +28,7 @@ func TestGetZeroAndNegative(t *testing.T) {
 
 func TestPutThenGetRecycles(t *testing.T) {
 	p := New()
+	p.Instrument(metrics.NewRegistry(), "pool")
 	b := p.Get(100) // class 128
 	b[0] = 0xAA
 	p.Put(b)
@@ -61,6 +62,7 @@ func TestSizeClassBoundaries(t *testing.T) {
 
 func TestOversizeBypassesPool(t *testing.T) {
 	p := New()
+	p.Instrument(metrics.NewRegistry(), "pool")
 	b := p.Get(1 << 17)
 	if len(b) != 1<<17 {
 		t.Fatalf("oversize Get len = %d", len(b))
@@ -73,6 +75,7 @@ func TestOversizeBypassesPool(t *testing.T) {
 
 func TestPutRejectsOddCapacity(t *testing.T) {
 	p := New()
+	p.Instrument(metrics.NewRegistry(), "pool")
 	p.Put(make([]byte, 100)) // cap 100 is not a size class
 	p.Put(nil)
 	if _, _, puts := p.Stats(); puts != 0 {
@@ -113,6 +116,13 @@ func TestInstrumentCounters(t *testing.T) {
 	}
 	if v := reg.Counter("pool.puts").Value(); v != 1 {
 		t.Fatalf("pool.puts = %d, want 1", v)
+	}
+	// An un-instrumented pool recycles just the same but counts nothing.
+	bare := New()
+	bare.Put(bare.Get(48))
+	bare.Get(48)
+	if h, m, u := bare.Stats(); h != 0 || m != 0 || u != 0 {
+		t.Fatalf("un-instrumented pool counted %d/%d/%d", h, m, u)
 	}
 }
 

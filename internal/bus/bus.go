@@ -85,17 +85,13 @@ func (b *Bus) Utilization() float64 { return b.res.Utilization() }
 func (b *Bus) QueueLen() int { return b.res.QueueLen() }
 
 // Device is a bus requester (the NIC's DMA engine, the host CPU). Each
-// device gets its own occupancy accounting.
+// device counts its own traffic into the bus's registry (SetMetrics).
 type Device struct {
 	bus  *Bus
 	name string
 
-	dmaBytes  uint64
-	dmaBursts uint64
-	pioWords  uint64
-	busTime   sim.Duration
-
-	// Registry instruments (nil without SetMetrics; nil-safe).
+	// Registry instruments, the device's only counts (nil without
+	// SetMetrics; nil-safe).
 	mDMABytes  *metrics.Counter
 	mDMABursts *metrics.Counter
 	mPIOWords  *metrics.Counter
@@ -166,7 +162,6 @@ func (d *Device) DMA(n int, done func()) sim.Time {
 		return d.bus.k.Now()
 	}
 	cfg := d.bus.cfg
-	d.dmaBytes += uint64(n)
 	d.mDMABytes.Add(uint64(n))
 	start := d.bus.k.Now()
 	transfer := d.DMATime(n)
@@ -183,8 +178,6 @@ func (d *Device) DMA(n int, done func()) sim.Time {
 		if final && done != nil {
 			cb = done
 		}
-		d.busTime += burst
-		d.dmaBursts++
 		d.mDMABursts.Inc()
 		last = d.bus.res.Use(burst, cb)
 	}
@@ -207,21 +200,6 @@ func (d *Device) PIO(nwords int, done func()) sim.Time {
 		return d.bus.k.Now()
 	}
 	t := sim.Duration(nwords) * d.bus.cfg.PIOTime
-	d.pioWords += uint64(nwords)
 	d.mPIOWords.Add(uint64(nwords))
-	d.busTime += t
 	return d.bus.res.Use(t, done)
-}
-
-// Stats reports per-device counters.
-type Stats struct {
-	DMABytes  uint64
-	DMABursts uint64
-	PIOWords  uint64
-	BusTime   sim.Duration
-}
-
-// Stats returns the device's counters.
-func (d *Device) Stats() Stats {
-	return Stats{DMABytes: d.dmaBytes, DMABursts: d.dmaBursts, PIOWords: d.pioWords, BusTime: d.busTime}
 }

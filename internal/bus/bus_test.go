@@ -3,6 +3,7 @@ package bus
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -135,22 +136,25 @@ func TestZeroLengthTransfersCompleteAsync(t *testing.T) {
 func TestDeviceStats(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, testCfg())
+	reg := metrics.NewRegistry()
+	b.SetMetrics(reg)
 	d := b.Attach("nic")
 	d.DMA(5000, nil)
 	d.PIO(2, nil)
 	k.Run()
-	s := d.Stats()
-	if s.DMABytes != 5000 {
-		t.Errorf("DMABytes = %d", s.DMABytes)
+	if v := reg.Counter("bus.nic.dma_bytes").Value(); v != 5000 {
+		t.Errorf("dma_bytes = %d", v)
 	}
-	if s.DMABursts != 3 {
-		t.Errorf("DMABursts = %d, want 3", s.DMABursts)
+	if v := reg.Counter("bus.nic.dma_bursts").Value(); v != 3 {
+		t.Errorf("dma_bursts = %d, want 3", v)
 	}
-	if s.PIOWords != 2 {
-		t.Errorf("PIOWords = %d", s.PIOWords)
+	if v := reg.Counter("bus.nic.pio_words").Value(); v != 2 {
+		t.Errorf("pio_words = %d", v)
 	}
-	if s.BusTime != d.DMATime(5000)+2*600 {
-		t.Errorf("BusTime = %v", int64(s.BusTime))
+	// The device was the bus's only requester, so it held the bus from
+	// time 0 until the run drained.
+	if busTime := k.Now(); busTime != d.DMATime(5000)+2*600 {
+		t.Errorf("bus time = %v", int64(busTime))
 	}
 }
 

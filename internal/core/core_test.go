@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -284,6 +285,80 @@ func TestVCCRefusesVPIBeyondUNI(t *testing.T) {
 			net.RunFor(2 * sim.Millisecond)
 			if got != 1 {
 				t.Fatalf("delivered %d SDUs on VPI 255, want 1", got)
+			}
+		})
+	}
+}
+
+// A switch or link value the model cannot run is a build error naming the
+// entry, whether it would have panicked during the build, on the first
+// cell, or when partitioning took a negative delay for lookahead.
+func TestSpecGeometryErrors(t *testing.T) {
+	viaSwitch := func() NetworkSpec {
+		return NetworkSpec{
+			Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
+			Switches:  []SwitchSpec{{Name: "sw", Ports: 2}},
+			Links: []LinkSpec{
+				{Name: "a-sw", A: NodeRef{Node: "a"}, B: NodeRef{Node: "sw", Port: 0}, Delay: 10_000},
+				{Name: "sw-b", A: NodeRef{Node: "sw", Port: 1}, B: NodeRef{Node: "b"}, Delay: 10_000},
+			},
+			VCCs: []VCCSpec{{Name: "ab", From: "a", To: "b"}},
+		}
+	}
+	framed := func() NetworkSpec {
+		return NetworkSpec{
+			Endpoints: []EndpointSpec{{Name: "a"}, {Name: "b"}},
+			Links: []LinkSpec{{Name: "ab", A: NodeRef{Node: "a"}, B: NodeRef{Node: "b"},
+				Delay: 10_000, Framed: true}},
+			VCCs: []VCCSpec{{Name: "ab", From: "a", To: "b"}},
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		spec       func() NetworkSpec
+		edit       func(*NetworkSpec)
+	}{
+		{"zero ports", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].Ports = 0 }},
+		{"negative ports", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].Ports = -2 }},
+		{"negative queue depth", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].QueueDepth = -1 }},
+		{"negative rate", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].Rate = -Rate155 }},
+		{"negative switching delay", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].SwitchingDelay = -10 }},
+		{"negative link delay", `link "sw-b"`, viaSwitch, func(s *NetworkSpec) { s.Links[1].Delay = -10 }},
+		{"negative distance", `link "a-sw"`, viaSwitch, func(s *NetworkSpec) { s.Links[0].Delay, s.Links[0].DistanceKm = 0, -1 }},
+		{"NaN distance", `link "a-sw"`, viaSwitch, func(s *NetworkSpec) { s.Links[0].Delay, s.Links[0].DistanceKm = 0, math.NaN() }},
+		{"negative framed delay", `link "ab"`, framed, func(s *NetworkSpec) { s.Links[0].Delay = -10 }},
+		{"negative delay on a cut", `link "a-sw"`, viaSwitch, func(s *NetworkSpec) {
+			s.Links[0].Delay = -10
+			s.Partitions = [][]string{{"a"}, {"sw", "b"}}
+		}},
+		{"negative delay with shards", `link "sw-b"`, viaSwitch, func(s *NetworkSpec) {
+			s.Links[1].Delay = -10
+			s.Shards = 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec()
+			tc.edit(&spec)
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("NewNetwork panicked: %v", p)
+					}
+				}()
+				var net *Network
+				if net, err = NewNetwork(spec); err == nil {
+					// Built: push one SDU through, where a bad delay
+					// panics.
+					defer net.Close()
+					if err := net.Endpoint("a").Send(net.VCC("ab").SourceVC, make([]byte, 100), nil); err != nil {
+						t.Fatal(err)
+					}
+					net.Run()
+				}
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an error naming %s", err, tc.want)
 			}
 		})
 	}

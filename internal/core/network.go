@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/atm"
 	"repro/internal/metrics"
@@ -245,6 +246,9 @@ type portKey struct {
 // entry; a VCC admission failure aborts the build (use AddVCC after a
 // successful build to probe admission).
 func NewNetwork(spec NetworkSpec) (*Network, error) {
+	if err := checkGeometry(spec); err != nil {
+		return nil, err
+	}
 	n := &Network{
 		endpoints: make(map[string]*Endpoint),
 		switches:  make(map[string]*netsim.Switch),
@@ -301,10 +305,9 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			ss.QueueDepth = 64
 		}
 		w := n.worldOf(ss.Name)
-		sw := netsim.NewSwitch(w.k, ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, w.pool)
+		sw := netsim.NewSwitch(w.k, ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, w.pool, w.reg)
 		sw.SwitchingDelay = ss.SwitchingDelay
 		sw.AISPeriod = ss.AISPeriod
-		sw.Instrument(w.reg, ss.Name)
 		if ss.EFCIThreshold > 0 {
 			for p := 0; p < ss.Ports; p++ {
 				sw.SetThresholds(p, 0, 0, ss.EFCIThreshold)
@@ -440,6 +443,31 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// checkGeometry rejects switch and link values no model can run, which
+// would otherwise panic during the build or on the first cell. It runs
+// before partition planning, which would take a negative delay for
+// lookahead.
+func checkGeometry(spec NetworkSpec) error {
+	for _, ss := range spec.Switches {
+		switch {
+		case ss.Ports <= 0:
+			return fmt.Errorf("core: switch %q: Ports %d, want at least 1", ss.Name, ss.Ports)
+		case ss.QueueDepth < 0:
+			return fmt.Errorf("core: switch %q: negative QueueDepth %d", ss.Name, ss.QueueDepth)
+		case ss.Rate < 0:
+			return fmt.Errorf("core: switch %q: negative Rate %v", ss.Name, ss.Rate)
+		case ss.SwitchingDelay < 0:
+			return fmt.Errorf("core: switch %q: negative SwitchingDelay %d ns", ss.Name, ss.SwitchingDelay)
+		}
+	}
+	for _, ls := range spec.Links {
+		if ls.Delay < 0 || ls.DistanceKm < 0 || math.IsNaN(ls.DistanceKm) {
+			return fmt.Errorf("core: link %q: negative propagation delay (Delay %d ns, DistanceKm %v)", ls.Name, ls.Delay, ls.DistanceKm)
+		}
+	}
+	return nil
 }
 
 // buildFramedLink wires one LinkSpec through the full SONET physical layer.

@@ -116,7 +116,6 @@ func E20(nFlows int, runTime sim.Duration) (E20Result, *report.Table) {
 		}
 		f := tcp.NewFlow(kern, fmt.Sprintf("geo%d", i),
 			stacks[src], vcc.SourceVC, stacks["c"], vcc.DestVC, cfg)
-		f.Instrument(reg)
 		flows = append(flows, f)
 		start := sim.Duration(i) * e20RTT
 		starts[i] = sim.Time(start)

@@ -24,14 +24,8 @@ type Ring[T any] struct {
 	tail  int // next push
 	count int
 
-	// Accounting.
-	pushes   uint64
-	pops     uint64
-	drops    uint64
-	maxDepth int
-	depthSum uint64 // for mean-depth over pushes
-
-	// Registry instruments (nil until Instrument is called; nil-safe).
+	// Registry instruments, the ring's only counts (nil until Instrument
+	// is called; nil-safe).
 	mPushes    *metrics.Counter
 	mPops      *metrics.Counter
 	mDrops     *metrics.Counter
@@ -49,8 +43,8 @@ func NewRing[T any](depth int) *Ring[T] {
 // Instrument registers this FIFO's telemetry under the given name prefix:
 // "<prefix>.pushes", "<prefix>.pops", "<prefix>.drops" counters and a
 // "<prefix>.occupancy" gauge whose high watermark is the depth the FIFO
-// actually needed. A nil registry leaves the FIFO un-instrumented (the
-// nil instruments are no-ops on the hot path).
+// actually needed. A nil registry leaves the FIFO un-instrumented: the nil
+// instruments are no-ops on the hot path, and Stats reads zeros.
 func (r *Ring[T]) Instrument(reg *metrics.Registry, prefix string) {
 	r.mPushes = reg.Counter(prefix + ".pushes")
 	r.mPops = reg.Counter(prefix + ".pops")
@@ -77,9 +71,7 @@ func (r *Ring[T]) Free() int { return len(r.buf) - r.count }
 // Push appends v. If the FIFO is full the item is dropped and Push reports
 // false — hardware overflow semantics.
 func (r *Ring[T]) Push(v T) bool {
-	r.depthSum += uint64(r.count)
 	if r.count == len(r.buf) {
-		r.drops++
 		r.mDrops.Inc()
 		return false
 	}
@@ -89,12 +81,8 @@ func (r *Ring[T]) Push(v T) bool {
 		r.tail = 0
 	}
 	r.count++
-	r.pushes++
 	r.mPushes.Inc()
 	r.mOccupancy.Set(int64(r.count))
-	if r.count > r.maxDepth {
-		r.maxDepth = r.count
-	}
 	return true
 }
 
@@ -112,7 +100,6 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 		r.head = 0
 	}
 	r.count--
-	r.pops++
 	r.mPops.Inc()
 	r.mOccupancy.Set(int64(r.count))
 	return v, true
@@ -132,28 +119,16 @@ type Stats struct {
 	Pushes   uint64
 	Pops     uint64
 	Drops    uint64
-	MaxDepth int
-	// MeanDepth is the average occupancy observed at push attempts —
-	// a cheap proxy for time-averaged depth under a steady cell clock.
-	MeanDepth float64
+	MaxDepth int // the occupancy gauge's high watermark
 }
 
-// Stats returns the FIFO's counters.
+// Stats reads the FIFO's registry instruments; an un-instrumented FIFO
+// reports zeros.
 func (r *Ring[T]) Stats() Stats {
-	s := Stats{Pushes: r.pushes, Pops: r.pops, Drops: r.drops, MaxDepth: r.maxDepth}
-	attempts := r.pushes + r.drops
-	if attempts > 0 {
-		s.MeanDepth = float64(r.depthSum) / float64(attempts)
+	return Stats{
+		Pushes:   r.mPushes.Value(),
+		Pops:     r.mPops.Value(),
+		Drops:    r.mDrops.Value(),
+		MaxDepth: int(r.mOccupancy.Max()),
 	}
-	return s
-}
-
-// Reset empties the FIFO and clears counters.
-func (r *Ring[T]) Reset() {
-	var zero T
-	for i := range r.buf {
-		r.buf[i] = zero
-	}
-	r.head, r.tail, r.count = 0, 0, 0
-	r.pushes, r.pops, r.drops, r.maxDepth, r.depthSum = 0, 0, 0, 0, 0
 }

@@ -3,6 +3,8 @@ package fifo
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 func TestPushPopOrder(t *testing.T) {
@@ -25,6 +27,7 @@ func TestPushPopOrder(t *testing.T) {
 
 func TestOverflowDrops(t *testing.T) {
 	r := NewRing[int](2)
+	r.Instrument(metrics.NewRegistry(), "q")
 	r.Push(1)
 	r.Push(2)
 	if r.Push(3) {
@@ -87,8 +90,9 @@ func TestFullEmptyFlags(t *testing.T) {
 	}
 }
 
-func TestMaxAndMeanDepth(t *testing.T) {
+func TestMaxDepth(t *testing.T) {
 	r := NewRing[int](8)
+	r.Instrument(metrics.NewRegistry(), "q")
 	r.Push(1)
 	r.Push(2)
 	r.Push(3)
@@ -98,23 +102,39 @@ func TestMaxAndMeanDepth(t *testing.T) {
 	if s.MaxDepth != 3 {
 		t.Fatalf("MaxDepth = %d, want 3", s.MaxDepth)
 	}
-	// Depth observed at the 4 pushes: 0,1,2,2 -> mean 1.25.
-	if s.MeanDepth != 1.25 {
-		t.Fatalf("MeanDepth = %v, want 1.25", s.MeanDepth)
+	if s.Pushes != 4 || s.Pops != 1 {
+		t.Fatalf("stats %+v, want 4 pushes and 1 pop", s)
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := NewRing[int](4)
+// Stats is a view over the registry: the named instruments and the
+// snapshot agree, and an un-instrumented ring counts nothing.
+func TestStatsReadRegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	r := NewRing[int](2)
+	r.Instrument(reg, "q")
 	r.Push(1)
 	r.Push(2)
-	r.Reset()
-	if !r.Empty() {
-		t.Fatal("reset did not empty")
+	r.Push(3)
+	r.Pop()
+	if got := reg.Counter("q.pushes").Value(); got != 2 {
+		t.Errorf("q.pushes = %d, want 2", got)
 	}
-	s := r.Stats()
-	if s.Pushes != 0 || s.Drops != 0 || s.MaxDepth != 0 {
-		t.Fatalf("reset left counters: %+v", s)
+	if got := reg.Counter("q.drops").Value(); got != 1 {
+		t.Errorf("q.drops = %d, want 1", got)
+	}
+	if got := reg.Counter("q.pops").Value(); got != 1 {
+		t.Errorf("q.pops = %d, want 1", got)
+	}
+	if g := reg.Gauge("q.occupancy"); g.Value() != 1 || g.Max() != 2 {
+		t.Errorf("q.occupancy = %d (max %d), want 1 (max 2)", g.Value(), g.Max())
+	}
+	bare := NewRing[int](2)
+	bare.Push(1)
+	bare.Push(2)
+	bare.Push(3)
+	if s := bare.Stats(); s != (Stats{}) {
+		t.Errorf("un-instrumented ring counted %+v", s)
 	}
 }
 
@@ -132,9 +152,9 @@ func TestPopReleasesReferences(t *testing.T) {
 	x := new(int)
 	r.Push(x)
 	r.Pop()
-	// The slot must no longer hold the pointer (checked via Peek of a
-	// fresh push cycle: slot reuse would be visible only via unsafe, so
-	// instead verify the ring returns zero after Reset).
+	// The slot must no longer hold the pointer. Slot reuse would be
+	// visible only via unsafe, so instead verify the ring still cycles a
+	// nil through the released slot.
 	r.Push(nil)
 	v, ok := r.Pop()
 	if !ok || v != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/atm"
-	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/sim"
 )
@@ -39,8 +38,6 @@ type Stack struct {
 	bindVCs map[atm.VC]Handler
 	id      uint16
 	stats   StackStats
-
-	mTx, mRx, mHdrErr, mEncapErr, mNoHandler *metrics.Counter
 }
 
 // NewStack attaches a stack to iface with the given encapsulation method
@@ -68,17 +65,6 @@ func (s *Stack) Stats() StackStats { return s.stats }
 // encapsulation and IPv4 headers.
 func (s *Stack) MTU() int {
 	return s.iface.Config().MaxSDU - s.method.Overhead() - HeaderSize
-}
-
-// Instrument registers the stack's counters ("ip.<name>.tx_datagrams", …)
-// into reg; the struct counters keep updating either way.
-func (s *Stack) Instrument(reg *metrics.Registry, name string) {
-	p := "ip." + name + "."
-	s.mTx = reg.Counter(p + "tx_datagrams")
-	s.mRx = reg.Counter(p + "rx_datagrams")
-	s.mHdrErr = reg.Counter(p + "header_errors")
-	s.mEncapErr = reg.Counter(p + "encap_errors")
-	s.mNoHandler = reg.Counter(p + "no_handler")
 }
 
 // Bind routes datagrams arriving on vc to fn (replacing any prior binding).
@@ -119,7 +105,6 @@ func (s *Stack) Send(vc atm.VC, proto uint8, dst Addr, payload []byte, onSent fu
 		return err
 	}
 	s.stats.TxDatagrams++
-	s.mTx.Inc()
 	return nil
 }
 
@@ -129,13 +114,11 @@ func (s *Stack) deliver(d nic.Delivered) {
 	fn := s.bindVCs[d.VC]
 	if fn == nil {
 		s.stats.NoHandler++
-		s.mNoHandler.Inc()
 		return
 	}
 	et, pdu, err := Decapsulate(s.method, d.SDU)
 	if err != nil {
 		s.stats.EncapErrors++
-		s.mEncapErr.Inc()
 		return
 	}
 	if et != EtherTypeIPv4 {
@@ -145,10 +128,8 @@ func (s *Stack) deliver(d nic.Delivered) {
 	h, payload, err := Parse(pdu)
 	if err != nil {
 		s.stats.HeaderErrors++
-		s.mHdrErr.Inc()
 		return
 	}
 	s.stats.RxDatagrams++
-	s.mRx.Inc()
 	fn(h, payload, d.At)
 }

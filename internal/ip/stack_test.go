@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -128,22 +127,6 @@ func TestStackMTUEnforced(t *testing.T) {
 	}
 	if sa.Stats().TxDatagrams != 0 {
 		t.Error("failed send counted")
-	}
-}
-
-func TestStackInstrument(t *testing.T) {
-	k, sa, sb, vc := newPair(t, LLCSnap)
-	reg := metrics.NewRegistry()
-	sa.Instrument(reg, "a")
-	sb.Instrument(reg, "b")
-	sb.Bind(vc, func(Header, []byte, sim.Time) {})
-	sa.Send(vc, ProtoTCP, sb.Addr(), []byte("z"), nil)
-	k.Run()
-	if reg.Counter("ip.a.tx_datagrams").Value() != 1 {
-		t.Error("tx counter not recorded")
-	}
-	if reg.Counter("ip.b.rx_datagrams").Value() != 1 {
-		t.Error("rx counter not recorded")
 	}
 }
 

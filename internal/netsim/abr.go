@@ -199,7 +199,6 @@ func (s *Switch) rmReceive(port int, c *atm.Cell) {
 	if er < rm.ER {
 		rm.ER = er
 		rm.Encode(&c.Payload)
-		s.stats.ERStamped++
 		s.mER.Inc()
 	}
 }

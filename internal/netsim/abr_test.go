@@ -17,7 +17,7 @@ func TestSwitchEFCIMarking(t *testing.T) {
 	// marked — including the EOM cell, whose AAU bit must survive (PT
 	// 0b001 → 0b011, still end-of-frame).
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0), nil)
 	sw.SetThresholds(1, 0, 0, 4)
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))
@@ -51,7 +51,7 @@ func TestSwitchEFCIPreservedThroughRewrite(t *testing.T) {
 	// header rewrite, and non-user cells are never marked no matter how
 	// deep the queue is.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0), nil)
 	sw.SetThresholds(1, 0, 0, 1) // mark everything after the first commit
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))
@@ -90,7 +90,7 @@ func TestERICAStampsBackwardRM(t *testing.T) {
 	// gets its ER reduced to the port's allocation. Forward RM cells pass
 	// untouched.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0), nil)
 	sw.EnableERICA(1, ERICAConfig{TargetUtil: 0.9, Interval: 100 * sim.Microsecond})
 	var fwd, rev []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { fwd = append(fwd, c) }))
@@ -232,7 +232,7 @@ func TestSwitchEPDTracksCongestedEOF(t *testing.T) {
 	// (congested + end) still closes the frame, so EPD refuses exactly the
 	// next frame and forwards the first one whole.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10, atm.NewPool(0), nil)
 	sw.SetThresholds(1, 0, 4, 0)
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))

@@ -48,8 +48,9 @@ func ConnectBaseline(k *sim.Kernel, a, b *BaselineStation, cfg LinkConfig) (ab, 
 	return ab, ba
 }
 
-// pump drives a closed-loop greedy source: keep `window` packets in flight
-// on vc until deadline.
+// Source is a closed-loop greedy source: Start keeps `window` packets in
+// flight on vc, each send chained to the previous one's transmit-complete,
+// until deadline.
 type Source struct {
 	k        *sim.Kernel
 	iface    *nic.Interface

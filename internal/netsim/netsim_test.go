@@ -32,7 +32,7 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 	k := sim.NewKernel()
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0), nil)
 	sw.SwitchingDelay = 2000
 
 	// a → port0 → switch → port1 → b, with VC translation 10→20.
@@ -64,7 +64,7 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 func TestSwitchDropsUnrouted(t *testing.T) {
 	k := sim.NewKernel()
 	a := station(t, k, nic.DefaultConfig("a"))
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0), nil)
 	a.AttachSink(sw.Port(0))
 	a.OpenVC(vc(99))
 	a.Send(vc(99), []byte{1}, nil)
@@ -82,7 +82,7 @@ func TestSwitchCongestionDrops(t *testing.T) {
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
 	c := station(t, k, nic.DefaultConfig("c"))
-	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 8, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 8, atm.NewPool(0), nil)
 	// Unequal fiber runs into the switch break the senders' cell-clock
 	// phase lock, so overflow drops hit both flows (as jittered real
 	// arrivals would).
@@ -139,7 +139,7 @@ func TestSwitchInvalidGeometryPanics(t *testing.T) {
 			t.Fatal("zero ports did not panic")
 		}
 	}()
-	NewSwitch(k, "x", 0, units.STS3cPayload, 8, atm.NewPool(0))
+	NewSwitch(k, "x", 0, units.STS3cPayload, 8, atm.NewPool(0), nil)
 }
 
 func TestSwitchRateMismatchCongestion(t *testing.T) {
@@ -152,7 +152,7 @@ func TestSwitchRateMismatchCongestion(t *testing.T) {
 		cfgA.PayloadRate = units.STS12cPayload
 		a := station(t, k, cfgA)
 		c := station(t, k, nic.DefaultConfig("c")) // 155 edge station
-		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32, atm.NewPool(0))
+		sw := NewSwitch(k, "sw", 2, units.STS12cPayload, 32, atm.NewPool(0), nil)
 		sw.SetPortRate(1, units.STS3cPayload)
 		a.AttachSink(sw.Port(0))
 		sw.Port(1).AttachSink(c)
@@ -191,9 +191,8 @@ func mkCell(vci uint16, pt atm.PT, clp bool) *atm.Cell {
 func TestSwitchBroadcastRoute(t *testing.T) {
 	k := sim.NewKernel()
 	pool := atm.NewPool(0)
-	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 16, pool)
 	reg := metrics.NewRegistry()
-	sw.Instrument(reg, "sw")
+	sw := NewSwitch(k, "sw", 3, units.STS3cPayload, 16, pool, reg)
 	var got1, got2 []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got1 = append(got1, c) }))
 	sw.Port(2).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got2 = append(got2, c) }))
@@ -233,7 +232,7 @@ func TestSwitchBroadcastRoute(t *testing.T) {
 func TestSwitchDiscardsRecycle(t *testing.T) {
 	k := sim.NewKernel()
 	pool := atm.NewPool(0)
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 2, pool)
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 2, pool, nil)
 	sw.SetRoute(0, vc(5), 1, vc(5), RouteOptions{Class: tm.UBR})
 	sw.Port(1).AttachSink(atm.SinkFunc(pool.Put))
 	in := sw.Port(0)
@@ -255,7 +254,7 @@ func TestSwitchPriorityDrain(t *testing.T) {
 	// UBR cells queued first, CBR cells second; the strict-priority drain
 	// must still emit every CBR cell before any UBR cell.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 16, atm.NewPool(0), nil)
 	var order []uint16
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { order = append(order, c.Header.VCI) }))
 	sw.SetRoute(0, vc(1), 1, vc(1), RouteOptions{Class: tm.UBR})
@@ -284,9 +283,8 @@ func TestSwitchPolicerDiscards(t *testing.T) {
 	// the instantaneous burst conforms (CDVT 0), the rest are discarded
 	// at the ingress, before routing.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0))
 	reg := metrics.NewRegistry()
-	sw.Instrument(reg, "sw")
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0), reg)
 	delivered := 0
 	sw.Port(1).AttachSink(atm.SinkFunc(func(*atm.Cell) { delivered++ }))
 	sw.SetRoute(0, vc(3), 1, vc(3), RouteOptions{Class: tm.UBR})
@@ -313,7 +311,7 @@ func TestSwitchPolicerTagsAndCLPThreshold(t *testing.T) {
 	// forwarded CLP=1; under congestion the CLP threshold then kills the
 	// tagged cells first.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 32, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 32, atm.NewPool(0), nil)
 	var clpOut int
 	delivered := 0
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) {
@@ -341,7 +339,7 @@ func TestSwitchPolicerTagsAndCLPThreshold(t *testing.T) {
 	// CLP threshold: with the port occupancy above the threshold, an
 	// arriving CLP=1 cell dies while CLP=0 cells still queue.
 	k2 := sim.NewKernel()
-	sw2 := NewSwitch(k2, "sw", 2, units.STS3cPayload, 8, atm.NewPool(0))
+	sw2 := NewSwitch(k2, "sw", 2, units.STS3cPayload, 8, atm.NewPool(0), nil)
 	sw2.SetThresholds(1, 2, 0, 0)
 	sw2.SetRoute(0, vc(6), 1, vc(6), RouteOptions{Class: tm.UBR})
 	in2 := sw2.Port(0)
@@ -361,7 +359,7 @@ func TestSwitchEPD(t *testing.T) {
 	// Frame A fills the queue past the EPD threshold; frame B, arriving
 	// above it, is refused whole — every cell including its EOF.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 10, atm.NewPool(0), nil)
 	sw.SetThresholds(1, 0, 4, 0)
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))
@@ -393,7 +391,7 @@ func TestSwitchPPDForwardsEOF(t *testing.T) {
 	// PPD must drop the remainder but forward the final EOF cell so the
 	// next frame still delineates.
 	k := sim.NewKernel()
-	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 6, atm.NewPool(0))
+	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 6, atm.NewPool(0), nil)
 	sw.SetThresholds(1, 0, 6, 0) // frame discard armed, EPD gate = full buffer
 	var got []*atm.Cell
 	sw.Port(1).AttachSink(atm.SinkFunc(func(c *atm.Cell) { got = append(got, c) }))

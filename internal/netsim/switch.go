@@ -67,9 +67,10 @@ type Switch struct {
 	// costs no closure or event allocation (see swDefer).
 	freeDefer *swDefer
 
-	stats SwitchStats
+	// The frame counts have no registry name yet; every other count is a
+	// registry instrument.
+	epdFrames, ppdFrames uint64
 
-	// Registry instruments (nil until Instrument is called; nil-safe).
 	reg     *metrics.Registry
 	mTag    *metrics.Counter
 	mPolDrp *metrics.Counter
@@ -148,15 +149,13 @@ type swPort struct {
 
 	frames map[atm.VC]*frameState
 
-	// Registry instruments (nil-safe).
 	mRouted  *metrics.Counter
 	mDropped *metrics.Counter
 	mOcc     *metrics.Gauge
 
 	// Residency telemetry: per-class shadow rings of enqueue times paired
 	// with the output queues, so each drained cell's queueing delay feeds
-	// the port residency histogram without touching the cell. Allocated by
-	// Instrument; nil (and costless) otherwise.
+	// the port residency histogram without touching the cell.
 	times [tm.NumClasses]*fifo.Ring[sim.Time]
 	hRes  *metrics.Histogram
 
@@ -167,13 +166,24 @@ type swPort struct {
 // NewSwitch builds a switch with nPorts ports whose output links run at the
 // given payload rate, queueDepth cells of output buffering each. Every cell
 // the switch discards is recycled into pool, the kernel's cell pool, and
-// broadcast replicas are drawn from it.
-func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queueDepth int, pool *atm.Pool) *Switch {
+// broadcast replicas and AIS cells are drawn from it.
+//
+// The switch counts into reg under its name: per-port "<name>.portN.routed"
+// and ".dropped" counters, an ".occupancy" gauge (whose watermark is the
+// buffer the port actually needed) and a ".residency" histogram, plus
+// switch-level counters for each discard mechanism. Per-VC policing and
+// discard actions are recorded into the registry's VCStats rows under the
+// policed_clp_tag / policed_discard / epd / ppd / switch_queue_overflow /
+// clp_threshold causes. A nil reg gives the switch a private registry.
+func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queueDepth int, pool *atm.Pool, reg *metrics.Registry) *Switch {
 	if nPorts <= 0 || queueDepth <= 0 {
 		panic("netsim: invalid switch geometry")
 	}
 	if pool == nil {
 		panic("netsim: nil cell pool")
+	}
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
 	s := &Switch{
 		k:        k,
@@ -182,19 +192,36 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 		table:    make(map[swKey]*swRoute),
 		policers: make(map[swKey]*swPolicer),
 		portDown: make([]bool, nPorts),
+		reg:      reg,
+		mTag:     reg.Counter(name + ".policed_clp_tag"),
+		mPolDrp:  reg.Counter(name + ".policed_discard"),
+		mEPD:     reg.Counter(name + ".epd_cells"),
+		mPPD:     reg.Counter(name + ".ppd_cells"),
+		mCLP:     reg.Counter(name + ".clp_dropped"),
+		mNoRt:    reg.Counter(name + ".no_route"),
+		mBcast:   reg.Counter(name + ".broadcasts"),
+		mAIS:     reg.Counter(name + ".ais_cells"),
+		mEFCI:    reg.Counter(name + ".efci_marked"),
+		mER:      reg.Counter(name + ".er_stamped"),
 	}
 	s.aisTickFn = s.aisTick
 	ct := units.CellTime(rate)
 	for i := 0; i < nPorts; i++ {
 		i := i
+		pn := fmt.Sprintf("%s.port%d", name, i)
 		p := &swPort{
 			depth:    queueDepth,
 			cellTime: ct,
 			frames:   make(map[atm.VC]*frameState),
+			mRouted:  reg.Counter(pn + ".routed"),
+			mDropped: reg.Counter(pn + ".dropped"),
+			mOcc:     reg.Gauge(pn + ".occupancy"),
+			hRes:     reg.Histogram(pn + ".residency"),
 		}
 		p.drainFn = func() { s.drain(i) }
 		for c := range p.queues {
 			p.queues[c] = fifo.NewRing[*atm.Cell](queueDepth)
+			p.times[c] = fifo.NewRing[sim.Time](queueDepth)
 		}
 		s.ports = append(s.ports, p)
 		s.conduits = append(s.conduits, &SwitchPort{s: s, idx: i})
@@ -234,8 +261,28 @@ func (s *Switch) SetPolicer(inPort int, vc atm.VC, pol *tm.Policer) {
 	}
 }
 
-// Stats returns the switch counters.
-func (s *Switch) Stats() SwitchStats { return s.stats }
+// Stats returns the switch counters, read from its registry instruments.
+func (s *Switch) Stats() SwitchStats {
+	st := SwitchStats{
+		NoRoute:          s.mNoRt.Value(),
+		Broadcasts:       s.mBcast.Value(),
+		PolicedTagged:    s.mTag.Value(),
+		PolicedDiscarded: s.mPolDrp.Value(),
+		CLPDropped:       s.mCLP.Value(),
+		EPDFrames:        s.epdFrames,
+		EPDCells:         s.mEPD.Value(),
+		PPDFrames:        s.ppdFrames,
+		PPDCells:         s.mPPD.Value(),
+		AISCells:         s.mAIS.Value(),
+		EFCIMarked:       s.mEFCI.Value(),
+		ERStamped:        s.mER.Value(),
+	}
+	for _, p := range s.ports {
+		st.Routed += p.mRouted.Value()
+		st.Dropped += p.mDropped.Value()
+	}
+	return st
+}
 
 func (s *Switch) port(i int) *swPort {
 	if i < 0 || i >= len(s.ports) {
@@ -332,9 +379,10 @@ func (s *Switch) aisTick() {
 	loc := oam.LocationID(s.name)
 	for _, key := range keys {
 		for _, d := range s.table[key].dests {
-			s.stats.AISCells++
 			s.mAIS.Inc()
-			s.deferEnqueue(d, oam.NewAIS(d.outVC, loc))
+			c := s.pool.Get()
+			*c = *oam.NewAIS(d.outVC, loc)
+			s.deferEnqueue(d, c)
 		}
 	}
 	s.k.PostAfter(s.AISPeriod, s.aisTickFn)
@@ -368,41 +416,6 @@ func (s *Switch) SetRoute(inPort int, inVC atm.VC, outPort int, outVC atm.VC, op
 	rt.dests = append(rt.dests, swDest{outPort: outPort, outVC: outVC, class: opts.Class})
 }
 
-// Instrument registers the switch's telemetry under the given name prefix:
-// per-port "<prefix>.portN.routed"/".dropped" counters and an ".occupancy"
-// gauge (whose watermark is the buffer the port actually needed), plus
-// switch-level counters for each discard mechanism. Per-VC policing
-// actions are recorded into the registry's VCStats rows under the
-// policed_clp_tag / policed_discard / epd / ppd / switch_queue_overflow /
-// clp_threshold causes.
-func (s *Switch) Instrument(reg *metrics.Registry, prefix string) {
-	s.reg = reg
-	s.mTag = reg.Counter(prefix + ".policed_clp_tag")
-	s.mPolDrp = reg.Counter(prefix + ".policed_discard")
-	s.mEPD = reg.Counter(prefix + ".epd_cells")
-	s.mPPD = reg.Counter(prefix + ".ppd_cells")
-	s.mCLP = reg.Counter(prefix + ".clp_dropped")
-	s.mNoRt = reg.Counter(prefix + ".no_route")
-	s.mBcast = reg.Counter(prefix + ".broadcasts")
-	s.mAIS = reg.Counter(prefix + ".ais_cells")
-	s.mEFCI = reg.Counter(prefix + ".efci_marked")
-	s.mER = reg.Counter(prefix + ".er_stamped")
-	for i, p := range s.ports {
-		pn := fmt.Sprintf("%s.port%d", prefix, i)
-		p.mRouted = reg.Counter(pn + ".routed")
-		p.mDropped = reg.Counter(pn + ".dropped")
-		p.mOcc = reg.Gauge(pn + ".occupancy")
-		p.hRes = reg.Histogram(pn + ".residency")
-		for c := range p.times {
-			p.times[c] = fifo.NewRing[sim.Time](p.depth)
-		}
-	}
-	// Re-resolve VCStats rows for policers installed before Instrument.
-	for key, sp := range s.policers {
-		sp.vcs = reg.VC(key.vc.VPI, key.vc.VCI)
-	}
-}
-
 // SetRecorder attaches flight-recorder spans to every output queue: stage
 // "portN.queue" under the switch's name covers commit-to-queue through
 // drain onto the output link. Span VCs are output-side (post-rewrite).
@@ -417,21 +430,18 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	if sp := s.policers[key]; sp != nil {
 		switch sp.pol.Police(s.k.Now(), c.Header.CLP) {
 		case tm.Discard:
-			s.stats.PolicedDiscarded++
 			s.mPolDrp.Inc()
 			sp.vcs.Drop(metrics.DropPolicedDiscard)
 			s.pool.Put(c)
 			return
 		case tm.TagCLP:
 			c.Header.CLP = true
-			s.stats.PolicedTagged++
 			s.mTag.Inc()
 			sp.vcs.Drop(metrics.DropPolicedTag)
 		}
 	}
 	rt, ok := s.table[key]
 	if !ok {
-		s.stats.NoRoute++
 		s.mNoRt.Inc()
 		s.pool.Put(c)
 		return
@@ -443,7 +453,6 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 		s.rmReceive(port, c)
 	}
 	if len(rt.dests) > 1 {
-		s.stats.Broadcasts++
 		s.mBcast.Inc()
 	}
 	for i, d := range rt.dests {
@@ -518,7 +527,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			fs.ppd = false
 			fs.drop = p.occ >= p.epdThreshold
 			if fs.drop {
-				s.stats.EPDFrames++
+				s.epdFrames++
 			}
 		}
 		if fs.drop && !(fs.ppd && eof) {
@@ -527,12 +536,10 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			// frame's EOF still delineates). PPD falls through on the
 			// EOF cell to keep the reassembler's framing intact.
 			if fs.ppd {
-				s.stats.PPDCells++
 				s.mPPD.Inc()
 				s.dropVC(c, metrics.DropPPD)
 				p.spQueue.Drop(c.Header.VC(), metrics.DropPPD)
 			} else {
-				s.stats.EPDCells++
 				s.mEPD.Inc()
 				s.dropVC(c, metrics.DropEPD)
 				p.spQueue.Drop(c.Header.VC(), metrics.DropEPD)
@@ -547,13 +554,11 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 
 	dropped := false
 	if c.Header.CLP && p.clpThreshold > 0 && p.occ >= p.clpThreshold {
-		s.stats.CLPDropped++
 		s.mCLP.Inc()
 		s.dropVC(c, metrics.DropCLPThreshold)
 		p.spQueue.Drop(c.Header.VC(), metrics.DropCLPThreshold)
 		dropped = true
 	} else if p.occ >= p.depth {
-		s.stats.Dropped++
 		p.mDropped.Inc()
 		s.dropVC(c, metrics.DropSwitchQueue)
 		p.spQueue.Drop(c.Header.VC(), metrics.DropSwitchQueue)
@@ -569,7 +574,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 				// AAL5 — switch to PPD for its remaining cells.
 				fs.drop = true
 				fs.ppd = true
-				s.stats.PPDFrames++
+				s.ppdFrames++
 			}
 		}
 		return
@@ -579,17 +584,13 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 		// Congestion experienced: set EFCI in the PT, preserving the AAU
 		// (end-of-frame) bit — 0b001 becomes 0b011, not a new frame shape.
 		c.Header.PT |= atm.PTUserCongested
-		s.stats.EFCIMarked++
 		s.mEFCI.Inc()
 	}
 	p.queues[d.class].Push(c)
-	if p.hRes != nil {
-		p.times[d.class].Push(s.k.Now())
-	}
+	p.times[d.class].Push(s.k.Now())
 	p.spQueue.Enter(c.Header.VC())
 	p.occ++
 	p.mOcc.Set(int64(p.occ))
-	s.stats.Routed++
 	p.mRouted.Inc()
 	if fs != nil && eof {
 		fs.inFrame = false
@@ -602,9 +603,6 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 
 // dropVC records a drop against the cell's (output) VC in the registry.
 func (s *Switch) dropVC(c *atm.Cell, cause metrics.DropCause) {
-	if s.reg == nil {
-		return
-	}
 	s.reg.VC(c.Header.VPI, c.Header.VCI).Drop(cause)
 }
 
@@ -625,10 +623,8 @@ func (s *Switch) drain(port int) {
 	}
 	p.occ--
 	p.mOcc.Set(int64(p.occ))
-	if p.hRes != nil {
-		if t0, ok := p.times[cls].Pop(); ok {
-			p.hRes.Observe(s.k.Now() - t0)
-		}
+	if t0, ok := p.times[cls].Pop(); ok {
+		p.hRes.Observe(s.k.Now() - t0)
 	}
 	p.spQueue.Exit(cell.Header.VC())
 	if p.out != nil {

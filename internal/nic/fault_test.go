@@ -1,8 +1,10 @@
 package nic
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/metrics"
 	"repro/internal/oam"
@@ -223,4 +225,39 @@ func TestMgmtTxFullCounted(t *testing.T) {
 		t.Fatalf("DropMgmtTxFull = %d, want 2", got)
 	}
 	r.k.Run() // drain the FIFO to the discard output
+}
+
+// A management cell can take the last TX FIFO slot while the engine is
+// producing a data cell. The data cell then waits for the next free slot:
+// the frame still arrives whole, behind the management cell.
+func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
+	r := newRig(t, func(cfg *Config) { cfg.TxFifoDepth = 4 })
+	r.a.OpenVC(vc1())
+	r.b.OpenVC(vc1())
+	payload := pkt(9180)
+	if err := r.a.Send(vc1(), payload, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Inject a loopback whenever the engine is producing a cell into a
+	// FIFO with one slot free; some of these land before the next cell
+	// slot frees room for the engine's cell.
+	injected := uint64(0)
+	for r.k.Step() {
+		tx := r.a.tx
+		if tx.busy && tx.curSt != nil && tx.curSt.cellsLeft > 0 && tx.fifo.Free() == 1 {
+			if err := r.a.SendLoopback(vc1(), uint32(injected)); err != nil {
+				t.Fatal(err)
+			}
+			injected++
+		}
+	}
+	if injected == 0 {
+		t.Fatal("the engine never produced a cell into a FIFO with one slot free")
+	}
+	if len(r.received) != 1 || !bytes.Equal(r.received[0].SDU, payload) {
+		t.Fatalf("frame not delivered whole: %d deliveries", len(r.received))
+	}
+	if got, want := r.a.Stats().Tx.Cells, uint64(aal.CellsForSDU5(len(payload)))+injected; got != want {
+		t.Errorf("tx cells = %d, want %d (the frame plus %d loopbacks)", got, want, injected)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/bus"
 	"repro/internal/engine"
-	"repro/internal/fifo"
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/oam"
@@ -340,33 +339,25 @@ func (i *Interface) SendOwned(vc atm.VC, sdu []byte, onSent func()) error {
 // interface recycles the cell into its Pool once consumed or dropped.
 func (i *Interface) DeliverCell(c *atm.Cell) { i.rx.deliverCell(c) }
 
-// Stats is a point-in-time snapshot of every counter the experiments read.
+// Stats is a point-in-time snapshot of every counter the experiments read,
+// assembled from the interface's registry instruments, plus the engines'
+// utilization and the adapter SRAM peak.
 type Stats struct {
 	Tx        TxStats
 	Rx        RxStats
-	TxFifo    fifo.Stats
-	RxFifo    fifo.Stats
 	TxEngUtil float64
 	RxEngUtil float64
 	SRAMPeak  int
 }
 
-// Stats returns the snapshot. With multiple receive engines, RxFifo
-// aggregates drops/pushes across the per-engine FIFOs and RxEngUtil is the
-// mean engine utilization.
+// Stats returns the snapshot. With multiple receive engines, Rx.MaxFifo is
+// the deepest of the per-engine FIFOs' watermarks and RxEngUtil is the mean
+// engine utilization.
 func (i *Interface) Stats() Stats {
 	rx := i.rx.snapshot()
-	var agg fifo.Stats
 	for _, f := range i.rx.fifos {
-		st := f.Stats()
-		agg.Pushes += st.Pushes
-		agg.Pops += st.Pops
-		agg.Drops += st.Drops
-		if st.MaxDepth > agg.MaxDepth {
-			agg.MaxDepth = st.MaxDepth
-		}
+		rx.MaxFifo = max(rx.MaxFifo, f.Stats().MaxDepth)
 	}
-	rx.MaxFifo = agg.MaxDepth
 	var rxUtil float64
 	for _, e := range i.rxEngines {
 		rxUtil += e.Utilization()
@@ -375,8 +366,6 @@ func (i *Interface) Stats() Stats {
 	return Stats{
 		Tx:        i.tx.snapshot(),
 		Rx:        rx,
-		TxFifo:    i.tx.fifo.Stats(),
-		RxFifo:    agg,
 		TxEngUtil: i.txEngine.Utilization(),
 		RxEngUtil: rxUtil,
 		SRAMPeak:  i.rx.alloc.Peak(),

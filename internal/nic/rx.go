@@ -31,7 +31,7 @@ type RxStats struct {
 	Stale     uint64 // partial frames reclaimed by the reassembly GC
 	Packets   uint64 // frames delivered to the host
 	Bytes     uint64 // SDU bytes delivered
-	MaxFifo   int    // RX FIFO high-water mark (from fifo stats at read)
+	MaxFifo   int    // RX FIFO high-water mark (the occupancy gauges' watermark)
 }
 
 // Delivered describes one received packet handed to the host.

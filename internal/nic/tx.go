@@ -100,6 +100,11 @@ type transmitter struct {
 	stalled     bool // production blocked on FIFO space
 	wakePending bool // a pacing wakeup is scheduled
 
+	// held is a produced data cell waiting for FIFO space: a management
+	// cell took the slot the stall check saw free while the engine was
+	// producing it. The next cell slot pushes it, ahead of any later cell.
+	held *atm.Cell
+
 	// Engine-routine completion state. The engine runs one transmit
 	// routine at a time (busy serializes), so the in-flight routine's VC
 	// parks here and pre-bound completion methods replace the per-cell
@@ -467,11 +472,12 @@ func (t *transmitter) cellDone() {
 		VCI:    st.vc.VCI,
 		PT:     pt,
 	}
-	if !t.fifo.Push(cell) {
-		panic("nic: TX FIFO overflowed despite stall check")
+	if t.fifo.Push(cell) {
+		t.pushTimes.Push(t.k.Now())
+		t.spFifo.Enter(st.vc)
+	} else {
+		t.held = cell // the FIFO is full, so schedule below stalls
 	}
-	t.pushTimes.Push(t.k.Now())
-	t.spFifo.Enter(st.vc)
 	t.mCells.Inc()
 	st.vst.AddCellOut()
 	st.cellIdx++
@@ -574,6 +580,12 @@ func (t *transmitter) tick() {
 		}
 		t.spFifo.Exit(cell.Header.VC())
 		t.out.DeliverCell(cell)
+		if h := t.held; h != nil {
+			t.held = nil
+			t.fifo.Push(h)
+			t.pushTimes.Push(t.k.Now())
+			t.spFifo.Enter(h.Header.VC())
+		}
 		if t.stalled {
 			t.stalled = false
 			t.schedule()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/bufpool"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -122,6 +123,7 @@ func TestFrameLinkPoolRecyclesCopies(t *testing.T) {
 	frames := 0
 	l := NewFrameLink(k, 10, 1, func(f []byte) { frames++ })
 	pool := bufpool.New()
+	pool.Instrument(metrics.NewRegistry(), "frames")
 	l.SetBufPool(pool)
 	frame := make([]byte, 2430)
 	// Prime the pool with the first flight, then the steady state must hit

@@ -3,7 +3,6 @@ package tcp
 import (
 	"repro/internal/atm"
 	"repro/internal/ip"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -25,25 +24,22 @@ type Flow struct {
 // rcvStack (on rcvVC). The VCs must be open on their interfaces and routed
 // toward each other — under core.NewNetwork that is one Duplex VCC, with
 // sndVC/rcvVC its per-endpoint VC numbers.
+//
+// Each half counts under "tcp.<name>." in its own stack's interface
+// registry, which on a sharded network is the registry of the partition
+// the half runs in. The sender's cwnd and ssthresh gauges are what a
+// periodic trace.Sampler turns into congestion-window traces.
 func NewFlow(k *sim.Kernel, name string, sndStack *ip.Stack, sndVC atm.VC,
 	rcvStack *ip.Stack, rcvVC atm.VC, cfg Config) *Flow {
 	cfg = cfg.withDefaults()
 	// Ports are cosmetic (one flow per VC); derive stable ones from nothing.
 	const dataPort, ackPort = 5001, 34000
 	f := &Flow{Name: name, k: k}
-	f.Sender = NewSender(k, sndStack, sndVC, rcvStack.Addr(), ackPort, dataPort, cfg)
-	f.Receiver = NewReceiver(k, rcvStack, rcvVC, sndStack.Addr(), dataPort, ackPort, cfg.RcvWnd)
+	f.Sender = newSender(k, name, sndStack, sndVC, rcvStack.Addr(), ackPort, dataPort, cfg)
+	f.Receiver = newReceiver(name, rcvStack, rcvVC, sndStack.Addr(), dataPort, ackPort, cfg.RcvWnd)
 	sndStack.Bind(sndVC, f.Sender.HandleSegment)
 	rcvStack.Bind(rcvVC, f.Receiver.HandleSegment)
 	return f
-}
-
-// Instrument registers both halves' metrics under "tcp.<Name>.*"; the cwnd
-// and ssthresh gauges are what a periodic trace.Sampler turns into
-// congestion-window traces.
-func (f *Flow) Instrument(reg *metrics.Registry) {
-	f.Sender.Instrument(reg, f.Name)
-	f.Receiver.Instrument(reg, f.Name)
 }
 
 // Start begins the transfer: totalBytes bounds it (0 = unbounded, run until

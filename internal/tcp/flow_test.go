@@ -6,7 +6,6 @@ import (
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/ip"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -161,18 +160,84 @@ func TestFlowUnboundedStop(t *testing.T) {
 
 func TestFlowInstrument(t *testing.T) {
 	r := newRig(t, Config{})
-	reg := metrics.NewRegistry()
-	r.flow.Instrument(reg)
 	r.flow.Start(64<<10, nil)
 	r.k.Run()
+	// Both halves count in their interfaces' registry without being asked.
+	reg := r.snd.Interface().Metrics()
 	if reg.Gauge("tcp.t.cwnd").Value() <= 0 {
 		t.Error("cwnd gauge not maintained")
 	}
-	if reg.Counter("tcp.t.acks_sent").Value() == 0 {
-		t.Error("acks_sent counter not maintained")
+	if got, want := reg.Counter("tcp.t.acks_sent").Value(), r.flow.Receiver.Stats().AcksSent; got == 0 || got != want {
+		t.Errorf("acks_sent counter %d, Receiver.Stats %d", got, want)
 	}
 	if reg.Histogram("tcp.t.rtt_ns").Count() == 0 {
 		t.Error("rtt histogram empty")
+	}
+}
+
+// A flow across a switch counts into the partition registries its halves
+// run in, so the network's merged snapshot holds the same TCP counts on a
+// sharded build as on the serial one.
+func TestFlowCountsReachShardedMetrics(t *testing.T) {
+	vc := atm.VC{VCI: 80}
+	spec := core.NetworkSpec{
+		Endpoints: []core.EndpointSpec{{Name: "snd"}, {Name: "rcv"}},
+		Switches:  []core.SwitchSpec{{Name: "sw", Ports: 2, QueueDepth: 256}},
+		Links: []core.LinkSpec{
+			{Name: "up", A: core.NodeRef{Node: "snd"}, B: core.NodeRef{Node: "sw", Port: 0},
+				Delay: 100 * sim.Microsecond, Seed: 3},
+			{Name: "down", A: core.NodeRef{Node: "sw", Port: 1}, B: core.NodeRef{Node: "rcv"},
+				Delay: 100 * sim.Microsecond, Seed: 4},
+		},
+		VCCs: []core.VCCSpec{{Name: "t", From: "snd", To: "rcv", VC: vc, Duplex: true}},
+	}
+	type result struct{ acks, cwndMax uint64 }
+	run := func(t *testing.T, shards int, parts [][]string) result {
+		spec := spec
+		spec.Shards, spec.Partitions = shards, parts
+		net, err := core.NewNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		if want := max(shards, len(parts), 1); net.Shards() != want {
+			t.Fatalf("built %d partitions, want %d", net.Shards(), want)
+		}
+		v := net.VCC("t")
+		snd := ip.NewStack(net.Endpoint("snd").Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 1})
+		rcv := ip.NewStack(net.Endpoint("rcv").Interface(), ip.LLCSnap, ip.Addr{10, 0, 0, 2})
+		f := NewFlow(net.NodeKernel("snd"), "t", snd, v.SourceVC, rcv, v.DestVC, Config{})
+		const total = 200 << 10
+		f.Start(total, nil)
+		net.Run()
+		if f.Delivered() != total {
+			t.Fatalf("delivered %d of %d bytes", f.Delivered(), total)
+		}
+		reg := net.Metrics()
+		acks := reg.Counter("tcp.t.acks_sent").Value()
+		if want := f.Receiver.Stats().AcksSent; acks == 0 || acks != want {
+			t.Errorf("tcp.t.acks_sent = %d, Receiver.Stats().AcksSent = %d", acks, want)
+		}
+		cwndMax := reg.Gauge("tcp.t.cwnd").Max()
+		if cwndMax <= 0 {
+			t.Errorf("tcp.t.cwnd watermark = %d", cwndMax)
+		}
+		return result{acks: acks, cwndMax: uint64(cwndMax)}
+	}
+	serial := run(t, 0, nil)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		parts  [][]string
+	}{
+		{"shards2", 2, nil},
+		{"per-node", 0, [][]string{{"snd"}, {"sw"}, {"rcv"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := run(t, tc.shards, tc.parts); got != serial {
+				t.Errorf("sharded counts %+v, serial %+v", got, serial)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ type ReceiverStats struct {
 	Segments       uint64 // data segments processed
 	DupSegments    uint64 // entirely below rcvNxt (already delivered)
 	OOOSegments    uint64 // buffered above a hole
-	AcksSent       uint64
+	AcksSent       uint64 // the "tcp.<flow>.acks_sent" counter
 	DeliveredBytes uint64 // in-order bytes handed "up"
 }
 
@@ -22,7 +22,6 @@ type ReceiverStats struct {
 // segments are buffered by sequence range; payload content is synthetic, so
 // only the ranges are kept.
 type Receiver struct {
-	k     *sim.Kernel
 	stack *ip.Stack
 	vc    atm.VC
 	peer  ip.Addr
@@ -33,32 +32,34 @@ type Receiver struct {
 	window int
 	ooo    map[uint32]int // buffered seq -> length
 
+	// The counts without a registry name; AcksSent lives in cAcks.
 	stats ReceiverStats
 	cAcks *metrics.Counter
 }
 
-// NewReceiver builds the receiving end on stack's vc, sending ACKs back to
-// peer. window is the advertised receive window in bytes.
-func NewReceiver(k *sim.Kernel, stack *ip.Stack, vc atm.VC, peer ip.Addr,
+// newReceiver builds flow name's receiving end on stack's vc, sending ACKs
+// back to peer and counting into the stack's interface registry. window is
+// the advertised receive window in bytes.
+func newReceiver(name string, stack *ip.Stack, vc atm.VC, peer ip.Addr,
 	srcPort, dstPort uint16, window int) *Receiver {
 	if window > MaxWindow {
 		window = MaxWindow
 	}
 	return &Receiver{
-		k: k, stack: stack, vc: vc, peer: peer,
+		stack: stack, vc: vc, peer: peer,
 		srcPort: srcPort, dstPort: dstPort,
 		rcvNxt: iss, window: window,
-		ooo: make(map[uint32]int),
+		ooo:   make(map[uint32]int),
+		cAcks: stack.Interface().Metrics().Counter("tcp." + name + ".acks_sent"),
 	}
 }
 
-// Instrument registers the receiver's counters under "tcp.<name>.".
-func (r *Receiver) Instrument(reg *metrics.Registry, name string) {
-	r.cAcks = reg.Counter("tcp." + name + ".acks_sent")
-}
-
 // Stats returns the receiver's counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
+func (r *Receiver) Stats() ReceiverStats {
+	st := r.stats
+	st.AcksSent = r.cAcks.Value()
+	return st
+}
 
 // Delivered returns the in-order bytes received so far.
 func (r *Receiver) Delivered() uint64 { return r.stats.DeliveredBytes }
@@ -122,6 +123,5 @@ func (r *Receiver) sendAck() {
 	if err := r.stack.Send(r.vc, ip.ProtoTCP, r.peer, b, nil); err != nil {
 		return // reverse path gone; the sender's RTO covers it
 	}
-	r.stats.AcksSent++
 	r.cAcks.Inc()
 }

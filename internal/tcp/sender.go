@@ -61,6 +61,8 @@ func (c Config) withDefaults() Config {
 }
 
 // SenderStats counts the congestion-control events of one flow.
+// Retransmits, FastRetransmits and Timeouts are the "tcp.<flow>."
+// counters of the same names.
 type SenderStats struct {
 	Segments        uint64 // first transmissions
 	Retransmits     uint64 // all retransmitted segments
@@ -99,6 +101,7 @@ type Sender struct {
 	timedEnd uint32
 	timedAt  sim.Time
 
+	// The counts without a registry name; the rest live in the counters.
 	stats   SenderStats
 	stopped bool
 	onDone  func()
@@ -109,40 +112,42 @@ type Sender struct {
 	hRTT             *metrics.Histogram
 }
 
-// NewSender builds a sender for vc on stack, destined for dst. The VC must
-// be open on the stack's interface; Flow normally constructs senders.
-func NewSender(k *sim.Kernel, stack *ip.Stack, vc atm.VC, dst ip.Addr,
+// newSender builds flow name's sender for vc on stack, destined for dst,
+// counting into the stack's interface registry under "tcp.<name>.". The VC
+// must be open on the stack's interface.
+func newSender(k *sim.Kernel, name string, stack *ip.Stack, vc atm.VC, dst ip.Addr,
 	srcPort, dstPort uint16, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
+	reg := stack.Interface().Metrics()
+	p := "tcp." + name + "."
 	s := &Sender{
 		k: k, stack: stack, vc: vc, dst: dst, cfg: cfg,
 		srcPort: srcPort, dstPort: dstPort,
 		sndUna: iss, sndNxt: iss, sndMax: iss,
-		cwnd:     cfg.InitialCwnd * cfg.MSS,
-		ssthresh: cfg.SSThresh,
-		rwnd:     cfg.RcvWnd,
-		est:      NewRTOEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO),
+		cwnd:      cfg.InitialCwnd * cfg.MSS,
+		ssthresh:  cfg.SSThresh,
+		rwnd:      cfg.RcvWnd,
+		est:       NewRTOEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO),
+		gCwnd:     reg.Gauge(p + "cwnd"),
+		gSsthresh: reg.Gauge(p + "ssthresh"),
+		cRetx:     reg.Counter(p + "retransmits"),
+		cTimeout:  reg.Counter(p + "timeouts"),
+		cFastRetx: reg.Counter(p + "fast_retransmits"),
+		hRTT:      reg.Histogram(p + "rtt_ns"),
 	}
+	s.gCwnd.Set(int64(s.cwnd))
+	s.gSsthresh.Set(int64(s.ssthresh))
 	return s
 }
 
-// Instrument registers the sender's congestion state under
-// "tcp.<name>.cwnd" etc. — the gauges the periodic sampler turns into cwnd
-// traces.
-func (s *Sender) Instrument(reg *metrics.Registry, name string) {
-	p := "tcp." + name + "."
-	s.gCwnd = reg.Gauge(p + "cwnd")
-	s.gSsthresh = reg.Gauge(p + "ssthresh")
-	s.cRetx = reg.Counter(p + "retransmits")
-	s.cTimeout = reg.Counter(p + "timeouts")
-	s.cFastRetx = reg.Counter(p + "fast_retransmits")
-	s.hRTT = reg.Histogram(p + "rtt_ns")
-	s.gCwnd.Set(int64(s.cwnd))
-	s.gSsthresh.Set(int64(s.ssthresh))
-}
-
 // Stats returns the sender's counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
+func (s *Sender) Stats() SenderStats {
+	st := s.stats
+	st.Retransmits = s.cRetx.Value()
+	st.FastRetransmits = s.cFastRetx.Value()
+	st.Timeouts = s.cTimeout.Value()
+	return st
+}
 
 // Cwnd returns the congestion window in bytes.
 func (s *Sender) Cwnd() int { return s.cwnd }
@@ -263,7 +268,6 @@ func (s *Sender) emit(seq uint32, n int, retransmit bool) {
 		panic(fmt.Sprintf("tcp: send failed: %v", err))
 	}
 	if retransmit {
-		s.stats.Retransmits++
 		s.cRetx.Inc()
 		// Karn: a retransmission makes any in-progress timing ambiguous.
 		s.timing = false
@@ -286,7 +290,6 @@ func (s *Sender) timeout() {
 	if s.stopped || s.InFlight() == 0 {
 		return
 	}
-	s.stats.Timeouts++
 	s.cTimeout.Inc()
 	s.setSsthresh(s.InFlight() / 2)
 	s.setCwnd(s.cfg.MSS)
@@ -391,7 +394,6 @@ func (s *Sender) dupAck() {
 	s.dupAcks++
 	switch {
 	case s.dupAcks == 3:
-		s.stats.FastRetransmits++
 		s.cFastRetx.Inc()
 		s.setSsthresh(s.InFlight() / 2)
 		n := s.cfg.MSS
