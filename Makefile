@@ -59,8 +59,11 @@ fuzz-smoke:
 	$(GO) test ./internal/sonet -run '^$$' -fuzz '^FuzzDeframer$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzHECCheck$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzRMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/oam -run '^$$' -fuzz '^FuzzOAMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/fec -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzIPDecode$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/tcp -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and

@@ -62,11 +62,17 @@ func Encapsulate(m Method, etherType uint16, dgram []byte) []byte {
 		return dgram
 	}
 	sdu := make([]byte, LLCSnapSize+len(dgram))
-	copy(sdu, llcSnapPrefix[:])
-	sdu[6] = byte(etherType >> 8)
-	sdu[7] = byte(etherType)
+	putLLCSnap(sdu, etherType)
 	copy(sdu[LLCSnapSize:], dgram)
 	return sdu
+}
+
+// putLLCSnap writes the LLC/SNAP routed-PDU header for etherType into the
+// first LLCSnapSize bytes of b.
+func putLLCSnap(b []byte, etherType uint16) {
+	copy(b, llcSnapPrefix[:])
+	b[6] = byte(etherType >> 8)
+	b[7] = byte(etherType)
 }
 
 // Decapsulate strips the RFC 2684 header from a received AAL5 SDU and

@@ -70,3 +70,20 @@ func FuzzIPDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChecksum checks the word-at-a-time ChecksumWith against the 16-bit
+// reference for fuzzed seeds and bytes.
+func FuzzChecksum(f *testing.F) {
+	src, dst := Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}
+	seg := segment9160()
+	f.Add(PseudoChecksum(src, dst, ProtoTCP, len(seg)), seg)
+	f.Add(uint32(0), (&Header{Proto: ProtoTCP, Src: src, Dst: dst}).Datagram(nil)[:HeaderSize])
+	f.Add(uint32(0xFFFFFFFF), []byte{0, 1})
+	f.Add(uint32(0), bytes.Repeat([]byte{0xFF}, 39))
+	f.Add(uint32(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, seed uint32, b []byte) {
+		if got, want := ChecksumWith(seed, b), checksumRef(seed, b); got != want {
+			t.Fatalf("seed %#x, %d bytes: %#04x, want %#04x", seed, len(b), got, want)
+		}
+	})
+}

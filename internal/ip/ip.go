@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // HeaderSize is the option-less IPv4 header length in bytes.
@@ -111,20 +112,7 @@ func Parse(b []byte) (Header, []byte, error) {
 // Checksum is the internet checksum (RFC 1071) over b: the 16-bit ones'
 // complement of the ones'-complement sum. Over a header whose checksum field
 // holds the transmitted value it returns 0 iff the header is intact.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
+func Checksum(b []byte) uint16 { return ChecksumWith(0, b) }
 
 // PseudoChecksum folds the IPv4 pseudo-header (src, dst, protocol, length)
 // into a partial sum for transport checksums (TCP/UDP). Combine with the
@@ -142,15 +130,42 @@ func PseudoChecksum(src, dst Addr, proto uint8, length int) uint32 {
 
 // ChecksumWith computes the internet checksum of b seeded with a partial
 // sum (from PseudoChecksum).
+//
+// It adds b as big-endian 64-bit words, four per step, carrying each
+// word's overflow into the next add. That is the same ones'-complement sum
+// as adding 16-bit words (RFC 1071 §2: the sum is independent of byte order
+// and can be taken in wider words, because 2^16 ≡ 1 modulo 2^16−1). The
+// total folds to 16 bits once, at the end.
 func ChecksumWith(seed uint32, b []byte) uint16 {
-	sum := seed
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+	sum, c := uint64(seed), uint64(0)
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	// At most seven bytes are left. Each piece starts on a 16-bit boundary,
+	// and an odd last byte is the high half of a zero-padded pair.
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		tail += uint64(b[0]) << 8
 	}
+	sum, c = bits.Add64(sum, tail, c)
+	sum, c = bits.Add64(sum, c, 0)
+	sum += c
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}

@@ -27,7 +27,8 @@ type StackStats struct {
 // delivery callback, demultiplexes arriving AAL5 frames by VC, strips the
 // RFC 2684 encapsulation, validates the IPv4 header, and hands the payload
 // to the handler bound on that VC. Transmit is the mirror: one datagram per
-// AAL5 frame via the interface's zero-copy send path.
+// AAL5 frame, built in place (NewDatagram, SendDatagram) and handed to the
+// interface's zero-copy send path.
 //
 // Exactly one Stack should exist per interface (it registers OnReceive);
 // any number of VCs may be bound on it.
@@ -79,28 +80,37 @@ func (s *Stack) Bind(vc atm.VC, fn Handler) {
 // Unbind removes vc's handler; subsequent frames on it count as NoHandler.
 func (s *Stack) Unbind(vc atm.VC) { delete(s.bindVCs, vc) }
 
-// Send transmits one datagram on vc: proto/dst fill the IPv4 header (src is
-// the stack's address), payload becomes the IP payload, and the whole
-// datagram is RFC 2684-encapsulated into a single AAL5 frame. onSent (may
-// be nil) fires at the transmit-complete interrupt, when the buffer is
-// reusable.
-func (s *Stack) Send(vc atm.VC, proto uint8, dst Addr, payload []byte, onSent func()) error {
-	if len(payload) > s.MTU() {
-		return fmt.Errorf("ip: payload %d exceeds MTU %d", len(payload), s.MTU())
-	}
+// NewDatagram returns a zeroed frame for an n-byte IP payload and the
+// payload's place in it. The frame leaves room at its front for the RFC
+// 2684 and IPv4 headers, which SendDatagram writes; the caller builds the
+// payload where it lies, so the datagram is never copied on its way to the
+// interface.
+func (s *Stack) NewDatagram(n int) (sdu, payload []byte) {
+	off := s.method.Overhead() + HeaderSize
+	sdu = make([]byte, off+n)
+	return sdu, sdu[off:]
+}
+
+// SendDatagram transmits one frame from NewDatagram on vc: it writes the
+// RFC 2684 header and the IPv4 header (proto and dst, with the stack's
+// address as src) in place, and hands the frame to the interface's
+// zero-copy path, which owns it until onSent (may be nil) fires at the
+// transmit-complete interrupt.
+func (s *Stack) SendDatagram(vc atm.VC, proto uint8, dst Addr, sdu []byte, onSent func()) error {
 	oh := s.method.Overhead()
-	sdu := make([]byte, oh+HeaderSize+len(payload))
+	n := len(sdu) - oh - HeaderSize
+	if n < 0 {
+		return fmt.Errorf("ip: %d-byte frame has no room for its headers", len(sdu))
+	}
+	if n > s.MTU() {
+		return fmt.Errorf("ip: payload %d exceeds MTU %d", n, s.MTU())
+	}
 	if oh > 0 {
-		copy(sdu, llcSnapPrefix[:])
-		sdu[6] = byte(EtherTypeIPv4 >> 8)
-		sdu[7] = byte(EtherTypeIPv4 & 0xff)
+		putLLCSnap(sdu, EtherTypeIPv4)
 	}
 	s.id++
 	h := Header{ID: s.id, Proto: proto, Src: s.addr, Dst: dst}
-	h.Marshal(sdu[oh:], len(payload))
-	copy(sdu[oh+HeaderSize:], payload)
-	// The stack built (and owns) the SDU, so the interface's zero-copy
-	// path applies: the buffer is the DMA source until onSent.
+	h.Marshal(sdu[oh:], n)
 	if err := s.iface.SendOwned(vc, sdu, onSent); err != nil {
 		return err
 	}

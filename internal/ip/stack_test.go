@@ -28,6 +28,14 @@ func newPair(t *testing.T, method Method) (k *sim.Kernel, sa, sb *Stack, vc atm.
 	return k, sa, sb, vc
 }
 
+// send transmits payload as one datagram, built in place the way the
+// transport does it.
+func send(s *Stack, vc atm.VC, proto uint8, dst Addr, payload []byte) error {
+	sdu, p := s.NewDatagram(len(payload))
+	copy(p, payload)
+	return s.SendDatagram(vc, proto, dst, sdu, nil)
+}
+
 func TestStackEndToEnd(t *testing.T) {
 	for _, method := range []Method{LLCSnap, VCMux} {
 		k, sa, sb, vc := newPair(t, method)
@@ -38,7 +46,7 @@ func TestStackEndToEnd(t *testing.T) {
 			got = append([]byte(nil), payload...)
 		})
 		msg := bytes.Repeat([]byte{0xA5}, 1460)
-		if err := sa.Send(vc, ProtoTCP, sb.Addr(), msg, nil); err != nil {
+		if err := send(sa, vc, ProtoTCP, sb.Addr(), msg); err != nil {
 			t.Fatal(err)
 		}
 		k.Run()
@@ -57,7 +65,7 @@ func TestStackEndToEnd(t *testing.T) {
 
 func TestStackNoHandler(t *testing.T) {
 	k, sa, sb, vc := newPair(t, LLCSnap)
-	if err := sa.Send(vc, ProtoUDP, sb.Addr(), []byte("x"), nil); err != nil {
+	if err := send(sa, vc, ProtoUDP, sb.Addr(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -67,7 +75,7 @@ func TestStackNoHandler(t *testing.T) {
 	// Bind then unbind: back to NoHandler.
 	sb.Bind(vc, func(Header, []byte, sim.Time) {})
 	sb.Unbind(vc)
-	sa.Send(vc, ProtoUDP, sb.Addr(), []byte("y"), nil)
+	send(sa, vc, ProtoUDP, sb.Addr(), []byte("y"))
 	k.Run()
 	if sb.Stats().NoHandler != 2 {
 		t.Errorf("NoHandler after unbind = %d", sb.Stats().NoHandler)
@@ -81,7 +89,7 @@ func TestStackEncapMismatchCounted(t *testing.T) {
 	sbLLC := NewStack(sb.Interface(), LLCSnap, sb.Addr())
 	delivered := 0
 	sbLLC.Bind(vc, func(Header, []byte, sim.Time) { delivered++ })
-	sa.Send(vc, ProtoTCP, sb.Addr(), []byte("hello"), nil)
+	send(sa, vc, ProtoTCP, sb.Addr(), []byte("hello"))
 	k.Run()
 	if delivered != 0 || sbLLC.Stats().EncapErrors != 1 {
 		t.Errorf("delivered=%d encapErrors=%d", delivered, sbLLC.Stats().EncapErrors)
@@ -122,8 +130,11 @@ func TestStackMTUEnforced(t *testing.T) {
 		t.Errorf("MTU = %d", sa.MTU())
 	}
 	big := make([]byte, sa.MTU()+1)
-	if err := sa.Send(vc, ProtoTCP, sb.Addr(), big, nil); err == nil {
+	if err := send(sa, vc, ProtoTCP, sb.Addr(), big); err == nil {
 		t.Error("over-MTU send accepted")
+	}
+	if err := sa.SendDatagram(vc, ProtoTCP, sb.Addr(), make([]byte, LLCSnapSize+HeaderSize-1), nil); err == nil {
+		t.Error("frame without room for its headers accepted")
 	}
 	if sa.Stats().TxDatagrams != 0 {
 		t.Error("failed send counted")
@@ -132,7 +143,7 @@ func TestStackMTUEnforced(t *testing.T) {
 
 func TestStackSendUnknownVC(t *testing.T) {
 	_, sa, sb, _ := newPair(t, LLCSnap)
-	if err := sa.Send(atm.VC{VCI: 999}, ProtoTCP, sb.Addr(), []byte("x"), nil); err == nil {
+	if err := send(sa, atm.VC{VCI: 999}, ProtoTCP, sb.Addr(), []byte("x")); err == nil {
 		t.Error("send on unopened VC accepted")
 	}
 }

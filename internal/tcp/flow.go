@@ -25,6 +25,9 @@ type Flow struct {
 // toward each other — under core.NewNetwork that is one Duplex VCC, with
 // sndVC/rcvVC its per-endpoint VC numbers.
 //
+// The MSS is capped at the smaller stack's MTU less the TCP header, so
+// every segment fits one datagram.
+//
 // Each half counts under "tcp.<name>." in its own stack's interface
 // registry, which on a sharded network is the registry of the partition
 // the half runs in. The sender's cwnd and ssthresh gauges are what a
@@ -32,6 +35,7 @@ type Flow struct {
 func NewFlow(k *sim.Kernel, name string, sndStack *ip.Stack, sndVC atm.VC,
 	rcvStack *ip.Stack, rcvVC atm.VC, cfg Config) *Flow {
 	cfg = cfg.withDefaults()
+	cfg.MSS = min(cfg.MSS, sndStack.MTU()-HeaderSize, rcvStack.MTU()-HeaderSize)
 	// Ports are cosmetic (one flow per VC); derive stable ones from nothing.
 	const dataPort, ackPort = 5001, 34000
 	f := &Flow{Name: name, k: k}

@@ -119,8 +119,9 @@ func (r *Receiver) sendAck() {
 		SrcPort: r.srcPort, DstPort: r.dstPort,
 		Seq: 1, Ack: r.rcvNxt, Flags: FlagACK, Window: r.window,
 	}
-	b := seg.Marshal(r.stack.Addr(), r.peer)
-	if err := r.stack.Send(r.vc, ip.ProtoTCP, r.peer, b, nil); err != nil {
+	sdu, b := r.stack.NewDatagram(HeaderSize)
+	seg.putHeader(b, r.stack.Addr(), r.peer)
+	if err := r.stack.SendDatagram(r.vc, ip.ProtoTCP, r.peer, sdu, nil); err != nil {
 		return // reverse path gone; the sender's RTO covers it
 	}
 	r.cAcks.Inc()

@@ -9,8 +9,10 @@
 // The model is bulk-transfer only: flows begin established (no SYN
 // handshake), data flows one way and ACKs the other, and segment payloads
 // are synthetic zeros — what matters is their length, timing and loss, not
-// their content. Sequence numbers, flags, windows and checksums are real
-// and validated end to end.
+// their content. The zeros are the fresh transmit frame's own: each segment
+// is written once, in place, into the frame the interface sends
+// (ip.Stack.NewDatagram), so no payload is built or copied. Sequence
+// numbers, flags, windows and checksums are real and validated end to end.
 package tcp
 
 import (
@@ -66,13 +68,16 @@ var (
 // pseudo-header and the full segment.
 func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 	b := make([]byte, HeaderSize+len(s.Payload))
-	s.MarshalInto(b, src, dst)
+	copy(b[HeaderSize:], s.Payload)
+	s.putHeader(b, src, dst)
 	return b
 }
 
-// MarshalInto serializes into b, which must be exactly
-// HeaderSize+len(Payload) bytes.
-func (s *Segment) MarshalInto(b []byte, src, dst ip.Addr) {
+// putHeader writes the header into the first HeaderSize bytes of b, whose
+// remaining bytes already hold the payload (s.Payload is not read), and
+// checksums the segment where it lies.
+func (s *Segment) putHeader(b []byte, src, dst ip.Addr) {
+	_ = b[HeaderSize-1]
 	binary.BigEndian.PutUint16(b[0:2], s.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], s.DstPort)
 	binary.BigEndian.PutUint32(b[4:8], s.Seq)
@@ -86,7 +91,6 @@ func (s *Segment) MarshalInto(b []byte, src, dst ip.Addr) {
 	binary.BigEndian.PutUint16(b[14:16], uint16(wnd))
 	b[16], b[17] = 0, 0 // checksum placeholder
 	b[18], b[19] = 0, 0 // urgent pointer
-	copy(b[HeaderSize:], s.Payload)
 	ck := ip.ChecksumWith(ip.PseudoChecksum(src, dst, ip.ProtoTCP, len(b)), b)
 	binary.BigEndian.PutUint16(b[16:18], ck)
 }

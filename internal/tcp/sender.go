@@ -11,7 +11,9 @@ import (
 
 // Config tunes one flow. The zero value of any field selects its default.
 type Config struct {
-	// MSS is the payload bytes per segment (default 1460).
+	// MSS is the payload bytes per segment (default 1460). NewFlow caps
+	// it at the smaller of its two stacks' MTU less the TCP header, the
+	// value a handshake's MSS option would agree on.
 	MSS int
 	// RcvWnd is the receiver's advertised window in bytes (default 64 KiB,
 	// capped at MaxWindow).
@@ -96,7 +98,7 @@ type Sender struct {
 	inRecovery     bool
 
 	est      RTOEstimator
-	timer    *sim.Event
+	timer    *sim.Event // created by the first arm, rescheduled after
 	timing   bool
 	timedEnd uint32
 	timedAt  sim.Time
@@ -183,7 +185,6 @@ func (s *Sender) Start(totalBytes uint64, onDone func()) {
 func (s *Sender) Stop() {
 	s.stopped = true
 	s.k.Cancel(s.timer)
-	s.timer = nil
 }
 
 func (s *Sender) setCwnd(v int) {
@@ -250,21 +251,22 @@ func (s *Sender) pump() {
 			s.stats.Segments++
 		}
 	}
-	if s.InFlight() > 0 && s.timer == nil {
+	if s.InFlight() > 0 && !s.timer.Scheduled() {
 		s.armTimer()
 	}
 }
 
-// emit transmits [seq, seq+n) as one segment. Payload bytes are synthetic
-// zeros; only their count and sequencing matter to the model.
+// emit transmits [seq, seq+n) as one segment, written in place into the
+// frame the interface sends. Payload bytes are the frame's synthetic zeros;
+// only their count and sequencing matter to the model.
 func (s *Sender) emit(seq uint32, n int, retransmit bool) {
 	seg := Segment{
 		SrcPort: s.srcPort, DstPort: s.dstPort,
 		Seq: seq, Ack: 0, Flags: FlagACK, Window: s.cfg.RcvWnd,
-		Payload: make([]byte, n),
 	}
-	b := seg.Marshal(s.stack.Addr(), s.dst)
-	if err := s.stack.Send(s.vc, ip.ProtoTCP, s.dst, b, nil); err != nil {
+	sdu, b := s.stack.NewDatagram(HeaderSize + n)
+	seg.putHeader(b, s.stack.Addr(), s.dst)
+	if err := s.stack.SendDatagram(s.vc, ip.ProtoTCP, s.dst, sdu, nil); err != nil {
 		panic(fmt.Sprintf("tcp: send failed: %v", err))
 	}
 	if retransmit {
@@ -278,15 +280,21 @@ func (s *Sender) emit(seq uint32, n int, retransmit bool) {
 	}
 }
 
+// armTimer (re)starts the retransmission timer one RTO from now. The
+// first arm creates the event, binding s.timeout once; later ones
+// reschedule it, which draws a sequence number just as a fresh After
+// would, so re-arming allocates nothing and dispatch order is unchanged.
 func (s *Sender) armTimer() {
-	s.k.Cancel(s.timer)
-	s.timer = s.k.After(s.est.RTO(), s.timeout)
+	if s.timer == nil {
+		s.timer = s.k.After(s.est.RTO(), s.timeout)
+		return
+	}
+	s.k.Reschedule(s.timer, s.k.Now()+s.est.RTO())
 }
 
 // timeout is the RTO expiry: classic Reno collapse to one segment, back
 // off, and resend from the left edge.
 func (s *Sender) timeout() {
-	s.timer = nil
 	if s.stopped || s.InFlight() == 0 {
 		return
 	}
@@ -370,7 +378,6 @@ func (s *Sender) newAck(ack uint32) {
 
 	if s.Done() {
 		s.k.Cancel(s.timer)
-		s.timer = nil
 		if s.onDone != nil {
 			done := s.onDone
 			s.onDone = nil
@@ -382,7 +389,6 @@ func (s *Sender) newAck(ack uint32) {
 		s.armTimer()
 	} else {
 		s.k.Cancel(s.timer)
-		s.timer = nil
 	}
 	s.pump()
 }
