@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-check verify fmt fmt-check vet staticcheck trace-verify cover-tcpip fuzz-smoke
+.PHONY: all build test bench-check portable-check verify fmt fmt-check vet staticcheck trace-verify cover-tcpip fuzz-smoke
 
 all: build
 
@@ -15,6 +15,14 @@ test:
 # `go test ./...` never compile it, yet it imports internal packages.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# portable-check keeps the non-amd64 build compiled and tested: internal/crc
+# has an amd64 assembly kernel and a portable twin (crc32_other.go). A 386
+# test binary runs natively on an amd64 host, so the slicing fallback is
+# exercised end to end; arm64 vet covers a 64-bit non-x86 target.
+portable-check:
+	GOARCH=386 $(GO) test ./internal/crc ./internal/aal
+	GOARCH=arm64 $(GO) vet ./...
 
 fmt:
 	gofmt -w .
@@ -56,8 +64,10 @@ fuzz-smoke:
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler5$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzMIDReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzAAL1Receiver$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/sonet -run '^$$' -fuzz '^FuzzDeframer$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzHECCheck$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC32$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzRMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/oam -run '^$$' -fuzz '^FuzzOAMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
@@ -65,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzIPDecode$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 15s -fuzzminimizetime 2s
 	$(GO) test ./internal/tcp -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 15s -fuzzminimizetime 2s
+	$(GO) test ./cmd/cellview -run '^$$' -fuzz '^FuzzCellview$$' -fuzztime 15s -fuzzminimizetime 2s
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the
@@ -77,9 +88,10 @@ trace-verify:
 
 # verify is the pre-PR gate: formatting, vet, staticcheck (when installed),
 # a full build, the test suite under the race detector, the bench/ module's
-# vet and tests, and the trace schema gate.
+# vet and tests, the trace schema gate, and the portable (non-amd64) build.
 verify: fmt-check vet staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check
 	$(MAKE) trace-verify
+	$(MAKE) portable-check

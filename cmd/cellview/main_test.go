@@ -8,7 +8,7 @@ import (
 	"repro/internal/ip"
 )
 
-func encodeCellHex(t *testing.T, h atm.Header, fill byte) string {
+func encodeCellHex(t testing.TB, h atm.Header, fill byte) string {
 	t.Helper()
 	c := atm.Cell{Header: h}
 	for i := range c.Payload {
@@ -153,7 +153,7 @@ func TestDecodeCLPAndEFCI(t *testing.T) {
 	}
 }
 
-func encapCellHex(t *testing.T, h atm.Header, sdu []byte) string {
+func encapCellHex(t testing.TB, h atm.Header, sdu []byte) string {
 	t.Helper()
 	c := atm.Cell{Header: h}
 	copy(c.Payload[:], sdu)

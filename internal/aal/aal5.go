@@ -21,13 +21,16 @@ const (
 	trailerSize = 8
 )
 
+// zeroPad stands in, in the final cell's CRC pass, for the pad that spilled
+// into the penultimate cell: at most 7 bytes.
+var zeroPad [trailerSize - 1]byte
+
 // Segmenter5 segments CPCS-SDUs per AAL5. The zero value is not ready;
 // use NewSegmenter5.
 type Segmenter5 struct {
 	sdu     []byte
 	off     int
 	cells   int // remaining cells including the trailer cell
-	crcReg  uint32
 	trailer [trailerSize]byte
 	active  bool
 }
@@ -55,11 +58,12 @@ func (s *Segmenter5) Begin(sdu []byte) (int, error) {
 	s.sdu = sdu
 	s.off = 0
 	s.cells = CellsForSDU5(len(sdu))
-	s.crcReg = 0xffff_ffff
 	s.active = true
-	// Build the trailer now except for the CRC, which folds in cell by
-	// cell — mirroring the hardware CRC unit that watches the byte
-	// stream as the DMA engine feeds it.
+	// Build the trailer now except for the CRC, which the final cell
+	// computes over the whole PDU in one pass. The adapter's CRC unit
+	// watches the byte stream as the DMA engine feeds it and costs no
+	// engine cycles, so where the simulator computes it moves no
+	// simulated time.
 	s.trailer[0] = 0 // CPCS-UU: transparent, unused by the interface
 	s.trailer[1] = 0 // CPI: must be zero per I.363.5
 	binary.BigEndian.PutUint16(s.trailer[2:4], uint16(len(sdu)))
@@ -74,22 +78,28 @@ func (s *Segmenter5) Next(payload *[atm.PayloadSize]byte) (atm.PT, bool, error) 
 	last := s.cells == 1
 	n := copy(payload[:], s.sdu[s.off:])
 	s.off += n
+	// Zero the pad. Besides the final cell, the penultimate one holds pad
+	// when len(sdu) % 48 is 41–47: the trailer does not fit beside the
+	// SDU's last bytes, so the pad starts there. The payload array may be
+	// a recycled cell's, so every pad byte is written.
+	clear(payload[n:])
 	if !last {
-		// A full middle cell. (A non-final cell is always full: padding
-		// only ever appears in the last cell.)
-		s.crcReg = crc.CRC32Update(s.crcReg, payload[:])
 		s.cells--
 		return atm.PTUser0, false, nil
 	}
-	// Final cell: pad, then place the trailer in the last 8 bytes.
-	for i := n; i < atm.PayloadSize; i++ {
-		payload[i] = 0
-	}
-	// CRC covers SDU + pad + UU/CPI/Length, then the CRC itself lands in
-	// the final 4 bytes.
+	// Final cell: the trailer goes in the last 8 bytes. The CRC covers the
+	// whole PDU but its own 4 bytes: the SDU bytes the earlier cells
+	// carried, the pad that spilled into the penultimate cell (zero), and
+	// this cell's first 44 bytes. A one-cell frame has only the last.
 	copy(payload[atm.PayloadSize-trailerSize:], s.trailer[:4])
-	s.crcReg = crc.CRC32Update(s.crcReg, payload[:atm.PayloadSize-4])
-	binary.BigEndian.PutUint32(payload[atm.PayloadSize-4:], s.crcReg^0xffff_ffff)
+	reg := uint32(0xffff_ffff)
+	if carried := s.off - n; carried > 0 {
+		spill := (CellsForSDU5(len(s.sdu))-1)*atm.PayloadSize - carried
+		reg = crc.CRC32Update(reg, s.sdu[:carried])
+		reg = crc.CRC32Update(reg, zeroPad[:spill])
+	}
+	reg = crc.CRC32Update(reg, payload[:atm.PayloadSize-4])
+	binary.BigEndian.PutUint32(payload[atm.PayloadSize-4:], reg^0xffff_ffff)
 	s.cells = 0
 	s.active = false
 	s.sdu = nil
@@ -100,7 +110,6 @@ func (s *Segmenter5) Next(payload *[atm.PayloadSize]byte) (atm.PT, bool, error) 
 type Reassembler5 struct {
 	buf      []byte
 	maxFrame int
-	crcReg   uint32
 	cells    int
 	active   bool
 	vst      *metrics.VCStats
@@ -181,20 +190,17 @@ func (r *Reassembler5) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result,
 	}
 	if !r.active {
 		r.active = true
-		r.crcReg = 0xffff_ffff
 		r.cells = 0
 	}
 	r.buf = append(r.buf, payload[:]...)
 	r.cells++
 	if !pt.EndOfFrame() {
-		r.crcReg = crc.CRC32Update(r.crcReg, payload[:])
 		return nil, nil
 	}
-	// Last cell: verify trailer.
+	// Last cell: verify the trailer, with one CRC pass over the frame.
 	n := len(r.buf)
-	r.crcReg = crc.CRC32Update(r.crcReg, r.buf[n-atm.PayloadSize:n-4])
 	wantCRC := binary.BigEndian.Uint32(r.buf[n-4:])
-	gotCRC := r.crcReg ^ 0xffff_ffff
+	gotCRC := crc.CRC32Update(0xffff_ffff, r.buf[:n-4]) ^ 0xffff_ffff
 	length := int(binary.BigEndian.Uint16(r.buf[n-6 : n-4]))
 	cells := r.cells
 	defer r.Abort()

@@ -2,11 +2,13 @@ package aal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/atm"
+	"repro/internal/crc"
 )
 
 // pump segments an SDU and feeds every cell straight into the reassembler,
@@ -101,6 +103,49 @@ func TestAAL5TrailerLayout(t *testing.T) {
 	}
 	if got := int(p[42])<<8 | int(p[43]); got != 40 {
 		t.Fatalf("Length field = %d, want 40", got)
+	}
+}
+
+// TestAAL5PDUMatchesReference segments SDUs into payload arrays that hold
+// stale bytes, as recycled pool cells do, and requires the cells to spell
+// the CPCS-PDU built independently: the SDU, zero pad, UU and CPI, the
+// length, then the bit-serial CRC-32 of everything before it. The lengths
+// with len % 48 in 41..47 put pad in the penultimate cell.
+func TestAAL5PDUMatchesReference(t *testing.T) {
+	seg := NewSegmenter5()
+	lengths := []int{9180, 65535}
+	for n := 1; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		sdu := patterned(n)
+		want := make([]byte, CellsForSDU5(n)*atm.PayloadSize)
+		copy(want, sdu)
+		binary.BigEndian.PutUint16(want[len(want)-6:], uint16(n))
+		binary.BigEndian.PutUint32(want[len(want)-4:], crc.CRC32Bitwise(want[:len(want)-4]))
+
+		cells, err := seg.Begin(sdu)
+		if err != nil {
+			t.Fatalf("len %d: Begin: %v", n, err)
+		}
+		got := make([]byte, 0, len(want))
+		for i := 0; i < cells; i++ {
+			var p [atm.PayloadSize]byte
+			for j := range p {
+				p[j] = 0xaa
+			}
+			if _, _, err := seg.Next(&p); err != nil {
+				t.Fatalf("len %d: Next cell %d: %v", n, i, err)
+			}
+			got = append(got, p[:]...)
+		}
+		if !bytes.Equal(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("len %d: PDU byte %d (cell %d) is %#02x, want %#02x", n, i, i/atm.PayloadSize, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

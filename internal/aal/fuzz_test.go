@@ -2,6 +2,7 @@ package aal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/atm"
@@ -227,6 +228,54 @@ func FuzzMIDReassembler34(f *testing.F) {
 		m.Abort()
 		if m.Busy() || m.ActiveMIDs() != 0 {
 			t.Fatalf("Abort left %d MIDs active", m.ActiveMIDs())
+		}
+	})
+}
+
+// FuzzAAL1Receiver feeds arbitrary runs of 48-byte payloads to an
+// AAL1Receiver. Whatever the SAR headers say, each push must grow the
+// reproduced stream by a whole number of 47-byte cells, at most 7 (six
+// inferred losses, the most a 3-bit count can tell, plus the cell itself);
+// it grows by nothing exactly when Push reports a misinserted cell; and
+// every push is counted once, as a cell or as a bad header.
+func FuzzAAL1Receiver(f *testing.F) {
+	snd := NewAAL1Sender()
+	snd.Write(fuzzSDU(10 * AAL1Payload))
+	var clean []byte
+	for {
+		var p [atm.PayloadSize]byte
+		if !snd.NextCell(&p) {
+			break
+		}
+		clean = append(clean, p[:]...)
+	}
+	const cell = atm.PayloadSize
+	f.Add(clean)
+	f.Add(append(clean[:3*cell:3*cell], clean[4*cell:]...)) // one cell lost
+	f.Add(append(clean[:4*cell:4*cell], clean[3*cell:]...)) // one cell repeated
+	broken := append([]byte(nil), clean[:cell]...)
+	broken[0] ^= 0x01 // the parity bit
+	f.Add(broken)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewAAL1Receiver()
+		pushes := uint64(0)
+		for rest := data; len(rest) >= cell; rest = rest[cell:] {
+			var p [atm.PayloadSize]byte
+			copy(p[:], rest)
+			before := r.Pending()
+			err := r.Push(&p)
+			pushes++
+			grew := r.Pending() - before
+			if grew < 0 || grew%AAL1Payload != 0 || grew > 7*AAL1Payload {
+				t.Fatalf("push %d grew the stream by %d bytes, want a multiple of %d up to %d",
+					pushes, grew, AAL1Payload, 7*AAL1Payload)
+			}
+			if misinsert := errors.Is(err, ErrAAL1Misinsert); (grew == 0) != misinsert {
+				t.Fatalf("push %d grew the stream by %d bytes with error %v", pushes, grew, err)
+			}
+			if r.Cells+r.BadHeader != pushes {
+				t.Fatalf("after %d pushes: %d cells + %d bad headers", pushes, r.Cells, r.BadHeader)
+			}
 		}
 	})
 }

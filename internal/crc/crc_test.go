@@ -206,9 +206,59 @@ func TestCRC32SlicingMatchesByteSerial(t *testing.T) {
 				break
 			}
 			p := msg[start : start+n]
-			if got, want := CRC32Update(0xffff_ffff, p), crc32ByteSerial(0xffff_ffff, p); got != want {
+			if got, want := crc32Slicing(0xffff_ffff, p), crc32ByteSerial(0xffff_ffff, p); got != want {
 				t.Fatalf("start %d len %d: slicing %#08x, byte-serial %#08x", start, n, got, want)
 			}
+		}
+	}
+}
+
+// crc32BitwiseUpdate is the bit-serial reference in update form: it
+// advances any initial register over p, MSB-first, without inversion.
+func crc32BitwiseUpdate(crc uint32, p []byte) uint32 {
+	for _, by := range p {
+		for b := 0; b < 8; b++ {
+			bit := uint32(by>>(7-b)) & 1
+			top := crc >> 31
+			crc <<= 1
+			if top^bit != 0 {
+				crc ^= crc32Poly
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRC32MatchesReference pins CRC32Update (which folds from foldMin
+// bytes on where the CPU allows) and the slicing loop against the
+// bit-serial reference at every length up to 2100 bytes and at two frame
+// sizes, from three initial registers. Each seed starts the message at a
+// different offset.
+func TestCRC32MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	msg := make([]byte, 65535+56+16)
+	rng.Read(msg)
+	for i, seed := range []uint32{0, 0xffff_ffff, rng.Uint32()} {
+		off := 5 * i
+		check := func(n int, want uint32) {
+			t.Helper()
+			p := msg[off : off+n]
+			if got := CRC32Update(seed, p); got != want {
+				t.Fatalf("seed %#08x len %d: CRC32Update %#08x, reference %#08x", seed, n, got, want)
+			}
+			if got := crc32Slicing(seed, p); got != want {
+				t.Fatalf("seed %#08x len %d: slicing %#08x, reference %#08x", seed, n, got, want)
+			}
+		}
+		// The reference is bit-serial, so extending it one byte at a time
+		// yields every prefix's register.
+		ref := seed
+		for n := 0; n <= 2100; n++ {
+			check(n, ref)
+			ref = crc32BitwiseUpdate(ref, msg[off+n:off+n+1])
+		}
+		for _, n := range []int{9180, 65535 + 56} {
+			check(n, crc32BitwiseUpdate(seed, msg[off:off+n]))
 		}
 	}
 }
@@ -322,6 +372,15 @@ func BenchmarkHEC(b *testing.B) {
 func BenchmarkCRC32Cell(b *testing.B) {
 	p := make([]byte, 48)
 	b.SetBytes(48)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = CRC32Update(0xffffffff, p)
+	}
+}
+
+func BenchmarkCRC32Frame(b *testing.B) {
+	p := make([]byte, 9180)
+	b.SetBytes(int64(len(p)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = CRC32Update(0xffffffff, p)

@@ -53,3 +53,31 @@ func FuzzHECCheck(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCRC32 holds three values equal for any initial register, byte string
+// and split point: CRC32Update over the whole string, the bit-serial
+// reference, and CRC32Update over the two pieces in turn. The seeds sit at
+// the fold's edges (one and two blocks, one short and one over) and at a
+// 9180-byte SDU and its 9188-byte PDU.
+func FuzzCRC32(f *testing.F) {
+	for _, n := range []int{0, 15, 16, 31, 32, 33, 48, 63, 64, 65, 9180, 9188} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*131 + 7)
+		}
+		f.Add(uint32(0xffff_ffff), b, uint16(n/2))
+	}
+	f.Fuzz(func(t *testing.T, seed uint32, b []byte, split uint16) {
+		k := 0
+		if len(b) > 0 {
+			k = int(split) % (len(b) + 1)
+		}
+		whole := CRC32Update(seed, b)
+		if want := crc32BitwiseUpdate(seed, b); whole != want {
+			t.Fatalf("seed %#08x len %d: CRC32Update %#08x, reference %#08x", seed, len(b), whole, want)
+		}
+		if parts := CRC32Update(CRC32Update(seed, b[:k]), b[k:]); parts != whole {
+			t.Fatalf("seed %#08x len %d split %d: in two parts %#08x, whole %#08x", seed, len(b), k, parts, whole)
+		}
+	})
+}
