@@ -57,25 +57,41 @@ cover-tcpip:
 			printf "internal/ip + internal/tcp line coverage %s%% (gate 75%%)\n", pct }'
 
 # fuzz-smoke runs each fuzz target for 15 s (`go test -fuzz` takes one
-# target per run). New inputs are minimized for at most 2 s each, so
-# minimizing the offspring of the 9180-byte and multi-frame seeds cannot eat
-# the whole budget.
+# target per run), prints how many inputs it executed, and fails a target
+# that executed fewer than FUZZ_MIN_EXECS. Minimizing a new input is capped
+# at 100 executions, not at a time: with a 2 s cap, about ten new
+# multi-frame inputs (offspring of the 9180-byte and multi-frame seeds)
+# could spend a target's whole 15 s minimizing.
+FUZZ_TARGETS = \
+	./internal/aal:FuzzReassembler5 \
+	./internal/aal:FuzzReassembler34 \
+	./internal/aal:FuzzMIDReassembler34 \
+	./internal/aal:FuzzAAL1Receiver \
+	./internal/sonet:FuzzDeframer \
+	./internal/crc:FuzzHECCheck \
+	./internal/crc:FuzzCRC32 \
+	./internal/atm:FuzzCellDecode \
+	./internal/atm:FuzzRMDecode \
+	./internal/oam:FuzzOAMDecode \
+	./internal/fec:FuzzDecoder \
+	./internal/ip:FuzzIPDecode \
+	./internal/ip:FuzzChecksum \
+	./internal/tcp:FuzzParseSegment \
+	./cmd/cellview:FuzzCellview
+FUZZ_MIN_EXECS = 10000
+
 fuzz-smoke:
-	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler5$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzMIDReassembler34$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/aal -run '^$$' -fuzz '^FuzzAAL1Receiver$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/sonet -run '^$$' -fuzz '^FuzzDeframer$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzHECCheck$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/crc -run '^$$' -fuzz '^FuzzCRC32$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzCellDecode$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/atm -run '^$$' -fuzz '^FuzzRMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/oam -run '^$$' -fuzz '^FuzzOAMDecode$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/fec -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzIPDecode$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/ip -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./internal/tcp -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 15s -fuzzminimizetime 2s
-	$(GO) test ./cmd/cellview -run '^$$' -fuzz '^FuzzCellview$$' -fuzztime 15s -fuzzminimizetime 2s
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; log=$$(mktemp); \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime 15s -fuzzminimizetime 100x >$$log 2>&1; status=$$?; \
+		cat $$log; \
+		execs=$$(sed -n 's/.*execs: \([0-9][0-9]*\).*/\1/p' $$log | tail -n 1); rm -f $$log; \
+		[ $$status -eq 0 ] || exit $$status; \
+		echo "fuzz-smoke: $$name executed $${execs:-0} inputs"; \
+		if [ "$${execs:-0}" -lt $(FUZZ_MIN_EXECS) ]; then \
+			echo "fuzz-smoke: $$name is below the floor of $(FUZZ_MIN_EXECS)"; exit 1; \
+		fi; \
+	done
 
 # trace-verify exports flight-recorder traces from a short atmsim run and
 # from E18's per-stage decomposition, and validates each against the

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/aal"
 	"repro/internal/atm"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/ip"
 	"repro/internal/netsim"
@@ -118,6 +117,11 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	} else if aalFlag != "5" {
 		return fmt.Errorf("unknown AAL %q (use 5 or 3/4)", aalFlag)
 	}
+	// The fixed, bursty and cbr workloads, and the per-cell loop, send
+	// -size-byte SDUs.
+	if (wl != "bimodal" || arch == "percell") && (size < 1 || size > aal.MaxSDU) {
+		return fmt.Errorf("-size %d out of range (1 to %d bytes)", size, aal.MaxSDU)
+	}
 	var contract tm.TrafficContract
 	haveContract := contractSpec != ""
 	if haveContract {
@@ -148,7 +152,13 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		return fmt.Errorf("-biterr needs -framed")
 	}
 
-	if arch == "percell" {
+	coreArch, ok := map[string]core.Arch{
+		"engine": core.Programmable, "hardwired": core.Hardwired, "percell": core.PerCell,
+	}[arch]
+	if !ok {
+		return fmt.Errorf("unknown arch %q", arch)
+	}
+	if coreArch == core.PerCell {
 		if metricsPath != "" || stats {
 			return fmt.Errorf("-metrics/-stats are not supported with -arch percell")
 		}
@@ -167,10 +177,6 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		if line.Framed {
 			return fmt.Errorf("-framed is not supported with -arch percell")
 		}
-		return runBaseline(sim.NewKernel(), payloadRate, aalType, size, deadline, loss, seed)
-	}
-	if arch != "engine" && arch != "hardwired" {
-		return fmt.Errorf("unknown arch %q", arch)
 	}
 
 	// The whole topology is one declarative spec: two stations, optionally a
@@ -183,7 +189,7 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 		AAL34:             aalType == aal.AAL34,
 		RxEngines:         rxEngines,
 		InterleaveVCs:     interleave,
-		Hardwired:         arch == "hardwired",
+		Arch:              coreArch,
 		ReassemblyTimeout: sim.Duration(rtimeout.Nanoseconds()),
 	}
 	spec := core.NetworkSpec{
@@ -238,6 +244,9 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 	net, err := core.NewNetwork(spec)
 	if err != nil {
 		return err
+	}
+	if coreArch == core.PerCell {
+		return runPerCell(net, payloadRate, aalType, size, deadline)
 	}
 	k, reg, rec := net.Kernel(), net.Metrics(), net.Recorder()
 	rec.SampleCells(obs.TraceSample)
@@ -341,8 +350,9 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 				return
 			}
 			sz, _ := gen.Next()
-			a.Send(vcc.SourceVC, make([]byte, sz), send)
-			sent++
+			if a.Send(vcc.SourceVC, make([]byte, sz), send) == nil {
+				sent++
+			}
 		}
 		for i := 0; i < window; i++ {
 			send()
@@ -354,8 +364,9 @@ func run(rate int, aalFlag, arch string, size int, wl string, duration time.Dura
 				return
 			}
 			sz, gap := gen.Next()
-			a.Send(vcc.SourceVC, make([]byte, sz), nil)
-			sent++
+			if a.Send(vcc.SourceVC, make([]byte, sz), nil) == nil {
+				sent++
+			}
 			k.After(gap, tick)
 		}
 		tick()
@@ -516,35 +527,32 @@ func writeTo(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-func runBaseline(k *sim.Kernel, rate units.BitRate, aalType aal.Type, size int,
-	deadline sim.Time, loss float64, seed uint64) error {
-	cfg := baseline.DefaultConfig()
-	cfg.PayloadRate = rate
-	cfg.AAL = aalType
-	a := netsim.NewBaselineStation(k, "a", cfg)
-	b := netsim.NewBaselineStation(k, "b", cfg)
-	netsim.ConnectBaseline(k, a, b, netsim.LinkConfig{Delay: 10_000, LossProb: loss, Seed: seed})
-	b.Adapter.OpenVC(stdVC())
+// runPerCell drives the per-cell pair with one SDU in flight at a time and
+// prints the receive host's side of the story.
+func runPerCell(net *core.Network, rate units.BitRate, aalType aal.Type, size int, deadline sim.Time) error {
+	k, a, b := net.Kernel(), net.Endpoint("a"), net.Endpoint("b")
+	vc := net.VCC("ab").SourceVC
 	sent := 0
 	var send func()
 	send = func() {
 		if k.Now() > deadline {
 			return
 		}
-		a.Adapter.Send(stdVC(), make([]byte, size), send)
-		sent++
+		if a.Send(vc, make([]byte, size), send) == nil {
+			sent++
+		}
 	}
 	send()
 	k.RunUntil(deadline)
-	utilB := b.Host.Utilization()
-	st := b.Adapter.Stats()
+	utilB := b.Host().Utilization()
+	st := b.Stats()
 	k.Run()
 	fmt.Printf("architecture      percell (host SAR), %v, %s\n", rate, aalType)
 	fmt.Printf("packets sent      %d\n", sent)
-	fmt.Printf("packets delivered %d  (%d bytes)\n", st.RxPackets, st.RxBytes)
-	fmt.Printf("goodput           %.2f Mb/s\n", units.ThroughputBps(int64(st.RxBytes), deadline)/1e6)
-	fmt.Printf("aal errors        %d   rx drops %d\n", st.AALErrors, st.RxDrops)
-	fmt.Printf("rx host cpu       %.1f%%   interrupts %d\n", 100*utilB, b.Host.Interrupts())
+	fmt.Printf("packets delivered %d  (%d bytes)\n", st.Rx.Packets, st.Rx.Bytes)
+	fmt.Printf("goodput           %.2f Mb/s\n", units.ThroughputBps(int64(st.Rx.Bytes), deadline)/1e6)
+	fmt.Printf("aal errors        %d   rx drops %d\n", st.Rx.AALErrors, st.Rx.FifoDrops)
+	fmt.Printf("rx host cpu       %.1f%%   interrupts %d\n", 100*utilB, b.Host().Interrupts())
 	return nil
 }
 

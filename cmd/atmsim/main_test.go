@@ -58,6 +58,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(155, "5", "percell", 100, "fixed", time.Millisecond, 0, 1, 1, 1, false, 0, "x.json", false, "", false, 0, false, 0, 0, 0, 0, lineOpts{}, obsOpts{}); err == nil {
 		t.Fatal("percell + -metrics accepted")
 	}
+	// Every workload that sends -size-byte SDUs refuses a size no SDU can
+	// have, on every architecture, instead of reporting sends Send refused.
+	for _, arch := range []string{"engine", "hardwired", "percell"} {
+		for _, wl := range []string{"fixed", "bursty", "cbr"} {
+			for _, size := range []int{0, 70000} {
+				if err := run(155, "5", arch, size, wl, time.Millisecond, 0, 1, 1, 1, false, 0, "", false, "", false, 0, false, 0, 0, 0, 0, lineOpts{}, obsOpts{}); err == nil {
+					t.Fatalf("-arch %s -workload %s -size %d accepted", arch, wl, size)
+				}
+			}
+		}
+	}
 }
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and returns
@@ -301,5 +312,45 @@ func TestRunABR(t *testing.T) {
 	if err := run(155, "5", "engine", 1000, "fixed", time.Millisecond,
 		0, 1, 1, 1, false, 0, "", false, "", false, 0, true, 0, 0, 0, 0, lineOpts{Framed: true}, obsOpts{}); err == nil {
 		t.Fatal("framed + -abr accepted")
+	}
+}
+
+// The per-cell baseline's whole stdout for two flag sets: "-arch percell
+// -size 1000" and "-arch percell -aal 3/4 -size 4000 -loss 1e-3 -duration
+// 20ms -seed 3".
+func TestRunPerCellStdout(t *testing.T) {
+	cases := []struct {
+		name     string
+		aal      string
+		size     int
+		duration time.Duration
+		loss     float64
+		seed     uint64
+		want     string
+	}{
+		{"size1000", "5", 1000, 50 * time.Millisecond, 0, 1, `architecture      percell (host SAR), 149.76Mb/s, AAL5
+packets sent      128
+packets delivered 3  (3000 bytes)
+goodput           0.48 Mb/s
+aal errors        64   rx drops 838
+rx host cpu       99.8%   interrupts 1847
+`},
+		{"aal34_lossy", "3/4", 4000, 20 * time.Millisecond, 1e-3, 3, `architecture      percell (host SAR), 149.76Mb/s, AAL3/4
+packets sent      13
+packets delivered 0  (0 bytes)
+goodput           0.00 Mb/s
+aal errors        527   rx drops 379
+rx host cpu       99.3%   interrupts 790
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := captureStdout(t, func() error {
+				return run(155, c.aal, "percell", c.size, "fixed", c.duration, c.loss, 4, c.seed, 1, false, 0, "", false, "", false, 0, false, 0, 0, 0, 0, lineOpts{}, obsOpts{})
+			})
+			if got != c.want {
+				t.Fatalf("stdout:\n%s\nwant:\n%s", got, c.want)
+			}
+		})
 	}
 }

@@ -13,6 +13,9 @@
 //     frozen: no new adaptation layer without new silicon. Its cost model
 //     here is the programmable interface with effectively infinite engine
 //     speed, which is exactly what "the firmware is free" means.
+//
+// Both take nic.New's arguments, so core.NewNetwork builds either one in
+// the paper's interface's place (core.Hardwired, core.PerCell).
 package baseline
 
 import (

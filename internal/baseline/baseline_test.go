@@ -36,13 +36,19 @@ func newHostSARRig() *hostSARRig {
 	r := &hostSARRig{k: k}
 	r.hTx = host.New(k, host.DefaultConfig())
 	r.hRx = host.New(k, host.DefaultConfig())
-	busTx := bus.New(k, bus.DefaultConfig())
-	busRx := bus.New(k, bus.DefaultConfig())
-	r.tx = NewHostSAR(k, DefaultConfig(), r.hTx, busTx)
-	r.rx = NewHostSAR(k, DefaultConfig(), r.hRx, busRx)
-	link := phy.NewCellLink(k, 10_000, 1, r.rx, atm.NewPool(0))
+	pool := atm.NewPool(0)
+	sar := func(name string, h *host.Host) *HostSAR {
+		a, err := NewHostSAR(k, nic.DefaultConfig(name), h, bus.New(k, bus.DefaultConfig()), pool)
+		if err != nil {
+			panic(err)
+		}
+		return a
+	}
+	r.tx = sar("tx", r.hTx)
+	r.rx = sar("rx", r.hRx)
+	link := phy.NewCellLink(k, 10_000, 1, r.rx, pool)
 	r.tx.AttachSink(atm.SinkFunc(link.Send))
-	r.rx.OnReceive(func(vc atm.VC, sdu []byte) { r.received = append(r.received, sdu) })
+	r.rx.OnReceive(func(d nic.Delivered) { r.received = append(r.received, d.SDU) })
 	return r
 }
 
@@ -69,20 +75,20 @@ func TestHostSARPerCellInterrupts(t *testing.T) {
 	vc := atm.VC{VCI: 5}
 	r.rx.OpenVC(vc)
 	sent := 1
-	r.rx.OnReceive(func(vc atm.VC, sdu []byte) {
-		r.received = append(r.received, sdu)
+	r.rx.OnReceive(func(d nic.Delivered) {
+		r.received = append(r.received, d.SDU)
 		if sent < 5 {
 			sent++
-			r.tx.Send(vc, pkt(1000), nil)
+			r.tx.Send(d.VC, pkt(1000), nil)
 		}
 	})
 	r.tx.Send(vc, pkt(1000), nil)
 	r.k.Run()
 	st := r.rx.Stats()
-	if st.RxDrops != 0 {
+	if st.Rx.FifoDrops != 0 {
 		t.Fatalf("unexpected drops in closed-loop run: %+v", st)
 	}
-	cells := st.RxCells
+	cells := st.Rx.Cells
 	if got := r.hRx.Interrupts(); got < cells {
 		t.Fatalf("receive host took %d interrupts for %d cells", got, cells)
 	}
@@ -109,11 +115,11 @@ func TestHostSARHostBoundThroughput(t *testing.T) {
 	send()
 	send()
 	r.k.RunUntil(deadline + sim.Time(10*sim.Millisecond))
-	gotBps := units.ThroughputBps(int64(r.rx.Stats().RxBytes), r.k.Now())
+	gotBps := units.ThroughputBps(int64(r.rx.Stats().Rx.Bytes), r.k.Now())
 	if gotBps > 40e6 {
 		t.Fatalf("baseline goodput %.1f Mb/s implausibly high for a host-bound path", gotBps/1e6)
 	}
-	if r.rx.Stats().RxPackets == 0 && r.rx.Stats().RxDrops == 0 {
+	if r.rx.Stats().Rx.Packets == 0 && r.rx.Stats().Rx.FifoDrops == 0 {
 		t.Fatal("baseline receiver made no progress at all")
 	}
 }
@@ -126,17 +132,17 @@ func TestHostSARRxOverflowUnderLoad(t *testing.T) {
 	r.rx.OpenVC(vc)
 	r.tx.Send(vc, pkt(9180), nil)
 	r.k.Run()
-	if r.rx.Stats().RxDrops == 0 {
+	if r.rx.Stats().Rx.FifoDrops == 0 {
 		t.Fatal("no RX drops despite host-bound receiver")
 	}
 }
 
 func TestHostSARValidation(t *testing.T) {
 	r := newHostSARRig()
-	if err := r.tx.Send(atm.VC{VCI: 1}, nil, nil); !errors.Is(err, ErrBadSDU) {
+	if err := r.tx.Send(atm.VC{VCI: 1}, nil, nil); !errors.Is(err, nic.ErrBadSDU) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := r.tx.Send(atm.VC{VCI: 1}, make([]byte, aal.MaxSDU+1), nil); !errors.Is(err, ErrBadSDU) {
+	if err := r.tx.Send(atm.VC{VCI: 1}, make([]byte, aal.MaxSDU+1), nil); !errors.Is(err, nic.ErrBadSDU) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -144,8 +150,13 @@ func TestHostSARValidation(t *testing.T) {
 func TestHostSAROpenVCIdempotent(t *testing.T) {
 	r := newHostSARRig()
 	vc := atm.VC{VCI: 9}
-	r.rx.OpenVC(vc)
-	r.rx.OpenVC(vc) // must not reset state or panic
+	if err := r.rx.OpenVC(vc); err != nil {
+		t.Fatal(err)
+	}
+	// A second open is refused and must not reset state or panic.
+	if err := r.rx.OpenVC(vc); !errors.Is(err, nic.ErrVCExists) {
+		t.Fatalf("second open: err = %v, want nic.ErrVCExists", err)
+	}
 	r.tx.Send(vc, pkt(100), nil)
 	r.k.Run()
 	if len(r.received) != 1 {

@@ -1,29 +1,31 @@
 package baseline
 
 import (
-	"errors"
+	"fmt"
 
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/bus"
 	"repro/internal/fifo"
 	"repro/internal/host"
+	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
 // HostSAR is the per-cell-interrupt baseline adapter: FIFOs and a framer,
 // nothing else. All adaptation-layer work runs on the host CPU, and every
-// cell crosses the bus under programmed I/O.
+// cell crosses the bus under programmed I/O. It takes nic.New's arguments
+// and reports in nic's types (Config, Stats, Delivered), so a builder can
+// put it on an endpoint in the interface's place.
 type HostSAR struct {
 	k       *sim.Kernel
+	cfg     nic.Config
 	hst     *host.Host
 	dev     *bus.Device
 	pioTime sim.Duration // wall time of one cell's PIO transfer
 	pool    *atm.Pool
 	out     func(*atm.Cell)
-	maxSDU  int
-	aalType aal.Type
 
 	// Transmit.
 	txFifo     *fifo.Ring[*atm.Cell]
@@ -39,9 +41,9 @@ type HostSAR struct {
 	rxFifo    *fifo.Ring[*atm.Cell]
 	ras       map[atm.VC]aal.Reassembler
 	rxPending bool
-	onDeliver func(vc atm.VC, sdu []byte)
+	onDeliver func(nic.Delivered)
 
-	stats HostSARStats
+	stats nic.Stats
 }
 
 type hostTxJob struct {
@@ -50,71 +52,49 @@ type hostTxJob struct {
 	onSent func()
 }
 
-// HostSARStats counts baseline events.
-type HostSARStats struct {
-	TxPackets uint64
-	TxCells   uint64
-	RxCells   uint64
-	RxDrops   uint64
-	RxPackets uint64
-	RxBytes   uint64
-	AALErrors uint64
-	IdleSlots uint64
-}
-
-// Config for the baseline adapter.
-type Config struct {
-	PayloadRate units.BitRate
-	AAL         aal.Type
-	TxFifoDepth int
-	RxFifoDepth int
-	MaxSDU      int
-}
-
-// DefaultConfig mirrors the programmable interface's defaults.
-func DefaultConfig() Config {
-	return Config{
-		PayloadRate: units.STS3cPayload,
-		AAL:         aal.AAL5,
-		TxFifoDepth: 32,
-		RxFifoDepth: 32,
-		MaxSDU:      aal.MaxSDU,
+// NewHostSAR builds the baseline adapter on the given host and bus. Of cfg
+// it reads Name, PayloadRate, AAL, the two FIFO depths and MaxSDU; the
+// rest configures engines, tables and memory the adapter does not have.
+// Cells are drawn from and recycled into pool, the kernel's cell pool, as
+// with nic.New.
+func NewHostSAR(k *sim.Kernel, cfg nic.Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) (*HostSAR, error) {
+	switch {
+	case cfg.PayloadRate <= 0:
+		return nil, fmt.Errorf("baseline: non-positive payload rate")
+	case cfg.TxFifoDepth <= 0 || cfg.RxFifoDepth <= 0:
+		return nil, fmt.Errorf("baseline: FIFO depths must be positive")
+	case cfg.MaxSDU > aal.MaxSDU:
+		return nil, fmt.Errorf("baseline: MaxSDU %d exceeds AAL limit %d", cfg.MaxSDU, aal.MaxSDU)
+	case hst == nil || b == nil || pool == nil:
+		return nil, fmt.Errorf("baseline: nil host, bus or cell pool")
 	}
-}
-
-// Errors.
-var (
-	ErrBadSDU = errors.New("baseline: SDU empty or oversize")
-)
-
-// NewHostSAR builds the baseline adapter on the given host and bus.
-func NewHostSAR(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) *HostSAR {
-	if cfg.MaxSDU <= 0 || cfg.MaxSDU > aal.MaxSDU {
+	if cfg.MaxSDU <= 0 {
 		cfg.MaxSDU = aal.MaxSDU
 	}
 	seg, _ := aal.New(cfg.AAL, 0)
 	h := &HostSAR{
-		k: k, hst: hst, dev: b.Attach("hostsar"),
+		k: k, cfg: cfg, hst: hst,
+		// The name nic gives its host PIO device, so several adapters
+		// on one registry keep separate bus counters.
+		dev:      b.Attach(cfg.Name + ".pio"),
 		pioTime:  sim.Duration(cellPIOWords) * b.Config().PIOTime,
-		pool:     atm.NewPool(cfg.TxFifoDepth + cfg.RxFifoDepth + 16),
-		maxSDU:   cfg.MaxSDU,
-		aalType:  cfg.AAL,
+		pool:     pool,
 		txFifo:   fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
 		rxFifo:   fifo.NewRing[*atm.Cell](cfg.RxFifoDepth),
 		seg:      seg,
 		ras:      make(map[atm.VC]aal.Reassembler),
 		cellTime: units.CellTime(cfg.PayloadRate),
-		out:      nil,
 	}
-	h.out = func(c *atm.Cell) { h.pool.Put(c) }
-	return h
+	h.out = pool.Put
+	return h, nil
 }
 
-// Pool returns the adapter's cell pool.
-func (h *HostSAR) Pool() *atm.Pool { return h.pool }
+// Config returns the configuration the adapter was built with.
+func (h *HostSAR) Config() nic.Config { return h.cfg }
 
-// Stats returns the counters.
-func (h *HostSAR) Stats() HostSARStats { return h.stats }
+// Stats returns the counters, in the interface's layout: the fields a
+// host-SAR has no hardware for stay zero.
+func (h *HostSAR) Stats() nic.Stats { return h.stats }
 
 // AttachSink attaches the transmit side to a downstream consumer
 // (atm.CellProducer).
@@ -126,21 +106,30 @@ func (h *HostSAR) AttachSink(out atm.CellConsumer) {
 }
 
 // OnReceive registers the delivery callback.
-func (h *HostSAR) OnReceive(fn func(vc atm.VC, sdu []byte)) { h.onDeliver = fn }
+func (h *HostSAR) OnReceive(fn func(nic.Delivered)) { h.onDeliver = fn }
 
 // OpenVC registers a receive VC (software demux is a map lookup whose cost
-// is inside hostRxCellInstr).
-func (h *HostSAR) OpenVC(vc atm.VC) {
-	if _, ok := h.ras[vc]; !ok {
-		h.ras[vc] = aal.NewReassembler(h.aalType, h.maxSDU+64)
+// is inside hostRxCellInstr). As on the interface, a VPI the UNI header
+// cannot carry is refused, and so is a VC already open.
+func (h *HostSAR) OpenVC(vc atm.VC) error {
+	if vc.VPI > atm.UNI.MaxVPI() {
+		return fmt.Errorf("baseline: %w: VPI %d under %v", atm.ErrVPIRange, vc.VPI, atm.UNI)
 	}
+	if _, ok := h.ras[vc]; ok {
+		return nic.ErrVCExists
+	}
+	h.ras[vc] = aal.NewReassembler(h.cfg.AAL, h.cfg.MaxSDU+64)
+	return nil
 }
+
+// CloseVC forgets a receive VC and any partial frame on it.
+func (h *HostSAR) CloseVC(vc atm.VC) { delete(h.ras, vc) }
 
 // Send queues an SDU. The host pays the normal per-packet stack cost, then
 // per-cell software segmentation plus PIO for every cell.
 func (h *HostSAR) Send(vc atm.VC, sdu []byte, onSent func()) error {
-	if len(sdu) == 0 || len(sdu) > h.maxSDU {
-		return ErrBadSDU
+	if len(sdu) == 0 || len(sdu) > h.cfg.MaxSDU {
+		return nic.ErrBadSDU
 	}
 	buf := make([]byte, len(sdu))
 	copy(buf, sdu)
@@ -193,10 +182,10 @@ func (h *HostSAR) txCellLoop(job hostTxJob) {
 				h.stalledJob = &job
 				return
 			}
-			h.stats.TxCells++
+			h.stats.Tx.Cells++
 			h.startClock()
 			if done {
-				h.stats.TxPackets++
+				h.stats.Tx.Packets++
 				h.txBusy = false
 				if job.onSent != nil {
 					job.onSent()
@@ -228,7 +217,7 @@ func (h *HostSAR) tick() {
 			h.txCellLoop(job)
 		}
 	} else {
-		h.stats.IdleSlots++
+		h.stats.Tx.IdleSlots++
 		if !h.txBusy && len(h.sendQ) == 0 {
 			h.clockOn = false
 			return
@@ -241,7 +230,7 @@ func (h *HostSAR) tick() {
 // PIO-reads it and runs software reassembly.
 func (h *HostSAR) DeliverCell(c *atm.Cell) {
 	if !h.rxFifo.Push(c) {
-		h.stats.RxDrops++
+		h.stats.Rx.FifoDrops++
 		h.pool.Put(c)
 		return
 	}
@@ -257,7 +246,7 @@ func (h *HostSAR) rxKick() {
 		return
 	}
 	h.rxPending = true
-	h.stats.RxCells++
+	h.stats.Rx.Cells++
 	// Interrupt + PIO read of the cell + software SAR.
 	h.hst.RxCellInterrupt(0, false, func() {
 		h.dev.PIO(cellPIOWords, nil) // bus occupancy
@@ -275,24 +264,32 @@ func (h *HostSAR) rxProcess(cell *atm.Cell) {
 		h.rxPending = false
 		h.rxKick()
 	}()
+	// The host has no firmware to answer OAM or RM cells, and idle cells
+	// carry VC 0/0, which no connection uses: each discard is counted
+	// under the interface's cause of the same meaning.
 	ras, ok := h.ras[cell.Header.VC()]
-	if !ok || !cell.Header.PT.User() || cell.Header.IsIdle() {
+	switch {
+	case !cell.Header.PT.User():
+		h.stats.Rx.BadOAM++
+		return
+	case !ok || cell.Header.IsIdle():
+		h.stats.Rx.UnknownVC++
 		return
 	}
 	res, err := ras.Push(&cell.Payload, cell.Header.PT)
 	if err != nil {
-		h.stats.AALErrors++
+		h.stats.Rx.AALErrors++
 	}
 	if res != nil {
 		// Per-packet stack cost on the final cell. The reassembler's
 		// result lives only until its next Push, so the host keeps a copy.
-		sdu := append([]byte(nil), res.SDU...)
-		vc := cell.Header.VC()
-		h.hst.RxCellInterrupt(len(sdu), true, func() {
-			h.stats.RxPackets++
-			h.stats.RxBytes += uint64(len(sdu))
+		d := nic.Delivered{VC: cell.Header.VC(), SDU: append([]byte(nil), res.SDU...), Cells: res.Cells}
+		h.hst.RxCellInterrupt(len(d.SDU), true, func() {
+			h.stats.Rx.Packets++
+			h.stats.Rx.Bytes += uint64(len(d.SDU))
 			if h.onDeliver != nil {
-				h.onDeliver(vc, sdu)
+				d.At = h.k.Now()
+				h.onDeliver(d)
 			}
 		})
 	}

@@ -51,7 +51,7 @@ func TestABRClosedLoopEndToEnd(t *testing.T) {
 	net.Switch("sw").SetPortRate(1, Rate155)
 	deadline := sim.Time(10 * sim.Millisecond)
 	v := net.VCC("flow")
-	netsim.NewSource(net.NodeKernel("a"), v.Source.Interface(), v.SourceVC, 9180, deadline).Start(4)
+	NewSource(v.Source, v.SourceVC, 9180, deadline).Start(4)
 	net.RunUntil(deadline)
 	net.Run()
 

@@ -10,6 +10,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/baseline"
@@ -31,6 +33,23 @@ const (
 	Rate622 = units.STS12cPayload
 )
 
+// Arch is an endpoint's adapter architecture: the paper's interface or one
+// of the two baselines it is argued against (package baseline).
+type Arch int
+
+const (
+	// Programmable is the paper's interface: per-packet host involvement,
+	// per-cell protocol engines (nic.New).
+	Programmable Arch = iota
+	// Hardwired replaces the programmable engines with fixed-function
+	// hardware (baseline.NewHardwired): as fast, and as frozen, as gates.
+	Hardwired
+	// PerCell is the host-SAR adapter (baseline.NewHostSAR): cell FIFOs
+	// and a framer, with the host segmenting, reassembling and taking an
+	// interrupt for every cell.
+	PerCell
+)
+
 // Options configures an endpoint. The zero value selects the board as
 // built: STS-3c, AAL5, 25 MHz engines, CAM lookup, paged buffers.
 type Options struct {
@@ -47,9 +66,11 @@ type Options struct {
 	RxFifoCells int
 	// AdapterSRAM bounds reassembly memory in bytes (default 256 KiB).
 	AdapterSRAM int
-	// Hardwired replaces the programmable engines with fixed-function
-	// hardware (the inflexible baseline).
-	Hardwired bool
+	// Arch selects the adapter (default Programmable). A PerCell board has
+	// no engines, adapter SRAM or fault plane, so it ignores EngineMHz,
+	// RxEngines, InterleaveVCs, AdapterSRAM, ReassemblyTimeout,
+	// AlarmPeriod and AlarmClearTimeout.
+	Arch Arch
 	// RxEngines sets the number of parallel receive engines (default 1).
 	RxEngines int
 	// InterleaveVCs enables multi-VC interleaved segmentation on transmit.
@@ -115,43 +136,74 @@ type Packet struct {
 	At    sim.Time
 }
 
-// Endpoint is one workstation with the paper's interface installed: a host
-// CPU, its I/O bus, and the adapter on that bus.
+// Endpoint is one workstation: a host CPU, its I/O bus, and the adapter on
+// that bus — the paper's interface, or a baseline board (Options.Arch).
 type Endpoint struct {
 	name  string
 	k     *sim.Kernel
 	host  *host.Host
 	bus   *bus.Bus
-	iface *nic.Interface
+	board board
+	iface *nic.Interface // board as the paper's interface; nil on a PerCell endpoint
+}
+
+// board is the adapter as the builder and Endpoint drive it: the cell
+// conduit a fiber attaches to and the per-SDU host interface.
+// *nic.Interface and *baseline.HostSAR implement it.
+type board interface {
+	atm.CellConduit
+	Config() nic.Config
+	OpenVC(VC) error
+	CloseVC(VC)
+	Send(vc VC, sdu []byte, onSent func()) error
+	OnReceive(func(nic.Delivered))
+	Stats() nic.Stats
 }
 
 // newEndpoint builds an endpoint on kernel k: a host with the options' cost
-// model, a default bus, and the paper's programmable interface — or, with
-// Options.Hardwired, the fixed-function baseline (baseline.NewHardwired) —
-// drawing cells from pool, the kernel's cell pool. The interface and the
-// bus devices record into reg.
+// model, a default bus, and the adapter Options.Arch names, drawing cells
+// from pool, the kernel's cell pool. The adapter and the bus devices record
+// into reg.
 func newEndpoint(k *sim.Kernel, name string, o Options, reg *metrics.Registry, pool *atm.Pool) (*Endpoint, error) {
 	cfg := o.nicConfig(name)
 	cfg.Metrics = reg
 	h := host.New(k, o.hostConfig())
 	b := bus.New(k, bus.DefaultConfig())
 	b.SetMetrics(reg)
-	newIface := nic.New
-	if o.Hardwired {
-		newIface = baseline.NewHardwired
+	e := &Endpoint{name: name, k: k, host: h, bus: b}
+	var err error
+	switch o.Arch {
+	case Programmable:
+		e.iface, err = nic.New(k, cfg, h, b, pool)
+	case Hardwired:
+		e.iface, err = baseline.NewHardwired(k, cfg, h, b, pool)
+	case PerCell:
+		e.board, err = baseline.NewHostSAR(k, cfg, h, b, pool)
+	default:
+		err = fmt.Errorf("unknown Arch %d", o.Arch)
 	}
-	iface, err := newIface(k, cfg, h, b, pool)
 	if err != nil {
 		return nil, err
 	}
-	return &Endpoint{name: name, k: k, host: h, bus: b, iface: iface}, nil
+	if e.iface != nil {
+		e.board = e.iface
+	}
+	return e, nil
 }
 
 // Name returns the endpoint's spec name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Interface exposes the endpoint's interface model for stats and tuning.
+// Interface exposes the endpoint's interface model for stats and tuning. It
+// is nil on a PerCell endpoint, whose host-SAR board has none of the
+// interface's engines, tables or fault plane.
 func (e *Endpoint) Interface() *nic.Interface { return e.iface }
+
+// errPerCell is the error a method that needs the paper's interface returns
+// on a PerCell endpoint.
+func (e *Endpoint) errPerCell() error {
+	return fmt.Errorf("core: endpoint %q is per-cell and has no programmable interface", e.name)
+}
 
 // Host exposes the endpoint's host CPU model.
 func (e *Endpoint) Host() *host.Host { return e.host }
@@ -162,49 +214,68 @@ func (e *Endpoint) Bus() *bus.Bus { return e.bus }
 // Send queues data for transmission on vc. onSent (may be nil) fires when
 // the host could reuse the buffer (after the transmit-complete interrupt).
 func (e *Endpoint) Send(vc VC, data []byte, onSent func()) error {
-	return e.iface.Send(vc, data, onSent)
+	return e.board.Send(vc, data, onSent)
 }
 
 // OnReceive registers the delivery callback.
 func (e *Endpoint) OnReceive(fn func(Packet)) {
-	e.iface.OnReceive(func(d nic.Delivered) {
+	e.board.OnReceive(func(d nic.Delivered) {
 		fn(Packet{VC: d.VC, Data: d.SDU, Cells: d.Cells, At: d.At})
 	})
 }
 
-// Stats returns the endpoint interface's counters.
-func (e *Endpoint) Stats() nic.Stats { return e.iface.Stats() }
+// Stats returns the endpoint adapter's counters.
+func (e *Endpoint) Stats() nic.Stats { return e.board.Stats() }
 
-// Engines returns the endpoint's engines for headroom analysis.
+// Engines returns the endpoint's engines for headroom analysis (nil on a
+// PerCell endpoint).
 func (e *Endpoint) Engines() (tx, rx *engine.Engine) {
+	if e.iface == nil {
+		return nil, nil
+	}
 	return e.iface.TxEngine(), e.iface.RxEngine()
 }
 
 // SetPeakCellRate paces a VC's transmit path (see nic.Interface).
 func (e *Endpoint) SetPeakCellRate(vc VC, cellsPerSec float64) error {
+	if e.iface == nil {
+		return e.errPerCell()
+	}
 	return e.iface.SetPeakCellRate(vc, cellsPerSec)
 }
 
 // Ping sends an F5 OAM loopback on vc; reply fires the handler registered
 // with OnPingReply.
 func (e *Endpoint) Ping(vc VC, correlation uint32) error {
+	if e.iface == nil {
+		return e.errPerCell()
+	}
 	return e.iface.SendLoopback(vc, correlation)
 }
 
-// OnPingReply registers the loopback-reply handler.
+// OnPingReply registers the loopback-reply handler. A PerCell endpoint
+// cannot ping, so its handler never fires.
 func (e *Endpoint) OnPingReply(fn func(vc VC, correlation uint32)) {
-	e.iface.OnLoopbackReply(fn)
+	if e.iface != nil {
+		e.iface.OnLoopbackReply(fn)
+	}
 }
 
 // OnAlarm registers the fault-management handler: AIS/RDI declare and clear
-// transitions per VC, LOS per link (see nic.Interface.OnAlarm).
+// transitions per VC, LOS per link (see nic.Interface.OnAlarm). A PerCell
+// endpoint has no fault plane, so its handler never fires.
 func (e *Endpoint) OnAlarm(fn func(nic.AlarmEvent)) {
-	e.iface.OnAlarm(fn)
+	if e.iface != nil {
+		e.iface.OnAlarm(fn)
+	}
 }
 
 // SetContract installs a full traffic contract on a VC's transmit path
 // (see nic.Interface.SetContract).
 func (e *Endpoint) SetContract(vc VC, c tm.TrafficContract) error {
+	if e.iface == nil {
+		return e.errPerCell()
+	}
 	return e.iface.SetContract(vc, c)
 }
 
@@ -212,4 +283,43 @@ func (e *Endpoint) SetContract(vc VC, c tm.TrafficContract) error {
 // elapsed simulated time.
 func (e *Endpoint) Goodput() float64 {
 	return units.ThroughputBps(int64(e.Stats().Rx.Bytes), e.k.Now())
+}
+
+// Source is a closed-loop greedy source: Start keeps `window` SDUs in
+// flight on one endpoint's VC, each send chained to the previous one's
+// transmit-complete, until the deadline.
+type Source struct {
+	ep       *Endpoint
+	vc       VC
+	size     int
+	deadline sim.Time
+	Sent     uint64
+}
+
+// NewSource creates a greedy closed-loop source of size-byte SDUs on ep's
+// vc. It runs on the endpoint's own kernel, so it lands in the endpoint's
+// partition of a sharded build.
+func NewSource(ep *Endpoint, vc VC, size int, deadline sim.Time) *Source {
+	return &Source{ep: ep, vc: vc, size: size, deadline: deadline}
+}
+
+// Start launches `window` chained send loops.
+func (s *Source) Start(window int) {
+	payload := make([]byte, s.size)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	var send func()
+	send = func() {
+		if s.ep.k.Now() > s.deadline {
+			return
+		}
+		if err := s.ep.Send(s.vc, payload, send); err != nil {
+			panic("core: source send failed: " + err.Error())
+		}
+		s.Sent++
+	}
+	for i := 0; i < window; i++ {
+		send()
+	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/sim"
+	"repro/internal/tm"
 	"repro/internal/units"
 )
 
@@ -106,7 +107,7 @@ func TestLinkLossOption(t *testing.T) {
 
 func TestHardwiredOption(t *testing.T) {
 	vc := VC{VCI: 4}
-	net := pair(t, Options{Hardwired: true}, LinkSpec{}, vc)
+	net := pair(t, Options{Arch: Hardwired}, LinkSpec{}, vc)
 	a := net.Endpoint("a")
 	if a.Interface().Config().Engine.ClockHz != 1_000_000_000 {
 		t.Fatal("hardwired option did not replace engines")
@@ -292,7 +293,9 @@ func TestVCCRefusesVPIBeyondUNI(t *testing.T) {
 
 // A switch or link value the model cannot run is a build error naming the
 // entry, whether it would have panicked during the build, on the first
-// cell, or when partitioning took a negative delay for lookahead.
+// cell, or when partitioning took a negative delay for lookahead. So is a
+// spec that needs the programmable interface at a per-cell endpoint, which
+// would otherwise dereference its nil interface.
 func TestSpecGeometryErrors(t *testing.T) {
 	viaSwitch := func() NetworkSpec {
 		return NetworkSpec{
@@ -334,6 +337,20 @@ func TestSpecGeometryErrors(t *testing.T) {
 		{"negative delay with shards", `link "sw-b"`, viaSwitch, func(s *NetworkSpec) {
 			s.Links[1].Delay = -10
 			s.Shards = 3
+		}},
+		{"unknown arch", `endpoint "a"`, viaSwitch, func(s *NetworkSpec) { s.Endpoints[0].Options.Arch = PerCell + 1 }},
+		{"framed link to a per-cell end", `framed link "ab"`, framed, func(s *NetworkSpec) { s.Endpoints[1].Options.Arch = PerCell }},
+		{"shaped per-cell source", `vcc "ab"`, viaSwitch, func(s *NetworkSpec) {
+			s.Endpoints[0].Options.Arch = PerCell
+			s.VCCs[0].Contract, s.VCCs[0].Shape = tm.CBRContract(1000, 0), true
+		}},
+		{"abr from a per-cell source", `vcc "ab"`, viaSwitch, func(s *NetworkSpec) {
+			s.Endpoints[0].Options.Arch = PerCell
+			s.VCCs[0].Duplex, s.VCCs[0].ABR = true, &tm.ABRParams{PCR: 1000}
+		}},
+		{"abr into a per-cell destination", `vcc "ab"`, viaSwitch, func(s *NetworkSpec) {
+			s.Endpoints[1].Options.Arch = PerCell
+			s.VCCs[0].Duplex, s.VCCs[0].ABR = true, &tm.ABRParams{PCR: 1000}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

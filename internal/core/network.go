@@ -35,7 +35,8 @@ type NetworkSpec struct {
 	// TraceCapacity, when positive, gives every partition a flight recorder
 	// of this many events, built on the partition's own kernel, and attaches
 	// stage spans to every cell-port hop the builder wires: each endpoint's
-	// TX FIFO, reassembler and delivery stages, each switch output queue,
+	// TX FIFO, reassembler and delivery stages (none on a PerCell endpoint,
+	// whose host-SAR board records nothing), each switch output queue,
 	// and both directions of every fiber (nodes "<link>.fwd" / "<link>.rev";
 	// framed links use sonetlink's "link.<src>" naming and register during
 	// link construction). Stages register in spec order, so two builds of
@@ -423,7 +424,9 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		// record on their sending node's, with the arrival side of cut links
 		// already wired by SetBoundary above.
 		for _, es := range spec.Endpoints {
-			n.endpoints[es.Name].iface.SetRecorder(n.worldOf(es.Name).rec)
+			if iface := n.endpoints[es.Name].iface; iface != nil {
+				iface.SetRecorder(n.worldOf(es.Name).rec)
+			}
 		}
 		for _, ss := range spec.Switches {
 			n.switches[ss.Name].SetRecorder(n.worldOf(ss.Name).rec)
@@ -483,6 +486,9 @@ func (n *Network) buildFramedLink(ls LinkSpec, delay sim.Duration) (*Link, error
 	if !okA || !okB {
 		return nil, fmt.Errorf("core: framed link %q must join two endpoints (switch ports are cell-granular)", ls.Name)
 	}
+	if epA.iface == nil || epB.iface == nil {
+		return nil, fmt.Errorf("core: framed link %q: a per-cell endpoint cannot drive a SONET line", ls.Name)
+	}
 	var rate sonet.Rate
 	switch pr := epA.iface.Config().PayloadRate; pr {
 	case sonet.STS3c.PayloadRate():
@@ -525,7 +531,7 @@ func (n *Network) known(name string) bool {
 // consumer returns the cell sink a link half delivers into at ref.
 func (n *Network) consumer(ref NodeRef) atm.CellConsumer {
 	if ep, ok := n.endpoints[ref.Node]; ok {
-		return ep.iface
+		return ep.board
 	}
 	return n.switches[ref.Node].Port(ref.Port)
 }
@@ -533,7 +539,7 @@ func (n *Network) consumer(ref NodeRef) atm.CellConsumer {
 // producer returns the producing stage a link half attaches to at ref.
 func (n *Network) producer(ref NodeRef) atm.CellProducer {
 	if ep, ok := n.endpoints[ref.Node]; ok {
-		return ep.iface
+		return ep.board
 	}
 	return n.switches[ref.Node].Port(ref.Port)
 }
@@ -689,7 +695,7 @@ func (n *Network) SourceCAC(endpoint string) *tm.CAC {
 		// burst buffering is host memory behind the segmenter, not the
 		// cell FIFO, so the buffer budget is effectively unbounded here.
 		// MBS reservations bite at the switch output queues instead.
-		cac = tm.NewCAC(ep.iface.Config().PayloadRate, 1<<20)
+		cac = tm.NewCAC(ep.board.Config().PayloadRate, 1<<20)
 		n.srcCAC[endpoint] = cac
 	}
 	return cac
@@ -794,6 +800,14 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: vcc %q: unknown destination endpoint %q", vs.Name, vs.To)
 	}
+	// A per-cell board has no firmware to shape a VC or to turn RM cells
+	// around.
+	switch {
+	case vs.ABR != nil && (src.iface == nil || dst.iface == nil):
+		return nil, fmt.Errorf("core: vcc %q: ABR needs the programmable interface at both ends", vs.Name)
+	case vs.Shape && src.iface == nil:
+		return nil, fmt.Errorf("core: vcc %q: Shape needs the programmable interface at source %q", vs.Name, vs.From)
+	}
 	path, err := n.route(vs)
 	if err != nil {
 		return nil, err
@@ -814,7 +828,7 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	if abr != nil {
 		contract = abr.Contract()
 	} else if contract.PCR == 0 {
-		contract = tm.UBRContract(src.iface.Config().PayloadRate)
+		contract = tm.UBRContract(src.board.Config().PayloadRate)
 	}
 	if err := contract.Validate(); err != nil {
 		return nil, fmt.Errorf("core: vcc %q: %w", vs.Name, err)
@@ -836,7 +850,7 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 	var opened []vcEnd
 	release := func() {
 		for _, end := range opened {
-			end.ep.iface.CloseVC(end.vc)
+			end.ep.board.CloseVC(end.vc)
 		}
 		for _, cac := range admitted {
 			cac.Release(contract)
@@ -899,7 +913,7 @@ func (n *Network) AddVCC(vs VCCSpec) (*VCC, error) {
 		Contract: contract,
 	}
 	for _, end := range []vcEnd{{src, v.SourceVC}, {dst, v.DestVC}} {
-		if err := end.ep.iface.OpenVC(end.vc); err != nil {
+		if err := end.ep.board.OpenVC(end.vc); err != nil {
 			release()
 			return nil, fmt.Errorf("core: vcc %q: open %v at %q: %w", vs.Name, end.vc, end.ep.name, err)
 		}

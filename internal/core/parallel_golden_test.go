@@ -341,8 +341,7 @@ func e16Drive(t *testing.T, net *Network, col *collector, nSw int, deadline sim.
 		if err := v.Source.SetPeakCellRate(v.SourceVC, 0.85*portCell); err != nil {
 			t.Fatal(err)
 		}
-		xk := net.NodeKernel(v.Source.Name())
-		netsim.NewSource(xk, v.Source.Interface(), v.SourceVC, 9180, deadline).Start(4)
+		NewSource(v.Source, v.SourceVC, 9180, deadline).Start(4)
 	}
 	probe := net.VCC("probe")
 	dk := net.NodeKernel("dst")
@@ -622,7 +621,7 @@ func TestParallelGoldenABRLoop(t *testing.T) {
 			col.watch(net, "dst")
 			for i := 0; i < nSrc; i++ {
 				v := net.VCC(fmt.Sprintf("abr%d", i+1))
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(), v.SourceVC, 9180, deadline).Start(4)
+				NewSource(v.Source, v.SourceVC, 9180, deadline).Start(4)
 			}
 		})
 		for i := 0; i < nSrc; i++ {
@@ -727,16 +726,14 @@ func TestParallelGoldenIslands(t *testing.T) {
 			col.watch(net, fmt.Sprintf("b%d", i))
 			for _, name := range []string{fmt.Sprintf("ab%d", i), fmt.Sprintf("ba%d", i)} {
 				v := net.VCC(name)
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(),
-					v.SourceVC, sdu, deadline).Start(4)
+				NewSource(v.Source, v.SourceVC, sdu, deadline).Start(4)
 			}
 			if i > 1 {
 				v := net.VCC(fmt.Sprintf("x%d", i))
 				if err := v.Source.SetPeakCellRate(v.SourceVC, 0.05*units.CellRate(units.STS3cPayload)); err != nil {
 					t.Fatal(err)
 				}
-				netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(),
-					v.SourceVC, sdu, deadline).Start(2)
+				NewSource(v.Source, v.SourceVC, sdu, deadline).Start(2)
 				crossing[fmt.Sprintf("ep=b%d vc=%v ", i, v.DestVC)] = true
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/atm"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tm"
 )
@@ -35,7 +34,7 @@ func poolNews(t *testing.T, runTime sim.Duration) (news, epdCells, delivered uin
 	net.Switch("sw").SetThresholds(2, 0, 300, 0)
 	for _, name := range []string{"ac", "bc"} {
 		v := net.VCC(name)
-		netsim.NewSource(net.Kernel(), v.Source.Interface(), v.SourceVC, 9180, runTime).Start(4)
+		NewSource(v.Source, v.SourceVC, 9180, runTime).Start(4)
 	}
 	net.RunFor(runTime)
 	seen := map[*atm.Pool]bool{}
@@ -72,7 +71,8 @@ func TestCellPoolBoundedByRunLength(t *testing.T) {
 // TestPoolLedgerBalances drains networks that exercise every way a cell
 // leaves the datapath — delivery, switch discards, policing, fiber loss
 // and corruption, OAM cells made and consumed mid-path, ABR RM cells,
-// SONET line errors and multi-engine reassembly — and checks the serial
+// SONET line errors, multi-engine reassembly and the per-cell host-SAR's
+// FIFO overflow and software reassembly — and checks the serial
 // pool ledger: once nothing is in flight, every cell the kernel's pool
 // handed out has come back, and no cell came back that the pool never
 // handed out.
@@ -104,7 +104,7 @@ func TestPoolLedgerBalances(t *testing.T) {
 	}
 	greedy := func(net *Network, vcc string, size int) {
 		v := net.VCC(vcc)
-		netsim.NewSource(net.Kernel(), v.Source.Interface(), v.SourceVC, size, sim.Time(runTime)).Start(4)
+		NewSource(v.Source, v.SourceVC, size, sim.Time(runTime)).Start(4)
 	}
 	nonzero := func(t *testing.T, what string, v uint64) {
 		t.Helper()
@@ -221,6 +221,20 @@ func TestPoolLedgerBalances(t *testing.T) {
 			func(t *testing.T, net *Network) {
 				nonzero(t, "packets delivered", net.Endpoint("b").Stats().Rx.Packets)
 			}},
+		{"nic sender overruns a per-cell receiver",
+			archPair(Programmable, PerCell, LinkSpec{Delay: 10_000}),
+			func(t *testing.T, net *Network) { greedy(net, "ab", 1024) },
+			func(t *testing.T, net *Network) {
+				nonzero(t, "per-cell rx fifo drops", net.Endpoint("b").Stats().Rx.FifoDrops)
+			}},
+		{"per-cell pair with fiber loss",
+			archPair(PerCell, PerCell, LinkSpec{Delay: 10_000, LossProb: 2e-2, Seed: 8}),
+			func(t *testing.T, net *Network) { greedy(net, "ab", 1000) },
+			func(t *testing.T, net *Network) {
+				nonzero(t, "cells lost", net.Link("ab").Fwd.Stats().Lost)
+				nonzero(t, "per-cell aal errors", net.Endpoint("b").Stats().Rx.AALErrors)
+				nonzero(t, "per-cell packets delivered", net.Endpoint("b").Stats().Rx.Packets)
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,7 +244,7 @@ func TestPoolLedgerBalances(t *testing.T) {
 			}
 			tc.drive(t, net)
 			net.Run()
-			gets, puts, _ := net.Endpoint("a").Interface().Pool().Stats()
+			gets, puts, _ := net.worlds[0].pool.Stats()
 			if gets != puts {
 				t.Errorf("drained run: pool handed out %d cells and got %d back", gets, puts)
 			}

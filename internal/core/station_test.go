@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -67,7 +66,7 @@ func TestSourceClosedLoop(t *testing.T) {
 	vc := VC{VCI: 1}
 	net := pair(t, Options{}, LinkSpec{Delay: 1000, Seed: 3}, vc)
 	deadline := sim.Time(5 * sim.Millisecond)
-	src := netsim.NewSource(net.Kernel(), net.Endpoint("a").Interface(), vc, 9180, deadline)
+	src := NewSource(net.Endpoint("a"), vc, 9180, deadline)
 	src.Start(4)
 	net.RunUntil(deadline + sim.Time(5*sim.Millisecond))
 	if src.Sent < 4 {

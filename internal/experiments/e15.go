@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments/runner"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -145,7 +144,7 @@ func runE15(overload float64, epd bool, runTime sim.Duration) E15Point {
 			if err := snd.SetPeakCellRate(vcc.SourceVC, perVC); err != nil {
 				panic(err)
 			}
-			netsim.NewSource(kern, snd.Interface(), vcc.SourceVC, sduSize, deadline).Start(2)
+			core.NewSource(snd, vcc.SourceVC, sduSize, deadline).Start(2)
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/experiments/runner"
-	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/tm"
@@ -204,7 +203,7 @@ func runE16(nSw int, rate units.BitRate, runTime sim.Duration) E16Point {
 		if err := src.SetPeakCellRate(v.SourceVC, crossShare*portCell); err != nil {
 			panic(err)
 		}
-		netsim.NewSource(net.NodeKernel(src.Name()), src.Interface(), v.SourceVC, crossSDU, deadline).Start(4)
+		core.NewSource(src, v.SourceVC, crossSDU, deadline).Start(4)
 	}
 
 	// Probe frames are one cell each and carry their departure time in the

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/oam"
 	"repro/internal/report"
@@ -168,7 +167,7 @@ func E17(runTime sim.Duration) (E17Result, *report.Series) {
 
 	// Greedy load: a windowed source keeps frames in flight for the whole
 	// run, straight through the outage.
-	netsim.NewSource(kern, src.Interface(), flow.SourceVC, sdu, deadline).Start(4)
+	core.NewSource(src, flow.SourceVC, sdu, deadline).Start(4)
 
 	link := net.Link("sw1-sw2")
 	kern.At(kill, func() {

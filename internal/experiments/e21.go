@@ -142,7 +142,7 @@ func runE21(delay sim.Duration, runTime sim.Duration, shards int) E21Point {
 	// shaper is always backlogged and the measured rate IS the ACR.
 	for i := 0; i < nSrc; i++ {
 		v := net.VCC(fmt.Sprintf("abr%d", i+1))
-		netsim.NewSource(net.NodeKernel(v.Source.Name()), v.Source.Interface(), v.SourceVC, sduBytes, deadline).Start(4)
+		core.NewSource(v.Source, v.SourceVC, sduBytes, deadline).Start(4)
 	}
 
 	// Per-source ACR trajectory, sampled on the source's own kernel so the

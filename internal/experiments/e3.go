@@ -6,7 +6,6 @@ import (
 	"repro/internal/aal"
 	"repro/internal/core"
 	"repro/internal/experiments/runner"
-	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -114,7 +113,7 @@ func runE3Point(rate units.BitRate, t aal.Type, size int, ec E3Config) E3Point {
 		deadline+sim.Time(ec.RunTime/2),
 		func(k *sim.Kernel, a, b *core.Endpoint) {
 			b.OnReceive(func(p core.Packet) { lastAt = p.At })
-			netsim.NewSource(k, a.Interface(), stdVC, size, deadline).Start(ec.Window)
+			core.NewSource(a, stdVC, size, deadline).Start(ec.Window)
 		})
 	cells := aal.CellsForSDU5(size)
 	if t == aal.AAL34 {

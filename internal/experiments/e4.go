@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments/runner"
-	"repro/internal/netsim"
-	"repro/internal/phy"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -90,6 +87,26 @@ func E4(ec E4Config) ([]E4Point, *report.Series, *report.Series) {
 
 // runE4 offers load at a paced open-loop rate into one receiver.
 func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
+	net := e4Net(arch, load, ec)
+	deadline := sim.Time(ec.RunTime)
+	net.RunUntil(deadline)
+	// Snapshot everything AT the deadline: the open-loop backlog that
+	// would drain afterwards (substantial for the saturated per-cell
+	// host) must not be credited as delivered-within-the-window.
+	rx := net.Endpoint("rx")
+	return E4Point{
+		Arch: arch, OfferedFrac: load, HostUtil: rx.Host().Utilization(),
+		DeliveredBps: units.ThroughputBps(int64(rx.Stats().Rx.Bytes), deadline),
+		Interrupts:   rx.Host().Interrupts(),
+	}
+}
+
+// e4Net builds E4's pair with arch's receiver and starts the paced sender.
+// The receive architecture is what E4 compares, so the per-cell receiver is
+// driven by a fully capable (paper-style) sender — otherwise the baseline's
+// own host-bound transmit path caps the offered load long before its
+// receiver shows anything.
+func e4Net(arch E4Arch, load float64, ec E4Config) *core.Network {
 	rate := units.STS3cPayload
 	// Packet departure interval to hit the target offered load, counting
 	// full cell (wire) bytes.
@@ -97,55 +114,20 @@ func runE4(arch E4Arch, load float64, ec E4Config) E4Point {
 	wireBytes := cells * 53
 	interval := sim.Duration(float64(units.TimePerBytes(rate, wireBytes)) / load)
 
-	deadline := sim.Time(ec.RunTime)
-	var k *sim.Kernel
-	var hostUtil func() float64
-	var delivered func() uint64
-	var interrupts func() uint64
-
+	var tx, rx core.Options
 	switch arch {
+	case ArchHardwired:
+		tx.Arch, rx.Arch = core.Hardwired, core.Hardwired
 	case ArchPerCell:
-		// The receive architecture is what E4 compares, so the per-cell
-		// receiver is driven by a fully capable (paper-style) sender —
-		// otherwise the baseline's own host-bound transmit path caps the
-		// offered load long before its receiver shows anything. The host-SAR
-		// adapter is not an interface the builder models, so its fiber is
-		// wired by hand.
-		net := build(core.NetworkSpec{Endpoints: []core.EndpointSpec{{Name: "tx"}}})
-		k = net.Kernel()
-		tx := net.Endpoint("tx")
-		rx := netsim.NewBaselineStation(k, "rx", baseline.DefaultConfig())
-		tx.Interface().AttachSink(phy.NewCellLink(k, 10_000, 9, rx.Adapter, tx.Interface().Pool()))
-		tx.Interface().OpenVC(stdVC)
-		rx.Adapter.OpenVC(stdVC)
-		pace(k, tx, interval, ec.SDUSize, deadline)
-		hostUtil = rx.Host.Utilization
-		delivered = func() uint64 { return rx.Adapter.Stats().RxBytes }
-		interrupts = rx.Host.Interrupts
-	default:
-		opts := core.Options{Hardwired: arch == ArchHardwired}
-		net := build(pair(
-			core.EndpointSpec{Name: "tx", Options: opts},
-			core.EndpointSpec{Name: "rx", Options: opts},
-			core.LinkSpec{Delay: 10_000, Seed: 9},
-			core.VCCSpec{Name: "e4", From: "tx", To: "rx", VC: stdVC}))
-		k = net.Kernel()
-		rx := net.Endpoint("rx")
-		pace(k, net.Endpoint("tx"), interval, ec.SDUSize, deadline)
-		hostUtil = rx.Host().Utilization
-		delivered = func() uint64 { return rx.Stats().Rx.Bytes }
-		interrupts = rx.Host().Interrupts
+		rx.Arch = core.PerCell
 	}
-
-	k.RunUntil(deadline)
-	// Snapshot everything AT the deadline: the open-loop backlog that
-	// would drain afterwards (substantial for the saturated per-cell
-	// host) must not be credited as delivered-within-the-window.
-	return E4Point{
-		Arch: arch, OfferedFrac: load, HostUtil: hostUtil(),
-		DeliveredBps: units.ThroughputBps(int64(delivered()), deadline),
-		Interrupts:   interrupts(),
-	}
+	net := build(pair(
+		core.EndpointSpec{Name: "tx", Options: tx},
+		core.EndpointSpec{Name: "rx", Options: rx},
+		core.LinkSpec{Delay: 10_000, Seed: 9},
+		core.VCCSpec{Name: "e4", From: "tx", To: "rx", VC: stdVC}))
+	pace(net.Kernel(), net.Endpoint("tx"), interval, ec.SDUSize, sim.Time(ec.RunTime))
+	return net
 }
 
 // pace sends fixed-size packets at fixed intervals (open loop).

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments/runner"
-	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -78,12 +77,12 @@ func E8(ec E8Config) ([]E8Point, *report.Series) {
 // runE8Point measures one (size, loss probability) point in its own world.
 func runE8Point(size int, p float64, ec E8Config) E8Point {
 	deadline := sim.Time(ec.RunTime)
-	var src *netsim.Source
+	var src *core.Source
 	b := runPair(core.Options{},
 		core.LinkSpec{Delay: 10_000, LossProb: p, Seed: uint64(size) + uint64(p*1e7)},
 		deadline+sim.Time(ec.RunTime/2),
 		func(k *sim.Kernel, a, b *core.Endpoint) {
-			src = netsim.NewSource(k, a.Interface(), stdVC, size, deadline)
+			src = core.NewSource(a, stdVC, size, deadline)
 			src.Start(4)
 		})
 	st := b.Stats()

@@ -152,6 +152,29 @@ func TestE4Shape(t *testing.T) {
 	_ = tput.String()
 }
 
+// E4's per-cell receiver recycles into the kernel's one cell pool, so the
+// cells its paced sender allocates at 0.95 load depend on the cells in
+// flight, not on how long the run is.
+func TestE4PerCellPoolBounded(t *testing.T) {
+	news := func(runTime sim.Duration) (news, gets uint64) {
+		ec := DefaultE4()
+		ec.RunTime = runTime
+		net := e4Net(ArchPerCell, 0.95, ec)
+		net.RunUntil(sim.Time(runTime))
+		gets, _, news = net.Endpoint("tx").Interface().Pool().Stats()
+		return news, gets
+	}
+	news1, gets1 := news(20 * sim.Millisecond)
+	news2, gets2 := news(40 * sim.Millisecond)
+	t.Logf("cells allocated: %d of %d gets over T, %d of %d over 2T", news1, gets1, news2, gets2)
+	if gets2 < gets1+5000 {
+		t.Fatalf("doubling the run moved no traffic: %d gets over T, %d over 2T", gets1, gets2)
+	}
+	if news2 > news1+16 {
+		t.Fatalf("pool allocated %d cells over T and %d over 2T: allocations grow with run length", news1, news2)
+	}
+}
+
 func TestE5Shape(t *testing.T) {
 	rows, tb := E5()
 	if len(rows) != 3 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -51,7 +50,7 @@ func Telemetry(ec TelemetryConfig) (metrics.Snapshot, *report.Table) {
 	k := net.Kernel()
 
 	deadline := sim.Time(ec.RunTime)
-	src := netsim.NewSource(k, net.Endpoint("a").Interface(), stdVC, ec.SDUSize, deadline)
+	src := core.NewSource(net.Endpoint("a"), stdVC, ec.SDUSize, deadline)
 	src.Start(ec.Window)
 	k.RunUntil(deadline)
 	k.Run()

@@ -200,7 +200,7 @@ func TestABRSourceRampsToPCRWithoutCongestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := sim.Time(20 * sim.Millisecond)
-	NewSource(k, a, vc(30), 9180, deadline).Start(4)
+	greedy(k, a, vc(30), 9180, deadline, 4)
 	k.RunUntil(deadline)
 	k.Run()
 

@@ -1,3 +1,6 @@
+// Package netsim is the network's switch: the output-queued ATM switch
+// with its traffic management and ABR feedback. core.NewNetwork assembles
+// switches, with its endpoints, into topologies.
 package netsim
 
 import (
