@@ -77,10 +77,30 @@ func main() {
 		SamplePath:   *samplePath,
 	}
 	line := lineOpts{Framed: *framed, BitErrProb: *biterr}
-	if err := run(*rate, *aalFlag, *arch, *size, *wl, *duration, *loss, *window, *seed, *rxEngines, *interleave, *dumpN, *metricsPath, *stats, *contract, *police, *epd, *abr, *kill, *restore, *rtimeout, *tcpBytes, line, obs); err != nil {
+	err := perCellUnused(*arch)
+	if err == nil {
+		err = run(*rate, *aalFlag, *arch, *size, *wl, *duration, *loss, *window, *seed, *rxEngines, *interleave, *dumpN, *metricsPath, *stats, *contract, *police, *epd, *abr, *kill, *restore, *rtimeout, *tcpBytes, line, obs)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "atmsim:", err)
 		os.Exit(1)
 	}
+}
+
+// perCellUnused refuses, under -arch percell, a flag runPerCell ignores: it
+// sends fixed -size SDUs one at a time to a host-SAR board, which has no
+// engines, and dumps no cells. A flag given at all counts, even at its
+// default value, since one SDU stays in flight whatever -window says.
+func perCellUnused(arch string) (err error) {
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "workload", "window", "dump", "interleave", "rxengines":
+			if arch == "percell" && err == nil {
+				err = fmt.Errorf("-%s is not supported with -arch percell", f.Name)
+			}
+		}
+	})
+	return err
 }
 
 // obsOpts bundles the observability flags: flight-recorder trace export and

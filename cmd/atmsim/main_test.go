@@ -1,12 +1,26 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain lets a test run the command itself: the test binary started as
+// "<binary> atmsim <flags>" is atmsim, so a case can check the exit status
+// and stderr of a whole command line.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "atmsim" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // Smoke-test every architecture/workload combination the CLI exposes, at
 // tiny simulated durations.
@@ -68,6 +82,31 @@ func TestRunRejectsBadFlags(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The per-cell loop sends fixed -size SDUs one at a time, so each flag that
+// would steer anything else is an error under -arch percell when it is given
+// at all: -window 4 is its default, yet the loop keeps one SDU in flight.
+func TestRunPerCellRejectsIgnoredFlags(t *testing.T) {
+	for _, given := range [][]string{
+		{"-workload", "bimodal"},
+		{"-window", "4"},
+		{"-dump", "3"},
+		{"-interleave"},
+		{"-rxengines", "4"},
+	} {
+		t.Run(given[0][1:], func(t *testing.T) {
+			args := append([]string{"atmsim", "-arch", "percell", "-size", "1000", "-duration", "1ms"}, given...)
+			out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%s: %v, want exit status 1; output:\n%s", strings.Join(args, " "), err, out)
+			}
+			if want := "atmsim: " + given[0] + " is not supported with -arch percell\n"; string(out) != want {
+				t.Fatalf("%s printed %q, want %q", strings.Join(args, " "), out, want)
+			}
+		})
 	}
 }
 

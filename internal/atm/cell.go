@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/crc"
+	"repro/internal/sim"
 )
 
 // Cell geometry.
@@ -187,6 +188,12 @@ func (h *Header) Decode(src []byte, format Format) (corrected bool, err error) {
 type Cell struct {
 	Header  Header
 	Payload [PayloadSize]byte
+
+	// Stamp is simulator metadata, not part of the wire format: the time
+	// the cell entered the queue that holds it now. A queue sets it on a
+	// successful push and reads it where it pops, to time the cell's
+	// residency; a copied cell carries a stale stamp until its next push.
+	Stamp sim.Time
 }
 
 // Encode writes the full 53-byte wire form of the cell.

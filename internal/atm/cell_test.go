@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHeaderEncodeDecodeUNI(t *testing.T) {
@@ -165,6 +166,25 @@ func TestCellRoundTrip(t *testing.T) {
 	}
 	if got != c {
 		t.Fatal("cell round trip mismatch")
+	}
+	// The stamp is simulator metadata: it never reaches the wire.
+	stamped := c
+	stamped.Stamp = 123_456_789
+	var stampedWire [CellSize]byte
+	if err := stamped.Encode(stampedWire[:]); err != nil {
+		t.Fatal(err)
+	}
+	if stampedWire != wire {
+		t.Fatal("cells differing only in Stamp encode differently")
+	}
+}
+
+// A Cell stays within Go's 64-byte allocation size class, with 32-bit words
+// too. One more byte would move every cell into the 80-byte class, so a
+// field added later has to be a deliberate choice.
+func TestCellFitsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Cell{}); got > 64 {
+		t.Fatalf("sizeof(Cell) = %d bytes, want at most 64", got)
 	}
 }
 

@@ -325,7 +325,6 @@ func TestSpecGeometryErrors(t *testing.T) {
 		{"negative ports", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].Ports = -2 }},
 		{"negative queue depth", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].QueueDepth = -1 }},
 		{"negative rate", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].Rate = -Rate155 }},
-		{"negative switching delay", `switch "sw"`, viaSwitch, func(s *NetworkSpec) { s.Switches[0].SwitchingDelay = -10 }},
 		{"negative link delay", `link "sw-b"`, viaSwitch, func(s *NetworkSpec) { s.Links[1].Delay = -10 }},
 		{"negative distance", `link "a-sw"`, viaSwitch, func(s *NetworkSpec) { s.Links[0].Delay, s.Links[0].DistanceKm = 0, -1 }},
 		{"NaN distance", `link "a-sw"`, viaSwitch, func(s *NetworkSpec) { s.Links[0].Delay, s.Links[0].DistanceKm = 0, math.NaN() }},

@@ -79,8 +79,6 @@ type SwitchSpec struct {
 	Rate units.BitRate
 	// QueueDepth is the shared per-port output buffer in cells (default 64).
 	QueueDepth int
-	// SwitchingDelay is the fabric's fixed per-cell transit latency.
-	SwitchingDelay sim.Duration
 	// AISPeriod arms F5 fault management: while an input port's fiber is
 	// down, the switch inserts AIS downstream on every route that port
 	// feeds, once per period. Zero disables generation.
@@ -307,7 +305,6 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		}
 		w := n.worldOf(ss.Name)
 		sw := netsim.NewSwitch(w.k, ss.Name, ss.Ports, ss.Rate, ss.QueueDepth, w.pool, w.reg)
-		sw.SwitchingDelay = ss.SwitchingDelay
 		sw.AISPeriod = ss.AISPeriod
 		if ss.EFCIThreshold > 0 {
 			for p := 0; p < ss.Ports; p++ {
@@ -461,8 +458,6 @@ func checkGeometry(spec NetworkSpec) error {
 			return fmt.Errorf("core: switch %q: negative QueueDepth %d", ss.Name, ss.QueueDepth)
 		case ss.Rate < 0:
 			return fmt.Errorf("core: switch %q: negative Rate %v", ss.Name, ss.Rate)
-		case ss.SwitchingDelay < 0:
-			return fmt.Errorf("core: switch %q: negative SwitchingDelay %d ns", ss.Name, ss.SwitchingDelay)
 		}
 	}
 	for _, ls := range spec.Links {

@@ -62,9 +62,6 @@ func NewEncoder(k int) *Encoder {
 	return &Encoder{k: k}
 }
 
-// K returns the group size.
-func (e *Encoder) K() int { return e.k }
-
 // body builds the XOR unit for a payload: 2-byte length + payload.
 func body(payload []byte) []byte {
 	b := make([]byte, 2+len(payload))

@@ -53,7 +53,6 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 	a := station(t, k, nic.DefaultConfig("a"))
 	b := station(t, k, nic.DefaultConfig("b"))
 	sw := NewSwitch(k, "sw", 2, units.STS3cPayload, 64, atm.NewPool(0), nil)
-	sw.SwitchingDelay = 2000
 
 	// a → port0 → switch → port1 → b, with VC translation 10→20.
 	sw.Port(1).AttachSink(b)

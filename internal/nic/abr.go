@@ -113,12 +113,10 @@ func (t *transmitter) maybeSendFRM(st *txVC) {
 		VCI:    st.vc.VCI,
 		PT:     atm.PTResourceMgmt,
 	}
-	if !t.fifo.Push(c) {
+	if !t.push(c) {
 		t.pool.Put(c)
 		return
 	}
-	t.pushTimes.Push(t.k.Now())
-	t.spFifo.Enter(st.vc)
 	t.mCells.Inc()
 	t.mFRM.Inc()
 	st.vst.AddCellOut()

@@ -257,7 +257,18 @@ func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
 	if len(r.received) != 1 || !bytes.Equal(r.received[0].SDU, payload) {
 		t.Fatalf("frame not delivered whole: %d deliveries", len(r.received))
 	}
-	if got, want := r.a.Stats().Tx.Cells, uint64(aal.CellsForSDU5(len(payload)))+injected; got != want {
-		t.Errorf("tx cells = %d, want %d (the frame plus %d loopbacks)", got, want, injected)
+	sent := uint64(aal.CellsForSDU5(len(payload))) + injected
+	if got := r.a.Stats().Tx.Cells; got != sent {
+		t.Errorf("tx cells = %d, want %d (the frame plus %d loopbacks)", got, sent, injected)
+	}
+	// The 4-cell FIFO drains one cell per cell time, so no cell waits longer
+	// than 4 cell times from its push. The held cell is timed from the slot
+	// that pushed it, not from when the engine produced it.
+	delay := r.a.Metrics().Histogram("a.nic.tx.cell_delay")
+	if got := delay.Count(); got != sent {
+		t.Errorf("tx cell_delay observations = %d, want %d, one per cell sent", got, sent)
+	}
+	if got, bound := delay.Max(), 4*r.a.CellTime(); got > bound {
+		t.Errorf("longest tx FIFO residency %d ns, want at most 4 cell times (%d ns)", got, bound)
 	}
 }

@@ -108,7 +108,6 @@ type receiver struct {
 	pool *atm.Pool
 
 	fifos      []*fifo.Ring[*atm.Cell]
-	arrivals   []*fifo.Ring[sim.Time] // per-cell arrival stamps, lockstep with fifos
 	processing []bool
 	lookup     *vclookup.CAM
 	alloc      *bufmgr.Allocator
@@ -170,7 +169,6 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 	r := &receiver{
 		k: k, cfg: cfg, engs: engs, dev: dev, hst: hst, pool: pool,
 		fifos:      make([]*fifo.Ring[*atm.Cell], n),
-		arrivals:   make([]*fifo.Ring[sim.Time], n),
 		processing: make([]bool, n),
 		lookup:     vclookup.NewCAM(cfg.MaxVCs),
 		alloc:      bufmgr.NewAllocator(bufmgr.Paged, cfg.AdapterSRAM),
@@ -180,7 +178,6 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 	for i := range r.fifos {
 		r.fifos[i] = fifo.NewRing[*atm.Cell](cfg.RxFifoDepth)
 		r.fifos[i].Instrument(reg, scoped(prefix, fmt.Sprintf("fifo.rx%d", i)))
-		r.arrivals[i] = fifo.NewRing[sim.Time](cfg.RxFifoDepth)
 	}
 	if cfg.ReassemblyTimeout > 0 {
 		r.clockFn = func() int64 { return int64(k.Now()) }
@@ -303,7 +300,7 @@ func (r *receiver) deliverCell(c *atm.Cell) {
 		r.pool.Put(c)
 		return
 	}
-	r.arrivals[e].Push(r.k.Now())
+	c.Stamp = r.k.Now()
 	r.spFifo.Enter(c.Header.VC())
 	r.process(e)
 }
@@ -317,7 +314,6 @@ func (r *receiver) process(e int) {
 	if !ok {
 		return
 	}
-	arrived, haveArrival := r.arrivals[e].Pop()
 	r.processing[e] = true
 	r.spFifo.Exit(cell.Header.VC())
 	r.mCells.Inc()
@@ -386,7 +382,7 @@ func (r *receiver) process(e int) {
 
 	ctx := r.cellCtxs[e]
 	ctx.st, ctx.sl = st, sl
-	ctx.arrived, ctx.haveArrival = arrived, haveArrival
+	ctx.arrived = cell.Stamp
 	ctx.res, ctx.aalErr = st.ras.Push(&cell.Payload, cell.Header.PT)
 	r.pool.Put(cell)
 
@@ -396,28 +392,24 @@ func (r *receiver) process(e int) {
 // rxCellCtx carries one in-flight cell routine's state to its completion.
 // One per engine, reused for every cell.
 type rxCellCtx struct {
-	r           *receiver
-	e           int
-	fn          func() // bound done method, created once
-	oamFn       func() // bound oam method
-	releaseFn   func() // bound release method
-	st          *rxVC
-	sl          *rxSlot   // the cell's stream slot
-	cell        *atm.Cell // management cell awaiting its handler
-	res         *aal.Result
-	aalErr      error
-	arrived     sim.Time
-	haveArrival bool
+	r         *receiver
+	e         int
+	fn        func() // bound done method, created once
+	oamFn     func() // bound oam method
+	releaseFn func() // bound release method
+	st        *rxVC
+	sl        *rxSlot   // the cell's stream slot
+	cell      *atm.Cell // management cell awaiting its handler
+	res       *aal.Result
+	aalErr    error
+	arrived   sim.Time // the cell's RX FIFO entry time
 }
 
 // done is the rx_cell routine completion.
 func (c *rxCellCtx) done() {
 	r, e, st, sl, res, aalErr := c.r, c.e, c.st, c.sl, c.res, c.aalErr
-	arrived, haveArrival := c.arrived, c.haveArrival
 	c.st, c.sl, c.res, c.aalErr = nil, nil, nil, nil
-	if haveArrival {
-		r.hCellDelay.Observe(r.k.Now() - arrived)
-	}
+	r.hCellDelay.Observe(r.k.Now() - c.arrived)
 	switch {
 	case res != nil:
 		// A frame completed (possibly also reporting a prior

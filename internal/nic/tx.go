@@ -120,11 +120,10 @@ type transmitter struct {
 	cellTime     sim.Duration
 	clockRunning bool
 
-	// Telemetry: instruments live in the interface's registry; pushTimes
-	// shadows the cell FIFO so each cell's residency (push → cell clock)
-	// feeds the tx cell-delay histogram without touching the cell itself.
+	// Telemetry: instruments live in the interface's registry. Each
+	// cell's residency (push → cell clock) feeds the tx cell-delay
+	// histogram from the cell's own Stamp.
 	reg        *metrics.Registry
-	pushTimes  *fifo.Ring[sim.Time]
 	mPackets   *metrics.Counter
 	mCells     *metrics.Counter
 	mBytes     *metrics.Counter
@@ -147,11 +146,10 @@ func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Dev
 	prefix string, out atm.CellConsumer) *transmitter {
 	t := &transmitter{
 		k: k, cfg: cfg, eng: eng, dev: dev, pool: pool, out: out,
-		fifo:      fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
-		vcs:       make(map[atm.VC]*txVC),
-		cellTime:  cellTime,
-		reg:       reg,
-		pushTimes: fifo.NewRing[sim.Time](cfg.TxFifoDepth),
+		fifo:     fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
+		vcs:      make(map[atm.VC]*txVC),
+		cellTime: cellTime,
+		reg:      reg,
 	}
 	t.startDoneFn = t.startDone
 	t.cellDoneFn = t.cellDone
@@ -472,10 +470,7 @@ func (t *transmitter) cellDone() {
 		VCI:    st.vc.VCI,
 		PT:     pt,
 	}
-	if t.fifo.Push(cell) {
-		t.pushTimes.Push(t.k.Now())
-		t.spFifo.Enter(st.vc)
-	} else {
+	if !t.push(cell) {
 		t.held = cell // the FIFO is full, so schedule below stalls
 	}
 	t.mCells.Inc()
@@ -538,16 +533,25 @@ func (t *transmitter) doneDone() {
 // cell. Best-effort: a full FIFO drops it (OAM has no delivery guarantee).
 func (t *transmitter) injectCell(c *atm.Cell) bool {
 	h := &c.Header
-	if !t.fifo.Push(c) {
+	if !t.push(c) {
 		t.reg.VC(h.VPI, h.VCI).Drop(metrics.DropMgmtTxFull)
 		t.spFifo.Drop(h.VC(), metrics.DropMgmtTxFull)
 		return false
 	}
-	t.pushTimes.Push(t.k.Now())
-	t.spFifo.Enter(h.VC())
 	t.mCells.Inc()
 	t.reg.VC(h.VPI, h.VCI).AddCellOut()
 	t.startClock()
+	return true
+}
+
+// push puts c in the TX FIFO and, if there was room, stamps it with the
+// time it entered so tick can time its residency.
+func (t *transmitter) push(c *atm.Cell) bool {
+	if !t.fifo.Push(c) {
+		return false
+	}
+	c.Stamp = t.k.Now()
+	t.spFifo.Enter(c.Header.VC())
 	return true
 }
 
@@ -575,16 +579,12 @@ func (t *transmitter) startClock() {
 func (t *transmitter) tick() {
 	cell, ok := t.fifo.Pop()
 	if ok {
-		if t0, tok := t.pushTimes.Pop(); tok {
-			t.hCellDelay.Observe(t.k.Now() - t0)
-		}
+		t.hCellDelay.Observe(t.k.Now() - cell.Stamp)
 		t.spFifo.Exit(cell.Header.VC())
 		t.out.DeliverCell(cell)
 		if h := t.held; h != nil {
 			t.held = nil
-			t.fifo.Push(h)
-			t.pushTimes.Push(t.k.Now())
-			t.spFifo.Enter(h.Header.VC())
+			t.push(h)
 		}
 		if t.stalled {
 			t.stalled = false

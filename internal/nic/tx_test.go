@@ -3,6 +3,7 @@ package nic
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/aal"
@@ -353,7 +354,7 @@ func TestInterleaveManyVCsFairness(t *testing.T) {
 		send()
 	}
 	r.k.Run()
-	min, max := 1<<62, 0
+	min, max := math.MaxInt, 0
 	for _, vc := range vcs {
 		n := bytesByVC[vc]
 		if n < min {

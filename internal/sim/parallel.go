@@ -28,10 +28,9 @@ type boundaryItem struct {
 // windows. The barrier's channel hand-offs give the happens-before edges,
 // so no locking is needed.
 type Mailbox struct {
-	src, dst  *Kernel
-	lane      int32 // source partition rank, stamped on every item
-	lookahead Duration
-	items     []boundaryItem
+	src, dst *Kernel
+	lane     int32 // source partition rank, stamped on every item
+	items    []boundaryItem
 }
 
 // Post enqueues afn(arg) to run in the destination partition at absolute
@@ -41,9 +40,6 @@ type Mailbox struct {
 func (m *Mailbox) Post(at, pt Time, afn func(any), arg any) {
 	m.items = append(m.items, boundaryItem{at: at, pt: pt, lane: m.lane, seq: m.src.ReserveSeq(), afn: afn, arg: arg})
 }
-
-// Lookahead reports the link propagation delay this mailbox declared.
-func (m *Mailbox) Lookahead() Duration { return m.lookahead }
 
 // Len reports how many items are waiting to be drained.
 func (m *Mailbox) Len() int { return len(m.items) }
@@ -102,7 +98,7 @@ func (g *Group) Mailbox(src, dst *Kernel, lookahead Duration) *Mailbox {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: mailbox lookahead %v must be positive (zero-delay links cannot cross partitions)", lookahead))
 	}
-	m := &Mailbox{src: src, dst: dst, lane: src.Lane(), lookahead: lookahead}
+	m := &Mailbox{src: src, dst: dst, lane: src.Lane()}
 	g.mailboxes = append(g.mailboxes, m)
 	if lookahead < g.window {
 		g.window = lookahead

@@ -103,10 +103,16 @@ func TestSlotCancelTailThenInsert(t *testing.T) {
 }
 
 // An Event is one cache line: 64 bytes, which is also one of Go's size
-// classes. A field added later has to be a deliberate choice.
+// classes. A field added later has to be a deliberate choice. With 32-bit
+// words its pointers shrink, so there it need only fit the line.
 func TestEventIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 64 {
-		t.Fatalf("sizeof(Event) = %d bytes, want 64", got)
+	got := unsafe.Sizeof(Event{})
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got != 64 {
+			t.Fatalf("sizeof(Event) = %d bytes, want 64", got)
+		}
+	} else if got > 64 {
+		t.Fatalf("sizeof(Event) = %d bytes with 32-bit words, want at most 64", got)
 	}
 }
 
