@@ -79,6 +79,7 @@ FUZZ_TARGETS = \
 	./internal/ip:FuzzIPDecode \
 	./internal/ip:FuzzChecksum \
 	./internal/tcp:FuzzParseSegment \
+	./internal/vclookup:FuzzCAM \
 	./cmd/cellview:FuzzCellview
 FUZZ_MIN_EXECS = 10000
 

@@ -54,6 +54,13 @@ type Engine struct {
 	cfg  Config
 	res  *sim.Resource
 
+	// routineNS caches RoutineTime by instruction count: entry i is filled
+	// on its first use with InstrTime(i + DispatchInstr), so a routine is
+	// priced without a division after its first run. Every routine the
+	// interface runs is below len(routineNS) instructions; longer ones are
+	// divided each time.
+	routineNS [64]sim.Duration
+
 	// Registry instruments (nil until Instrument is called; nil-safe).
 	mRoutines *metrics.Counter
 	mInstr    *metrics.Counter
@@ -108,7 +115,22 @@ func (e *Engine) InstrTime(instr int) sim.Duration {
 // RoutineTime is InstrTime plus the dispatch overhead — the wall time one
 // firmware activation occupies the engine.
 func (e *Engine) RoutineTime(instr int) sim.Duration {
-	return e.InstrTime(instr + e.cfg.DispatchInstr)
+	if uint(instr) < uint(len(e.routineNS)) {
+		if d := e.routineNS[instr]; d != 0 {
+			return d
+		}
+	}
+	return e.priceRoutine(instr)
+}
+
+// priceRoutine divides out RoutineTime, filling in its table entry. It is
+// apart from RoutineTime so that the table read inlines into Run.
+func (e *Engine) priceRoutine(instr int) sim.Duration {
+	d := e.InstrTime(instr + e.cfg.DispatchInstr)
+	if uint(instr) < uint(len(e.routineNS)) {
+		e.routineNS[instr] = d
+	}
+	return d
 }
 
 // Run schedules one firmware routine (instr instructions plus dispatch) on

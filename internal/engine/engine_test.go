@@ -163,3 +163,45 @@ func TestDefaultCPIApplied(t *testing.T) {
 		t.Fatalf("default CPI = %d, want 1000", e.Config().CPIMilli)
 	}
 }
+
+// RoutineTime's per-count table holds exactly the division it replaces,
+// on its first use and after, for every count up to well past the table,
+// on the default engine and on two odd clock/CPI/dispatch settings.
+func TestRoutineTimeMatchesDivision(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{ClockHz: 33_333_333, CPIMilli: 1337, DispatchInstr: 7},
+		{ClockHz: 7_000_001, CPIMilli: 999, DispatchInstr: 0},
+	} {
+		e := New(sim.NewKernel(), "e", cfg)
+		for pass := 0; pass < 2; pass++ {
+			for instr := 0; instr <= 300; instr++ {
+				if got, want := e.RoutineTime(instr), e.InstrTime(instr+cfg.DispatchInstr); got != want {
+					t.Fatalf("%+v pass %d: RoutineTime(%d) = %d, want InstrTime(%d) = %d",
+						cfg, pass, instr, got, instr+cfg.DispatchInstr, want)
+				}
+			}
+		}
+	}
+}
+
+// A firmware routine costs no allocation: its completion event carries the
+// done callback, and its time comes from the routine table.
+func TestRunAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	e := New(k, "e", DefaultConfig())
+	n := 0
+	done := func() { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		for instr := 0; instr < 64; instr += 7 {
+			e.Run(instr, done)
+		}
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Engine.Run allocates %v per batch of routines, want 0", allocs)
+	}
+	if n != 101*10 {
+		t.Fatalf("%d completions ran, want %d", n, 101*10)
+	}
+}

@@ -58,11 +58,12 @@ type ericaPort struct {
 	intervalStart sim.Time
 	abrIn         int // ABR cells offered this interval (RM cells included)
 	otherIn       int // higher-priority cells offered this interval
-	active        map[atm.VC]struct{}
 
-	// ccr is the last CCR each VC declared in a forward RM cell —
-	// persistent across intervals (TM 4.0 lets the switch remember it).
-	ccr map[atm.VC]float64
+	// interval numbers the averaging intervals from 1, and nActive counts
+	// the ABR VCs offered a cell in the current one: each VC's output
+	// record holds the interval in which it last counted, and its CCR.
+	interval uint64
+	nActive  int
 
 	// Results of the last completed interval.
 	have      bool
@@ -78,12 +79,14 @@ type ericaPort struct {
 func (s *Switch) EnableERICA(port int, cfg ERICAConfig) {
 	cfg.normalize()
 	p := s.port(port)
+	for _, r := range p.recs {
+		r.ccr, r.activeIn = 0, 0
+	}
 	p.erica = &ericaPort{
 		cfg:           cfg,
 		port:          p,
 		intervalStart: s.k.Now(),
-		active:        make(map[atm.VC]struct{}),
-		ccr:           make(map[atm.VC]float64),
+		interval:      1,
 	}
 }
 
@@ -113,10 +116,7 @@ func (e *ericaPort) rollover(now sim.Time) {
 	if avail < 1 {
 		avail = 1 // a saturated port still advertises a token rate
 	}
-	n := len(e.active)
-	if n < 1 {
-		n = 1
-	}
+	n := max(e.nActive, 1)
 	e.abrCap = avail
 	e.fairShare = avail / float64(n)
 	e.overload = abrRate / avail
@@ -124,19 +124,23 @@ func (e *ericaPort) rollover(now sim.Time) {
 
 	e.intervalStart = now
 	e.abrIn, e.otherIn = 0, 0
-	clear(e.active)
+	e.interval++
+	e.nActive = 0
 }
 
 // observe accounts one cell offered to the output port (called for every
 // arrival, before any drop decision — input rate, not carried rate, is
-// what the overload factor measures). Forward RM cells additionally
-// refresh the VC's declared CCR.
-func (e *ericaPort) observe(now sim.Time, class tm.ServiceClass, c *atm.Cell) {
+// what the overload factor measures); rec is the cell's VC record on this
+// port. Forward RM cells additionally refresh the VC's declared CCR.
+func (e *ericaPort) observe(now sim.Time, class tm.ServiceClass, rec *vcRecord, c *atm.Cell) {
 	e.rollover(now)
 	switch class {
 	case tm.ABR:
 		e.abrIn++
-		e.active[c.Header.VC()] = struct{}{}
+		if rec.activeIn != e.interval {
+			rec.activeIn = e.interval
+			e.nActive++
+		}
 	case tm.UBR:
 		// Best-effort scavenges below ABR; it neither consumes ABR
 		// capacity nor counts as higher-priority load.
@@ -146,15 +150,16 @@ func (e *ericaPort) observe(now sim.Time, class tm.ServiceClass, c *atm.Cell) {
 	if c.Header.PT == atm.PTResourceMgmt {
 		var rm atm.RM
 		if rm.Decode(&c.Payload) == nil && !rm.DIR {
-			e.ccr[c.Header.VC()] = rm.CCR
+			rec.ccr = rm.CCR
 		}
 	}
 }
 
-// explicitRate returns the ER to stamp into a backward RM cell of vc that
-// arrived carrying erIn. Before the first completed interval the port has
-// no measurement and only caps at the utilization target.
-func (e *ericaPort) explicitRate(now sim.Time, vc atm.VC, erIn float64) float64 {
+// explicitRate returns the ER to stamp into a backward RM cell that arrived
+// carrying erIn, for a VC whose last declared CCR is ccr. Before the first
+// completed interval the port has no measurement and only caps at the
+// utilization target.
+func (e *ericaPort) explicitRate(now sim.Time, ccr, erIn float64) float64 {
 	e.rollover(now)
 	if !e.have {
 		if t := e.targetRate(); erIn > t {
@@ -164,7 +169,7 @@ func (e *ericaPort) explicitRate(now sim.Time, vc atm.VC, erIn float64) float64 
 	}
 	er := e.fairShare
 	if e.overload > 0 {
-		if vcShare := e.ccr[vc] / e.overload; vcShare > er {
+		if vcShare := ccr / e.overload; vcShare > er {
 			er = vcShare
 		}
 	} else {
@@ -180,14 +185,16 @@ func (e *ericaPort) explicitRate(now sim.Time, vc atm.VC, erIn float64) float64 
 }
 
 // rmReceive runs the switch's backward-RM behaviour for an RM cell
-// arriving on an input port: if that port's output side runs ERICA, the
+// arriving on input port p: if that port's output side runs ERICA, the
 // cell is travelling the reverse direction of the congested fiber, and its
 // ER field is reduced to the port's allocation. The duplex route symmetry
 // (core installs the reverse route on the same port pair with the same
 // VCs) is what makes "arrival port" the right key: a backward RM cell
-// arrives exactly where its connection's forward cells depart.
-func (s *Switch) rmReceive(port int, c *atm.Cell) {
-	e := s.ports[port].erica
+// arrives exactly where its connection's forward cells depart, so rev, the
+// arrival port's output record for the cell's VC, holds the CCR its
+// forward RM cells declared.
+func (s *Switch) rmReceive(p *swPort, rev *vcRecord, c *atm.Cell) {
+	e := p.erica
 	if e == nil {
 		return
 	}
@@ -195,7 +202,7 @@ func (s *Switch) rmReceive(port int, c *atm.Cell) {
 	if rm.Decode(&c.Payload) != nil || !rm.DIR {
 		return
 	}
-	er := e.explicitRate(s.k.Now(), c.Header.VC(), rm.ER)
+	er := e.explicitRate(s.k.Now(), rev.ccr, rm.ER)
 	if er < rm.ER {
 		rm.ER = er
 		rm.Encode(&c.Payload)

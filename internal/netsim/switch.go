@@ -5,7 +5,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/fifo"
@@ -15,12 +15,15 @@ import (
 	"repro/internal/tm"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/vclookup"
 )
 
 // Switch is a small output-queued ATM switch: cells arriving on any input
 // port are routed by (input port, VC) to one or more output ports,
 // optionally with VC translation, and drain onto the output fiber at the
-// port's cell rate.
+// port's cell rate. Labels are link-local, so each input port translates
+// through its own table, and every per-VC record a cell needs is resolved
+// when its route is set: a cell costs one table lookup at the input port.
 //
 // Output buffering is a shared per-port budget of queueDepth cells split
 // across one queue per service class (tm.ServiceClass); the drain is strict
@@ -49,8 +52,6 @@ type Switch struct {
 	name     string
 	ports    []*swPort
 	conduits []*SwitchPort
-	table    map[swKey]*swRoute
-	policers map[swKey]*swPolicer
 
 	// AISPeriod arms F5 fault management: while any input port has lost
 	// its signal, the switch inserts one AIS cell per period downstream on
@@ -103,31 +104,40 @@ type SwitchStats struct {
 	ERStamped        uint64 // backward RM cells whose ER ERICA reduced
 }
 
-type swKey struct {
-	inPort int
+// swEntry is an input port's entry for one arriving VC: where its cells go
+// and the policer that checks them first. SetRoute and SetPolicer fill it,
+// and either half may be missing: a policed VC with no route is policed,
+// then counted as no_route.
+type swEntry struct {
 	vc     atm.VC
+	dests  []swDest
+	pol    *tm.Policer
+	polVCs *metrics.VCStats // the policed VC's row, resolved at SetPolicer
+	// rev is this port's output-side record for the same VC, where ERICA
+	// keeps the CCR that a backward RM cell arriving here is stamped from.
+	rev *vcRecord
 }
 
 type swDest struct {
 	outPort int
 	outVC   atm.VC
 	class   tm.ServiceClass
+	rec     *vcRecord // the output port's record for outVC
 }
 
-type swRoute struct {
-	dests []swDest
-}
-
-type swPolicer struct {
-	pol *tm.Policer
-	vcs *metrics.VCStats // resolved at SetPolicer time; nil-safe
-}
-
-// frameState tracks AAL5 frame-discard progress for one (output port, VC).
-type frameState struct {
+// vcRecord is an output port's state for one departing VC, shared by every
+// route onto that (port, VC): AAL5 frame-discard progress, and ERICA's
+// per-VC measurements.
+type vcRecord struct {
 	inFrame bool
 	drop    bool // discarding the rest of this frame
 	ppd     bool // drop began mid-frame: forward the final EOF cell
+
+	// ccr is the last CCR the VC declared in a forward RM cell, persistent
+	// across ERICA intervals (TM 4.0 lets the switch remember it); activeIn
+	// is the interval in which the VC last counted as active.
+	ccr      float64
+	activeIn uint64
 }
 
 type swPort struct {
@@ -147,7 +157,11 @@ type swPort struct {
 	// until EnableERICA).
 	erica *ericaPort
 
-	frames map[atm.VC]*frameState
+	// inVCs translates arriving VCs to their entries, the per-cell lookup;
+	// recs holds the departing VCs' records, which SetRoute resolves.
+	inVCs   vclookup.Table
+	entries []swEntry
+	recs    map[atm.VC]*vcRecord
 
 	mRouted  *metrics.Counter
 	mDropped *metrics.Counter
@@ -187,8 +201,6 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 		k:        k,
 		pool:     pool,
 		name:     name,
-		table:    make(map[swKey]*swRoute),
-		policers: make(map[swKey]*swPolicer),
 		portDown: make([]bool, nPorts),
 		reg:      reg,
 		mTag:     reg.Counter(name + ".policed_clp_tag"),
@@ -210,7 +222,7 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 		p := &swPort{
 			depth:    queueDepth,
 			cellTime: ct,
-			frames:   make(map[atm.VC]*frameState),
+			recs:     make(map[atm.VC]*vcRecord),
 			mRouted:  reg.Counter(pn + ".routed"),
 			mDropped: reg.Counter(pn + ".dropped"),
 			mOcc:     reg.Gauge(pn + ".occupancy"),
@@ -251,11 +263,30 @@ func (s *Switch) SetThresholds(port, clp, epd, efci int) {
 // SetPolicer installs a UPC policer on an input port's VC: every arriving
 // cell on that (port, VC) runs the GCRA conformance test before routing.
 func (s *Switch) SetPolicer(inPort int, vc atm.VC, pol *tm.Policer) {
-	s.port(inPort) // range-check
-	s.policers[swKey{inPort: inPort, vc: vc}] = &swPolicer{
-		pol: pol,
-		vcs: s.reg.VC(vc.VPI, vc.VCI),
+	ent := s.port(inPort).entry(vc)
+	ent.pol = pol
+	ent.polVCs = s.reg.VC(vc.VPI, vc.VCI)
+}
+
+// entry returns the port's input entry for vc, adding an empty one.
+func (p *swPort) entry(vc atm.VC) *swEntry {
+	i, ok := p.inVCs.Get(vc)
+	if !ok {
+		i = int32(len(p.entries))
+		p.entries = append(p.entries, swEntry{vc: vc})
+		p.inVCs.Put(vc, i)
 	}
+	return &p.entries[i]
+}
+
+// record returns the port's output record for vc, making it on first use.
+func (p *swPort) record(vc atm.VC) *vcRecord {
+	r := p.recs[vc]
+	if r == nil {
+		r = &vcRecord{}
+		p.recs[vc] = r
+	}
+	return r
 }
 
 // Stats returns the switch counters, read from its registry instruments.
@@ -339,7 +370,7 @@ func (s *Switch) portSignal(port int, up bool) {
 
 // aisTick inserts one AIS cell per affected route and re-arms itself every
 // AISPeriod until every input port has its signal back. Routes are visited
-// in (input port, VC) order so generation is deterministic.
+// in (input port, VPI, VCI) order so generation is deterministic.
 func (s *Switch) aisTick() {
 	anyDown := false
 	for _, d := range s.portDown {
@@ -352,28 +383,31 @@ func (s *Switch) aisTick() {
 		s.aisTicking = false
 		return
 	}
-	keys := make([]swKey, 0, len(s.table))
-	for key := range s.table {
-		if s.portDown[key.inPort] {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].inPort != keys[b].inPort {
-			return keys[a].inPort < keys[b].inPort
-		}
-		if keys[a].vc.VPI != keys[b].vc.VPI {
-			return keys[a].vc.VPI < keys[b].vc.VPI
-		}
-		return keys[a].vc.VCI < keys[b].vc.VCI
-	})
 	loc := oam.LocationID(s.name)
-	for _, key := range keys {
-		for _, d := range s.table[key].dests {
-			s.mAIS.Inc()
-			c := s.pool.Get()
-			*c = *oam.NewAIS(d.outVC, loc)
-			s.deferEnqueue(d, c)
+	var routed []*swEntry
+	for port, p := range s.ports {
+		if !s.portDown[port] {
+			continue
+		}
+		routed = routed[:0]
+		for i := range p.entries {
+			if len(p.entries[i].dests) > 0 {
+				routed = append(routed, &p.entries[i])
+			}
+		}
+		slices.SortFunc(routed, func(a, b *swEntry) int {
+			if a.vc.VPI != b.vc.VPI {
+				return int(a.vc.VPI) - int(b.vc.VPI)
+			}
+			return int(a.vc.VCI) - int(b.vc.VCI)
+		})
+		for _, ent := range routed {
+			for _, d := range ent.dests {
+				s.mAIS.Inc()
+				c := s.pool.Get()
+				*c = *oam.NewAIS(d.outVC, loc)
+				s.deferEnqueue(d, c)
+			}
 		}
 	}
 	s.k.PostAfter(s.AISPeriod, s.aisTickFn)
@@ -395,16 +429,20 @@ type RouteOptions struct {
 // (inPort, inVC), if any, is replaced unless opts.Append is set. This is
 // the one routing entry point (it subsumes the former Route / RouteClass /
 // AddRoute trio).
+//
+// The destination's output record, and the input port's own output-side
+// record for inVC (the reverse direction's, which ERICA stamps backward RM
+// cells from), are resolved here, so no per-cell step looks them up. A
+// policer on (inPort, inVC) stays in place.
 func (s *Switch) SetRoute(inPort int, inVC atm.VC, outPort int, outVC atm.VC, opts RouteOptions) {
-	s.port(inPort)
-	s.port(outPort)
-	key := swKey{inPort: inPort, vc: inVC}
-	rt := s.table[key]
-	if rt == nil || !opts.Append {
-		rt = &swRoute{}
-		s.table[key] = rt
+	in := s.port(inPort)
+	out := s.port(outPort)
+	ent := in.entry(inVC)
+	if !opts.Append {
+		ent.dests = nil
 	}
-	rt.dests = append(rt.dests, swDest{outPort: outPort, outVC: outVC, class: opts.Class})
+	ent.dests = append(ent.dests, swDest{outPort: outPort, outVC: outVC, class: opts.Class, rec: out.record(outVC)})
+	ent.rev = in.record(inVC)
 }
 
 // SetRecorder attaches flight-recorder spans to every output queue: stage
@@ -417,22 +455,28 @@ func (s *Switch) SetRecorder(rec *trace.Recorder) {
 }
 
 func (s *Switch) receive(port int, c *atm.Cell) {
-	key := swKey{inPort: port, vc: c.Header.VC()}
-	if sp := s.policers[key]; sp != nil {
-		switch sp.pol.Police(s.k.Now(), c.Header.CLP) {
+	p := s.ports[port]
+	i, ok := p.inVCs.Get(c.Header.VC())
+	if !ok {
+		s.mNoRt.Inc()
+		s.pool.Put(c)
+		return
+	}
+	ent := &p.entries[i]
+	if ent.pol != nil {
+		switch ent.pol.Police(s.k.Now(), c.Header.CLP) {
 		case tm.Discard:
 			s.mPolDrp.Inc()
-			sp.vcs.Drop(metrics.DropPolicedDiscard)
+			ent.polVCs.Drop(metrics.DropPolicedDiscard)
 			s.pool.Put(c)
 			return
 		case tm.TagCLP:
 			c.Header.CLP = true
 			s.mTag.Inc()
-			sp.vcs.Drop(metrics.DropPolicedTag)
+			ent.polVCs.Drop(metrics.DropPolicedTag)
 		}
 	}
-	rt, ok := s.table[key]
-	if !ok {
+	if len(ent.dests) == 0 {
 		s.mNoRt.Inc()
 		s.pool.Put(c)
 		return
@@ -441,12 +485,12 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 		// Backward RM cells arrive on the port whose output side their
 		// connection's forward cells congest; stamp ERICA's explicit rate
 		// before the fabric carries them on toward the source.
-		s.rmReceive(port, c)
+		s.rmReceive(p, ent.rev, c)
 	}
-	if len(rt.dests) > 1 {
+	if len(ent.dests) > 1 {
 		s.mBcast.Inc()
 	}
-	for i, d := range rt.dests {
+	for i, d := range ent.dests {
 		out := c
 		if i > 0 {
 			out = s.pool.Get() // replication: the fabric copies the cell per leaf
@@ -493,28 +537,18 @@ func (r *swDefer) fire() {
 	r.s.enqueue(dest, cell)
 }
 
-// frame returns the frame-discard state for an output VC on a port.
-func (p *swPort) frame(vc atm.VC) *frameState {
-	fs := p.frames[vc]
-	if fs == nil {
-		fs = &frameState{}
-		p.frames[vc] = fs
-	}
-	return fs
-}
-
 func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 	p := s.ports[d.outPort]
 	if p.erica != nil {
 		// ERICA measures offered load — before any drop decision — so the
 		// overload factor sees the demand the queue is refusing.
-		p.erica.observe(s.k.Now(), d.class, c)
+		p.erica.observe(s.k.Now(), d.class, d.rec, c)
 	}
 	frameDiscard := p.epdThreshold > 0 && c.Header.PT.User()
-	var fs *frameState
+	var fs *vcRecord
 	eof := c.Header.PT.EndOfFrame()
 	if frameDiscard {
-		fs = p.frame(c.Header.VC())
+		fs = d.rec
 		if !fs.inFrame {
 			// Frame boundary: the EPD decision is made here, before any
 			// cell of the frame is committed to the queue.

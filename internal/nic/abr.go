@@ -32,22 +32,19 @@ type abrTx struct {
 // RM feedback between MCR and PCR. Defaults are filled per TM 4.0
 // (Nrm=32, RIF=RDF=1/16; see tm.ABRParams).
 func (i *Interface) SetABR(vc atm.VC, p tm.ABRParams) error {
-	if !i.txVCs[vc] {
+	st := i.tx.vcs[vc]
+	if st == nil {
 		return ErrUnknownVC
 	}
 	p.Normalize()
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	src := tm.NewABRSource(p)
-	sh := tm.NewShaper(tm.TrafficContract{Class: tm.ABR, PCR: p.ICR, MCR: p.MCR})
-	if !i.tx.setContract(vc, sh) {
-		return ErrUnknownVC
-	}
+	st.setShaper(tm.NewShaper(tm.TrafficContract{Class: tm.ABR, PCR: p.ICR, MCR: p.MCR}))
 	// Start the RM counter one short of the cadence so the very first data
 	// cell is chased by an RM cell: feedback starts one round-trip after
 	// the connection opens, not Nrm cells later.
-	i.tx.vcs[vc].abr = &abrTx{src: src, sinceRM: p.Nrm - 2}
+	st.abr = &abrTx{src: tm.NewABRSource(p), sinceRM: p.Nrm - 2}
 	return nil
 }
 

@@ -22,7 +22,7 @@ import (
 //	segmentation → transmit-complete interrupt → onSent
 type txDesc struct {
 	i      *Interface
-	vc     atm.VC
+	st     *txVC // the VC's transmit record, resolved by send
 	sdu    []byte
 	pooled bool // sdu is Send's copy, drawn from the interface buffer pool
 	onSent func()
@@ -40,7 +40,8 @@ func (i *Interface) send(vc atm.VC, sdu []byte, pooled bool, onSent func()) erro
 	if len(sdu) == 0 || len(sdu) > i.cfg.MaxSDU {
 		return ErrBadSDU
 	}
-	if !i.txVCs[vc] {
+	st := i.tx.vcs[vc]
+	if st == nil {
 		return ErrUnknownVC
 	}
 	if pooled {
@@ -58,7 +59,7 @@ func (i *Interface) send(vc atm.VC, sdu []byte, pooled bool, onSent func()) erro
 		i.freeTx = d.next
 		d.next = nil
 	}
-	d.vc, d.sdu, d.pooled, d.onSent = vc, sdu, pooled, onSent
+	d.st, d.sdu, d.pooled, d.onSent = st, sdu, pooled, onSent
 	i.hst.TxPacket(len(sdu), d.postFn)
 	return nil
 }
@@ -68,7 +69,7 @@ func (i *Interface) send(vc atm.VC, sdu []byte, pooled bool, onSent func()) erro
 func (d *txDesc) post() { d.i.hostDev.PIO(4, d.enqueueFn) }
 
 // enqueue hands the descriptor to the adapter. A VC closed while the host
-// was posting drops it.
+// was posting drops it, unless the VC has been reopened since.
 func (d *txDesc) enqueue() {
 	if !d.i.tx.enqueue(d) {
 		d.drop()
@@ -108,7 +109,7 @@ func (d *txDesc) releaseSDU() {
 }
 
 func (d *txDesc) retire() {
-	d.onSent = nil
+	d.st, d.onSent = nil, nil
 	d.next = d.i.freeTx
 	d.i.freeTx = d
 }

@@ -332,9 +332,11 @@ func (fm *faultMgr) snapshot() FMStats {
 // openVCs returns the receiver's open connections in VC order, for
 // deterministic link-scope iteration.
 func (r *receiver) openVCs() []atm.VC {
-	vcs := make([]atm.VC, 0, len(r.vcs))
+	vcs := make([]atm.VC, 0, r.lookup.Len())
 	for _, st := range r.vcs {
-		vcs = append(vcs, st.vc)
+		if st != nil {
+			vcs = append(vcs, st.vc)
+		}
 	}
 	sort.Slice(vcs, func(a, b int) bool {
 		if vcs[a].VPI != vcs[b].VPI {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/bufpool"
 	"repro/internal/bus"
@@ -39,7 +40,6 @@ type Interface struct {
 	fm *faultMgr
 
 	reg        *metrics.Registry
-	txVCs      map[atm.VC]bool
 	onLoopback func(vc atm.VC, correlation uint32)
 
 	// freeTx holds retired transmit descriptor records (see desc.go); the
@@ -85,7 +85,6 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) 
 		rxDev:    b.Attach(cfg.Name + ".rxdma"),
 		hostDev:  b.Attach(cfg.Name + ".pio"),
 		reg:      reg,
-		txVCs:    make(map[atm.VC]bool),
 	}
 	i.mRMTurn = reg.Counter(scoped(cfg.Name, "nic.abr.turnaround"))
 	i.mBRMRx = reg.Counter(scoped(cfg.Name, "nic.abr.brm_rx"))
@@ -231,7 +230,7 @@ func (i *Interface) OpenVC(vc atm.VC) error {
 	if vc.VPI > atm.UNI.MaxVPI() {
 		return fmt.Errorf("nic: %w: VPI %d under %v", atm.ErrVPIRange, vc.VPI, atm.UNI)
 	}
-	if i.txVCs[vc] {
+	if i.tx.vcs[vc] != nil {
 		return ErrVCExists
 	}
 	if err := i.rx.open(vc); err != nil {
@@ -244,7 +243,6 @@ func (i *Interface) OpenVC(vc atm.VC) error {
 			return err
 		}
 	}
-	i.txVCs[vc] = true
 	i.tx.open(vc)
 	return nil
 }
@@ -254,7 +252,6 @@ func (i *Interface) OpenVC(vc atm.VC) error {
 // partial frame. A dropped descriptor's onSent never fires, including a
 // Send whose descriptor the host is still posting when the VC closes.
 func (i *Interface) CloseVC(vc atm.VC) {
-	delete(i.txVCs, vc)
 	i.tx.close(vc)
 	i.rx.close(vc)
 	i.fm.close(vc)
@@ -263,15 +260,18 @@ func (i *Interface) CloseVC(vc atm.VC) {
 // SetMID stamps the AAL3/4 multiplexing identifier used for vc's frames
 // (10 bits; meaningful with a MIDMux receiver on a shared VC).
 func (i *Interface) SetMID(vc atm.VC, mid uint16) error {
-	if !i.txVCs[vc] {
+	st := i.tx.vcs[vc]
+	if st == nil {
 		return ErrUnknownVC
 	}
 	if mid > 0x3ff {
 		return fmt.Errorf("nic: MID %d exceeds 10 bits", mid)
 	}
-	if !i.tx.setMID(vc, mid) {
+	seg, ok := st.seg.(*aal.Segmenter34)
+	if !ok {
 		return fmt.Errorf("nic: SetMID requires the AAL3/4 build")
 	}
+	seg.MID = mid
 	return nil
 }
 
@@ -280,16 +280,15 @@ func (i *Interface) SetMID(vc atm.VC, mid uint16) error {
 // parameter control knob ATM networks police at the UNI). cellsPerSec <= 0
 // restores line rate.
 func (i *Interface) SetPeakCellRate(vc atm.VC, cellsPerSec float64) error {
-	if !i.txVCs[vc] {
+	st := i.tx.vcs[vc]
+	if st == nil {
 		return ErrUnknownVC
 	}
 	var gap sim.Duration
 	if cellsPerSec > 0 {
 		gap = sim.Duration(1e9 / cellsPerSec)
 	}
-	if !i.tx.setPeakCellRate(vc, gap) {
-		return ErrUnknownVC
-	}
+	st.minGap = gap
 	return nil
 }
 
@@ -299,19 +298,18 @@ func (i *Interface) SetPeakCellRate(vc atm.VC, cellsPerSec float64) error {
 // same contract — SetPeakCellRate's fixed gap generalized to the dual
 // leaky bucket. A zero-PCR contract removes shaping.
 func (i *Interface) SetContract(vc atm.VC, c tm.TrafficContract) error {
-	if !i.txVCs[vc] {
+	st := i.tx.vcs[vc]
+	if st == nil {
 		return ErrUnknownVC
 	}
 	if c.PCR <= 0 {
-		i.tx.setContract(vc, nil)
+		st.setShaper(nil)
 		return nil
 	}
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if !i.tx.setContract(vc, tm.NewShaper(c)) {
-		return ErrUnknownVC
-	}
+	st.setShaper(tm.NewShaper(c))
 	return nil
 }
 

@@ -3,7 +3,6 @@ package nic
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/aal"
 	"repro/internal/atm"
@@ -61,6 +60,7 @@ type rxVC struct {
 	// then unused. Nil otherwise.
 	mids map[uint16]*rxSlot
 	vst  *metrics.VCStats // per-connection telemetry row
+	eng  int              // the receive engine the VC's cells are steered to
 	efci bool             // latest data cell carried the EFCI bit
 }
 
@@ -111,9 +111,8 @@ type receiver struct {
 	processing []bool
 	lookup     *vclookup.CAM
 	alloc      *bufmgr.Allocator
-	vcs        map[int]*rxVC
-	steer      map[atm.VC]int // VC → engine (round-robin at open)
-	nextSteer  int
+	vcs        []*rxVC // by CAM index; nil where no VC is open
+	nextSteer  int     // engine the next opened VC is steered to
 
 	onDeliver func(Delivered)
 	onOAM     func(e int, c *atm.Cell) // owns the cell; nil = drop
@@ -172,8 +171,7 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 		processing: make([]bool, n),
 		lookup:     vclookup.NewCAM(cfg.MaxVCs),
 		alloc:      bufmgr.NewAllocator(bufmgr.Paged, cfg.AdapterSRAM),
-		vcs:        make(map[int]*rxVC),
-		steer:      make(map[atm.VC]int),
+		vcs:        make([]*rxVC, cfg.MaxVCs),
 	}
 	for i := range r.fifos {
 		r.fifos[i] = fifo.NewRing[*atm.Cell](cfg.RxFifoDepth)
@@ -237,8 +235,8 @@ func (r *receiver) engineFor(vc atm.VC) int {
 	if len(r.engs) == 1 {
 		return 0
 	}
-	if e, ok := r.steer[vc]; ok {
-		return e
+	if idx, _, ok := r.lookup.Lookup(vc); ok {
+		return r.vcs[idx].eng
 	}
 	return 0
 }
@@ -249,7 +247,8 @@ func (r *receiver) open(vc atm.VC) error {
 	if err != nil {
 		return err
 	}
-	st := &rxVC{vc: vc, vst: r.reg.VC(vc.VPI, vc.VCI)}
+	st := &rxVC{vc: vc, vst: r.reg.VC(vc.VPI, vc.VCI), eng: r.nextSteer % len(r.engs)}
+	r.nextSteer++
 	if r.cfg.MIDMux {
 		st.ras = aal.NewMIDReassembler34(r.cfg.MaxSDU+64, 0)
 		st.mids = make(map[uint16]*rxSlot)
@@ -263,8 +262,6 @@ func (r *receiver) open(vc atm.VC) error {
 		st.ras.SetClock(r.clockFn)
 	}
 	r.vcs[idx] = st
-	r.steer[vc] = r.nextSteer % len(r.engs)
-	r.nextSteer++
 	return nil
 }
 
@@ -274,15 +271,13 @@ func (r *receiver) close(vc atm.VC) {
 	if !ok {
 		return
 	}
-	if st := r.vcs[idx]; st != nil {
-		st.ras.Abort()
-		st.rxSlot.discard()
-		for _, sl := range st.mids {
-			sl.discard()
-		}
+	st := r.vcs[idx]
+	st.ras.Abort()
+	st.rxSlot.discard()
+	for _, sl := range st.mids {
+		sl.discard()
 	}
-	delete(r.vcs, idx)
-	delete(r.steer, vc)
+	r.vcs[idx] = nil
 	r.lookup.Remove(vc)
 }
 
@@ -503,14 +498,11 @@ func (r *receiver) armGC() {
 func (r *receiver) gcTick() {
 	r.gcArmed = false
 	cutoff := int64(r.k.Now()) - int64(r.cfg.ReassemblyTimeout)
-	idxs := make([]int, 0, len(r.vcs))
-	for idx := range r.vcs {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
 	busy := false
-	for _, idx := range idxs {
-		st := r.vcs[idx]
+	for _, st := range r.vcs {
+		if st == nil {
+			continue
+		}
 		if n := st.ras.ExpireStale(cutoff); n > 0 {
 			r.mStale.Add(uint64(n))
 			// A slot's buffer is released only when the reap emptied its

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"slices"
+
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/bus"
@@ -35,6 +37,12 @@ type txVC struct {
 	pending []*txDesc
 	seg     aal.Segmenter
 	vst     *metrics.VCStats
+
+	// closed is set when the VC is closed. A descriptor resolved to this
+	// record before the close looks the VC up again (it may have been
+	// reopened), and a frame still draining retires from the round-robin
+	// when it completes.
+	closed bool
 
 	active    bool
 	desc      *txDesc // the frame in progress
@@ -95,6 +103,12 @@ type transmitter struct {
 	vcs   map[atm.VC]*txVC
 	order []*txVC // round-robin order (registration order)
 	rr    int     // next round-robin index
+
+	// Work counts, so the dispatcher and the cell clock need not scan
+	// order: frames in progress (active VCs in order) and descriptors
+	// queued across all VCs.
+	nActive int
+	nQueued int
 
 	busy        bool // an engine routine is in flight
 	stalled     bool // production blocked on FIFO space
@@ -213,82 +227,54 @@ func (t *transmitter) close(vc atm.VC) {
 	for _, d := range st.pending {
 		d.drop()
 	}
+	t.nQueued -= len(st.pending)
 	st.pending = nil
+	st.closed = true
 	delete(t.vcs, vc)
-	for i, o := range t.order {
-		if o == st {
-			if st.active {
-				// Keep it in the round-robin until its frame drains.
-				break
-			}
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			if t.rr > i {
-				t.rr--
-			}
-			break
-		}
+	if !st.active { // an active VC stays in the round-robin until its frame drains
+		t.unlink(st)
 	}
 }
 
-// setMID stamps the AAL3/4 multiplexing identifier on a VC's segmenter.
-func (t *transmitter) setMID(vc atm.VC, mid uint16) bool {
-	st, ok := t.vcs[vc]
-	if !ok {
-		return false
+// unlink removes st from the round-robin order. The next index stays on
+// the VC that was due next, and wraps to 0 past the end.
+func (t *transmitter) unlink(st *txVC) {
+	i := slices.Index(t.order, st)
+	t.order = slices.Delete(t.order, i, i+1)
+	if t.rr > i {
+		t.rr--
 	}
-	if seg, ok := st.seg.(*aal.Segmenter34); ok {
-		seg.MID = mid
-		return true
+	if t.rr == len(t.order) {
+		t.rr = 0
 	}
-	return false
 }
 
-// setPeakCellRate installs leaky-bucket pacing: at most one cell of this VC
-// per gap. gap 0 restores line rate.
-func (t *transmitter) setPeakCellRate(vc atm.VC, gap sim.Duration) bool {
-	st, ok := t.vcs[vc]
-	if !ok {
-		return false
-	}
-	st.minGap = gap
-	return true
-}
-
-// setContract installs GCRA shaping to a traffic contract (replacing any
+// setShaper installs GCRA shaping to a traffic contract (replacing any
 // plain pacing gap); a nil shaper removes it.
-func (t *transmitter) setContract(vc atm.VC, sh *tm.Shaper) bool {
-	st, ok := t.vcs[vc]
-	if !ok {
-		return false
-	}
+func (st *txVC) setShaper(sh *tm.Shaper) {
 	st.shaper = sh
 	if sh != nil {
 		st.minGap = 0
 	}
-	return true
 }
 
 // enqueue accepts a descriptor (already paid for by the host). It reports
-// false, leaving d to the caller, when d's VC is not open.
+// false, leaving d to the caller, when d's VC is not open. A VC closed
+// while the host was posting is looked up again: if it has been reopened,
+// the descriptor goes to the new VC.
 func (t *transmitter) enqueue(d *txDesc) bool {
-	st, ok := t.vcs[d.vc]
-	if !ok {
-		return false
+	st := d.st
+	if st.closed {
+		if st = t.vcs[st.vc]; st == nil {
+			return false
+		}
+		d.st = st
 	}
 	st.pending = append(st.pending, d)
+	t.nQueued++
 	t.gQueued.Set(int64(len(st.pending)))
 	t.schedule()
 	return true
-}
-
-// anyActive reports whether any VC has a frame in progress.
-func (t *transmitter) anyActive() bool {
-	for _, st := range t.order {
-		if st.active {
-			return true
-		}
-	}
-	return false
 }
 
 // schedule is the transmit engine's dispatcher: one engine routine at a
@@ -312,31 +298,36 @@ func (t *transmitter) schedule() {
 // scheduleStart begins the next pending frame if policy allows; it reports
 // whether a routine was dispatched.
 func (t *transmitter) scheduleStart() bool {
-	if !t.cfg.InterleaveVCs && t.anyActive() {
+	if t.nQueued == 0 || (!t.cfg.InterleaveVCs && t.nActive > 0) {
 		return false
 	}
 	n := len(t.order)
+	idx := t.rr
 	for i := 0; i < n; i++ {
-		st := t.order[(t.rr+i)%n]
-		if st.active || len(st.pending) == 0 {
-			continue
+		if st := t.order[idx]; !st.active && len(st.pending) > 0 {
+			t.runStart(st)
+			return true
 		}
-		t.runStart(st)
-		return true
+		if idx++; idx == n {
+			idx = 0
+		}
 	}
 	return false
 }
 
 // scheduleCell runs the per-cell firmware for the next eligible active VC.
 func (t *transmitter) scheduleCell() {
-	n := len(t.order)
-	if n == 0 {
+	if t.nActive == 0 {
 		return
 	}
+	n := len(t.order)
+	idx := t.rr
 	earliest := sim.Never
 	now := t.k.Now()
-	for i := 0; i < n; i++ {
-		idx := (t.rr + i) % n
+	for i := 0; i < n; i, idx = i+1, idx+1 {
+		if idx == n {
+			idx = 0
+		}
 		st := t.order[idx]
 		if !st.active || st.awaitDMA {
 			continue
@@ -357,7 +348,9 @@ func (t *transmitter) scheduleCell() {
 			t.mDMAWaits.Inc()
 			continue
 		}
-		t.rr = (idx + 1) % n
+		if t.rr = idx + 1; t.rr == n {
+			t.rr = 0
+		}
 		t.runCell(st)
 		return
 	}
@@ -391,6 +384,7 @@ func (t *transmitter) runStart(st *txVC) {
 	t.curSt = st
 	t.curDesc = st.pending[0]
 	st.pending = st.pending[:copy(st.pending, st.pending[1:])]
+	t.nQueued--
 	instr := txStartInstr
 	if t.cfg.AAL == aal.AAL34 {
 		instr += txStartAAL34Extra
@@ -403,11 +397,19 @@ func (t *transmitter) startDone() {
 	st, d := t.curSt, t.curDesc
 	t.curSt, t.curDesc = nil, nil
 	t.busy = false
+	if st.closed {
+		// The VC closed while the start routine ran: the descriptor is
+		// dropped like the ones still queued, and no cell of it is sent.
+		d.drop()
+		t.schedule()
+		return
+	}
 	cells, err := st.seg.Begin(d.sdu)
 	if err != nil {
 		panic("nic: segmenter rejected validated SDU: " + err.Error())
 	}
 	st.active = true
+	t.nActive++
 	st.desc = d
 	st.cellsLeft = cells
 	st.cellIdx = 0
@@ -509,18 +511,11 @@ func (t *transmitter) doneDone() {
 	d := st.desc
 	st.vst.AddSDUOut(len(d.sdu))
 	st.active = false
+	t.nActive--
 	st.desc = nil
-	if _, open := t.vcs[st.vc]; !open {
+	if st.closed {
 		// The VC was closed mid-frame; retire it from round-robin.
-		for i, o := range t.order {
-			if o == st {
-				t.order = append(t.order[:i], t.order[i+1:]...)
-				if t.rr > i {
-					t.rr--
-				}
-				break
-			}
-		}
+		t.unlink(st)
 	}
 	// The segmenter dropped its reference on the final cell, so Send's
 	// copy can recycle as the host is interrupted.
@@ -556,14 +551,7 @@ func (t *transmitter) push(c *atm.Cell) bool {
 }
 
 // pendingWork reports whether anything remains to transmit.
-func (t *transmitter) pendingWork() bool {
-	for _, st := range t.order {
-		if st.active || len(st.pending) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (t *transmitter) pendingWork() bool { return t.nActive > 0 || t.nQueued > 0 }
 
 // startClock ensures the cell clock is ticking; it stops itself when idle
 // so simulations terminate.

@@ -278,6 +278,60 @@ func TestCloseVCWhilePosting(t *testing.T) {
 	requireSendsRetired(t, r.a, 8)
 }
 
+// A VC closed and reopened while the host is still posting a descriptor
+// for it: the descriptor goes to the reopened VC and its SDU is sent.
+func TestCloseReopenWhilePosting(t *testing.T) {
+	r := newRig(t, nil)
+	vc := atm.VC{VCI: 3}
+	r.a.OpenVC(vc)
+	r.b.OpenVC(vc)
+	sent := 0
+	sdu := pkt(9180)
+	r.a.Send(vc, sdu, func() { sent++ })
+	r.k.RunUntil(200_000) // the host stack is still on the SDU (about 211 µs)
+	r.a.CloseVC(vc)
+	if err := r.a.OpenVC(vc); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Run()
+	if got := r.a.Stats().Tx.Packets; got != 1 || sent != 1 {
+		t.Fatalf("after reopen: %d packets sent, onSent fired %d times; want 1 and 1", got, sent)
+	}
+	if len(r.received) != 1 || !bytes.Equal(r.received[0].SDU, sdu) {
+		t.Fatalf("far end received %d SDUs, want the one sent", len(r.received))
+	}
+	requireSendsRetired(t, r.a, 1)
+}
+
+// A VC closed while its frame's start routine runs drops the descriptor
+// like a queued one: no cell is sent, onSent does not fire, Send's copy
+// recycles and the transmitter goes idle.
+func TestCloseVCDuringStartRoutine(t *testing.T) {
+	r := newRig(t, nil)
+	tap := tapRig(r)
+	vc := atm.VC{VCI: 3}
+	r.a.OpenVC(vc)
+	r.b.OpenVC(vc)
+	sent := 0
+	r.a.Send(vc, pkt(100), func() { sent++ })
+	for now := sim.Time(0); r.a.tx.curDesc == nil; now += 10 {
+		if now > sim.Millisecond {
+			t.Fatal("the start routine never ran")
+		}
+		r.k.RunUntil(now)
+	}
+	r.a.CloseVC(vc)
+	r.k.Run()
+	if st := r.a.Stats().Tx; st.Packets != 0 || st.Bytes != 0 || sent != 0 || len(tap.vc) != 0 {
+		t.Fatalf("after close: %d packets, %d bytes, %d cells sent, onSent fired %d times; want none",
+			st.Packets, st.Bytes, len(tap.vc), sent)
+	}
+	if r.a.tx.pendingWork() {
+		t.Fatal("transmitter still has work after the dropped frame")
+	}
+	requireSendsRetired(t, r.a, 1)
+}
+
 func TestInterleaveWithAAL34(t *testing.T) {
 	r := newRig(t, func(cfg *Config) {
 		cfg.InterleaveVCs = true

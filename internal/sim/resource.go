@@ -15,14 +15,11 @@ type Resource struct {
 	queue     ring[pendingUse]
 	queuedDur Duration // sum of the queued requests' service durations
 
-	// Completion plumbing for the zero-alloc hot path: each in-service
-	// request parks its done callback here and schedules the pre-bound
-	// completeFn through Post, so steady-state service costs no closure
-	// and no Event allocation. Completions fire in schedule order, so the
-	// FIFO stays aligned even when a zero-duration service lets a second
-	// request begin in the same tick.
-	inflight   ring[func()]
-	completeFn func()
+	// completeFn is the bound complete method. Each service's completion
+	// event carries its own done callback as the event's argument, queued
+	// under the key Post would give it (ReserveSeq, PostBoundary), so
+	// steady-state service costs no closure and no Event allocation.
+	completeFn func(any)
 
 	// Accounting.
 	busyTime  Duration // total time spent serving
@@ -79,14 +76,14 @@ func (r *Resource) begin(now Time, dur Duration, done func()) Time {
 	r.busyUntil = now + dur
 	r.busyTime += dur
 	r.served++
-	r.inflight.push(done)
-	r.k.Post(r.busyUntil, r.completeFn)
+	k := r.k
+	k.PostBoundary(r.busyUntil, now, k.Lane(), k.ReserveSeq(), r.completeFn, done)
 	return r.busyUntil
 }
 
-func (r *Resource) complete() {
-	done := r.inflight.pop()
-	if done != nil {
+// complete ends one service: done is the callback Use was given.
+func (r *Resource) complete(done any) {
+	if done := done.(func()); done != nil {
 		done()
 	}
 	r.next()

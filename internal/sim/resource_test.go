@@ -177,7 +177,7 @@ func TestResourceDeepBacklog(t *testing.T) {
 }
 
 // TestResourceRingBounded keeps a constant backlog for many service times:
-// the queue never drains, yet its backing arrays stay within twice the peak
+// the queue never drains, yet its backing array stays within twice the peak
 // and steady-state requests allocate nothing.
 func TestResourceRingBounded(t *testing.T) {
 	const depth = 100
@@ -198,9 +198,6 @@ func TestResourceRingBounded(t *testing.T) {
 	}
 	if c := len(r.queue.buf); c > 2*depth {
 		t.Fatalf("queue backing array %d slots for a %d-deep backlog", c, depth)
-	}
-	if c := len(r.inflight.buf); c > 8 {
-		t.Fatalf("inflight backing array %d slots, want <= 8", c)
 	}
 }
 

@@ -294,8 +294,9 @@ func (k *Kernel) newPooled() *Event {
 // without queuing anything: it consumes k.seq exactly as Post does, so no
 // other event's key changes. The caller queues the event later, under the
 // key (at, now, lane, seq), with PostBoundary. Mailbox.Post reserves keys
-// for cross-partition cells this way, and phy.CellDeferrer for the cells it
-// holds back in its delay line.
+// for cross-partition cells this way, phy.CellDeferrer for the cells it
+// holds back in its delay line, and Resource for each completion, whose
+// event carries the completion's callback as its argument.
 func (k *Kernel) ReserveSeq() uint64 {
 	seq := k.seq
 	k.seq++
@@ -305,10 +306,10 @@ func (k *Kernel) ReserveSeq() uint64 {
 // PostBoundary schedules an event under an explicit dispatch key: pt is the
 // virtual time the event was scheduled, lane the scheduling partition's
 // rank, seq a sequence number reserved with ReserveSeq on that partition's
-// kernel. It is how a key reserved earlier — by a cross-partition Mailbox or
-// a delay line — is queued. The callback is the closure-free afn(arg) pair
-// so cell hand-offs do not allocate; like Post, the event is recycled at
-// dispatch.
+// kernel. It is how any event under a reserved key is queued: a
+// cross-partition Mailbox's, a delay line's or a Resource completion's. The
+// callback is the closure-free afn(arg) pair so hand-offs do not allocate;
+// like Post, the event is recycled at dispatch.
 func (k *Kernel) PostBoundary(at, pt Time, lane int32, seq uint64, afn func(any), arg any) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: boundary event at %v before now %v (lookahead violated)", at, k.now))

@@ -51,10 +51,12 @@ type Strategy interface {
 // wait one match cycle, read the index register.
 const camCycles = 3
 
-// CAM models a hardware content-addressable memory of fixed capacity.
+// CAM models a hardware content-addressable memory of fixed capacity. Its
+// match store is a Table sized for the capacity, so a match never grows it.
 type CAM struct {
-	byVC  map[atm.VC]int
+	match Table
 	inUse []bool
+	free  int // every index below free is in use
 }
 
 // NewCAM returns a CAM with the given number of entries (the board-class
@@ -63,46 +65,51 @@ func NewCAM(capacity int) *CAM {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("vclookup: invalid CAM capacity %d", capacity))
 	}
-	return &CAM{byVC: make(map[atm.VC]int, capacity), inUse: make([]bool, capacity)}
+	c := &CAM{inUse: make([]bool, capacity)}
+	c.match.resize(capacity)
+	return c
 }
 
 // Name implements Strategy.
 func (c *CAM) Name() string { return "cam" }
 
 // Len implements Strategy.
-func (c *CAM) Len() int { return len(c.byVC) }
+func (c *CAM) Len() int { return c.match.Len() }
 
 // Cap implements Strategy.
 func (c *CAM) Cap() int { return len(c.inUse) }
 
-// Insert implements Strategy.
+// Insert implements Strategy. The VC gets the lowest free index.
 func (c *CAM) Insert(vc atm.VC) (int, error) {
-	if _, dup := c.byVC[vc]; dup {
+	if _, dup := c.match.Get(vc); dup {
 		return 0, ErrDuplicate
 	}
-	for i, used := range c.inUse {
-		if !used {
+	for i := c.free; i < len(c.inUse); i++ {
+		if !c.inUse[i] {
 			c.inUse[i] = true
-			c.byVC[vc] = i
+			c.free = i + 1
+			c.match.Put(vc, int32(i))
 			return i, nil
 		}
 	}
+	c.free = len(c.inUse)
 	return 0, ErrFull
 }
 
 // Remove implements Strategy.
 func (c *CAM) Remove(vc atm.VC) {
-	if i, ok := c.byVC[vc]; ok {
+	if i, ok := c.match.Get(vc); ok {
 		c.inUse[i] = false
-		delete(c.byVC, vc)
+		c.free = min(c.free, int(i))
+		c.match.Delete(vc)
 	}
 }
 
 // Lookup implements Strategy. Hardware match: constant cycles regardless of
 // occupancy — the flat line in E6.
 func (c *CAM) Lookup(vc atm.VC) (int, int, bool) {
-	i, ok := c.byVC[vc]
-	return i, camCycles, ok
+	i, ok := c.match.Get(vc)
+	return int(i), camCycles, ok
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ package vclookup
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -403,5 +405,156 @@ func BenchmarkLookup64k(b *testing.B) {
 			}
 			b.ReportMetric(float64(totalCycles)/float64(b.N), "engine-cycles")
 		})
+	}
+}
+
+// camKeys is the label space of the CAM model checks: sixteen labels, so
+// a tiny CAM's 8- or 16-slot match table sees collisions, wrapped probe
+// chains and removals in the middle of a chain.
+const camKeys = 16
+
+func camKey(k int) atm.VC {
+	return atm.VC{VPI: uint16(k % 3), VCI: uint16(32 + 7*(k%camKeys))}
+}
+
+// checkCAM drives a CAM of the given capacity through ops, each an
+// insert (kind 0), remove (kind 1) or lookup (kind 2) of label key, and
+// checks every step against a reference model: an insert gets the lowest
+// free index, or ErrDuplicate, or ErrFull when every index is taken; after
+// every step each label resolves as the model says and Len agrees.
+func checkCAM(capacity int, kinds, keys []uint8) error {
+	c := NewCAM(capacity)
+	model := map[atm.VC]int{}
+	used := make([]bool, capacity)
+	for step := range kinds {
+		vc := camKey(int(keys[step]))
+		switch kinds[step] % 3 {
+		case 0:
+			idx, err := c.Insert(vc)
+			_, dup := model[vc]
+			lowest := slices.Index(used, false)
+			switch {
+			case dup:
+				if !errors.Is(err, ErrDuplicate) {
+					return fmt.Errorf("step %d: duplicate insert of %v: err %v", step, vc, err)
+				}
+			case lowest < 0:
+				if !errors.Is(err, ErrFull) {
+					return fmt.Errorf("step %d: insert of %v into a full CAM: err %v", step, vc, err)
+				}
+			case err != nil || idx != lowest:
+				return fmt.Errorf("step %d: insert of %v = (%d, %v), want the lowest free index %d", step, vc, idx, err, lowest)
+			default:
+				model[vc] = idx
+				used[idx] = true
+			}
+		case 1:
+			c.Remove(vc)
+			if idx, ok := model[vc]; ok {
+				used[idx] = false
+				delete(model, vc)
+			}
+		}
+		for k := 0; k < camKeys; k++ {
+			vc := camKey(k)
+			got, cycles, ok := c.Lookup(vc)
+			want, present := model[vc]
+			if ok != present || (ok && got != want) || cycles != camCycles {
+				return fmt.Errorf("step %d: lookup %v = (%d, %d cycles, %v), want (%d, %d, %v)",
+					step, vc, got, cycles, ok, want, camCycles, present)
+			}
+		}
+		if c.Len() != len(model) {
+			return fmt.Errorf("step %d: Len = %d, want %d", step, c.Len(), len(model))
+		}
+	}
+	return nil
+}
+
+// Property: a tiny CAM agrees with the reference model under random
+// insert/remove/lookup sequences.
+func TestPropertyCAMMatchesModel(t *testing.T) {
+	f := func(capacity uint8, kinds, keys []uint8) bool {
+		n := min(len(kinds), len(keys))
+		if err := checkCAM(1+int(capacity%6), kinds[:n], keys[:n]); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a Table that starts empty and grows agrees with a map under
+// random puts (new and replacing) and deletes.
+func TestPropertyTableMatchesMap(t *testing.T) {
+	f := func(ops []uint16) bool {
+		var tab Table
+		model := map[atm.VC]int32{}
+		for step, o := range ops {
+			vc := camKey(int(o % 24)) // 24 labels: the table grows from 8 to 64 slots
+			if o&0x8000 != 0 {
+				tab.Delete(vc)
+				delete(model, vc)
+			} else {
+				tab.Put(vc, int32(step))
+				model[vc] = int32(step)
+			}
+			for k := 0; k < 24; k++ {
+				vc := camKey(k)
+				got, ok := tab.Get(vc)
+				want, present := model[vc]
+				if ok != present || (ok && got != want) {
+					t.Logf("step %d: Get(%v) = (%d, %v), want (%d, %v)", step, vc, got, ok, want, present)
+					return false
+				}
+			}
+			if tab.Len() != len(model) {
+				t.Logf("step %d: Len = %d, want %d", step, tab.Len(), len(model))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A probe chain that wraps from the table's last slot to its first
+// survives removal of any of its entries.
+func TestTableWrappedChainRemoval(t *testing.T) {
+	var probe Table
+	probe.resize(4) // 8 slots
+	var last, first []atm.VC
+	for vci := uint16(1); len(last) < 3 || len(first) < 1; vci++ {
+		vc := atm.VC{VCI: vci}
+		switch probe.home(packVC(vc)) {
+		case 7:
+			last = append(last, vc)
+		case 0:
+			first = append(first, vc)
+		}
+	}
+	// last[0..2] fill slots 7, 0 and 1; first[0], homed at 0, lands in 2.
+	chain := []atm.VC{last[0], last[1], last[2], first[0]}
+	for victim := range chain {
+		var tab Table
+		tab.resize(4)
+		for i, vc := range chain {
+			tab.Put(vc, int32(i))
+		}
+		tab.Delete(chain[victim])
+		for i, vc := range chain {
+			got, ok := tab.Get(vc)
+			if want := i != victim; ok != want || (ok && got != int32(i)) {
+				t.Fatalf("after removing %v: Get(%v) = (%d, %v), want (%d, %v)", chain[victim], vc, got, ok, i, want)
+			}
+		}
+		if tab.Len() != len(chain)-1 {
+			t.Fatalf("Len = %d after one removal, want %d", tab.Len(), len(chain)-1)
+		}
 	}
 }
