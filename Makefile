@@ -72,6 +72,7 @@ FUZZ_TARGETS = \
 	./internal/sonet:FuzzDeframer \
 	./internal/crc:FuzzHECCheck \
 	./internal/crc:FuzzCRC32 \
+	./internal/crc:FuzzCRC10 \
 	./internal/atm:FuzzCellDecode \
 	./internal/atm:FuzzRMDecode \
 	./internal/oam:FuzzOAMDecode \

@@ -4,20 +4,24 @@
 //   - HEC: the 8-bit header error control over the first four header bytes
 //     of every cell, generator x⁸+x²+x+1 with the ITU coset 0x55 added, able
 //     to correct any single-bit header error;
-//   - CRC-10: the per-cell SAR payload check used by AAL3/4, generator
-//     x¹⁰+x⁹+x⁵+x⁴+x+1;
+//   - CRC-10: the per-cell SAR payload check used by AAL3/4, and by OAM and
+//     RM cells, generator x¹⁰+x⁹+x⁵+x⁴+x+1;
 //   - CRC-32: the AAL5 CPCS trailer check, the IEEE 802.3 polynomial applied
 //     MSB-first with pre- and post-inversion, as I.363 specifies.
 //
 // Each check has a bitwise reference implementation and a fast
 // implementation; the tests cross-validate them. The HEC's four header bytes
-// go through four independent slicing tables at once (slicing-by-4) and
-// CRC-10 is byte-table driven. CRC-32 folds 16-byte blocks with carry-less
-// multiplies on amd64 hosts that have PCLMULQDQ (crc32_amd64.s) and takes
-// eight bytes per step (slicing-by-8) everywhere else and for a tail
-// shorter than 16 bytes. On the real adapter these are dedicated hardware,
-// so the simulator charges them zero engine cycles — but the bytes still
-// have to be right for frames to survive the wire model.
+// go through four independent slicing tables at once (slicing-by-4). On
+// amd64 hosts that have PCLMULQDQ, a CRC-32 or CRC-10 over 16 bytes or more
+// runs through one carry-less-multiply kernel (crc32_amd64.s), which folds
+// 16-byte blocks, folds a final partial block in registers and finishes with
+// a Barrett reduction, so it reads no table; CRC-10 takes it with its
+// generator shifted up to degree 32. Shorter inputs, and every input
+// elsewhere, go eight bytes per step through slicing tables (CRC-32) or a
+// byte per step through a byte table (CRC-10). On the real adapter these
+// are dedicated hardware, so the simulator charges them zero engine cycles
+// — but the bytes still have to be right for frames to survive the wire
+// model.
 package crc
 
 // ---------------------------------------------------------------------------
@@ -142,7 +146,7 @@ func HECCheck(h *[5]byte) (ok, corrected bool) {
 // ---------------------------------------------------------------------------
 // CRC-10 (AAL3/4 SAR payload)
 
-// crc10Poly is x¹⁰+x⁹+x⁵+x⁴+x+1 with x¹⁰ implicit: 0b11_0011_0011.
+// crc10Poly is x¹⁰+x⁹+x⁵+x⁴+x+1, every term included: 0b110_0011_0011.
 const crc10Poly = 0x633
 
 var crc10Table [256]uint16
@@ -162,9 +166,21 @@ func init() {
 	}
 }
 
+// crc10Consts drives the carry-less-multiply kernel for CRC-10. With
+// P′ = P·x²², of degree 32, (M·x³²) mod P′ = x²²·((M·x¹⁰) mod P) for any
+// message M, so the kernel advances a CRC-10 register held in the top ten
+// bits of its 32.
+var crc10Consts = newClmulConsts(crc10Poly << 22)
+
 // CRC10 computes the 10-bit SAR check over p, initial register zero.
-func CRC10(p []byte) uint16 {
-	var crc uint16
+func CRC10(p []byte) uint16 { return crc10Bytes(0, p) }
+
+// crc10Bytes advances the register over the bytes of p: in one kernel call
+// from foldMin bytes on, else a byte per step through the table.
+func crc10Bytes(crc uint16, p []byte) uint16 {
+	if len(p) >= foldMin {
+		return uint16(clmulCRC(uint32(crc)<<22, p, &crc10Consts) >> 22)
+	}
 	for _, b := range p {
 		crc = (crc<<8)&0x3ff ^ crc10Table[byte(crc>>2)^b]
 	}
@@ -187,20 +203,15 @@ func CRC10Bitwise(p []byte) uint16 {
 	return crc
 }
 
-// crc10Bits advances the register over the most-significant nbits bits of p.
+// crc10Bits advances the register over the most-significant nbits bits of
+// p. The fewer than eight bits past the last whole byte are walked one at a
+// time, without a branch on the data.
 func crc10Bits(crc uint16, p []byte, nbits int) uint16 {
-	i := 0
-	for ; nbits >= 8; nbits -= 8 {
-		crc = (crc<<8)&0x3ff ^ crc10Table[byte(crc>>2)^p[i]]
-		i++
-	}
-	for b := 0; b < nbits; b++ {
-		bit := (p[i] >> (7 - b)) & 1
-		top := (crc >> 9) & 1
-		crc = (crc << 1) & 0x3ff
-		if top^uint16(bit) != 0 {
-			crc ^= crc10Poly & 0x3ff
-		}
+	n := nbits / 8
+	crc = crc10Bytes(crc, p[:n])
+	for b := 0; b < nbits%8; b++ {
+		top := (crc>>9 ^ uint16(p[n]>>(7-b))) & 1
+		crc = (crc<<1)&0x3ff ^ crc10Poly&0x3ff&-top
 	}
 	return crc
 }
@@ -221,15 +232,13 @@ func CRC10Fill(pdu []byte) {
 }
 
 // CRC10Check reports whether a PDU whose trailing 10 bits carry its CRC-10
-// (as written by CRC10Fill) verifies.
+// (as written by CRC10Fill) verifies. It tests the residue: with M the
+// covered bits and C the field, the CRC-10 of the whole PDU is
+// (M·x¹⁰ + C)·x¹⁰ ≡ (CRC(M) + C)·x¹⁰ mod P. P has a constant term, so x is
+// invertible mod P, and that is zero exactly when C = CRC(M). So the check
+// runs over whole bytes and walks no bits.
 func CRC10Check(pdu []byte) bool {
-	if len(pdu) < 2 {
-		return false
-	}
-	n := len(pdu)
-	c := crc10Bits(0, pdu, n*8-10)
-	got := uint16(pdu[n-2]&0x03)<<8 | uint16(pdu[n-1])
-	return c == got
+	return len(pdu) >= 2 && CRC10(pdu) == 0
 }
 
 // ---------------------------------------------------------------------------
@@ -279,19 +288,14 @@ func CRC32(p []byte) uint32 {
 // Start from 0xffffffff; complement the final value to get the transmitted
 // CRC. The AAL5 reassembler makes one call per frame, over the whole
 // CPCS-PDU but its last four bytes; the segmenter, which holds the PDU in
-// pieces, makes one per piece. On amd64 hosts with PCLMULQDQ, an input of
-// 32 bytes or more has its largest multiple-of-16 prefix folded by
-// carry-less multiplies into a 128-bit F congruent to that prefix (seeded
-// with the register) modulo P. The register is then F·x³² mod P: two
-// slicing-by-8 steps over F's big-endian words from a zero register. The
-// tail, and every input elsewhere, goes through the slicing-by-8 loop. The
-// tests pin both paths against the bit-serial reference.
+// pieces, makes one per piece. On amd64 hosts with PCLMULQDQ an input of
+// foldMin (16) bytes or more goes to the carry-less-multiply kernel in one
+// call; shorter inputs, and every input elsewhere, go through the
+// slicing-by-8 loop. The tests pin both paths against the bit-serial
+// reference.
 func CRC32Update(crc uint32, p []byte) uint32 {
 	if len(p) >= foldMin {
-		n := len(p) &^ 15
-		hi, lo := foldBE(crc, p[:n], &fold)
-		crc = crc32Word(crc32Word(0, hi), lo)
-		p = p[n:]
+		return clmulCRC(crc, p, &crc32Consts)
 	}
 	return crc32Slicing(crc, p)
 }
@@ -317,44 +321,63 @@ func crc32Slicing(crc uint32, p []byte) uint32 {
 	return crc
 }
 
-// crc32Word is one slicing-by-8 step over the big-endian bytes of w. It
-// finishes the fold from registers: storing F to a 16-byte array for
-// crc32Slicing costs about 6 ns more per call.
-func crc32Word(crc uint32, w uint64) uint32 {
-	crc ^= uint32(w >> 32)
-	return crc32Slice[7][byte(crc>>24)] ^
-		crc32Slice[6][byte(crc>>16)] ^
-		crc32Slice[5][byte(crc>>8)] ^
-		crc32Slice[4][byte(crc)] ^
-		crc32Slice[3][byte(w>>24)] ^
-		crc32Slice[2][byte(w>>16)] ^
-		crc32Slice[1][byte(w>>8)] ^
-		crc32Slice[0][byte(w)]
+// crc32Consts drives the carry-less-multiply kernel for CRC-32.
+var crc32Consts = newClmulConsts(1<<32 | crc32Poly)
+
+// clmulConsts is what the carry-less-multiply kernel reads, by pointer, for
+// one generator P of degree 32; crc32_amd64.s names its fields by offset. A
+// 16-byte block loaded through swap reads as a polynomial of degree < 128
+// whose x¹²⁷ coefficient is the MSB of its first byte. An accumulator
+// A = A_hi·x⁶⁴ + A_lo moves n bits ahead as A_hi·(x^(n+64) mod P) ⊕
+// A_lo·(x^n mod P): each product has degree < 96, so the result is again
+// one block.
+type clmulConsts struct {
+	swap    [16]byte  // PSHUFB mask that reverses a block's bytes
+	k512    [2]uint64 // x⁵¹² mod P, x⁵⁷⁶ mod P: four accumulators, 64 bytes apart
+	k128    [2]uint64 // x¹²⁸ mod P, x¹⁹² mod P: one block ahead
+	k96     [2]uint64 // x⁹⁶ mod P, x⁶⁴ mod P: the finish's folds to 96 and 64 bits
+	barrett [2]uint64 // µ = ⌊x⁶⁴/P⌋ and P, for the Barrett reduction
+	shift   [48]byte  // 16 × 0x80, 0…15, 16 × 0x80: PSHUFB byte shifts of a block
+	keep    [32]byte  // 16 × 0xff, 16 × 0x00: keeps a block's low bytes
 }
 
-// foldConsts is what the fold kernel reads, by pointer. A 16-byte block
-// loaded through swap reads as a polynomial of degree < 128 whose x¹²⁷
-// coefficient is the MSB of its first byte. An accumulator A = A_hi·x⁶⁴ +
-// A_lo moves n bits ahead as A_hi·(x^(n+64) mod P) ⊕ A_lo·(x^n mod P):
-// each product has degree < 96, so the result is again one block.
-type foldConsts struct {
-	swap [16]byte  // PSHUFB mask that reverses a block's bytes
-	k512 [2]uint64 // x⁵¹² mod P, x⁵⁷⁶ mod P: four accumulators, 64 bytes apart
-	k128 [2]uint64 // x¹²⁸ mod P, x¹⁹² mod P: one block ahead
-}
-
-var fold foldConsts
-
-func init() {
-	for i := range fold.swap {
-		fold.swap[i] = byte(len(fold.swap) - 1 - i)
+// newClmulConsts derives the kernel's constants for the generator p, whose
+// x³² coefficient is set, by plain polynomial arithmetic. It reads no table,
+// so package initialization may run it before any init function.
+func newClmulConsts(p uint64) clmulConsts {
+	// x^n mod P, one shift and conditional reduction per power of x.
+	xn := func(n int) uint64 {
+		r := uint64(1)
+		for ; n > 0; n-- {
+			r <<= 1
+			if r&(1<<32) != 0 {
+				r ^= p
+			}
+		}
+		return r
 	}
-	// x^n mod P is the register 1 advanced over n/8 zero bytes (the
-	// slicing tables are built by the CRC-32 init above).
-	var zeros [576 / 8]byte
-	xn := func(n int) uint64 { return uint64(crc32Slicing(1, zeros[:n/8])) }
-	fold.k512 = [2]uint64{xn(512), xn(576)}
-	fold.k128 = [2]uint64{xn(128), xn(192)}
+	// µ by long division. Its x³² coefficient is 1, which leaves
+	// x⁶⁴ − x³²·P, of degree < 64; each lower quotient bit clears the
+	// remainder's coefficient 32 places above it.
+	mu, rem := uint64(1)<<32, (p&^(1<<32))<<32
+	for i := 31; i >= 0; i-- {
+		if rem>>(32+i)&1 != 0 {
+			mu |= 1 << i
+			rem ^= p << i
+		}
+	}
+	k := clmulConsts{
+		k512:    [2]uint64{xn(512), xn(576)},
+		k128:    [2]uint64{xn(128), xn(192)},
+		k96:     [2]uint64{xn(96), xn(64)},
+		barrett: [2]uint64{mu, p},
+	}
+	for i := 0; i < 16; i++ {
+		k.swap[i] = byte(15 - i)
+		k.shift[i], k.shift[16+i], k.shift[32+i] = 0x80, byte(i), 0x80
+		k.keep[i] = 0xff
+	}
+	return k
 }
 
 // CRC32Bitwise is the reference bit-serial AAL5 CRC.

@@ -2,20 +2,19 @@ package crc
 
 import "math"
 
-// foldBE folds the 16-byte blocks of p, whose length is a positive multiple
-// of 16, with crc XORed into the top 32 bits of the first block. It returns
-// the 128-bit F, congruent to that message modulo P, as its high and low 64
-// bits (see foldConsts). It is implemented in crc32_amd64.s and needs
-// PCLMULQDQ and SSSE3.
+// clmulCRC advances the register crc over p, which must be at least 16
+// bytes long, modulo the degree-32 generator P whose constants k holds, and
+// returns the new register, (crc·x^(8·len(p)) + p·x³²) mod P. It is
+// implemented in crc32_amd64.s and needs PCLMULQDQ and SSSE3.
 //
 //go:noescape
-func foldBE(crc uint32, p []byte, k *foldConsts) (hi, lo uint64)
+func clmulCRC(crc uint32, p []byte, k *clmulConsts) uint32
 
 // cpuid1ECX returns ECX of CPUID leaf 1.
 func cpuid1ECX() uint32
 
-// foldMin is the shortest input CRC32Update hands to foldBE. Folding pays
-// from two blocks on; a CPU without the instructions never folds.
+// foldMin is the shortest input CRC32Update and the CRC-10 hand to
+// clmulCRC; a CPU without the instructions never takes the kernel.
 var foldMin = math.MaxInt
 
 func init() {
@@ -23,6 +22,6 @@ func init() {
 	// default GOAMD64=v1 promises neither.
 	const pclmulqdq, ssse3 = 1 << 1, 1 << 9
 	if cpuid1ECX()&(pclmulqdq|ssse3) == pclmulqdq|ssse3 {
-		foldMin = 32
+		foldMin = 16
 	}
 }

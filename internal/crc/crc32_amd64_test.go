@@ -10,8 +10,8 @@ import (
 func TestFoldSelected(t *testing.T) {
 	ecx := cpuid1ECX()
 	has := ecx&(1<<1) != 0 && ecx&(1<<9) != 0
-	if has && foldMin != 32 {
-		t.Fatalf("CPUID reports PCLMULQDQ and SSSE3 but foldMin is %d, want 32", foldMin)
+	if has && foldMin != 16 {
+		t.Fatalf("CPUID reports PCLMULQDQ and SSSE3 but foldMin is %d, want 16", foldMin)
 	}
 	if !has && foldMin != math.MaxInt {
 		t.Fatalf("CPUID lacks PCLMULQDQ or SSSE3 but foldMin is %d", foldMin)

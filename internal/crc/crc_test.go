@@ -124,6 +124,46 @@ func TestCRC10MatchesBitwise(t *testing.T) {
 	}
 }
 
+// crc10BitwiseBits is the bit-serial CRC-10 in update form: it advances
+// any initial register over the most-significant nbits bits of p.
+func crc10BitwiseBits(crc uint16, p []byte, nbits int) uint16 {
+	for i := 0; i < nbits; i++ {
+		bit := uint16(p[i/8]>>(7-i%8)) & 1
+		top := crc >> 9 & 1
+		crc = crc << 1 & 0x3ff
+		if top^bit != 0 {
+			crc ^= crc10Poly & 0x3ff
+		}
+	}
+	return crc
+}
+
+// TestCRC10MatchesReference pins crc10Bits (which takes the kernel from
+// foldMin whole bytes on where the CPU allows) and CRC10 against the
+// bit-serial reference at every length 0–200, over whole bytes and over
+// the bit counts the SAR, OAM and RM cells cover (10 bits short) and a
+// 5-bit tail, from random registers.
+func TestCRC10MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	msg := make([]byte, 200)
+	rng.Read(msg)
+	for n := 0; n <= len(msg); n++ {
+		p := msg[:n]
+		if got, want := CRC10(p), CRC10Bitwise(p); got != want {
+			t.Fatalf("len %d: CRC10 %#03x, bitwise %#03x", n, got, want)
+		}
+		for _, nbits := range []int{n * 8, n*8 - 10, n*8 - 3} {
+			if nbits < 0 {
+				continue
+			}
+			seed := uint16(rng.Intn(1 << 10))
+			if got, want := crc10Bits(seed, p, nbits), crc10BitwiseBits(seed, p, nbits); got != want {
+				t.Fatalf("seed %#03x len %d bits %d: crc10Bits %#03x, reference %#03x", seed, n, nbits, got, want)
+			}
+		}
+	}
+}
+
 func TestCRC10Empty(t *testing.T) {
 	if got := CRC10(nil); got != 0 {
 		t.Fatalf("CRC10(nil) = %#x, want 0", got)
@@ -387,11 +427,24 @@ func BenchmarkCRC32Frame(b *testing.B) {
 	}
 }
 
-func BenchmarkCRC10Cell(b *testing.B) {
+// BenchmarkCRC32OneCellFrame is the CRC of a one-cell AAL5 frame: the
+// cell's first 44 bytes, a whole block plus a 12-byte tail.
+func BenchmarkCRC32OneCellFrame(b *testing.B) {
 	p := make([]byte, 44)
-	b.SetBytes(44)
+	b.SetBytes(int64(len(p)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = CRC10(p)
+		_ = CRC32Update(0xffffffff, p)
+	}
+}
+
+// BenchmarkCRC10Cell fills the CRC-10 of a 48-byte SAR, OAM or RM payload:
+// 46 bytes and 6 bits.
+func BenchmarkCRC10Cell(b *testing.B) {
+	p := make([]byte, 48)
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CRC10Fill(p)
 	}
 }

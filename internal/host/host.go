@@ -60,6 +60,11 @@ type Host struct {
 	cfg Config
 	cpu *sim.Resource
 
+	// nsPerInstr is 1e9/InstrRate when that division is exact (40 ns at
+	// the default 25 MIPS), so InstrTime is one multiply; it is zero for
+	// any other rate, which InstrTime divides out each time.
+	nsPerInstr int64
+
 	interrupts uint64
 }
 
@@ -68,7 +73,11 @@ func New(k *sim.Kernel, cfg Config) *Host {
 	if cfg.InstrRate <= 0 {
 		panic("host: non-positive instruction rate")
 	}
-	return &Host{k: k, cfg: cfg, cpu: sim.NewResource(k, "hostcpu")}
+	h := &Host{k: k, cfg: cfg, cpu: sim.NewResource(k, "hostcpu")}
+	if 1_000_000_000%cfg.InstrRate == 0 {
+		h.nsPerInstr = 1_000_000_000 / cfg.InstrRate
+	}
+	return h
 }
 
 // Config returns the host's cost model.
@@ -78,6 +87,9 @@ func (h *Host) Config() Config { return h.cfg }
 func (h *Host) InstrTime(instr int) sim.Duration {
 	if instr <= 0 {
 		return 0
+	}
+	if h.nsPerInstr != 0 {
+		return sim.Duration(int64(instr) * h.nsPerInstr)
 	}
 	ns := int64(instr) * 1_000_000_000 / h.cfg.InstrRate
 	if int64(instr)*1_000_000_000%h.cfg.InstrRate != 0 {

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -28,6 +29,32 @@ func TestInstrTime(t *testing.T) {
 	}
 	if got := h.InstrTime(0); got != 0 {
 		t.Fatalf("InstrTime(0) = %v", int64(got))
+	}
+}
+
+// TestInstrTimeMatchesDivision holds InstrTime to the rounded-up division
+// at rates that divide 1e9, where it multiplies instead, and at rates that
+// do not.
+func TestInstrTimeMatchesDivision(t *testing.T) {
+	div := func(rate int64, instr int) sim.Duration {
+		if instr <= 0 {
+			return 0
+		}
+		return sim.Duration((int64(instr)*1_000_000_000 + rate - 1) / rate)
+	}
+	counts := []int{-1, 1 << 20, 1 << 30, math.MaxInt32}
+	for i := 0; i <= 10_000; i++ {
+		counts = append(counts, i)
+	}
+	for _, rate := range []int64{25_000_000, 1_000_000_000, 33_333_333, 7} {
+		cfg := testCfg()
+		cfg.InstrRate = rate
+		h := New(sim.NewKernel(), cfg)
+		for _, n := range counts {
+			if got, want := h.InstrTime(n), div(rate, n); got != want {
+				t.Fatalf("rate %d: InstrTime(%d) = %d, want %d", rate, n, got, want)
+			}
+		}
 	}
 }
 

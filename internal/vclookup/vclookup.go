@@ -245,35 +245,33 @@ func hashVC(vc atm.VC) uint32 {
 	return x
 }
 
-// Insert implements Strategy.
+// Insert implements Strategy. It takes the first slot on the probe path
+// that holds no VC. The walk ends at an empty slot or after every slot:
+// removals leave tombstones, and churn can tombstone every empty slot.
 func (h *Hash) Insert(vc atm.VC) (int, error) {
 	if h.n == h.maxLoad {
 		return 0, ErrFull
 	}
 	pos := hashVC(vc) & h.mask
-	firstFree := -1
-	for {
+	free := -1
+	for range h.slots {
 		s := &h.slots[pos]
-		switch s.state {
-		case 0:
-			if firstFree >= 0 {
-				s = &h.slots[firstFree]
-			}
-			idx := h.allocIdx()
-			*s = hashSlot{vc: vc, idx: idx, state: 1}
-			h.n++
-			return idx, nil
-		case 2:
-			if firstFree < 0 {
-				firstFree = int(pos)
-			}
-		case 1:
-			if s.vc == vc {
-				return 0, ErrDuplicate
-			}
+		if s.state == 1 && s.vc == vc {
+			return 0, ErrDuplicate
+		}
+		if s.state != 1 && free < 0 {
+			free = int(pos)
+		}
+		if s.state == 0 {
+			break
 		}
 		pos = (pos + 1) & h.mask
 	}
+	// The table is at most half full, so some slot holds no VC.
+	idx := h.allocIdx()
+	h.slots[free] = hashSlot{vc: vc, idx: idx, state: 1}
+	h.n++
+	return idx, nil
 }
 
 func (h *Hash) allocIdx() int {
@@ -287,10 +285,10 @@ func (h *Hash) allocIdx() int {
 	return idx
 }
 
-// Remove implements Strategy.
+// Remove implements Strategy. Like Lookup, it probes at most every slot.
 func (h *Hash) Remove(vc atm.VC) {
 	pos := hashVC(vc) & h.mask
-	for {
+	for range h.slots {
 		s := &h.slots[pos]
 		switch s.state {
 		case 0:
@@ -307,11 +305,12 @@ func (h *Hash) Remove(vc atm.VC) {
 	}
 }
 
-// Lookup implements Strategy: setup plus one probe per slot inspected.
+// Lookup implements Strategy: setup plus one probe per slot inspected. A
+// miss ends at an empty slot or after every slot.
 func (h *Hash) Lookup(vc atm.VC) (int, int, bool) {
 	pos := hashVC(vc) & h.mask
 	probes := 0
-	for {
+	for range h.slots {
 		probes++
 		s := &h.slots[pos]
 		switch s.state {
@@ -324,4 +323,5 @@ func (h *Hash) Lookup(vc atm.VC) (int, int, bool) {
 		}
 		pos = (pos + 1) & h.mask
 	}
+	return 0, hashSetupCycles + probes*hashProbeCycles, false
 }

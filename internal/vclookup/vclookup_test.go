@@ -232,6 +232,40 @@ func TestHashTombstoneChains(t *testing.T) {
 	}
 }
 
+// TestHashChurnEndsProbes churns a four-slot table until every slot that
+// holds no VC is a tombstone; each operation must still end, and the costs
+// charged stay within one walk of the table.
+func TestHashChurnEndsProbes(t *testing.T) {
+	h := NewHash(2)
+	for i := 0; i < 5; i++ {
+		vc := atm.VC{VCI: uint16(i)}
+		if _, err := h.Insert(vc); err != nil {
+			t.Fatalf("insert VCI %d: %v", i, err)
+		}
+		h.Remove(vc)
+	}
+	for _, s := range h.slots {
+		if s.state == 0 {
+			t.Fatal("churn left an empty slot; the test no longer reaches the all-tombstone table")
+		}
+	}
+	absent := atm.VC{VCI: 99}
+	if _, cycles, ok := h.Lookup(absent); ok || cycles != hashSetupCycles+len(h.slots)*hashProbeCycles {
+		t.Fatalf("lookup of an absent VC = %v, %d cycles; want a miss after %d probes", ok, cycles, len(h.slots))
+	}
+	h.Remove(absent)
+	idx, err := h.Insert(absent)
+	if err != nil {
+		t.Fatalf("insert into a tombstoned table: %v", err)
+	}
+	if got, _, ok := h.Lookup(absent); !ok || got != idx {
+		t.Fatalf("lookup after insert = %d, %v; want %d", got, ok, idx)
+	}
+	if _, err := h.Insert(absent); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("second insert: %v, want ErrDuplicate", err)
+	}
+}
+
 func TestInvalidCapacityPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"cam":    func() { NewCAM(0) },
@@ -250,28 +284,41 @@ func TestInvalidCapacityPanics(t *testing.T) {
 }
 
 // Property: all three strategies agree with a map model under a random
-// insert/remove/lookup workload.
+// insert/remove/lookup workload: at capacity 64 with 80 keys, and with
+// insert/remove churn over 8 keys at capacities 1–4, where a hash table is
+// at most eight slots and tombstones fill it.
 func TestPropertyStrategiesMatchMapModel(t *testing.T) {
 	type op struct {
 		Insert bool
 		Key    uint8
 	}
-	f := func(ops []op) bool {
-		ss := strategies(64)
+	check := func(capacity, keys int, ops []op) bool {
+		ss := strategies(capacity)
 		models := []map[atm.VC]int{{}, {}, {}}
 		for _, o := range ops {
-			vc := vcN(int(o.Key) % 80)
+			vc := vcN(int(o.Key) % keys)
 			for i, s := range ss {
 				m := models[i]
 				if o.Insert {
+					// A full table that holds the VC may refuse it
+					// either way: the CAM looks for the duplicate first.
 					id, err := s.Insert(vc)
 					_, dup := m[vc]
+					full := len(m) >= capacity
 					switch {
-					case dup && !errors.Is(err, ErrDuplicate):
-						return false
-					case !dup && len(m) >= 64 && !errors.Is(err, ErrFull):
-						return false
-					case !dup && len(m) < 64:
+					case dup && full:
+						if !errors.Is(err, ErrDuplicate) && !errors.Is(err, ErrFull) {
+							return false
+						}
+					case dup:
+						if !errors.Is(err, ErrDuplicate) {
+							return false
+						}
+					case full:
+						if !errors.Is(err, ErrFull) {
+							return false
+						}
+					default:
 						if err != nil {
 							return false
 						}
@@ -293,8 +340,14 @@ func TestPropertyStrategiesMatchMapModel(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(func(ops []op) bool { return check(64, 80, ops) }, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	for capacity := 1; capacity <= 4; capacity++ {
+		churn := func(ops []op) bool { return check(capacity, 8, ops) }
+		if err := quick.Check(churn, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
 	}
 }
 
