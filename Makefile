@@ -107,11 +107,13 @@ trace-verify:
 	$(GO) run ./cmd/traceverify /tmp/atmbench-e18-trace.json
 
 # verify is the pre-PR gate: formatting, vet, staticcheck (when installed),
-# a full build, the test suite under the race detector, the bench/ module's
-# vet and tests, the trace schema gate, and the portable (non-amd64) build.
+# a full build, the test suite under the race detector in shuffled order (so
+# a test that leans on state another test left behind fails), the bench/
+# module's vet and tests, the trace schema gate, and the portable
+# (non-amd64) build.
 verify: fmt-check vet staticcheck
 	$(GO) build ./...
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 	$(MAKE) bench-check
 	$(MAKE) trace-verify
 	$(MAKE) portable-check

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -70,8 +71,10 @@ func main() {
 		s.AttachSink(link)
 	}
 
+	// The interface lends each SDU to the callback only until it returns,
+	// so the server keeps a copy.
 	received := map[uint16][]byte{}
-	server.OnReceive(func(d nic.Delivered) { received[d.MID] = d.SDU })
+	server.OnReceive(func(d nic.Delivered) { received[d.MID] = bytes.Clone(d.SDU) })
 
 	for i, s := range senders {
 		msg := []byte(fmt.Sprintf("message from access station %d over the shared VC", i))

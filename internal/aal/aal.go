@@ -111,7 +111,8 @@ type Reassembler interface {
 	// The Result and the bytes of its SDU belong to the reassembler and
 	// stay valid only until its next Push or Abort, so a frame costs no
 	// allocation. A caller that keeps the SDU copies it, as the
-	// interface does into the host's receive buffer (nic.Delivered).
+	// interface does into a host receive buffer from its receive pool
+	// (nic.Delivered).
 	Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result, error)
 	// Abort discards any partial frame (e.g. on VC teardown).
 	Abort()

@@ -48,7 +48,7 @@ func newHostSARRig() *hostSARRig {
 	r.rx = sar("rx", r.hRx)
 	link := phy.NewCellLink(k, 10_000, 1, r.rx, pool)
 	r.tx.AttachSink(atm.SinkFunc(link.Send))
-	r.rx.OnReceive(func(d nic.Delivered) { r.received = append(r.received, d.SDU) })
+	r.rx.OnReceive(func(d nic.Delivered) { r.received = append(r.received, bytes.Clone(d.SDU)) })
 	return r
 }
 
@@ -76,7 +76,7 @@ func TestHostSARPerCellInterrupts(t *testing.T) {
 	r.rx.OpenVC(vc)
 	sent := 1
 	r.rx.OnReceive(func(d nic.Delivered) {
-		r.received = append(r.received, d.SDU)
+		r.received = append(r.received, bytes.Clone(d.SDU))
 		if sent < 5 {
 			sent++
 			r.tx.Send(d.VC, pkt(1000), nil)

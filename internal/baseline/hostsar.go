@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/aal"
 	"repro/internal/atm"
+	"repro/internal/bufpool"
 	"repro/internal/bus"
 	"repro/internal/fifo"
 	"repro/internal/host"
@@ -26,6 +27,10 @@ type HostSAR struct {
 	pioTime sim.Duration // wall time of one cell's PIO transfer
 	pool    *atm.Pool
 	out     func(*atm.Cell)
+	// bufs holds Send's copies, each recycled once the segmenter emits
+	// the frame's last cell, and the receive buffers lent to onDeliver.
+	// It is never instrumented.
+	bufs bufpool.Pool
 
 	// Transmit.
 	txFifo     *fifo.Ring[*atm.Cell]
@@ -131,7 +136,7 @@ func (h *HostSAR) Send(vc atm.VC, sdu []byte, onSent func()) error {
 	if len(sdu) == 0 || len(sdu) > h.cfg.MaxSDU {
 		return nic.ErrBadSDU
 	}
-	buf := make([]byte, len(sdu))
+	buf := h.bufs.Get(len(sdu))
 	copy(buf, sdu)
 	h.hst.TxPacket(len(buf), func() {
 		h.sendQ = append(h.sendQ, hostTxJob{vc: vc, sdu: buf, onSent: onSent})
@@ -187,6 +192,7 @@ func (h *HostSAR) txCellLoop(job hostTxJob) {
 			if done {
 				h.stats.Tx.Packets++
 				h.txBusy = false
+				h.bufs.Put(job.sdu)
 				if job.onSent != nil {
 					job.onSent()
 				}
@@ -282,8 +288,11 @@ func (h *HostSAR) rxProcess(cell *atm.Cell) {
 	}
 	if res != nil {
 		// Per-packet stack cost on the final cell. The reassembler's
-		// result lives only until its next Push, so the host keeps a copy.
-		d := nic.Delivered{VC: cell.Header.VC(), SDU: append([]byte(nil), res.SDU...), Cells: res.Cells}
+		// result lives only until its next Push, so the frame moves into
+		// a receive buffer, lent to onDeliver as the interface lends its
+		// own (nic.Delivered.SDU).
+		d := nic.Delivered{VC: cell.Header.VC(), SDU: h.bufs.Get(len(res.SDU)), Cells: res.Cells}
+		copy(d.SDU, res.SDU)
 		h.hst.RxCellInterrupt(len(d.SDU), true, func() {
 			h.stats.Rx.Packets++
 			h.stats.Rx.Bytes += uint64(len(d.SDU))
@@ -291,6 +300,7 @@ func (h *HostSAR) rxProcess(cell *atm.Cell) {
 				d.At = h.k.Now()
 				h.onDeliver(d)
 			}
+			h.bufs.Put(d.SDU)
 		})
 	}
 }

@@ -129,8 +129,9 @@ type VC = atm.VC
 // Packet is a received SDU.
 type Packet struct {
 	VC VC
-	// Data is the interface's receive buffer, which the host owns and may
-	// keep (see nic.Delivered.SDU).
+	// Data is the host's receive buffer, lent to the callback: it is valid
+	// until the callback returns, so a receiver that keeps the bytes copies
+	// them (see nic.Delivered.SDU). Every Options.Arch follows this rule.
 	Data  []byte
 	Cells int
 	At    sim.Time

@@ -18,7 +18,10 @@ func TestTestbedQuickPath(t *testing.T) {
 	vc := VC{VCI: 32}
 	net := pair(t, Options{}, LinkSpec{}, vc)
 	var got []Packet
-	net.Endpoint("b").OnReceive(func(p Packet) { got = append(got, p) })
+	net.Endpoint("b").OnReceive(func(p Packet) {
+		p.Data = bytes.Clone(p.Data)
+		got = append(got, p)
+	})
 	msg := []byte("hello, 1991")
 	if err := net.Endpoint("a").Send(vc, msg, nil); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func buildSpec(t *testing.T, spec NetworkSpec) *Network {
 func TestPerCellPairDelivers(t *testing.T) {
 	net := buildSpec(t, archPair(PerCell, PerCell, LinkSpec{Delay: 1000, Seed: 4}))
 	var got []byte
-	net.Endpoint("b").OnReceive(func(p Packet) { got = p.Data })
+	net.Endpoint("b").OnReceive(func(p Packet) { got = bytes.Clone(p.Data) })
 	payload := bytes.Repeat([]byte{9}, 800)
 	if err := net.Endpoint("a").Send(net.VCC("ab").SourceVC, payload, nil); err != nil {
 		t.Fatal(err)

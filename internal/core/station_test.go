@@ -37,7 +37,7 @@ func TestStationPairEndToEnd(t *testing.T) {
 	net := pair(t, Options{}, LinkSpec{Delay: 5000, Seed: 1}, vc)
 	payload := bytes.Repeat([]byte{0xab}, 3000)
 	var got []byte
-	net.Endpoint("b").OnReceive(func(p Packet) { got = p.Data })
+	net.Endpoint("b").OnReceive(func(p Packet) { got = bytes.Clone(p.Data) })
 	if err := net.Endpoint("a").Send(vc, payload, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPropertyEndToEndIntegrity(t *testing.T) {
 		var sent []msg
 		var recv []msg
 		net.Endpoint("b").OnReceive(func(p Packet) {
-			recv = append(recv, msg{p.VC, p.Data})
+			recv = append(recv, msg{p.VC, bytes.Clone(p.Data)})
 		})
 		for i, s := range sizes {
 			n := int(s)%5000 + 1
@@ -154,38 +154,89 @@ func TestPropertyEndToEndIntegrity(t *testing.T) {
 	}
 }
 
-// After warm-up, one SDU from Send to delivery allocates exactly one
-// object: the receive buffer the host owns (nic.Delivered). The transmit
-// copy, the descriptor records, the cells, the adapter's reassembly pages
-// and the reassembler's result all recycle.
-func TestSendToDeliveryAllocatesOnlyReceiveBuffer(t *testing.T) {
-	for _, size := range []int{40, 9180} {
-		t.Run(fmt.Sprint(size), func(t *testing.T) {
+// Every adapter lends Packet.Data to the callback alone: a slice kept past
+// its callback holds the next frame of its size class once that one is
+// delivered.
+func TestPacketDataIsLent(t *testing.T) {
+	for _, arch := range []Arch{Programmable, Hardwired, PerCell} {
+		vc := VC{VCI: 5}
+		net := pair(t, Options{Arch: arch}, LinkSpec{}, vc)
+		var kept [][]byte
+		net.Endpoint("b").OnReceive(func(p Packet) { kept = append(kept, p.Data) })
+		for _, b := range []byte{0x11, 0x22} {
+			if err := net.Endpoint("a").Send(vc, bytes.Repeat([]byte{b}, 500), nil); err != nil {
+				t.Fatal(err)
+			}
+			net.Run()
+		}
+		if len(kept) != 2 || !bytes.Equal(kept[0], kept[1]) || kept[1][0] != 0x22 {
+			t.Errorf("Arch %d: the first delivery's buffer was not reused for the second", arch)
+		}
+	}
+}
+
+// After warm-up, one SDU from Send to delivery allocates nothing. The
+// transmit copy, the descriptor records, the cells, the adapter's
+// reassembly pages, the reassembler's result and the host's receive buffer,
+// which is lent to the callback (nic.Delivered.SDU), all recycle. The ABR
+// arm is the shape of the small-SDU ABR workload: an ABR connection through
+// a switch port running ERICA into a slower line, with its RM cells.
+func TestSendToDeliveryAllocatesNothing(t *testing.T) {
+	direct := func(arch Arch) func(*testing.T) (*Network, VC) {
+		return func(t *testing.T) (*Network, VC) {
 			vc := VC{VCI: 5}
-			net := pair(t, Options{}, LinkSpec{}, vc)
-			payload := bytes.Repeat([]byte{0x5a}, size)
-			delivered := 0
-			net.Endpoint("b").OnReceive(func(p Packet) {
-				if !bytes.Equal(p.Data, payload) {
-					t.Fatal("delivered payload differs from the one sent")
-				}
-				delivered++
-			})
-			exchange := func() {
-				if err := net.Endpoint("a").Send(vc, payload, nil); err != nil {
-					t.Fatal(err)
-				}
-				net.Run()
-			}
-			exchange()
-			const runs = 50
-			allocs := testing.AllocsPerRun(runs, exchange)
-			if delivered != runs+2 { // the warm-up above and AllocsPerRun's own
-				t.Fatalf("delivered %d SDUs, want %d", delivered, runs+2)
-			}
-			if allocs != 1 {
-				t.Fatalf("%v allocations per %d-byte SDU, want exactly 1 (the host's receive buffer)", allocs, size)
+			return pair(t, Options{Arch: arch}, LinkSpec{}, vc), vc
+		}
+	}
+	abr := func(t *testing.T) (*Network, VC) {
+		net, err := NewNetwork(abrBottleneckSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Switch("sw").SetPortRate(1, Rate155)
+		t.Cleanup(func() {
+			reg := net.Metrics()
+			if reg.Counter("b.nic.abr.turnaround").Value() == 0 || reg.Counter("sw.er_stamped").Value() == 0 {
+				t.Error("the RM loop never ran: no turnaround or no explicit rate stamped")
 			}
 		})
+		return net, net.VCC("flow").SourceVC
+	}
+	for _, arm := range []struct {
+		name  string
+		build func(*testing.T) (*Network, VC) // a sends to b on the VC
+	}{
+		{"programmable", direct(Programmable)},
+		{"hardwired", direct(Hardwired)},
+		{"abr_erica", abr},
+	} {
+		for _, size := range []int{40, 9180} {
+			t.Run(fmt.Sprintf("%s/%d", arm.name, size), func(t *testing.T) {
+				net, vc := arm.build(t)
+				payload := bytes.Repeat([]byte{0x5a}, size)
+				delivered := 0
+				net.Endpoint("b").OnReceive(func(p Packet) {
+					if !bytes.Equal(p.Data, payload) {
+						t.Fatal("delivered payload differs from the one sent")
+					}
+					delivered++
+				})
+				exchange := func() {
+					if err := net.Endpoint("a").Send(vc, payload, nil); err != nil {
+						t.Fatal(err)
+					}
+					net.Run()
+				}
+				exchange()
+				const runs = 50
+				allocs := testing.AllocsPerRun(runs, exchange)
+				if delivered != runs+2 { // the warm-up above and AllocsPerRun's own
+					t.Fatalf("delivered %d SDUs, want %d", delivered, runs+2)
+				}
+				if allocs != 0 {
+					t.Fatalf("%v allocations per %d-byte SDU, want 0", allocs, size)
+				}
+			})
+		}
 	}
 }

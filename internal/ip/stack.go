@@ -4,13 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/atm"
+	"repro/internal/bufpool"
 	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
 // Handler consumes one validated IPv4 datagram delivered on a bound VC.
-// payload aliases the interface's receive buffer, which the host owns (see
-// nic.Delivered.SDU): a handler may keep it without copying.
+// payload aliases the interface's receive buffer, which is lent to the
+// handler and valid only until it returns (see nic.Delivered.SDU): a handler
+// that keeps the bytes copies them.
 type Handler func(h Header, payload []byte, at sim.Time)
 
 // StackStats counts the stack's datapath events.
@@ -27,8 +29,9 @@ type StackStats struct {
 // delivery callback, demultiplexes arriving AAL5 frames by VC, strips the
 // RFC 2684 encapsulation, validates the IPv4 header, and hands the payload
 // to the handler bound on that VC. Transmit is the mirror: one datagram per
-// AAL5 frame, built in place (NewDatagram, SendDatagram) and handed to the
-// interface's zero-copy send path.
+// AAL5 frame, built in place (NewDatagram, SendDatagram) in a frame from the
+// stack's pool, lent to the interface's zero-copy send path and recycled at
+// its transmit-complete interrupt.
 //
 // Exactly one Stack should exist per interface (it registers OnReceive);
 // any number of VCs may be bound on it.
@@ -39,6 +42,39 @@ type Stack struct {
 	bindVCs map[atm.VC]Handler
 	id      uint16
 	stats   StackStats
+
+	// frames recycles datagram frames. It is never instrumented, so the
+	// interface's "nic.bufpool.*" counters stay Send's alone.
+	frames bufpool.Pool
+	// freeSends holds retired send records; the list grows on demand.
+	freeSends *dgramSend
+}
+
+// dgramSend is one datagram on its way out, from SendDatagram to the
+// transmit-complete interrupt, where its frame returns to the pool.
+type dgramSend struct {
+	s      *Stack
+	frame  []byte
+	onSent func()
+	sentFn func() // bound sent, the interface's onSent
+	next   *dgramSend
+}
+
+// sent runs at the transmit-complete interrupt: the frame goes back to the
+// pool and the record to the free list before the caller's onSent runs.
+func (d *dgramSend) sent() {
+	onSent := d.onSent
+	d.s.frames.Put(d.frame)
+	d.retire()
+	if onSent != nil {
+		onSent()
+	}
+}
+
+func (d *dgramSend) retire() {
+	d.frame, d.onSent = nil, nil
+	d.next = d.s.freeSends
+	d.s.freeSends = d
 }
 
 // NewStack attaches a stack to iface with the given encapsulation method
@@ -84,18 +120,23 @@ func (s *Stack) Unbind(vc atm.VC) { delete(s.bindVCs, vc) }
 // payload's place in it. The frame leaves room at its front for the RFC
 // 2684 and IPv4 headers, which SendDatagram writes; the caller builds the
 // payload where it lies, so the datagram is never copied on its way to the
-// interface.
+// interface. The frame comes from the stack's pool, where an earlier
+// datagram's frame returns once it is sent.
 func (s *Stack) NewDatagram(n int) (sdu, payload []byte) {
 	off := s.method.Overhead() + HeaderSize
-	sdu = make([]byte, off+n)
+	sdu = s.frames.Get(off + n)
+	clear(sdu)
 	return sdu, sdu[off:]
 }
 
 // SendDatagram transmits one frame from NewDatagram on vc: it writes the
 // RFC 2684 header and the IPv4 header (proto and dst, with the stack's
-// address as src) in place, and hands the frame to the interface's
-// zero-copy path, which owns it until onSent (may be nil) fires at the
-// transmit-complete interrupt.
+// address as src) in place, and lends the frame to the interface's
+// zero-copy path. The frame then belongs to the stack: it returns to the
+// pool at the transmit-complete interrupt, just before onSent (may be nil)
+// fires, and the caller must not touch it after a successful send. A frame
+// whose descriptor CloseVC drops never fires onSent and is never handed
+// out again. A frame SendDatagram refuses stays the caller's.
 func (s *Stack) SendDatagram(vc atm.VC, proto uint8, dst Addr, sdu []byte, onSent func()) error {
 	oh := s.method.Overhead()
 	n := len(sdu) - oh - HeaderSize
@@ -111,7 +152,17 @@ func (s *Stack) SendDatagram(vc atm.VC, proto uint8, dst Addr, sdu []byte, onSen
 	s.id++
 	h := Header{ID: s.id, Proto: proto, Src: s.addr, Dst: dst}
 	h.Marshal(sdu[oh:], n)
-	if err := s.iface.SendOwned(vc, sdu, onSent); err != nil {
+	d := s.freeSends
+	if d == nil {
+		d = &dgramSend{s: s}
+		d.sentFn = d.sent
+	} else {
+		s.freeSends = d.next
+		d.next = nil
+	}
+	d.frame, d.onSent = sdu, onSent
+	if err := s.iface.SendOwned(vc, sdu, d.sentFn); err != nil {
+		d.retire()
 		return err
 	}
 	s.stats.TxDatagrams++

@@ -147,3 +147,51 @@ func TestStackSendUnknownVC(t *testing.T) {
 		t.Error("send on unopened VC accepted")
 	}
 }
+
+// A datagram's frame comes back to the stack at its transmit-complete
+// interrupt, just before the caller's onSent, which fires once; NewDatagram
+// then hands the frame out again, zeroed. A frame whose descriptor CloseVC
+// drops is never handed out again.
+func TestSendDatagramRecyclesFrame(t *testing.T) {
+	const n = 1000
+	same := func(a, b []byte) bool { return &a[0] == &b[0] }
+	k, sa, sb, vc := newPair(t, LLCSnap)
+
+	frame, p := sa.NewDatagram(n)
+	for i := range p {
+		p[i] = 0xff
+	}
+	sent := 0
+	onSent := func() {
+		sent++
+		again, _ := sa.NewDatagram(n)
+		if !same(again, frame) {
+			t.Error("at onSent NewDatagram handed out another frame: the sent one is not back")
+		}
+		if !bytes.Equal(again, make([]byte, len(again))) {
+			t.Error("NewDatagram handed the frame out again without zeroing it")
+		}
+	}
+	if err := sa.SendDatagram(vc, ProtoUDP, sb.Addr(), frame, onSent); err != nil {
+		t.Fatal(err)
+	}
+	if other, _ := sa.NewDatagram(n); same(other, frame) {
+		t.Fatal("the frame came back before its transmit-complete interrupt")
+	}
+	k.Run()
+	if sent != 1 {
+		t.Fatalf("onSent fired %d times, want once", sent)
+	}
+
+	dropped, _ := sa.NewDatagram(n)
+	if err := sa.SendDatagram(vc, ProtoUDP, sb.Addr(), dropped, func() {
+		t.Error("onSent fired for a descriptor CloseVC dropped")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sa.Interface().CloseVC(vc)
+	k.Run()
+	if again, _ := sa.NewDatagram(n); same(again, dropped) {
+		t.Fatal("NewDatagram handed out a frame whose descriptor was dropped")
+	}
+}

@@ -62,7 +62,10 @@ func TestSwitchRoutesAndTranslates(t *testing.T) {
 	a.OpenVC(vc(10))
 	b.OpenVC(vc(20))
 	var got *nic.Delivered
-	b.OnReceive(func(d nic.Delivered) { got = &d })
+	b.OnReceive(func(d nic.Delivered) {
+		d.SDU = bytes.Clone(d.SDU)
+		got = &d
+	})
 	payload := bytes.Repeat([]byte{7}, 500)
 	a.Send(vc(10), payload, nil)
 	k.Run()

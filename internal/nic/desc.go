@@ -123,7 +123,7 @@ type rxDone struct {
 	e      int
 	st     *rxVC
 	sl     *rxSlot // the completed frame's slot
-	sdu    []byte  // the host's receive buffer
+	sdu    []byte  // the host's receive buffer, from the receive pool
 	cells  int
 	mid    uint16
 	frame  *bufmgr.Frame
@@ -157,9 +157,9 @@ func (r *receiver) completeFrame(e int, st *rxVC, sl *rxSlot, res *aal.Result) {
 		d.next = nil
 	}
 	// The reassembler's result lives only until its next Push. Data
-	// effects happen eagerly, so the frame moves into the host's receive
+	// effects happen eagerly, so the frame moves into a host receive
 	// buffer now; the DMA below decides when the host sees it.
-	d.sdu = make([]byte, len(res.SDU))
+	d.sdu = r.bufs.Get(len(res.SDU))
 	copy(d.sdu, res.SDU)
 	d.e, d.st, d.sl, d.cells, d.mid = e, st, sl, res.Cells, res.MID
 	r.engs[e].Run(rxEOPInstr, d.eopFn)
@@ -187,8 +187,9 @@ func (d *rxDone) dma() {
 	d.r.hst.RxPacketInterrupt(len(d.sdu), d.intrFn)
 }
 
-// intr is the receive interrupt's completion: count the frame and hand it
-// to the host.
+// intr is the receive interrupt's completion: count the frame and lend it
+// to the host, whose buffer returns to the receive pool when the callback
+// does.
 func (d *rxDone) intr() {
 	r, st := d.r, d.st
 	r.hIntrService.Observe(r.k.Now() - d.posted)
@@ -204,4 +205,5 @@ func (d *rxDone) intr() {
 	if r.onDeliver != nil {
 		r.onDeliver(dv)
 	}
+	r.bufs.Put(dv.SDU)
 }

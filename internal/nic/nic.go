@@ -202,9 +202,10 @@ func (i *Interface) Host() *host.Host { return i.hst }
 // from it so cells recycle.
 func (i *Interface) Pool() *atm.Pool { return i.pool }
 
-// BufferPool returns the interface's SDU buffer pool. Send draws its copy
-// buffers from it, and hosts using SendOwned may draw here too so transmit
-// buffers recycle through the same free lists ("nic.bufpool.*" counters).
+// BufferPool returns the pool Send draws its copies from, whose
+// "nic.bufpool.*" counters count those copies alone. A SendOwned host that
+// recycles its buffers keeps its own pool, as ip.Stack does for its
+// frames: drawing them here would count them in these counters.
 func (i *Interface) BufferPool() *bufpool.Pool { return i.buf }
 
 // CellTime returns the wire's cell slot duration.

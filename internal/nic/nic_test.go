@@ -51,7 +51,10 @@ func newRig(t *testing.T, mod func(cfg *Config)) *rig {
 	}
 	r.link = phy.NewCellLink(k, 10_000, 1, r.b, atm.NewPool(0)) // 2 km fiber
 	r.a.AttachSink(atm.SinkFunc(r.link.Send))
-	r.b.OnReceive(func(d Delivered) { r.received = append(r.received, d) })
+	r.b.OnReceive(func(d Delivered) {
+		d.SDU = bytes.Clone(d.SDU)
+		r.received = append(r.received, d)
+	})
 	return r
 }
 

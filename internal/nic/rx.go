@@ -7,6 +7,7 @@ import (
 	"repro/internal/aal"
 	"repro/internal/atm"
 	"repro/internal/bufmgr"
+	"repro/internal/bufpool"
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/fifo"
@@ -36,11 +37,11 @@ type RxStats struct {
 // Delivered describes one received packet handed to the host.
 type Delivered struct {
 	VC atm.VC
-	// SDU is a fresh buffer the host owns: the interface copies each frame
-	// out of the reassembler into it and never touches it again, so a
-	// receiver may keep it, queue it or hand it on without copying. Every
-	// delivery path (core.Packet.Data, the IP stack's handlers, transport)
-	// inherits this contract.
+	// SDU is the host's receive buffer, lent to the delivery callback: it
+	// is valid until the callback returns, and then goes back to the
+	// interface's receive pool for a later frame. A receiver that needs the
+	// bytes later keeps a copy. Every delivery path (core.Packet.Data, the
+	// IP stack's handlers, the per-cell host-SAR) follows this rule.
 	SDU   []byte
 	Cells int
 	// MID is the AAL3/4 multiplexing identifier the frame arrived under
@@ -116,6 +117,11 @@ type receiver struct {
 
 	onDeliver func(Delivered)
 	onOAM     func(e int, c *atm.Cell) // owns the cell; nil = drop
+
+	// bufs holds the host's receive buffers, each lent to onDeliver and
+	// taken back when it returns. It is never instrumented: the
+	// "nic.bufpool.*" counters count Send's copies alone.
+	bufs bufpool.Pool
 
 	// freeDone holds retired frame-completion records (see desc.go); the
 	// list grows on demand and nothing is preallocated.

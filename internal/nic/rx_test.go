@@ -143,7 +143,7 @@ func TestMultiEnginePreservesPerVCOrderAndIntegrity(t *testing.T) {
 		sdu []byte
 	}
 	var got []rcv
-	r.iface.OnReceive(func(d Delivered) { got = append(got, rcv{d.VC, d.SDU}) })
+	r.iface.OnReceive(func(d Delivered) { got = append(got, rcv{d.VC, bytes.Clone(d.SDU)}) })
 	// Each VC sends 5 distinct frames, interleaved in time.
 	for i := 0; i < 5; i++ {
 		for j, vc := range vcs {
@@ -298,7 +298,7 @@ func TestMIDMuxSharedVC(t *testing.T) {
 	// shared link); the MIDMux receiver demultiplexes them by MID.
 	r := newMIDRig(t)
 	got := map[uint16][]byte{}
-	r.rx.OnReceive(func(d Delivered) { got[d.MID] = d.SDU })
+	r.rx.OnReceive(func(d Delivered) { got[d.MID] = bytes.Clone(d.SDU) })
 
 	r.tx1.Send(r.shared, pkt(3000), nil)
 	r.tx2.Send(r.shared, pkt(1500), nil)
@@ -321,7 +321,7 @@ func TestMIDMuxStreamsOwnSRAM(t *testing.T) {
 	sram := func(cells int) int { return pagedSRAM(r.rx.cfg.maxFrameCells(), cells) }
 	got := map[uint16][]byte{}
 	r.rx.OnReceive(func(d Delivered) {
-		got[d.MID] = d.SDU
+		got[d.MID] = bytes.Clone(d.SDU)
 		if d.MID != 9 {
 			return
 		}
@@ -397,7 +397,10 @@ func TestMIDMuxStaleStreamFreesOnlyItsSRAM(t *testing.T) {
 	vc := atm.VC{VCI: 30}
 	r.iface.OpenVC(vc)
 	var got []Delivered
-	r.iface.OnReceive(func(d Delivered) { got = append(got, d) })
+	r.iface.OnReceive(func(d Delivered) {
+		d.SDU = bytes.Clone(d.SDU)
+		got = append(got, d)
+	})
 	ct := units.CellTime(units.STS3cPayload)
 	r.injectMID(vc, 5, pkt(30000), 100, 0, ct)
 	r.injectMID(vc, 9, pkt(3000), -1, sim.Time(ct)/2, 20*sim.Microsecond)
@@ -429,7 +432,10 @@ func TestMIDMuxSRAMDropAbandonsOnlyItsStream(t *testing.T) {
 	vc := atm.VC{VCI: 30}
 	r.iface.OpenVC(vc)
 	var got []Delivered
-	r.iface.OnReceive(func(d Delivered) { got = append(got, d) })
+	r.iface.OnReceive(func(d Delivered) {
+		d.SDU = bytes.Clone(d.SDU)
+		got = append(got, d)
+	})
 	ct := units.CellTime(units.STS3cPayload)
 	r.injectMID(vc, 5, pkt(1000), -1, 0, 2*ct) // 23 cells: one page
 	r.injectMID(vc, 9, pkt(1000), -1, sim.Time(ct), 2*ct)
@@ -481,4 +487,88 @@ func TestSetMIDRequiresAAL34(t *testing.T) {
 	if err := iface.SetMID(vc, 1); err == nil {
 		t.Fatal("SetMID on AAL5 build accepted")
 	}
+}
+
+// The interface lends each delivered SDU to the callback. A slice kept past
+// its callback is a receive buffer that the next frame of its size class
+// reuses. A buffer goes back only when its callback returns, so frames whose
+// receive interrupts are outstanding at the same time each arrive intact in
+// their own buffer.
+func TestDeliveredSDUIsLent(t *testing.T) {
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1000) }
+
+	t.Run("recycled", func(t *testing.T) {
+		r := newRig(t, nil)
+		r.a.OpenVC(vc1())
+		r.b.OpenVC(vc1())
+		var kept [][]byte
+		r.b.OnReceive(func(d Delivered) { kept = append(kept, d.SDU) })
+		for _, b := range []byte{0x11, 0x22} {
+			if err := r.a.Send(vc1(), fill(b), nil); err != nil {
+				t.Fatal(err)
+			}
+			r.k.Run()
+		}
+		if len(kept) != 2 {
+			t.Fatalf("delivered %d frames, want 2", len(kept))
+		}
+		if !bytes.Equal(kept[0], fill(0x22)) {
+			t.Fatal("the first frame's buffer, kept past its callback, does not hold the second frame: it was not reused")
+		}
+	})
+
+	// overlapped sends one frame of fill(b) per key at once and checks each
+	// callback's bytes. Every frame must finish reassembly, taking its
+	// receive buffer, before the first callback runs. During a callback
+	// the receive pool must not hand out the buffer being lent.
+	overlapped := func(t *testing.T, k *sim.Kernel, rx *Interface, key func(Delivered) byte, send func(b byte) error) {
+		t.Helper()
+		got := 0
+		rx.OnReceive(func(d Delivered) {
+			if got == 0 && rx.rx.hReassembly.Count() != 2 {
+				t.Errorf("%d frames reassembled at the first callback, want both", rx.rx.hReassembly.Count())
+			}
+			if !bytes.Equal(d.SDU, fill(key(d))) {
+				t.Errorf("frame %#x delivered another frame's bytes", key(d))
+			}
+			if b := rx.rx.bufs.Get(len(d.SDU)); &b[0] == &d.SDU[0] {
+				t.Errorf("frame %#x: its buffer was back in the pool during its callback", key(d))
+			} else {
+				rx.rx.bufs.Put(b)
+			}
+			got++
+		})
+		for _, b := range []byte{0x55, 0x99} {
+			if err := send(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.Run()
+		if got != 2 {
+			t.Fatalf("delivered %d frames, want 2", got)
+		}
+	}
+
+	t.Run("two_vcs", func(t *testing.T) {
+		r := newRig(t, func(cfg *Config) { cfg.InterleaveVCs = true })
+		vcs := map[byte]atm.VC{0x55: {VCI: 55}, 0x99: {VCI: 99}}
+		fills := map[atm.VC]byte{}
+		for _, b := range []byte{0x55, 0x99} {
+			r.a.OpenVC(vcs[b])
+			r.b.OpenVC(vcs[b])
+			fills[vcs[b]] = b
+		}
+		overlapped(t, r.k, r.b,
+			func(d Delivered) byte { return fills[d.VC] },
+			func(b byte) error { return r.a.Send(vcs[b], fill(b), nil) })
+	})
+
+	t.Run("mid_mux", func(t *testing.T) {
+		r := newMIDRig(t)
+		tx := map[byte]*Interface{0x55: r.tx1, 0x99: r.tx2}
+		fills := map[uint16]byte{5: 0x55, 9: 0x99} // tx1 sends on MID 5, tx2 on MID 9
+		overlapped(t, r.k, r.rx,
+			func(d Delivered) byte { return fills[d.MID] },
+			func(b byte) error { return tx[b].Send(r.shared, fill(b), nil) })
+	})
 }

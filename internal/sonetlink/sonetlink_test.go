@@ -50,7 +50,7 @@ func newRig(t *testing.T, rate sonet.Rate) *rig {
 		t.Fatal(err)
 	}
 	r.link = link
-	r.b.OnReceive(func(d nic.Delivered) { r.got = append(r.got, d.SDU) })
+	r.b.OnReceive(func(d nic.Delivered) { r.got = append(r.got, bytes.Clone(d.SDU)) })
 	return r
 }
 
@@ -142,7 +142,7 @@ func TestSonetBitErrorsDetectedNotDelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	b.OnReceive(func(d nic.Delivered) { got = append(got, d.SDU) })
+	b.OnReceive(func(d nic.Delivered) { got = append(got, bytes.Clone(d.SDU)) })
 	a.OpenVC(vc())
 	b.OpenVC(vc())
 	payload := pkt(9180)

@@ -85,6 +85,7 @@ type Sender struct {
 
 	msgID    uint8
 	segments [][]byte
+	frame    []byte // scratch DATA frame; Interface.Send copies it
 	base     uint32 // oldest unacked
 	next     uint32 // next never-sent
 	sacked   map[uint32]bool
@@ -164,7 +165,11 @@ func (s *Sender) pump() {
 
 func (s *Sender) sendSegment(seq uint32, retransmit bool) {
 	payload := s.segments[seq]
-	buf := make([]byte, DataHeaderSize+len(payload))
+	n := DataHeaderSize + len(payload)
+	if cap(s.frame) < n {
+		s.frame = make([]byte, n)
+	}
+	buf := s.frame[:n]
 	buf[0] = typeData
 	buf[1] = s.msgID
 	binary.BigEndian.PutUint32(buf[2:6], seq)
@@ -279,6 +284,7 @@ type Receiver struct {
 	ooo       map[uint32][]byte // out-of-order hold (selective repeat)
 	msgLen    uint32
 	onMessage func([]byte)
+	ack       [ackSRSize]byte // scratch ACK frame; Interface.Send copies it
 
 	// Completion memory, so a lost final ACK can be regenerated when the
 	// sender retransmits the tail of an already-delivered message.
@@ -380,7 +386,7 @@ func (r *Receiver) ackRaw(id uint8, next uint32) {
 	if r.SelectiveRepeat {
 		size = ackSRSize
 	}
-	buf := make([]byte, size)
+	buf := r.ack[:size]
 	buf[0] = typeAck
 	buf[1] = id
 	binary.BigEndian.PutUint32(buf[2:6], next)
