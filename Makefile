@@ -97,12 +97,15 @@ fuzz-smoke:
 		fi; \
 	done
 
-# trace-verify exports flight-recorder traces from a short atmsim run and
-# from E18's per-stage decomposition, and validates each against the
-# Perfetto trace-event schema subset we emit.
+# trace-verify exports flight-recorder traces from a short atmsim run, from
+# a framed run whose fiber is cut for 1 ms (so the trace carries drops and
+# the spans around a loss) and from E18's per-stage decomposition, and
+# validates each against the Perfetto trace-event schema subset we emit.
 trace-verify:
 	$(GO) run ./cmd/atmsim -duration 2ms -size 9180 -trace /tmp/atmsim-trace.json >/dev/null
 	$(GO) run ./cmd/traceverify /tmp/atmsim-trace.json
+	$(GO) run ./cmd/atmsim -framed -kill 2ms -restore 3ms -duration 8ms -size 9180 -trace /tmp/atmsim-cut-trace.json >/dev/null
+	$(GO) run ./cmd/traceverify /tmp/atmsim-cut-trace.json
 	$(GO) run ./cmd/atmbench -exp e18 -trace /tmp/atmbench-e18-trace.json >/dev/null
 	$(GO) run ./cmd/traceverify /tmp/atmbench-e18-trace.json
 

@@ -16,17 +16,16 @@ import (
 // coreRun captures everything a golden check pins at the builder level:
 // every delivered SDU with its nanosecond timestamp and payload head, the
 // whole metrics registry (per-VC rows, link counters, drop attribution), and
-// the flight recorder's matched spans.
+// the flight recorder's spans.
 type coreRun struct {
 	deliveries []string
 	metrics    string
 	spans      []trace.Span
-	unmatched  int
 }
 
-// digest is a SHA-256 over the run's deliveries, metrics text, spans in
-// (start, stage, vc, end) order and unmatched-exit count: one string that
-// moves if any timestamp, payload byte, counter or span moves.
+// digest is a SHA-256 over the run's deliveries, metrics text and spans in
+// (start, stage, vc, end) order: one string that moves if any timestamp,
+// payload byte, counter or span moves.
 func (r coreRun) digest() string {
 	h := sha256.New()
 	for _, d := range r.deliveries {
@@ -36,7 +35,10 @@ func (r coreRun) digest() string {
 	for _, s := range r.spans {
 		fmt.Fprintf(h, "span %d %d/%d %d %d\n", s.Stage, s.VC.VPI, s.VC.VCI, int64(s.Start), int64(s.End))
 	}
-	fmt.Fprintf(h, "unmatched %d\n", r.unmatched)
+	// The pinned digests were recorded over text that ends with a count of
+	// unmatched span ends. Spans are recorded whole, so that count is zero,
+	// and the constant line keeps every pin valid.
+	fmt.Fprint(h, "unmatched 0\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -79,10 +81,8 @@ func buildRun(t *testing.T, spec NetworkSpec, drive func(*Network, *coreRun)) co
 		t.Fatal(err)
 	}
 	run.metrics = sb.String()
-	spans, unmatched := rec.Spans()
-	sortSpans(spans)
-	run.spans = spans
-	run.unmatched = unmatched
+	run.spans = rec.Spans()
+	sortSpans(run.spans)
 	return run
 }
 
@@ -92,8 +92,8 @@ func buildRun(t *testing.T, spec NetworkSpec, drive func(*Network, *coreRun)) co
 func requireDigest(t *testing.T, label string, run coreRun, want string) {
 	t.Helper()
 	if got := run.digest(); got != want {
-		t.Errorf("%s: digest %s, pinned %s (%d deliveries, %d spans, %d unmatched)",
-			label, got, want, len(run.deliveries), len(run.spans), run.unmatched)
+		t.Errorf("%s: digest %s, pinned %s (%d deliveries, %d spans)",
+			label, got, want, len(run.deliveries), len(run.spans))
 	}
 }
 
@@ -218,23 +218,27 @@ func TestSwitchTopologyGolden(t *testing.T) {
 }
 
 // TestFramedPropertySweepGolden varies workload shape, fault seeding and
-// line bit errors across both SONET rates. Bit-error runs lose cells to
-// frame damage; the loss pattern, its attribution and the surviving
-// deliveries are all pinned.
+// line bit errors across both SONET rates. BitErrProb is per frame, and at
+// 2e-4 and 5e-4 no error lands on these short runs: every SDU arrives. At
+// 0.2 the line errs, and the damaged frames cost two SDUs their AAL5 CRC;
+// the loss pattern, its attribution and the surviving deliveries are all
+// pinned.
 func TestFramedPropertySweepGolden(t *testing.T) {
 	type swept struct {
-		opts    Options
-		seed    uint64
-		bitErr  float64
-		nSDU    int
-		sizeGen func(i int) int
-		digest  string
+		opts      Options
+		seed      uint64
+		bitErr    float64
+		nSDU      int
+		sizeGen   func(i int) int
+		delivered int
+		digest    string
 	}
 	cases := []swept{
-		{Options{TxFifoCells: 128, RxFifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, "6766e46b6613ffebb462fe1c1187b55d50106e9c40f57dbb7a3bb12fa7630c3e"},
-		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, "49baf668aaeec77c387760ca04e88e3787098bc69b7d780f9c2249a804c3edec"},
-		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 4, 0, 9, func(i int) int { return 1 + (i*9181)%9180 }, "acdadc269c95227e8e8f2069d51c835666f4f2deb33716d22e6f0ce4e049e109"},
-		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 7, 5e-4, 14, func(i int) int { return 64 + (i*4099)%8192 }, "dc9f4b2d0f1b310f02e2eeae23b76cb3819fd28f126999245a46c13da58499ae"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, 9, "6766e46b6613ffebb462fe1c1187b55d50106e9c40f57dbb7a3bb12fa7630c3e"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, 14, "49baf668aaeec77c387760ca04e88e3787098bc69b7d780f9c2249a804c3edec"},
+		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 4, 0, 9, func(i int) int { return 1 + (i*9181)%9180 }, 9, "acdadc269c95227e8e8f2069d51c835666f4f2deb33716d22e6f0ce4e049e109"},
+		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 7, 5e-4, 14, func(i int) int { return 64 + (i*4099)%8192 }, 14, "dc9f4b2d0f1b310f02e2eeae23b76cb3819fd28f126999245a46c13da58499ae"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 0.2, 14, func(i int) int { return 300 + (i*2897)%4000 }, 12, "0517b1db2c0b6174109b1ebe963b5871dfcb7e178c03a916da550ac83594103c"},
 	}
 	for ci, c := range cases {
 		sizes := make([]int, c.nSDU)
@@ -242,8 +246,8 @@ func TestFramedPropertySweepGolden(t *testing.T) {
 			sizes[i] = c.sizeGen(i)
 		}
 		run := buildRun(t, framedPairSpec(c.opts, c.seed, c.bitErr), func(net *Network, run *coreRun) { sendAll(t, net, run, sizes) })
-		if c.bitErr == 0 && len(run.deliveries) != c.nSDU {
-			t.Fatalf("case %d: clean line delivered %d of %d", ci, len(run.deliveries), c.nSDU)
+		if len(run.deliveries) != c.delivered {
+			t.Fatalf("case %d: delivered %d of %d, want %d", ci, len(run.deliveries), c.nSDU, c.delivered)
 		}
 		requireDigest(t, fmt.Sprintf("case %d", ci), run, c.digest)
 	}

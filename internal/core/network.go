@@ -373,7 +373,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		}
 		// Forward half first, then reverse, each seeded from the link seed.
 		// Each half lives on its SENDING node's kernel: the send side (stats,
-		// the loss/corruption rng draws, trace Enter) always runs in the
+		// the loss/corruption rng draws, trace drops) always runs in the
 		// source partition, so the rng sequence matches the serial projection.
 		wA, wB := n.worldOf(ls.A.Node), n.worldOf(ls.B.Node)
 		fwd := phy.NewCellLink(wA.k, delay, ls.Seed*2+1, n.consumer(ls.B), wA.pool)
@@ -387,11 +387,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		if wA != wB {
 			// Cut link: deliveries and signal transitions cross via mailboxes,
 			// declaring the propagation delay as the partitions' lookahead.
-			// Arrival-side trace events land on the destination partition's
-			// recorder under the same stage names the attach loop below gives
-			// the send side, so merged traces pair up like a serial run's.
-			fwd.SetBoundary(n.group.Mailbox(wA.k, wB.k, delay), wB.rec, ls.Name+".fwd")
-			rev.SetBoundary(n.group.Mailbox(wB.k, wA.k, delay), wA.rec, ls.Name+".rev")
+			// Arrival spans land on the destination partition's recorder
+			// under the same stage names the attach loop below gives the
+			// send side's drops, so merged traces equal a serial run's.
+			fwd.SetBoundary(n.group.Mailbox(wA.k, wB.k, delay), wB.k, wB.rec, ls.Name+".fwd")
+			rev.SetBoundary(n.group.Mailbox(wB.k, wA.k, delay), wA.k, wA.rec, ls.Name+".rev")
 		}
 		// Carrier state reaches the receiving node directly, even when a
 		// tap later replaces the link's cell sink: losing the light must

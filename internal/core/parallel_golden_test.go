@@ -19,13 +19,12 @@ import (
 // parRun captures everything the parallel-vs-serial golden tests compare:
 // every delivered SDU (merged across endpoints in (time, endpoint) order),
 // the full metrics registry text, the canonical sorted trace-event stream
-// with its matched spans, and the final simulated time.
+// with its spans, and the final simulated time.
 type parRun struct {
 	deliveries []string
 	metrics    string
 	events     []trace.NamedEvent
 	spans      []trace.NamedSpan
-	unmatched  int
 	final      sim.Time
 	shards     int
 }
@@ -109,13 +108,13 @@ func goldenRun(t *testing.T, mk func() NetworkSpec, shards int, drive func(net *
 	}
 	run.metrics = sb.String()
 	run.events = net.TraceEvents()
-	run.spans, run.unmatched = trace.NamedSpans(run.events)
+	run.spans = trace.NamedSpans(run.events)
 	return run
 }
 
 // requireRunsIdentical pins the tentpole contract: a sharded run must be
 // byte-identical to the serial reference — deliveries, registry, trace
-// events, matched spans, final clock.
+// events, spans, final clock.
 func requireRunsIdentical(t *testing.T, label string, serial, sharded parRun) {
 	t.Helper()
 	if sharded.final != serial.final {
@@ -140,9 +139,8 @@ func requireRunsIdentical(t *testing.T, label string, serial, sharded parRun) {
 			t.Fatalf("%s trace event %d: sharded %+v, serial %+v", label, i, sharded.events[i], serial.events[i])
 		}
 	}
-	if len(sharded.spans) != len(serial.spans) || sharded.unmatched != serial.unmatched {
-		t.Fatalf("%s: %d spans (%d unmatched), serial %d (%d)",
-			label, len(sharded.spans), sharded.unmatched, len(serial.spans), serial.unmatched)
+	if len(sharded.spans) != len(serial.spans) {
+		t.Fatalf("%s: %d spans, serial %d", label, len(sharded.spans), len(serial.spans))
 	}
 	for i := range sharded.spans {
 		if sharded.spans[i] != serial.spans[i] {

@@ -67,7 +67,8 @@ func runE18Point(rate units.BitRate, size int) (E18Row, *trace.Recorder) {
 	spec := pair(core.EndpointSpec{Name: "a", Options: opts}, core.EndpointSpec{Name: "b", Options: opts},
 		core.LinkSpec{Delay: 10_000, Seed: 3},
 		core.VCCSpec{Name: "ab", From: "a", To: "b", VC: stdVC})
-	// One MTU at STS-12c is ~200 cells; 6 events per cell plus endpoints
+	// One MTU at STS-12c is ~200 cells; one span per cell in each of its
+	// three stages, plus the frame's reassembly span and delivery point,
 	// fits comfortably in 4096 — no wraparound, so the telescoping
 	// extraction below sees every boundary.
 	spec.TraceCapacity = 4096
@@ -84,24 +85,24 @@ func runE18Point(rate units.BitRate, size int) (E18Row, *trace.Recorder) {
 	})
 	k.Run()
 
-	// Boundary extraction: first/last event per (node, stage, kind). The
-	// segments between consecutive boundaries telescope to end-start.
+	// Boundary extraction: each stage's first span start and last span
+	// end, and the delivery point. The segments between consecutive
+	// boundaries telescope to end-start.
 	var tA, tB, tC, tD, tE, tF sim.Time
 	haveA := false
 	for _, ev := range rec.Events() {
 		node, stage := rec.StageName(ev.Stage)
 		switch {
-		case node == "a" && stage == "tx.fifo" && ev.Kind == trace.KindEnter:
+		case node == "a" && stage == "tx.fifo" && ev.Kind == trace.KindSpan:
 			if !haveA {
-				tA, haveA = ev.At, true
+				tA, haveA = ev.Start, true
 			}
-		case node == "a" && stage == "tx.fifo" && ev.Kind == trace.KindExit:
 			tB = ev.At
-		case node == "ab.fwd" && stage == "wire" && ev.Kind == trace.KindExit:
+		case node == "ab.fwd" && stage == "wire" && ev.Kind == trace.KindSpan:
 			tC = ev.At
-		case node == "b" && stage == "rx.fifo" && ev.Kind == trace.KindExit:
+		case node == "b" && stage == "rx.fifo" && ev.Kind == trace.KindSpan:
 			tD = ev.At
-		case node == "b" && stage == "rx.reasm" && ev.Kind == trace.KindExit:
+		case node == "b" && stage == "rx.reasm" && ev.Kind == trace.KindSpan:
 			tE = ev.At
 		case node == "b" && stage == "rx.deliver" && ev.Kind == trace.KindPoint:
 			tF = ev.At

@@ -1,11 +1,15 @@
 // Package fifo models the hardware cell FIFOs that decouple the SONET
 // framer's fixed cell clock from the protocol engines' variable per-cell
-// processing time.
+// processing time, and the cell queues of the rest of the network.
 //
 // Sizing these FIFOs is experiment E9: too shallow and a burst of
 // back-to-back cells overflows while the receive engine is held off the bus
 // by a host DMA; the paper's architecture places a FIFO on each side of each
 // engine for exactly this reason.
+//
+// Ring is the bounded buffer. Queue is the one cell queue built on it: the
+// adapter's TX and RX FIFOs, the SONET framer queue and the switch's output
+// ports all admit, drop, time and trace their cells through it.
 package fifo
 
 import (
@@ -52,9 +56,6 @@ func (r *Ring[T]) Instrument(reg *metrics.Registry, prefix string) {
 	r.mOccupancy = reg.Gauge(prefix + ".occupancy")
 }
 
-// Cap returns the FIFO's capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Len returns the current occupancy.
 func (r *Ring[T]) Len() int { return r.count }
 
@@ -63,10 +64,6 @@ func (r *Ring[T]) Empty() bool { return r.count == 0 }
 
 // Full reports whether a push would drop.
 func (r *Ring[T]) Full() bool { return r.count == len(r.buf) }
-
-// Free returns the remaining headroom in items — what an admission or
-// discard policy (EPD thresholds, CAC buffer budgets) compares against.
-func (r *Ring[T]) Free() int { return len(r.buf) - r.count }
 
 // Push appends v. If the FIFO is full the item is dropped and Push reports
 // false — hardware overflow semantics.
@@ -103,15 +100,6 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	r.mPops.Inc()
 	r.mOccupancy.Set(int64(r.count))
 	return v, true
-}
-
-// Peek returns the oldest item without removing it.
-func (r *Ring[T]) Peek() (v T, ok bool) {
-	if r.count == 0 {
-		var zero T
-		return zero, false
-	}
-	return r.buf[r.head], true
 }
 
 // Stats reports cumulative counters.

@@ -60,21 +60,6 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	r := NewRing[string](2)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
-	}
-	r.Push("a")
-	r.Push("b")
-	if v, ok := r.Peek(); !ok || v != "a" {
-		t.Fatalf("peek = %q,%v", v, ok)
-	}
-	if r.Len() != 2 {
-		t.Fatal("peek consumed an item")
-	}
-}
-
 func TestFullEmptyFlags(t *testing.T) {
 	r := NewRing[int](1)
 	if !r.Empty() || r.Full() {

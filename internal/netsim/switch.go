@@ -141,9 +141,11 @@ type vcRecord struct {
 }
 
 type swPort struct {
-	queues   [tm.NumClasses]*fifo.Ring[*atm.Cell]
-	depth    int // shared buffer budget across classes, in cells
-	occ      int // current total occupancy
+	// queue holds one ring per service class, drained in strict priority
+	// (CBR, rt-VBR, ABR, UBR), sharing one buffer budget that enqueue
+	// enforces. It keeps the port's occupancy gauge, residency histogram
+	// and flight-recorder span.
+	queue    *fifo.Queue
 	out      atm.CellConsumer
 	cellTime sim.Duration
 	draining bool
@@ -165,14 +167,6 @@ type swPort struct {
 
 	mRouted  *metrics.Counter
 	mDropped *metrics.Counter
-	mOcc     *metrics.Gauge
-
-	// Residency telemetry: each drained cell's queueing delay, read from
-	// the Stamp enqueue set on it.
-	hRes *metrics.Histogram
-
-	// Flight-recorder span for this output queue (nil unless attached).
-	spQueue *trace.StageSpan
 }
 
 // NewSwitch builds a switch with nPorts ports whose output links run at the
@@ -220,18 +214,15 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 		i := i
 		pn := fmt.Sprintf("%s.port%d", name, i)
 		p := &swPort{
-			depth:    queueDepth,
+			queue:    fifo.NewQueue(k, int(tm.NumClasses), queueDepth, pool, reg, metrics.DropSwitchQueue),
 			cellTime: ct,
 			recs:     make(map[atm.VC]*vcRecord),
 			mRouted:  reg.Counter(pn + ".routed"),
 			mDropped: reg.Counter(pn + ".dropped"),
-			mOcc:     reg.Gauge(pn + ".occupancy"),
-			hRes:     reg.Histogram(pn + ".residency"),
 		}
+		p.queue.Occupancy = reg.Gauge(pn + ".occupancy")
+		p.queue.Residency = reg.Histogram(pn + ".residency")
 		p.drainFn = func() { s.drain(i) }
-		for c := range p.queues {
-			p.queues[c] = fifo.NewRing[*atm.Cell](queueDepth)
-		}
 		s.ports = append(s.ports, p)
 		s.conduits = append(s.conduits, &SwitchPort{s: s, idx: i})
 	}
@@ -450,7 +441,7 @@ func (s *Switch) SetRoute(inPort int, inVC atm.VC, outPort int, outVC atm.VC, op
 // drain onto the output link. Span VCs are output-side (post-rewrite).
 func (s *Switch) SetRecorder(rec *trace.Recorder) {
 	for i, p := range s.ports {
-		p.spQueue = rec.Stage(s.name, fmt.Sprintf("port%d.queue", i))
+		p.queue.Stage = rec.Stage(s.name, fmt.Sprintf("port%d.queue", i))
 	}
 }
 
@@ -539,6 +530,7 @@ func (r *swDefer) fire() {
 
 func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 	p := s.ports[d.outPort]
+	q := p.queue
 	if p.erica != nil {
 		// ERICA measures offered load — before any drop decision — so the
 		// overload factor sees the demand the queue is refusing.
@@ -554,7 +546,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			// cell of the frame is committed to the queue.
 			fs.inFrame = true
 			fs.ppd = false
-			fs.drop = p.occ >= p.epdThreshold
+			fs.drop = q.Len() >= p.epdThreshold
 			if fs.drop {
 				s.epdFrames++
 			}
@@ -566,35 +558,29 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			// EOF cell to keep the reassembler's framing intact.
 			if fs.ppd {
 				s.mPPD.Inc()
-				s.dropVC(c, metrics.DropPPD)
-				p.spQueue.Drop(c.Header.VC(), metrics.DropPPD)
+				q.Drop(c, metrics.DropPPD)
 			} else {
 				s.mEPD.Inc()
-				s.dropVC(c, metrics.DropEPD)
-				p.spQueue.Drop(c.Header.VC(), metrics.DropEPD)
+				q.Drop(c, metrics.DropEPD)
 			}
 			if eof {
 				fs.inFrame = false
 			}
-			s.pool.Put(c)
 			return
 		}
 	}
 
 	dropped := false
-	if c.Header.CLP && p.clpThreshold > 0 && p.occ >= p.clpThreshold {
+	if c.Header.CLP && p.clpThreshold > 0 && q.Len() >= p.clpThreshold {
 		s.mCLP.Inc()
-		s.dropVC(c, metrics.DropCLPThreshold)
-		p.spQueue.Drop(c.Header.VC(), metrics.DropCLPThreshold)
+		q.Drop(c, metrics.DropCLPThreshold)
 		dropped = true
-	} else if p.occ >= p.depth {
+	} else if q.Full() { // the classes' shared buffer is spent
 		p.mDropped.Inc()
-		s.dropVC(c, metrics.DropSwitchQueue)
-		p.spQueue.Drop(c.Header.VC(), metrics.DropSwitchQueue)
+		q.Drop(c, metrics.DropSwitchQueue)
 		dropped = true
 	}
 	if dropped {
-		s.pool.Put(c)
 		if fs != nil {
 			if eof {
 				fs.inFrame = false
@@ -609,17 +595,13 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 		return
 	}
 
-	if p.efciThreshold > 0 && p.occ >= p.efciThreshold && c.Header.PT.User() {
+	if p.efciThreshold > 0 && q.Len() >= p.efciThreshold && c.Header.PT.User() {
 		// Congestion experienced: set EFCI in the PT, preserving the AAU
 		// (end-of-frame) bit — 0b001 becomes 0b011, not a new frame shape.
 		c.Header.PT |= atm.PTUserCongested
 		s.mEFCI.Inc()
 	}
-	p.queues[d.class].Push(c) // room is certain: p.occ < p.depth
-	c.Stamp = s.k.Now()
-	p.spQueue.Enter(c.Header.VC())
-	p.occ++
-	p.mOcc.Set(int64(p.occ))
+	q.Admit(c, int(d.class)) // room is certain: the shared budget is not spent
 	p.mRouted.Inc()
 	if fs != nil && eof {
 		fs.inFrame = false
@@ -630,34 +612,19 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 	}
 }
 
-// dropVC records a drop against the cell's (output) VC in the registry.
-func (s *Switch) dropVC(c *atm.Cell, cause metrics.DropCause) {
-	s.reg.VC(c.Header.VPI, c.Header.VCI).Drop(cause)
-}
-
 func (s *Switch) drain(port int) {
 	p := s.ports[port]
-	var cell *atm.Cell
-	for class := range p.queues { // strict priority: CBR, rt-VBR, ABR, UBR
-		if c, ok := p.queues[class].Pop(); ok {
-			cell = c
-			break
-		}
-	}
-	if cell == nil {
+	cell, ok := p.queue.Leave()
+	if !ok {
 		p.draining = false
 		return
 	}
-	p.occ--
-	p.mOcc.Set(int64(p.occ))
-	p.hRes.Observe(s.k.Now() - cell.Stamp)
-	p.spQueue.Exit(cell.Header.VC())
 	if p.out != nil {
 		p.out.DeliverCell(cell)
 	} else {
 		s.pool.Put(cell)
 	}
-	if p.occ == 0 {
+	if p.queue.Empty() {
 		p.draining = false
 		return
 	}
@@ -665,4 +632,4 @@ func (s *Switch) drain(port int) {
 }
 
 // QueueDepth returns a port's current output occupancy across all classes.
-func (s *Switch) QueueDepth(port int) int { return s.port(port).occ }
+func (s *Switch) QueueDepth(port int) int { return s.port(port).queue.Len() }

@@ -77,9 +77,7 @@ func (i *Interface) handleRM(c *atm.Cell) {
 		}
 		rm.Encode(&c.Payload)
 		i.mRMTurn.Inc()
-		if !i.tx.injectCell(c) {
-			i.pool.Put(c)
-		}
+		i.tx.injectCell(c)
 		return
 	}
 	// Backward RM cell: this interface is the source. Apply the rate rules
@@ -110,10 +108,7 @@ func (t *transmitter) maybeSendFRM(st *txVC) {
 		VCI:    st.vc.VCI,
 		PT:     atm.PTResourceMgmt,
 	}
-	if !t.push(c) {
-		t.pool.Put(c)
-		return
-	}
+	t.fifo.Admit(c, 0) // room is certain: Full was tested above
 	t.mCells.Inc()
 	t.mFRM.Inc()
 	st.vst.AddCellOut()

@@ -139,7 +139,7 @@ type rxDone struct {
 // host memory, and posts the per-packet interrupt.
 func (r *receiver) completeFrame(e int, st *rxVC, sl *rxSlot, res *aal.Result) {
 	r.hReassembly.Observe(r.k.Now() - sl.start)
-	r.spReasm.Exit(st.vc)
+	r.spReasm.Span(st.vc, sl.start)
 	if st.mids != nil {
 		// The completed MID stream's slot leaves the VC with this record,
 		// so neither the reassembly GC nor a later frame on the same MID

@@ -303,8 +303,7 @@ func (fm *faultMgr) sendRDI(vc atm.VC) {
 		cell := fm.i.pool.Get()
 		*cell = *tmpl
 		if !fm.i.tx.injectCell(cell) {
-			fm.i.pool.Put(cell) // drop cause counted by injectCell
-			return
+			return // dropped, with its cause, by the full FIFO
 		}
 		fm.mRDITx.Inc()
 	})

@@ -202,23 +202,27 @@ func TestReassemblyGCReclaimsAfterLinkCut(t *testing.T) {
 }
 
 // TestMgmtTxFullCounted: a management cell bounced by a full TX FIFO lands
-// in the drop taxonomy instead of vanishing.
+// in the drop taxonomy instead of vanishing, and the FIFO takes it back to
+// the interface's pool.
 func TestMgmtTxFullCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := newRig(t, func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.TxFifoDepth = 4
 	})
+	_, puts0, _ := r.b.Pool().Stats()
 	dropped := 0
 	for i := 0; i < 6; i++ { // no kernel running: nothing drains
 		c := oam.NewRDI(vc1(), oam.LocationID("b"))
 		if !r.b.tx.injectCell(c) {
 			dropped++
-			r.b.Pool().Put(c)
 		}
 	}
 	if dropped != 2 {
 		t.Fatalf("dropped %d of 6 injected into a depth-4 FIFO, want 2", dropped)
+	}
+	if _, puts, _ := r.b.Pool().Stats(); puts-puts0 != 2 {
+		t.Fatalf("pool took back %d cells, want the 2 dropped", puts-puts0)
 	}
 	row := reg.VC(vc1().VPI, vc1().VCI)
 	if got := row.Drops[metrics.DropMgmtTxFull]; got != 2 {
@@ -229,7 +233,8 @@ func TestMgmtTxFullCounted(t *testing.T) {
 
 // A management cell can take the last TX FIFO slot while the engine is
 // producing a data cell. The data cell then waits for the next free slot:
-// the frame still arrives whole, behind the management cell.
+// the frame still arrives whole, behind the management cell, and the wait
+// is no drop.
 func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
 	r := newRig(t, func(cfg *Config) { cfg.TxFifoDepth = 4 })
 	r.a.OpenVC(vc1())
@@ -244,7 +249,7 @@ func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
 	injected := uint64(0)
 	for r.k.Step() {
 		tx := r.a.tx
-		if tx.busy && tx.curSt != nil && tx.curSt.cellsLeft > 0 && tx.fifo.Free() == 1 {
+		if tx.busy && tx.curSt != nil && tx.curSt.cellsLeft > 0 && tx.fifo.Len() == tx.cfg.TxFifoDepth-1 {
 			if err := r.a.SendLoopback(vc1(), uint32(injected)); err != nil {
 				t.Fatal(err)
 			}
@@ -270,5 +275,10 @@ func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
 	}
 	if got, bound := delay.Max(), 4*r.a.CellTime(); got > bound {
 		t.Errorf("longest tx FIFO residency %d ns, want at most 4 cell times (%d ns)", got, bound)
+	}
+	// Every cell arrived, so the TX FIFO lost none: a held cell is late,
+	// not dropped.
+	if got := r.a.tx.fifo.Ring(0).Stats().Drops; got != 0 {
+		t.Errorf("fifo.tx.drops = %d, want 0: every cell was delivered", got)
 	}
 }

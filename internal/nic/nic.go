@@ -126,9 +126,10 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) 
 				return
 			}
 			if lb.Indication {
-				if err := oam.Respond(c); err != nil || !i.tx.injectCell(c) {
-					i.pool.Put(c)
-				}
+				// Respond cannot fail on a cell that decoded as a
+				// loopback request; injectCell drops it if the FIFO is full.
+				_ = oam.Respond(c)
+				i.tx.injectCell(c)
 				return
 			}
 			if i.onLoopback != nil {
@@ -159,7 +160,6 @@ func (i *Interface) SendLoopback(vc atm.VC, correlation uint32) error {
 	cell := i.pool.Get()
 	*cell = *req
 	if !i.tx.injectCell(cell) {
-		i.pool.Put(cell)
 		return errTxFull
 	}
 	return nil
@@ -355,7 +355,7 @@ type Stats struct {
 func (i *Interface) Stats() Stats {
 	rx := i.rx.snapshot()
 	for _, f := range i.rx.fifos {
-		rx.MaxFifo = max(rx.MaxFifo, f.Stats().MaxDepth)
+		rx.MaxFifo = max(rx.MaxFifo, f.Ring(0).Stats().MaxDepth)
 	}
 	var rxUtil float64
 	for _, e := range i.rxEngines {
@@ -379,8 +379,11 @@ func (i *Interface) Stats() Stats {
 // to one nil test per cell and zero allocations.
 func (i *Interface) SetRecorder(rec *trace.Recorder) {
 	name := i.cfg.Name
-	i.tx.spFifo = rec.Stage(name, "tx.fifo")
-	i.rx.spFifo = rec.Stage(name, "rx.fifo")
+	i.tx.fifo.Stage = rec.Stage(name, "tx.fifo")
+	rxFifo := rec.Stage(name, "rx.fifo")
+	for _, f := range i.rx.fifos {
+		f.Stage = rxFifo
+	}
 	i.rx.spReasm = rec.Stage(name, "rx.reasm")
 	i.rx.spDeliver = rec.Stage(name, "rx.deliver")
 }

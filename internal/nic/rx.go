@@ -108,7 +108,7 @@ type receiver struct {
 	hst  *host.Host
 	pool *atm.Pool
 
-	fifos      []*fifo.Ring[*atm.Cell]
+	fifos      []*fifo.Queue
 	processing []bool
 	lookup     *vclookup.CAM
 	alloc      *bufmgr.Allocator
@@ -161,9 +161,9 @@ type receiver struct {
 	hReassembly  *metrics.Histogram // first cell buffered → frame complete
 	hIntrService *metrics.Histogram // interrupt posted → host handler done
 
-	// Flight-recorder spans (nil unless a recorder is attached): RX FIFO
-	// residency, reassembly (first cell → frame complete), host delivery.
-	spFifo    *trace.StageSpan
+	// Flight-recorder spans (nil unless a recorder is attached): reassembly
+	// (first cell → frame complete or abandoned) and host delivery. The RX
+	// FIFOs record their own.
 	spReasm   *trace.StageSpan
 	spDeliver *trace.StageSpan
 }
@@ -173,15 +173,15 @@ func newReceiver(k *sim.Kernel, cfg *Config, engs []*engine.Engine, dev *bus.Dev
 	n := len(engs)
 	r := &receiver{
 		k: k, cfg: cfg, engs: engs, dev: dev, hst: hst, pool: pool,
-		fifos:      make([]*fifo.Ring[*atm.Cell], n),
+		fifos:      make([]*fifo.Queue, n),
 		processing: make([]bool, n),
 		lookup:     vclookup.NewCAM(cfg.MaxVCs),
 		alloc:      bufmgr.NewAllocator(bufmgr.Paged, cfg.AdapterSRAM),
 		vcs:        make([]*rxVC, cfg.MaxVCs),
 	}
 	for i := range r.fifos {
-		r.fifos[i] = fifo.NewRing[*atm.Cell](cfg.RxFifoDepth)
-		r.fifos[i].Instrument(reg, scoped(prefix, fmt.Sprintf("fifo.rx%d", i)))
+		r.fifos[i] = fifo.NewQueue(k, 1, cfg.RxFifoDepth, pool, reg, metrics.DropFIFO)
+		r.fifos[i].Ring(0).Instrument(reg, scoped(prefix, fmt.Sprintf("fifo.rx%d", i)))
 	}
 	if cfg.ReassemblyTimeout > 0 {
 		r.clockFn = func() int64 { return int64(k.Now()) }
@@ -292,17 +292,12 @@ func (r *receiver) close(vc atm.VC) {
 // it lands in is where overflow happens.
 func (r *receiver) deliverCell(c *atm.Cell) {
 	e := r.engineFor(c.Header.VC())
-	if !r.fifos[e].Push(c) {
-		// Hardware overflow: the cell is gone. The AAL discovers the
-		// damage later; that is the whole E9 story.
+	if !r.fifos[e].Admit(c, 0) {
+		// Hardware overflow: the FIFO dropped the cell. The AAL discovers
+		// the damage later; that is the whole E9 story.
 		r.mFifoDrops.Inc()
-		r.reg.VC(c.Header.VPI, c.Header.VCI).Drop(metrics.DropFIFO)
-		r.spFifo.Drop(c.Header.VC(), metrics.DropFIFO)
-		r.pool.Put(c)
 		return
 	}
-	c.Stamp = r.k.Now()
-	r.spFifo.Enter(c.Header.VC())
 	r.process(e)
 }
 
@@ -311,12 +306,11 @@ func (r *receiver) process(e int) {
 	if r.processing[e] {
 		return
 	}
-	cell, ok := r.fifos[e].Pop()
+	cell, ok := r.fifos[e].Leave()
 	if !ok {
 		return
 	}
 	r.processing[e] = true
-	r.spFifo.Exit(cell.Header.VC())
 	r.mCells.Inc()
 
 	// Idle cells are discarded outright; OAM cells leave the fast path
@@ -371,7 +365,6 @@ func (r *receiver) process(e int) {
 		}
 		sl.frame = f
 		sl.start = r.k.Now()
-		r.spReasm.Enter(st.vc)
 		r.armGC()
 	}
 	appendCycles, err := sl.frame.Append()
@@ -471,9 +464,8 @@ func (r *receiver) dropForMemory(e int, st *rxVC, sl *rxSlot, cell *atm.Cell) {
 // releaseSlot returns an abandoned frame's SRAM record.
 func (r *receiver) releaseSlot(st *rxVC, sl *rxSlot) {
 	if sl.frame != nil {
-		// Close the reassembly span even on the unhappy path: a later
-		// frame's Exit must not pair with this abandoned frame's Enter.
-		r.spReasm.Exit(st.vc)
+		// An abandoned frame still spent its time in reassembly.
+		r.spReasm.Span(st.vc, sl.start)
 		sl.discard()
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tm"
-	"repro/internal/trace"
 )
 
 // TxStats is the transmit-side snapshot assembled from the telemetry
@@ -99,7 +98,7 @@ type transmitter struct {
 	pool *atm.Pool
 	out  atm.CellConsumer
 
-	fifo  *fifo.Ring[*atm.Cell]
+	fifo  *fifo.Queue
 	vcs   map[atm.VC]*txVC
 	order []*txVC // round-robin order (registration order)
 	rr    int     // next round-robin index
@@ -116,7 +115,8 @@ type transmitter struct {
 
 	// held is a produced data cell waiting for FIFO space: a management
 	// cell took the slot the stall check saw free while the engine was
-	// producing it. The next cell slot pushes it, ahead of any later cell.
+	// producing it. The next cell slot admits it, ahead of any later cell.
+	// A held cell is late, not lost, so no drop counts it.
 	held *atm.Cell
 
 	// Engine-routine completion state. The engine runs one transmit
@@ -134,9 +134,9 @@ type transmitter struct {
 	cellTime     sim.Duration
 	clockRunning bool
 
-	// Telemetry: instruments live in the interface's registry. Each
-	// cell's residency (push → cell clock) feeds the tx cell-delay
-	// histogram from the cell's own Stamp.
+	// Telemetry: instruments live in the interface's registry. The FIFO
+	// times each cell's residency (admit → cell clock) into the tx
+	// cell-delay histogram.
 	reg        *metrics.Registry
 	mPackets   *metrics.Counter
 	mCells     *metrics.Counter
@@ -147,12 +147,7 @@ type transmitter struct {
 	mPaceWaits *metrics.Counter
 	mFRM       *metrics.Counter
 	gQueued    *metrics.Gauge
-	hCellDelay *metrics.Histogram
 	hDMAWait   *metrics.Histogram
-
-	// Flight-recorder span for TX FIFO residency (nil unless a recorder is
-	// attached; nil-safe like the registry instruments above).
-	spFifo *trace.StageSpan
 }
 
 func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Device,
@@ -160,7 +155,7 @@ func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Dev
 	prefix string, out atm.CellConsumer) *transmitter {
 	t := &transmitter{
 		k: k, cfg: cfg, eng: eng, dev: dev, pool: pool, out: out,
-		fifo:     fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
+		fifo:     fifo.NewQueue(k, 1, cfg.TxFifoDepth, pool, reg, metrics.DropMgmtTxFull),
 		vcs:      make(map[atm.VC]*txVC),
 		cellTime: cellTime,
 		reg:      reg,
@@ -170,7 +165,7 @@ func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Dev
 	t.doneDoneFn = t.doneDone
 	t.tickFn = t.tick
 	t.wakeFn = t.wake
-	t.fifo.Instrument(reg, scoped(prefix, "fifo.tx"))
+	t.fifo.Ring(0).Instrument(reg, scoped(prefix, "fifo.tx"))
 	t.mPackets = reg.Counter(scoped(prefix, "nic.tx.packets"))
 	t.mCells = reg.Counter(scoped(prefix, "nic.tx.cells"))
 	t.mBytes = reg.Counter(scoped(prefix, "nic.tx.bytes"))
@@ -180,7 +175,7 @@ func newTransmitter(k *sim.Kernel, cfg *Config, eng *engine.Engine, dev *bus.Dev
 	t.mPaceWaits = reg.Counter(scoped(prefix, "nic.tx.pace_waits"))
 	t.mFRM = reg.Counter(scoped(prefix, "nic.abr.frm_tx"))
 	t.gQueued = reg.Gauge(scoped(prefix, "nic.tx.queued"))
-	t.hCellDelay = reg.Histogram(scoped(prefix, "nic.tx.cell_delay"))
+	t.fifo.Residency = reg.Histogram(scoped(prefix, "nic.tx.cell_delay"))
 	t.hDMAWait = reg.Histogram(scoped(prefix, "nic.tx.dma_wait"))
 	return t
 }
@@ -472,8 +467,10 @@ func (t *transmitter) cellDone() {
 		VCI:    st.vc.VCI,
 		PT:     pt,
 	}
-	if !t.push(cell) {
-		t.held = cell // the FIFO is full, so schedule below stalls
+	if t.fifo.Full() {
+		t.held = cell // a management cell took the slot; schedule below stalls
+	} else {
+		t.fifo.Admit(cell, 0)
 	}
 	t.mCells.Inc()
 	st.vst.AddCellOut()
@@ -523,30 +520,17 @@ func (t *transmitter) doneDone() {
 	t.schedule()
 }
 
-// injectCell pushes a fully formed cell (management traffic) straight into
+// injectCell admits a fully formed cell (management traffic) straight into
 // the TX FIFO, ahead of no one: it takes the next free slot like any other
-// cell. Best-effort: a full FIFO drops it (OAM has no delivery guarantee).
+// cell. Best-effort: a full FIFO drops it (OAM has no delivery guarantee),
+// counting DropMgmtTxFull and taking the cell back to the pool.
 func (t *transmitter) injectCell(c *atm.Cell) bool {
-	h := &c.Header
-	if !t.push(c) {
-		t.reg.VC(h.VPI, h.VCI).Drop(metrics.DropMgmtTxFull)
-		t.spFifo.Drop(h.VC(), metrics.DropMgmtTxFull)
+	if !t.fifo.Admit(c, 0) {
 		return false
 	}
 	t.mCells.Inc()
-	t.reg.VC(h.VPI, h.VCI).AddCellOut()
+	t.reg.VC(c.Header.VPI, c.Header.VCI).AddCellOut()
 	t.startClock()
-	return true
-}
-
-// push puts c in the TX FIFO and, if there was room, stamps it with the
-// time it entered so tick can time its residency.
-func (t *transmitter) push(c *atm.Cell) bool {
-	if !t.fifo.Push(c) {
-		return false
-	}
-	c.Stamp = t.k.Now()
-	t.spFifo.Enter(c.Header.VC())
 	return true
 }
 
@@ -565,14 +549,12 @@ func (t *transmitter) startClock() {
 
 // tick is one cell slot on the wire.
 func (t *transmitter) tick() {
-	cell, ok := t.fifo.Pop()
+	cell, ok := t.fifo.Leave()
 	if ok {
-		t.hCellDelay.Observe(t.k.Now() - cell.Stamp)
-		t.spFifo.Exit(cell.Header.VC())
 		t.out.DeliverCell(cell)
 		if h := t.held; h != nil {
 			t.held = nil
-			t.push(h)
+			t.fifo.Admit(h, 0) // into the slot just freed
 		}
 		if t.stalled {
 			t.stalled = false

@@ -62,17 +62,18 @@ type CellLink struct {
 	// Boundary mode (sharded runs): when the two ends of the link live in
 	// different partitions, deliveries ride a sim.Mailbox instead of a local
 	// deferred event, and the fiber's propagation delay is the partition
-	// lookahead. The send side (stats, loss/corruption draws, Enter/Drop
-	// trace events) runs unchanged in the source partition, so the rng
-	// sequence matches the serial projection draw for draw.
+	// lookahead. The send side (stats, loss/corruption draws, drop trace
+	// events) runs unchanged in the source partition, so the rng sequence
+	// matches the serial projection draw for draw.
 	mb             *sim.Mailbox
-	remoteFn       func(any) // bound remote-arrival method
+	dk             *sim.Kernel // the destination partition's kernel
+	remoteFn       func(any)   // bound remote-arrival method
 	remoteSignalFn func(any)
 	exitSp         *trace.StageSpan // arrival span on the DEST partition's recorder
 
-	// Flight-recorder span for the fiber transit (nil unless attached):
-	// Enter as the cell leaves the transmitter, Exit on delivery, Drop for
-	// cells the fiber loses.
+	// Flight-recorder span for the fiber transit (nil unless attached): a
+	// span on delivery, which started Delay earlier as the cell left the
+	// transmitter, and a drop for each cell the fiber loses.
 	sp *trace.StageSpan
 }
 
@@ -92,9 +93,10 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 
 // deliver hands a cell to the current sink. Indirecting through this method
 // (rather than binding the sink at Send time) keeps AttachSink effective for
-// cells already in flight.
+// cells already in flight. The fiber is a FIFO of fixed delay, so the cell
+// entered it exactly Delay ago.
 func (l *CellLink) deliver(c *atm.Cell) {
-	l.sp.Exit(c.Header.VC())
+	l.sp.Span(c.Header.VC(), l.k.Now()-l.Delay)
 	l.sink.DeliverCell(c)
 }
 
@@ -105,17 +107,17 @@ func (l *CellLink) SetRecorder(rec *trace.Recorder, name string) {
 }
 
 // SetBoundary switches the link into cross-partition mode: deliveries and
-// signal transitions are posted to mb (arriving in the destination
-// partition's kernel after the propagation delay, which the mailbox has
-// declared as lookahead) instead of a local deferred event. Arrival-side
-// trace events are recorded on rec — the DESTINATION partition's recorder —
-// under the same stage name SetRecorder used on the source side, so the
-// merged trace pairs up exactly like a serial run's. rec may be nil.
-func (l *CellLink) SetBoundary(mb *sim.Mailbox, rec *trace.Recorder, name string) {
+// signal transitions are posted to mb (arriving in dk, the destination
+// partition's kernel, after the propagation delay, which the mailbox has
+// declared as lookahead) instead of a local deferred event. Each cell's
+// span is recorded on arrival on rec — the DESTINATION partition's
+// recorder — under the same stage name SetRecorder gives the send side's
+// drops, so the merged trace equals a serial run's. rec may be nil.
+func (l *CellLink) SetBoundary(mb *sim.Mailbox, dk *sim.Kernel, rec *trace.Recorder, name string) {
 	if l.Delay <= 0 {
 		panic("phy: boundary link needs positive propagation delay (lookahead)")
 	}
-	l.mb = mb
+	l.mb, l.dk = mb, dk
 	l.exitSp = rec.Stage(name, "wire")
 	l.remoteFn = l.remoteDeliver
 	l.remoteSignalFn = l.remoteSignal
@@ -125,7 +127,7 @@ func (l *CellLink) SetBoundary(mb *sim.Mailbox, rec *trace.Recorder, name string
 // arrival time: the boundary counterpart of deliver.
 func (l *CellLink) remoteDeliver(arg any) {
 	c := arg.(*atm.Cell)
-	l.exitSp.Exit(c.Header.VC())
+	l.exitSp.Span(c.Header.VC(), l.dk.Now()-l.Delay)
 	l.sink.DeliverCell(c)
 }
 
@@ -228,7 +230,6 @@ func (l *CellLink) Send(c *atm.Cell) {
 		c.Payload[i] ^= 1 << uint(l.rng.Intn(8))
 	}
 	l.stats.Delivered++
-	l.sp.Enter(c.Header.VC())
 	if l.mb != nil {
 		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteFn, c)
 		return

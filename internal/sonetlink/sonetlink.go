@@ -45,7 +45,9 @@ type Config struct {
 	// Recorder, when non-nil, attaches flight-recorder spans to each
 	// direction under node "link.<src>": stage "framer.queue" covers the
 	// transmit queue (enqueue to pull-into-frame) and stage "wire" the
-	// framed flight plus the receive-side spreading delay.
+	// framed flight plus the receive-side spreading delay, from the send of
+	// the frame that carried the cell's first byte. A data cell framed
+	// while the fiber is cut records a link_loss drop on "wire".
 	Recorder *trace.Recorder
 }
 
@@ -77,12 +79,13 @@ type Half struct {
 	del  *sonet.Delineator
 	line *phy.FrameLink
 
-	queue    *fifo.Ring[*atm.Cell]
+	queue    *fifo.Queue
 	srcPool  *atm.Pool
 	frameBuf []byte
 	cellTime sim.Duration
 	cellIdx  int // cells recovered from the frame being parsed
 	running  bool
+	lastSend sim.Time // when the framer last built a frame
 
 	// The pre-bound tick and the delay line spreading recovered cells keep
 	// the per-frame tick and per-cell delivery free of closure allocations.
@@ -97,9 +100,18 @@ type Half struct {
 	mFrameErrors    *metrics.Counter
 	mHeaderDiscards *metrics.Counter
 
-	// Flight-recorder spans (nil unless Config.Recorder is set).
-	spQueue *trace.StageSpan
-	spWire  *trace.StageSpan
+	// The wire span (nil unless Config.Recorder is set) and its timing. The
+	// far end decodes each cell afresh, so a span's start travels with its
+	// frame: notes holds, for each frame in flight on an intact fiber, when
+	// the frame its first completed cell began in was sent (see sendFrame).
+	// A frame arrives Delay after its own send (wireSend), and its recovered
+	// cells are all delivered before the next frame arrives; wireStart is
+	// the start of the next of them delivered.
+	spWire      *trace.StageSpan
+	notes       []sim.Time // oldest first, capacity fixed at Connect
+	wireSend    sim.Time
+	wireStart   sim.Time
+	slotsAtHead uint64 // delineator cell slots consumed before the frame
 }
 
 // Connect wires a and b through SONET framing in both directions. The
@@ -130,7 +142,6 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 		// Two frames' worth of cells absorbs the burst mismatch between
 		// the interface's smooth cell clock and the framer's 125 µs
 		// granularity.
-		queue:    fifo.NewRing[*atm.Cell](2 * cellsPerFrame(cfg.Rate)),
 		srcPool:  src.Pool(),
 		cellTime: units.CellTime(cfg.Rate.PayloadRate()),
 	}
@@ -141,9 +152,15 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	h.queue.Instrument(reg, lp+".queue")
-	h.spQueue = cfg.Recorder.Stage(lp, "framer.queue")
+	h.queue = fifo.NewQueue(k, 1, 2*cellsPerFrame(cfg.Rate), h.srcPool, reg, metrics.DropTxQueue)
+	h.queue.Ring(0).Instrument(reg, lp+".queue")
+	h.queue.Stage = cfg.Recorder.Stage(lp, "framer.queue")
 	h.spWire = cfg.Recorder.Stage(lp, "wire")
+	if h.spWire != nil {
+		// A frame is in flight for Delay, and frames leave at least a
+		// frame period apart.
+		h.notes = make([]sim.Time, 0, int(cfg.Delay/sonet.FramePeriodNs)+2)
+	}
 	h.mFrames = reg.Counter(lp + ".frames")
 	h.mDataCells = reg.Counter(lp + ".data_cells")
 	h.mIdleCells = reg.Counter(lp + ".idle_cells")
@@ -169,11 +186,7 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 	// link bring-up (44+ idle cells comfortably cover HUNT + the 6-cell
 	// PRESYNC confirmation). A real link is never dark before traffic;
 	// this models that without running the framer eternally.
-	k.At(k.Now(), func() {
-		h.fr.NextFrame(h.frameBuf)
-		h.line.Send(h.frameBuf)
-		h.mFrames.Inc()
-	})
+	k.At(k.Now(), h.sendFrame)
 	return h
 }
 
@@ -199,14 +212,11 @@ func (h *Half) Stats() Stats {
 // interface's downstream sink.
 func (h *Half) DeliverCell(c *atm.Cell) { h.enqueue(c) }
 
-// enqueue accepts a cell from the transmitting interface's cell clock.
+// enqueue accepts a cell from the transmitting interface's cell clock. A
+// full queue drops it as DropTxQueue.
 func (h *Half) enqueue(c *atm.Cell) {
-	if !h.queue.Push(c) {
+	if !h.queue.Admit(c, 0) {
 		h.mQueueDrops.Inc()
-		h.spQueue.Drop(c.Header.VC(), metrics.DropTxQueue)
-		h.srcPool.Put(c)
-	} else {
-		h.spQueue.Enter(c.Header.VC())
 	}
 	if !h.running {
 		h.running = true
@@ -218,9 +228,7 @@ func (h *Half) enqueue(c *atm.Cell) {
 // carry, then lets the line go dark so simulations terminate. (A real
 // framer never stops; an eternal event would keep the kernel alive forever.)
 func (h *Half) frameTick() {
-	h.fr.NextFrame(h.frameBuf)
-	h.line.Send(h.frameBuf)
-	h.mFrames.Inc()
+	h.sendFrame()
 	if h.queue.Empty() {
 		// Emit one more frame's worth of idle and stop until traffic
 		// resumes; the receiver's delineation state survives the gap
@@ -231,13 +239,35 @@ func (h *Half) frameTick() {
 	h.k.PostAfter(sonet.FramePeriodNs, h.frameTickFn)
 }
 
+// sendFrame builds the next frame and puts it on the fiber. With a
+// recorder, a frame that will arrive is noted for the wire spans of the
+// cells it completes. Those cells began in this frame, except the first
+// when the stream crosses the frame boundary mid-cell: that cell began in
+// the previous frame built.
+func (h *Half) sendFrame() {
+	now := h.k.Now()
+	if h.spWire != nil && !h.line.Down() {
+		first := now
+		// The stream has carried PayloadPer bytes per frame so far; a
+		// remainder short of a whole cell is the head of a carried cell.
+		if uint64(h.fr.Geometry().PayloadPer)*h.fr.Frames()%atm.CellSize != 0 {
+			first = h.lastSend
+		}
+		h.notes = append(h.notes, first)
+	}
+	h.lastSend = now
+	h.fr.NextFrame(h.frameBuf)
+	h.line.Send(h.frameBuf)
+	h.mFrames.Inc()
+}
+
 // txSource adapts the queue to the framer's pull interface.
 type txSource Half
 
 // NextCell implements sonet.CellSource.
 func (t *txSource) NextCell(dst []byte) {
 	h := (*Half)(t)
-	cell, ok := h.queue.Pop()
+	cell, ok := h.queue.Leave()
 	if !ok {
 		h.mIdleCells.Inc()
 		if err := atm.IdleCell().Encode(dst); err != nil {
@@ -246,8 +276,10 @@ func (t *txSource) NextCell(dst []byte) {
 		return
 	}
 	h.mDataCells.Inc()
-	h.spQueue.Exit(cell.Header.VC())
-	h.spWire.Enter(cell.Header.VC())
+	if h.line.Down() {
+		// The frame this cell starts in goes out on a cut fiber.
+		h.spWire.Drop(cell.Header.VC(), metrics.DropLink)
+	}
 	if err := cell.Encode(dst); err != nil {
 		panic(err)
 	}
@@ -271,6 +303,17 @@ func (h *Half) Down() bool { return h.line.Down() }
 // sweeps must survive whatever the fault injector produces.
 func (h *Half) frameArrived(frame []byte) {
 	h.cellIdx = 0
+	if h.spWire != nil {
+		h.wireSend, h.wireStart = h.k.Now()-h.cfg.Delay, h.notes[0]
+		h.notes = h.notes[:copy(h.notes, h.notes[1:])]
+		if h.del.State() != sonet.Sync {
+			// Delineation is still to be found: every cell it hands over
+			// lies in this frame.
+			h.wireStart = h.wireSend
+		}
+		st := h.del.Stats()
+		h.slotsAtHead = st.Cells + st.HeaderDropped
+	}
 	if err := h.df.PushFrame(frame); err != nil {
 		h.mFrameErrors.Inc()
 	}
@@ -294,15 +337,25 @@ func (h *Half) cellRecovered(cell []byte, corrected bool) {
 		h.dst.Pool().Put(c)
 		return
 	}
+	if h.cellIdx == 0 && h.spWire != nil {
+		if st := h.del.Stats(); st.Cells+st.HeaderDropped != h.slotsAtHead+1 {
+			// Not the frame's first completed cell: it began in this frame.
+			h.wireStart = h.wireSend
+		}
+	}
 	offset := sim.Duration(h.cellIdx) * h.cellTime
 	h.cellIdx++
 	h.def.Post(offset, c)
 }
 
-// deliverRecovered closes the wire span and hands the recovered cell to the
-// destination interface. Cells lost to frame damage in between never Exit;
-// they surface as unmatched spans, mirroring the real loss.
+// deliverRecovered records the wire span and hands the recovered cell to
+// the destination interface. Every cell of a frame is delivered before the
+// next frame arrives: a frame completes at most ceil(PayloadPer/53) cells,
+// spread one cell time apart, and those fit in one frame period. Cells lost
+// to frame damage or to re-delineation after a cut record nothing here, as
+// no VC can be charged; a cell framed on a cut fiber recorded its drop.
 func (h *Half) deliverRecovered(c *atm.Cell) {
-	h.spWire.Exit(c.Header.VC())
+	h.spWire.Span(c.Header.VC(), h.wireStart)
+	h.wireStart = h.wireSend
 	h.dst.DeliverCell(c)
 }

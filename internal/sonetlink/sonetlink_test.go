@@ -7,10 +7,12 @@ import (
 	"repro/internal/atm"
 	"repro/internal/bus"
 	"repro/internal/host"
+	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/sonet"
 	"repro/internal/tm"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -26,13 +28,21 @@ type rig struct {
 	k    *sim.Kernel
 	a, b *nic.Interface
 	link *Link
+	rec  *trace.Recorder
 	got  [][]byte
 }
 
-func newRig(t *testing.T, rate sonet.Rate) *rig {
+func newRig(t *testing.T, rate sonet.Rate) *rig { return newTracedRig(t, rate, 0) }
+
+// newTracedRig is newRig with a flight recorder of the given capacity on
+// the link (none when capacity is 0).
+func newTracedRig(t *testing.T, rate sonet.Rate, capacity int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	r := &rig{k: k}
+	if capacity > 0 {
+		r.rec = trace.NewRecorder(k, capacity)
+	}
 	mk := func(name string) *nic.Interface {
 		cfg := nic.DefaultConfig(name)
 		cfg.PayloadRate = rate.PayloadRate()
@@ -45,7 +55,7 @@ func newRig(t *testing.T, rate sonet.Rate) *rig {
 		return iface
 	}
 	r.a, r.b = mk("a"), mk("b")
-	link, err := Connect(k, Config{Rate: rate, Delay: 10_000, Seed: 3}, r.a, r.b)
+	link, err := Connect(k, Config{Rate: rate, Delay: 10_000, Seed: 3, Recorder: r.rec}, r.a, r.b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,5 +433,65 @@ func TestSonetEFCISurvivesFraming(t *testing.T) {
 	}
 	if acr <= 0 {
 		t.Fatalf("ACR = %.0f fell through the MCR floor", acr)
+	}
+}
+
+// TestCutFiberWireSpans cuts a→b for 1 ms in the middle of a transfer and
+// restores it. Each data cell framed while the fiber is down records one
+// link_loss drop on the wire stage, and every cell that arrives, before the
+// cut or after it, records a wire span of at most the fiber delay plus two
+// frame periods: a cell lost in the cut leaves nothing behind for a later
+// cell of its VC to be timed against.
+func TestCutFiberWireSpans(t *testing.T) {
+	const delay = 10_000 // newTracedRig's fiber
+	r := newTracedRig(t, sonet.STS3c, 1<<16)
+	r.a.OpenVC(vc())
+	r.b.OpenVC(vc())
+	for i := 0; i < 6; i++ {
+		if err := r.a.Send(vc(), pkt(9180), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ab := r.link.AtoB
+	var framedAtCut, framedAtRestore uint64
+	r.k.At(2*sim.Millisecond, func() { framedAtCut = ab.Stats().DataCells; ab.Fail() })
+	r.k.At(3*sim.Millisecond, func() { framedAtRestore = ab.Stats().DataCells; ab.Restore() })
+	r.k.Run()
+
+	lost := framedAtRestore - framedAtCut
+	if lost == 0 || framedAtRestore == ab.Stats().DataCells {
+		t.Fatalf("framed %d cells during the cut and %d after: the cut is not mid-transfer",
+			lost, ab.Stats().DataCells-framedAtRestore)
+	}
+	var drops uint64
+	var spans, after int
+	for _, ev := range r.rec.Events() {
+		if node, stage := r.rec.StageName(ev.Stage); node != "link.a" || stage != "wire" {
+			continue
+		}
+		switch ev.Kind {
+		case trace.KindDrop:
+			if ev.Cause != metrics.DropLink || ev.At < 2*sim.Millisecond || ev.At >= 3*sim.Millisecond {
+				t.Errorf("wire drop %+v, want link_loss during the cut", ev)
+			}
+			drops++
+		case trace.KindSpan:
+			spans++
+			if ev.Start >= 3*sim.Millisecond {
+				after++
+			}
+			if d := ev.At - ev.Start; d <= 0 || d > delay+2*sonet.FramePeriodNs {
+				t.Errorf("wire span %v..%v lasts %v, want (0, %v]", ev.Start, ev.At, d, delay+2*sonet.FramePeriodNs)
+			}
+		}
+	}
+	if drops != lost {
+		t.Errorf("wire stage recorded %d drops, want %d: one per data cell framed on the cut fiber", drops, lost)
+	}
+	if after == 0 || spans == 0 {
+		t.Fatalf("%d wire spans, %d of them after the restore", spans, after)
+	}
+	if len(r.got) == 0 {
+		t.Fatal("no SDU survived the cut")
 	}
 }

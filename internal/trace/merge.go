@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/metrics"
@@ -16,6 +17,7 @@ import (
 // the builder registers each instance's stages on exactly one recorder.
 type NamedEvent struct {
 	At    sim.Time
+	Start sim.Time // a span's start (KindSpan only)
 	Node  string
 	Stage string
 	Kind  Kind
@@ -30,38 +32,21 @@ func (r *Recorder) Named() []NamedEvent {
 	out := make([]NamedEvent, len(evs))
 	for i, ev := range evs {
 		m := r.stages[ev.Stage]
-		out[i] = NamedEvent{At: ev.At, Node: m.Node, Stage: m.Stage,
+		out[i] = NamedEvent{At: ev.At, Start: ev.Start, Node: m.Node, Stage: m.Stage,
 			Kind: ev.Kind, VC: ev.VC, Cause: ev.Cause}
 	}
 	return out
 }
 
 // SortNamed orders events by every field — (at, node, stage, vc, kind,
-// cause) — making the slice a canonical form of its multiset: two runs
+// cause, start) — making the slice a canonical form of its multiset: two runs
 // recorded the same trace if and only if their sorted named events are
 // equal. This is the comparison the parallel-vs-serial golden tests pin.
 func SortNamed(evs []NamedEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.VC.VPI != b.VC.VPI {
-			return a.VC.VPI < b.VC.VPI
-		}
-		if a.VC.VCI != b.VC.VCI {
-			return a.VC.VCI < b.VC.VCI
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Cause < b.Cause
+	slices.SortFunc(evs, func(a, b NamedEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Stage, b.Stage),
+			cmp.Compare(a.VC.VPI, b.VC.VPI), cmp.Compare(a.VC.VCI, b.VC.VCI), cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Cause, b.Cause), cmp.Compare(a.Start, b.Start))
 	})
 }
 
@@ -79,8 +64,8 @@ func MergeNamed(recs ...*Recorder) []NamedEvent {
 	return out
 }
 
-// NamedSpan is a matched Enter/Exit pair keyed by stage name rather than a
-// recorder-local StageID.
+// NamedSpan is a span keyed by stage name rather than a recorder-local
+// StageID.
 type NamedSpan struct {
 	Node  string
 	Stage string
@@ -89,34 +74,18 @@ type NamedSpan struct {
 	End   sim.Time
 }
 
-type namedSpanKey struct {
-	node, stage string
-	vc          atm.VC
-}
-
-// NamedSpans pairs Enter/Exit events per (node, stage, VC) in FIFO order
-// over the stream as given, returning completed spans plus the count of
-// Exits with no matching Enter. Feed it SortNamed-ordered events: then the
-// result is a pure function of the event multiset, so a serial run and a
-// merged parallel run that recorded the same events produce identical
-// spans — the span half of the golden comparison.
-func NamedSpans(evs []NamedEvent) (spans []NamedSpan, unmatched int) {
-	open := make(map[namedSpanKey][]sim.Time)
+// NamedSpans selects the spans from a named event stream, in stream order.
+// Feed it SortNamed-ordered events: then the result is a pure function of
+// the event multiset, so a serial run and a merged parallel run that
+// recorded the same events produce identical spans — the span half of the
+// golden comparison.
+func NamedSpans(evs []NamedEvent) []NamedSpan {
+	var spans []NamedSpan
 	for _, ev := range evs {
-		key := namedSpanKey{ev.Node, ev.Stage, ev.VC}
-		switch ev.Kind {
-		case KindEnter:
-			open[key] = append(open[key], ev.At)
-		case KindExit:
-			q := open[key]
-			if len(q) == 0 {
-				unmatched++
-				continue
-			}
+		if ev.Kind == KindSpan {
 			spans = append(spans, NamedSpan{Node: ev.Node, Stage: ev.Stage,
-				VC: ev.VC, Start: q[0], End: ev.At})
-			open[key] = q[1:]
+				VC: ev.VC, Start: ev.Start, End: ev.At})
 		}
 	}
-	return spans, unmatched
+	return spans
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/atm"
 )
 
 // perfettoEvent is one Chrome trace-event JSON record. The format is the
@@ -32,8 +30,7 @@ type perfettoFile struct {
 
 // WriteTraceJSON exports the recorded journey as Chrome trace-event JSON:
 // one process per node, one thread track per stage, an "X" complete event
-// per matched Enter/Exit residency span, and instant events for drops and
-// points. Output is deterministic: pids follow stage-registration order and
+// per residency span, and instant events for drops and points. Output is deterministic: pids follow stage-registration order and
 // events are sorted by (start, stage, vc).
 func (r *Recorder) WriteTraceJSON(w io.Writer) error {
 	nodes := r.nodeOrder()
@@ -57,7 +54,7 @@ func (r *Recorder) WriteTraceJSON(w io.Writer) error {
 		})
 	}
 
-	spans, _ := r.Spans()
+	spans := r.Spans()
 	sortSpansByStart(spans)
 	for _, sp := range spans {
 		m := r.stages[sp.Stage]
@@ -66,7 +63,7 @@ func (r *Recorder) WriteTraceJSON(w io.Writer) error {
 			Name: m.Stage, Phase: "X", Cat: "cell",
 			Ts: float64(sp.Start) / 1000, Dur: &dur,
 			Pid: pidOf[m.Node], Tid: int(sp.Stage) + 1,
-			Args: map[string]any{"vc": vcString(sp.VC)},
+			Args: map[string]any{"vc": sp.VC.String()},
 		})
 	}
 	for _, ev := range r.Events() {
@@ -77,14 +74,14 @@ func (r *Recorder) WriteTraceJSON(w io.Writer) error {
 				Name: "drop: " + ev.Cause.String(), Phase: "i", Cat: "drop",
 				Ts: float64(ev.At) / 1000, Scope: "t",
 				Pid: pidOf[m.Node], Tid: int(ev.Stage) + 1,
-				Args: map[string]any{"vc": vcString(ev.VC)},
+				Args: map[string]any{"vc": ev.VC.String()},
 			})
 		case KindPoint:
 			evs = append(evs, perfettoEvent{
 				Name: m.Stage, Phase: "i", Cat: "cell",
 				Ts: float64(ev.At) / 1000, Scope: "t",
 				Pid: pidOf[m.Node], Tid: int(ev.Stage) + 1,
-				Args: map[string]any{"vc": vcString(ev.VC)},
+				Args: map[string]any{"vc": ev.VC.String()},
 			})
 		}
 	}
@@ -92,8 +89,6 @@ func (r *Recorder) WriteTraceJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(perfettoFile{TraceEvents: evs, DisplayTimeUnit: "ns"})
 }
-
-func vcString(vc atm.VC) string { return vc.String() }
 
 // WriteBreakdown renders the residency report as an aligned text table:
 // per-stage span counts, drops and latency statistics — where the time goes,

@@ -1,24 +1,21 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// Kind classifies one recorded span event.
+// Kind classifies one recorded event.
 type Kind uint8
 
 const (
-	// KindEnter marks a cell entering a stage (pushed into a FIFO, offered
-	// to a wire).
-	KindEnter Kind = iota
-	// KindExit marks the same cell leaving the stage. Enter/Exit pairs
-	// match in FIFO order per (stage, VC) — exact on the order-preserving
-	// stages this simulator models.
-	KindExit
+	// KindSpan is one cell's whole residency in a stage, recorded when the
+	// cell leaves it: Event.Start is when it entered, Event.At when it left.
+	KindSpan Kind = iota
 	// KindPoint is an instantaneous boundary crossing (host delivery).
 	KindPoint
 	// KindDrop is a cell lost inside the stage, with its cause.
@@ -27,10 +24,8 @@ const (
 
 func (k Kind) String() string {
 	switch k {
-	case KindEnter:
-		return "enter"
-	case KindExit:
-		return "exit"
+	case KindSpan:
+		return "span"
 	case KindPoint:
 		return "point"
 	case KindDrop:
@@ -46,7 +41,8 @@ type StageID uint16
 // happened, when, and to which connection's cell. Events are compact value
 // records — the cell itself is long gone by the time anyone reads them.
 type Event struct {
-	At    sim.Time
+	At    sim.Time // when it was recorded: a span's end
+	Start sim.Time // a span's start (KindSpan only)
 	VC    atm.VC
 	Stage StageID
 	Kind  Kind
@@ -78,7 +74,7 @@ type Recorder struct {
 	evicted uint64
 	enabled bool
 
-	sampleN uint32      // record every Nth cell per (stage, VC); 0/1 = all
+	sampleN uint32      // record every Nth span or point per (stage, VC); 0/1 = all
 	stages  []stageMeta // indexed by StageID
 	byName  map[string]*StageSpan
 }
@@ -99,15 +95,14 @@ func NewRecorder(k *sim.Kernel, capacity int) *Recorder {
 }
 
 // Enable turns recording on or off. Installed spans stay wired; while
-// disabled they cost one branch per hop and record nothing.
+// disabled they cost one branch per hop and record nothing. Its users are
+// the disabled-tracing pins in trace_overhead_test.go, which attach a
+// recorder and switch it off to price the hooks alone.
 func (r *Recorder) Enable(on bool) { r.enabled = on }
 
-// Enabled reports whether events are currently recorded.
-func (r *Recorder) Enabled() bool { return r.enabled }
-
-// SampleCells records only every nth cell per (stage, VC) — both ends of a
-// span sample by per-VC count, so the kth recorded Enter still matches the
-// kth recorded Exit on a FIFO stage. n <= 1 records everything. Drops are
+// SampleCells keeps only every nth span (or point) per (stage, VC), counted
+// as cells leave the stage; each kept span is whole, so sampling thins the
+// stream without skewing a duration. n <= 1 records everything. Drops are
 // always recorded: sampling thins the healthy stream, never the losses.
 func (r *Recorder) SampleCells(n int) {
 	if r == nil {
@@ -143,9 +138,6 @@ func (r *Recorder) StageName(id StageID) (node, stage string) {
 	m := r.stages[id]
 	return m.Node, m.Stage
 }
-
-// Stages returns the number of registered stages.
-func (r *Recorder) Stages() int { return len(r.stages) }
 
 // push appends one event, evicting the oldest when the ring is full.
 func (r *Recorder) push(ev Event) {
@@ -185,88 +177,64 @@ func (r *Recorder) Events() []Event {
 	return append(out, r.ring[:r.next]...)
 }
 
-// Reset clears the ring and eviction accounting; stage registrations and
-// sampling state survive, so a recorder can be reused between runs.
-func (r *Recorder) Reset() {
-	r.next = 0
-	r.wrapped = false
-	r.evicted = 0
-	for _, s := range r.byName {
-		s.in, s.out = nil, nil
-	}
-}
-
-// StageSpan is the per-stage handle the datapath calls: Enter when a cell
-// comes under the stage's control, Exit when it leaves, Drop when the stage
-// loses it, Point for instantaneous boundaries. All methods are no-ops on a
-// nil receiver and allocation-free on the recording path.
+// StageSpan is the per-stage handle the datapath calls: Span when a cell
+// leaves the stage, with the time it entered, which the stage already
+// holds (a queued cell's Stamp, a fiber's fixed delay, a frame's first
+// cell); Drop when the stage loses a cell; Point for instantaneous
+// boundaries. All methods are no-ops on a nil receiver and allocation-free
+// on the recording path.
 type StageSpan struct {
 	r  *Recorder
 	id StageID
 
-	// Per-VC cell counters for SampleCells; allocated lazily only when
-	// cell sampling is active, so the default path never touches a map.
-	in  map[atm.VC]uint32
-	out map[atm.VC]uint32
+	// Per-VC cell counts for SampleCells; made on first use while sampling
+	// is on, so the default path never touches a map.
+	seen map[atm.VC]uint32
 }
 
-// admit applies per-VC cell sampling to the paired kinds.
-func (s *StageSpan) admit(vc atm.VC, m *map[atm.VC]uint32) bool {
-	r := s.r
-	if r.sampleN > 1 {
-		if *m == nil {
-			*m = make(map[atm.VC]uint32)
-		}
-		n := (*m)[vc]
-		(*m)[vc] = n + 1
-		return n%r.sampleN == 0
+// Span records a cell of vc leaving the stage now, having entered it at
+// start: its whole residency, in one event.
+func (s *StageSpan) Span(vc atm.VC, start sim.Time) {
+	if s != nil && s.r.enabled {
+		s.record(Event{Start: start, VC: vc, Kind: KindSpan})
 	}
-	return true
-}
-
-// Enter records a cell entering the stage.
-func (s *StageSpan) Enter(vc atm.VC) {
-	if s == nil || !s.r.enabled {
-		return
-	}
-	if !s.admit(vc, &s.in) {
-		return
-	}
-	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindEnter})
-}
-
-// Exit records the cell leaving the stage.
-func (s *StageSpan) Exit(vc atm.VC) {
-	if s == nil || !s.r.enabled {
-		return
-	}
-	if !s.admit(vc, &s.out) {
-		return
-	}
-	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindExit})
 }
 
 // Point records an instantaneous boundary crossing.
 func (s *StageSpan) Point(vc atm.VC) {
-	if s == nil || !s.r.enabled {
-		return
+	if s != nil && s.r.enabled {
+		s.record(Event{VC: vc, Kind: KindPoint})
 	}
-	if !s.admit(vc, &s.in) {
-		return
-	}
-	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindPoint})
 }
 
 // Drop records a cell the stage lost, with its cause. Drops bypass cell
 // sampling: losses are the events a flight recorder exists for.
 func (s *StageSpan) Drop(vc atm.VC, cause metrics.DropCause) {
-	if s == nil || !s.r.enabled {
-		return
+	if s != nil && s.r.enabled {
+		s.record(Event{VC: vc, Kind: KindDrop, Cause: cause})
 	}
-	s.r.push(Event{At: s.r.k.Now(), VC: vc, Stage: s.id, Kind: KindDrop, Cause: cause})
 }
 
-// Span is one matched Enter/Exit pair: a cell's residency in a stage.
+// record stamps ev with the stage and the time and appends it, thinning
+// spans and points per VC under SampleCells. The methods above keep only
+// the recorder test, so that it inlines at every hop.
+func (s *StageSpan) record(ev Event) {
+	r := s.r
+	if r.sampleN > 1 && ev.Kind != KindDrop {
+		if s.seen == nil {
+			s.seen = make(map[atm.VC]uint32)
+		}
+		n := s.seen[ev.VC]
+		s.seen[ev.VC] = n + 1
+		if n%r.sampleN != 0 {
+			return
+		}
+	}
+	ev.At, ev.Stage = r.k.Now(), s.id
+	r.push(ev)
+}
+
+// Span is one cell's residency in a stage.
 type Span struct {
 	Stage StageID
 	VC    atm.VC
@@ -274,40 +242,24 @@ type Span struct {
 	End   sim.Time
 }
 
-type spanKey struct {
-	stage StageID
-	vc    atm.VC
-}
-
-// Spans pairs the ring's Enter/Exit events per (stage, VC) in FIFO order
-// and returns the completed residency spans in end-time order, plus the
-// count of Exit events whose Enter was missing (evicted by wraparound, or a
-// cell lost mid-stage on a lossy wire — the FIFO match then skews, exactly
-// as with Timed).
-func (r *Recorder) Spans() (spans []Span, unmatched int) {
-	open := make(map[spanKey][]sim.Time)
+// Spans returns the recorded spans in the order they were recorded, which
+// is end-time order. Each span is whole as its stage recorded it, so
+// selecting them needs no matching: a cell lost inside a stage records its
+// drop and no span, and an evicted event takes only its own span along.
+func (r *Recorder) Spans() []Span {
+	var spans []Span
 	for _, ev := range r.Events() {
-		key := spanKey{ev.Stage, ev.VC}
-		switch ev.Kind {
-		case KindEnter:
-			open[key] = append(open[key], ev.At)
-		case KindExit:
-			q := open[key]
-			if len(q) == 0 {
-				unmatched++
-				continue
-			}
-			spans = append(spans, Span{Stage: ev.Stage, VC: ev.VC, Start: q[0], End: ev.At})
-			open[key] = q[1:]
+		if ev.Kind == KindSpan {
+			spans = append(spans, Span{Stage: ev.Stage, VC: ev.VC, Start: ev.Start, End: ev.At})
 		}
 	}
-	return spans, unmatched
+	return spans
 }
 
 // StageStat is one stage's residency summary for the attribution report.
 type StageStat struct {
 	Node, Stage string
-	Count       int // matched spans
+	Count       int // recorded spans
 	Drops       int // recorded drop events
 	Mean        sim.Duration
 	P50, P99    sim.Duration
@@ -319,7 +271,6 @@ type StageStat struct {
 // statistics, one log-linear histogram per stage (the same buckets the
 // metrics registry uses), returned in stage-registration order.
 func (r *Recorder) Residency() []StageStat {
-	spans, _ := r.Spans()
 	reg := metrics.NewRegistry()
 	hists := make([]*metrics.Histogram, len(r.stages))
 	stats := make([]StageStat, len(r.stages))
@@ -327,14 +278,14 @@ func (r *Recorder) Residency() []StageStat {
 		stats[id] = StageStat{Node: m.Node, Stage: m.Stage}
 		hists[id] = reg.Histogram(m.Node + "." + m.Stage)
 	}
-	for _, sp := range spans {
-		d := sp.End - sp.Start
-		hists[sp.Stage].Observe(d)
-		stats[sp.Stage].Count++
-		stats[sp.Stage].Total += d
-	}
 	for _, ev := range r.Events() {
-		if ev.Kind == KindDrop {
+		switch ev.Kind {
+		case KindSpan:
+			d := ev.At - ev.Start
+			hists[ev.Stage].Observe(d)
+			stats[ev.Stage].Count++
+			stats[ev.Stage].Total += d
+		case KindDrop:
 			stats[ev.Stage].Drops++
 		}
 	}
@@ -365,24 +316,12 @@ func (r *Recorder) nodeOrder() []string {
 	return nodes
 }
 
-// sortSpansByStart orders spans (start, stage, vc) for deterministic export.
+// sortSpansByStart orders spans by (start, stage, vc, end), every field, so
+// the export order does not depend on the sort: cells of one VC pulled into
+// a frame together share a start, and only their ends tell them apart.
 func sortSpansByStart(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		if spans[i].Stage != spans[j].Stage {
-			return spans[i].Stage < spans[j].Stage
-		}
-		if spans[i].VC.VPI != spans[j].VC.VPI {
-			return spans[i].VC.VPI < spans[j].VC.VPI
-		}
-		if spans[i].VC.VCI != spans[j].VC.VCI {
-			return spans[i].VC.VCI < spans[j].VC.VCI
-		}
-		// Cells of one VC entering a stage in the same event (a frame pull)
-		// share a Start; without the End tie-break their export order would
-		// be whatever sort.Slice's unstable sort left behind.
-		return spans[i].End < spans[j].End
+	slices.SortFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Stage, b.Stage),
+			cmp.Compare(a.VC.VPI, b.VC.VPI), cmp.Compare(a.VC.VCI, b.VC.VCI), cmp.Compare(a.End, b.End))
 	})
 }

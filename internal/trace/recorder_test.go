@@ -23,32 +23,37 @@ func TestNilRecorderIsFree(t *testing.T) {
 		t.Fatalf("nil recorder returned non-nil span")
 	}
 	// None of these may panic.
-	sp.Enter(recVC)
-	sp.Exit(recVC)
+	sp.Span(recVC, 0)
 	sp.Point(recVC)
 	sp.Drop(recVC, metrics.DropFIFO)
 	r.SampleCells(4)
 }
 
-func TestEnterExitSpans(t *testing.T) {
+// TestSpans pins what Spans selects: each span as its stage recorded it,
+// whole, in recording (end-time) order, with drops and points left out.
+func TestSpans(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 64)
 	sp := r.Stage("a", "tx.fifo")
-	k.At(100, func() { sp.Enter(recVC) })
-	k.At(150, func() { sp.Enter(recVC) })
-	k.At(300, func() { sp.Exit(recVC) })
-	k.At(600, func() { sp.Exit(recVC) })
+	other := atm.VC{VCI: 200}
+	k.At(300, func() { sp.Span(recVC, 100) })
+	k.At(400, func() { sp.Drop(recVC, metrics.DropFIFO) })
+	k.At(500, func() { sp.Span(other, 450) })
+	k.At(600, func() { sp.Span(recVC, 150) })
 	k.Run()
-	spans, unmatched := r.Spans()
-	if unmatched != 0 || len(spans) != 2 {
-		t.Fatalf("spans %v unmatched %d", spans, unmatched)
+	spans := r.Spans()
+	want := []Span{
+		{Stage: sp.id, VC: recVC, Start: 100, End: 300},
+		{Stage: sp.id, VC: other, Start: 450, End: 500},
+		{Stage: sp.id, VC: recVC, Start: 150, End: 600},
 	}
-	// FIFO pairing: first Exit matches first Enter.
-	if spans[0].Start != 100 || spans[0].End != 300 {
-		t.Fatalf("span0 %+v", spans[0])
+	if len(spans) != len(want) {
+		t.Fatalf("spans %+v, want %+v", spans, want)
 	}
-	if spans[1].Start != 150 || spans[1].End != 600 {
-		t.Fatalf("span1 %+v", spans[1])
+	for i := range want {
+		if spans[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, spans[i], want[i])
+		}
 	}
 }
 
@@ -60,7 +65,7 @@ func TestWraparound(t *testing.T) {
 	sp := r.Stage("a", "s")
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i * 10)
-		k.At(at, func() { sp.Enter(recVC) })
+		k.At(at, func() { sp.Span(recVC, at-5) })
 	}
 	k.Run()
 	if r.Len() != 8 {
@@ -80,24 +85,15 @@ func TestWraparound(t *testing.T) {
 			t.Fatalf("event %d at %v, want %v", i, ev.At, want)
 		}
 	}
-	// An Exit whose Enter was evicted counts as unmatched, not a bogus span.
-	r.Reset()
-	if r.Len() != 0 || r.Evicted() != 0 {
-		t.Fatalf("reset: len %d evicted %d", r.Len(), r.Evicted())
+	// Eviction takes whole spans: every span left is exact.
+	spans := r.Spans()
+	if len(spans) != 8 {
+		t.Fatalf("spans %d after wraparound, want 8", len(spans))
 	}
-}
-
-func TestExitWithoutEnterIsUnmatched(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRecorder(k, 2)
-	sp := r.Stage("a", "s")
-	k.At(10, func() { sp.Enter(recVC) })
-	k.At(20, func() { sp.Exit(recVC) })
-	k.At(30, func() { sp.Exit(recVC) }) // ring holds only the two Exits now
-	k.Run()
-	spans, unmatched := r.Spans()
-	if len(spans) != 0 || unmatched != 2 {
-		t.Fatalf("spans %d unmatched %d, want 0/2", len(spans), unmatched)
+	for _, s := range spans {
+		if s.End-s.Start != 5 {
+			t.Fatalf("span %+v after wraparound, want 5 ns", s)
+		}
 	}
 }
 
@@ -106,38 +102,35 @@ func TestEnableFreezes(t *testing.T) {
 	r := NewRecorder(k, 16)
 	sp := r.Stage("a", "s")
 	r.Enable(false)
-	k.At(10, func() { sp.Enter(recVC); sp.Exit(recVC) })
+	k.At(10, func() { sp.Span(recVC, 5); sp.Point(recVC) })
 	k.Run()
 	if r.Len() != 0 {
 		t.Fatalf("recorded %d events while disabled", r.Len())
 	}
-	if r.Enabled() {
-		t.Fatalf("Enabled() true after Enable(false)")
-	}
 }
 
-// TestSampleCellsPairing pins the sampling guarantee: both ends sample by
-// per-VC count, so the kth recorded Enter matches the kth recorded Exit and
-// sampled spans have correct durations (not cross-matched neighbors).
+// TestSampleCellsPairing pins the sampling guarantee: every nth span per
+// (stage, VC) is kept, each with its own start and end, and each VC is
+// counted on its own.
 func TestSampleCellsPairing(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 256)
 	r.SampleCells(3)
 	sp := r.Stage("a", "s")
-	// Cell i enters at 100i and exits at 100i+7: every span is 7 ns.
+	other := atm.VC{VCI: 200}
+	// Cell i of each VC enters at 100i and leaves at 100i+7.
 	for i := 0; i < 30; i++ {
 		at := sim.Time(i * 100)
-		k.At(at, func() { sp.Enter(recVC) })
-		k.At(at+7, func() { sp.Exit(recVC) })
+		k.At(at+7, func() { sp.Span(recVC, at); sp.Span(other, at) })
 	}
 	k.Run()
-	spans, unmatched := r.Spans()
-	if unmatched != 0 || len(spans) != 10 {
-		t.Fatalf("spans %d unmatched %d, want 10/0", len(spans), unmatched)
+	spans := r.Spans()
+	if len(spans) != 20 {
+		t.Fatalf("spans %d, want 10 per VC", len(spans))
 	}
-	for _, s := range spans {
-		if s.End-s.Start != 7 {
-			t.Fatalf("span duration %v, want 7ns — sampling skewed the pairing", s.End-s.Start)
+	for i, s := range spans {
+		if want := sim.Time(i/2*300) + 7; s.End != want || s.End-s.Start != 7 {
+			t.Fatalf("span %d = %+v, want cell %d's, 7 ns", i, s, i/2*3)
 		}
 	}
 }
@@ -170,9 +163,6 @@ func TestStageRegistrationIsStable(t *testing.T) {
 	if again := r.Stage("a", "tx.fifo"); again != s1 {
 		t.Fatalf("re-registration returned a new span")
 	}
-	if r.Stages() != 2 {
-		t.Fatalf("stages %d, want 2", r.Stages())
-	}
 	if n, st := r.StageName(s1.id); n != "a" || st != "tx.fifo" {
 		t.Fatalf("stage 0 = %s/%s", n, st)
 	}
@@ -187,8 +177,7 @@ func TestResidency(t *testing.T) {
 	sp := r.Stage("a", "s")
 	for i := 0; i < 4; i++ {
 		at := sim.Time(i * 1000)
-		k.At(at, func() { sp.Enter(recVC) })
-		k.At(at+100, func() { sp.Exit(recVC) })
+		k.At(at+100, func() { sp.Span(recVC, at) })
 	}
 	k.At(9000, func() { sp.Drop(recVC, metrics.DropFIFO) })
 	k.Run()
@@ -212,8 +201,7 @@ func TestWriteTraceJSONShape(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 64)
 	sp := r.Stage("a", "tx.fifo")
-	k.At(1000, func() { sp.Enter(recVC) })
-	k.At(3000, func() { sp.Exit(recVC) })
+	k.At(3000, func() { sp.Span(recVC, 1000) })
 	k.At(4000, func() { sp.Drop(recVC, metrics.DropFIFO) })
 	k.Run()
 	var buf bytes.Buffer
@@ -248,8 +236,7 @@ func TestWriteBreakdown(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 64)
 	sp := r.Stage("a", "tx.fifo")
-	k.At(0, func() { sp.Enter(recVC) })
-	k.At(500, func() { sp.Exit(recVC) })
+	k.At(500, func() { sp.Span(recVC, 0) })
 	k.Run()
 	var buf bytes.Buffer
 	if err := r.WriteBreakdown(&buf); err != nil {
@@ -277,15 +264,10 @@ func TestConcurrentWorlds(t *testing.T) {
 			sp := r.Stage("a", "s")
 			for i := 0; i < 200; i++ {
 				at := sim.Time(i * 10)
-				k.At(at, func() { sp.Enter(recVC) })
-				k.At(at+5, func() { sp.Exit(recVC) })
+				k.At(at+5, func() { sp.Span(recVC, at) })
 			}
 			k.Run()
-			spans, unmatched := r.Spans()
-			if unmatched != 0 {
-				t.Errorf("world %d: %d unmatched", w, unmatched)
-			}
-			results[w] = len(spans)
+			results[w] = len(r.Spans())
 		}()
 	}
 	wg.Wait()

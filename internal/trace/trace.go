@@ -1,11 +1,12 @@
 // Package trace observes a simulated network. Recorder is the flight
 // recorder and the one tracing model: per-cell stage spans at every hop,
-// paired offline into per-stage residency (where a connection's per-hop
-// latency comes from) and exported as Perfetto trace JSON. Sampler
-// snapshots registry counters on a fixed period. Capture records the
-// timestamped cells passing one tap point — the logic analyzer on the fiber
-// every real bring-up of the board needed — and summarizes them per VC or
-// dumps them in a text format cellview understands.
+// each recorded whole as the cell leaves its stage, summed into per-stage
+// residency (where a connection's per-hop latency comes from) and exported
+// as Perfetto trace JSON. Sampler snapshots registry counters on a fixed
+// period. Capture records the timestamped cells passing one tap point — the
+// logic analyzer on the fiber every real bring-up of the board needed — and
+// summarizes them per VC or dumps them in a text format cellview
+// understands.
 package trace
 
 import (
