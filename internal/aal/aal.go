@@ -56,17 +56,16 @@ const MaxSDU = 65535
 
 // Errors shared by both layers.
 var (
-	ErrSDUTooLarge   = errors.New("aal: SDU exceeds 65535 bytes")
-	ErrEmptySDU      = errors.New("aal: empty SDU")
-	ErrBadCRC        = errors.New("aal: CPCS CRC mismatch")
-	ErrBadLength     = errors.New("aal: CPCS length field mismatch")
-	ErrLostCell      = errors.New("aal: cell loss detected")
-	ErrNoFrame       = errors.New("aal: cell outside any frame")
-	ErrFrameTooLong  = errors.New("aal: reassembly exceeds maximum frame size")
-	ErrBadCellCRC    = errors.New("aal: per-cell CRC-10 mismatch")
-	ErrBadSegType    = errors.New("aal: unexpected segment type")
-	ErrBadTag        = errors.New("aal: CPCS BTag/ETag mismatch")
-	ErrBufferExhaust = errors.New("aal: reassembly buffer exhausted")
+	ErrSDUTooLarge  = errors.New("aal: SDU exceeds 65535 bytes")
+	ErrEmptySDU     = errors.New("aal: empty SDU")
+	ErrBadCRC       = errors.New("aal: CPCS CRC mismatch")
+	ErrBadLength    = errors.New("aal: CPCS length field mismatch")
+	ErrLostCell     = errors.New("aal: cell loss detected")
+	ErrNoFrame      = errors.New("aal: cell outside any frame")
+	ErrFrameTooLong = errors.New("aal: reassembly exceeds maximum frame size")
+	ErrBadCellCRC   = errors.New("aal: per-cell CRC-10 mismatch")
+	ErrBadSegType   = errors.New("aal: unexpected segment type")
+	ErrBadTag       = errors.New("aal: CPCS BTag/ETag mismatch")
 )
 
 // Segmenter converts CPCS-SDUs into a stream of cell payloads.  Next fills
@@ -122,7 +121,7 @@ type Reassembler interface {
 
 // StaleReaper ages out abandoned partial frames — the state a lost
 // end-of-message cell strands forever otherwise, leaking frame buffers
-// (and AAL3/4 MID slots) toward ErrBufferExhaust. The package stays a
+// (and AAL3/4 MID slots) until none is left. The package stays a
 // leaf: the clock is an opaque monotonic int64 the caller provides (the
 // NIC passes simulated nanoseconds), sampled once per Push.
 type StaleReaper interface {
@@ -138,19 +137,20 @@ type StaleReaper interface {
 	Busy() bool
 }
 
-// New returns a matched Segmenter/Reassembler pair for the given layer.
-// maxFrame bounds the reassembler's buffer in bytes (0 means MaxSDU plus
-// trailer room).
-func New(t Type, maxFrame int) (Segmenter, Reassembler) {
-	ras := NewReassembler(t, maxFrame)
-	if t == AAL34 {
-		return NewSegmenter34(), ras
+// NewSegmenter returns the layer's segmenter.
+func NewSegmenter(t Type) Segmenter {
+	switch t {
+	case AAL5:
+		return NewSegmenter5()
+	case AAL34:
+		return NewSegmenter34()
+	default:
+		panic(fmt.Sprintf("aal: unknown type %d", t))
 	}
-	return NewSegmenter5(), ras
 }
 
-// NewReassembler returns the layer's reassembler alone, for a receiver
-// that never segments.
+// NewReassembler returns the layer's reassembler. maxFrame bounds its
+// buffer in bytes (0 means MaxSDU plus trailer room).
 func NewReassembler(t Type, maxFrame int) Reassembler {
 	switch t {
 	case AAL5:

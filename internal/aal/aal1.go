@@ -95,9 +95,6 @@ func (s *AAL1Sender) Write(p []byte) {
 	s.buf = append(s.buf, p...)
 }
 
-// Buffered returns bytes not yet emitted.
-func (s *AAL1Sender) Buffered() int { return len(s.buf) }
-
 // NextCell fills one cell payload from the stream. It returns false when
 // fewer than 47 bytes are buffered (a CBR source never underruns; if it
 // does, the circuit inserts conditioning, which the caller models).
@@ -166,13 +163,6 @@ func (r *AAL1Receiver) Push(payload *[atm.PayloadSize]byte) error {
 	r.out = append(r.out, payload[1:1+AAL1Payload]...)
 	r.expect = (sc + 1) & 0x7
 	return nil
-}
-
-// Read drains up to len(p) reproduced stream bytes.
-func (r *AAL1Receiver) Read(p []byte) int {
-	n := copy(p, r.out)
-	r.out = r.out[:copy(r.out, r.out[n:])]
-	return n
 }
 
 // Pending returns reproduced bytes not yet read.

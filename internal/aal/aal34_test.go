@@ -11,7 +11,7 @@ import (
 )
 
 func TestAAL34RoundTripSizes(t *testing.T) {
-	seg, ras := New(AAL34, 0)
+	seg, ras := NewSegmenter(AAL34), NewReassembler(AAL34, 0)
 	for _, n := range []int{1, 3, 4, 35, 36, 37, 44, 80, 88, 9180, 65535} {
 		sdu := patterned(n)
 		res := pump(t, seg, ras, sdu)
@@ -335,12 +335,19 @@ func TestAAL34TypeStrings(t *testing.T) {
 }
 
 func TestNewPanicsOnUnknownType(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(99) did not panic")
-		}
-	}()
-	New(Type(99), 0)
+	for name, build := range map[string]func(){
+		"NewSegmenter":   func() { NewSegmenter(Type(99)) },
+		"NewReassembler": func() { NewReassembler(Type(99), 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(99) did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // Property: AAL3/4 segment-then-reassemble is the identity.
@@ -388,7 +395,7 @@ func TestPropertyDropAnyCellNeverDeliversCorrupt(t *testing.T) {
 		f := func(seed uint16, dropIdx uint8) bool {
 			n := int(seed)%2000 + 100
 			sdu := patterned(n)
-			seg, ras := New(typ, 0)
+			seg, ras := NewSegmenter(typ), NewReassembler(typ, 0)
 			cells, err := seg.Begin(sdu)
 			if err != nil {
 				return false

@@ -55,7 +55,7 @@ func patterned(n int) []byte {
 }
 
 func TestAAL5RoundTripSizes(t *testing.T) {
-	seg, ras := New(AAL5, 0)
+	seg, ras := NewSegmenter(AAL5), NewReassembler(AAL5, 0)
 	for _, n := range []int{1, 39, 40, 41, 47, 48, 96, 100, 9180, 65535} {
 		sdu := patterned(n)
 		res := pump(t, seg, ras, sdu)
@@ -419,7 +419,7 @@ func TestAAL5ReassemblyWithEFCIMarkedCells(t *testing.T) {
 	// (PT 0b000→0b010, 0b001→0b011). The AAU bit is a separate PT bit, so
 	// a marked end-of-frame cell must still terminate reassembly and a
 	// marked middle cell must still be a middle cell.
-	seg, ras := New(AAL5, 0)
+	seg, ras := NewSegmenter(AAL5), NewReassembler(AAL5, 0)
 	for _, n := range []int{1, 48, 100, 9180} {
 		sdu := patterned(n)
 		cells, err := seg.Begin(sdu)

@@ -9,8 +9,8 @@ import (
 )
 
 // Segmenting an SDU into cells and reassembling it, AAL5 style.
-func ExampleNew() {
-	seg, ras := aal.New(aal.AAL5, 0)
+func ExampleNewSegmenter() {
+	seg, ras := aal.NewSegmenter(aal.AAL5), aal.NewReassembler(aal.AAL5, 0)
 	sdu := bytes.Repeat([]byte("atm!"), 100) // 400 bytes
 
 	cells, err := seg.Begin(sdu)

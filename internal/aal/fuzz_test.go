@@ -209,7 +209,7 @@ func FuzzMIDReassembler34(f *testing.F) {
 			var p [atm.PayloadSize]byte
 			copy(p[:], rest[1:fuzzRecord])
 			res, _ := m.Push(&p, atm.PT(rest[0]&0b111))
-			if n := m.ActiveMIDs(); n > fuzzMIDs {
+			if n := len(m.streams); n > fuzzMIDs {
 				t.Fatalf("%d active MIDs, bound %d", n, fuzzMIDs)
 			}
 			if res == nil {
@@ -226,8 +226,8 @@ func FuzzMIDReassembler34(f *testing.F) {
 			}
 		}
 		m.Abort()
-		if m.Busy() || m.ActiveMIDs() != 0 {
-			t.Fatalf("Abort left %d MIDs active", m.ActiveMIDs())
+		if m.Busy() || len(m.streams) != 0 {
+			t.Fatalf("Abort left %d MIDs active", len(m.streams))
 		}
 	})
 }

@@ -129,9 +129,6 @@ func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Res
 	return res, err
 }
 
-// ActiveMIDs reports the number of frames currently mid-reassembly.
-func (m *MIDReassembler34) ActiveMIDs() int { return len(m.streams) }
-
 // Active reports whether MID mid has a frame mid-reassembly.
 func (m *MIDReassembler34) Active(mid uint16) bool {
 	_, ok := m.streams[mid]

@@ -66,8 +66,8 @@ func TestMIDInterleavedFramesReassemble(t *testing.T) {
 			t.Fatalf("MID %d frame corrupted or missing", mid)
 		}
 	}
-	if m.ActiveMIDs() != 0 {
-		t.Fatalf("%d streams leaked", m.ActiveMIDs())
+	if len(m.streams) != 0 {
+		t.Fatalf("%d streams leaked", len(m.streams))
 	}
 }
 
@@ -84,8 +84,8 @@ func TestMIDLimitEnforced(t *testing.T) {
 	if _, err := m.Push(&cells[0], atm.PTUser0); !errors.Is(err, ErrTooManyMIDs) {
 		t.Fatalf("err = %v, want ErrTooManyMIDs", err)
 	}
-	if m.ActiveMIDs() != 2 {
-		t.Fatalf("active = %d", m.ActiveMIDs())
+	if len(m.streams) != 2 {
+		t.Fatalf("active = %d", len(m.streams))
 	}
 }
 
@@ -98,7 +98,7 @@ func TestMIDStateReclaimedOnError(t *testing.T) {
 	if !errors.Is(err, ErrLostCell) {
 		t.Fatalf("err = %v", err)
 	}
-	if m.ActiveMIDs() != 0 {
+	if len(m.streams) != 0 {
 		t.Fatal("dead stream not reclaimed")
 	}
 }
@@ -109,11 +109,11 @@ func TestMIDAbortClearsAll(t *testing.T) {
 		cells := cellsOf(t, mid, patterned(500))
 		m.Push(&cells[0], atm.PTUser0)
 	}
-	if m.ActiveMIDs() != 3 {
-		t.Fatalf("active = %d", m.ActiveMIDs())
+	if len(m.streams) != 3 {
+		t.Fatalf("active = %d", len(m.streams))
 	}
 	m.Abort()
-	if m.ActiveMIDs() != 0 {
+	if len(m.streams) != 0 {
 		t.Fatal("abort left streams")
 	}
 }
@@ -140,7 +140,7 @@ func TestMIDAbortMIDKeepsOtherStreams(t *testing.T) {
 	m.Push(&a[0], atm.PTUser0)
 	m.Push(&b[0], atm.PTUser0)
 	m.AbortMID(1)
-	if m.Active(1) || !m.Active(2) || m.ActiveMIDs() != 1 {
+	if m.Active(1) || !m.Active(2) || len(m.streams) != 1 {
 		t.Fatalf("after AbortMID(1): active(1)=%v active(2)=%v", m.Active(1), m.Active(2))
 	}
 	var got *Result

@@ -138,16 +138,16 @@ func TestMIDStaleSlotsReclaimed(t *testing.T) {
 	push(7, patterned(800)) // stale at t=0
 	now = 100
 	push(9, patterned(800)) // fresh at t=100
-	if m.ActiveMIDs() != 2 {
-		t.Fatalf("active MIDs = %d, want 2", m.ActiveMIDs())
+	if len(m.streams) != 2 {
+		t.Fatalf("active MIDs = %d, want 2", len(m.streams))
 	}
 
 	// Only the idle slot is reclaimed; the fresh one keeps reassembling.
 	if n := m.ExpireStale(50); n != 1 {
 		t.Fatalf("expired %d slots, want 1", n)
 	}
-	if m.ActiveMIDs() != 1 {
-		t.Fatalf("active MIDs = %d after partial expiry, want 1", m.ActiveMIDs())
+	if len(m.streams) != 1 {
+		t.Fatalf("active MIDs = %d after partial expiry, want 1", len(m.streams))
 	}
 	if !m.Busy() {
 		t.Fatal("Busy() = false with a live MID slot")
@@ -155,8 +155,8 @@ func TestMIDStaleSlotsReclaimed(t *testing.T) {
 	if n := m.ExpireStale(200); n != 1 {
 		t.Fatalf("expired %d slots, want 1", n)
 	}
-	if m.ActiveMIDs() != 0 || m.Busy() {
-		t.Fatalf("slots leaked: active=%d busy=%v", m.ActiveMIDs(), m.Busy())
+	if len(m.streams) != 0 || m.Busy() {
+		t.Fatalf("slots leaked: active=%d busy=%v", len(m.streams), m.Busy())
 	}
 }
 

@@ -65,6 +65,8 @@ const (
 	PTUserCongestedEnd PT = 0b011
 	// PTOAMSegment and friends are management cells; the interface
 	// forwards them to firmware rather than the reassembly fast path.
+	// The values no model sends (PTUserCongestedEnd, PTOAMSegment,
+	// PTReservedPT111) stay to complete the field's code book.
 	PTOAMSegment    PT = 0b100
 	PTOAMEndToEnd   PT = 0b101
 	PTResourceMgmt  PT = 0b110

@@ -45,5 +45,7 @@ func (p *Pool) Put(c *Cell) {
 	p.free = append(p.free, c)
 }
 
-// Stats reports cumulative gets, puts and fresh allocations.
+// Stats reports cumulative gets, puts and fresh allocations. No program
+// reads it; the pool-bound tests (core, phy, fifo, nic, netsim and the
+// experiments) check through it that cells recycle.
 func (p *Pool) Stats() (gets, puts, news uint64) { return p.gets, p.puts, p.news }

@@ -189,7 +189,7 @@ func TestHardwiredRemovesEngineBottleneck(t *testing.T) {
 		iface.OpenVC(vc)
 
 		// Inject back-to-back single-cell AAL5 frames at the cell rate.
-		seg, _ := aal.New(aal.AAL5, 0)
+		seg := aal.NewSegmenter(aal.AAL5)
 		cellTime := units.CellTime(units.STS12cPayload)
 		const nCells = 4000
 		for i := 0; i < nCells; i++ {

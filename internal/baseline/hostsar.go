@@ -76,7 +76,6 @@ func NewHostSAR(k *sim.Kernel, cfg nic.Config, hst *host.Host, b *bus.Bus, pool 
 	if cfg.MaxSDU <= 0 {
 		cfg.MaxSDU = aal.MaxSDU
 	}
-	seg, _ := aal.New(cfg.AAL, 0)
 	h := &HostSAR{
 		k: k, cfg: cfg, hst: hst,
 		// The name nic gives its host PIO device, so several adapters
@@ -86,7 +85,7 @@ func NewHostSAR(k *sim.Kernel, cfg nic.Config, hst *host.Host, b *bus.Bus, pool 
 		pool:     pool,
 		txFifo:   fifo.NewRing[*atm.Cell](cfg.TxFifoDepth),
 		rxFifo:   fifo.NewRing[*atm.Cell](cfg.RxFifoDepth),
-		seg:      seg,
+		seg:      aal.NewSegmenter(cfg.AAL),
 		ras:      make(map[atm.VC]aal.Reassembler),
 		cellTime: units.CellTime(cfg.PayloadRate),
 	}

@@ -248,9 +248,6 @@ func (f *Frame) Access(i int) (cycles int, err error) {
 	}
 }
 
-// Cells returns the number of stored cells.
-func (f *Frame) Cells() int { return f.n }
-
 // LocalBytes reports adapter-SRAM bytes this frame currently pins. A
 // contiguous frame pins its whole reservation for its lifetime: that is
 // the strategy's defining cost.

@@ -22,8 +22,8 @@ func TestAppendAndReadBackAllOrganizations(t *testing.T) {
 				t.Fatalf("%v: free append", org)
 			}
 		}
-		if f.Cells() != 100 {
-			t.Fatalf("%v: Cells = %d", org, f.Cells())
+		if f.n != 100 {
+			t.Fatalf("%v: Cells = %d", org, f.n)
 		}
 		for i := 0; i < 100; i++ {
 			cycles, err := f.Access(i)
@@ -137,8 +137,8 @@ func TestPagedRecyclesReleasedPages(t *testing.T) {
 	for i := 0; i < PageCells+1; i++ {
 		g.Append()
 	}
-	if g.Cells() != PageCells+1 || g.LocalBytes() != FrameOverheadBytes(Paged, 1366)+2*pageBytes {
-		t.Fatalf("recycled record holds %d cells in %d bytes", g.Cells(), g.LocalBytes())
+	if g.n != PageCells+1 || g.LocalBytes() != FrameOverheadBytes(Paged, 1366)+2*pageBytes {
+		t.Fatalf("recycled record holds %d cells in %d bytes", g.n, g.LocalBytes())
 	}
 	if _, err := g.Access(PageCells + 1); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("unwritten slot of a recycled record accessible: %v", err)
@@ -342,7 +342,7 @@ func TestPropertyIntegrityAndAccounting(t *testing.T) {
 		if org == HostMem {
 			wantHost = n * CellPayload
 		}
-		if fr.Cells() != n || fr.LocalBytes() != want || a.Used() != want || fr.HostBytes() != wantHost {
+		if fr.n != n || fr.LocalBytes() != want || a.Used() != want || fr.HostBytes() != wantHost {
 			return false
 		}
 		fr.Release()

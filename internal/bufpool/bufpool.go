@@ -107,6 +107,8 @@ func (p *Pool) Put(b []byte) {
 
 // Stats reads the pool's registry instruments: free-list hits, allocating
 // misses, and buffers returned. A nil or un-instrumented pool reports zeros.
+// No program reads it (they read the registry); the bufpool, phy and nic
+// tests do.
 func (p *Pool) Stats() (hits, misses, puts uint64) {
 	if p == nil {
 		return 0, 0, 0

@@ -60,7 +60,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	if cfg.PIOTime <= 0 {
 		cfg.PIOTime = cfg.WordTime
 	}
-	return &Bus{k: k, cfg: cfg, res: sim.NewResource(k, "bus")}
+	return &Bus{k: k, cfg: cfg, res: sim.NewResource(k)}
 }
 
 // Config returns the bus timing in force.
@@ -77,12 +77,6 @@ func (b *Bus) SetMetrics(reg *metrics.Registry) {
 		d.instrument(reg)
 	}
 }
-
-// Utilization returns the fraction of simulated time the bus was occupied.
-func (b *Bus) Utilization() float64 { return b.res.Utilization() }
-
-// QueueLen returns the number of transactions waiting for the bus.
-func (b *Bus) QueueLen() int { return b.res.QueueLen() }
 
 // Device is a bus requester (the NIC's DMA engine, the host CPU). Each
 // device counts its own traffic into the bus's registry (SetMetrics).
@@ -112,9 +106,6 @@ func (d *Device) instrument(reg *metrics.Registry) {
 	d.mPIOWords = reg.Counter("bus." + d.name + ".pio_words")
 	d.hGrantWait = reg.Histogram("bus." + d.name + ".grant_wait")
 }
-
-// Name returns the device's diagnostic name.
-func (d *Device) Name() string { return d.name }
 
 // MaxBurst returns the bus's burst-size limit in bytes (0 = unlimited),
 // for callers that chunk their own transfers.

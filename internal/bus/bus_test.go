@@ -165,7 +165,7 @@ func TestBusUtilization(t *testing.T) {
 	d.DMA(48, nil) // busy 0..680
 	k.Run()
 	k.RunUntil(1360)
-	u := b.Utilization()
+	u := b.res.Utilization()
 	if u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
 	}

@@ -16,12 +16,10 @@ import (
 	"repro/internal/atm"
 	"repro/internal/baseline"
 	"repro/internal/bus"
-	"repro/internal/engine"
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/nic"
 	"repro/internal/sim"
-	"repro/internal/tm"
 	"repro/internal/units"
 )
 
@@ -143,7 +141,6 @@ type Endpoint struct {
 	name  string
 	k     *sim.Kernel
 	host  *host.Host
-	bus   *bus.Bus
 	board board
 	iface *nic.Interface // board as the paper's interface; nil on a PerCell endpoint
 }
@@ -171,7 +168,7 @@ func newEndpoint(k *sim.Kernel, name string, o Options, reg *metrics.Registry, p
 	h := host.New(k, o.hostConfig())
 	b := bus.New(k, bus.DefaultConfig())
 	b.SetMetrics(reg)
-	e := &Endpoint{name: name, k: k, host: h, bus: b}
+	e := &Endpoint{name: name, k: k, host: h}
 	var err error
 	switch o.Arch {
 	case Programmable:
@@ -209,9 +206,6 @@ func (e *Endpoint) errPerCell() error {
 // Host exposes the endpoint's host CPU model.
 func (e *Endpoint) Host() *host.Host { return e.host }
 
-// Bus exposes the endpoint's I/O bus model.
-func (e *Endpoint) Bus() *bus.Bus { return e.bus }
-
 // Send queues data for transmission on vc. onSent (may be nil) fires when
 // the host could reuse the buffer (after the transmit-complete interrupt).
 func (e *Endpoint) Send(vc VC, data []byte, onSent func()) error {
@@ -228,38 +222,12 @@ func (e *Endpoint) OnReceive(fn func(Packet)) {
 // Stats returns the endpoint adapter's counters.
 func (e *Endpoint) Stats() nic.Stats { return e.board.Stats() }
 
-// Engines returns the endpoint's engines for headroom analysis (nil on a
-// PerCell endpoint).
-func (e *Endpoint) Engines() (tx, rx *engine.Engine) {
-	if e.iface == nil {
-		return nil, nil
-	}
-	return e.iface.TxEngine(), e.iface.RxEngine()
-}
-
 // SetPeakCellRate paces a VC's transmit path (see nic.Interface).
 func (e *Endpoint) SetPeakCellRate(vc VC, cellsPerSec float64) error {
 	if e.iface == nil {
 		return e.errPerCell()
 	}
 	return e.iface.SetPeakCellRate(vc, cellsPerSec)
-}
-
-// Ping sends an F5 OAM loopback on vc; reply fires the handler registered
-// with OnPingReply.
-func (e *Endpoint) Ping(vc VC, correlation uint32) error {
-	if e.iface == nil {
-		return e.errPerCell()
-	}
-	return e.iface.SendLoopback(vc, correlation)
-}
-
-// OnPingReply registers the loopback-reply handler. A PerCell endpoint
-// cannot ping, so its handler never fires.
-func (e *Endpoint) OnPingReply(fn func(vc VC, correlation uint32)) {
-	if e.iface != nil {
-		e.iface.OnLoopbackReply(fn)
-	}
 }
 
 // OnAlarm registers the fault-management handler: AIS/RDI declare and clear
@@ -269,15 +237,6 @@ func (e *Endpoint) OnAlarm(fn func(nic.AlarmEvent)) {
 	if e.iface != nil {
 		e.iface.OnAlarm(fn)
 	}
-}
-
-// SetContract installs a full traffic contract on a VC's transmit path
-// (see nic.Interface.SetContract).
-func (e *Endpoint) SetContract(vc VC, c tm.TrafficContract) error {
-	if e.iface == nil {
-		return e.errPerCell()
-	}
-	return e.iface.SetContract(vc, c)
 }
 
 // Goodput returns delivered SDU bits per second at endpoint e over the

@@ -80,12 +80,12 @@ func TestOptionsPlumbing(t *testing.T) {
 	if cfg.AdapterSRAM != 1<<20 {
 		t.Errorf("sram = %d", cfg.AdapterSRAM)
 	}
-	if got := a.Host().Config().InstrRate; got != 200_000_000 {
-		t.Errorf("host instr rate = %d", got)
+	if got := a.Host().InstrTime(1000); got != 5000 {
+		t.Errorf("1000 host instructions take %v, want 5 µs at 200 MIPS", got)
 	}
 	def := pair(t, Options{}, LinkSpec{})
-	if got := def.Endpoint("a").Host().Config().InstrRate; got != 25_000_000 {
-		t.Errorf("default host instr rate = %d", got)
+	if got := def.Endpoint("a").Host().InstrTime(1000); got != 40_000 {
+		t.Errorf("1000 host instructions take %v by default, want 40 µs at 25 MIPS", got)
 	}
 }
 
@@ -138,9 +138,11 @@ func TestGoodputAccessor(t *testing.T) {
 
 func TestRunFor(t *testing.T) {
 	net := pair(t, Options{}, LinkSpec{})
-	net.RunFor(5 * sim.Millisecond)
-	if net.Now() != 5*sim.Millisecond {
-		t.Fatalf("Now = %v", net.Now())
+	if now := net.RunFor(5 * sim.Millisecond); now != 5*sim.Millisecond {
+		t.Fatalf("RunFor returned %v", now)
+	}
+	if now := net.Kernel().Now(); now != 5*sim.Millisecond {
+		t.Fatalf("kernel clock at %v", now)
 	}
 }
 
@@ -149,8 +151,8 @@ func TestPingLoopback(t *testing.T) {
 	net := pair(t, Options{}, LinkSpec{}, vc)
 	a := net.Endpoint("a")
 	var got uint32
-	a.OnPingReply(func(v VC, corr uint32) { got = corr })
-	if err := a.Ping(vc, 0xfeed); err != nil {
+	a.Interface().OnLoopbackReply(func(v VC, corr uint32) { got = corr })
+	if err := a.Interface().SendLoopback(vc, 0xfeed); err != nil {
 		t.Fatal(err)
 	}
 	net.Run()

@@ -393,15 +393,6 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			fwd.SetBoundary(n.group.Mailbox(wA.k, wB.k, delay), wB.k, wB.rec, ls.Name+".fwd")
 			rev.SetBoundary(n.group.Mailbox(wB.k, wA.k, delay), wA.k, wA.rec, ls.Name+".rev")
 		}
-		// Carrier state reaches the receiving node directly, even when a
-		// tap later replaces the link's cell sink: losing the light must
-		// become LOS at the interface or AIS insertion at the switch.
-		if sc, ok := n.consumer(ls.B).(phy.SignalConsumer); ok {
-			fwd.SetSignalSink(sc)
-		}
-		if sc, ok := n.consumer(ls.A).(phy.SignalConsumer); ok {
-			rev.SetSignalSink(sc)
-		}
 		l := &Link{Name: ls.Name, Fwd: fwd, Rev: rev, a: ls.A, b: ls.B,
 			usedVCs: make(map[atm.VC]bool)}
 		n.links[ls.Name] = l
@@ -591,7 +582,9 @@ func (n *Network) Metrics() *metrics.Registry {
 
 // TraceEvents returns the run's flight-recorder events in canonical sorted
 // order with stage names resolved — the whole-run trace, merged across the
-// partitions' recorders. Empty when the spec set no TraceCapacity.
+// partitions' recorders. Empty when the spec set no TraceCapacity. No
+// program reads it; the parallel goldens compare serial and sharded runs
+// through it.
 func (n *Network) TraceEvents() []trace.NamedEvent {
 	recs := make([]*trace.Recorder, len(n.worlds))
 	for i, w := range n.worlds {
@@ -624,14 +617,6 @@ func (n *Network) RunFor(d sim.Duration) sim.Time {
 		return n.group.RunFor(d)
 	}
 	return n.worlds[0].k.RunFor(d)
-}
-
-// Now returns the current simulated time.
-func (n *Network) Now() sim.Time {
-	if n.group != nil {
-		return n.group.Now()
-	}
-	return n.worlds[0].k.Now()
 }
 
 // Close releases the partition worker goroutines of a sharded build (no-op

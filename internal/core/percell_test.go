@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/tm"
 )
 
 // archPair declares endpoints a and b with the given adapters, joined by
@@ -72,7 +70,7 @@ func TestPerCellCountsDiscards(t *testing.T) {
 	if err := a.Send(stray, make([]byte, 1000), nil); err != nil { // 21 cells
 		t.Fatal(err)
 	}
-	if err := a.Ping(net.VCC("ab").SourceVC, 7); err != nil {
+	if err := a.Interface().SendLoopback(net.VCC("ab").SourceVC, 7); err != nil {
 		t.Fatal(err)
 	}
 	net.Run()
@@ -90,17 +88,8 @@ func TestPerCellEndpointHasNoInterface(t *testing.T) {
 	if b.Interface() != nil {
 		t.Fatal("per-cell endpoint returned an interface")
 	}
-	if tx, rx := b.Engines(); tx != nil || rx != nil {
-		t.Fatal("per-cell endpoint returned engines")
-	}
-	for name, err := range map[string]error{
-		"SetPeakCellRate": b.SetPeakCellRate(vc, 1000),
-		"Ping":            b.Ping(vc, 1),
-		"SetContract":     b.SetContract(vc, tm.CBRContract(1000, 0)),
-	} {
-		if err == nil || !strings.Contains(err.Error(), `endpoint "b" is per-cell`) {
-			t.Errorf("%s: err = %v, want the per-cell refusal", name, err)
-		}
+	if err := b.SetPeakCellRate(vc, 1000); err == nil || !strings.Contains(err.Error(), `endpoint "b" is per-cell`) {
+		t.Errorf("SetPeakCellRate: err = %v, want the per-cell refusal", err)
 	}
 }
 

@@ -173,14 +173,14 @@ func TestPoolLedgerBalances(t *testing.T) {
 			func(t *testing.T, net *Network) {
 				greedy(net, "ab", 9180)
 				k, mid, v := net.Kernel(), net.Link("mid").Fwd, net.VCC("ab")
-				net.Endpoint("a").OnPingReply(func(VC, uint32) { pingReplies++ })
+				net.Endpoint("a").Interface().OnLoopbackReply(func(VC, uint32) { pingReplies++ })
 				k.At(sim.Time(runTime/4), mid.Fail)
 				k.At(sim.Time(runTime/2), mid.Restore)
 				// Ping once the source's deadline has passed, while its
 				// last frames still drain: the greedy load keeps the TX
 				// FIFO too full for a management cell until then.
 				k.At(sim.Time(runTime+sim.Millisecond), func() {
-					if err := net.Endpoint("a").Ping(v.SourceVC, 0xfeed); err != nil {
+					if err := net.Endpoint("a").Interface().SendLoopback(v.SourceVC, 0xfeed); err != nil {
 						t.Error(err)
 					}
 				})

@@ -67,7 +67,8 @@ func HEC(h [4]byte) byte {
 		hecSlice[0][h[3]] ^ HECCoset
 }
 
-// HECBitwise is the reference bit-serial HEC, used to validate the table.
+// HECBitwise is the reference bit-serial HEC: FuzzHECCheck and the HEC
+// tests validate the table against it.
 func HECBitwise(h [4]byte) byte {
 	var crc byte
 	for _, by := range h {
@@ -187,7 +188,8 @@ func crc10Bytes(crc uint16, p []byte) uint16 {
 	return crc
 }
 
-// CRC10Bitwise is the reference bit-serial CRC-10.
+// CRC10Bitwise is the reference bit-serial CRC-10, the oracle of FuzzCRC10
+// and the CRC-10 tests.
 func CRC10Bitwise(p []byte) uint16 {
 	var crc uint16
 	for _, by := range p {
@@ -276,12 +278,6 @@ func init() {
 			crc32Slice[k][i] = prev<<8 ^ crc32Table[byte(prev>>24)]
 		}
 	}
-}
-
-// CRC32 computes the AAL5 CPCS CRC: register preset to all ones, MSB-first,
-// result complemented.
-func CRC32(p []byte) uint32 {
-	return CRC32Update(0xffff_ffff, p) ^ 0xffff_ffff
 }
 
 // CRC32Update advances a running (uncomplemented) CRC register over p.
@@ -380,7 +376,8 @@ func newClmulConsts(p uint64) clmulConsts {
 	return k
 }
 
-// CRC32Bitwise is the reference bit-serial AAL5 CRC.
+// CRC32Bitwise is the reference bit-serial AAL5 CRC, the oracle of
+// FuzzCRC32 and the CRC-32 tests.
 func CRC32Bitwise(p []byte) uint32 {
 	crc := uint32(0xffff_ffff)
 	for _, by := range p {

@@ -220,7 +220,7 @@ func TestCRC10DetectsCorruption(t *testing.T) {
 }
 
 func TestCRC32MatchesBitwise(t *testing.T) {
-	f := func(p []byte) bool { return CRC32(p) == CRC32Bitwise(p) }
+	f := func(p []byte) bool { return crc32Of(p) == CRC32Bitwise(p) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestHECOKMatchesHEC(t *testing.T) {
 func TestCRC32KnownVector(t *testing.T) {
 	// "123456789" under CRC-32/MPEG-2-style MSB-first with pre/post
 	// inversion (the AAL5 form, aka CRC-32/BZIP2): 0xFC891918.
-	if got := CRC32([]byte("123456789")); got != 0xfc891918 {
+	if got := crc32Of([]byte("123456789")); got != 0xfc891918 {
 		t.Fatalf("CRC32(123456789) = %#08x, want 0xfc891918", got)
 	}
 }
@@ -330,7 +330,7 @@ func TestCRC32Incremental(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(i)
 	}
-	whole := CRC32(msg)
+	whole := crc32Of(msg)
 	// Fold in 48-byte (cell payload) pieces as the hardware does.
 	reg := uint32(0xffff_ffff)
 	for off := 0; off < len(msg); off += 48 {
@@ -343,7 +343,7 @@ func TestCRC32Incremental(t *testing.T) {
 
 func TestCRC32Empty(t *testing.T) {
 	// Empty message: preset^post-invert = 0.
-	if got := CRC32(nil); got != 0 {
+	if got := crc32Of(nil); got != 0 {
 		t.Fatalf("CRC32(nil) = %#08x, want 0", got)
 	}
 }
@@ -353,14 +353,14 @@ func TestCRC32DetectsBurstErrors(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(i * 31)
 	}
-	c := CRC32(msg)
+	c := crc32Of(msg)
 	// Any burst up to 32 bits must be detected.
 	for start := 0; start < 968; start += 97 {
 		m := append([]byte{}, msg...)
 		for j := 0; j < 4; j++ {
 			m[start+j] ^= 0xff
 		}
-		if CRC32(m) == c {
+		if crc32Of(m) == c {
 			t.Fatalf("32-bit burst at byte %d not detected", start)
 		}
 	}
@@ -391,10 +391,10 @@ func TestPropertyCRC32SensitiveToEveryByte(t *testing.T) {
 			return true
 		}
 		i := int(idx) % len(p)
-		c := CRC32(p)
+		c := crc32Of(p)
 		q := append([]byte{}, p...)
 		q[i] ^= delta
-		return CRC32(q) != c
+		return crc32Of(q) != c
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -447,4 +447,10 @@ func BenchmarkCRC10Cell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		CRC10Fill(p)
 	}
+}
+
+// crc32Of computes the AAL5 CPCS CRC of p in one call: register preset to
+// all ones, MSB-first, result complemented.
+func crc32Of(p []byte) uint32 {
+	return CRC32Update(0xffff_ffff, p) ^ 0xffff_ffff
 }

@@ -49,10 +49,8 @@ func DefaultConfig() Config {
 // engines poll FIFOs rather than take nested interrupts, so routines are
 // serialized, which a sim.Resource captures exactly.
 type Engine struct {
-	k    *sim.Kernel
-	name string
-	cfg  Config
-	res  *sim.Resource
+	cfg Config
+	res *sim.Resource
 
 	// routineNS caches RoutineTime by instruction count: entry i is filled
 	// on its first use with InstrTime(i + DispatchInstr), so a routine is
@@ -69,18 +67,15 @@ type Engine struct {
 }
 
 // New creates an engine.
-func New(k *sim.Kernel, name string, cfg Config) *Engine {
+func New(k *sim.Kernel, cfg Config) *Engine {
 	if cfg.ClockHz <= 0 {
 		panic("engine: non-positive clock")
 	}
 	if cfg.CPIMilli <= 0 {
 		cfg.CPIMilli = 1000
 	}
-	return &Engine{k: k, name: name, cfg: cfg, res: sim.NewResource(k, name)}
+	return &Engine{cfg: cfg, res: sim.NewResource(k)}
 }
-
-// Name returns the engine's diagnostic name.
-func (e *Engine) Name() string { return e.name }
 
 // Instrument registers the engine's telemetry under the given name prefix:
 // "<prefix>.routines" and "<prefix>.instr" counters, a "<prefix>.busy_ns"
@@ -92,9 +87,6 @@ func (e *Engine) Instrument(reg *metrics.Registry, prefix string) {
 	e.mBusy = reg.Counter(prefix + ".busy_ns")
 	e.mQueue = reg.Gauge(prefix + ".qlen")
 }
-
-// Config returns the engine's timing parameters.
-func (e *Engine) Config() Config { return e.cfg }
 
 // InstrTime converts an instruction count to engine-occupancy time,
 // including nothing but the instructions themselves.
@@ -145,23 +137,5 @@ func (e *Engine) Run(instr int, done func()) sim.Time {
 	return e.res.Use(d, done)
 }
 
-// Busy reports whether firmware is executing now.
-func (e *Engine) Busy() bool { return e.res.Busy() }
-
-// QueueLen reports routines waiting to run.
-func (e *Engine) QueueLen() int { return e.res.QueueLen() }
-
 // Utilization is the fraction of simulated time the engine was busy.
 func (e *Engine) Utilization() float64 { return e.res.Utilization() }
-
-// HeadroomAt returns the ratio cellTime/routineTime for a routine of instr
-// instructions against the given cell interarrival time: >1 means the
-// engine keeps up at line rate, <1 means it is the bottleneck.  This is the
-// number the paper's Figure-style analysis reports per configuration.
-func (e *Engine) HeadroomAt(instr int, cellTime sim.Duration) float64 {
-	rt := e.RoutineTime(instr)
-	if rt == 0 {
-		return 0
-	}
-	return float64(cellTime) / float64(rt)
-}

@@ -14,7 +14,7 @@ func test25MHz() Config {
 
 func TestInstrTimeExact(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "tx", test25MHz())
+	e := New(k, test25MHz())
 	// 25 MHz, CPI 1: one instruction = 40 ns.
 	if got := e.InstrTime(1); got != 40 {
 		t.Fatalf("InstrTime(1) = %v, want 40", int64(got))
@@ -29,7 +29,7 @@ func TestInstrTimeExact(t *testing.T) {
 
 func TestInstrTimeRoundsUp(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "tx", Config{ClockHz: 30_000_000, CPIMilli: 1000})
+	e := New(k, Config{ClockHz: 30_000_000, CPIMilli: 1000})
 	// 1 instr at 30 MHz = 33.33 ns -> 34.
 	if got := e.InstrTime(1); got != 34 {
 		t.Fatalf("InstrTime(1)@30MHz = %v, want 34", int64(got))
@@ -38,7 +38,7 @@ func TestInstrTimeRoundsUp(t *testing.T) {
 
 func TestCPIScaling(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "tx", Config{ClockHz: 25_000_000, CPIMilli: 1500})
+	e := New(k, Config{ClockHz: 25_000_000, CPIMilli: 1500})
 	// 10 instr * 1.5 CPI = 15 cycles = 600 ns.
 	if got := e.InstrTime(10); got != 600 {
 		t.Fatalf("InstrTime = %v, want 600", int64(got))
@@ -49,7 +49,7 @@ func TestRoutineTimeAddsDispatch(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := test25MHz()
 	cfg.DispatchInstr = 10
-	e := New(k, "tx", cfg)
+	e := New(k, cfg)
 	if got := e.RoutineTime(40); got != e.InstrTime(50) {
 		t.Fatalf("RoutineTime(40) = %v, want %v", got, e.InstrTime(50))
 	}
@@ -57,7 +57,7 @@ func TestRoutineTimeAddsDispatch(t *testing.T) {
 
 func TestRunSerializesRoutines(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "rx", test25MHz())
+	e := New(k, test25MHz())
 	var done []sim.Time
 	e.Run(25, func() { done = append(done, k.Now()) }) // 1000 ns
 	e.Run(25, func() { done = append(done, k.Now()) })
@@ -71,7 +71,7 @@ func TestRoutineStats(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := test25MHz()
 	cfg.DispatchInstr = 10
-	e := New(k, "rx", cfg)
+	e := New(k, cfg)
 	reg := metrics.NewRegistry()
 	e.Instrument(reg, "b.engine.rx")
 	e.Run(30, nil)
@@ -98,7 +98,7 @@ func TestRoutineStats(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "tx", test25MHz())
+	e := New(k, test25MHz())
 	e.Run(25, nil) // 1000 ns busy
 	k.Run()
 	k.RunUntil(2000)
@@ -113,10 +113,10 @@ func TestUtilization(t *testing.T) {
 // inside the 622 Mb/s cell time.
 func TestHeadroomPaperShape(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "rx", DefaultConfig())
+	e := New(k, DefaultConfig())
 	perCell := 45 // representative receive per-cell instruction count
-	h155 := e.HeadroomAt(perCell, units.CellTime(units.STS3cPayload))
-	h622 := e.HeadroomAt(perCell, units.CellTime(units.STS12cPayload))
+	h155 := headroom(e, perCell, units.CellTime(units.STS3cPayload))
+	h622 := headroom(e, perCell, units.CellTime(units.STS12cPayload))
 	if h155 <= 1.0 {
 		t.Fatalf("headroom at 155 Mb/s = %v, want > 1 (engine keeps up)", h155)
 	}
@@ -127,17 +127,24 @@ func TestHeadroomPaperShape(t *testing.T) {
 
 func TestHeadroomScalesWithClock(t *testing.T) {
 	k := sim.NewKernel()
-	slow := New(k, "a", Config{ClockHz: 25_000_000, CPIMilli: 1000})
-	fast := New(k, "b", Config{ClockHz: 66_000_000, CPIMilli: 1000})
+	slow := New(k, Config{ClockHz: 25_000_000, CPIMilli: 1000})
+	fast := New(k, Config{ClockHz: 66_000_000, CPIMilli: 1000})
 	ct := units.CellTime(units.STS12cPayload)
-	if fast.HeadroomAt(45, ct) <= slow.HeadroomAt(45, ct) {
+	if headroom(fast, 45, ct) <= headroom(slow, 45, ct) {
 		t.Fatal("faster clock did not increase headroom")
 	}
 }
 
+// headroom is cellTime over the time one routine of instr instructions
+// occupies e: above 1 the engine keeps up at line rate, below 1 it is the
+// bottleneck.
+func headroom(e *Engine, instr int, cellTime sim.Duration) float64 {
+	return float64(cellTime) / float64(e.RoutineTime(instr))
+}
+
 func TestNegativeInstrPanics(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "tx", test25MHz())
+	e := New(k, test25MHz())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative instr did not panic")
@@ -153,14 +160,14 @@ func TestZeroClockPanics(t *testing.T) {
 			t.Fatal("zero clock did not panic")
 		}
 	}()
-	New(k, "x", Config{})
+	New(k, Config{})
 }
 
 func TestDefaultCPIApplied(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "x", Config{ClockHz: 25_000_000})
-	if e.Config().CPIMilli != 1000 {
-		t.Fatalf("default CPI = %d, want 1000", e.Config().CPIMilli)
+	e := New(k, Config{ClockHz: 25_000_000})
+	if e.cfg.CPIMilli != 1000 {
+		t.Fatalf("default CPI = %d, want 1000", e.cfg.CPIMilli)
 	}
 }
 
@@ -173,7 +180,7 @@ func TestRoutineTimeMatchesDivision(t *testing.T) {
 		{ClockHz: 33_333_333, CPIMilli: 1337, DispatchInstr: 7},
 		{ClockHz: 7_000_001, CPIMilli: 999, DispatchInstr: 0},
 	} {
-		e := New(sim.NewKernel(), "e", cfg)
+		e := New(sim.NewKernel(), cfg)
 		for pass := 0; pass < 2; pass++ {
 			for instr := 0; instr <= 300; instr++ {
 				if got, want := e.RoutineTime(instr), e.InstrTime(instr+cfg.DispatchInstr); got != want {
@@ -189,7 +196,7 @@ func TestRoutineTimeMatchesDivision(t *testing.T) {
 // done callback, and its time comes from the routine table.
 func TestRunAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, "e", DefaultConfig())
+	e := New(k, DefaultConfig())
 	n := 0
 	done := func() { n++ }
 	allocs := testing.AllocsPerRun(100, func() {

@@ -56,7 +56,8 @@ func (r *Ring[T]) Instrument(reg *metrics.Registry, prefix string) {
 	r.mOccupancy = reg.Gauge(prefix + ".occupancy")
 }
 
-// Len returns the current occupancy.
+// Len returns the current occupancy. The queues count through Queue; Len
+// and Empty serve fifo's model and flag tests.
 func (r *Ring[T]) Len() int { return r.count }
 
 // Empty reports whether the FIFO holds nothing.

@@ -56,7 +56,6 @@ func DefaultConfig() Config {
 
 // Host is the workstation CPU.
 type Host struct {
-	k   *sim.Kernel
 	cfg Config
 	cpu *sim.Resource
 
@@ -73,15 +72,12 @@ func New(k *sim.Kernel, cfg Config) *Host {
 	if cfg.InstrRate <= 0 {
 		panic("host: non-positive instruction rate")
 	}
-	h := &Host{k: k, cfg: cfg, cpu: sim.NewResource(k, "hostcpu")}
+	h := &Host{cfg: cfg, cpu: sim.NewResource(k)}
 	if 1_000_000_000%cfg.InstrRate == 0 {
 		h.nsPerInstr = 1_000_000_000 / cfg.InstrRate
 	}
 	return h
 }
-
-// Config returns the host's cost model.
-func (h *Host) Config() Config { return h.cfg }
 
 // InstrTime converts instructions to CPU time (rounded up).
 func (h *Host) InstrTime(instr int) sim.Duration {
@@ -161,9 +157,3 @@ func (h *Host) Utilization() float64 { return h.cpu.Utilization() }
 
 // Interrupts returns the total interrupts taken.
 func (h *Host) Interrupts() uint64 { return h.interrupts }
-
-// Busy reports whether the CPU is occupied right now.
-func (h *Host) Busy() bool { return h.cpu.Busy() }
-
-// QueueLen reports work items awaiting the CPU.
-func (h *Host) QueueLen() int { return h.cpu.QueueLen() }

@@ -56,7 +56,9 @@ var llcSnapPrefix = [6]byte{0xAA, 0xAA, 0x03, 0x00, 0x00, 0x00}
 
 // Encapsulate wraps one datagram for transmission as an AAL5 SDU. LLCSnap
 // copies into a fresh buffer with the 8-byte header; VCMux returns the
-// datagram unchanged (zero copy).
+// datagram unchanged (zero copy). The stack writes the header in place;
+// Encapsulate is the reference the ip, tcp and cellview tests check it
+// against.
 func Encapsulate(m Method, etherType uint16, dgram []byte) []byte {
 	if m == VCMux {
 		return dgram

@@ -72,7 +72,9 @@ func (h *Header) Marshal(dst []byte, payloadLen int) {
 	binary.BigEndian.PutUint16(dst[10:12], Checksum(dst[:HeaderSize]))
 }
 
-// Datagram builds a complete IPv4 datagram around payload.
+// Datagram builds a complete IPv4 datagram around payload: the reference
+// the ip, tcp and cellview tests check the stack's in-place datagrams
+// against.
 func (h *Header) Datagram(payload []byte) []byte {
 	d := make([]byte, HeaderSize+len(payload))
 	h.Marshal(d, len(payload))

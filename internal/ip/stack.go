@@ -43,8 +43,9 @@ type Stack struct {
 	id      uint16
 	stats   StackStats
 
-	// frames recycles datagram frames. It is never instrumented, so the
-	// interface's "nic.bufpool.*" counters stay Send's alone.
+	// frames recycles datagram frames. The stack keeps its own pool, never
+	// instrumented, rather than drawing from the interface's: the
+	// interface's "nic.bufpool.*" counters count Send's copies alone.
 	frames bufpool.Pool
 	// freeSends holds retired send records; the list grows on demand.
 	freeSends *dgramSend
@@ -89,13 +90,11 @@ func NewStack(iface *nic.Interface, method Method, addr Addr) *Stack {
 // Addr returns the stack's local address.
 func (s *Stack) Addr() Addr { return s.addr }
 
-// Method returns the stack's RFC 2684 encapsulation method.
-func (s *Stack) Method() Method { return s.method }
-
 // Interface exposes the underlying NIC.
 func (s *Stack) Interface() *nic.Interface { return s.iface }
 
-// Stats returns the stack's counters.
+// Stats returns the stack's counters. No program reads them; the ip and tcp
+// tests do.
 func (s *Stack) Stats() StackStats { return s.stats }
 
 // MTU returns the largest IP payload one AAL5 frame can carry after the
@@ -112,9 +111,6 @@ func (s *Stack) Bind(vc atm.VC, fn Handler) {
 	}
 	s.bindVCs[vc] = fn
 }
-
-// Unbind removes vc's handler; subsequent frames on it count as NoHandler.
-func (s *Stack) Unbind(vc atm.VC) { delete(s.bindVCs, vc) }
 
 // NewDatagram returns a zeroed frame for an n-byte IP payload and the
 // payload's place in it. The frame leaves room at its front for the RFC

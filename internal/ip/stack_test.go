@@ -74,7 +74,7 @@ func TestStackNoHandler(t *testing.T) {
 	}
 	// Bind then unbind: back to NoHandler.
 	sb.Bind(vc, func(Header, []byte, sim.Time) {})
-	sb.Unbind(vc)
+	delete(sb.bindVCs, vc)
 	send(sa, vc, ProtoUDP, sb.Addr(), []byte("y"))
 	k.Run()
 	if sb.Stats().NoHandler != 2 {

@@ -42,14 +42,6 @@ func BucketUpper(i int) int64 {
 	return lower + int64(1)<<uint(msb-histSubBits) - 1
 }
 
-// BucketLower returns the smallest value bucket i holds.
-func BucketLower(i int) int64 {
-	if i < histSubCount {
-		return int64(i)
-	}
-	return BucketUpper(i-1) + 1
-}
-
 // Histogram is a fixed-bucket log-scale distribution over simulated
 // durations. Observe is allocation-free; negative durations clamp to zero
 // (they indicate a model bug but must not corrupt the distribution).
@@ -90,22 +82,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() sim.Duration {
-	if h == nil {
-		return 0
-	}
-	return sim.Duration(h.sum)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() sim.Duration {
-	if h == nil {
-		return 0
-	}
-	return sim.Duration(h.min)
-}
-
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() sim.Duration {
 	if h == nil {
@@ -120,22 +96,6 @@ func (h *Histogram) Mean() sim.Duration {
 		return 0
 	}
 	return sim.Duration(h.sum / int64(h.count))
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Bucket returns bucket i's count.
-func (h *Histogram) Bucket(i int) uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.buckets[i]
 }
 
 // Quantile returns the value at quantile p in (0, 1]: the upper bound of

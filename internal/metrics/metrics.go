@@ -56,7 +56,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -70,7 +70,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -173,8 +173,7 @@ func (r *Registry) vcIDs() []VCID {
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
-	name string
-	v    uint64
+	v uint64
 }
 
 // Inc adds one. No-op on a nil counter.
@@ -201,20 +200,11 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an instantaneous level with high-watermark tracking. The
 // watermark records the largest value ever Set (or reached via Add).
 type Gauge struct {
-	name string
-	v    int64
-	max  int64
+	v   int64
+	max int64
 }
 
 // Set records the current level and updates the high watermark. No-op on a
@@ -226,18 +216,6 @@ func (g *Gauge) Set(v int64) {
 	g.v = v
 	if v > g.max {
 		g.max = v
-	}
-}
-
-// Add moves the level by delta (negative deltas allowed) and updates the
-// watermark. No-op on a nil gauge.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v += delta
-	if g.v > g.max {
-		g.max = g.v
 	}
 }
 
@@ -255,12 +233,4 @@ func (g *Gauge) Max() int64 {
 		return 0
 	}
 	return g.max
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }

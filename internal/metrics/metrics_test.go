@@ -16,8 +16,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c := r.Counter("nic.tx.cells")
 	c.Inc()
 	c.Add(9)
-	if c.Value() != 10 || c.Name() != "nic.tx.cells" {
-		t.Fatalf("counter %d %q", c.Value(), c.Name())
+	if c.Value() != 10 {
+		t.Fatalf("counter %d", c.Value())
 	}
 	if r.Counter("nic.tx.cells") != c {
 		t.Fatal("second lookup returned a different counter")
@@ -30,11 +30,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if g.Value() != 3 || g.Max() != 12 {
 		t.Fatalf("gauge value %d max %d", g.Value(), g.Max())
 	}
-	g.Add(20)
+	g.Set(23)
 	if g.Value() != 23 || g.Max() != 23 {
-		t.Fatalf("gauge after Add: value %d max %d", g.Value(), g.Max())
+		t.Fatalf("gauge after rise: value %d max %d", g.Value(), g.Max())
 	}
-	g.Add(-23)
+	g.Set(0)
 	if g.Value() != 0 || g.Max() != 23 {
 		t.Fatalf("watermark must survive decrease: value %d max %d", g.Value(), g.Max())
 	}
@@ -51,7 +51,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(7)
-	g.Add(-1)
 	h.Observe(100)
 	v.AddCellOut()
 	v.AddCellIn()
@@ -62,10 +61,10 @@ func TestNilSafety(t *testing.T) {
 	v.IncLengthError()
 	v.IncLostCells()
 	v.IncReassemblyTimeout()
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || v.TotalDrops() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || c.Name() != "" {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("nil accessors must read as zero")
 	}
 	snap := r.Snapshot()
@@ -95,17 +94,20 @@ func TestHistogramBucketsAtCellTime(t *testing.T) {
 		if got := bucketIndex(c.v); got != c.idx {
 			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.idx)
 		}
-		if lo := BucketLower(c.idx); lo != c.lower {
-			t.Errorf("BucketLower(%d) = %d, want %d", c.idx, lo, c.lower)
+		if lo := bucketLower(c.idx); lo != c.lower {
+			t.Errorf("bucket %d starts at %d, want %d", c.idx, lo, c.lower)
 		}
 		if up := BucketUpper(c.idx); up != c.upper {
 			t.Errorf("BucketUpper(%d) = %d, want %d", c.idx, up, c.upper)
 		}
 	}
-	// Every boundary must be exhaustive and non-overlapping.
+	// Every boundary must be exhaustive and non-overlapping: each bucket
+	// holds the values from just past its predecessor's upper bound to its
+	// own.
 	for i := 1; i < NumBuckets; i++ {
-		if BucketLower(i) != BucketUpper(i-1)+1 {
-			t.Fatalf("gap between buckets %d and %d", i-1, i)
+		lo, up := bucketLower(i), BucketUpper(i)
+		if lo > up || bucketIndex(lo) != i || bucketIndex(up) != i {
+			t.Fatalf("bucket %d spans [%d, %d], which bucketIndex does not map back to it", i, lo, up)
 		}
 	}
 	// The worst-case relative error of a bucket's upper bound is 25%.
@@ -125,8 +127,8 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(2726)
 	}
-	if h.Count() != 100 || h.Min() != 2726 || h.Max() != 2726 {
-		t.Fatalf("count %d min %v max %v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 100 || h.min != 2726 || h.Max() != 2726 {
+		t.Fatalf("count %d min %v max %v", h.Count(), h.min, h.Max())
 	}
 	for _, p := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
 		if q := h.Quantile(p); q != 2726 {
@@ -151,8 +153,8 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	// Negative durations clamp to zero rather than corrupting buckets.
 	h3 := r.Histogram("neg")
 	h3.Observe(-5)
-	if h3.Count() != 1 || h3.Min() != 0 || h3.Bucket(0) != 1 {
-		t.Fatalf("negative observation: %d %v", h3.Count(), h3.Min())
+	if h3.Count() != 1 || h3.min != 0 || h3.buckets[0] != 1 {
+		t.Fatalf("negative observation: %d %v", h3.Count(), h3.min)
 	}
 }
 
@@ -173,15 +175,18 @@ func TestVCStats(t *testing.T) {
 	if v.CellsOut != 1 || v.CellsIn != 1 || v.BytesOut != 9180 || v.BytesIn != 9180 {
 		t.Fatalf("%+v", v)
 	}
-	if v.TotalDrops() != 3 || v.Drops[DropFIFO] != 2 || v.Drops[DropAAL] != 1 {
+	if v.Drops[DropFIFO] != 2 || v.Drops[DropAAL] != 1 {
 		t.Fatalf("drops %v", v.Drops)
 	}
 	// Cause names are stable: they appear in JSON dumps.
 	want := []string{"fifo_overflow", "unknown_vc", "sram_exhausted", "aal_error", "tx_queue_overflow",
 		"policed_clp_tag", "policed_discard", "epd", "ppd", "switch_queue_overflow", "clp_threshold",
 		"oam_bad", "mgmt_tx_full", "link_loss", "reassembly_timeout"}
-	for i, c := range DropCauses() {
-		if c.String() != want[i] {
+	if len(want) != int(numDropCauses) {
+		t.Fatalf("%d cause names pinned, %d causes", len(want), numDropCauses)
+	}
+	for i := range want {
+		if c := DropCause(i); c.String() != want[i] {
 			t.Fatalf("cause %d = %q, want %q", i, c.String(), want[i])
 		}
 	}
@@ -374,4 +379,13 @@ func TestEachCounterEachGauge(t *testing.T) {
 	var nilReg *Registry
 	nilReg.EachCounter(func(string, uint64) { t.Fatal("nil registry visited a counter") })
 	nilReg.EachGauge(func(string, int64, int64) { t.Fatal("nil registry visited a gauge") })
+}
+
+// bucketLower is the smallest value bucket i holds: one past the previous
+// bucket's upper bound.
+func bucketLower(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	return BucketUpper(i-1) + 1
 }

@@ -101,15 +101,6 @@ func (c DropCause) String() string {
 	}
 }
 
-// DropCauses lists every cause, in Drops-array order.
-func DropCauses() []DropCause {
-	out := make([]DropCause, numDropCauses)
-	for i := range out {
-		out[i] = DropCause(i)
-	}
-	return out
-}
-
 // VCStats is one connection's accounting row, updated inline by the NIC
 // datapath and the AAL reassemblers. Directionality follows the adapter:
 // "Out" is the transmit side (host → wire), "In" the receive side
@@ -216,16 +207,4 @@ func (s *VCStats) IncMidFrameKill() {
 		return
 	}
 	s.MidFrameKills++
-}
-
-// TotalDrops sums losses across causes.
-func (s *VCStats) TotalDrops() uint64 {
-	if s == nil {
-		return 0
-	}
-	var t uint64
-	for _, d := range s.Drops {
-		t += d
-	}
-	return t
 }

@@ -630,6 +630,3 @@ func (s *Switch) drain(port int) {
 	}
 	s.k.PostAfter(p.cellTime, p.drainFn)
 }
-
-// QueueDepth returns a port's current output occupancy across all classes.
-func (s *Switch) QueueDepth(port int) int { return s.port(port).queue.Len() }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/oam"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // faultCfg shortens the alarm timers so tests run in microseconds of
@@ -273,7 +274,7 @@ func TestMgmtCellTakesSlotDuringCellProduction(t *testing.T) {
 	if got := delay.Count(); got != sent {
 		t.Errorf("tx cell_delay observations = %d, want %d, one per cell sent", got, sent)
 	}
-	if got, bound := delay.Max(), 4*r.a.CellTime(); got > bound {
+	if got, bound := delay.Max(), 4*units.CellTime(r.a.cfg.PayloadRate); got > bound {
 		t.Errorf("longest tx FIFO residency %d ns, want at most 4 cell times (%d ns)", got, bound)
 	}
 	// Every cell arrived, so the TX FIFO lost none: a held cell is late,

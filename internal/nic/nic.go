@@ -80,7 +80,7 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) 
 		hst:      hst,
 		pool:     pool,
 		buf:      bufpool.New(),
-		txEngine: engine.New(k, cfg.Name+".txeng", cfg.Engine),
+		txEngine: engine.New(k, cfg.Engine),
 		txDev:    b.Attach(cfg.Name + ".txdma"),
 		rxDev:    b.Attach(cfg.Name + ".rxdma"),
 		hostDev:  b.Attach(cfg.Name + ".pio"),
@@ -91,7 +91,7 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus, pool *atm.Pool) 
 	i.txEngine.Instrument(reg, scoped(cfg.Name, "engine.txeng"))
 	i.buf.Instrument(reg, scoped(cfg.Name, "nic.bufpool"))
 	for e := 0; e < cfg.RxEngines; e++ {
-		eng := engine.New(k, fmt.Sprintf("%s.rxeng%d", cfg.Name, e), cfg.Engine)
+		eng := engine.New(k, cfg.Engine)
 		eng.Instrument(reg, scoped(cfg.Name, fmt.Sprintf("engine.rxeng%d", e)))
 		i.rxEngines = append(i.rxEngines, eng)
 	}
@@ -194,22 +194,10 @@ var errTxFull = errors.New("nic: TX FIFO full, management cell dropped")
 // Config returns the interface configuration.
 func (i *Interface) Config() Config { return i.cfg }
 
-// Host returns the attached host model.
-func (i *Interface) Host() *host.Host { return i.hst }
-
 // Pool returns the kernel's cell pool the interface draws from and
 // recycles into; links that deliver cells into this interface should draw
 // from it so cells recycle.
 func (i *Interface) Pool() *atm.Pool { return i.pool }
-
-// BufferPool returns the pool Send draws its copies from, whose
-// "nic.bufpool.*" counters count those copies alone. A SendOwned host that
-// recycles its buffers keeps its own pool, as ip.Stack does for its
-// frames: drawing them here would count them in these counters.
-func (i *Interface) BufferPool() *bufpool.Pool { return i.buf }
-
-// CellTime returns the wire's cell slot duration.
-func (i *Interface) CellTime() sim.Duration { return units.CellTime(i.cfg.PayloadRate) }
 
 // AttachSink attaches the transmit side to a downstream consumer (a link,
 // a switch port): it receives one encoded cell per occupied cell slot, with
@@ -318,8 +306,8 @@ func (i *Interface) SetContract(vc atm.VC, c tm.TrafficContract) error {
 // driver) and the descriptor PIO are charged before the adapter sees the
 // descriptor; onSent (may be nil) fires after the transmit-complete
 // interrupt — i.e. when the host could reuse the buffer. The caller keeps
-// sdu: the interface transmits from a copy drawn from BufferPool, which
-// recycles once the frame is segmented.
+// sdu: the interface transmits from a copy drawn from its buffer pool
+// (counted as "nic.bufpool.*"), which recycles once the frame is segmented.
 func (i *Interface) Send(vc atm.VC, sdu []byte, onSent func()) error {
 	return i.send(vc, sdu, true, onSent)
 }

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/aal"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/phy"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -41,7 +43,7 @@ func newInjectRig(t *testing.T, mod func(cfg *Config)) *injectRig {
 func (r *injectRig) injectFrame(vc atm.VC, sdu []byte, start sim.Time, cellTime sim.Duration) sim.Time {
 	seg := r.segs[vc]
 	if seg == nil {
-		seg, _ = aal.New(aal.AAL5, 0)
+		seg = aal.NewSegmenter(aal.AAL5)
 		r.segs[vc] = seg
 	}
 	// Segment now; schedule deliveries.
@@ -419,6 +421,35 @@ func TestMIDMuxStaleStreamFreesOnlyItsSRAM(t *testing.T) {
 	}
 	if used := r.iface.SRAMUsed(); used != 0 {
 		t.Errorf("%d B still pinned", used)
+	}
+}
+
+// TestMIDMuxReclaimOrderDeterministic strands three MID streams on one VC
+// at once, so one reassembly sweep reclaims all three slots, each release
+// closing an rx.reasm span. The recorded trace must be the same on every
+// run: the slots are released in MID order, not in map order.
+func TestMIDMuxReclaimOrderDeterministic(t *testing.T) {
+	run := func() []trace.Event {
+		r := newMIDInjectRig(t, func(cfg *Config) { cfg.ReassemblyTimeout = 200 * sim.Microsecond })
+		rec := trace.NewRecorder(r.k, 4096)
+		r.iface.SetRecorder(rec)
+		vc := atm.VC{VCI: 30}
+		r.iface.OpenVC(vc)
+		ct := units.CellTime(units.STS3cPayload)
+		for i, mid := range []uint16{7, 3, 11} {
+			r.injectMID(vc, mid, pkt(3000), 10, sim.Time(i)*sim.Time(ct), 3*ct)
+		}
+		r.k.Run()
+		if st := r.iface.Stats(); st.Rx.Stale != 3 {
+			t.Fatalf("stale frames = %d, want all three MIDs", st.Rx.Stale)
+		}
+		return rec.Events()
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d recorded a different trace:\n%v\nfirst run:\n%v", i, got, want)
+		}
 	}
 }
 

@@ -199,13 +199,7 @@ func (t *transmitter) open(vc atm.VC) {
 	if _, ok := t.vcs[vc]; ok {
 		return
 	}
-	// Only the segmenter: aal.New would also build a reassembler, with a
-	// 64 KiB frame buffer, for the transmit side to throw away.
-	var seg aal.Segmenter = aal.NewSegmenter5()
-	if t.cfg.AAL == aal.AAL34 {
-		seg = aal.NewSegmenter34()
-	}
-	st := &txVC{vc: vc, t: t, seg: seg, vst: t.reg.VC(vc.VPI, vc.VCI)}
+	st := &txVC{vc: vc, t: t, seg: aal.NewSegmenter(t.cfg.AAL), vst: t.reg.VC(vc.VPI, vc.VCI)}
 	st.stageDoneFn = st.stageDone
 	t.vcs[vc] = st
 	t.order = append(t.order, st)

@@ -218,7 +218,7 @@ func TestPacedAndUnpacedShareTheLink(t *testing.T) {
 // stranded.
 func requireSendsRetired(t *testing.T, i *Interface, records int) {
 	t.Helper()
-	hits, misses, puts := i.BufferPool().Stats()
+	hits, misses, puts := i.buf.Stats()
 	if hits+misses != puts {
 		t.Fatalf("buffer pool: %d gets, %d puts after the run: Send copies stranded", hits+misses, puts)
 	}

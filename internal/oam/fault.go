@@ -53,7 +53,9 @@ func (a *Alarm) Encode(payload *[atm.PayloadSize]byte) {
 	crc.CRC10Fill(payload[:])
 }
 
-// Decode parses an AIS/RDI payload.
+// Decode parses an AIS/RDI payload. The interface dispatches alarms on the
+// payload's type alone; FuzzOAMDecode and the oam tests round-trip Encode
+// through Decode.
 func (a *Alarm) Decode(payload *[atm.PayloadSize]byte) error {
 	if !crc.CRC10Check(payload[:]) {
 		return ErrBadCRC

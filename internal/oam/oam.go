@@ -46,10 +46,9 @@ type Loopback struct {
 
 // Errors.
 var (
-	ErrNotOAM    = errors.New("oam: cell is not an OAM cell")
-	ErrBadCRC    = errors.New("oam: CRC-10 mismatch")
-	ErrNotLoop   = errors.New("oam: not a fault-management loopback cell")
-	ErrShortCell = errors.New("oam: payload shorter than a cell body")
+	ErrNotOAM  = errors.New("oam: cell is not an OAM cell")
+	ErrBadCRC  = errors.New("oam: CRC-10 mismatch")
+	ErrNotLoop = errors.New("oam: not a fault-management loopback cell")
 )
 
 // endpointID is the all-ones location ID meaning "the connection endpoint".

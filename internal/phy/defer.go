@@ -18,15 +18,15 @@ import (
 // and steady-state deferral is 0 allocs/op. CellLink and the sonetlink
 // cell-recovery path both defer through this.
 //
-// A constant delay makes arrival times nondecreasing, so the FIFO is also
-// the dispatch order. A cell due before the FIFO's tail (the delay shrank
-// mid-run) cannot join the FIFO: it is queued as its own event under its
-// reserved key.
+// The FIFO is also the dispatch order because arrival times never
+// decrease: a CellLink's delay is fixed, and sonetlink's recovered cells
+// arrive frame by frame, each frame's cells within one 125 µs frame period
+// and frames at least a period apart. Post panics on a cell due before the
+// tail.
 type CellDeferrer struct {
 	k      *sim.Kernel
 	sink   func(*atm.Cell)
 	fireFn func(any) // bound fire method, created once
-	loneFn func(any) // bound deliverLone method, created once
 
 	ring []inFlight // power-of-two ring buffer
 	head int
@@ -44,7 +44,6 @@ type inFlight struct {
 func NewCellDeferrer(k *sim.Kernel, sink func(*atm.Cell)) *CellDeferrer {
 	cd := &CellDeferrer{k: k, sink: sink, ring: make([]inFlight, 16)}
 	cd.fireFn = cd.fire
-	cd.loneFn = cd.deliverLone
 	return cd
 }
 
@@ -56,8 +55,7 @@ func (cd *CellDeferrer) Post(d sim.Duration, c *atm.Cell) {
 	k := cd.k
 	e := inFlight{c: c, at: k.Now() + d, pt: k.Now(), seq: k.ReserveSeq()}
 	if cd.n > 0 && e.at < cd.ring[(cd.head+cd.n-1)&(len(cd.ring)-1)].at {
-		k.PostBoundary(e.at, e.pt, k.Lane(), e.seq, cd.loneFn, c)
-		return
+		panic(fmt.Sprintf("phy: cell due at %d before the delay line's tail: arrivals must not decrease", int64(e.at)))
 	}
 	if cd.n == len(cd.ring) {
 		cd.grow()
@@ -87,9 +85,6 @@ func (cd *CellDeferrer) fire(any) {
 	}
 	cd.sink(c)
 }
-
-// deliverLone delivers a cell that was queued as its own event.
-func (cd *CellDeferrer) deliverLone(arg any) { cd.sink(arg.(*atm.Cell)) }
 
 // grow doubles the ring, unwrapping it so the head lands at index 0.
 func (cd *CellDeferrer) grow() {

@@ -9,36 +9,31 @@ import (
 	"repro/internal/sim"
 )
 
-// delayLineRun sends one cell every 7 µs over a link whose delay drops
-// mid-run from 1 ms to 20 µs (so later cells overtake the FIFO's tail and
-// must dispatch at their own keys) and later rises to 500 µs. A timer posted
-// beside every send lands on the same instants as the arrivals, so the log
-// also pins how fiber heads order against unrelated events. With perCell
-// set, each cell is its own kernel Post instead, the reference the delay
-// line must reproduce.
+// delayLineRun sends one cell every 7 µs over a 1 ms link. A timer posted
+// beside every send lands on the same instant as that cell's arrival, and a
+// second timer posted before the send lands there too, so the log pins how
+// fiber heads order against unrelated events scheduled before and after
+// them. With perCell set, each cell is its own kernel Post instead, the
+// reference the delay line must reproduce.
 func delayLineRun(k *sim.Kernel, perCell bool) ([]string, uint64) {
 	var log []string
 	deliver := func(c *atm.Cell) { log = append(log, fmt.Sprintf("%d cell %d", k.Now(), c.Header.VCI)) }
-	l := NewCellLink(k, sim.Millisecond, 1, atm.SinkFunc(deliver), atm.NewPool(0))
+	const delay = sim.Millisecond
+	l := NewCellLink(k, delay, 1, atm.SinkFunc(deliver), atm.NewPool(0))
 	const period = 7 * sim.Microsecond
 	i := 0
 	var tick func()
 	tick = func() {
-		switch i {
-		case 50:
-			l.Delay = 20 * sim.Microsecond
-		case 200:
-			l.Delay = 500 * sim.Microsecond
-		}
+		n := i
+		k.PostAfter(delay, func() { log = append(log, fmt.Sprintf("%d early timer %d", k.Now(), n)) })
 		c := &atm.Cell{}
 		c.Header.VCI = uint16(i)
 		if perCell {
-			k.PostAfter(l.Delay, func() { deliver(c) })
+			k.PostAfter(delay, func() { deliver(c) })
 		} else {
 			l.Send(c)
 		}
-		n := i
-		k.PostAfter(sim.Millisecond, func() { log = append(log, fmt.Sprintf("%d timer %d", k.Now(), n)) })
+		k.PostAfter(delay, func() { log = append(log, fmt.Sprintf("%d timer %d", k.Now(), n)) })
 		if i++; i < 300 {
 			k.PostAfter(period, tick)
 		}
@@ -48,6 +43,8 @@ func delayLineRun(k *sim.Kernel, perCell bool) ([]string, uint64) {
 	return log, k.Dispatched()
 }
 
+// The delay line dispatches each cell at the key its own Post would have
+// had, and refuses a cell due before its tail: arrivals must not decrease.
 func TestDelayLineOutOfOrderPost(t *testing.T) {
 	want, wantN := delayLineRun(sim.NewKernel(), true)
 	for name, k := range map[string]*sim.Kernel{"wheel": sim.NewKernel(), "heap": sim.NewHeapKernel()} {
@@ -64,6 +61,14 @@ func TestDelayLineOutOfOrderPost(t *testing.T) {
 			t.Fatalf("%s: %d dispatches logged, want %d", name, len(got), len(want))
 		}
 	}
+	cd := NewCellDeferrer(sim.NewKernel(), func(*atm.Cell) {})
+	cd.Post(10, &atm.Cell{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a cell due before the delay line's tail did not panic")
+		}
+	}()
+	cd.Post(5, &atm.Cell{})
 }
 
 // A 5 ms fiber at the STS-3c cell rate holds ~1800 cells; once the delay
@@ -93,16 +98,13 @@ func TestDelayLineZeroAllocsInFlight(t *testing.T) {
 	}
 }
 
-// Pending must stay above zero while any cell is in flight, including cells
-// queued as their own events after the delay shrank.
+// Pending must stay above zero while any cell is in flight, though the line
+// queues only its head in the kernel.
 func TestDelayLinePendingWhileInFlight(t *testing.T) {
 	k := sim.NewKernel()
 	arrived := 0
 	l := NewCellLink(k, 2*sim.Millisecond, 1, atm.SinkFunc(func(*atm.Cell) { arrived++ }), atm.NewPool(0))
 	for i := 0; i < 100; i++ {
-		if i == 60 {
-			l.Delay = 10 * sim.Microsecond
-		}
 		l.Send(&atm.Cell{})
 		k.RunFor(3 * sim.Microsecond)
 	}

@@ -23,8 +23,8 @@ type Stats struct {
 	Delivered uint64
 	Lost      uint64
 	Corrupted uint64
-	// DroppedDown counts units (cells or frames) offered while the link
-	// was failed; they are also included in Lost.
+	// DroppedDown counts cells offered while the link was failed; they are
+	// also included in Lost.
 	DroppedDown uint64
 }
 
@@ -40,9 +40,8 @@ type SignalConsumer interface {
 
 // CellLink is a unidirectional cell pipe.
 type CellLink struct {
-	k *sim.Kernel
-	// Delay is the propagation delay.
-	Delay sim.Duration
+	k     *sim.Kernel
+	delay sim.Duration // the propagation delay, fixed at construction
 	// LossProb is the probability an individual cell vanishes (switch
 	// buffer overflow somewhere along the path).
 	LossProb float64
@@ -55,7 +54,7 @@ type CellLink struct {
 	pool  *atm.Pool // recycles the cells the fiber loses
 	stats Stats
 	down  bool
-	sig   SignalConsumer // explicit signal sink; nil = auto-detect on sink
+	sig   SignalConsumer // the built-with sink, if it tracks the line signal
 
 	def *CellDeferrer // the fiber's delay line
 
@@ -72,13 +71,15 @@ type CellLink struct {
 	exitSp         *trace.StageSpan // arrival span on the DEST partition's recorder
 
 	// Flight-recorder span for the fiber transit (nil unless attached): a
-	// span on delivery, which started Delay earlier as the cell left the
+	// span on delivery, which started one delay earlier as the cell left the
 	// transmitter, and a drop for each cell the fiber loses.
 	sp *trace.StageSpan
 }
 
 // NewCellLink builds a link delivering cells to sink after delay. Cells the
-// link loses are recycled into pool, the sending kernel's cell pool.
+// link loses are recycled into pool, the sending kernel's cell pool. If sink
+// implements SignalConsumer, it sees the link's Fail and Restore transitions,
+// whatever taps AttachSink later puts in front of it.
 func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellConsumer, pool *atm.Pool) *CellLink {
 	if sink == nil {
 		panic("phy: nil sink")
@@ -86,7 +87,8 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 	if pool == nil {
 		panic("phy: nil cell pool")
 	}
-	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, pool: pool}
+	l := &CellLink{k: k, delay: delay, rng: sim.NewRand(seed), sink: sink, pool: pool}
+	l.sig, _ = sink.(SignalConsumer)
 	l.def = NewCellDeferrer(k, l.deliver)
 	return l
 }
@@ -94,9 +96,9 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 // deliver hands a cell to the current sink. Indirecting through this method
 // (rather than binding the sink at Send time) keeps AttachSink effective for
 // cells already in flight. The fiber is a FIFO of fixed delay, so the cell
-// entered it exactly Delay ago.
+// entered it exactly one delay ago.
 func (l *CellLink) deliver(c *atm.Cell) {
-	l.sp.Span(c.Header.VC(), l.k.Now()-l.Delay)
+	l.sp.Span(c.Header.VC(), l.k.Now()-l.delay)
 	l.sink.DeliverCell(c)
 }
 
@@ -114,7 +116,7 @@ func (l *CellLink) SetRecorder(rec *trace.Recorder, name string) {
 // recorder — under the same stage name SetRecorder gives the send side's
 // drops, so the merged trace equals a serial run's. rec may be nil.
 func (l *CellLink) SetBoundary(mb *sim.Mailbox, dk *sim.Kernel, rec *trace.Recorder, name string) {
-	if l.Delay <= 0 {
+	if l.delay <= 0 {
 		panic("phy: boundary link needs positive propagation delay (lookahead)")
 	}
 	l.mb, l.dk = mb, dk
@@ -127,7 +129,7 @@ func (l *CellLink) SetBoundary(mb *sim.Mailbox, dk *sim.Kernel, rec *trace.Recor
 // arrival time: the boundary counterpart of deliver.
 func (l *CellLink) remoteDeliver(arg any) {
 	c := arg.(*atm.Cell)
-	l.exitSp.Span(c.Header.VC(), l.dk.Now()-l.Delay)
+	l.exitSp.Span(c.Header.VC(), l.dk.Now()-l.delay)
 	l.sink.DeliverCell(c)
 }
 
@@ -144,7 +146,8 @@ func (l *CellLink) Stats() Stats { return l.stats }
 
 // AttachSink replaces the delivery end — the hook taps (trace.Capture.Tap,
 // test collectors) use to wrap the receiving end after the link is built.
-// It implements atm.CellProducer, making the link a full CellConduit.
+// The line signal still goes to the sink the link was built with. It
+// implements atm.CellProducer, making the link a full CellConduit.
 func (l *CellLink) AttachSink(sink atm.CellConsumer) {
 	if sink == nil {
 		panic("phy: nil sink")
@@ -155,15 +158,6 @@ func (l *CellLink) AttachSink(sink atm.CellConsumer) {
 // Sink returns the currently attached delivery end, so taps can wrap it.
 func (l *CellLink) Sink() atm.CellConsumer { return l.sink }
 
-// SetSignalSink pins the receiver notified of Fail/Restore signal
-// transitions. Without it, the link notifies the cell sink when that sink
-// implements SignalConsumer — which breaks once a trace tap wraps the sink,
-// so builders that install taps should pin the signal sink explicitly.
-func (l *CellLink) SetSignalSink(sc SignalConsumer) { l.sig = sc }
-
-// Down reports whether the link is currently failed.
-func (l *CellLink) Down() bool { return l.down }
-
 // Fail cuts the fiber: every cell offered until Restore is lost, and the
 // delivery end sees loss of signal one propagation delay later. Cells
 // already in flight still arrive (they left before the cut). Idempotent.
@@ -173,10 +167,10 @@ func (l *CellLink) Fail() {
 	}
 	l.down = true
 	if l.mb != nil {
-		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteSignalFn, sigDown)
+		l.mb.Post(l.k.Now()+l.delay, l.k.Now(), l.remoteSignalFn, sigDown)
 		return
 	}
-	l.k.After(l.Delay, func() { l.signal(false) })
+	l.k.After(l.delay, func() { l.signal(false) })
 }
 
 // Restore repairs the fiber; the delivery end sees the signal return one
@@ -187,19 +181,15 @@ func (l *CellLink) Restore() {
 	}
 	l.down = false
 	if l.mb != nil {
-		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteSignalFn, sigUp)
+		l.mb.Post(l.k.Now()+l.delay, l.k.Now(), l.remoteSignalFn, sigUp)
 		return
 	}
-	l.k.After(l.Delay, func() { l.signal(true) })
+	l.k.After(l.delay, func() { l.signal(true) })
 }
 
 func (l *CellLink) signal(up bool) {
 	if l.sig != nil {
 		l.sig.SignalChange(up)
-		return
-	}
-	if sc, ok := l.sink.(SignalConsumer); ok {
-		sc.SignalChange(up)
 	}
 }
 
@@ -231,10 +221,10 @@ func (l *CellLink) Send(c *atm.Cell) {
 	}
 	l.stats.Delivered++
 	if l.mb != nil {
-		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteFn, c)
+		l.mb.Post(l.k.Now()+l.delay, l.k.Now(), l.remoteFn, c)
 		return
 	}
-	l.def.Post(l.Delay, c)
+	l.def.Post(l.delay, c)
 }
 
 // FrameLink is a unidirectional SONET-frame pipe.
@@ -246,11 +236,10 @@ type FrameLink struct {
 	// bit error in transit.
 	BitErrProb float64
 
-	rng   *sim.Rand
-	sink  func(frame []byte)
-	stats Stats
-	down  bool
-	sig   SignalConsumer
+	rng  *sim.Rand
+	sink func(frame []byte)
+	down bool
+	sig  SignalConsumer // nil when nothing tracks the line signal
 
 	pool  *bufpool.Pool // optional: recycles in-flight frame copies
 	ffree *frameDefer
@@ -278,16 +267,14 @@ func (r *frameDefer) fire() {
 	l.pool.Put(buf)
 }
 
-// NewFrameLink builds a frame pipe delivering to sink after delay.
-func NewFrameLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink func([]byte)) *FrameLink {
+// NewFrameLink builds a frame pipe delivering to sink after delay. sig, if
+// not nil, sees the link's Fail and Restore transitions.
+func NewFrameLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink func([]byte), sig SignalConsumer) *FrameLink {
 	if sink == nil {
 		panic("phy: nil sink")
 	}
-	return &FrameLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
+	return &FrameLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, sig: sig}
 }
-
-// Stats returns cumulative counters.
-func (l *FrameLink) Stats() Stats { return l.stats }
 
 // SetBufPool installs a buffer pool for the per-frame wire copies. With a
 // pool, each frame copy is drawn from it and recycled the moment the sink
@@ -295,10 +282,6 @@ func (l *FrameLink) Stats() Stats { return l.stats }
 // copies into its own scratch). Without a pool, every Send allocates a fresh
 // copy that the sink owns outright.
 func (l *FrameLink) SetBufPool(p *bufpool.Pool) { l.pool = p }
-
-// SetSignalSink pins the receiver notified of Fail/Restore transitions
-// (the frame sink is a plain func, so there is nothing to auto-detect).
-func (l *FrameLink) SetSignalSink(sc SignalConsumer) { l.sig = sc }
 
 // Down reports whether the link is currently failed.
 func (l *FrameLink) Down() bool { return l.down }
@@ -332,20 +315,15 @@ func (l *FrameLink) signal(up bool) {
 // Send transmits one serialized frame. The frame bytes are copied, so the
 // caller may reuse its buffer immediately.
 func (l *FrameLink) Send(frame []byte) {
-	l.stats.Sent++
 	if l.down {
-		l.stats.Lost++
-		l.stats.DroppedDown++
 		return
 	}
 	buf := l.pool.Get(len(frame))
 	copy(buf, frame)
 	if l.BitErrProb > 0 && l.rng.Bernoulli(l.BitErrProb) {
-		l.stats.Corrupted++
 		i := l.rng.Intn(len(buf))
 		buf[i] ^= 1 << uint(l.rng.Intn(8))
 	}
-	l.stats.Delivered++
 	r := l.ffree
 	if r == nil {
 		r = &frameDefer{l: l}

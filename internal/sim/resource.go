@@ -8,8 +8,7 @@ package sim
 // The model is non-preemptive, which matches the hardware being simulated:
 // a bus burst or a firmware routine runs to completion once started.
 type Resource struct {
-	k    *Kernel
-	name string
+	k *Kernel
 
 	busyUntil Time
 	queue     ring[pendingUse]
@@ -21,28 +20,20 @@ type Resource struct {
 	// steady-state service costs no closure and no Event allocation.
 	completeFn func(any)
 
-	// Accounting.
-	busyTime  Duration // total time spent serving
-	served    uint64   // completed requests
-	waitTime  Duration // total time requests spent queued
-	maxQueued int
+	busyTime Duration // total time spent serving
 }
 
 type pendingUse struct {
-	arrived Time
-	dur     Duration
-	done    func()
+	dur  Duration
+	done func()
 }
 
 // NewResource creates a FIFO-served unit resource attached to kernel k.
-func NewResource(k *Kernel, name string) *Resource {
-	r := &Resource{k: k, name: name}
+func NewResource(k *Kernel) *Resource {
+	r := &Resource{k: k}
 	r.completeFn = r.complete
 	return r
 }
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // Busy reports whether the resource is serving a request now.
 func (r *Resource) Busy() bool { return r.k.Now() < r.busyUntil }
@@ -62,11 +53,8 @@ func (r *Resource) Use(dur Duration, done func()) Time {
 	if !r.Busy() && r.queue.n == 0 {
 		return r.begin(now, dur, done)
 	}
-	r.queue.push(pendingUse{arrived: now, dur: dur, done: done})
+	r.queue.push(pendingUse{dur: dur, done: done})
 	r.queuedDur += dur
-	if r.queue.n > r.maxQueued {
-		r.maxQueued = r.queue.n
-	}
 	// Completion time is an estimate assuming no later arrivals preempt
 	// FIFO order, which they cannot.
 	return r.busyUntil + r.queuedDur
@@ -75,7 +63,6 @@ func (r *Resource) Use(dur Duration, done func()) Time {
 func (r *Resource) begin(now Time, dur Duration, done func()) Time {
 	r.busyUntil = now + dur
 	r.busyTime += dur
-	r.served++
 	k := r.k
 	k.PostBoundary(r.busyUntil, now, k.Lane(), k.ReserveSeq(), r.completeFn, done)
 	return r.busyUntil
@@ -95,7 +82,6 @@ func (r *Resource) next() {
 	}
 	p := r.queue.pop()
 	r.queuedDur -= p.dur
-	r.waitTime += r.k.Now() - p.arrived
 	r.begin(r.k.Now(), p.dur, p.done)
 }
 
@@ -110,12 +96,6 @@ func (r *Resource) Utilization() float64 {
 		busy -= r.busyUntil - now // don't count future service yet
 	}
 	return float64(busy) / float64(now)
-}
-
-// Stats returns cumulative counters: completed requests, total busy time and
-// total queue-wait time.
-func (r *Resource) Stats() (served uint64, busy, wait Duration, maxQueued int) {
-	return r.served, r.busyTime, r.waitTime, r.maxQueued
 }
 
 // ring is a FIFO over a circular buffer that doubles when full. Its backing

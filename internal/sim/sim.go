@@ -161,9 +161,6 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// At reports the time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Scheduled reports whether the event is currently in the queue.
 func (e *Event) Scheduled() bool { return e != nil && e.pos != 0 }
 
@@ -186,9 +183,8 @@ type Kernel struct {
 	// span is the wheel's reach in slots: an event goes to the wheel when
 	// its slot lies fewer than span slots past now's. NewKernel sets
 	// wheelSlots; NewHeapKernel leaves 0, so everything goes to the heap.
-	span    Time
-	lane    int16 // partition rank stamped on every scheduled event
-	stopped bool
+	span Time
+	lane int16 // partition rank stamped on every scheduled event
 
 	// Wheel tier: per-slot lists with an occupancy bitmap, so the next busy
 	// slot is a few word scans.
@@ -489,9 +485,6 @@ func (k *Kernel) Reschedule(e *Event, at Time) {
 	k.insert(e)
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // dispatch advances the clock to e, which popBy has just removed from the
 // queue, recycles e if the kernel owns it, and runs it.
 func (k *Kernel) dispatch(e *Event) {
@@ -524,11 +517,10 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final simulated time.
+// Run executes events until the queue drains. It returns the final
+// simulated time.
 func (k *Kernel) Run() Time {
-	k.stopped = false
-	for !k.stopped && k.Step() {
+	for k.Step() {
 	}
 	return k.now
 }
@@ -537,8 +529,7 @@ func (k *Kernel) Run() Time {
 // to the deadline (if the deadline is later than the last event). Events
 // scheduled beyond the deadline remain queued.
 func (k *Kernel) RunUntil(deadline Time) Time {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		e := k.popBy(deadline)
 		if e == nil {
 			break

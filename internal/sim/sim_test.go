@@ -156,22 +156,6 @@ func TestRescheduleFiredEventRequeues(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel()
-	ran := 0
-	k.At(1, func() { ran++; k.Stop() })
-	k.At(2, func() { ran++ })
-	k.Run()
-	if ran != 1 {
-		t.Fatalf("ran %d events before stop, want 1", ran)
-	}
-	// A subsequent Run picks the remainder back up.
-	k.Run()
-	if ran != 2 {
-		t.Fatalf("ran %d events total, want 2", ran)
-	}
-}
-
 func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	k := NewKernel()
 	var fired []Time

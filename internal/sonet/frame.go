@@ -38,14 +38,6 @@ func (r Rate) N() int {
 	return 3
 }
 
-// LineRate returns the serial line rate.
-func (r Rate) LineRate() units.BitRate {
-	if r == STS12c {
-		return units.STS12cLine
-	}
-	return units.STS3cLine
-}
-
 // PayloadRate returns the ATM-visible payload rate (cells ride here).
 func (r Rate) PayloadRate() units.BitRate {
 	if r == STS12c {

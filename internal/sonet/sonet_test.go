@@ -115,7 +115,7 @@ func TestRateAccessors(t *testing.T) {
 	if STS3c.String() != "STS-3c" || STS12c.String() != "STS-12c" {
 		t.Fatal("Rate.String broken")
 	}
-	if STS3c.LineRate() != units.STS3cLine || STS12c.PayloadRate() != units.STS12cPayload {
+	if STS12c.PayloadRate() != units.STS12cPayload {
 		t.Fatal("rate accessors broken")
 	}
 	if STS3c.N() != 3 || STS12c.N() != 12 {

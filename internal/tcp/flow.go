@@ -14,10 +14,6 @@ type Flow struct {
 	Name     string
 	Sender   *Sender
 	Receiver *Receiver
-
-	k       *sim.Kernel
-	startAt sim.Time
-	started bool
 }
 
 // NewFlow builds a flow named name sending from sndStack (on sndVC) to
@@ -38,7 +34,7 @@ func NewFlow(k *sim.Kernel, name string, sndStack *ip.Stack, sndVC atm.VC,
 	cfg.MSS = min(cfg.MSS, sndStack.MTU()-HeaderSize, rcvStack.MTU()-HeaderSize)
 	// Ports are cosmetic (one flow per VC); derive stable ones from nothing.
 	const dataPort, ackPort = 5001, 34000
-	f := &Flow{Name: name, k: k}
+	f := &Flow{Name: name}
 	f.Sender = newSender(k, name, sndStack, sndVC, rcvStack.Addr(), ackPort, dataPort, cfg)
 	f.Receiver = newReceiver(name, rcvStack, rcvVC, sndStack.Addr(), dataPort, ackPort, cfg.RcvWnd)
 	sndStack.Bind(sndVC, f.Sender.HandleSegment)
@@ -49,8 +45,6 @@ func NewFlow(k *sim.Kernel, name string, sndStack *ip.Stack, sndVC atm.VC,
 // Start begins the transfer: totalBytes bounds it (0 = unbounded, run until
 // Stop). onDone (may be nil) fires when the last byte is acknowledged.
 func (f *Flow) Start(totalBytes uint64, onDone func()) {
-	f.startAt = f.k.Now()
-	f.started = true
 	f.Sender.Start(totalBytes, onDone)
 }
 
@@ -62,12 +56,3 @@ func (f *Flow) Done() bool { return f.Sender.Done() }
 
 // Delivered returns the in-order bytes the receiver has accepted.
 func (f *Flow) Delivered() uint64 { return f.Receiver.Delivered() }
-
-// Goodput returns the flow's delivered rate in bits/s from Start until at.
-func (f *Flow) Goodput(at sim.Time) float64 {
-	if !f.started || at <= f.startAt {
-		return 0
-	}
-	elapsed := float64(at-f.startAt) / float64(sim.Second)
-	return float64(f.Receiver.Delivered()) * 8 / elapsed
-}

@@ -54,7 +54,8 @@ func newReceiver(name string, stack *ip.Stack, vc atm.VC, peer ip.Addr,
 	}
 }
 
-// Stats returns the receiver's counters.
+// Stats returns the receiver's counters. No program reads them (flows
+// report through the registry); the flow tests do.
 func (r *Receiver) Stats() ReceiverStats {
 	st := r.stats
 	st.AcksSent = r.cAcks.Value()

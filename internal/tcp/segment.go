@@ -37,7 +37,9 @@ const MaxWindow = 0xFFFF << windowShift
 // Flags is the TCP flag byte.
 type Flags uint8
 
-// Flag bits (the low 6 of the flags byte).
+// Flag bits (the low 6 of the flags byte). The sender and receiver use
+// FlagACK alone; the rest complete the code book, and their iota order fixes
+// FlagACK's value.
 const (
 	FlagFIN Flags = 1 << iota
 	FlagSYN
@@ -65,7 +67,9 @@ var (
 )
 
 // Marshal serializes the segment, computing the checksum over the IPv4
-// pseudo-header and the full segment.
+// pseudo-header and the full segment. The sender builds its segments in
+// place; Marshal is the reference the tcp tests and FuzzParseSegment check
+// them against.
 func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 	b := make([]byte, HeaderSize+len(s.Payload))
 	copy(b[HeaderSize:], s.Payload)

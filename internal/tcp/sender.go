@@ -154,9 +154,6 @@ func (s *Sender) Stats() SenderStats {
 // Cwnd returns the congestion window in bytes.
 func (s *Sender) Cwnd() int { return s.cwnd }
 
-// SSThresh returns the slow-start threshold in bytes.
-func (s *Sender) SSThresh() int { return s.ssthresh }
-
 // SRTT returns the smoothed round-trip estimate (0 before a sample).
 func (s *Sender) SRTT() sim.Duration { return s.est.SRTT() }
 

@@ -40,7 +40,7 @@ func TestABRParamsValidate(t *testing.T) {
 }
 
 func TestABRContractAdmission(t *testing.T) {
-	c := ABRContract(100_000, 5_000)
+	c := TrafficContract{Class: ABR, PCR: 100_000, MCR: 5_000}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestABRContractAdmission(t *testing.T) {
 	if got := cac.ReservedBandwidth(); got != 10_000 {
 		t.Errorf("reserved %g, want 2×MCR = 10000", got)
 	}
-	third := ABRContract(100_000, 5_000)
+	third := c
 	if err := cac.Admit(third); err == nil {
 		t.Error("third MCR over budget admitted")
 	}
@@ -174,7 +174,7 @@ func TestShaperSetRateIdle(t *testing.T) {
 	if e := sh.Eligible(); e > now {
 		t.Errorf("idle shaper owes %v after SetRate", e-now)
 	}
-	if got := sh.Contract().PCR; got != 50_000 {
-		t.Errorf("contract PCR %g, want 50000", got)
+	if got := sh.peak.inc; got != 20_000 {
+		t.Errorf("peak increment %v, want 20 µs (50 000 cells/s)", got)
 	}
 }

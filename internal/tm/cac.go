@@ -27,14 +27,6 @@ type CAC struct {
 	reservedCells float64
 	reservedBuf   int
 	admitted      int
-
-	stats CACStats
-}
-
-// CACStats counts admission decisions.
-type CACStats struct {
-	Admitted uint64
-	Rejected uint64
 }
 
 // NewCAC builds an admission controller for a link of the given payload
@@ -62,28 +54,23 @@ func demand(c TrafficContract) (cells float64, buf int) {
 // demand is reserved until Release is called with the same contract.
 func (a *CAC) Admit(c TrafficContract) error {
 	if err := c.Validate(); err != nil {
-		a.stats.Rejected++
 		return err
 	}
 	cells, buf := demand(c)
 	if c.Class == UBR && a.reservedCells >= a.linkCells {
-		a.stats.Rejected++
 		return fmt.Errorf("tm: cac: link fully reserved, no capacity left for ubr")
 	}
 	if a.reservedCells+cells > a.linkCells {
-		a.stats.Rejected++
 		return fmt.Errorf("tm: cac: bandwidth %0.f + %.0f exceeds link %.0f cells/s",
 			a.reservedCells, cells, a.linkCells)
 	}
 	if a.reservedBuf+buf > a.bufCells {
-		a.stats.Rejected++
 		return fmt.Errorf("tm: cac: buffer %d + %d exceeds budget %d cells",
 			a.reservedBuf, buf, a.bufCells)
 	}
 	a.reservedCells += cells
 	a.reservedBuf += buf
 	a.admitted++
-	a.stats.Admitted++
 	return nil
 }
 
@@ -111,6 +98,3 @@ func (a *CAC) ReservedBandwidth() float64 { return a.reservedCells }
 
 // ReservedBuffer returns the reserved buffer in cells.
 func (a *CAC) ReservedBuffer() int { return a.reservedBuf }
-
-// Stats returns the admission counters.
-func (a *CAC) Stats() CACStats { return a.stats }

@@ -184,13 +184,6 @@ func VBRContract(pcr, scr float64, mbs int, cdvt sim.Duration) TrafficContract {
 	return TrafficContract{Class: RtVBR, PCR: pcr, SCR: scr, MBS: mbs, CDVT: cdvt}
 }
 
-// ABRContract builds an available-bit-rate contract: PCR is the ceiling the
-// source may ever send at, MCR the floor the network commits to. The actual
-// sending rate in between is the ACR the RM-cell feedback loop steers.
-func ABRContract(pcr, mcr float64) TrafficContract {
-	return TrafficContract{Class: ABR, PCR: pcr, MCR: mcr}
-}
-
 // UBRContract builds a best-effort contract whose PCR is the line rate —
 // shaped nowhere, policed only against the raw link capacity.
 func UBRContract(rate units.BitRate) TrafficContract {

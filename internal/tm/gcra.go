@@ -67,9 +67,6 @@ type PolicerStats struct {
 	Discarded uint64
 }
 
-// NonConforming returns tagged + discarded.
-func (s PolicerStats) NonConforming() uint64 { return s.Tagged + s.Discarded }
-
 // Policer enforces one connection's TrafficContract at a network ingress
 // (UPC). It runs the single- or dual-bucket GCRA per cell:
 //
@@ -85,10 +82,9 @@ func (s PolicerStats) NonConforming() uint64 { return s.Tagged + s.Discarded }
 // the hardware UPC table walk of the era — and allocates nothing
 // (pinned by metrics.TestHotPathAllocs).
 type Policer struct {
-	contract TrafficContract
-	peak     gcra
-	sust     gcra
-	dual     bool
+	peak gcra
+	sust gcra
+	dual bool
 	// TagSCR selects the tagging option for sustained-bucket violations:
 	// demote CLP and forward instead of discarding.
 	TagSCR bool
@@ -102,18 +98,14 @@ func NewPolicer(c TrafficContract) *Policer {
 		panic("tm: " + err.Error())
 	}
 	p := &Policer{
-		contract: c,
-		peak:     gcra{inc: c.PeakIncrement(), limit: c.CDVT},
-		dual:     c.Dual(),
+		peak: gcra{inc: c.PeakIncrement(), limit: c.CDVT},
+		dual: c.Dual(),
 	}
 	if p.dual {
 		p.sust = gcra{inc: c.SustainedIncrement(), limit: c.BurstTolerance() + c.CDVT}
 	}
 	return p
 }
-
-// Contract returns the contract being enforced.
-func (p *Policer) Contract() TrafficContract { return p.contract }
 
 // Stats returns the decision counters.
 func (p *Policer) Stats() PolicerStats { return p.stats }
@@ -146,45 +138,6 @@ func (p *Policer) Police(t sim.Time, clp bool) Verdict {
 	return Conform
 }
 
-// Firmware instruction budgets for the conformance check, counted the same
-// way as internal/nic/firmware.go (i960-class pseudo-code, register ops and
-// loads/stores cost 1; see that file for conventions). A switch line card
-// or NIC running UPC in firmware executes, per cell:
-//
-//	ld   vc.tat1, r4        ; 1   peak bucket TAT
-//	sub  r4, now, r5        ; 1   slack = now - (TAT - L): L folded at setup
-//	blt  violate            ; 1
-//	cmp/sel max(now,TAT)    ; 2
-//	add  inc1, r4           ; 1
-//	st   r4, vc.tat1        ; 1
-//	bump conform counter    ; 1
-const policeInstr = 8
-
-// policeDualExtra — the second (SCR/MBS) bucket repeats the walk with its
-// own TAT/limit/increment and the CLP-tag decision:
-//
-//	ld   vc.tat2, r6        ; 1
-//	sub/cmp/branch          ; 3
-//	sel  max / add / st     ; 3
-//	tst  clp, set tag       ; 2
-const policeDualExtra = 9
-
-// PoliceInstr returns the per-cell instruction budget of the conformance
-// check (8 for single-bucket contracts, 17 for dual) — the number a cycle
-// budget (experiment E1/E2 style) charges a firmware UPC implementation.
-func PoliceInstr(dual bool) int {
-	if dual {
-		return policeInstr + policeDualExtra
-	}
-	return policeInstr
-}
-
-// ShapeInstr is the transmit-side twin: updating the shaping TATs and
-// computing the next eligible slot costs the same bucket walk as policing
-// (both buckets are always maintained; single-bucket contracts skip the
-// second walk exactly as the policer does).
-func ShapeInstr(dual bool) int { return PoliceInstr(dual) }
-
 // Shaper computes conforming departure times for a connection's own
 // contract: the transmit-side dual of the Policer, run by the NIC's
 // segmentation engine (Interface.SetContract). After each cell is emitted,
@@ -195,10 +148,9 @@ func ShapeInstr(dual bool) int { return PoliceInstr(dual) }
 // margin unspent: that budget absorbs the downstream FIFO and
 // multiplexing jitter the shaper cannot see.
 type Shaper struct {
-	contract TrafficContract
-	peak     gcra
-	sust     gcra
-	dual     bool
+	peak gcra
+	sust gcra
+	dual bool
 }
 
 // NewShaper builds a shaper for the contract. The contract must be valid.
@@ -207,9 +159,8 @@ func NewShaper(c TrafficContract) *Shaper {
 		panic("tm: " + err.Error())
 	}
 	s := &Shaper{
-		contract: c,
-		peak:     gcra{inc: c.PeakIncrement()},
-		dual:     c.Dual(),
+		peak: gcra{inc: c.PeakIncrement()},
+		dual: c.Dual(),
 	}
 	if s.dual {
 		// The shaper grants itself the full burst tolerance (that is what
@@ -218,9 +169,6 @@ func NewShaper(c TrafficContract) *Shaper {
 	}
 	return s
 }
-
-// Contract returns the contract being shaped to.
-func (s *Shaper) Contract() TrafficContract { return s.contract }
 
 // NextEligible records a cell emitted at time t and returns the earliest
 // departure time of the next cell. Allocation-free.
@@ -275,5 +223,4 @@ func (s *Shaper) SetRate(now sim.Time, rate float64) {
 		s.peak.tat = now + sim.Duration(debt*float64(newInc)/float64(old)+0.5)
 	}
 	s.peak.inc = newInc
-	s.contract.PCR = rate
 }

@@ -146,8 +146,8 @@ func TestShaperPassesOwnPolicer(t *testing.T) {
 			}
 			now = next
 		}
-		if nc := p.Stats().NonConforming(); nc != 0 {
-			t.Fatalf("%v: %d non-conforming cells from shaped stream", c, nc)
+		if st := p.Stats(); st.Tagged+st.Discarded != 0 {
+			t.Fatalf("%v: %d non-conforming cells from shaped stream", c, st.Tagged+st.Discarded)
 		}
 	}
 }
@@ -175,16 +175,6 @@ func TestShaperBurstThenSustain(t *testing.T) {
 		} else if g != 10000 {
 			t.Fatalf("gap %d = %v, want 10000 (SCR)", i, g)
 		}
-	}
-}
-
-func TestPoliceInstr(t *testing.T) {
-	if PoliceInstr(false) <= 0 || PoliceInstr(true) <= PoliceInstr(false) {
-		t.Fatalf("instruction budgets inconsistent: single=%d dual=%d",
-			PoliceInstr(false), PoliceInstr(true))
-	}
-	if ShapeInstr(true) != PoliceInstr(true) {
-		t.Fatalf("ShapeInstr != PoliceInstr")
 	}
 }
 
@@ -247,9 +237,8 @@ func TestCACAccounting(t *testing.T) {
 	if err := cac.Admit(CBRContract(20_000, 0)); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	st := cac.Stats()
-	if st.Admitted != 4 || st.Rejected != 2 {
-		t.Fatalf("stats = %+v", st)
+	if got := cac.Admitted(); got != 3 {
+		t.Fatalf("admitted = %d after release and re-admit, want 3", got)
 	}
 }
 

@@ -63,29 +63,3 @@ func MergeNamed(recs ...*Recorder) []NamedEvent {
 	SortNamed(out)
 	return out
 }
-
-// NamedSpan is a span keyed by stage name rather than a recorder-local
-// StageID.
-type NamedSpan struct {
-	Node  string
-	Stage string
-	VC    atm.VC
-	Start sim.Time
-	End   sim.Time
-}
-
-// NamedSpans selects the spans from a named event stream, in stream order.
-// Feed it SortNamed-ordered events: then the result is a pure function of
-// the event multiset, so a serial run and a merged parallel run that
-// recorded the same events produce identical spans — the span half of the
-// golden comparison.
-func NamedSpans(evs []NamedEvent) []NamedSpan {
-	var spans []NamedSpan
-	for _, ev := range evs {
-		if ev.Kind == KindSpan {
-			spans = append(spans, NamedSpan{Node: ev.Node, Stage: ev.Stage,
-				VC: ev.VC, Start: ev.Start, End: ev.At})
-		}
-	}
-	return spans
-}

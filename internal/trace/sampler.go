@@ -73,7 +73,9 @@ func (s *Sampler) tick() {
 	}
 }
 
-// Rows returns the recorded series oldest-first.
+// Rows returns the recorded series oldest-first. No program reads it (they
+// write CSV); TestE20SingleFlowShape reads the sampled cwnd series through
+// it, and the sampler tests its row times.
 func (s *Sampler) Rows() []SampleRow { return s.rows }
 
 // columns is the sorted union of every instrument name seen — instruments

@@ -56,16 +56,6 @@ func (c *Capture) Tap(next func(*atm.Cell)) func(*atm.Cell) {
 // Records returns the captured cells in arrival order.
 func (c *Capture) Records() []Record { return c.records }
 
-// Overflowed reports cells discarded after Limit was reached. A non-zero
-// value means the capture is a truncated prefix, not the full cell stream.
-func (c *Capture) Overflowed() uint64 { return c.overflow }
-
-// Reset clears the capture.
-func (c *Capture) Reset() {
-	c.records = c.records[:0]
-	c.overflow = 0
-}
-
 // VCStats is a per-connection capture summary.
 type VCStats struct {
 	VC       atm.VC

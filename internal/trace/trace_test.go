@@ -53,8 +53,8 @@ func TestLimitAndOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sink(cellOn(uint16(i), atm.PTUser0))
 	}
-	if len(cap.Records()) != 3 || cap.Overflowed() != 7 {
-		t.Fatalf("records %d overflow %d", len(cap.Records()), cap.Overflowed())
+	if len(cap.Records()) != 3 || cap.overflow != 7 {
+		t.Fatalf("records %d overflow %d", len(cap.Records()), cap.overflow)
 	}
 	// First-N semantics.
 	if cap.Records()[0].Cell.Header.VCI != 0 {
@@ -118,17 +118,6 @@ func TestDumpFormat(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	k := sim.NewKernel()
-	cap := New(k)
-	sink := cap.Tap(func(*atm.Cell) {})
-	sink(cellOn(1, atm.PTUser0))
-	cap.Reset()
-	if len(cap.Records()) != 0 || cap.Overflowed() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestOverflowedAndSummaryAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	cap := New(k)
@@ -136,9 +125,6 @@ func TestOverflowedAndSummaryAccounting(t *testing.T) {
 	sink := cap.Tap(func(*atm.Cell) {})
 	for i := 0; i < 5; i++ {
 		sink(cellOn(1, atm.PTUser0))
-	}
-	if cap.Overflowed() != 3 {
-		t.Fatalf("overflowed %d", cap.Overflowed())
 	}
 	sum := cap.Summary()
 	if sum.Stored != 2 || sum.Overflowed != 3 {

@@ -18,23 +18,20 @@ import (
 // BitRate is a line or payload rate in bits per second.
 type BitRate int64
 
-// Standard SONET line rates and their SPE (payload envelope) rates.  The SPE
-// rate is what is available to carry ATM cells; the rest is SONET transport
-// and path overhead.
+// Standard SONET SPE (payload envelope) rates: what is available to carry
+// ATM cells once SONET transport and path overhead leave the line rate.
 const (
 	Kbps BitRate = 1_000
 	Mbps BitRate = 1_000_000
 	Gbps BitRate = 1_000_000_000
 
-	// STS3cLine is the OC-3c/STS-3c line rate used by the interface as
-	// built; STS3cPayload is its synchronous payload envelope net of the
-	// 9-byte path overhead column (260/270 of 9/10 of line = 149.76 Mb/s).
-	STS3cLine    BitRate = 155_520_000
+	// STS3cPayload is the payload envelope of the OC-3c/STS-3c line the
+	// interface was built for: the 155.52 Mb/s line rate net of the 9-byte
+	// path overhead column (260/270 of 9/10 of line = 149.76 Mb/s).
 	STS3cPayload BitRate = 149_760_000
 
-	// STS12cLine is the OC-12c target rate the architecture was designed
-	// toward; STS12cPayload its payload envelope (599.04 Mb/s).
-	STS12cLine    BitRate = 622_080_000
+	// STS12cPayload is the payload envelope of the 622.08 Mb/s OC-12c line
+	// the architecture was designed toward (599.04 Mb/s).
 	STS12cPayload BitRate = 599_040_000
 )
 
@@ -52,18 +49,8 @@ func (r BitRate) String() string {
 	}
 }
 
-// ATM framing constants.
-const (
-	// CellSize is the full ATM cell: 5-byte header + 48-byte payload.
-	CellSize = 53
-	// CellHeaderSize is the ATM header including HEC.
-	CellHeaderSize = 5
-	// CellPayload is the cell payload available to the adaptation layer.
-	CellPayload = 48
-	// AAL34Payload is the per-cell SAR payload under AAL3/4, which spends
-	// 2 bytes of SAR header and 2 bytes of SAR trailer inside the cell.
-	AAL34Payload = 44
-)
+// CellSize is the full ATM cell: 5-byte header + 48-byte payload.
+const CellSize = 53
 
 // TimePerBytes returns the simulated time to transmit n bytes at rate r,
 // rounding half-up to the nearest nanosecond.  r must be positive.
@@ -107,15 +94,6 @@ func CellsForPayload(n, perCell int) int {
 		return 0
 	}
 	return (n + perCell - 1) / perCell
-}
-
-// Efficiency returns the fraction of line bits that carry AAL payload for a
-// PDU of n payload bytes occupying cells cells: n*8 / (cells*CellSize*8).
-func Efficiency(n, cells int) float64 {
-	if cells <= 0 {
-		return 0
-	}
-	return float64(n) / float64(cells*CellSize)
 }
 
 // ThroughputBps converts a byte count delivered over a simulated duration to

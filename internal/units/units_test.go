@@ -7,11 +7,18 @@ import (
 	"repro/internal/sim"
 )
 
+// The STS-3c and STS-12c line rates, whose cell times are the widely quoted
+// "2.7 µs at 155 Mb/s" and "0.68 µs at 622 Mb/s".
+const (
+	sts3cLine  BitRate = 155_520_000
+	sts12cLine BitRate = 622_080_000
+)
+
 func TestCellTimeSTS3cLine(t *testing.T) {
 	// 53 bytes at 155.52 Mb/s = 424 bits / 155.52e6 = 2726.3 ns.
-	got := CellTime(STS3cLine)
+	got := CellTime(sts3cLine)
 	if got != 2726 {
-		t.Fatalf("CellTime(STS3cLine) = %v ns, want 2726", int64(got))
+		t.Fatalf("CellTime(155.52 Mb/s) = %v ns, want 2726", int64(got))
 	}
 }
 
@@ -25,8 +32,8 @@ func TestCellTimeSTS3cPayload(t *testing.T) {
 
 func TestCellTimeSTS12c(t *testing.T) {
 	// 424 bits / 622.08e6 = 681.6 ns.
-	if got := CellTime(STS12cLine); got != 682 {
-		t.Fatalf("CellTime(STS12cLine) = %v ns, want 682", int64(got))
+	if got := CellTime(sts12cLine); got != 682 {
+		t.Fatalf("CellTime(622.08 Mb/s) = %v ns, want 682", int64(got))
 	}
 	// 424 / 599.04e6 = 707.8 ns.
 	if got := CellTime(STS12cPayload); got != 708 {
@@ -35,7 +42,7 @@ func TestCellTimeSTS12c(t *testing.T) {
 }
 
 func TestTimePerBytesZero(t *testing.T) {
-	if got := TimePerBytes(STS3cLine, 0); got != 0 {
+	if got := TimePerBytes(sts3cLine, 0); got != 0 {
 		t.Fatalf("TimePerBytes(_, 0) = %v, want 0", got)
 	}
 }
@@ -105,18 +112,6 @@ func TestCellsForPayloadPanics(t *testing.T) {
 	CellsForPayload(10, 0)
 }
 
-func TestEfficiency(t *testing.T) {
-	// One full AAL5 SAR cell: 48/53.
-	got := Efficiency(48, 1)
-	want := 48.0 / 53.0
-	if got != want {
-		t.Fatalf("Efficiency(48,1) = %v, want %v", got, want)
-	}
-	if Efficiency(10, 0) != 0 {
-		t.Fatal("Efficiency with zero cells should be 0")
-	}
-}
-
 func TestThroughputBps(t *testing.T) {
 	// 1e6 bytes over 1 simulated second = 8e6 b/s.
 	got := ThroughputBps(1_000_000, sim.Second)
@@ -133,8 +128,8 @@ func TestBitRateString(t *testing.T) {
 		r    BitRate
 		want string
 	}{
-		{STS3cLine, "155.52Mb/s"},
-		{STS12cLine, "622.08Mb/s"},
+		{sts3cLine, "155.52Mb/s"},
+		{sts12cLine, "622.08Mb/s"},
 		{2 * Gbps, "2.000Gb/s"},
 		{1500, "1.5Kb/s"},
 		{12, "12b/s"},
@@ -150,9 +145,9 @@ func TestBitRateString(t *testing.T) {
 // rounding (time(a+b) within 1ns of time(a)+time(b)).
 func TestPropertyTimePerBytesMonotoneAdditive(t *testing.T) {
 	f := func(a, b uint16) bool {
-		ta := TimePerBytes(STS3cLine, int(a))
-		tb := TimePerBytes(STS3cLine, int(b))
-		tab := TimePerBytes(STS3cLine, int(a)+int(b))
+		ta := TimePerBytes(sts3cLine, int(a))
+		tb := TimePerBytes(sts3cLine, int(b))
+		tab := TimePerBytes(sts3cLine, int(a)+int(b))
 		if tab < ta || tab < tb {
 			return false
 		}
