@@ -148,10 +148,10 @@ func TestFramedPairGolden(t *testing.T) {
 		opts   Options
 		digest string
 	}{
-		{"155", Options{TxFifoCells: 128, RxFifoCells: 128}, "1a6c03a2fa3a3a6a02a7b48de44bf6f59615d1c8c71a6a50a42ab7dd8fe66319"},
+		{"155", Options{TxFifoCells: 128, RxFifoCells: 128}, "daa05d62ab4fd3f1173b73156f4fb10039d5741de68dba06edd460a578113cf9"},
 		// At 622 the stock 25 MHz engine saturates (the E3 story); give the
 		// pair the upgraded board so the workload actually arrives.
-		{"622", Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128, EngineMHz: 66, RxEngines: 3}, "cf3cc219a04bb49410a61be40fc09f0dc8fe034c512708f760a40bdf027be2fd"},
+		{"622", Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128, EngineMHz: 66, RxEngines: 3}, "f18be1fe5978323d42572c4016f488515c76569f0026e75187d2186b0fd2ec53"},
 	} {
 		label := "rate=" + c.name
 		run := buildRun(t, framedPairSpec(c.opts, 11, 0), func(net *Network, run *coreRun) { sendAll(t, net, run, sizes) })
@@ -170,7 +170,7 @@ func TestFramedPairLatencyGolden(t *testing.T) {
 	if len(run.deliveries) != len(sizes) {
 		t.Fatalf("delivered %d of %d", len(run.deliveries), len(sizes))
 	}
-	requireDigest(t, "latency-shape", run, "438ab75ff285d90479323e729c1b941dc2b0838cebf90494368111bb26abdc63")
+	requireDigest(t, "latency-shape", run, "1e69b4bbbf3b64449203026230c7b90102502a067438aa5406b3a84b267f3dbe")
 }
 
 // TestSwitchTopologyGolden is the E15-shaped golden test: two senders
@@ -234,11 +234,11 @@ func TestFramedPropertySweepGolden(t *testing.T) {
 		digest    string
 	}
 	cases := []swept{
-		{Options{TxFifoCells: 128, RxFifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, 9, "6766e46b6613ffebb462fe1c1187b55d50106e9c40f57dbb7a3bb12fa7630c3e"},
-		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, 14, "49baf668aaeec77c387760ca04e88e3787098bc69b7d780f9c2249a804c3edec"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 1, 0, 9, func(i int) int { return 40 + (i*613)%5000 }, 9, "267864b53671542e1f8015a81a3d254bdc317825136006a57f6f0ec2c060c289"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 2e-4, 14, func(i int) int { return 300 + (i*2897)%4000 }, 14, "7b9b63ef026f0367902be759fb5bc2165054a943a6d129b1113c207e2d5185af"},
 		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 4, 0, 9, func(i int) int { return 1 + (i*9181)%9180 }, 9, "acdadc269c95227e8e8f2069d51c835666f4f2deb33716d22e6f0ce4e049e109"},
 		{Options{Rate: Rate622, TxFifoCells: 128, RxFifoCells: 128}, 7, 5e-4, 14, func(i int) int { return 64 + (i*4099)%8192 }, 14, "dc9f4b2d0f1b310f02e2eeae23b76cb3819fd28f126999245a46c13da58499ae"},
-		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 0.2, 14, func(i int) int { return 300 + (i*2897)%4000 }, 12, "0517b1db2c0b6174109b1ebe963b5871dfcb7e178c03a916da550ac83594103c"},
+		{Options{TxFifoCells: 128, RxFifoCells: 128}, 9, 0.2, 14, func(i int) int { return 300 + (i*2897)%4000 }, 12, "7cb35bfcfde79bf5315d3dc65dfc7ad1641cf2a1cc90f20035818d6967c7fe27"},
 	}
 	for ci, c := range cases {
 		sizes := make([]int, c.nSDU)

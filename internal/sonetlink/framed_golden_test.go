@@ -123,7 +123,7 @@ func TestSonetFramedGolden(t *testing.T) {
 		rate   sonet.Rate
 		digest string
 	}{
-		{sonet.STS3c, "a5e5d8ad5cda2adf9791d3fd12f3704befc660938388ca70f42c84a4731552f6"},
+		{sonet.STS3c, "55b9de3e619ea82085c9c123a81e705caeb3dd6f0a88b8d3822e595b9530d3e1"},
 		{sonet.STS12c, "4aa9ba844dceae9ecb1cea390a9ef0b0b3fa85ed52ba069762cec13b2d4b325d"},
 	} {
 		run := runSonetWorkload(t, c.rate)
