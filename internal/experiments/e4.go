@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"repro/internal/aal"
+	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/experiments/runner"
 	"repro/internal/report"
@@ -110,8 +112,7 @@ func e4Net(arch E4Arch, load float64, ec E4Config) *core.Network {
 	rate := units.STS3cPayload
 	// Packet departure interval to hit the target offered load, counting
 	// full cell (wire) bytes.
-	cells := (ec.SDUSize + 8 + 47) / 48
-	wireBytes := cells * 53
+	wireBytes := aal.CellsForSDU5(ec.SDUSize) * atm.CellSize
 	interval := sim.Duration(float64(units.TimePerBytes(rate, wireBytes)) / load)
 
 	var tx, rx core.Options

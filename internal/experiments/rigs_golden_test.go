@@ -60,7 +60,7 @@ var rigGoldens = []struct {
 	{"E5", func(t *testing.T) string {
 		rows, _ := E5()
 		return rigDigest(rows)
-	}, "2b4e3d3dbaba7f6deacad4c01511d6e378df699443b28c40c1035b47337cfe9e"},
+	}, "583ae44b7725cafdd0a9eb6477eb3d191f88021881342fd6bc912ece3a84c6ea"},
 	{"E6", func(t *testing.T) string {
 		pts, _ := E6(nil)
 		return rigDigest(pts)

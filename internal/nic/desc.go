@@ -64,9 +64,13 @@ func (i *Interface) send(vc atm.VC, sdu []byte, pooled bool, onSent func()) erro
 	return nil
 }
 
-// post is the host stack's completion: the driver writes a 4-word
-// descriptor across the bus.
-func (d *txDesc) post() { d.i.hostDev.PIO(4, d.enqueueFn) }
+// DescriptorWords is the size of a transmit descriptor: the driver writes
+// this many words across the bus by programmed I/O for every Send.
+const DescriptorWords = 4
+
+// post is the host stack's completion: the driver writes the descriptor
+// across the bus.
+func (d *txDesc) post() { d.i.hostDev.PIO(DescriptorWords, d.enqueueFn) }
 
 // enqueue hands the descriptor to the adapter. A VC closed while the host
 // was posting drops it, unless the VC has been reopened since.
