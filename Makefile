@@ -70,6 +70,7 @@ FUZZ_TARGETS = \
 	./internal/aal:FuzzMIDReassembler34 \
 	./internal/aal:FuzzAAL1Receiver \
 	./internal/sonet:FuzzDeframer \
+	./internal/sonet:FuzzFramer \
 	./internal/crc:FuzzHECCheck \
 	./internal/crc:FuzzCRC32 \
 	./internal/crc:FuzzCRC10 \

@@ -139,6 +139,12 @@ func (h *Header) Encode(dst []byte) error {
 	if h.PT > 7 {
 		return fmt.Errorf("%w: PT %d", ErrPTRange, h.PT)
 	}
+	h.put((*[HeaderSize]byte)(dst))
+	return nil
+}
+
+// put writes a header whose fields are in range, HEC included.
+func (h *Header) put(dst *[HeaderSize]byte) {
 	var clp byte
 	if h.CLP {
 		clp = 1
@@ -152,7 +158,6 @@ func (h *Header) Encode(dst []byte) error {
 	dst[2] = byte(h.VCI >> 4)
 	dst[3] = byte(h.VCI)<<4 | byte(h.PT)<<1 | clp
 	dst[4] = crc.HEC([4]byte{dst[0], dst[1], dst[2], dst[3]})
-	return nil
 }
 
 // Decode parses a 5-byte header from src into h, verifying the HEC and
@@ -170,6 +175,15 @@ func (h *Header) Decode(src []byte, format Format) (corrected bool, err error) {
 	if !ok {
 		return false, ErrHECFailed
 	}
+	h.DecodeFields(raw[:], format)
+	return corrected, nil
+}
+
+// DecodeFields parses the header fields of src[0:4] into h without looking
+// at the HEC: the receive path of a line whose cell delineation has already
+// checked (and, if need be, corrected) every header it hands up.
+func (h *Header) DecodeFields(src []byte, format Format) {
+	raw := (*[4]byte)(src)
 	h.Format = format
 	if format == UNI {
 		h.GFC = raw[0] >> 4
@@ -181,7 +195,6 @@ func (h *Header) Decode(src []byte, format Format) (corrected bool, err error) {
 	h.VCI = uint16(raw[1]&0x0f)<<12 | uint16(raw[2])<<4 | uint16(raw[3]>>4)
 	h.PT = PT(raw[3] >> 1 & 0x7)
 	h.CLP = raw[3]&1 != 0
-	return corrected, nil
 }
 
 // Cell is a full 53-byte cell: decoded header plus payload bytes.  The
@@ -232,6 +245,15 @@ func IdleCell() *Cell {
 		c.Payload[i] = 0x6a
 	}
 	return c
+}
+
+// IdleCellWire returns IdleCell as it goes on the line, HEC included, for
+// a framer to encode once and copy into every idle slot.
+func IdleCellWire() (wire [CellSize]byte) {
+	c := IdleCell()
+	c.Header.put((*[HeaderSize]byte)(wire[:]))
+	copy(wire[HeaderSize:], c.Payload[:])
+	return wire
 }
 
 // IsIdle reports whether a decoded header is the idle/unassigned pattern

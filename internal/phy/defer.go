@@ -49,6 +49,10 @@ func NewCellDeferrer(k *sim.Kernel, sink func(*atm.Cell)) *CellDeferrer {
 
 // Post schedules sink(c) to run d nanoseconds from now.
 func (cd *CellDeferrer) Post(d sim.Duration, c *atm.Cell) {
+	// Both checks guard callers' invariants, not input: core refuses a
+	// negative link delay as a spec error, a CellLink posts its one fixed
+	// delay, and sonetlink posts a frame's cells at rising offsets that all
+	// fall before the next frame arrives.
 	if d < 0 {
 		panic(fmt.Sprintf("phy: negative delay %d", int64(d)))
 	}

@@ -81,6 +81,8 @@ type CellLink struct {
 // implements SignalConsumer, it sees the link's Fail and Restore transitions,
 // whatever taps AttachSink later puts in front of it.
 func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellConsumer, pool *atm.Pool) *CellLink {
+	// Both are wiring bugs: core and the examples build every link from a
+	// built endpoint or port and its kernel's pool, never from a spec field.
 	if sink == nil {
 		panic("phy: nil sink")
 	}
@@ -117,6 +119,8 @@ func (l *CellLink) SetRecorder(rec *trace.Recorder, name string) {
 // drops, so the merged trace equals a serial run's. rec may be nil.
 func (l *CellLink) SetBoundary(mb *sim.Mailbox, dk *sim.Kernel, rec *trace.Recorder, name string) {
 	if l.delay <= 0 {
+		// A planner bug: core never cuts a zero-delay link between
+		// partitions, and refuses a negative delay as a spec error.
 		panic("phy: boundary link needs positive propagation delay (lookahead)")
 	}
 	l.mb, l.dk = mb, dk
@@ -150,7 +154,7 @@ func (l *CellLink) Stats() Stats { return l.stats }
 // implements atm.CellProducer, making the link a full CellConduit.
 func (l *CellLink) AttachSink(sink atm.CellConsumer) {
 	if sink == nil {
-		panic("phy: nil sink")
+		panic("phy: nil sink") // a tap's bug: no spec or wire byte reaches it
 	}
 	l.sink = sink
 }
@@ -227,7 +231,9 @@ func (l *CellLink) Send(c *atm.Cell) {
 	l.def.Post(l.delay, c)
 }
 
-// FrameLink is a unidirectional SONET-frame pipe.
+// FrameLink is a unidirectional SONET-frame pipe. A sender builds each frame
+// in a buffer from Buffer and hands it to Send, which owns it from then on:
+// the frame crosses the fiber without a copy.
 type FrameLink struct {
 	k *sim.Kernel
 	// Delay is the propagation delay.
@@ -241,12 +247,13 @@ type FrameLink struct {
 	down bool
 	sig  SignalConsumer // nil when nothing tracks the line signal
 
-	pool  *bufpool.Pool // optional: recycles in-flight frame copies
+	pool  *bufpool.Pool // optional: recycles frame buffers after delivery
+	dark  []byte        // where frames built on a cut fiber go
 	ffree *frameDefer
 }
 
-// frameDefer parks one in-flight frame copy; pooled so a steady frame
-// stream costs no per-frame closure.
+// frameDefer parks one in-flight frame; pooled so a steady frame stream
+// costs no per-frame closure.
 type frameDefer struct {
 	l    *FrameLink
 	buf  []byte
@@ -260,10 +267,10 @@ func (r *frameDefer) fire() {
 	r.next = l.ffree
 	l.ffree = r
 	l.sink(buf)
-	// With a pool installed the frame copy is recycled as soon as the sink
+	// With a pool installed the frame is recycled as soon as the sink
 	// returns — the sink must not retain it (the deframer copies; see
 	// SetBufPool). Without a pool, Put is a no-op and the buffer is the
-	// sink's to keep, preserving the original contract.
+	// sink's to keep.
 	l.pool.Put(buf)
 }
 
@@ -271,17 +278,31 @@ func (r *frameDefer) fire() {
 // not nil, sees the link's Fail and Restore transitions.
 func NewFrameLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink func([]byte), sig SignalConsumer) *FrameLink {
 	if sink == nil {
-		panic("phy: nil sink")
+		panic("phy: nil sink") // a wiring bug: sonetlink passes its own method
 	}
 	return &FrameLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, sig: sig}
 }
 
-// SetBufPool installs a buffer pool for the per-frame wire copies. With a
-// pool, each frame copy is drawn from it and recycled the moment the sink
-// returns — so the sink must consume the frame during the call (the deframer
-// copies into its own scratch). Without a pool, every Send allocates a fresh
-// copy that the sink owns outright.
+// SetBufPool installs a buffer pool for the frame buffers. With a pool,
+// Buffer draws each frame's buffer from it and the link recycles it the
+// moment the sink returns — so the sink must consume the frame during the
+// call (the deframer copies into its own scratch). Without a pool, every
+// Buffer is a fresh allocation that the sink owns outright.
 func (l *FrameLink) SetBufPool(p *bufpool.Pool) { l.pool = p }
+
+// Buffer returns an n-byte buffer, of unspecified contents, for the sender
+// to build its next frame in and hand to Send. While the fiber is cut the
+// frame goes nowhere, so it is built in the link's own scratch buffer and
+// the pool is left alone.
+func (l *FrameLink) Buffer(n int) []byte {
+	if l.down {
+		if cap(l.dark) < n {
+			l.dark = make([]byte, n)
+		}
+		return l.dark[:n]
+	}
+	return l.pool.Get(n)
+}
 
 // Down reports whether the link is currently failed.
 func (l *FrameLink) Down() bool { return l.down }
@@ -312,17 +333,16 @@ func (l *FrameLink) signal(up bool) {
 	}
 }
 
-// Send transmits one serialized frame. The frame bytes are copied, so the
-// caller may reuse its buffer immediately.
+// Send transmits one serialized frame, built in a buffer from Buffer, and
+// takes ownership of it: the caller must not touch it again. A bit error
+// lands in the frame itself.
 func (l *FrameLink) Send(frame []byte) {
 	if l.down {
 		return
 	}
-	buf := l.pool.Get(len(frame))
-	copy(buf, frame)
 	if l.BitErrProb > 0 && l.rng.Bernoulli(l.BitErrProb) {
-		i := l.rng.Intn(len(buf))
-		buf[i] ^= 1 << uint(l.rng.Intn(8))
+		i := l.rng.Intn(len(frame))
+		frame[i] ^= 1 << uint(l.rng.Intn(8))
 	}
 	r := l.ffree
 	if r == nil {
@@ -332,7 +352,7 @@ func (l *FrameLink) Send(frame []byte) {
 		l.ffree = r.next
 		r.next = nil
 	}
-	r.buf = buf
+	r.buf = frame
 	l.k.PostAfter(l.Delay, r.fn)
 }
 

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/atm"
@@ -85,16 +86,21 @@ func TestCellLinkCorruptionFlipsOneBit(t *testing.T) {
 	}
 }
 
-func TestFrameLinkCopiesBuffer(t *testing.T) {
+// TestFrameLinkDeliversOwnedBuffer: Send takes the buffer the frame was
+// built in, and the sink receives that very buffer with the frame's bytes.
+func TestFrameLinkDeliversOwnedBuffer(t *testing.T) {
 	k := sim.NewKernel()
 	var got []byte
 	l := NewFrameLink(k, 10, 1, func(f []byte) { got = f }, nil)
-	buf := []byte{1, 2, 3}
+	buf := l.Buffer(3)
+	copy(buf, []byte{1, 2, 3})
 	l.Send(buf)
-	buf[0] = 99 // mutate after send
 	k.Run()
-	if got[0] != 1 {
-		t.Fatal("frame link aliased caller's buffer")
+	if !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("delivered % x, want 01 02 03", got)
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("frame link copied the frame instead of carrying the sent buffer")
 	}
 }
 
@@ -103,9 +109,13 @@ func TestFrameLinkBitError(t *testing.T) {
 	var got []byte
 	l := NewFrameLink(k, 0, 3, func(f []byte) { got = f }, nil)
 	l.BitErrProb = 1.0
-	orig := make([]byte, 64)
-	l.Send(orig)
+	frame := l.Buffer(64)
+	clear(frame)
+	l.Send(frame)
 	k.Run()
+	if len(got) != 64 {
+		t.Fatalf("delivered %d bytes, want 64", len(got))
+	}
 	diff := 0
 	for i := range got {
 		x := got[i]
@@ -118,20 +128,23 @@ func TestFrameLinkBitError(t *testing.T) {
 	}
 }
 
-func TestFrameLinkPoolRecyclesCopies(t *testing.T) {
+// TestFrameLinkPoolRecyclesBuffers: with a pool, every frame's buffer comes
+// from it and returns to it once the sink is done, so a steady stream hits
+// the free list for every frame after the first. Frames built while the
+// fiber is cut go nowhere and leave the pool alone.
+func TestFrameLinkPoolRecyclesBuffers(t *testing.T) {
 	k := sim.NewKernel()
 	frames := 0
 	l := NewFrameLink(k, 10, 1, func(f []byte) { frames++ }, nil)
 	pool := bufpool.New()
 	pool.Instrument(metrics.NewRegistry(), "frames")
 	l.SetBufPool(pool)
-	frame := make([]byte, 2430)
 	// Prime the pool with the first flight, then the steady state must hit
-	// the free list for every copy.
-	l.Send(frame)
+	// the free list for every frame.
+	l.Send(l.Buffer(2430))
 	k.Run()
 	for i := 0; i < 50; i++ {
-		l.Send(frame)
+		l.Send(l.Buffer(2430))
 		k.Run()
 	}
 	if frames != 51 {
@@ -140,6 +153,15 @@ func TestFrameLinkPoolRecyclesCopies(t *testing.T) {
 	hits, misses, puts := pool.Stats()
 	if misses != 1 || hits != 50 || puts != 51 {
 		t.Fatalf("pool hits=%d misses=%d puts=%d, want 50/1/51", hits, misses, puts)
+	}
+	l.Fail()
+	for i := 0; i < 5; i++ {
+		l.Send(l.Buffer(2430))
+	}
+	k.Run()
+	if h, m, p := pool.Stats(); frames != 51 || h != hits || m != misses || p != puts {
+		t.Fatalf("cut fiber: %d frames delivered, pool %d/%d/%d, want 51 and %d/%d/%d",
+			frames, h, m, p, hits, misses, puts)
 	}
 }
 

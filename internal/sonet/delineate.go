@@ -49,7 +49,10 @@ type DelineatorStats struct {
 // Delineator implements HEC-based cell delineation over a byte stream, and
 // descrambles each located cell's information field. Found cells are passed
 // to the sink callback as 53 clear-text bytes (the slice is reused; the sink
-// must copy what it keeps).
+// must copy what it keeps). A header reaches the sink only once its HEC has
+// checked, after single-bit correction (reported by corrected), so the sink
+// need not check it again; an uncorrectable header in SYNC is counted in
+// HeaderDropped and never handed up.
 type Delineator struct {
 	Delta int
 	Alpha int
@@ -58,7 +61,7 @@ type Delineator struct {
 	window  []byte // pending bytes not yet consumed
 	goodRun int    // consecutive good HECs in PRESYNC
 	badRun  int    // consecutive bad HECs in SYNC
-	cs      CellScrambler
+	cs      cellScrambler
 	cell    [53]byte
 	sink    func(cell []byte, corrected bool)
 	stats   DelineatorStats
@@ -67,7 +70,7 @@ type Delineator struct {
 // NewDelineator returns a delineator in HUNT state delivering cells to sink.
 func NewDelineator(sink func(cell []byte, corrected bool)) *Delineator {
 	if sink == nil {
-		panic("sonet: nil delineation sink")
+		panic("sonet: nil delineation sink") // a wiring bug: no spec or wire byte reaches it
 	}
 	return &Delineator{Delta: DefaultDelta, Alpha: DefaultAlpha, sink: sink}
 }
@@ -144,7 +147,8 @@ func (d *Delineator) Push(p []byte) {
 				continue
 			}
 			// Keep the descrambler fed even though we discard.
-			d.cs.Descramble(d.window[5:53])
+			info := (*[48]byte)(d.window[5:53])
+			d.cs.descramble(info, info)
 			d.window = d.window[53:]
 			d.goodRun++
 			if d.goodRun >= d.Delta {
@@ -166,15 +170,15 @@ func (d *Delineator) Push(p []byte) {
 // syncCell consumes one 53-byte cell slot in SYNC state from w (which is not
 // modified) and reports whether the delineator is still in SYNC afterwards.
 func (d *Delineator) syncCell(w []byte) bool {
-	var h [5]byte
-	copy(h[:], w[:5])
-	ok, corrected := crc.HECCheck(&h)
+	// The header is checked, and corrected, in the cell buffer itself.
+	copy(d.cell[:5], w[:5])
+	ok, corrected := crc.HECCheck((*[5]byte)(d.cell[:5]))
+	// The descrambler register depends only on received line bits, so a
+	// dropped cell's slot still passes through it.
+	d.cs.descramble((*[48]byte)(d.cell[5:]), (*[48]byte)(w[5:53]))
 	if !ok {
 		d.badRun++
 		d.stats.HeaderDropped++
-		// Still consume the cell slot and keep scrambler state: the
-		// descrambler register depends only on received line bits.
-		d.cs.descramble(d.cell[5:], w[5:53])
 		if d.badRun >= d.Alpha {
 			d.state = Hunt
 			d.stats.SyncLosses++
@@ -186,8 +190,6 @@ func (d *Delineator) syncCell(w []byte) bool {
 	if corrected {
 		d.stats.HeaderCorrected++
 	}
-	copy(d.cell[:5], h[:])
-	d.cs.descramble(d.cell[5:], w[5:53])
 	d.stats.Cells++
 	d.sink(d.cell[:], corrected)
 	return d.state == Sync

@@ -105,21 +105,26 @@ type CellSource interface {
 // Framer builds serialized SONET frames carrying a continuous ATM cell
 // stream. Cells cross frame boundaries, exactly as on the wire.
 //
-// Everything after the row-1 section overhead is scrambled by XORing it in
-// place with the frame keystream (the frame-synchronous scrambler's output,
-// the same every frame). The next frame's B1 is the BIP-8 of the scrambled
-// frame, and BIP-8 is linear in the bytes it covers, so it is computed
-// without a pass over the scrambled frame: the parity of the transport
-// overhead columns, XOR the SPE's row fold (which is also the next frame's
-// B3), XOR the keystream's own parity.
+// Each frame is built once, in place in the caller's buffer: the overhead
+// columns of every row are cleared and set, and the payload columns are
+// filled straight from the cell source. Everything after the row-1 section
+// overhead is then scrambled by XORing it in place with the frame keystream
+// (the frame-synchronous scrambler's output, the same every frame).
+//
+// BIP-8 is linear in the bytes it covers, so one fold of the clear frame
+// gives both parities the next frame carries. The transport overhead
+// columns hold fixed bytes and B1, so their parity is a per-rate constant
+// XOR this frame's B1; the SPE's parity (the next B3) is the clear frame's
+// XOR that. The next B1 covers the scrambled frame: the clear frame's
+// parity XOR the keystream's own.
 type Framer struct {
 	geom     Geometry
-	cs       CellScrambler
+	cs       cellScrambler
 	src      CellSource
 	cellBuf  [53]byte
-	cellOff  int    // bytes of cellBuf already emitted; 53 = need a new cell
-	stream   []byte // per-frame staging for the contiguous cell stream
+	cellOff  int // bytes of cellBuf already emitted; 53 = need a new cell
 	frameNo  uint64
+	tohConst byte // BIP-8 of the transport overhead bytes other than B1
 	ksParity byte // BIP-8 of the frame keystream at this rate
 	prevB1   byte // BIP-8 of previous scrambled frame
 	prevB3   byte // BIP-8 of previous SPE
@@ -128,11 +133,25 @@ type Framer struct {
 // NewFramer returns a framer for rate r drawing cells from src.
 func NewFramer(r Rate, src CellSource) *Framer {
 	if src == nil {
-		panic("sonet: nil cell source")
+		panic("sonet: nil cell source") // a wiring bug: no spec or wire byte reaches it
 	}
 	g := Geom(r)
 	return &Framer{geom: g, src: src, cellOff: 53,
-		stream: make([]byte, g.PayloadPer), ksParity: keystreamParity(r)}
+		tohConst: tohParity(g), ksParity: keystreamParity(r)}
+}
+
+// tohParity returns the BIP-8 of the transport overhead bytes the framer
+// writes other than B1: A1, A2 and J0/Z0 in row 1, and the H1/H2 pointer and
+// concatenation bytes in row 4. Every other overhead byte is zero.
+func tohParity(g Geometry) byte {
+	p := byte(byteH1 ^ byteH2)
+	for i := 0; i < g.N; i++ {
+		p ^= byteA1 ^ byteA2 ^ byte(i+1)
+		if i > 0 {
+			p ^= byteH1Concat ^ byteH2Concat
+		}
+	}
+	return p
 }
 
 // Geometry returns the framer's layout.
@@ -143,11 +162,18 @@ func (f *Framer) Geometry() Geometry { return f.geom }
 func (f *Framer) NextFrame(dst []byte) int {
 	g := f.geom
 	if len(dst) < g.FrameBytes {
-		panic("sonet: frame buffer too small")
+		panic("sonet: frame buffer too small") // a caller's bug: every caller sizes dst from Geometry
 	}
 	frame := dst[:g.FrameBytes]
-	for i := range frame {
-		frame[i] = 0
+
+	// Overhead and fixed-stuff columns are cleared row by row; the payload
+	// columns [payStart, Cols) of every row carry the continuous cell
+	// stream.
+	payStart := g.TOHCols + 1 + g.FixedStuff
+	for row := 0; row < rows; row++ {
+		base := row * g.Cols
+		clear(frame[base : base+payStart])
+		f.fill(frame[base+payStart : base+g.Cols])
 	}
 
 	// Transport overhead, row-major. Row 1: A1×N A2×N J0/Z0×N.
@@ -174,45 +200,34 @@ func (f *Framer) NextFrame(dst []byte) int {
 	frame[g.Cols+pohCol] = f.prevB3 // B3: path BIP-8 over previous SPE
 	frame[2*g.Cols+pohCol] = 0x13   // C2: payload label "ATM"
 
-	// Payload columns: fill with the continuous cell stream. Payload
-	// occupies columns [TOHCols+1+FixedStuff, Cols) of every row. The
-	// frame's slice of the stream is staged contiguously (whole cells land
-	// directly in the staging buffer; only boundary cells pass through
-	// cellBuf) and then block-copied into the rows.
-	payStart := g.TOHCols + 1 + g.FixedStuff
-	stream := f.stream
-	n := copy(stream, f.cellBuf[f.cellOff:])
-	for n+53 <= len(stream) {
-		f.src.NextCell(stream[n : n+53])
-		// Scramble the info field only; header in clear.
-		f.cs.Scramble(stream[n+5 : n+53])
-		n += 53
-	}
-	if n < len(stream) {
-		f.src.NextCell(f.cellBuf[:])
-		f.cs.Scramble(f.cellBuf[5:])
-		f.cellOff = copy(stream[n:], f.cellBuf[:])
-	} else {
-		f.cellOff = 53
-	}
-	var toh, b3 byte
-	for row := 0; row < rows; row++ {
-		base := row * g.Cols
-		copy(frame[base+payStart:base+g.Cols], stream[row*g.PayloadCols:])
-		// B3 covers the SPE (POH column through the row end), and B1
-		// adds the TOH columns; XOR folds row by row instead of staging
-		// a contiguous SPE copy.
-		toh ^= bip8(frame[base : base+pohCol])
-		b3 ^= bip8(frame[base+pohCol : base+g.Cols])
-	}
-	f.prevB3 = b3
+	clearParity := bip8(frame)
+	f.prevB3 = clearParity ^ f.tohConst ^ f.prevB1
 
 	// Frame-synchronous scrambling: everything except row-1 TOH.
 	scr := frame[g.TOHCols:]
 	subtle.XORBytes(scr, scr, frameKeystream[:])
-	f.prevB1 = toh ^ b3 ^ f.ksParity
+	f.prevB1 = clearParity ^ f.ksParity
 	f.frameNo++
 	return g.FrameBytes
+}
+
+// fill writes the next len(p) bytes of the cell stream into p. Whole cells
+// are drawn straight into p and their information fields scrambled there;
+// a cell that crosses the end of p passes through cellBuf, and its tail
+// opens the next fill.
+func (f *Framer) fill(p []byte) {
+	n := copy(p, f.cellBuf[f.cellOff:])
+	f.cellOff += n
+	for ; n+53 <= len(p); n += 53 {
+		c := p[n : n+53]
+		f.src.NextCell(c)
+		f.cs.scramble((*[48]byte)(c[5:])) // info field only; header in clear
+	}
+	if n < len(p) {
+		f.src.NextCell(f.cellBuf[:])
+		f.cs.scramble((*[48]byte)(f.cellBuf[5:]))
+		f.cellOff = copy(p[n:], f.cellBuf[:])
+	}
 }
 
 // Frames generated so far.
@@ -230,31 +245,33 @@ type DeframerStats struct {
 // Deframer parses serialized frames, verifies overhead, and hands the
 // descrambled payload cell stream to a Delineator.
 //
-// One pass descrambles each received frame into a scratch copy (the
-// received bytes XOR the frame keystream). The B1 expected in the next
-// frame is the BIP-8 of the frame as received; as in the Framer, it is
-// assembled from the clear copy's transport-overhead parity, its SPE row
-// fold (the next frame's expected B3) and the keystream's parity. A frame
-// that fails A1/A2 alignment is dropped before any of this and leaves both
-// expectations as they were.
+// The received frame is never written. The few overhead bytes the checks
+// read are descrambled one at a time, and each row's payload columns are
+// descrambled into a scratch row in one pass and pushed to the delineator,
+// which copies what it keeps. The B1 expected in the next frame is one
+// BIP-8 fold of the frame as received. The B3 expected covers the clear
+// SPE: by linearity, that fold XOR the received transport overhead columns'
+// parity XOR the keystream's parity over the SPE. A frame that fails A1/A2
+// alignment is dropped before any of this and leaves both expectations as
+// they were.
 type Deframer struct {
-	geom     Geometry
-	del      *Delineator
-	stats    DeframerStats
-	ksParity byte // BIP-8 of the frame keystream at this rate
-	expB1    byte
-	expB3    byte
-	buf      []byte // scratch: descrambled frame copy
+	geom        Geometry
+	del         *Delineator
+	stats       DeframerStats
+	speKsParity byte // BIP-8 of the frame keystream over the SPE positions
+	expB1       byte
+	expB3       byte
+	row         []byte // scratch: one row's payload columns, descrambled
 }
 
 // NewDeframer returns a deframer for rate r delivering cells to del.
 func NewDeframer(r Rate, del *Delineator) *Deframer {
 	if del == nil {
-		panic("sonet: nil delineator")
+		panic("sonet: nil delineator") // a wiring bug: no spec or wire byte reaches it
 	}
 	g := Geom(r)
-	return &Deframer{geom: g, del: del, buf: make([]byte, g.FrameBytes),
-		ksParity: keystreamParity(r)}
+	return &Deframer{geom: g, del: del, row: make([]byte, g.PayloadCols),
+		speKsParity: speKeystreamParity(r)}
 }
 
 // Stats returns receive counters.
@@ -279,40 +296,37 @@ func (d *Deframer) PushFrame(frame []byte) error {
 			return nil // no byte alignment: drop the whole frame
 		}
 	}
-	f := d.buf
-	copy(f[:g.TOHCols], frame)
-	subtle.XORBytes(f[g.TOHCols:], frame[g.TOHCols:], frameKeystream[:])
-
+	// Every byte after row 1's section overhead is scrambled: the byte at
+	// frame offset i is in the clear XOR ks[i-TOHCols].
+	ks := frameKeystream[:g.FrameBytes-g.TOHCols]
+	clearByte := func(i int) byte { return frame[i] ^ ks[i-g.TOHCols] }
 	pohCol := g.TOHCols
 	if d.stats.Frames > 1 {
-		if f[g.Cols] != d.expB1 {
+		if clearByte(g.Cols) != d.expB1 {
 			d.stats.B1Errors++
 		}
-		if f[g.Cols+pohCol] != d.expB3 {
+		if clearByte(g.Cols+pohCol) != d.expB3 {
 			d.stats.B3Errors++
 		}
 	}
 
 	row4 := 3 * g.Cols
-	if f[row4] != byteH1 || f[row4+g.N] != byteH2 {
+	if clearByte(row4) != byteH1 || clearByte(row4+g.N) != byteH2 {
 		d.stats.PointerErrs++
 	}
 
-	// Fold the overhead columns and the SPE row by row (BIP-8 is
-	// position-independent, so no contiguous SPE copy is needed) and feed
-	// payload bytes to the delineator.
 	payStart := g.TOHCols + 1 + g.FixedStuff
-	var toh, b3 byte
+	var toh byte
 	for row := 0; row < rows; row++ {
 		base := row * g.Cols
-		toh ^= bip8(f[base : base+pohCol])
-		b3 ^= bip8(f[base+pohCol : base+g.Cols])
+		toh ^= bip8(frame[base : base+g.TOHCols])
+		subtle.XORBytes(d.row, frame[base+payStart:base+g.Cols], ks[base+payStart-g.TOHCols:])
+		d.del.Push(d.row)
 	}
-	d.expB1 = toh ^ b3 ^ d.ksParity
-	d.expB3 = b3
-	for row := 0; row < rows; row++ {
-		base := row * g.Cols
-		d.del.Push(f[base+payStart : base+g.Cols])
-	}
+	// B1 covers the frame as received; B3 the clear SPE, which is the
+	// frame less its transport overhead columns, descrambled.
+	rxParity := bip8(frame)
+	d.expB1 = rxParity
+	d.expB3 = rxParity ^ toh ^ d.speKsParity
 	return nil
 }

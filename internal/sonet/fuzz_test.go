@@ -1,6 +1,7 @@
 package sonet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -69,6 +70,65 @@ func FuzzDeframer(f *testing.F) {
 		}
 		if got := del.Stats().Cells; got != uint64(sinks) {
 			t.Fatalf("delineator counted %d cells, sink saw %d", got, sinks)
+		}
+	})
+}
+
+// FuzzFramer pins the framer's parity algebra and in-place build, and the
+// deframer's one-fold parity, against the per-byte references. The input's
+// whole 53-byte cells (one zero cell when it holds none) are the cell stream:
+// three frames at STS-3c, or two at STS-12c when sts12 is set, must match
+// refFramer byte for byte. Then the frames, with the bit at offset flip
+// inverted, go through a Deframer and refDeframer: the counters must agree
+// after every frame, and PushFrame must leave its argument as it was.
+func FuzzFramer(f *testing.F) {
+	seq := seqCells(4)
+	f.Add(false, uint32(8*(2430+500)), seq)
+	f.Add(true, uint32(8*36), seq)
+	idle := make([]byte, 53)
+	idleSource{}.NextCell(idle)
+	f.Add(false, uint32(8*270+3), idle) // B1 of the second frame
+	f.Add(false, uint32(0), []byte{0xff, 0x00, 0x6a})
+	f.Fuzz(func(t *testing.T, sts12 bool, flip uint32, data []byte) {
+		r, n := STS3c, 3
+		if sts12 {
+			r, n = STS12c, 2
+		}
+		data = data[:len(data)/53*53]
+		if len(data) == 0 {
+			data = make([]byte, 53)
+		}
+		fast := NewFramer(r, &cellBytes{data: data})
+		ref := newRefFramer(r, &cellBytes{data: data})
+		size := fast.Geometry().FrameBytes
+		frames := make([]byte, n*size)
+		want := make([]byte, size)
+		for i := 0; i < n; i++ {
+			fb := frames[i*size : (i+1)*size]
+			fast.NextFrame(fb)
+			ref.NextFrame(want)
+			if !bytes.Equal(fb, want) {
+				t.Fatalf("%v frame %d: framer diverges from the per-byte reference", r, i)
+			}
+		}
+
+		bit := int(flip % uint32(8*len(frames)))
+		frames[bit/8] ^= 1 << (bit % 8)
+		df := NewDeframer(r, NewDelineator(func([]byte, bool) {}))
+		rd := &refDeframer{geom: Geom(r)}
+		for i := 0; i < n; i++ {
+			fb := frames[i*size : (i+1)*size]
+			copy(want, fb)
+			rd.PushFrame(fb)
+			if err := df.PushFrame(fb); err != nil {
+				t.Fatalf("%v frame %d: %v", r, i, err)
+			}
+			if !bytes.Equal(fb, want) {
+				t.Fatalf("%v frame %d: PushFrame modified its argument", r, i)
+			}
+			if got, want := df.Stats(), rd.stats; got != want {
+				t.Fatalf("%v frame %d, bit %d flipped: stats %+v, reference %+v", r, i, bit, got, want)
+			}
 		}
 	})
 }

@@ -94,22 +94,30 @@ func TestFrameScramblerMatchesBitSerial(t *testing.T) {
 		if got, want := keystreamParity(rate), refBip8(ks); got != want {
 			t.Fatalf("%v: keystream parity %#02x, reference %#02x", rate, got, want)
 		}
+		// The B3 algebra's term: the keystream over columns [TOHCols,
+		// Cols) of every row, the SPE. Frame offset i takes ks[i-TOHCols].
+		var spe []byte
+		for row := 0; row < rows; row++ {
+			spe = append(spe, ks[row*g.Cols:(row+1)*g.Cols-g.TOHCols]...)
+		}
+		if got, want := speKeystreamParity(rate), refBip8(spe); got != want {
+			t.Fatalf("%v: SPE keystream parity %#02x, reference %#02x", rate, got, want)
+		}
 	}
 }
 
 func TestCellScramblerMatchesBitSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var fast CellScrambler
+	var fast cellScrambler
 	refSt := uint64(0)
 	for i := 0; i < 200; i++ {
-		n := rng.Intn(64)
-		p := make([]byte, n)
-		rng.Read(p)
-		ref := append([]byte(nil), p...)
-		fast.Scramble(p)
-		refSt = refCellScramble(refSt, ref)
-		if !bytes.Equal(p, ref) {
-			t.Fatalf("round %d: byte-wise scramble diverges from bit-serial", i)
+		var p [48]byte
+		rng.Read(p[:])
+		ref := p
+		fast.scramble(&p)
+		refSt = refCellScramble(refSt, ref[:])
+		if p != ref {
+			t.Fatalf("round %d: word-wise scramble diverges from bit-serial", i)
 		}
 		if fast.state != refSt {
 			t.Fatalf("round %d: scramble state %#x, reference %#x", i, fast.state, refSt)
@@ -117,19 +125,28 @@ func TestCellScramblerMatchesBitSerial(t *testing.T) {
 	}
 }
 
+// TestCellDescramblerMatchesBitSerial checks the descrambler both in place
+// and into a separate buffer, which must leave its source untouched.
 func TestCellDescramblerMatchesBitSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var fast CellScrambler
+	var fast cellScrambler
 	refSt := uint64(0)
 	for i := 0; i < 200; i++ {
-		n := rng.Intn(64)
-		p := make([]byte, n)
-		rng.Read(p)
-		ref := append([]byte(nil), p...)
-		fast.Descramble(p)
-		refSt = refCellDescramble(refSt, ref)
-		if !bytes.Equal(p, ref) {
-			t.Fatalf("round %d: byte-wise descramble diverges from bit-serial", i)
+		var p, dst [48]byte
+		rng.Read(p[:])
+		src, ref := p, p
+		if i%2 == 0 {
+			fast.descramble(&p, &p)
+		} else {
+			fast.descramble(&dst, &src)
+			if src != p {
+				t.Fatalf("round %d: descramble wrote its source", i)
+			}
+			p = dst
+		}
+		refSt = refCellDescramble(refSt, ref[:])
+		if p != ref {
+			t.Fatalf("round %d: word-wise descramble diverges from bit-serial", i)
 		}
 		if fast.state != refSt {
 			t.Fatalf("round %d: descramble state %#x, reference %#x", i, fast.state, refSt)
@@ -139,7 +156,7 @@ func TestCellDescramblerMatchesBitSerial(t *testing.T) {
 
 func TestBip8MatchesByteSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 7, 8, 9, 255, 2430} {
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 40, 255, 2430, 9720} {
 		p := make([]byte, n)
 		rng.Read(p)
 		if got, want := bip8(p), refBip8(p); got != want {
@@ -155,7 +172,7 @@ func TestBip8MatchesByteSerial(t *testing.T) {
 // algebra.
 type refFramer struct {
 	geom    Geometry
-	cs      CellScrambler
+	csState uint64 // the bit-serial cell scrambler's register
 	src     CellSource
 	cellBuf [53]byte
 	cellOff int
@@ -197,7 +214,7 @@ func (f *refFramer) NextFrame(dst []byte) int {
 		for col := payStart; col < g.Cols; col++ {
 			if f.cellOff == 53 {
 				f.src.NextCell(f.cellBuf[:])
-				f.cs.Scramble(f.cellBuf[5:])
+				f.csState = refCellScramble(f.csState, f.cellBuf[5:])
 				f.cellOff = 0
 			}
 			frame[base+col] = f.cellBuf[f.cellOff]
@@ -439,22 +456,22 @@ func TestFramerHotPathZeroAllocs(t *testing.T) {
 }
 
 func BenchmarkFramerSTS12c(b *testing.B) {
-	src := &seqSource{}
-	fr := NewFramer(STS12c, src)
+	fr := NewFramer(STS12c, &cellBytes{data: seqCells(64)})
 	buf := make([]byte, fr.Geometry().FrameBytes)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fr.NextFrame(buf)
 	}
 }
 
 func BenchmarkDeframerSTS12c(b *testing.B) {
-	src := &seqSource{}
-	fr := NewFramer(STS12c, src)
+	fr := NewFramer(STS12c, &cellBytes{data: seqCells(64)})
 	del := NewDelineator(func([]byte, bool) {})
 	df := NewDeframer(STS12c, del)
-	frames := make([][]byte, 16)
+	// 53 frames carry a whole number of cells, so the replay stays in SYNC.
+	frames := make([][]byte, 53)
 	for i := range frames {
 		frames[i] = make([]byte, fr.Geometry().FrameBytes)
 		fr.NextFrame(frames[i])

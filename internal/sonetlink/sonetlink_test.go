@@ -32,11 +32,11 @@ type rig struct {
 	got  [][]byte
 }
 
-func newRig(t *testing.T, rate sonet.Rate) *rig { return newTracedRig(t, rate, 0) }
+func newRig(t testing.TB, rate sonet.Rate) *rig { return newTracedRig(t, rate, 0) }
 
 // newTracedRig is newRig with a flight recorder of the given capacity on
 // the link (none when capacity is 0).
-func newTracedRig(t *testing.T, rate sonet.Rate, capacity int) *rig {
+func newTracedRig(t testing.TB, rate sonet.Rate, capacity int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	r := &rig{k: k}
@@ -65,6 +65,43 @@ func newTracedRig(t *testing.T, rate sonet.Rate, capacity int) *rig {
 }
 
 func vc() atm.VC { return atm.VC{VCI: 33} }
+
+// frameEachWay sends one frame in each direction of the rig's clean link
+// and runs until both have been parsed: build, wire, deframe, delineate and
+// decode. With nothing queued every cell is idle fill, so the interfaces
+// see nothing and the kernel goes idle again.
+func (r *rig) frameEachWay() {
+	r.link.AtoB.sendFrame()
+	r.link.BtoA.sendFrame()
+	r.k.Run()
+}
+
+// TestFramedPairAllocatesNothing pins the SONET line path at zero
+// allocations per frame once warm: the wire buffers come back to their
+// pools, and framing, deframing and delineation run in preallocated
+// buffers.
+func TestFramedPairAllocatesNothing(t *testing.T) {
+	r := newRig(t, sonet.STS3c)
+	r.k.Run() // the bring-up frames lock delineation both ways
+	r.frameEachWay()
+	if avg := testing.AllocsPerRun(100, r.frameEachWay); avg != 0 {
+		t.Fatalf("one frame each way allocates %.1f times, want 0", avg)
+	}
+	if st := r.link.AtoB.Stats(); st.Delineation.SyncAcquired != 1 || st.Delineation.SyncLosses != 0 {
+		t.Fatalf("delineation %+v, want one lock held throughout", st.Delineation)
+	}
+}
+
+// BenchmarkFramedPair times one frame each way through a clean STS-3c pair.
+func BenchmarkFramedPair(b *testing.B) {
+	r := newRig(b, sonet.STS3c)
+	r.k.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.frameEachWay()
+	}
+}
 
 // TestEveryCellCountDelivered sends one SDU of every AAL5 length from 1 to
 // 200 cells, each on a fresh pair, at both rates. A data cell whose tail
@@ -315,10 +352,10 @@ func TestSonetBERSweepSurvives(t *testing.T) {
 	}
 }
 
-// TestSonetDamagedFrameCountedNotPanic is the direct regression for the
-// receive path: a frame the deframer rejects outright must be a counted
-// loss, and a delineated cell whose header will not decode must be a counted
-// discard — neither may crash the run.
+// TestSonetDamagedFrameCounted is the direct regression for the receive
+// path: a frame the deframer rejects outright must be a counted loss, and a
+// cell whose header is damaged beyond correction must be a counted drop —
+// neither may crash the run.
 func TestSonetDamagedFrameCounted(t *testing.T) {
 	r := newRig(t, sonet.STS3c)
 	h := r.link.AtoB
@@ -328,19 +365,37 @@ func TestSonetDamagedFrameCounted(t *testing.T) {
 		t.Fatalf("FrameErrors = %d, want 1", st.FrameErrors)
 	}
 
+	// The bring-up idle frame locks delineation and ends partway into an
+	// idle cell; finish that cell, so the next byte starts a cell slot.
+	r.k.Run()
+	if h.del.State() != sonet.Sync {
+		t.Fatalf("delineation %v after the bring-up frame, want SYNC", h.del.State())
+	}
+	sent := int(h.Stats().Frames) * sonet.Geom(sonet.STS3c).PayloadPer
+	h.del.Push(make([]byte, atm.CellSize-sent%atm.CellSize))
+
 	// A double-bit header error is beyond the HEC's single-bit correction:
-	// the delineator can hand such a cell up, and decode must reject it.
+	// the delineator drops the cell, counted, and hands nothing up.
 	good := &atm.Cell{Header: atm.Header{Format: atm.UNI, VCI: 33}}
 	buf := make([]byte, atm.CellSize)
 	if err := good.Encode(buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] ^= 0xc0
-	h.cellRecovered(buf, false)
-	if st := h.Stats(); st.HeaderDiscards != 1 {
-		t.Fatalf("HeaderDiscards = %d, want 1", st.HeaderDiscards)
+	before := h.Stats().Delineation
+	h.del.Push(buf)
+	st := h.Stats()
+	if st.Delineation.HeaderDropped != before.HeaderDropped+1 || st.Delineation.Cells != before.Cells {
+		t.Fatalf("delineation %+v after the damaged cell, was %+v: want one more drop and no delivery",
+			st.Delineation, before)
+	}
+	if st.HeaderDiscards != 0 {
+		t.Fatalf("HeaderDiscards = %d, want 0", st.HeaderDiscards)
 	}
 	r.k.Run() // nothing pending must misbehave afterwards
+	if rx := r.b.Stats().Rx; rx.Cells != 0 {
+		t.Fatalf("b received %d cells, want 0", rx.Cells)
+	}
 }
 
 // TestSonetLinkFailureLOS: cutting one SONET direction is loss of signal at
